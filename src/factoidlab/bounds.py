@@ -233,7 +233,7 @@ def verify_theorem_main_mc(
     else:
         rhs = 0.0
 
-    g_arr = np.fromiter((g.weight(y) for y in range(size)), dtype=np.float64, count=size)
+    g_arr = g.weights_at(np.arange(size))
     block_id = np.empty(size, dtype=np.intp)
     block_len = np.empty(len(partition.blocks), dtype=np.float64)
     for i, block in enumerate(partition.blocks):
@@ -325,7 +325,7 @@ def verify_lemma_meat_exhaustive(
     if size > max_universe:
         raise DistributionError(f"universe size {size} exceeds exhaustive limit {max_universe}")
     weights = np.array([w for w, _ in nu.instances])
-    P = np.array([[inst.p.weight(y) for y in range(size)] for _, inst in nu.instances])
+    P = np.array([inst.p.weights_at(np.arange(size)) for _, inst in nu.instances])
     mean_p = weights @ P
 
     subsets = []

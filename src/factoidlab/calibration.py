@@ -36,7 +36,7 @@ from .dist import (
     MATERIALIZE_LIMIT,
     FactoidDist,
     FactoidUniverse,
-    dist_from_weights,
+    dist_from_arrays,
     paired_profile,
 )
 from .errors import PartitionError, UniverseMismatchError
@@ -54,6 +54,8 @@ __all__ = [
     "adaptive_partition",
     "fixed_width_partition",
     "partition_for_spec",
+    "sort_profile_by_g",
+    "profile_calibration",
     "miscalibration",
     "generative_calibration_error",
     "reliability_curve",
@@ -98,12 +100,6 @@ class Partition:
     @classmethod
     def single_block(cls, universe: FactoidUniverse) -> "Partition":
         return cls(universe, (frozenset(universe.indices()),))
-
-    def block_of(self, y: int) -> frozenset[int]:
-        for block in self.blocks:
-            if y in block:
-                return block
-        raise PartitionError(f"index {y} not covered")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +234,7 @@ def _atom_values(g: FactoidDist) -> np.ndarray:
         raise PartitionError(
             f"refusing to materialize per-atom blocks for universe of size {g.universe.size}"
         )
-    return np.fromiter((g.weight(y) for y in g.universe.indices()), dtype=np.float64, count=g.universe.size)
+    return g.weights_at(np.arange(g.universe.size))
 
 
 def _partition_from_sorted_groups(
@@ -311,13 +307,12 @@ def coarsen(p: FactoidDist, pi: Partition) -> FactoidDist:
         raise UniverseMismatchError(
             f"partition universe size {pi.universe.size} != distribution size {p.universe.size}"
         )
-    weights: dict[int, float] = {}
+    keys = np.arange(p.universe.size)
+    values = np.empty(p.universe.size)
     for block in pi.blocks:
-        mass = math.fsum(p.weight(y) for y in block)
-        value = mass / len(block)
-        for y in block:
-            weights[y] = value
-    return dist_from_weights(p.universe, weights)
+        atoms = np.fromiter(block, dtype=np.int64, count=len(block))
+        values[atoms] = math.fsum(p.weights_at(atoms).tolist()) / len(block)
+    return dist_from_arrays(p.universe, keys, values)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +320,17 @@ def coarsen(p: FactoidDist, pi: Partition) -> FactoidDist:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_profile(p: FactoidDist, g: FactoidDist):
-    p_vals, g_vals, counts = paired_profile(p, g)
+def sort_profile_by_g(
+    p_vals: np.ndarray, g_vals: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A paired (p, g) profile stably sorted by ascending g, the order
+    every binning scheme groups in."""
     order = np.argsort(g_vals, kind="stable")
     return p_vals[order], g_vals[order], counts[order]
+
+
+def _sorted_profile(p: FactoidDist, g: FactoidDist):
+    return sort_profile_by_g(*paired_profile(p, g))
 
 
 def _block_masses(p_vals, g_vals, counts, starts):
@@ -340,28 +342,39 @@ def _block_masses(p_vals, g_vals, counts, starts):
     return p_mass, g_mass, sizes, block_of_class
 
 
+def profile_calibration(
+    p_vals: np.ndarray, g_vals: np.ndarray, counts: np.ndarray, spec: BinningSpec
+) -> tuple[float, float]:
+    """(miscalibration, mass gap) of a (p, g) profile sorted by g, over
+    the bins spec builds from g.
+
+    Miscalibration is the TV distance between g and the coarsening of p
+    over the bins. The mass gap is half the summed absolute difference
+    between bin p-mass and bin g-mass; over fixed-width bins it is the
+    generative calibration error.
+    """
+    starts = _block_starts_for_spec(g_vals, counts, spec)
+    p_mass, g_mass, sizes, block_of_class = _block_masses(p_vals, g_vals, counts, starts)
+    total = float(np.sum(p_vals * counts))
+    coarse = (p_mass / sizes) / total
+    mis = 0.5 * float(np.sum(counts * np.abs(coarse[block_of_class] - g_vals)))
+    gap = 0.5 * float(np.sum(np.abs(p_mass - g_mass)))
+    return mis, gap
+
+
 def miscalibration(p: FactoidDist, g: FactoidDist, spec: BinningSpec) -> float:
     """TV distance between g and the coarsening of p over bins of g.
 
     Zero exactly when g is a coarsening of p (for the exact-value and
     adaptive schemes, any number of bins).
     """
-    p_vals, g_vals, counts = _sorted_profile(p, g)
-    starts = _block_starts_for_spec(g_vals, counts, spec)
-    p_mass, _, sizes, block_of_class = _block_masses(p_vals, g_vals, counts, starts)
-    total = float(np.sum(p_vals * counts))
-    coarse = (p_mass / sizes) / total
-    return 0.5 * float(np.sum(counts * np.abs(coarse[block_of_class] - g_vals)))
+    return profile_calibration(*_sorted_profile(p, g), spec)[0]
 
 
 def generative_calibration_error(p: FactoidDist, g: FactoidDist, epsilon: float) -> float:
     """Half the summed absolute gap between p-mass and g-mass over the
     fixed-width log-probability bins of g."""
-    spec = FixedWidthBinning(epsilon)
-    p_vals, g_vals, counts = _sorted_profile(p, g)
-    starts = _block_starts_for_spec(g_vals, counts, spec)
-    p_mass, g_mass, _, _ = _block_masses(p_vals, g_vals, counts, starts)
-    return 0.5 * float(np.sum(np.abs(p_mass - g_mass)))
+    return profile_calibration(*_sorted_profile(p, g), FixedWidthBinning(epsilon))[1]
 
 
 def reliability_curve(

@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -383,14 +382,6 @@ def write_results(
 # ---------------------------------------------------------------------------
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("FACTOIDLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _print_aggregate(report: AggregateReport, out) -> None:
     print(f"trials: {report.trials}  delta: {_fmt(report.delta)}", file=out)
     print("bound          freq      ci95           vacuous  pass", file=out)
@@ -420,7 +411,7 @@ def cmd_run(args, out, err) -> int:
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    report, records = run_experiment(cfg, threads=args.threads)
+    report, records = run_experiment(cfg)
     rel_rows = _reliability_rows_for_trial(cfg, 0)
     write_results(out_dir, cfg, manifest, records, report, rel_rows)
     _print_aggregate(report, out)
@@ -431,8 +422,7 @@ def cmd_run(args, out, err) -> int:
 def _reliability_rows_for_trial(cfg: ExperimentConfig, trial_index: int):
     rng = SeededRng(cfg.master_seed).child(trial_index)
     world = sample_world(cfg.world, rng)
-    draws = sample_iid(world.p, cfg.n, rng)
-    sample = TrainingSample(world.universe, tuple(int(y) for y in draws))
+    sample = TrainingSample(world.universe, sample_iid(world.p, cfg.n, rng))
     g = train(cfg.algorithm, sample, truth=world.p)
     return reliability_curve(world.p, g, AdaptiveBinning(cfg.bound.b))
 
@@ -517,8 +507,7 @@ def cmd_thm_main(args, out, err) -> int:
         raise ConfigError("thm-main requires world.kind = permuted_power_law with exponent 0")
     setup_rng = SeededRng(cfg.master_seed).child(0)
     world = sample_world(cfg.world, setup_rng)
-    draws = sample_iid(world.p, cfg.n, setup_rng)
-    sample = TrainingSample(world.universe, tuple(int(y) for y in draws))
+    sample = TrainingSample(world.universe, sample_iid(world.p, cfg.n, setup_rng))
     algs: list[tuple[str, LmAlgorithm]] = [
         ("empirical", Empirical()),
         ("laplace", Laplace(0.5)),
@@ -607,7 +596,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
-    p_run.add_argument("--threads", type=int, default=_default_threads())
 
     p_gt = sub.add_parser("gt-check", help="missing-mass concentration suite")
     p_gt.add_argument("config")

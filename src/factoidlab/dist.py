@@ -3,20 +3,25 @@
 The universe is the index set {0, 1, ..., size-1}; index 0 is the
 distinguished "empty fact" (bottom) everywhere in this package. A
 distribution stores explicit weights for a sparse set of atoms plus a
-single background weight shared by every other atom. The background
-makes huge near-uniform distributions (for example "1/|Y| everywhere" on
-ten million atoms) exact and O(sparse) to operate on, which the Monte
-Carlo harness relies on.
+single background weight shared by every other atom. The explicit part
+is two parallel arrays: `keys`, the atoms in strictly increasing order
+(int64), and `values`, their weights (float64). The background makes
+huge near-uniform distributions (for example "1/|Y| everywhere" on ten
+million atoms) exact and O(sparse) to operate on, which the Monte Carlo
+harness relies on: every reader works on the arrays with numpy and no
+array ever has the size of the universe.
 
-Weights are normalized on construction; zero-sum, negative, or
-out-of-range input is rejected.
+The constructor fails closed: unsorted or duplicate keys, keys outside
+the universe, NaN, infinite or negative weights and a non-finite or
+negative background are rejected. The module constructors also
+normalize; zero-sum input is rejected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -27,6 +32,7 @@ __all__ = [
     "BOTTOM",
     "FactoidUniverse",
     "FactoidDist",
+    "dist_from_arrays",
     "dist_from_weights",
     "uniform_dist",
     "point_mass_dist",
@@ -36,8 +42,10 @@ __all__ = [
     "tv_distance",
     "tv_distance_forms",
     "kl_divergence",
+    "profile_kl",
     "sample_iid",
     "paired_profile",
+    "with_bottom",
     "random_dist",
 ]
 
@@ -52,6 +60,9 @@ NORMALIZATION_ATOL = 1e-9
 #: Universes larger than this refuse to materialize per-atom structures
 #: (dense weight maps, explicit partition blocks).
 MATERIALIZE_LIMIT = 1_000_000
+
+_NO_KEYS = np.zeros(0, dtype=np.int64)
+_NO_KEYS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -75,9 +86,23 @@ class FactoidUniverse:
     def indices(self) -> range:
         return range(self.size)
 
-    def check_index(self, y: int) -> None:
-        if not 0 <= y < self.size:
+    def atom_array(self, atoms) -> np.ndarray:
+        """atoms (a sequence or array of indices) as an int64 array.
+
+        Rejects non-integer input and indices outside the universe.
+        """
+        raw = np.asarray(atoms)
+        if raw.size == 0:
+            return _NO_KEYS
+        if raw.dtype.kind not in "iu":
+            raise DistributionError(f"factoid indices must be integers, got dtype {raw.dtype}")
+        # uint64 values beyond the int64 range wrap negative and fail too
+        arr = raw.astype(np.int64, copy=False).ravel()
+        bad = (arr < 0) | (arr >= self.size)
+        if bad.any():
+            y = raw.ravel()[int(np.argmax(bad))]
             raise DistributionError(f"factoid index {y} outside universe of size {self.size}")
+        return arr
 
 
 def _check_same_universe(a: "FactoidDist", b: "FactoidDist") -> None:
@@ -87,32 +112,92 @@ def _check_same_universe(a: "FactoidDist", b: "FactoidDist") -> None:
         )
 
 
+def _sorted_unique(atoms: np.ndarray) -> np.ndarray:
+    # np.unique without counts takes a hash-based route that is an order
+    # of magnitude slower than sorting on a few thousand spread-out atoms
+    out = np.sort(atoms)
+    if out.size > 1:
+        out = out[np.concatenate(([True], out[1:] != out[:-1]))]
+    return out
+
+
+def with_bottom(keys: np.ndarray) -> np.ndarray:
+    """A strictly increasing atom array with the empty fact added."""
+    if keys.size and keys[0] == BOTTOM:
+        return keys
+    return np.insert(keys, 0, BOTTOM)
+
+
+def _lookup(keys: np.ndarray, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of atoms in the sorted key array and a mask of which are
+    present (positions of absent atoms are clipped and meaningless)."""
+    if keys.size == 0:
+        return np.zeros(atoms.shape, dtype=np.intp), np.zeros(atoms.shape, dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, atoms), keys.size - 1)
+    return pos, keys[pos] == atoms
+
+
 @dataclass(frozen=True, eq=False)
 class FactoidDist:
     """Probability distribution over one universe.
 
-    special maps atom index to weight; every atom not in special carries
-    the background weight. Instances are immutable after construction
-    and safe to share across threads. Use the module constructors below
-    rather than calling this class directly.
+    keys lists the explicitly weighted atoms in strictly increasing order
+    and values their weights; every other atom carries the background
+    weight. The arrays are copied and made read-only, so instances are
+    immutable and safe to share. Use the module constructors below
+    (which also normalize) rather than calling this class directly.
     """
 
     universe: FactoidUniverse
-    special: dict[int, float] = field(repr=False)
+    keys: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
     background: float = 0.0
 
     def __post_init__(self):
-        if self.background < 0.0:
-            raise DistributionError(f"negative background weight {self.background}")
-        for y, w in self.special.items():
-            self.universe.check_index(y)
-            if w < 0.0 or math.isnan(w):
-                raise DistributionError(f"negative weight {w} at index {y}")
+        background = float(self.background)
+        if not (math.isfinite(background) and background >= 0.0):
+            raise DistributionError(f"background weight must be finite and >= 0, got {background}")
+        raw = np.asarray(self.keys)
+        if raw.size and raw.dtype.kind not in "iu":
+            raise DistributionError(f"factoid indices must be integers, got dtype {raw.dtype}")
+        keys = raw.astype(np.int64).ravel()
+        values = np.array(self.values, dtype=np.float64).ravel()
+        if keys.shape != values.shape:
+            raise DistributionError(
+                f"{keys.size} keys but {values.size} values; arrays must be parallel"
+            )
+        if keys.size:
+            # uint64 keys beyond the int64 range wrap negative and fail here
+            if not (keys[1:] > keys[:-1]).all():
+                raise DistributionError("keys must be strictly increasing (sorted, no duplicates)")
+            if keys[0] < 0 or keys[-1] >= self.universe.size:
+                bad = keys[0] if keys[0] < 0 else keys[-1]
+                raise DistributionError(
+                    f"factoid index {bad} outside universe of size {self.universe.size}"
+                )
+            if not (values.min() >= 0.0 and np.isfinite(values).all()):
+                i = int(np.argmax(~(np.isfinite(values) & (values >= 0.0))))
+                raise DistributionError(f"weight {values[i]} at index {keys[i]} is negative or not finite")
+        keys.flags.writeable = False
+        values.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "background", background)
 
     # -- access ---------------------------------------------------------
 
     def weight(self, y: int) -> float:
-        return self.special.get(y, self.background)
+        i = int(np.searchsorted(self.keys, y))
+        if i < self.keys.size and self.keys[i] == y:
+            return float(self.values[i])
+        return self.background
+
+    def weights_at(self, atoms: np.ndarray) -> np.ndarray:
+        """Weights of an int array of atoms, as a float64 array."""
+        if self.keys.size == 0:
+            return np.full(atoms.shape, self.background)
+        pos, hit = _lookup(self.keys, atoms)
+        return np.where(hit, self.values[pos], self.background)
 
     @property
     def weights(self) -> dict[int, float]:
@@ -122,49 +207,53 @@ class FactoidDist:
         universes; use weight() or mass_of_set() there instead.
         """
         if self.background == 0.0:
-            return {y: w for y, w in sorted(self.special.items()) if w > 0.0}
+            pos = self.values > 0.0
+            return dict(zip(self.keys[pos].tolist(), self.values[pos].tolist()))
         if self.universe.size > MATERIALIZE_LIMIT:
             raise DistributionError(
                 f"refusing to materialize weights for universe of size {self.universe.size}"
             )
-        return {y: w for y in self.universe.indices() if (w := self.weight(y)) > 0.0}
+        dense = self.weights_at(np.arange(self.universe.size))
+        pos = np.flatnonzero(dense > 0.0)
+        return dict(zip(pos.tolist(), dense[pos].tolist()))
 
     def support_size(self) -> int:
-        n_special_pos = sum(1 for w in self.special.values() if w > 0.0)
+        n_special_pos = int(np.count_nonzero(self.values > 0.0))
         if self.background > 0.0:
-            return n_special_pos + (self.universe.size - len(self.special))
+            return n_special_pos + (self.universe.size - self.keys.size)
         return n_special_pos
 
-    def support(self) -> Iterator[int]:
-        """Iterate positive-weight atoms (guarded like .weights)."""
-        if self.background == 0.0:
-            yield from (y for y, w in sorted(self.special.items()) if w > 0.0)
-            return
-        if self.universe.size > MATERIALIZE_LIMIT:
-            raise DistributionError(
-                f"refusing to iterate support over universe of size {self.universe.size}"
-            )
-        for y in self.universe.indices():
-            if self.weight(y) > 0.0:
-                yield y
-
     def total_mass(self) -> float:
-        rest = self.universe.size - len(self.special)
-        return math.fsum(self.special.values()) + self.background * rest
+        rest = self.universe.size - self.keys.size
+        return math.fsum(self.values.tolist()) + self.background * rest
 
 
-def _normalized(universe: FactoidUniverse, special: dict[int, float], background: float) -> FactoidDist:
-    rest = universe.size - len(special)
-    total = math.fsum(special.values()) + background * rest
+def dist_from_arrays(
+    universe: FactoidUniverse, keys, values, background: float = 0.0
+) -> FactoidDist:
+    """Normalized distribution from strictly increasing keys, their
+    non-negative weights and a background weight for every other atom.
+
+    Rejects what the FactoidDist constructor rejects, plus all-zero and
+    non-finite totals. With no background, zero-weight keys are dropped.
+    """
+    raw = FactoidDist(universe, keys, values, background)
+    rest = universe.size - raw.keys.size
+    total = math.fsum(raw.values.tolist()) + raw.background * rest
     if total <= 0.0:
         raise DistributionError("weights sum to zero; at least one must be positive")
     if not math.isfinite(total):
         raise DistributionError("weights sum is not finite")
-    special = {y: w / total for y, w in special.items()}
-    background = background / total
+    keys, values, background = raw.keys, raw.values / total, raw.background / total
     if background == 0.0:
-        special = {y: w for y, w in special.items() if w > 0.0}
-    return FactoidDist(universe=universe, special=special, background=background)
+        pos = values > 0.0
+        keys, values = keys[pos], values[pos]
+    return FactoidDist(universe, keys, values, background)
+
+
+def _sorted_items(weights: Mapping[int, float]) -> tuple[list[int], list[float]]:
+    items = sorted((int(y), float(w)) for y, w in weights.items())
+    return [y for y, _ in items], [w for _, w in items]
 
 
 def dist_from_weights(universe: FactoidUniverse, weights: Mapping[int, float]) -> FactoidDist:
@@ -173,12 +262,7 @@ def dist_from_weights(universe: FactoidUniverse, weights: Mapping[int, float]) -
     Rejects all-zero input, any negative weight, and out-of-range
     indices. Atoms absent from the map have probability zero.
     """
-    special = {int(y): float(w) for y, w in weights.items()}
-    for y, w in special.items():
-        universe.check_index(y)
-        if w < 0.0 or math.isnan(w):
-            raise DistributionError(f"negative weight {w} at index {y}")
-    return _normalized(universe, special, 0.0)
+    return dist_from_arrays(universe, *_sorted_items(weights))
 
 
 def background_dist(
@@ -186,37 +270,30 @@ def background_dist(
 ) -> FactoidDist:
     """Distribution with explicit weights on some atoms and a shared
     background weight on all others; normalizes like dist_from_weights."""
-    sp = {int(y): float(w) for y, w in special.items()}
-    for y, w in sp.items():
-        universe.check_index(y)
-        if w < 0.0 or math.isnan(w):
-            raise DistributionError(f"negative weight {w} at index {y}")
-    if background < 0.0:
-        raise DistributionError(f"negative background weight {background}")
-    return _normalized(universe, sp, float(background))
+    return dist_from_arrays(universe, *_sorted_items(special), background)
 
 
 def uniform_dist(universe: FactoidUniverse) -> FactoidDist:
-    return FactoidDist(universe=universe, special={}, background=1.0 / universe.size)
+    return FactoidDist(universe, _NO_KEYS, (), 1.0 / universe.size)
 
 
 def point_mass_dist(universe: FactoidUniverse, y: int) -> FactoidDist:
-    universe.check_index(y)
-    return FactoidDist(universe=universe, special={int(y): 1.0}, background=0.0)
+    return FactoidDist(universe, [y], [1.0], 0.0)
 
 
 # -- set mass -------------------------------------------------------------
 
 
 def mass_of_set(d: FactoidDist, s: Iterable[int]) -> float:
-    """Total probability of the atoms in s. Empty set has mass 0."""
-    atoms = set(s)
-    for y in atoms:
-        d.universe.check_index(y)
-    if d.background == 0.0:
-        return math.fsum(d.special.get(y, 0.0) for y in atoms)
-    n_plain = sum(1 for y in atoms if y not in d.special)
-    return math.fsum(d.special[y] for y in atoms if y in d.special) + d.background * n_plain
+    """Total probability of the atoms in s. Empty set has mass 0.
+
+    s may be any iterable of indices or an int array; repeats count once.
+    """
+    raw = s if isinstance(s, np.ndarray) else list(s)
+    atoms = _sorted_unique(d.universe.atom_array(raw))
+    pos, hit = _lookup(d.keys, atoms)
+    n_plain = atoms.size - int(np.count_nonzero(hit))
+    return math.fsum(d.values[pos[hit]].tolist()) + d.background * n_plain
 
 
 def mass_of_complement(d: FactoidDist, s: Iterable[int]) -> float:
@@ -231,17 +308,18 @@ def mass_of_complement(d: FactoidDist, s: Iterable[int]) -> float:
 def paired_profile(d1: FactoidDist, d2: FactoidDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse two distributions into atom classes (w1, w2, count).
 
-    Atoms that are background in both carry identical weight pairs and
-    are merged into one class, so the profile size is O(#special atoms)
-    even on huge universes. Every pairwise metric in this package is a
-    function of this profile.
+    One class per atom explicit in either distribution, in increasing
+    atom order, then one class for the atoms that are background in
+    both (they carry identical weight pairs). The profile size is
+    O(#explicit atoms) even on huge universes, and every pairwise metric
+    in this package is a function of it.
     """
     _check_same_universe(d1, d2)
-    keys = sorted(set(d1.special) | set(d2.special))
-    w1 = np.fromiter((d1.weight(y) for y in keys), dtype=np.float64, count=len(keys))
-    w2 = np.fromiter((d2.weight(y) for y in keys), dtype=np.float64, count=len(keys))
-    counts = np.ones(len(keys), dtype=np.float64)
-    rest = d1.universe.size - len(keys)
+    keys = _sorted_unique(np.concatenate((d1.keys, d2.keys)))
+    w1 = d1.weights_at(keys)
+    w2 = d2.weights_at(keys)
+    counts = np.ones(keys.size, dtype=np.float64)
+    rest = d1.universe.size - keys.size
     if rest > 0:
         w1 = np.append(w1, d1.background)
         w2 = np.append(w2, d2.background)
@@ -274,8 +352,9 @@ def tv_distance_forms(
     pos_part = float(np.sum(counts * np.clip(w1 - w2, 0.0, None)))
     size = d1.universe.size
     if size <= exhaustive_limit:
-        v1 = np.fromiter((d1.weight(y) for y in range(size)), dtype=np.float64, count=size)
-        v2 = np.fromiter((d2.weight(y) for y in range(size)), dtype=np.float64, count=size)
+        atoms = np.arange(size)
+        v1 = d1.weights_at(atoms)
+        v2 = d2.weights_at(atoms)
         subset_max = 0.0
         for mask in range(1, 1 << size):
             members = [y for y in range(size) if mask >> y & 1]
@@ -287,14 +366,19 @@ def tv_distance_forms(
     return half_l1, pos_part, subset_max
 
 
-def kl_divergence(d_true: FactoidDist, d_model: FactoidDist) -> float:
-    """KL(d_true || d_model) in nats; +inf when the model misses support."""
-    w1, w2, counts = paired_profile(d_true, d_model)
+def profile_kl(w1: np.ndarray, w2: np.ndarray, counts: np.ndarray) -> float:
+    """KL(first || second) in nats over a paired profile; +inf when the
+    second misses support of the first."""
     pos = w1 > 0.0
     if np.any(pos & (w2 <= 0.0)):
         return math.inf
     w1p, w2p, cp = w1[pos], w2[pos], counts[pos]
     return float(np.sum(cp * w1p * np.log(w1p / w2p)))
+
+
+def kl_divergence(d_true: FactoidDist, d_model: FactoidDist) -> float:
+    """KL(d_true || d_model) in nats; +inf when the model misses support."""
+    return profile_kl(*paired_profile(d_true, d_model))
 
 
 # -- sampling --------------------------------------------------------------
@@ -313,7 +397,8 @@ def random_dist(
         raise DistributionError(f"support size {support_size} out of range")
     atoms = gen.choice(universe.size, size=support_size, replace=False)
     raw = gen.random(support_size) + 1e-9
-    return dist_from_weights(universe, {int(y): float(w) for y, w in zip(atoms, raw)})
+    order = np.argsort(atoms)
+    return dist_from_arrays(universe, atoms[order], raw[order])
 
 
 def sample_iid(d: FactoidDist, n: int, rng: SeededRng) -> np.ndarray:
@@ -326,26 +411,24 @@ def sample_iid(d: FactoidDist, n: int, rng: SeededRng) -> np.ndarray:
     if n < 1:
         raise DistributionError(f"sample size must be >= 1, got {n}")
     gen = rng.generator
-    keys = sorted(y for y, w in d.special.items() if w > 0.0)
-    w = np.fromiter((d.special[y] for y in keys), dtype=np.float64, count=len(keys))
-    rest = d.universe.size - len(d.special)
+    pos = d.values > 0.0
+    rest = d.universe.size - d.keys.size
     bg_total = d.background * rest
-    probs = np.append(w, bg_total) if bg_total > 0.0 else w
+    probs = np.append(d.values[pos], bg_total) if bg_total > 0.0 else d.values[pos]
     if probs.size == 0:
         raise DistributionError("distribution has no positive mass")
     cum = np.cumsum(probs)
     cum[-1] = max(cum[-1], 1.0)
     slots = np.searchsorted(cum, gen.random(n), side="right")
-    key_arr = np.asarray(keys + [-1], dtype=np.int64)
-    out = key_arr[slots]
+    out = np.append(d.keys[pos], -1)[slots]
     if bg_total > 0.0:
         # Background draws pick a uniform atom outside the special set;
         # zero-weight special atoms must stay unreachable too.
-        special_set = set(d.special)
+        special_set = set(d.keys.tolist())
         background_positions = np.flatnonzero(out == -1)
-        for pos in background_positions.tolist():
+        for i in background_positions.tolist():
             cand = int(gen.integers(0, d.universe.size))
             while cand in special_set:
                 cand = int(gen.integers(0, d.universe.size))
-            out[pos] = cand
+            out[i] = cand
     return out

@@ -11,12 +11,12 @@ widths under which |estimate - missing mass| falls with probability
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
 
-from .dist import BOTTOM, MATERIALIZE_LIMIT, FactoidDist, FactoidUniverse
+import numpy as np
+
+from .dist import BOTTOM, MATERIALIZE_LIMIT, FactoidDist, FactoidUniverse, with_bottom
 from .errors import DistributionError, InsufficientDataError, UniverseMismatchError
 
 __all__ = [
@@ -31,41 +31,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingSample:
     """An i.i.d. draw sequence plus its observed/unobserved split.
 
-    The empty fact (index 0) counts as observed whether or not it was
-    drawn. The unobserved set is exposed lazily; on huge universes use
-    unobserved_count and set-free mass computations instead.
+    draws is an int64 array (any integer sequence is accepted and
+    range-checked); atoms holds the distinct draws in increasing order
+    and counts their multiplicities. The empty fact (index 0) counts as
+    observed whether or not it was drawn. The unobserved set is exposed
+    lazily; on huge universes use unobserved_count and set-free mass
+    computations instead.
     """
 
     universe: FactoidUniverse
-    draws: tuple[int, ...]
+    draws: np.ndarray
+    atoms: np.ndarray = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for y in self.draws:
-            self.universe.check_index(y)
+        draws = self.universe.atom_array(self.draws).copy()
+        draws.flags.writeable = False
+        atoms, counts = np.unique(draws, return_counts=True)
+        object.__setattr__(self, "draws", draws)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n(self) -> int:
-        return len(self.draws)
+        return self.draws.size
 
     @cached_property
-    def multiplicities(self) -> Counter:
-        return Counter(self.draws)
+    def observed_keys(self) -> np.ndarray:
+        """Observed atoms, the empty fact included, in increasing order."""
+        return with_bottom(self.atoms)
 
     @cached_property
     def observed(self) -> frozenset[int]:
-        return frozenset(self.draws) | {BOTTOM}
+        return frozenset(self.observed_keys.tolist())
 
     @property
     def observed_count(self) -> int:
-        return len(self.observed)
+        return self.observed_keys.size
 
     @property
     def unobserved_count(self) -> int:
-        return self.universe.size - len(self.observed)
+        return self.universe.size - self.observed_count
 
     @cached_property
     def unobserved(self) -> frozenset[int]:
@@ -76,15 +86,11 @@ class TrainingSample:
         return frozenset(self.universe.indices()) - self.observed
 
 
-def from_draws(universe: FactoidUniverse, draws: Iterable[int]) -> TrainingSample:
-    return TrainingSample(universe, tuple(int(y) for y in draws))
-
-
 def monofact_estimate(s: TrainingSample) -> float:
     """Fraction of draws whose non-empty factoid occurs exactly once."""
     if s.n == 0:
         raise InsufficientDataError("monofact estimate needs at least one draw")
-    singles = sum(1 for y, c in s.multiplicities.items() if c == 1 and y != BOTTOM)
+    singles = int(np.count_nonzero((s.counts == 1) & (s.atoms != BOTTOM)))
     return singles / s.n
 
 
@@ -93,26 +99,28 @@ def good_turing_estimate(s: TrainingSample) -> float:
     included. Differs from the monofact estimate by at most 1/n."""
     if s.n == 0:
         raise InsufficientDataError("Good-Turing estimate needs at least one draw")
-    singles = sum(1 for c in s.multiplicities.values() if c == 1)
+    singles = int(np.count_nonzero(s.counts == 1))
     return singles / s.n
 
 
 def missing_mass(p: FactoidDist, s: TrainingSample) -> float:
     """Probability mass of factoids never observed in the sample.
 
-    Computed by summing p over its own support outside the observed set,
+    Computed by summing p over its own explicit atoms outside the
+    observed set plus the background of the remaining unobserved atoms,
     so no huge complement set is ever built.
     """
     if p.universe != s.universe:
         raise UniverseMismatchError(
             f"universe mismatch: {p.universe.size} vs {s.universe.size}"
         )
-    observed = s.observed
-    special_out = math.fsum(w for y, w in p.special.items() if y not in observed)
+    observed = s.observed_keys
+    seen = np.isin(p.keys, observed, assume_unique=True, kind="sort")
+    special_out = math.fsum(p.values[~seen].tolist())
     if p.background == 0.0:
         return special_out
-    n_obs_plain = sum(1 for y in observed if y not in p.special)
-    n_plain_out = (p.universe.size - len(p.special)) - n_obs_plain
+    n_obs_plain = observed.size - int(np.count_nonzero(seen))
+    n_plain_out = (p.universe.size - p.keys.size) - n_obs_plain
     return special_out + p.background * n_plain_out
 
 

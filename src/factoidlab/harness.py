@@ -4,13 +4,12 @@ One trial is: draw a world, draw training data, train the algorithm,
 measure (monofact estimate, missing mass, hallucination rate, the
 calibration metrics), and evaluate every bound. Trials are pure
 functions of (master seed, trial index), so experiments reproduce
-byte-for-byte and can run in any order or in parallel.
+byte-for-byte and can run in any order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -31,10 +30,11 @@ from .calibration import (
     AdaptiveBinning,
     ExactValueBinning,
     FixedWidthBinning,
-    generative_calibration_error,
     miscalibration,
+    profile_calibration,
+    sort_profile_by_g,
 )
-from .dist import FactoidDist, background_dist, kl_divergence, sample_iid
+from .dist import BOTTOM, FactoidDist, dist_from_arrays, paired_profile, profile_kl, sample_iid
 from .errors import (
     ConfigError,
     DistributionError,
@@ -158,22 +158,26 @@ def _trial_rng(master_seed: int, trial_index: int) -> SeededRng:
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Execute one seeded trial; identical inputs give identical records."""
+    """Execute one seeded trial; identical inputs give identical records.
+
+    The (p, g) profile is built once: KL sums over it in atom order, and
+    every calibration metric reads the same profile sorted once by g.
+    """
     rng = _trial_rng(cfg.master_seed, trial_index)
     params = cfg.bound_params()
     world = sample_world(cfg.world, rng)
-    draws = sample_iid(world.p, cfg.n, rng)
-    sample = TrainingSample(world.universe, tuple(int(y) for y in draws))
+    sample = TrainingSample(world.universe, sample_iid(world.p, cfg.n, rng))
     g = train(cfg.algorithm, sample, truth=world.p)
 
     mf = monofact_estimate(sample)
     p_u = missing_mass(world.p, sample)
     g_h = hallucination_rate(g, world)
-    mc_exact = miscalibration(world.p, g, ExactValueBinning())
-    mc_adaptive = miscalibration(world.p, g, AdaptiveBinning(params.b))
-    mc_fixed = miscalibration(world.p, g, FixedWidthBinning(params.epsilon))
-    mis_eps = generative_calibration_error(world.p, g, params.epsilon)
-    kl = kl_divergence(world.p, g)
+    profile = paired_profile(world.p, g)
+    kl = profile_kl(*profile)
+    by_g = sort_profile_by_g(*profile)
+    mc_exact, _ = profile_calibration(*by_g, ExactValueBinning())
+    mc_adaptive, _ = profile_calibration(*by_g, AdaptiveBinning(params.b))
+    mc_fixed, mis_eps = profile_calibration(*by_g, FixedWidthBinning(params.epsilon))
 
     return TrialRecord(
         trial_index=trial_index,
@@ -301,26 +305,15 @@ def aggregate_records(records: Sequence[TrialRecord], delta: float) -> Aggregate
     return AggregateReport(trials=m, delta=delta, bounds=tuple(bounds), metrics=tuple(metrics))
 
 
-def run_experiment(
-    cfg: ExperimentConfig, threads: int = 1
-) -> tuple[AggregateReport, list[TrialRecord]]:
-    """Run all trials and aggregate. Thread count affects wall time only;
-    records are keyed by trial index and sorted, so output is identical.
-    A failing trial surfaces with its trial index attached."""
-
-    def guarded(i: int) -> TrialRecord:
+def run_experiment(cfg: ExperimentConfig) -> tuple[AggregateReport, list[TrialRecord]]:
+    """Run all trials in index order and aggregate. A failing trial
+    surfaces with its trial index attached."""
+    records = []
+    for i in range(cfg.trials):
         try:
-            return run_trial(cfg, i)
+            records.append(run_trial(cfg, i))
         except FactoidLabError as exc:
             raise type(exc)(f"trial {i}: {exc}") from exc
-
-    indices = range(cfg.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(guarded, indices))
-    else:
-        records = [guarded(i) for i in indices]
-    records.sort(key=lambda r: r.trial_index)
     return aggregate_records(records, cfg.bound.delta), records
 
 
@@ -386,8 +379,7 @@ def run_gt_concentration(
     # setup draws (e.g. the CLI drawing the fixed p from a world model)
     for t in range(trials):
         rng = base.child(1 + t)
-        draws = sample_iid(p, n, rng)
-        sample = TrainingSample(p.universe, tuple(int(y) for y in draws))
+        sample = TrainingSample(p.universe, sample_iid(p, n, rng))
         mf = monofact_estimate(sample)
         miss = missing_mass(p, sample)
         gaps[t] = mf - miss
@@ -452,8 +444,7 @@ def run_upper_bound_check(
     for t in range(trials):
         rng = base.child(1 + t)
         inst = sample_world(world, rng)
-        draws = sample_iid(inst.p, n, rng)
-        sample = TrainingSample(inst.universe, tuple(int(y) for y in draws))
+        sample = TrainingSample(inst.universe, sample_iid(inst.p, n, rng))
         g = train(memorizer, sample)
         mf = monofact_estimate(sample)
         if hallucination_rate(g, inst) <= mf + 1e-12:
@@ -502,6 +493,12 @@ class MultiTypeReport:
         return all(t.passed for t in self.types)
 
 
+def _in_range(keys: np.ndarray, start: int, stop: int) -> slice:
+    """The part of a sorted key array that lies in [start, stop)."""
+    lo, hi = np.searchsorted(keys, (start, stop))
+    return slice(int(lo), int(hi))
+
+
 def _induced_local_dist(model: MultiTypeWorld, i: int, d: FactoidDist) -> FactoidDist:
     """Project a global distribution onto one type's local universe.
 
@@ -509,55 +506,56 @@ def _induced_local_dist(model: MultiTypeWorld, i: int, d: FactoidDist) -> Factoi
     everything else, the shared empty fact included, lands on the local
     empty fact.
     """
-    rng_i = model.type_range(i)
-    start, stop = rng_i.start, rng_i.stop
+    start = model.type_offset(i)
     local_universe = model.components[i].universe
-    specials_local: dict[int, float] = {}
-    in_range_special_mass = 0.0
-    in_range_special_count = 0
-    for y, w in sorted(d.special.items()):
-        if start <= y < stop:
-            specials_local[model.to_local(i, y)] = w
-            in_range_special_mass += w
-            in_range_special_count += 1
-    range_mass = in_range_special_mass + d.background * (len(rng_i) - in_range_special_count)
-    specials_local[0] = max(0.0, 1.0 - range_mass)
-    return background_dist(local_universe, specials_local, d.background)
+    part = _in_range(d.keys, start, start + local_universe.size - 1)
+    weights = d.values[part]
+    # accumulated left to right in atom order, like a running sum
+    in_range_special_mass = float(np.cumsum(weights)[-1]) if weights.size else 0.0
+    range_mass = in_range_special_mass + d.background * (local_universe.size - 1 - weights.size)
+    return dist_from_arrays(
+        local_universe,
+        np.insert(d.keys[part] - (start - 1), 0, BOTTOM),
+        np.insert(weights, 0, max(0.0, 1.0 - range_mass)),
+        d.background,
+    )
 
 
 def multi_type_trial_metrics(
-    model: MultiTypeWorld, world, draws: Sequence[int], g: FactoidDist, params: BoundParams
+    model: MultiTypeWorld, world, draws, g: FactoidDist, params: BoundParams
 ) -> list[tuple[float, float, float, BoundEvaluation]]:
     """Per-type (monofact, hallucinated mass, miscalibration, evaluation).
 
     The type-i view maps out-of-range draws to the empty fact, computes
     the type's own monofact estimate and adaptive miscalibration on the
     induced local pair, and takes the generator's mass on in-range
-    non-facts as the type's hallucination rate.
+    non-facts as the type's hallucination rate. draws is the global
+    sample as an integer sequence or array.
     """
+    draws = np.asarray(draws, dtype=np.int64)
     out = []
     for i in range(model.k_types):
-        rng_i = model.type_range(i)
-        start, stop = rng_i.start, rng_i.stop
+        start = model.type_offset(i)
         local_universe = model.components[i].universe
-        local_draws = tuple(model.to_local(i, y) if start <= y < stop else 0 for y in draws)
-        local_sample = TrainingSample(local_universe, local_draws)
+        stop = start + local_universe.size - 1
+        in_range = (draws >= start) & (draws < stop)
+        local_sample = TrainingSample(local_universe, np.where(in_range, draws - (start - 1), BOTTOM))
         mf_i = monofact_estimate(local_sample)
         p_i = _induced_local_dist(model, i, world.p)
         g_i = _induced_local_dist(model, i, g)
         mc_i = miscalibration(p_i, g_i, AdaptiveBinning(params.b))
-        facts_i = [y for y in world.facts if start <= y < stop]
-        in_range_special = [w for y, w in g.special.items() if start <= y < stop]
-        range_mass = math.fsum(in_range_special) + g.background * (
-            len(rng_i) - len(in_range_special)
+        facts_i = world.fact_keys[_in_range(world.fact_keys, start, stop)]
+        in_range_special = g.values[_in_range(g.keys, start, stop)]
+        range_mass = math.fsum(in_range_special.tolist()) + g.background * (
+            local_universe.size - 1 - in_range_special.size
         )
-        fact_mass = math.fsum(g.weight(y) for y in facts_i)
+        fact_mass = math.fsum(g.weights_at(facts_i).tolist())
         g_h_i = max(0.0, range_mass - fact_mass)
         out.append((mf_i, g_h_i, mc_i, evaluate_bound(g_h_i, cor_types_rhs(mf_i, mc_i, params))))
     return out
 
 
-def run_multi_type_experiment(cfg: ExperimentConfig, threads: int = 1) -> MultiTypeReport:
+def run_multi_type_experiment(cfg: ExperimentConfig) -> MultiTypeReport:
     """Per-type bound check with the union-bound inflated right-hand side."""
     model = cfg.world
     if not isinstance(model, MultiTypeWorld):
@@ -577,17 +575,11 @@ def run_multi_type_experiment(cfg: ExperimentConfig, threads: int = 1) -> MultiT
     def one_trial(trial_index: int) -> list[tuple[float, float, float, BoundEvaluation]]:
         rng = _trial_rng(cfg.master_seed, trial_index)
         world = sample_world(model, rng)
-        draws = [int(y) for y in sample_iid(world.p, cfg.n, rng)]
-        sample = TrainingSample(world.universe, tuple(draws))
+        sample = TrainingSample(world.universe, sample_iid(world.p, cfg.n, rng))
         g = train(cfg.algorithm, sample, truth=world.p)
-        return multi_type_trial_metrics(model, world, draws, g, params)
+        return multi_type_trial_metrics(model, world, sample.draws, g, params)
 
-    indices = range(cfg.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_trial, indices))
-    else:
-        rows = [one_trial(i) for i in indices]
+    rows = [one_trial(i) for i in range(cfg.trials)]
 
     reports = []
     for i in range(k):

@@ -16,14 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .dist import (
-    BOTTOM,
-    FactoidDist,
-    background_dist,
-    dist_from_weights,
-    mass_of_set,
-    uniform_dist,
-)
+import numpy as np
+
+from .dist import BOTTOM, FactoidDist, dist_from_arrays, mass_of_set, uniform_dist
 from .errors import ConfigError, DistributionError, UniverseMismatchError
 from .estimators import TrainingSample, monofact_estimate
 from .worlds import WorldInstance
@@ -102,11 +97,12 @@ def train(
     if isinstance(alg, Empirical):
         if n == 0:
             raise ConfigError("empirical algorithm needs a non-empty sample")
-        return dist_from_weights(universe, {y: c / n for y, c in sorted(sample.multiplicities.items())})
+        return dist_from_arrays(universe, sample.atoms, sample.counts / n)
     if isinstance(alg, Laplace):
         denom = n + alg.alpha * universe.size
-        special = {y: (c + alg.alpha) / denom for y, c in sorted(sample.multiplicities.items())}
-        return background_dist(universe, special, alg.alpha / denom)
+        return dist_from_arrays(
+            universe, sample.atoms, (sample.counts + alg.alpha) / denom, alg.alpha / denom
+        )
     if isinstance(alg, Uniform):
         return uniform_dist(universe)
     if isinstance(alg, MonofactMemorizer):
@@ -116,8 +112,9 @@ def train(
         if n_unobs == 0:
             raise DistributionError("memorizer needs at least one unobserved factoid")
         observed_share = (1.0 - mf) / n_obs
-        special = {y: observed_share for y in sorted(sample.observed)}
-        return background_dist(universe, special, mf / n_unobs)
+        return dist_from_arrays(
+            universe, sample.observed_keys, np.full(n_obs, observed_share), mf / n_unobs
+        )
     if isinstance(alg, Oracle):
         if truth is None:
             raise ConfigError("oracle algorithm requires the true distribution")
@@ -127,9 +124,13 @@ def train(
     if isinstance(alg, YayMixture):
         base_g = train(alg.base, sample, truth)
         lam = alg.lam
-        special = {y: (1.0 - lam) * w for y, w in sorted(base_g.special.items())}
-        special[BOTTOM] = lam + (1.0 - lam) * base_g.weight(BOTTOM)
-        return background_dist(universe, special, (1.0 - lam) * base_g.background)
+        keys, values = base_g.keys, (1.0 - lam) * base_g.values
+        bottom = lam + (1.0 - lam) * base_g.weight(BOTTOM)
+        if keys.size and keys[0] == BOTTOM:
+            values[0] = bottom
+        else:
+            keys, values = np.insert(keys, 0, BOTTOM), np.insert(values, 0, bottom)
+        return dist_from_arrays(universe, keys, values, (1.0 - lam) * base_g.background)
     raise ConfigError(f"unknown algorithm {alg!r}")
 
 
@@ -143,4 +144,4 @@ def hallucination_rate(g: FactoidDist, world: WorldInstance) -> float:
         raise UniverseMismatchError(
             f"universe mismatch: {g.universe.size} vs {world.universe.size}"
         )
-    return max(0.0, 1.0 - mass_of_set(g, world.facts))
+    return max(0.0, 1.0 - mass_of_set(g, world.fact_keys))

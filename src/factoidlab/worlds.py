@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -35,7 +35,9 @@ from .dist import (
     MATERIALIZE_LIMIT,
     FactoidDist,
     FactoidUniverse,
+    dist_from_arrays,
     dist_from_weights,
+    with_bottom,
 )
 from .errors import (
     DistributionError,
@@ -79,16 +81,21 @@ class WorldInstance:
         return self.p.universe
 
     @cached_property
+    def fact_keys(self) -> np.ndarray:
+        """The facts, the empty fact included, in increasing order."""
+        return with_bottom(self.p.keys[self.p.values > 0.0])
+
+    @cached_property
     def facts(self) -> frozenset[int]:
-        return frozenset(y for y, w in self.p.special.items() if w > 0.0) | {BOTTOM}
+        return frozenset(self.fact_keys.tolist())
 
     @property
     def fact_count(self) -> int:
-        return len(self.facts)
+        return self.fact_keys.size
 
     @property
     def hallucination_count(self) -> int:
-        return self.universe.size - len(self.facts)
+        return self.universe.size - self.fact_count
 
     @cached_property
     def hallucinations(self) -> frozenset[int]:
@@ -286,12 +293,12 @@ def sample_distinct_excluding(
     return out
 
 
-def _power_law_dist(universe: FactoidUniverse, ranked_atoms: Sequence[int], exponent: float) -> FactoidDist:
-    ranks = np.arange(1, len(ranked_atoms) + 1, dtype=np.float64)
+def _power_law_dist(universe: FactoidUniverse, ranked_atoms: np.ndarray, exponent: float) -> FactoidDist:
+    ranks = np.arange(1, ranked_atoms.size + 1, dtype=np.float64)
     raw = ranks ** (-exponent)
     total = math.fsum(raw.tolist())
-    weights = {int(y): float(w) / total for y, w in zip(ranked_atoms, raw)}
-    return dist_from_weights(universe, weights)
+    order = np.argsort(ranked_atoms)
+    return dist_from_arrays(universe, ranked_atoms[order], raw[order] / total)
 
 
 def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
@@ -299,26 +306,38 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
     if isinstance(model, PermutedPowerLawWorld):
         gen = rng.generator
         # random subset in random order: position in the draw is the rank
-        ranked = (gen.choice(model.universe_size - 1, size=model.fact_count, replace=False) + 1).tolist()
+        ranked = gen.choice(model.universe_size - 1, size=model.fact_count, replace=False) + 1
         return WorldInstance(_power_law_dist(model.universe, ranked, model.exponent))
     if isinstance(model, W5World):
         gen = rng.generator
-        weights: dict[int, float] = {}
-        share = 1.0 / model.pair_count
+        # one (food, location) draw per pair, in pair order: the keys come
+        # out increasing because index_of orders pairs before food/location
+        keys = []
         for person in range(model.n_people):
             for date in range(model.n_dates):
                 food = int(gen.integers(model.n_foods))
                 location = int(gen.integers(model.n_locations))
-                weights[model.index_of(person, date, food, location)] = share
-        return WorldInstance(dist_from_weights(model.universe, weights))
+                keys.append(model.index_of(person, date, food, location))
+        return WorldInstance(
+            dist_from_arrays(model.universe, keys, np.full(len(keys), 1.0 / model.pair_count))
+        )
     if isinstance(model, MultiTypeWorld):
-        universe = model.universe
-        merged: dict[int, float] = {}
+        # type ranges are disjoint and increasing, so the concatenated
+        # keys stay sorted; component mass on the shared empty fact adds up
+        keys, values = [], []
+        bottom_mass = 0.0
         for i, (component, w) in enumerate(zip(model.components, model.weights)):
-            inst = sample_world(component, rng)
-            for local_y, local_w in sorted(inst.p.special.items()):
-                merged[model.to_global(i, local_y)] = w * local_w
-        return WorldInstance(dist_from_weights(universe, merged))
+            p_i = sample_world(component, rng).p
+            real = p_i.keys != BOTTOM
+            keys.append(p_i.keys[real] + (model.type_offset(i) - 1))
+            values.append(w * p_i.values[real])
+            bottom_mass += w * math.fsum(p_i.values[~real].tolist())
+        if bottom_mass > 0.0:
+            keys.insert(0, [BOTTOM])
+            values.insert(0, [bottom_mass])
+        return WorldInstance(
+            dist_from_arrays(model.universe, np.concatenate(keys), np.concatenate(values))
+        )
     if isinstance(model, ExplicitWorld):
         gen = rng.generator
         weights = np.array([w for w, _ in model.instances])
@@ -358,8 +377,9 @@ def posterior_sampler_uniform_world(
     model: PermutedPowerLawWorld, observed: Iterable[int], rng: SeededRng
 ) -> WorldInstance:
     support = posterior_support_uniform(model, observed, rng)
-    share = 1.0 / len(support)
-    return WorldInstance(dist_from_weights(model.universe, {y: share for y in support}))
+    return WorldInstance(
+        dist_from_arrays(model.universe, np.sort(support), np.full(len(support), 1.0 / len(support)))
+    )
 
 
 def posterior_fact_marginal(model: PermutedPowerLawWorld, observed: Iterable[int]) -> float:
@@ -409,8 +429,8 @@ def _posterior_over_instances(model: ExplicitWorld, sample: TrainingSample) -> n
     post = []
     for prior_w, inst in model.instances:
         like = prior_w
-        for y in sample.draws:
-            like *= inst.p.weight(y)
+        for w in inst.p.weights_at(sample.draws).tolist():
+            like *= w
             if like == 0.0:
                 break
         post.append(like)
@@ -448,8 +468,8 @@ def _analyze_explicit(model: ExplicitWorld, sample: TrainingSample) -> Regularit
     if sample.universe != model.universe:
         raise UniverseMismatchError("sample universe does not match the model")
     post = _posterior_over_instances(model, sample)
-    unobserved = sorted(sample.unobserved)
-    n_unobs = len(unobserved)
+    unobserved = np.array(sorted(sample.unobserved), dtype=np.int64)
+    n_unobs = unobserved.size
     s = min(_instance_sparsity(inst) for _, inst in model.instances)
     if n_unobs == 0:
         return RegularityReport(s=s, r_facts=1.0, r_probs=1.0, conditioning_sample=sample)
@@ -460,13 +480,12 @@ def _analyze_explicit(model: ExplicitWorld, sample: TrainingSample) -> Regularit
     for w, (_, inst) in zip(post, model.instances):
         if w == 0.0:
             continue
-        facts = inst.facts
-        for j, y in enumerate(unobserved):
-            if y in facts:
-                pr_fact[j] += w
-            exp_mass[j] += w * inst.p.weight(y)
-        exp_overlap += w * sum(1 for y in unobserved if y in facts)
-        exp_missing += w * math.fsum(inst.p.weight(y) for y in unobserved)
+        is_fact = np.isin(unobserved, inst.fact_keys)
+        mass = inst.p.weights_at(unobserved)
+        pr_fact += np.where(is_fact, w, 0.0)
+        exp_mass += w * mass
+        exp_overlap += w * int(np.count_nonzero(is_fact))
+        exp_missing += w * math.fsum(mass.tolist())
     r_facts = 1.0 if exp_overlap == 0.0 else float(pr_fact.max()) * n_unobs / exp_overlap
     r_probs = 1.0 if exp_missing == 0.0 else float(exp_mass.max()) * n_unobs / exp_missing
     return RegularityReport(s=s, r_facts=r_facts, r_probs=r_probs, conditioning_sample=sample)
@@ -476,7 +495,7 @@ def _analyze_w5(model: W5World, sample: TrainingSample) -> RegularityReport:
     if sample.universe.size != model.universe_size:
         raise UniverseMismatchError("sample universe does not match the model")
     pinned: dict[tuple[int, int], int] = {}
-    for y in sample.draws:
+    for y in sample.draws.tolist():
         if y == BOTTOM:
             continue
         pair = model.pair_of(y)

@@ -88,13 +88,6 @@ class TestRunExperiment:
         mf_summary = next(m for m in report.metrics if m.name == "mf")
         assert mf_summary.mean == r.mf
 
-    def test_threaded_run_identical(self):
-        cfg = make_cfg(trials=12)
-        serial_report, serial_records = run_experiment(cfg, threads=1)
-        threaded_report, threaded_records = run_experiment(cfg, threads=4)
-        assert serial_records == threaded_records
-        assert serial_report == threaded_report
-
     def test_vacuity_fraction_one_at_zero_sparsity(self):
         # s = 0 makes the penalty 3/delta >= 3, dwarfing any estimate
         cfg = make_cfg(trials=10, s=0.0)

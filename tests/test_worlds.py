@@ -32,14 +32,14 @@ class TestPermutedPowerLaw:
         model = PermutedPowerLawWorld(101, 10, 0.0)
         inst = sample_world(model, SeededRng(1))
         assert inst.fact_count == 11  # 10 support atoms plus the empty fact
-        values = set(round(w, 14) for w in inst.p.special.values())
+        values = set(round(w, 14) for w in inst.p.values)
         assert values == {0.1}
 
     def test_zipf_exponent_matches_rank_weights(self):
         model = PermutedPowerLawWorld(101, 5, 1.0)
         inst = sample_world(model, SeededRng(2))
         h5 = sum(1.0 / i for i in range(1, 6))
-        got = sorted(inst.p.special.values(), reverse=True)
+        got = sorted(inst.p.values, reverse=True)
         want = [1.0 / (i * h5) for i in range(1, 6)]
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -81,7 +81,7 @@ class TestW5World:
         assert model.universe_size == 17
         inst = sample_world(model, SeededRng(5))
         assert inst.fact_count == 5
-        assert set(inst.p.special.values()) == {0.25}
+        assert set(inst.p.values) == {0.25}
 
     def test_one_fact_per_person_date_pair(self):
         model = W5World(3, 2, 4, 5)
