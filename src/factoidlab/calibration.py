@@ -56,6 +56,7 @@ __all__ = [
     "partition_for_spec",
     "sort_profile_by_g",
     "profile_calibration",
+    "reliability_rows",
     "miscalibration",
     "generative_calibration_error",
     "reliability_curve",
@@ -344,14 +345,16 @@ def _block_masses(p_vals, g_vals, counts, starts):
 
 def profile_calibration(
     p_vals: np.ndarray, g_vals: np.ndarray, counts: np.ndarray, spec: BinningSpec
-) -> tuple[float, float]:
-    """(miscalibration, mass gap) of a (p, g) profile sorted by g, over
-    the bins spec builds from g.
+) -> tuple[float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(miscalibration, mass gap, bins) of a (p, g) profile sorted by g,
+    over the bins spec builds from g.
 
     Miscalibration is the TV distance between g and the coarsening of p
     over the bins. The mass gap is half the summed absolute difference
     between bin p-mass and bin g-mass; over fixed-width bins it is the
-    generative calibration error.
+    generative calibration error. bins holds the per-bin (g-mass,
+    p-mass, size) arrays in ascending g order; reliability_rows turns
+    them into rows.
     """
     starts = _block_starts_for_spec(g_vals, counts, spec)
     p_mass, g_mass, sizes, block_of_class = _block_masses(p_vals, g_vals, counts, starts)
@@ -359,7 +362,20 @@ def profile_calibration(
     coarse = (p_mass / sizes) / total
     mis = 0.5 * float(np.sum(counts * np.abs(coarse[block_of_class] - g_vals)))
     gap = 0.5 * float(np.sum(np.abs(p_mass - g_mass)))
-    return mis, gap
+    return mis, gap, (g_mass, p_mass, sizes)
+
+
+def reliability_rows(
+    g_mass: np.ndarray, p_mass: np.ndarray, sizes: np.ndarray
+) -> list[tuple[float, float, float, int]]:
+    """Rows (mean bin g-value, bin g-mass, bin p-mass, bin size), one per
+    bin, ascending by bin value."""
+    rows = [
+        (float(g_mass[i] / sizes[i]), float(g_mass[i]), float(p_mass[i]), int(sizes[i]))
+        for i in range(sizes.size)
+    ]
+    rows.sort(key=lambda r: r[0])
+    return rows
 
 
 def miscalibration(p: FactoidDist, g: FactoidDist, spec: BinningSpec) -> float:
@@ -382,15 +398,7 @@ def reliability_curve(
 ) -> list[tuple[float, float, float, int]]:
     """Rows (mean bin g-value, bin g-mass, bin p-mass, bin size), one per
     non-empty bin, ascending by bin value. The p column sums to 1."""
-    p_vals, g_vals, counts = _sorted_profile(p, g)
-    starts = _block_starts_for_spec(g_vals, counts, spec)
-    p_mass, g_mass, sizes, _ = _block_masses(p_vals, g_vals, counts, starts)
-    rows = [
-        (float(g_mass[i] / sizes[i]), float(g_mass[i]), float(p_mass[i]), int(sizes[i]))
-        for i in range(starts.size)
-    ]
-    rows.sort(key=lambda r: r[0])
-    return rows
+    return reliability_rows(*profile_calibration(*_sorted_profile(p, g), spec)[2])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .bounds import verify_lemma_meat_exhaustive, verify_theorem_main_mc
@@ -28,16 +29,16 @@ from .calibration import (
     FixedWidthBinning,
     Partition,
     partition_for_spec,
-    reliability_curve,
 )
-from .dist import FactoidUniverse, random_dist, sample_iid, tv_distance_forms
+from .dist import FactoidUniverse, random_dist, tv_distance_forms
 from .errors import ConfigError, FactoidLabError, InsufficientDataError
-from .estimators import TrainingSample
 from .harness import (
+    BOUND_NAMES,
     AggregateReport,
     BoundSettings,
     ExperimentConfig,
     TrialRecord,
+    _draw_trial,
     run_experiment,
     run_gt_concentration,
     run_upper_bound_check,
@@ -73,20 +74,8 @@ TRIALS_CSV_HEADER = (
 
 RELIABILITY_CSV_HEADER = "bin_value,g_mass,p_mass,bin_size"
 
-_WORLD_KEYS = {
-    "permuted_power_law": {"world.universe_size", "world.fact_count", "world.exponent"},
-    "w5": {"world.people", "world.dates", "world.foods", "world.locations"},
-}
-_ALGO_KEYS = {
-    "empirical": set(),
-    "laplace": {"algorithm.alpha"},
-    "uniform": set(),
-    "monofact_memorizer": set(),
-    "oracle": set(),
-    "yay_mixture": {"algorithm.lambda"},
-}
-_BOUND_KEYS = {"bound.delta", "bound.b", "bound.epsilon", "bound.s", "bound.r", "bound.k_types"}
-_TOP_KEYS = {"world.kind", "n", "algorithm.kind", "trials", "seed"}
+_WORLD_KINDS = {"permuted_power_law", "w5"}
+_ALGO_KINDS = {"empirical", "laplace", "uniform", "monofact_memorizer", "oracle", "yay_mixture"}
 
 
 def _fmt(x) -> str:
@@ -131,20 +120,19 @@ def _take(table: dict[str, str], key: str, kind, required: bool = False, default
         return default
     raw = table.pop(key)
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"key {key}: expected {kind.__name__}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"key {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     table = _parse_kv_lines(text, source)
 
     world_kind = _take(table, "world.kind", str, required=True)
-    if world_kind not in _WORLD_KEYS:
+    if world_kind not in _WORLD_KINDS:
         raise ConfigError(f"key world.kind: unknown world kind {world_kind!r}")
     if world_kind == "permuted_power_law":
         world: WorldModel = PermutedPowerLawWorld(
@@ -161,7 +149,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         )
 
     algo_kind = _take(table, "algorithm.kind", str, required=True)
-    if algo_kind not in _ALGO_KEYS:
+    if algo_kind not in _ALGO_KINDS:
         raise ConfigError(f"key algorithm.kind: unknown algorithm {algo_kind!r}")
     if algo_kind == "empirical":
         algorithm: LmAlgorithm = Empirical()
@@ -279,16 +267,6 @@ class RunManifest:
     created_utc: str
     outputs: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "version": self.version,
-            "config_hash": self.config_hash,
-            "master_seed": self.master_seed,
-            "created_utc": self.created_utc,
-            "outputs": list(self.outputs),
-        }
-
 
 RUN_OUTPUTS = ("config.cfg", "manifest.json", "trials.csv", "aggregate.json", "reliability.csv")
 
@@ -346,6 +324,10 @@ def write_reliability_csv(path: Path, rows: Sequence[tuple[float, float, float, 
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def write_results(
     out_dir: str | Path,
     cfg: ExperimentConfig,
@@ -360,15 +342,11 @@ def write_results(
     try:
         (out / "config.cfg").write_text(serialize_config(cfg), encoding="utf-8", newline="\n")
         written.append(out / "config.cfg")
-        (out / "manifest.json").write_text(
-            json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(out / "manifest.json", dataclasses.asdict(manifest))
         written.append(out / "manifest.json")
         write_trials_csv(out / "trials.csv", records)
         written.append(out / "trials.csv")
-        (out / "aggregate.json").write_text(
-            json.dumps(aggregate.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(out / "aggregate.json", aggregate.to_json_dict())
         written.append(out / "aggregate.json")
         write_reliability_csv(out / "reliability.csv", reliability_rows)
         written.append(out / "reliability.csv")
@@ -382,49 +360,36 @@ def write_results(
 # ---------------------------------------------------------------------------
 
 
-def _print_aggregate(report: AggregateReport, out) -> None:
-    print(f"trials: {report.trials}  delta: {_fmt(report.delta)}", file=out)
-    print("bound          freq      ci95           vacuous  pass", file=out)
-    for b in report.bounds:
-        print(
-            f"{b.name:<13} {b.frequency:>7.4f}  [{b.ci_low:.4f},{b.ci_high:.4f}]"
-            f"  {b.vacuous_fraction:>7.4f}  {'ok' if b.passed else 'FAIL'}",
-            file=out,
+def _bound_table(agg: dict, names: Iterable[str]) -> str:
+    """The bound table of an aggregate.json dict, rows in the given order."""
+    lines = [
+        f"trials: {agg['trials']}  delta: {_fmt(agg['delta'])}",
+        "bound          freq      ci95           vacuous  pass",
+    ]
+    for name in names:
+        row = agg["bounds"][name]
+        lines.append(
+            f"{name:<13} {row['frequency']:>7.4f}  "
+            f"[{row['ci_low']:.4f},{row['ci_high']:.4f}]  "
+            f"{row['vacuous_fraction']:>7.4f}  {'ok' if row['passed'] else 'FAIL'}"
         )
+    return "\n".join(lines)
 
 
 def cmd_run(args, out, err) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg = ExperimentConfig(
-            world=cfg.world,
-            n=cfg.n,
-            algorithm=cfg.algorithm,
-            bound=cfg.bound,
-            trials=cfg.trials,
-            master_seed=args.seed,
-        )
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     out_dir = Path(args.out) if args.out else Path("runs") / f"{config_hash(cfg)[:12]}"
     manifest = make_manifest(cfg)
     # the manifest describes the run before it starts
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "manifest.json", dataclasses.asdict(manifest))
     report, records = run_experiment(cfg)
-    rel_rows = _reliability_rows_for_trial(cfg, 0)
-    write_results(out_dir, cfg, manifest, records, report, rel_rows)
-    _print_aggregate(report, out)
+    write_results(out_dir, cfg, manifest, records, report, records[0].reliability)
+    print(_bound_table(report.to_json_dict(), BOUND_NAMES), file=out)
     print(f"results in {out_dir}", file=out)
     return 0 if report.passed else 1
-
-
-def _reliability_rows_for_trial(cfg: ExperimentConfig, trial_index: int):
-    rng = SeededRng(cfg.master_seed).child(trial_index)
-    world = sample_world(cfg.world, rng)
-    sample = TrainingSample(world.universe, sample_iid(world.p, cfg.n, rng))
-    g = train(cfg.algorithm, sample, truth=world.p)
-    return reliability_curve(world.p, g, AdaptiveBinning(cfg.bound.b))
 
 
 def cmd_gt_check(args, out, err) -> int:
@@ -505,9 +470,7 @@ def cmd_thm_main(args, out, err) -> int:
     cfg = parse_config(args.config)
     if not isinstance(cfg.world, PermutedPowerLawWorld) or cfg.world.exponent != 0.0:
         raise ConfigError("thm-main requires world.kind = permuted_power_law with exponent 0")
-    setup_rng = SeededRng(cfg.master_seed).child(0)
-    world = sample_world(cfg.world, setup_rng)
-    sample = TrainingSample(world.universe, sample_iid(world.p, cfg.n, setup_rng))
+    world, sample = _draw_trial(cfg.world, cfg.n, SeededRng(cfg.master_seed).child(0))
     algs: list[tuple[str, LmAlgorithm]] = [
         ("empirical", Empirical()),
         ("laplace", Laplace(0.5)),
@@ -551,33 +514,40 @@ def cmd_thm_main(args, out, err) -> int:
     return 0 if all_ok else 1
 
 
+def _read_json(path: Path) -> dict:
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path} is not readable JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    return data
+
+
 def cmd_report(args, out, err) -> int:
     run_dir = Path(args.run_dir)
     agg_path = run_dir / "aggregate.json"
     manifest_path = run_dir / "manifest.json"
     if not agg_path.is_file() or not manifest_path.is_file():
         raise ConfigError(f"{run_dir} is not a run directory (missing aggregate or manifest)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    agg = json.loads(agg_path.read_text(encoding="utf-8"))
-    print(
-        f"run {manifest['config_hash'][:12]} seed {manifest['master_seed']} "
-        f"({manifest['tool']} {manifest['version']})",
-        file=out,
-    )
-    print(f"trials: {agg['trials']}  delta: {_fmt(agg['delta'])}", file=out)
-    print("bound          freq      ci95           vacuous  pass", file=out)
-    for name, row in sorted(agg["bounds"].items()):
-        print(
-            f"{name:<13} {row['frequency']:>7.4f}  "
-            f"[{row['ci_low']:.4f},{row['ci_high']:.4f}]  "
-            f"{row['vacuous_fraction']:>7.4f}  {'ok' if row['passed'] else 'FAIL'}",
-            file=out,
+    manifest = _read_json(manifest_path)
+    agg = _read_json(agg_path)
+    try:
+        header = (
+            f"run {manifest['config_hash'][:12]} seed {manifest['master_seed']} "
+            f"({manifest['tool']} {manifest['version']})"
         )
+        table = _bound_table(agg, sorted(agg["bounds"]))
+        passed = agg["passed"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{run_dir} holds a damaged run record: {exc!r}") from None
+    print(header, file=out)
+    print(table, file=out)
     rel_path = run_dir / "reliability.csv"
     if rel_path.is_file():
         n_rows = max(0, len(rel_path.read_text(encoding="utf-8").splitlines()) - 1)
         print(f"reliability curve: {n_rows} bins in {rel_path}", file=out)
-    return 0 if agg.get("passed") else 1
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -647,3 +617,7 @@ def cli_main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
 
 def main() -> None:
     raise SystemExit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -35,10 +35,8 @@ __all__ = [
     "dist_from_arrays",
     "dist_from_weights",
     "uniform_dist",
-    "point_mass_dist",
     "background_dist",
     "mass_of_set",
-    "mass_of_complement",
     "tv_distance",
     "tv_distance_forms",
     "kl_divergence",
@@ -52,10 +50,6 @@ __all__ = [
 #: Index of the empty fact. Fixed package-wide so nothing needs to thread
 #: a per-universe bottom id around.
 BOTTOM = 0
-
-#: Constructors accept totals this far from 1 and renormalize silently;
-#: Monte Carlo pipelines accumulate rounding and should not be rejected.
-NORMALIZATION_ATOL = 1e-9
 
 #: Universes larger than this refuse to materialize per-atom structures
 #: (dense weight maps, explicit partition blocks).
@@ -251,16 +245,20 @@ def dist_from_arrays(
     return FactoidDist(universe, keys, values, background)
 
 
-def _sorted_items(weights: Mapping[int, float]) -> tuple[list[int], list[float]]:
-    items = sorted((int(y), float(w)) for y, w in weights.items())
-    return [y for y, _ in items], [w for _, w in items]
+def _sorted_items(weights: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    # keys keep their own dtype, so the constructor's integer check
+    # rejects a float key
+    keys = np.asarray(list(weights.keys()))
+    values = np.asarray(list(weights.values()), dtype=np.float64)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], values[order]
 
 
 def dist_from_weights(universe: FactoidUniverse, weights: Mapping[int, float]) -> FactoidDist:
     """Build a sparse distribution from non-negative weights; normalizes.
 
-    Rejects all-zero input, any negative weight, and out-of-range
-    indices. Atoms absent from the map have probability zero.
+    Rejects all-zero input, any negative weight, non-integer keys and
+    out-of-range indices. Atoms absent from the map have probability zero.
     """
     return dist_from_arrays(universe, *_sorted_items(weights))
 
@@ -277,10 +275,6 @@ def uniform_dist(universe: FactoidUniverse) -> FactoidDist:
     return FactoidDist(universe, _NO_KEYS, (), 1.0 / universe.size)
 
 
-def point_mass_dist(universe: FactoidUniverse, y: int) -> FactoidDist:
-    return FactoidDist(universe, [y], [1.0], 0.0)
-
-
 # -- set mass -------------------------------------------------------------
 
 
@@ -294,12 +288,6 @@ def mass_of_set(d: FactoidDist, s: Iterable[int]) -> float:
     pos, hit = _lookup(d.keys, atoms)
     n_plain = atoms.size - int(np.count_nonzero(hit))
     return math.fsum(d.values[pos[hit]].tolist()) + d.background * n_plain
-
-
-def mass_of_complement(d: FactoidDist, s: Iterable[int]) -> float:
-    """Probability of everything outside s, computed without enumerating
-    the complement (exact up to the normalization of d)."""
-    return max(0.0, 1.0 - mass_of_set(d, s))
 
 
 # -- paired atom classes --------------------------------------------------

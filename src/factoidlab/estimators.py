@@ -22,12 +22,9 @@ from .errors import DistributionError, InsufficientDataError, UniverseMismatchEr
 __all__ = [
     "TrainingSample",
     "monofact_estimate",
-    "good_turing_estimate",
     "missing_mass",
     "good_turing_radius",
-    "good_turing_radius_unsimplified",
     "missing_mass_lower_radius",
-    "missing_mass_lower_radius_unsimplified",
 ]
 
 
@@ -94,15 +91,6 @@ def monofact_estimate(s: TrainingSample) -> float:
     return singles / s.n
 
 
-def good_turing_estimate(s: TrainingSample) -> float:
-    """Fraction of draws that are unique in the sample, the empty fact
-    included. Differs from the monofact estimate by at most 1/n."""
-    if s.n == 0:
-        raise InsufficientDataError("Good-Turing estimate needs at least one draw")
-    singles = int(np.count_nonzero(s.counts == 1))
-    return singles / s.n
-
-
 def missing_mass(p: FactoidDist, s: TrainingSample) -> float:
     """Probability mass of factoids never observed in the sample.
 
@@ -138,15 +126,6 @@ def good_turing_radius(delta: float, n: int) -> float:
     return 3.0 * math.sqrt(math.log(4.0 / delta) / n)
 
 
-def good_turing_radius_unsimplified(delta: float, n: int) -> float:
-    """Sharper two-sided width 1/n + 2.42*sqrt(ln(4/delta)/n); the
-    simplified 3*sqrt form above dominates it for n > 4.29."""
-    _check_delta(delta, 1.0)
-    if n < 1:
-        raise InsufficientDataError(f"n must be >= 1, got {n}")
-    return 1.0 / n + 2.42 * math.sqrt(math.log(4.0 / delta) / n)
-
-
 def missing_mass_lower_radius(delta: float, n: int) -> float:
     """One-sided width: missing mass >= estimate - sqrt(6*ln(2/delta)/n)
     with probability at least 1 - delta, for delta <= 1/3.
@@ -158,11 +137,3 @@ def missing_mass_lower_radius(delta: float, n: int) -> float:
     if n < 1:
         raise InsufficientDataError(f"n must be >= 1, got {n}")
     return math.sqrt(6.0 * math.log(2.0 / delta) / n)
-
-
-def missing_mass_lower_radius_unsimplified(delta: float, n: int) -> float:
-    """Sharper one-sided width 1/n + 2.14*sqrt(ln(2/delta)/n)."""
-    _check_delta(delta, 1.0)
-    if n < 1:
-        raise InsufficientDataError(f"n must be >= 1, got {n}")
-    return 1.0 / n + 2.14 * math.sqrt(math.log(2.0 / delta) / n)

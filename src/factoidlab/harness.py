@@ -9,6 +9,7 @@ byte-for-byte and can run in any order.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -32,6 +33,7 @@ from .calibration import (
     FixedWidthBinning,
     miscalibration,
     profile_calibration,
+    reliability_rows,
     sort_profile_by_g,
 )
 from .dist import BOTTOM, FactoidDist, dist_from_arrays, paired_profile, profile_kl, sample_iid
@@ -50,7 +52,7 @@ from .estimators import (
 )
 from .lms import LmAlgorithm, MonofactMemorizer, hallucination_rate, train
 from .rng import SeededRng
-from .worlds import MultiTypeWorld, WorldModel, sample_world, world_sparsity
+from .worlds import MultiTypeWorld, WorldInstance, WorldModel, sample_world, world_sparsity
 
 __all__ = [
     "BoundSettings",
@@ -65,7 +67,6 @@ __all__ = [
     "run_gt_concentration",
     "UpperBoundReport",
     "run_upper_bound_check",
-    "TypeBoundReport",
     "MultiTypeReport",
     "run_multi_type_experiment",
 ]
@@ -145,16 +146,19 @@ class TrialRecord:
     cor_balfact: BoundEvaluation
     cor_fixed_tv: BoundEvaluation
     cor_fixed_mis: BoundEvaluation
-
-    def evaluation(self, name: str) -> BoundEvaluation:
-        return getattr(self, name)
+    #: (bin value, g-mass, p-mass, size) per adaptive bin, the bins
+    #: mc_adaptive was measured over; not part of trials.csv
+    reliability: tuple[tuple[float, float, float, int], ...] = field(repr=False)
 
     def metric(self, name: str) -> float:
         return getattr(self, name)
 
 
-def _trial_rng(master_seed: int, trial_index: int) -> SeededRng:
-    return SeededRng(master_seed).child(trial_index)
+def _draw_trial(model: WorldModel, n: int, rng: SeededRng) -> tuple[WorldInstance, TrainingSample]:
+    """Draw a world and n i.i.d. training draws from it, in that order
+    from one stream; every suite that trains on a drawn world starts here."""
+    world = sample_world(model, rng)
+    return world, TrainingSample(world.universe, sample_iid(world.p, n, rng))
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
@@ -163,10 +167,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     The (p, g) profile is built once: KL sums over it in atom order, and
     every calibration metric reads the same profile sorted once by g.
     """
-    rng = _trial_rng(cfg.master_seed, trial_index)
+    rng = SeededRng(cfg.master_seed).child(trial_index)
     params = cfg.bound_params()
-    world = sample_world(cfg.world, rng)
-    sample = TrainingSample(world.universe, sample_iid(world.p, cfg.n, rng))
+    world, sample = _draw_trial(cfg.world, cfg.n, rng)
     g = train(cfg.algorithm, sample, truth=world.p)
 
     mf = monofact_estimate(sample)
@@ -175,9 +178,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     profile = paired_profile(world.p, g)
     kl = profile_kl(*profile)
     by_g = sort_profile_by_g(*profile)
-    mc_exact, _ = profile_calibration(*by_g, ExactValueBinning())
-    mc_adaptive, _ = profile_calibration(*by_g, AdaptiveBinning(params.b))
-    mc_fixed, mis_eps = profile_calibration(*by_g, FixedWidthBinning(params.epsilon))
+    mc_exact, _, _ = profile_calibration(*by_g, ExactValueBinning())
+    mc_adaptive, _, adaptive_bins = profile_calibration(*by_g, AdaptiveBinning(params.b))
+    mc_fixed, mis_eps, _ = profile_calibration(*by_g, FixedWidthBinning(params.epsilon))
 
     return TrialRecord(
         trial_index=trial_index,
@@ -195,6 +198,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
         cor_balfact=evaluate_bound(g_h, cor_balfact_rhs(mf, mc_adaptive, params)),
         cor_fixed_tv=evaluate_bound(g_h, cor_fixed_width_rhs(mf, mc_fixed, params, "tv")),
         cor_fixed_mis=evaluate_bound(g_h, cor_fixed_width_rhs(mf, mis_eps, params, "mis")),
+        reliability=tuple(reliability_rows(*adaptive_bins)),
     )
 
 
@@ -246,16 +250,7 @@ class AggregateReport:
             "delta": self.delta,
             "passed": self.passed,
             "bounds": {
-                b.name: {
-                    "satisfied": b.satisfied,
-                    "trials": b.trials,
-                    "frequency": b.frequency,
-                    "ci_low": b.ci_low,
-                    "ci_high": b.ci_high,
-                    "vacuous": b.vacuous,
-                    "vacuous_fraction": b.vacuous_fraction,
-                    "passed": b.passed,
-                }
+                b.name: {k: v for k, v in dataclasses.asdict(b).items() if k != "name"}
                 for b in self.bounds
             },
             "metrics": {m.name: {"mean": m.mean, "std": m.std} for m in self.metrics},
@@ -269,28 +264,32 @@ def _summarize(name: str, values: Sequence[float]) -> MetricSummary:
     return MetricSummary(name=name, mean=mean, std=std)
 
 
+def _bound_frequency(name: str, evals: Sequence[BoundEvaluation], delta: float) -> BoundFrequency:
+    """Satisfaction count, its 95% Clopper-Pearson interval, vacuity and
+    the 1 - delta pass verdict of one bound over a run's trials."""
+    m = len(evals)
+    satisfied = sum(1 for e in evals if e.satisfied)
+    vacuous = sum(1 for e in evals if e.vacuous)
+    low, high = clopper_pearson(satisfied, m)
+    freq = satisfied / m
+    return BoundFrequency(
+        name=name,
+        satisfied=satisfied,
+        trials=m,
+        frequency=freq,
+        ci_low=low,
+        ci_high=high,
+        vacuous=vacuous,
+        vacuous_fraction=vacuous / m,
+        passed=freq >= 1.0 - delta,
+    )
+
+
 def aggregate_records(records: Sequence[TrialRecord], delta: float) -> AggregateReport:
     m = len(records)
-    bounds = []
-    for name in BOUND_NAMES:
-        evals = [r.evaluation(name) for r in records]
-        satisfied = sum(1 for e in evals if e.satisfied)
-        vacuous = sum(1 for e in evals if e.vacuous)
-        low, high = clopper_pearson(satisfied, m)
-        freq = satisfied / m
-        bounds.append(
-            BoundFrequency(
-                name=name,
-                satisfied=satisfied,
-                trials=m,
-                frequency=freq,
-                ci_low=low,
-                ci_high=high,
-                vacuous=vacuous,
-                vacuous_fraction=vacuous / m,
-                passed=freq >= 1.0 - delta,
-            )
-        )
+    bounds = [
+        _bound_frequency(name, [getattr(r, name) for r in records], delta) for name in BOUND_NAMES
+    ]
     metrics = [_summarize(name, [r.metric(name) for r in records]) for name in METRIC_NAMES]
     kl_values = [r.kl for r in records]
     finite = [v for v in kl_values if math.isfinite(v)]
@@ -442,9 +441,7 @@ def run_upper_bound_check(
     certainty = 0
     calibration = 0
     for t in range(trials):
-        rng = base.child(1 + t)
-        inst = sample_world(world, rng)
-        sample = TrainingSample(inst.universe, sample_iid(inst.p, n, rng))
+        inst, sample = _draw_trial(world, n, base.child(1 + t))
         g = train(memorizer, sample)
         mf = monofact_estimate(sample)
         if hallucination_rate(g, inst) <= mf + 1e-12:
@@ -465,28 +462,20 @@ def run_upper_bound_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeBoundReport:
-    type_index: int
-    trials: int
-    satisfied: int
-    frequency: float
-    ci_low: float
-    ci_high: float
-    vacuous: int
-    vacuous_fraction: float
-    mean_mf: float
-    mean_halluc: float
-    mean_mc: float
-    passed: bool
+#: per-type metrics a multi-type report averages, in trial-metric order
+TYPE_METRIC_NAMES = ("mf", "halluc_rate", "mc_adaptive")
 
 
 @dataclass(frozen=True)
 class MultiTypeReport:
+    """Per-type bound frequencies (named type0, type1, ...) and per-type
+    metric summaries (named type0.mf, type0.halluc_rate, ...)."""
+
     trials: int
     delta: float
     k_types: int
-    types: tuple[TypeBoundReport, ...]
+    types: tuple[BoundFrequency, ...]
+    metrics: tuple[MetricSummary, ...]
 
     @property
     def passed(self) -> bool:
@@ -561,47 +550,20 @@ def run_multi_type_experiment(cfg: ExperimentConfig) -> MultiTypeReport:
     if not isinstance(model, MultiTypeWorld):
         raise ConfigError("multi-type experiment needs a MultiTypeWorld")
     k = model.k_types
-    base_params = cfg.bound_params()
-    params = BoundParams(
-        delta=base_params.delta,
-        b=base_params.b,
-        epsilon=base_params.epsilon,
-        s=base_params.s,
-        r=base_params.r,
-        n=base_params.n,
-        k_types=k,
-    )
-
-    def one_trial(trial_index: int) -> list[tuple[float, float, float, BoundEvaluation]]:
-        rng = _trial_rng(cfg.master_seed, trial_index)
-        world = sample_world(model, rng)
-        sample = TrainingSample(world.universe, sample_iid(world.p, cfg.n, rng))
+    params = dataclasses.replace(cfg.bound_params(), k_types=k)
+    rows = []
+    for trial_index in range(cfg.trials):
+        world, sample = _draw_trial(model, cfg.n, SeededRng(cfg.master_seed).child(trial_index))
         g = train(cfg.algorithm, sample, truth=world.p)
-        return multi_type_trial_metrics(model, world, sample.draws, g, params)
-
-    rows = [one_trial(i) for i in range(cfg.trials)]
-
-    reports = []
-    for i in range(k):
-        evals = [row[i][3] for row in rows]
-        satisfied = sum(1 for e in evals if e.satisfied)
-        vacuous = sum(1 for e in evals if e.vacuous)
-        low, high = clopper_pearson(satisfied, cfg.trials)
-        freq = satisfied / cfg.trials
-        reports.append(
-            TypeBoundReport(
-                type_index=i,
-                trials=cfg.trials,
-                satisfied=satisfied,
-                frequency=freq,
-                ci_low=low,
-                ci_high=high,
-                vacuous=vacuous,
-                vacuous_fraction=vacuous / cfg.trials,
-                mean_mf=float(np.mean([row[i][0] for row in rows])),
-                mean_halluc=float(np.mean([row[i][1] for row in rows])),
-                mean_mc=float(np.mean([row[i][2] for row in rows])),
-                passed=freq >= 1.0 - params.delta,
-            )
-        )
-    return MultiTypeReport(trials=cfg.trials, delta=params.delta, k_types=k, types=tuple(reports))
+        rows.append(multi_type_trial_metrics(model, world, sample.draws, g, params))
+    types = tuple(
+        _bound_frequency(f"type{i}", [row[i][3] for row in rows], params.delta) for i in range(k)
+    )
+    metrics = tuple(
+        _summarize(f"type{i}.{name}", [row[i][j] for row in rows])
+        for i in range(k)
+        for j, name in enumerate(TYPE_METRIC_NAMES)
+    )
+    return MultiTypeReport(
+        trials=cfg.trials, delta=params.delta, k_types=k, types=types, metrics=metrics
+    )

@@ -2,9 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
+import factoidlab
+
+from factoidlab.calibration import AdaptiveBinning, reliability_curve
 from factoidlab.cli import (
     TRIALS_CSV_HEADER,
     cli_main,
@@ -12,12 +20,16 @@ from factoidlab.cli import (
     parse_config,
     parse_config_text,
     serialize_config,
+    write_reliability_csv,
     write_trials_csv,
 )
+from factoidlab.dist import sample_iid
+from factoidlab.estimators import TrainingSample
 from factoidlab.errors import ConfigError
 from factoidlab.harness import BoundSettings, ExperimentConfig
-from factoidlab.lms import Empirical, Laplace, MonofactMemorizer, YayMixture
-from factoidlab.worlds import PermutedPowerLawWorld, W5World
+from factoidlab.lms import Empirical, Laplace, MonofactMemorizer, YayMixture, train
+from factoidlab.rng import SeededRng
+from factoidlab.worlds import PermutedPowerLawWorld, W5World, sample_world
 
 SMALL_CFG = """\
 # smallest meaningful experiment
@@ -233,3 +245,88 @@ class TestSingleTrialRun:
         assert code == 0
         lines = (tmp_path / "r" / "trials.csv").read_text().splitlines()
         assert len(lines) == 2
+
+
+class TestFailsClosed:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["bound.s", "bound.delta", "world.exponent", "algorithm.alpha"])
+    def test_non_finite_float_exits_two_without_run_dir(self, tmp_path, key, value):
+        text = SMALL_CFG.replace("algorithm.kind = monofact_memorizer", "algorithm.kind = laplace")
+        lines = [line for line in text.splitlines() if not line.startswith(key)]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join([*lines, f"{key} = {value}"]) + "\n")
+        code, out, err = run_cli("run", str(bad), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("content", ["{not json", "{}", "[1, 2]"])
+    @pytest.mark.parametrize("name", ["aggregate.json", "manifest.json"])
+    def test_report_on_damaged_run_exits_two(self, tmp_path, name, content):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL_CFG.replace("trials = 120", "trials = 3"))
+        run_cli("run", str(cfg_path), "--out", str(tmp_path / "r"))
+        (tmp_path / "r" / name).write_text(content)
+        code, out, err = run_cli("report", str(tmp_path / "r"))
+        assert code == 2
+        assert err.startswith("config error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("module", ["factoidlab", "factoidlab.cli"])
+    def test_python_m_without_arguments_prints_usage(self, module):
+        src = str(Path(factoidlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-m", module], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 2
+        assert "usage: factoidlab" in done.stderr
+
+
+def _count_calls(monkeypatch, name: str) -> types.SimpleNamespace:
+    """Wrap the library function `name` wherever a factoidlab module binds
+    it, and count the calls."""
+    counter = types.SimpleNamespace(calls=0)
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "factoidlab"]
+    original = getattr(factoidlab.harness, name)
+
+    def counted(*args, **kwargs):
+        counter.calls += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return counter
+
+
+class TestRunDoesEachTrialOnce:
+    def test_reliability_rows_come_from_trial_zero(self, tmp_path, monkeypatch):
+        trials = 4
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(
+            SMALL_CFG.replace("trials = 120", f"trials = {trials}").replace(
+                "monofact_memorizer", "laplace"
+            )
+        )
+        worlds = _count_calls(monkeypatch, "sample_world")
+        profiles = _count_calls(monkeypatch, "paired_profile")
+        code, _, _ = run_cli("run", str(cfg_path), "--out", str(tmp_path / "r"))
+        assert code in (0, 1)
+        assert worlds.calls == trials
+        assert profiles.calls == trials
+        monkeypatch.undo()
+
+        # trial 0 redone by hand, its rows taken through the public curve
+        cfg = parse_config(cfg_path)
+        rng = SeededRng(cfg.master_seed).child(0)
+        world = sample_world(cfg.world, rng)
+        sample = TrainingSample(world.universe, sample_iid(world.p, cfg.n, rng))
+        g = train(cfg.algorithm, sample, truth=world.p)
+        rows = reliability_curve(world.p, g, AdaptiveBinning(cfg.bound.b))
+        assert len(rows) >= 2
+        write_reliability_csv(tmp_path / "expected.csv", rows)
+        assert (tmp_path / "r" / "reliability.csv").read_bytes() == (
+            tmp_path / "expected.csv"
+        ).read_bytes()

@@ -13,10 +13,8 @@ from factoidlab.dist import (
     background_dist,
     dist_from_weights,
     kl_divergence,
-    mass_of_complement,
     mass_of_set,
     paired_profile,
-    point_mass_dist,
     random_dist,
     sample_iid,
     tv_distance,
@@ -116,7 +114,6 @@ class TestMassOfSet:
         d = dist_from_weights(FactoidUniverse(8), w)
         rest = set(range(8)) - subset
         assert mass_of_set(d, subset) + mass_of_set(d, rest) == pytest.approx(1.0, abs=1e-9)
-        assert mass_of_complement(d, subset) == pytest.approx(mass_of_set(d, rest), abs=1e-9)
 
 
 class TestTotalVariation:
@@ -199,7 +196,7 @@ class TestKlDivergence:
 class TestSampling:
     def test_point_mass_degenerate(self):
         u = FactoidUniverse(6)
-        d = point_mass_dist(u, 4)
+        d = dist_from_weights(u, {4: 1.0})
         draws = sample_iid(d, 5, SeededRng(8))
         assert draws.tolist() == [4, 4, 4, 4, 4]
 

@@ -154,9 +154,10 @@ class TestMultiType:
         report = run_multi_type_experiment(cfg)
         assert report.k_types == 2
         assert len(report.types) == 2
+        means = {m.name: m.mean for m in report.metrics}
         for t in report.types:
             assert t.frequency >= 0.9
-            assert 0.0 <= t.mean_mf <= 1.0
+            assert 0.0 <= means[f"{t.name}.mf"] <= 1.0
 
     def test_requires_multi_type_world(self):
         cfg = make_cfg()

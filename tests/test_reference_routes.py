@@ -21,6 +21,7 @@ from factoidlab.dist import (
     FactoidDist,
     FactoidUniverse,
     background_dist,
+    dist_from_weights,
     mass_of_set,
     paired_profile,
     uniform_dist,
@@ -308,6 +309,19 @@ class TestConstructorFailsClosed:
         assert d.keys.tolist() == [1, 4] and d.values.tolist() == [0.25, 0.75]
         with pytest.raises(ValueError):
             d.values[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda u, w: dist_from_weights(u, w),
+            lambda u, w: background_dist(u, w, 0.1),
+        ],
+        ids=["dist_from_weights", "background_dist"],
+    )
+    @pytest.mark.parametrize("weights", [{1.5: 1.0, 2: 1.0}, {2.0: 1.0}])
+    def test_float_keys_through_module_constructors(self, build, weights):
+        with pytest.raises(DistributionError):
+            build(self.U, weights)
 
     def test_background_nan_through_module_constructor(self):
         with pytest.raises(DistributionError):
