@@ -23,12 +23,10 @@ from .calibration import (
     ExactValueBinning,
     FixedWidthBinning,
     Partition,
-    adaptive_partition,
     coarsen,
-    exact_value_partition,
-    fixed_width_partition,
     generative_calibration_error,
     miscalibration,
+    partition_for_spec,
     reliability_curve,
 )
 from .estimators import (

@@ -3,7 +3,7 @@
 A generated distribution g is *calibrated* to a source distribution p
 when g equals some block-averaged coarsening of p. Miscalibration is
 measured as the total variation distance between g and the coarsening
-of p over a partition built from g alone. Three partition builders are
+of p over a partition built from g alone. Three binning schemes are
 provided:
 
 * exact-value: one block per distinct g-value (zero-probability atoms
@@ -50,9 +50,6 @@ __all__ = [
     "FixedWidthBinning",
     "BinningSpec",
     "coarsen",
-    "exact_value_partition",
-    "adaptive_partition",
-    "fixed_width_partition",
     "partition_for_spec",
     "sort_profile_by_g",
     "profile_calibration",
@@ -226,7 +223,7 @@ def _block_starts_for_spec(
 
 
 # ---------------------------------------------------------------------------
-# Explicit partition builders
+# Explicit partition builder
 # ---------------------------------------------------------------------------
 
 
@@ -248,53 +245,14 @@ def _partition_from_sorted_groups(
     return Partition(universe, blocks)
 
 
-def exact_value_partition(g: FactoidDist) -> Partition:
-    """Blocks of atoms sharing a g-value, ascending by value.
-
-    Values equal within EXACT_VALUE_RTOL share a block; in particular
-    all zero-probability atoms form one block.
-    """
-    vals = _atom_values(g)
-    order = np.argsort(vals, kind="stable")
-    starts = _exact_group_starts(vals[order])
-    return _partition_from_sorted_groups(g.universe, order, starts)
-
-
-def adaptive_partition(g: FactoidDist, b: int) -> Partition:
-    """Mass-balanced interval partition with at most b blocks.
-
-    Empty intervals (produced when one value class spans several mass
-    quantiles) are dropped, so fewer than b blocks may come back.
-    """
-    spec = AdaptiveBinning(b)
-    vals = _atom_values(g)
-    order = np.argsort(vals, kind="stable")
-    starts = _block_starts_for_spec(vals[order], np.ones(vals.size), spec)
-    return _partition_from_sorted_groups(g.universe, order, starts)
-
-
-def fixed_width_partition(g: FactoidDist, epsilon: float) -> Partition:
-    """Log-probability bins of multiplicative width (1 - epsilon).
-
-    epsilon=0 falls back to the exact-value partition and epsilon=1 to
-    the single-block partition. Enumeration stops below the smallest
-    positive g-value; all lower bins are empty and dropped.
-    """
-    spec = FixedWidthBinning(epsilon)
-    vals = _atom_values(g)
-    order = np.argsort(vals, kind="stable")
-    starts = _block_starts_for_spec(vals[order], np.ones(vals.size), spec)
-    return _partition_from_sorted_groups(g.universe, order, starts)
-
-
 def partition_for_spec(g: FactoidDist, spec: BinningSpec) -> Partition:
-    if isinstance(spec, ExactValueBinning):
-        return exact_value_partition(g)
-    if isinstance(spec, AdaptiveBinning):
-        return adaptive_partition(g, spec.b)
-    if isinstance(spec, FixedWidthBinning):
-        return fixed_width_partition(g, spec.epsilon)
-    raise PartitionError(f"unknown binning spec {spec!r}")
+    """The bins spec builds from g as an explicit partition of g's atoms,
+    for small universes. Empty bins are dropped, so an adaptive or
+    fixed-width spec may give fewer blocks than it has nominal bins."""
+    vals = _atom_values(g)
+    order = np.argsort(vals, kind="stable")
+    starts = _block_starts_for_spec(vals[order], np.ones(vals.size), spec)
+    return _partition_from_sorted_groups(g.universe, order, starts)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -59,23 +60,41 @@ from .worlds import (
     PermutedPowerLawWorld,
     W5World,
     WorldInstance,
-    WorldModel,
     sample_world,
 )
 
 __all__ = ["parse_config", "serialize_config", "write_results", "RunManifest", "cli_main", "main"]
 
-TRIALS_CSV_HEADER = (
-    "trial,seed,mf,missing_mass,halluc_rate,mc_exact,mc_adaptive_b,mis_eps,kl,"
-    "cor1_rhs,cor1_ok,cor1_vacuous,corg_rhs,corg_ok,corg_vacuous,"
-    "corbf_rhs,corbf_ok,corbf_vacuous,mc_fixed_eps,"
-    "corfw_rhs,corfw_ok,corfw_vacuous,cormis_rhs,cormis_ok,cormis_vacuous"
-)
-
 RELIABILITY_CSV_HEADER = "bin_value,g_mass,p_mass,bin_size"
 
-_WORLD_KINDS = {"permuted_power_law", "w5"}
-_ALGO_KINDS = {"empirical", "laplace", "uniform", "monofact_memorizer", "oracle", "yay_mixture"}
+
+def _bound_columns(prefix: str, field: str) -> tuple[tuple[str, str], ...]:
+    return tuple(
+        (f"{prefix}_{column}", f"{field}.{attr}")
+        for column, attr in (("rhs", "rhs"), ("ok", "satisfied"), ("vacuous", "vacuous"))
+    )
+
+
+#: trials.csv, one (header, TrialRecord attribute path) pair per column
+_TRIAL_COLUMNS = (
+    ("trial", "trial_index"),
+    ("seed", "seed"),
+    ("mf", "mf"),
+    ("missing_mass", "missing_mass"),
+    ("halluc_rate", "halluc_rate"),
+    ("mc_exact", "mc_exact"),
+    ("mc_adaptive_b", "mc_adaptive"),
+    ("mis_eps", "mis_eps"),
+    ("kl", "kl"),
+    *_bound_columns("cor1", "cor1"),
+    *_bound_columns("corg", "cor_general"),
+    *_bound_columns("corbf", "cor_balfact"),
+    ("mc_fixed_eps", "mc_fixed"),
+    *_bound_columns("corfw", "cor_fixed_tv"),
+    *_bound_columns("cormis", "cor_fixed_mis"),
+)
+TRIALS_CSV_HEADER = ",".join(header for header, _ in _TRIAL_COLUMNS)
+_trial_cells = attrgetter(*(path for _, path in _TRIAL_COLUMNS))
 
 
 def _fmt(x) -> str:
@@ -95,12 +114,62 @@ def _fmt(x) -> str:
 # Config file handling
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+
+# The config format. A key is (config key, field name, type, default or
+# _REQUIRED); a kind table maps each kind name to (class, fixed arguments,
+# keys). parse_config_text and serialize_config both walk these tables.
+_WORLDS = {
+    "permuted_power_law": (
+        PermutedPowerLawWorld,
+        {},
+        (
+            ("world.universe_size", "universe_size", int, _REQUIRED),
+            ("world.fact_count", "fact_count", int, _REQUIRED),
+            ("world.exponent", "exponent", float, 0.0),
+        ),
+    ),
+    "w5": (
+        W5World,
+        {},
+        (
+            ("world.people", "n_people", int, _REQUIRED),
+            ("world.dates", "n_dates", int, _REQUIRED),
+            ("world.foods", "n_foods", int, _REQUIRED),
+            ("world.locations", "n_locations", int, _REQUIRED),
+        ),
+    ),
+}
+_ALGORITHMS = {
+    "empirical": (Empirical, {}, ()),
+    "laplace": (Laplace, {}, (("algorithm.alpha", "alpha", float, 0.5),)),
+    "uniform": (Uniform, {}, ()),
+    "monofact_memorizer": (MonofactMemorizer, {}, ()),
+    "oracle": (Oracle, {}, ()),
+    "yay_mixture": (YayMixture, {"base": Empirical()}, (("algorithm.lambda", "lam", float, 0.99),)),
+}
+#: (kind key, ExperimentConfig field, kind table)
+_KINDS = (("world.kind", "world", _WORLDS), ("algorithm.kind", "algorithm", _ALGORITHMS))
+#: a left-out s (None) means the world's exact sparsity
+_BOUND_KEYS = (
+    ("bound.delta", "delta", float, 0.1),
+    ("bound.b", "b", int, 10),
+    ("bound.epsilon", "epsilon", float, 0.1),
+    ("bound.s", "s", float, None),
+    ("bound.r", "r", float, 1.0),
+)
+_RUN_KEYS = (
+    ("n", "n", int, _REQUIRED),
+    ("trials", "trials", int, _REQUIRED),
+    ("seed", "master_seed", int, _REQUIRED),
+)
+
 
 def _parse_kv_lines(text: str, source: str) -> dict[str, str]:
     table: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()  # no value contains '#'
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
@@ -113,9 +182,9 @@ def _parse_kv_lines(text: str, source: str) -> dict[str, str]:
     return table
 
 
-def _take(table: dict[str, str], key: str, kind, required: bool = False, default=None):
+def _take(table: dict[str, str], key: str, kind, default):
     if key not in table:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"missing required key {key}")
         return default
     raw = table.pop(key)
@@ -128,62 +197,27 @@ def _take(table: dict[str, str], key: str, kind, required: bool = False, default
     return value
 
 
+def _take_fields(table: dict[str, str], keys) -> dict:
+    return {field: _take(table, key, kind, default) for key, field, kind, default in keys}
+
+
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+    """Parse a config and build every object it names; a bad key or an
+    out-of-range value raises ConfigError."""
     table = _parse_kv_lines(text, source)
-
-    world_kind = _take(table, "world.kind", str, required=True)
-    if world_kind not in _WORLD_KINDS:
-        raise ConfigError(f"key world.kind: unknown world kind {world_kind!r}")
-    if world_kind == "permuted_power_law":
-        world: WorldModel = PermutedPowerLawWorld(
-            universe_size=_take(table, "world.universe_size", int, required=True),
-            fact_count=_take(table, "world.fact_count", int, required=True),
-            exponent=_take(table, "world.exponent", float, default=0.0),
-        )
-    else:
-        world = W5World(
-            n_people=_take(table, "world.people", int, required=True),
-            n_dates=_take(table, "world.dates", int, required=True),
-            n_foods=_take(table, "world.foods", int, required=True),
-            n_locations=_take(table, "world.locations", int, required=True),
-        )
-
-    algo_kind = _take(table, "algorithm.kind", str, required=True)
-    if algo_kind not in _ALGO_KINDS:
-        raise ConfigError(f"key algorithm.kind: unknown algorithm {algo_kind!r}")
-    if algo_kind == "empirical":
-        algorithm: LmAlgorithm = Empirical()
-    elif algo_kind == "laplace":
-        algorithm = Laplace(alpha=_take(table, "algorithm.alpha", float, default=0.5))
-    elif algo_kind == "uniform":
-        algorithm = Uniform()
-    elif algo_kind == "monofact_memorizer":
-        algorithm = MonofactMemorizer()
-    elif algo_kind == "oracle":
-        algorithm = Oracle()
-    else:
-        algorithm = YayMixture(base=Empirical(), lam=_take(table, "algorithm.lambda", float, default=0.99))
-
-    bound = BoundSettings(
-        delta=_take(table, "bound.delta", float, default=0.1),
-        b=_take(table, "bound.b", int, default=10),
-        epsilon=_take(table, "bound.epsilon", float, default=0.1),
-        s=_take(table, "bound.s", float, default=None),
-        r=_take(table, "bound.r", float, default=1.0),
-        k_types=_take(table, "bound.k_types", int, default=1),
-    )
-
-    n = _take(table, "n", int, required=True)
-    trials = _take(table, "trials", int, required=True)
-    seed = _take(table, "seed", int, required=True)
-
-    if table:
-        raise ConfigError(f"unknown key {sorted(table)[0]}")
-
     try:
-        return ExperimentConfig(
-            world=world, n=n, algorithm=algorithm, bound=bound, trials=trials, master_seed=seed
-        )
+        parts = {}
+        for kind_key, name, kinds in _KINDS:
+            kind = _take(table, kind_key, str, _REQUIRED)
+            if kind not in kinds:
+                raise ConfigError(f"key {kind_key}: unknown {name} kind {kind!r}")
+            cls, fixed, keys = kinds[kind]
+            parts[name] = cls(**fixed, **_take_fields(table, keys))
+        bound = BoundSettings(**_take_fields(table, _BOUND_KEYS))
+        run = _take_fields(table, _RUN_KEYS)
+        if table:
+            raise ConfigError(f"unknown key {sorted(table)[0]}")
+        return ExperimentConfig(**parts, bound=bound, **run)
     except FactoidLabError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -195,57 +229,24 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     return parse_config_text(p.read_text(encoding="utf-8"), source=str(p))
 
 
+def _lines(obj, keys) -> list[str]:
+    """One 'key = repr(value)' line per key; a None value is left out."""
+    values = ((key, kind, getattr(obj, field)) for key, field, kind, _ in keys)
+    return [f"{key} = {kind(value)!r}" for key, kind, value in values if value is not None]
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     lines = []
-    world = cfg.world
-    if isinstance(world, PermutedPowerLawWorld):
-        lines += [
-            "world.kind = permuted_power_law",
-            f"world.universe_size = {world.universe_size}",
-            f"world.fact_count = {world.fact_count}",
-            f"world.exponent = {world.exponent!r}",
-        ]
-    elif isinstance(world, W5World):
-        lines += [
-            "world.kind = w5",
-            f"world.people = {world.n_people}",
-            f"world.dates = {world.n_dates}",
-            f"world.foods = {world.n_foods}",
-            f"world.locations = {world.n_locations}",
-        ]
-    else:
-        raise ConfigError(f"world model {type(world).__name__} is not config-representable")
-    alg = cfg.algorithm
-    if isinstance(alg, Empirical):
-        lines.append("algorithm.kind = empirical")
-    elif isinstance(alg, Laplace):
-        lines += ["algorithm.kind = laplace", f"algorithm.alpha = {alg.alpha!r}"]
-    elif isinstance(alg, Uniform):
-        lines.append("algorithm.kind = uniform")
-    elif isinstance(alg, MonofactMemorizer):
-        lines.append("algorithm.kind = monofact_memorizer")
-    elif isinstance(alg, Oracle):
-        lines.append("algorithm.kind = oracle")
-    elif isinstance(alg, YayMixture):
-        if not isinstance(alg.base, Empirical):
-            raise ConfigError("only empirical-based mixtures are config-representable")
-        lines += ["algorithm.kind = yay_mixture", f"algorithm.lambda = {alg.lam!r}"]
-    else:
-        raise ConfigError(f"algorithm {type(alg).__name__} is not config-representable")
-    lines += [
-        f"n = {cfg.n}",
-        f"bound.delta = {cfg.bound.delta!r}",
-        f"bound.b = {cfg.bound.b}",
-        f"bound.epsilon = {cfg.bound.epsilon!r}",
-    ]
-    if cfg.bound.s is not None:
-        lines.append(f"bound.s = {cfg.bound.s!r}")
-    lines += [
-        f"bound.r = {cfg.bound.r!r}",
-        f"bound.k_types = {cfg.bound.k_types}",
-        f"trials = {cfg.trials}",
-        f"seed = {cfg.master_seed}",
-    ]
+    for kind_key, name, kinds in _KINDS:
+        obj = getattr(cfg, name)
+        for kind, (cls, fixed, keys) in kinds.items():
+            if type(obj) is cls and all(getattr(obj, f) == v for f, v in fixed.items()):
+                lines += [f"{kind_key} = {kind}", *_lines(obj, keys)]
+                break
+        else:
+            raise ConfigError(f"{name} {obj!r} is not config-representable")
+    # n goes ahead of the bound keys, so configs keep their hashes
+    lines += _lines(cfg, _RUN_KEYS[:1]) + _lines(cfg.bound, _BOUND_KEYS) + _lines(cfg, _RUN_KEYS[1:])
     return "\n".join(lines) + "\n"
 
 
@@ -283,34 +284,7 @@ def make_manifest(cfg: ExperimentConfig) -> RunManifest:
 
 
 def _trial_row(r: TrialRecord) -> str:
-    cells = [
-        str(r.trial_index),
-        str(r.seed),
-        _fmt(r.mf),
-        _fmt(r.missing_mass),
-        _fmt(r.halluc_rate),
-        _fmt(r.mc_exact),
-        _fmt(r.mc_adaptive),
-        _fmt(r.mis_eps),
-        _fmt(r.kl),
-        _fmt(r.cor1.rhs),
-        _fmt(r.cor1.satisfied),
-        _fmt(r.cor1.vacuous),
-        _fmt(r.cor_general.rhs),
-        _fmt(r.cor_general.satisfied),
-        _fmt(r.cor_general.vacuous),
-        _fmt(r.cor_balfact.rhs),
-        _fmt(r.cor_balfact.satisfied),
-        _fmt(r.cor_balfact.vacuous),
-        _fmt(r.mc_fixed),
-        _fmt(r.cor_fixed_tv.rhs),
-        _fmt(r.cor_fixed_tv.satisfied),
-        _fmt(r.cor_fixed_tv.vacuous),
-        _fmt(r.cor_fixed_mis.rhs),
-        _fmt(r.cor_fixed_mis.satisfied),
-        _fmt(r.cor_fixed_mis.vacuous),
-    ]
-    return ",".join(cells)
+    return ",".join(_fmt(cell) for cell in _trial_cells(r))
 
 
 def write_trials_csv(path: Path, records: Sequence[TrialRecord]) -> None:
@@ -469,7 +443,7 @@ def cmd_brute_force(args, out, err) -> int:
 def cmd_thm_main(args, out, err) -> int:
     cfg = parse_config(args.config)
     if not isinstance(cfg.world, PermutedPowerLawWorld) or cfg.world.exponent != 0.0:
-        raise ConfigError("thm-main requires world.kind = permuted_power_law with exponent 0")
+        raise ConfigError("thm-main requires a permuted_power_law world with exponent 0")
     world, sample = _draw_trial(cfg.world, cfg.n, SeededRng(cfg.master_seed).child(0))
     algs: list[tuple[str, LmAlgorithm]] = [
         ("empirical", Empirical()),

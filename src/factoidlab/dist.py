@@ -70,8 +70,9 @@ class FactoidUniverse:
     size: int
 
     def __post_init__(self):
-        if self.size < 2:
-            raise DistributionError(f"universe size must be >= 2, got {self.size}")
+        # indices are int64 throughout
+        if not 2 <= self.size <= 2**63 - 1:
+            raise DistributionError(f"universe size must be in [2, 2**63 - 1], got {self.size}")
 
     @property
     def bottom_id(self) -> int:
@@ -238,7 +239,9 @@ def dist_from_arrays(
         raise DistributionError("weights sum to zero; at least one must be positive")
     if not math.isfinite(total):
         raise DistributionError("weights sum is not finite")
-    keys, values, background = raw.keys, raw.values / total, raw.background / total
+    keys, values = raw.keys, raw.values / total
+    # a background no atom carries normalizes to 0, even over a subnormal total
+    background = raw.background / total if rest else 0.0
     if background == 0.0:
         pos = values > 0.0
         keys, values = keys[pos], values[pos]

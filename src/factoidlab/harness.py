@@ -110,11 +110,14 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if self.master_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         size = self.world.universe.size
         if size <= self.n + 1:
             raise ConfigError(
                 f"universe size {size} must exceed n + 1 = {self.n + 1}: U would be empty"
             )
+        self.bound_params()  # range-checks the bound settings before any trial runs
 
     def bound_params(self) -> BoundParams:
         s = self.bound.s if self.bound.s is not None else world_sparsity(self.world)

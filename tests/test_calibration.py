@@ -9,10 +9,7 @@ from factoidlab.calibration import (
     ExactValueBinning,
     FixedWidthBinning,
     Partition,
-    adaptive_partition,
     coarsen,
-    exact_value_partition,
-    fixed_width_partition,
     generative_calibration_error,
     iter_all_partitions,
     miscalibration,
@@ -100,16 +97,19 @@ class TestExactValuePartition:
     def test_equal_value_grouping(self):
         u = FactoidUniverse(3)
         g = dist_from_weights(u, {0: 0.5, 1: 0.25, 2: 0.25})
-        assert blocks_as_sets(exact_value_partition(g)) == {frozenset({0}), frozenset({1, 2})}
+        pi = partition_for_spec(g, ExactValueBinning())
+        assert blocks_as_sets(pi) == {frozenset({0}), frozenset({1, 2})}
 
     def test_uniform_collapses(self):
         u = FactoidUniverse(5)
-        assert blocks_as_sets(exact_value_partition(uniform_dist(u))) == {frozenset(range(5))}
+        pi = partition_for_spec(uniform_dist(u), ExactValueBinning())
+        assert blocks_as_sets(pi) == {frozenset(range(5))}
 
     def test_zero_probability_block(self):
         u = FactoidUniverse(3)
         g = dist_from_weights(u, {0: 1})
-        assert blocks_as_sets(exact_value_partition(g)) == {frozenset({0}), frozenset({1, 2})}
+        pi = partition_for_spec(g, ExactValueBinning())
+        assert blocks_as_sets(pi) == {frozenset({0}), frozenset({1, 2})}
 
 
 class TestAdaptivePartition:
@@ -118,7 +118,7 @@ class TestAdaptivePartition:
         # lower bin keeps values <= .3 and the top bin gets the .4 atom
         u = FactoidUniverse(5)
         g = dist_from_weights(u, {1: 0.4, 2: 0.3, 3: 0.2, 4: 0.1})
-        pi = adaptive_partition(g, 2)
+        pi = partition_for_spec(g, AdaptiveBinning(2))
         assert blocks_as_sets(pi) == {frozenset({0, 2, 3, 4}), frozenset({1})}
 
     def test_uniform_mass_jump_collapses_bins(self):
@@ -126,12 +126,12 @@ class TestAdaptivePartition:
         # swallows the whole universe into a single block
         u = FactoidUniverse(5)
         g = dist_from_weights(u, {1: 1, 2: 1, 3: 1, 4: 1})
-        assert blocks_as_sets(adaptive_partition(g, 2)) == {frozenset(range(5))}
+        assert blocks_as_sets(partition_for_spec(g, AdaptiveBinning(2))) == {frozenset(range(5))}
 
     def test_single_bin(self):
         u = FactoidUniverse(4)
         g = random_dist(u, SeededRng(4))
-        assert blocks_as_sets(adaptive_partition(g, 1)) == {frozenset(range(4))}
+        assert blocks_as_sets(partition_for_spec(g, AdaptiveBinning(1))) == {frozenset(range(4))}
 
     def test_saturation_matches_exact_for_full_support(self):
         # with full support and 1/b at most the smallest value, every
@@ -144,7 +144,9 @@ class TestAdaptivePartition:
         u = FactoidUniverse(4)
         g = dist_from_weights(u, {0: 0.37, 1: 0.28, 2: 0.22, 3: 0.13})
         b = 8  # 1/b = 0.125 < 0.13 = min value; cumulatives avoid the quantiles
-        assert blocks_as_sets(adaptive_partition(g, b)) == blocks_as_sets(exact_value_partition(g))
+        assert blocks_as_sets(partition_for_spec(g, AdaptiveBinning(b))) == blocks_as_sets(
+            partition_for_spec(g, ExactValueBinning())
+        )
         rng = SeededRng(5)
         for i in range(20):
             g_full = random_dist(u, rng.child(i, 0), support_size=4)
@@ -159,7 +161,7 @@ class TestFixedWidthPartition:
     def test_hand_evaluated_blocks(self):
         u = FactoidUniverse(5)
         g = dist_from_weights(u, {1: 0.5, 2: 0.25, 3: 0.125, 4: 0.125})
-        pi = fixed_width_partition(g, 0.5)
+        pi = partition_for_spec(g, FixedWidthBinning(0.5))
         assert blocks_as_sets(pi) == {
             frozenset({0}),  # zero-probability block
             frozenset({3, 4}),  # (0.0625, 0.125]
@@ -170,19 +172,19 @@ class TestFixedWidthPartition:
     def test_epsilon_one_single_block(self):
         u = FactoidUniverse(6)
         g = random_dist(u, SeededRng(6))
-        assert blocks_as_sets(fixed_width_partition(g, 1.0)) == {frozenset(range(6))}
+        assert blocks_as_sets(partition_for_spec(g, FixedWidthBinning(1.0))) == {frozenset(range(6))}
 
     def test_epsilon_zero_delegates_to_exact(self):
         u = FactoidUniverse(6)
         g = random_dist(u, SeededRng(7))
-        assert blocks_as_sets(fixed_width_partition(g, 0.0)) == blocks_as_sets(
-            exact_value_partition(g)
+        assert blocks_as_sets(partition_for_spec(g, FixedWidthBinning(0.0))) == blocks_as_sets(
+            partition_for_spec(g, ExactValueBinning())
         )
 
     def test_zero_atom_isolated(self):
         u = FactoidUniverse(3)
         g = dist_from_weights(u, {1: 0.5, 2: 0.5})
-        pi = fixed_width_partition(g, 0.3)
+        pi = partition_for_spec(g, FixedWidthBinning(0.3))
         assert frozenset({0}) in blocks_as_sets(pi)
 
     def test_boundary_value_joins_lower_bin(self):
@@ -190,7 +192,7 @@ class TestFixedWidthPartition:
         # endpoint it matches (half-open intervals, closed above)
         u = FactoidUniverse(3)
         g = dist_from_weights(u, {1: 0.5, 2: 0.5})  # 0.5 = (1-eps)^1 at eps=0.5
-        pi = fixed_width_partition(g, 0.5)
+        pi = partition_for_spec(g, FixedWidthBinning(0.5))
         assert frozenset({1, 2}) in blocks_as_sets(pi)
 
 
@@ -405,7 +407,7 @@ class TestBinningAgainstLiteralReferences:
             g = dist_from_weights(u, {y: int(w) for y, w in enumerate(raw) if w > 0})
             values = [g.weight(y) for y in range(size)]
             for b in (1, 2, 3, 4, 8, 16):
-                mine = blocks_as_sets(adaptive_partition(g, b))
+                mine = blocks_as_sets(partition_for_spec(g, AdaptiveBinning(b)))
                 ref = self._reference_adaptive_blocks(values, b)
                 assert mine == ref, (values, b)
 
@@ -418,7 +420,7 @@ class TestBinningAgainstLiteralReferences:
             g = random_dist(u, rng.child(i, 1))
             values = [g.weight(y) for y in range(size)]
             for b in (2, 5, 9):
-                mine = blocks_as_sets(adaptive_partition(g, b))
+                mine = blocks_as_sets(partition_for_spec(g, AdaptiveBinning(b)))
                 ref = self._reference_adaptive_blocks(values, b)
                 assert mine == ref, (values, b)
 
@@ -463,7 +465,7 @@ class TestBinningAgainstLiteralReferences:
             p = random_dist(u, rng.child(i, 0))
             g = random_dist(u, rng.child(i, 1))
             eps = float(gen.uniform(0.01, 0.99))
-            pi = fixed_width_partition(g, eps)
+            pi = partition_for_spec(g, FixedWidthBinning(eps))
             explicit = 0.5 * sum(
                 abs(mass_of_set(p, block) - mass_of_set(g, block)) for block in pi.blocks
             )

@@ -9,11 +9,17 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import factoidlab
 
 from factoidlab.calibration import AdaptiveBinning, reliability_curve
 from factoidlab.cli import (
+    _ALGORITHMS,
+    _BOUND_KEYS,
+    _RUN_KEYS,
+    _WORLDS,
     TRIALS_CSV_HEADER,
     cli_main,
     config_hash,
@@ -27,7 +33,15 @@ from factoidlab.dist import sample_iid
 from factoidlab.estimators import TrainingSample
 from factoidlab.errors import ConfigError
 from factoidlab.harness import BoundSettings, ExperimentConfig
-from factoidlab.lms import Empirical, Laplace, MonofactMemorizer, YayMixture, train
+from factoidlab.lms import (
+    Empirical,
+    Laplace,
+    MonofactMemorizer,
+    Oracle,
+    Uniform,
+    YayMixture,
+    train,
+)
 from factoidlab.rng import SeededRng
 from factoidlab.worlds import PermutedPowerLawWorld, W5World, sample_world
 
@@ -118,12 +132,20 @@ class TestParseConfig:
                 world=W5World(3, 3, 3, 3),
                 n=20,
                 algorithm=YayMixture(base=Empirical(), lam=0.9),
-                bound=BoundSettings(delta=0.25, b=4, epsilon=0.2, s=2.5, r=3.0, k_types=2),
+                bound=BoundSettings(delta=0.25, b=4, epsilon=0.2, s=2.5, r=3.0),
                 trials=7,
                 master_seed=99,
             ),
         ):
             assert parse_config_text(serialize_config(cfg)) == cfg
+
+    def test_readme_config_parses_as_written(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config_text(block, source="README.md")
+        assert cfg.world == PermutedPowerLawWorld(10**7, 1000, 0.0)
+        assert isinstance(cfg.algorithm, MonofactMemorizer)
+        assert (cfg.n, cfg.trials, cfg.master_seed) == (2000, 300, 20240811)
 
     def test_hash_tracks_content(self):
         a = parse_config_text(SMALL_CFG)
@@ -260,6 +282,38 @@ class TestFailsClosed:
         assert err.startswith("config error:") and key in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "old, new, reason",
+        [
+            ("world.fact_count = 50", "world.fact_count = 0", "fact count 0"),
+            ("world.exponent = 0.0", "world.exponent = -1", "exponent must be >= 0"),
+            (
+                "world.kind = permuted_power_law\nworld.universe_size = 2000\n",
+                "world.kind = w5\nworld.people = 0\nworld.dates = 9\nworld.locations = 9\n"
+                "world.foods = 9\n",
+                "n_people must be >= 1",
+            ),
+            ("world.universe_size = 2000", f"world.universe_size = {2**63}", "universe size"),
+            ("bound.delta = 0.1", "bound.delta = 2", "delta must be in (0,1]"),
+            ("bound.b = 10", "bound.b = 0", "b must be >= 1"),
+            ("bound.epsilon = 0.1", "bound.epsilon = 1.5", "epsilon must be in [0,1]"),
+            ("seed = 31415", "seed = 31415\nbound.r = 0.5", "r must be >= 1"),
+            ("seed = 31415", "seed = 31415\nbound.k_types = 7", "unknown key bound.k_types"),
+            ("seed = 31415", "seed = -1", "seed must be >= 0"),
+        ],
+        ids=["fact_count", "exponent", "w5_people", "universe_size", "delta", "b", "epsilon", "r",
+             "k_types", "seed"],
+    )
+    def test_bad_value_exits_two_without_run_dir(self, tmp_path, old, new, reason):
+        text = SMALL_CFG.replace("trials = 120", "trials = 3")
+        assert old in text
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(old, new))
+        code, out, err = run_cli("run", str(bad), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert err.startswith("config error:") and reason in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("content", ["{not json", "{}", "[1, 2]"])
     @pytest.mark.parametrize("name", ["aggregate.json", "manifest.json"])
     def test_report_on_damaged_run_exits_two(self, tmp_path, name, content):
@@ -330,3 +384,80 @@ class TestRunDoesEachTrialOnce:
         assert (tmp_path / "r" / "reliability.csv").read_bytes() == (
             tmp_path / "expected.csv"
         ).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Property tests over the config table
+# ---------------------------------------------------------------------------
+
+
+VALUE_TEXTS = st.one_of(
+    st.integers().map(str),
+    st.integers(-3, 3000).map(str),
+    st.floats().map(repr),
+    st.floats(-2.0, 3.0).map(repr),
+    st.sampled_from(["", "nan", "-inf", "1e999", "words", *_WORLDS, *_ALGORITHMS]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def config_texts(draw):
+    """Text over the known keys of a random world and algorithm kind,
+    with arbitrary value strings and some keys left out."""
+    world_kind = draw(st.sampled_from(sorted(_WORLDS)))
+    algo_kind = draw(st.sampled_from(sorted(_ALGORITHMS)))
+    keys = [*_WORLDS[world_kind][2], *_ALGORITHMS[algo_kind][2], *_BOUND_KEYS, *_RUN_KEYS]
+    table = {"world.kind": world_kind, "algorithm.kind": algo_kind}
+    table.update((key, draw(VALUE_TEXTS)) for key, *_ in keys)
+    dropped = draw(st.sets(st.sampled_from(sorted(table))))
+    return "\n".join(f"{key} = {value}" for key, value in table.items() if key not in dropped)
+
+
+@st.composite
+def valid_configs(draw):
+    if draw(st.booleans()):
+        size = draw(st.integers(3, 10**9))
+        # at least one hallucination, so the world's sparsity is defined
+        world = PermutedPowerLawWorld(
+            size, draw(st.integers(1, size - 2)), draw(st.floats(0.0, 5.0))
+        )
+    else:
+        world = W5World(*(draw(st.integers(1, 40)) for _ in range(3)), draw(st.integers(2, 40)))
+    algorithm = draw(
+        st.sampled_from([Empirical(), Uniform(), MonofactMemorizer(), Oracle()])
+        | st.builds(Laplace, st.floats(0.0, 1e6, exclude_min=True))
+        | st.builds(YayMixture, st.just(Empirical()), st.floats(0.0, 1.0))
+    )
+    bound = BoundSettings(
+        delta=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        b=draw(st.integers(1, 1000)),
+        epsilon=draw(st.floats(0.0, 1.0)),
+        s=draw(st.none() | st.floats(-50.0, 50.0)),
+        r=draw(st.floats(1.0, 1e6)),
+    )
+    n = draw(st.integers(1, world.universe_size - 2))
+    return ExperimentConfig(
+        world=world,
+        n=n,
+        algorithm=algorithm,
+        bound=bound,
+        trials=draw(st.integers(1, 10**6)),
+        master_seed=draw(st.integers(0, 2**64)),
+    )
+
+
+class TestConfigProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(config_texts())
+    def test_parse_returns_config_or_raises_config_error(self, text):
+        try:
+            cfg = parse_config_text(text)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_configs())
+    def test_valid_configs_round_trip(self, cfg):
+        assert parse_config_text(serialize_config(cfg)) == cfg

@@ -131,13 +131,14 @@ def ref_missing_mass(p, draws):
 
 
 def ref_normalized(universe, sp, background):
-    """Normalization as a dict: divide by the exactly rounded total and,
-    with no background, drop zero weights. Returns (dict, background)."""
+    """Normalization as a dict: divide by the exactly rounded total, take
+    a background no atom carries as 0 and, with no background, drop zero
+    weights. Returns (dict, background)."""
     total = math.fsum(sp.values()) + background * (universe.size - len(sp))
     if total <= 0.0:
         raise DistributionError("weights sum to zero")
     sp = {y: w / total for y, w in sp.items()}
-    background = background / total
+    background = background / total if universe.size > len(sp) else 0.0
     if background == 0.0:
         sp = {y: w for y, w in sp.items() if w > 0.0}
     return sp, background
@@ -331,6 +332,14 @@ class TestConstructorFailsClosed:
         d = FactoidDist(self.U, [0, 3], [0.0, 0.5], 0.125)
         assert d.weight(0) == 0.0 and d.weight(3) == 0.5 and d.weight(5) == 0.125
         assert uniform_dist(self.U).weight(2) == 1.0 / 6
+
+    def test_uncarried_background_over_subnormal_total(self):
+        # every atom is explicit, so the background weighs nothing, though
+        # dividing it by the 5e-324 total would give inf
+        u, weights = FactoidUniverse(2), {0: 5e-324, 1: 0.0}
+        d = background_dist(u, weights, 0.5)
+        assert (d.keys.tolist(), d.values.tolist(), d.background) == ([0], [1.0], 0.0)
+        assert ref_normalized(u, weights, 0.5) == ({0: 1.0}, 0.0)
 
 
 class TestSampleFailsClosed:
