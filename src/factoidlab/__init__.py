@@ -61,9 +61,8 @@ from .bounds import (
     BoundParams,
     cor1_rhs,
     cor_balfact_rhs,
-    cor_fixed_width_rhs,
+    cor_fixed_mis_rhs,
     cor_general_rhs,
-    cor_types_rhs,
     verify_lemma_meat_exhaustive,
     verify_markov_step,
     verify_theorem_main_mc,

@@ -35,14 +35,13 @@ __all__ = [
     "cor1_rhs",
     "cor_balfact_rhs",
     "cor_general_rhs",
-    "cor_types_rhs",
-    "cor_fixed_width_rhs",
+    "cor_fixed_mis_rhs",
     "clopper_pearson",
+    "BoundFrequency",
     "TheoremMainCheck",
     "verify_theorem_main_mc",
     "LemmaMeatViolation",
     "verify_lemma_meat_exhaustive",
-    "MarkovStepReport",
     "verify_markov_step",
 ]
 
@@ -97,70 +96,46 @@ def evaluate_bound(lhs: float, rhs: float) -> BoundEvaluation:
     )
 
 
-def _gt_term(delta: float, n: int) -> float:
-    return math.sqrt(6.0 * math.log(6.0 / delta) / n)
+def _sparsity_penalty(params: BoundParams, *factors: float) -> float:
+    """3 k (factors) e^(-s)/delta, multiplied left to right."""
+    return math.prod(factors, start=3.0 * params.k_types) * math.exp(-params.s) / params.delta
+
+
+def _gt_term(params: BoundParams) -> float:
+    """One-sided Good-Turing width at failure budget delta/(3k):
+    sqrt(6 ln(6k/delta)/n)."""
+    return math.sqrt(6.0 * math.log(6.0 * params.k_types / params.delta) / params.n)
+
+
+def _rhs(mf: float, calibration: float, params: BoundParams, *penalty: float) -> float:
+    """The shared skeleton: mf - calibration - 3 k (penalty) e^(-s)/delta
+    - sqrt(6 ln(6k/delta)/n). k = params.k_types is the union-bound
+    inflation over fact types; it is 1 for a single-type world."""
+    return mf - calibration - _sparsity_penalty(params, *penalty) - _gt_term(params)
 
 
 def cor1_rhs(mf: float, mc: float, params: BoundParams) -> float:
-    """Lower bound for regular worlds:
-    mf - mc - 3 e^(-s)/delta - sqrt(6 ln(6/delta)/n)."""
-    return mf - mc - 3.0 * math.exp(-params.s) / params.delta - _gt_term(params.delta, params.n)
+    """Lower bound for regular worlds; in a k-type world, the bound on
+    each type's own monofact estimate and miscalibration."""
+    return _rhs(mf, mc, params)
 
 
 def cor_balfact_rhs(mf: float, mc: float, params: BoundParams) -> float:
     """Regular facts only; the penalty picks up a factor r*n because the
     observed count is bounded by n rather than by the fact budget."""
-    return (
-        mf
-        - mc
-        - 3.0 * params.r * params.n * math.exp(-params.s) / params.delta
-        - _gt_term(params.delta, params.n)
-    )
+    return _rhs(mf, mc, params, params.r, params.n)
 
 
 def cor_general_rhs(mf: float, mc: float, params: BoundParams) -> float:
     """Regular facts and regular probabilities; penalty factor r."""
-    return (
-        mf
-        - mc
-        - 3.0 * params.r * math.exp(-params.s) / params.delta
-        - _gt_term(params.delta, params.n)
-    )
+    return _rhs(mf, mc, params, params.r)
 
 
-def cor_types_rhs(mf_i: float, mc_i: float, params: BoundParams) -> float:
-    """Per-type bound with union-bound inflation: the failure budget
-    delta is split across k types."""
-    k = params.k_types
-    return (
-        mf_i
-        - mc_i
-        - 3.0 * k * math.exp(-params.s) / params.delta
-        - math.sqrt(6.0 * math.log(6.0 * k / params.delta) / params.n)
-    )
-
-
-def cor_fixed_width_rhs(
-    mf: float, calibration_term: float, params: BoundParams, variant: str
-) -> float:
-    """Fixed-width binning variants.
-
-    variant "tv" subtracts the TV between g and the coarsening of p over
-    the log-width bins of g; variant "mis" subtracts the binned mass gap
-    and additionally epsilon (the price of the sandwich between the two
-    calibration metrics).
-    """
-    base = (
-        mf
-        - calibration_term
-        - 3.0 * math.exp(-params.s) / params.delta
-        - _gt_term(params.delta, params.n)
-    )
-    if variant == "tv":
-        return base
-    if variant == "mis":
-        return base - params.epsilon
-    raise DistributionError(f"unknown fixed-width variant {variant!r}")
+def cor_fixed_mis_rhs(mf: float, mis_eps: float, params: BoundParams) -> float:
+    """Fixed-width binning, subtracting the binned mass gap mis_eps and
+    epsilon, the price of the sandwich between the two calibration
+    metrics. (The TV variant is cor1_rhs on the fixed-width mc.)"""
+    return _rhs(mf, mis_eps, params) - params.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +143,50 @@ def cor_fixed_width_rhs(
 # ---------------------------------------------------------------------------
 
 
-def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Exact binomial confidence interval for an empirical frequency."""
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
+    """Exact 95% binomial confidence interval for an empirical frequency."""
     if trials < 1:
         raise InsufficientDataError("interval needs at least one trial")
     if not 0 <= successes <= trials:
         raise DistributionError(f"successes {successes} outside [0, {trials}]")
-    alpha = 1.0 - confidence
+    alpha = 0.05
     low = 0.0 if successes == 0 else float(_beta_dist.ppf(alpha / 2.0, successes, trials - successes + 1))
     high = 1.0 if successes == trials else float(_beta_dist.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes))
     return low, high
+
+
+@dataclass(frozen=True)
+class BoundFrequency:
+    name: str
+    satisfied: int
+    trials: int
+    frequency: float
+    ci_low: float
+    ci_high: float
+    vacuous: int
+    vacuous_fraction: float
+    passed: bool
+
+
+def _bound_frequency(name: str, evals: Sequence[BoundEvaluation], delta: float) -> BoundFrequency:
+    """Satisfaction count, its 95% Clopper-Pearson interval, vacuity and
+    the 1 - delta pass verdict of one bound over a run's trials."""
+    m = len(evals)
+    satisfied = sum(1 for e in evals if e.satisfied)
+    vacuous = sum(1 for e in evals if e.vacuous)
+    low, high = clopper_pearson(satisfied, m)
+    freq = satisfied / m
+    return BoundFrequency(
+        name=name,
+        satisfied=satisfied,
+        trials=m,
+        frequency=freq,
+        ci_low=low,
+        ci_high=high,
+        vacuous=vacuous,
+        vacuous_fraction=vacuous / m,
+        passed=freq >= 1.0 - delta,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +217,6 @@ def verify_theorem_main_mc(
     partition: Partition,
     samples: int,
     rng: SeededRng,
-    validate_marginals: bool = True,
 ) -> TheoremMainCheck:
     """Estimate the expectation over the exact uniform-world posterior and
     compare with the closed-form right-hand side.
@@ -272,7 +280,7 @@ def verify_theorem_main_mc(
 
     marginals_ok = True
     max_sigma = 0.0
-    if validate_marginals and probe_atoms and u_count > 0:
+    if probe_atoms and u_count > 0:
         q = (fact_count - m) / u_count
         sigma = math.sqrt(max(q * (1.0 - q), 0.0) / samples)
         for hits in probe_hits.tolist():
@@ -360,51 +368,30 @@ def verify_lemma_meat_exhaustive(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarkovStepReport:
-    """Empirical frequencies of the two intermediate proof events.
+def verify_markov_step(
+    records: Sequence, params: BoundParams
+) -> tuple[BoundFrequency, BoundFrequency]:
+    """Frequencies of the two intermediate proof events, as the rows
+    "markov" and "goodturing".
 
     Event A: hallucination rate >= missing mass - adaptive miscalibration
-    - 3 e^(-s)/delta (must hold with frequency >= 1 - 2 delta/3 for
+    - 3 k e^(-s)/delta (must hold with frequency >= 1 - 2 delta/3 for
     regular worlds). Event B: missing mass >= monofact estimate minus the
-    one-sided Good-Turing width (frequency >= 1 - delta/3).
+    one-sided Good-Turing width sqrt(6 ln(6k/delta)/n) (frequency >=
+    1 - delta/3). These are the two halves of the cor1 right-hand side;
+    k = params.k_types is 1 for a regular world. records need attributes
+    mf, missing_mass, halluc_rate, mc_adaptive.
     """
-
-    trials: int
-    freq_markov: float
-    ci_markov: tuple[float, float]
-    freq_goodturing: float
-    ci_goodturing: tuple[float, float]
-    passed_markov: bool
-    passed_goodturing: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.passed_markov and self.passed_goodturing
-
-
-def verify_markov_step(records: Sequence, params: BoundParams) -> MarkovStepReport:
-    """records need attributes mf, missing_mass, halluc_rate, mc_adaptive."""
     m = len(records)
     if m < 100:
         raise InsufficientDataError(f"need at least 100 trials, got {m}")
-    delta = params.delta
-    penalty = 3.0 * math.exp(-params.s) / delta
-    width = _gt_term(delta, params.n)
-    hits_a = sum(
-        1
-        for r in records
-        if r.halluc_rate >= r.missing_mass - r.mc_adaptive - penalty - FLOAT_SLACK
-    )
-    hits_b = sum(1 for r in records if r.missing_mass >= r.mf - width - FLOAT_SLACK)
-    freq_a = hits_a / m
-    freq_b = hits_b / m
-    return MarkovStepReport(
-        trials=m,
-        freq_markov=freq_a,
-        ci_markov=clopper_pearson(hits_a, m),
-        freq_goodturing=freq_b,
-        ci_goodturing=clopper_pearson(hits_b, m),
-        passed_markov=freq_a >= 1.0 - 2.0 * delta / 3.0,
-        passed_goodturing=freq_b >= 1.0 - delta / 3.0,
+    penalty = _sparsity_penalty(params)
+    width = _gt_term(params)
+    markov = [
+        evaluate_bound(r.halluc_rate, r.missing_mass - r.mc_adaptive - penalty) for r in records
+    ]
+    goodturing = [evaluate_bound(r.missing_mass, r.mf - width) for r in records]
+    return (
+        _bound_frequency("markov", markov, 2.0 * params.delta / 3.0),
+        _bound_frequency("goodturing", goodturing, params.delta / 3.0),
     )

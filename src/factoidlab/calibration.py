@@ -364,10 +364,11 @@ def reliability_curve(
 # ---------------------------------------------------------------------------
 
 
-def iter_all_partitions(universe: FactoidUniverse, max_size: int = 12) -> Iterator[Partition]:
-    """Every set partition of the universe (Bell(size) of them)."""
+def iter_all_partitions(universe: FactoidUniverse) -> Iterator[Partition]:
+    """Every set partition of a universe of at most 12 atoms (Bell(size)
+    of them; Bell(12) = 4213597)."""
     n = universe.size
-    if n > max_size:
+    if n > 12:
         raise PartitionError(f"universe of size {n} too large to enumerate partitions")
     blocks: list[list[int]] = []
 

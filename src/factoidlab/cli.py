@@ -32,7 +32,7 @@ from .calibration import (
     partition_for_spec,
 )
 from .dist import FactoidUniverse, random_dist, tv_distance_forms
-from .errors import ConfigError, FactoidLabError, InsufficientDataError
+from .errors import ConfigError, FactoidLabError
 from .harness import (
     BOUND_NAMES,
     AggregateReport,
@@ -581,12 +581,10 @@ def cli_main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args, out, err)
-    except (ConfigError, InsufficientDataError) as exc:
+    except FactoidLabError as exc:
+        # exit 1 is reserved for a check that ran and failed
         print(f"config error: {exc}", file=err)
         return 2
-    except FactoidLabError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
 
 
 def main() -> None:

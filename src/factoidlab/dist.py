@@ -212,12 +212,6 @@ class FactoidDist:
         pos = np.flatnonzero(dense > 0.0)
         return dict(zip(pos.tolist(), dense[pos].tolist()))
 
-    def support_size(self) -> int:
-        n_special_pos = int(np.count_nonzero(self.values > 0.0))
-        if self.background > 0.0:
-            return n_special_pos + (self.universe.size - self.keys.size)
-        return n_special_pos
-
     def total_mass(self) -> float:
         rest = self.universe.size - self.keys.size
         return math.fsum(self.values.tolist()) + self.background * rest

@@ -18,13 +18,13 @@ import numpy as np
 
 from .bounds import (
     BoundEvaluation,
+    BoundFrequency,
     BoundParams,
-    clopper_pearson,
+    _bound_frequency,
     cor1_rhs,
     cor_balfact_rhs,
-    cor_fixed_width_rhs,
+    cor_fixed_mis_rhs,
     cor_general_rhs,
-    cor_types_rhs,
     evaluate_bound,
 )
 from .calibration import (
@@ -86,7 +86,7 @@ METRIC_NAMES = (
 @dataclass(frozen=True)
 class BoundSettings:
     """Bound parameters as configured; s=None means "use the world's
-    exact sparsity"."""
+    exact sparsity". k_types must equal the world's type count."""
 
     delta: float = 0.1
     b: int = 10
@@ -104,6 +104,8 @@ class ExperimentConfig:
     bound: BoundSettings
     trials: int
     master_seed: int
+    #: the bound parameters every trial uses, built once from bound and world
+    params: BoundParams = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -117,19 +119,20 @@ class ExperimentConfig:
             raise ConfigError(
                 f"universe size {size} must exceed n + 1 = {self.n + 1}: U would be empty"
             )
-        self.bound_params()  # range-checks the bound settings before any trial runs
-
-    def bound_params(self) -> BoundParams:
+        k = self.world.k_types if isinstance(self.world, MultiTypeWorld) else 1
+        if self.bound.k_types != k:
+            raise ConfigError(f"k_types {self.bound.k_types} must equal the world's {k} types")
         s = self.bound.s if self.bound.s is not None else world_sparsity(self.world)
-        return BoundParams(
+        params = BoundParams(
             delta=self.bound.delta,
             b=self.bound.b,
             epsilon=self.bound.epsilon,
             s=s,
             r=self.bound.r,
             n=self.n,
-            k_types=self.bound.k_types,
+            k_types=k,
         )
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,6 @@ class TrialRecord:
     #: mc_adaptive was measured over; not part of trials.csv
     reliability: tuple[tuple[float, float, float, int], ...] = field(repr=False)
 
-    def metric(self, name: str) -> float:
-        return getattr(self, name)
-
 
 def _draw_trial(model: WorldModel, n: int, rng: SeededRng) -> tuple[WorldInstance, TrainingSample]:
     """Draw a world and n i.i.d. training draws from it, in that order
@@ -171,7 +171,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     every calibration metric reads the same profile sorted once by g.
     """
     rng = SeededRng(cfg.master_seed).child(trial_index)
-    params = cfg.bound_params()
+    params = cfg.params
     world, sample = _draw_trial(cfg.world, cfg.n, rng)
     g = train(cfg.algorithm, sample, truth=world.p)
 
@@ -199,8 +199,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
         cor1=evaluate_bound(g_h, cor1_rhs(mf, mc_adaptive, params)),
         cor_general=evaluate_bound(g_h, cor_general_rhs(mf, mc_adaptive, params)),
         cor_balfact=evaluate_bound(g_h, cor_balfact_rhs(mf, mc_adaptive, params)),
-        cor_fixed_tv=evaluate_bound(g_h, cor_fixed_width_rhs(mf, mc_fixed, params, "tv")),
-        cor_fixed_mis=evaluate_bound(g_h, cor_fixed_width_rhs(mf, mis_eps, params, "mis")),
+        cor_fixed_tv=evaluate_bound(g_h, cor1_rhs(mf, mc_fixed, params)),
+        cor_fixed_mis=evaluate_bound(g_h, cor_fixed_mis_rhs(mf, mis_eps, params)),
         reliability=tuple(reliability_rows(*adaptive_bins)),
     )
 
@@ -208,19 +208,6 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundFrequency:
-    name: str
-    satisfied: int
-    trials: int
-    frequency: float
-    ci_low: float
-    ci_high: float
-    vacuous: int
-    vacuous_fraction: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -267,33 +254,12 @@ def _summarize(name: str, values: Sequence[float]) -> MetricSummary:
     return MetricSummary(name=name, mean=mean, std=std)
 
 
-def _bound_frequency(name: str, evals: Sequence[BoundEvaluation], delta: float) -> BoundFrequency:
-    """Satisfaction count, its 95% Clopper-Pearson interval, vacuity and
-    the 1 - delta pass verdict of one bound over a run's trials."""
-    m = len(evals)
-    satisfied = sum(1 for e in evals if e.satisfied)
-    vacuous = sum(1 for e in evals if e.vacuous)
-    low, high = clopper_pearson(satisfied, m)
-    freq = satisfied / m
-    return BoundFrequency(
-        name=name,
-        satisfied=satisfied,
-        trials=m,
-        frequency=freq,
-        ci_low=low,
-        ci_high=high,
-        vacuous=vacuous,
-        vacuous_fraction=vacuous / m,
-        passed=freq >= 1.0 - delta,
-    )
-
-
 def aggregate_records(records: Sequence[TrialRecord], delta: float) -> AggregateReport:
     m = len(records)
     bounds = [
         _bound_frequency(name, [getattr(r, name) for r in records], delta) for name in BOUND_NAMES
     ]
-    metrics = [_summarize(name, [r.metric(name) for r in records]) for name in METRIC_NAMES]
+    metrics = [_summarize(name, [getattr(r, name) for r in records]) for name in METRIC_NAMES]
     kl_values = [r.kl for r in records]
     finite = [v for v in kl_values if math.isfinite(v)]
     metrics.append(_summarize("kl_finite", finite if finite else [math.nan]))
@@ -338,12 +304,14 @@ class GtConcentrationReport:
     one_sided_violations: int
     mean_gap: float
     gap_stderr: float
-    two_sided_frequency: float = field(init=False)
-    one_sided_frequency: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "two_sided_frequency", self.two_sided_violations / self.trials)
-        object.__setattr__(self, "one_sided_frequency", self.one_sided_violations / self.trials)
+    @property
+    def two_sided_frequency(self) -> float:
+        return self.two_sided_violations / self.trials
+
+    @property
+    def one_sided_frequency(self) -> float:
+        return self.one_sided_violations / self.trials
 
     @property
     def passed(self) -> bool:
@@ -419,10 +387,6 @@ class UpperBoundReport:
     calibration_radius: float
     certainty_hits: int
     calibration_hits: int
-
-    @property
-    def certainty_frequency(self) -> float:
-        return self.certainty_hits / self.trials
 
     @property
     def calibration_frequency(self) -> float:
@@ -514,36 +478,30 @@ def _induced_local_dist(model: MultiTypeWorld, i: int, d: FactoidDist) -> Factoi
 
 
 def multi_type_trial_metrics(
-    model: MultiTypeWorld, world, draws, g: FactoidDist, params: BoundParams
+    model: MultiTypeWorld,
+    world: WorldInstance,
+    sample: TrainingSample,
+    g: FactoidDist,
+    params: BoundParams,
 ) -> list[tuple[float, float, float, BoundEvaluation]]:
     """Per-type (monofact, hallucinated mass, miscalibration, evaluation).
 
-    The type-i view maps out-of-range draws to the empty fact, computes
-    the type's own monofact estimate and adaptive miscalibration on the
-    induced local pair, and takes the generator's mass on in-range
-    non-facts as the type's hallucination rate. draws is the global
-    sample as an integer sequence or array.
+    Type i's monofact estimate counts the draws whose atom lies in its
+    range and occurs once, over all n draws. Its miscalibration and
+    hallucination rate are measured on the induced local pair, whose
+    empty fact carries all out-of-range mass. The verdict is cor1 with
+    the union-bound inflation k = params.k_types.
     """
-    draws = np.asarray(draws, dtype=np.int64)
     out = []
     for i in range(model.k_types):
-        start = model.type_offset(i)
-        local_universe = model.components[i].universe
-        stop = start + local_universe.size - 1
-        in_range = (draws >= start) & (draws < stop)
-        local_sample = TrainingSample(local_universe, np.where(in_range, draws - (start - 1), BOTTOM))
-        mf_i = monofact_estimate(local_sample)
+        span = model.type_range(i)
+        counts = sample.counts[_in_range(sample.atoms, span.start, span.stop)]
+        mf_i = int(np.count_nonzero(counts == 1)) / sample.n
         p_i = _induced_local_dist(model, i, world.p)
         g_i = _induced_local_dist(model, i, g)
         mc_i = miscalibration(p_i, g_i, AdaptiveBinning(params.b))
-        facts_i = world.fact_keys[_in_range(world.fact_keys, start, stop)]
-        in_range_special = g.values[_in_range(g.keys, start, stop)]
-        range_mass = math.fsum(in_range_special.tolist()) + g.background * (
-            local_universe.size - 1 - in_range_special.size
-        )
-        fact_mass = math.fsum(g.weights_at(facts_i).tolist())
-        g_h_i = max(0.0, range_mass - fact_mass)
-        out.append((mf_i, g_h_i, mc_i, evaluate_bound(g_h_i, cor_types_rhs(mf_i, mc_i, params))))
+        g_h_i = hallucination_rate(g_i, WorldInstance(p_i))
+        out.append((mf_i, g_h_i, mc_i, evaluate_bound(g_h_i, cor1_rhs(mf_i, mc_i, params))))
     return out
 
 
@@ -552,13 +510,12 @@ def run_multi_type_experiment(cfg: ExperimentConfig) -> MultiTypeReport:
     model = cfg.world
     if not isinstance(model, MultiTypeWorld):
         raise ConfigError("multi-type experiment needs a MultiTypeWorld")
-    k = model.k_types
-    params = dataclasses.replace(cfg.bound_params(), k_types=k)
+    k, params = model.k_types, cfg.params
     rows = []
     for trial_index in range(cfg.trials):
         world, sample = _draw_trial(model, cfg.n, SeededRng(cfg.master_seed).child(trial_index))
         g = train(cfg.algorithm, sample, truth=world.p)
-        rows.append(multi_type_trial_metrics(model, world, sample.draws, g, params))
+        rows.append(multi_type_trial_metrics(model, world, sample, g, params))
     types = tuple(
         _bound_frequency(f"type{i}", [row[i][3] for row in rows], params.delta) for i in range(k)
     )

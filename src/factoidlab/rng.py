@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["SeededRng"]
 
 
@@ -25,6 +27,8 @@ class SeededRng:
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
         self._seed = int(seed)
+        if self._seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self._seed}")
         self._key = tuple(int(k) for k in _key)
         seq = np.random.SeedSequence(self._seed, spawn_key=self._key)
         self.generator = np.random.Generator(np.random.PCG64(seq))

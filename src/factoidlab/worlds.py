@@ -214,19 +214,6 @@ class MultiTypeWorld:
         start = self.type_offset(i)
         return range(start, start + self.components[i].universe_size - 1)
 
-    def to_global(self, i: int, local_y: int) -> int:
-        if local_y == BOTTOM:
-            return BOTTOM
-        return self.type_offset(i) + local_y - 1
-
-    def to_local(self, i: int, global_y: int) -> int:
-        if global_y == BOTTOM:
-            return BOTTOM
-        start = self.type_offset(i)
-        if global_y not in self.type_range(i):
-            raise DistributionError(f"global index {global_y} not in type {i} range")
-        return global_y - start + 1
-
 
 @dataclass(frozen=True)
 class ExplicitWorld:
@@ -521,14 +508,14 @@ def _analyze_w5(model: W5World, sample: TrainingSample) -> RegularityReport:
     return RegularityReport(s=s, r_facts=r_facts, r_probs=r_probs, conditioning_sample=sample)
 
 
-def enumerate_w5_instances(model: W5World, limit: int = 200_000) -> ExplicitWorld:
+def enumerate_w5_instances(model: W5World) -> ExplicitWorld:
     """All assignments of one (food, location) per (person, date) pair,
-    with uniform prior. Guarded: the count grows as
+    with uniform prior. Guarded at 200000 instances: the count grows as
     (foods*locations)^(people*dates)."""
     per_pair = model.n_foods * model.n_locations
     count = per_pair ** model.pair_count
-    if count > limit:
-        raise DistributionError(f"{count} instances exceed enumeration limit {limit}")
+    if count > 200_000:
+        raise DistributionError(f"{count} instances exceed enumeration limit 200000")
     universe = model.universe
     share = 1.0 / model.pair_count
     pairs = [(p, d) for p in range(model.n_people) for d in range(model.n_dates)]

@@ -13,7 +13,7 @@ import pytest
 
 from factoidlab.bounds import (
     BoundParams,
-    cor_types_rhs,
+    cor1_rhs,
     verify_lemma_meat_exhaustive,
     verify_theorem_main_mc,
 )
@@ -197,7 +197,7 @@ class TestAc05MultiTypeBound:
             - 6 * (-Decimal("9.2")).exp() / Decimal("0.1")
             - (6 * Decimal(120).ln() / Decimal(2000)).sqrt()
         )
-        inflation_ok = cor_types_rhs(0.3, 0.05, p2) == pytest.approx(float(expected), abs=1e-14)
+        inflation_ok = cor1_rhs(0.3, 0.05, p2) == pytest.approx(float(expected), abs=1e-14)
 
         model = MultiTypeWorld(
             components=(

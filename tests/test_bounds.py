@@ -11,9 +11,8 @@ from factoidlab.bounds import (
     clopper_pearson,
     cor1_rhs,
     cor_balfact_rhs,
-    cor_fixed_width_rhs,
+    cor_fixed_mis_rhs,
     cor_general_rhs,
-    cor_types_rhs,
     evaluate_bound,
     verify_lemma_meat_exhaustive,
     verify_markov_step,
@@ -79,31 +78,41 @@ class TestRightHandSides:
         assert gap == pytest.approx(expected, abs=1e-14)
 
     def test_types_reduces_to_cor1_at_k_one(self):
-        p = params()
-        assert cor_types_rhs(0.4, 0.1, p) == cor1_rhs(0.4, 0.1, p)
+        # at k=1 the k-inflated skeleton is the single-type formula, bit
+        # for bit, in its own multiplication order
+        rng = SeededRng(3).generator
+        for _ in range(50):
+            delta, s = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.0, 30.0))
+            r, n = float(rng.uniform(1.0, 10.0)), int(rng.integers(10, 10**6))
+            p = params(delta=delta, s=s, r=r, n=n)
+            mf, mc = float(rng.random()), float(rng.random())
+            width = math.sqrt(6.0 * math.log(6.0 / delta) / n)
+            assert cor1_rhs(mf, mc, p) == mf - mc - 3.0 * math.exp(-s) / delta - width
+            assert cor_general_rhs(mf, mc, p) == mf - mc - 3.0 * r * math.exp(-s) / delta - width
+            assert cor_balfact_rhs(mf, mc, p) == (
+                mf - mc - 3.0 * r * n * math.exp(-s) / delta - width
+            )
 
     def test_types_width_against_high_precision(self):
         # at k=2 the concentration width becomes sqrt(6 ln(120)/n)
         p2 = params(k_types=2)
-        base = cor_types_rhs(0.5, 0.05, p2)
+        base = cor1_rhs(0.5, 0.05, p2)
         width = float((6 * Decimal(120).ln() / Decimal(10**4)).sqrt())
         penalty = float(6 * (-Decimal(20)).exp() / Decimal("0.1"))
         assert base == pytest.approx(0.45 - penalty - width, abs=1e-14)
 
     def test_types_penalty_linear_in_k(self):
         p2, p4 = params(s=5.0, k_types=2), params(s=5.0, k_types=4)
-        gap2 = 0.5 - cor_types_rhs(0.5, 0.0, p2) - math.sqrt(6 * math.log(120) / 10**4)
-        gap4 = 0.5 - cor_types_rhs(0.5, 0.0, p4) - math.sqrt(6 * math.log(240) / 10**4)
+        gap2 = 0.5 - cor1_rhs(0.5, 0.0, p2) - math.sqrt(6 * math.log(120) / 10**4)
+        gap4 = 0.5 - cor1_rhs(0.5, 0.0, p4) - math.sqrt(6 * math.log(240) / 10**4)
         assert gap4 == pytest.approx(2 * gap2, rel=1e-12)
 
     def test_fixed_width_variants(self):
         p = params(epsilon=0.05)
-        tv_variant = cor_fixed_width_rhs(0.5, 0.08, p, "tv")
-        mis_variant = cor_fixed_width_rhs(0.5, 0.08, p, "mis")
-        assert tv_variant == cor1_rhs(0.5, 0.08, p)
-        assert mis_variant == pytest.approx(tv_variant - 0.05, abs=1e-15)
+        mis_variant = cor_fixed_mis_rhs(0.5, 0.08, p)
+        assert mis_variant == pytest.approx(cor1_rhs(0.5, 0.08, p) - 0.05, abs=1e-15)
         p0 = params(epsilon=0.0)
-        assert cor_fixed_width_rhs(0.5, 0.08, p0, "mis") == cor_fixed_width_rhs(0.5, 0.08, p0, "tv")
+        assert cor_fixed_mis_rhs(0.5, 0.08, p0) == cor1_rhs(0.5, 0.08, p0)
 
     def test_param_validation(self):
         with pytest.raises(DistributionError):
@@ -214,24 +223,24 @@ class TestMarkovStep:
 
     def test_event_frequencies_meet_thresholds(self):
         cfg, records = self._records()
-        report = verify_markov_step(records, cfg.bound_params())
-        assert report.freq_markov >= 1.0 - 2 * 0.1 / 3.0
-        assert report.freq_goodturing >= 1.0 - 0.1 / 3.0
-        assert report.passed
+        markov, goodturing = verify_markov_step(records, cfg.params)
+        assert (markov.name, goodturing.name) == ("markov", "goodturing")
+        assert markov.frequency >= 1.0 - 2 * 0.1 / 3.0
+        assert goodturing.frequency >= 1.0 - 0.1 / 3.0
+        assert markov.passed and goodturing.passed
 
     def test_full_confidence_is_trivially_met(self):
         cfg, records = self._records()
-        p = cfg.bound_params()
+        p = cfg.params
         loose = BoundParams(
             delta=1.0, b=p.b, epsilon=p.epsilon, s=p.s, r=p.r, n=p.n, k_types=p.k_types
         )
-        report = verify_markov_step(records, loose)
-        assert report.passed
+        assert all(row.passed for row in verify_markov_step(records, loose))
 
     def test_needs_hundred_trials(self):
         cfg, records = self._records(trials=120)
         with pytest.raises(InsufficientDataError):
-            verify_markov_step(records[:50], cfg.bound_params())
+            verify_markov_step(records[:50], cfg.params)
 
 
     def test_oracle_trials_markov_event_near_certain(self):
@@ -247,8 +256,8 @@ class TestMarkovStep:
             master_seed=11,
         )
         _, records = run_experiment(cfg)
-        report = verify_markov_step(records, cfg.bound_params())
-        assert report.freq_markov == 1.0
+        markov, _ = verify_markov_step(records, cfg.params)
+        assert markov.frequency == 1.0
 
 
 class TestTheoremMainInternalsAgainstPublicRoute:

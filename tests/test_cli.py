@@ -314,6 +314,25 @@ class TestFailsClosed:
         assert err.startswith("config error:") and reason in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["thm-main", "{cfg}"], "refusing to materialize per-atom blocks"),
+            (["brute-force", "--max-universe", "13"], "too large to enumerate partitions"),
+            (["brute-force", "--seed", "-1"], "seed must be >= 0"),
+        ],
+        ids=["thm_main_readme", "brute_force_universe", "brute_force_seed"],
+    )
+    def test_library_error_exits_two(self, tmp_path, argv, reason):
+        # exit 1 means a check ran and failed; an input it cannot run on is exit 2
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg_path = tmp_path / "readme.cfg"
+        cfg_path.write_text(block)
+        code, out, err = run_cli(*(arg.format(cfg=cfg_path) for arg in argv))
+        assert code == 2
+        assert err.startswith("config error:") and reason in err
+
     @pytest.mark.parametrize("content", ["{not json", "{}", "[1, 2]"])
     @pytest.mark.parametrize("name", ["aggregate.json", "manifest.json"])
     def test_report_on_damaged_run_exits_two(self, tmp_path, name, content):

@@ -46,11 +46,27 @@ class TestConfigValidation:
     def test_sparsity_resolved_from_world(self):
         cfg = make_cfg()
         expected = math.log((5000 - 121) / 121)
-        assert cfg.bound_params().s == pytest.approx(expected, abs=1e-12)
+        assert cfg.params.s == pytest.approx(expected, abs=1e-12)
 
     def test_explicit_sparsity_override(self):
         cfg = make_cfg(s=3.5)
-        assert cfg.bound_params().s == 3.5
+        assert cfg.params.s == 3.5
+
+    def test_single_type_world_has_k_one(self):
+        assert make_cfg().params.k_types == 1
+
+    @pytest.mark.parametrize("k_types", [1, 3])
+    def test_k_types_must_match_world(self, k_types):
+        component = PermutedPowerLawWorld(3001, 80, 0.0)
+        with pytest.raises(ConfigError, match="k_types"):
+            ExperimentConfig(
+                world=MultiTypeWorld(components=(component, component), weights=(0.5, 0.5)),
+                n=200,
+                algorithm=MonofactMemorizer(),
+                bound=BoundSettings(k_types=k_types),
+                trials=1,
+                master_seed=1,
+            )
 
 
 class TestRunTrial:
@@ -74,7 +90,7 @@ class TestRunTrial:
         cfg = make_cfg(algorithm=Uniform())
         record = run_trial(cfg, 3)
         for name in ("mf", "missing_mass", "halluc_rate", "mc_exact", "mc_adaptive"):
-            assert 0.0 <= record.metric(name) <= 1.0
+            assert 0.0 <= getattr(record, name) <= 1.0
 
 
 class TestRunExperiment:
@@ -234,19 +250,19 @@ class TestMultiTypeInducedMetrics:
         draws = [int(y) for y in sample_iid(world.p, 12, rng)]
         sample = TrainingSample(world.universe, tuple(draws))
         g = train(MonofactMemorizer(), sample)
-        return model, world, draws, g
+        return model, world, draws, sample, g
 
     def test_induced_dists_match_atomwise_projection(self):
         from factoidlab.harness import _induced_local_dist
 
-        model, world, draws, g = self._setup(21)
+        model, world, _, _, g = self._setup(21)
         for i in range(2):
             rng_i = model.type_range(i)
             for d in (world.p, g):
                 local = _induced_local_dist(model, i, d)
                 # in-range atoms keep their global weight
                 for y in rng_i:
-                    assert local.weight(model.to_local(i, y)) == pytest.approx(
+                    assert local.weight(y - model.type_offset(i) + 1) == pytest.approx(
                         d.weight(y), abs=1e-12
                     )
                 # the local empty fact absorbs everything else
@@ -260,9 +276,9 @@ class TestMultiTypeInducedMetrics:
         from factoidlab.bounds import BoundParams
         from factoidlab.harness import multi_type_trial_metrics
 
-        model, world, draws, g = self._setup(22)
+        model, world, draws, sample, g = self._setup(22)
         params = BoundParams(delta=0.1, b=5, epsilon=0.1, s=1.0, r=1.0, n=len(draws), k_types=2)
-        rows = multi_type_trial_metrics(model, world, draws, g, params)
+        rows = multi_type_trial_metrics(model, world, sample, g, params)
         for i, (mf_i, g_h_i, _, _) in enumerate(rows):
             rng_i = model.type_range(i)
             in_range = [y for y in draws if y in rng_i]

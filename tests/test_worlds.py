@@ -296,15 +296,6 @@ class TestMultiTypeWorld:
         assert set(r0) | set(r1) == set(range(1, 31))
         assert not set(r0) & set(r1)
 
-    def test_local_global_round_trip(self):
-        model = MultiTypeWorld(
-            components=(PermutedPowerLawWorld(11, 3, 0.0), PermutedPowerLawWorld(21, 4, 0.0)),
-            weights=(0.3, 0.7),
-        )
-        for i in (0, 1):
-            for local in range(model.components[i].universe_size):
-                assert model.to_local(i, model.to_global(i, local)) == local
-
     def test_per_type_mass_matches_weights(self):
         model = MultiTypeWorld(
             components=(PermutedPowerLawWorld(11, 3, 0.0), PermutedPowerLawWorld(21, 4, 0.0)),
