@@ -15,11 +15,11 @@ partition, every subset) of the coarsening-mass lemma on tiny universes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from .calibration import Partition
 from .dist import BOTTOM, FactoidDist, FactoidUniverse
@@ -143,15 +143,75 @@ def cor_fixed_mis_rhs(mf: float, mis_eps: float, params: BoundParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+_EPS = sys.float_info.epsilon
+_TINY = 1e-300
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) by the modified Lentz method
+    (Numerical Recipes 6.4); it converges fast for x < (a + 1)/(a + b + 2)."""
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h, m = d, 0
+    while True:
+        m += 1
+        for aa in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + aa / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            return h
+
+
+def _beta_cdf_pdf(a: float, b: float, x: float) -> tuple[float, float]:
+    """The regularized incomplete beta I_x(a, b) and the Beta(a, b)
+    density at x in (0, 1); past the mean it uses I_x(a, b) = 1 - I_{1-x}(b, a)."""
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        cdf = front * _beta_cf(a, b, x) / a
+    else:
+        cdf = 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+    return cdf, front / (x * (1.0 - x))
+
+
+def _beta_ppf(q: float, a: float, b: float) -> float:
+    """The x with I_x(a, b) = q: Newton steps from the mean inside a
+    bracket [lo, hi] that shrinks every step, bisecting whenever a step
+    leaves the bracket or the density underflows to 0."""
+    lo, hi = 0.0, 1.0
+    x = a / (a + b)
+    while True:
+        cdf, pdf = _beta_cdf_pdf(a, b, x)
+        if cdf < q:
+            lo = x
+        else:
+            hi = x
+        step = (cdf - q) / pdf if pdf > 0.0 else math.inf
+        if abs(step) <= 4.0 * _EPS * x:
+            return x - step
+        if hi - lo <= 4.0 * _EPS * hi:
+            return x
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+
+
 def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
-    """Exact 95% binomial confidence interval for an empirical frequency."""
+    """Exact 95% binomial confidence interval for an empirical frequency:
+    the 2.5% quantile of Beta(s, n - s + 1) and the 97.5% quantile of
+    Beta(s + 1, n - s), with exact ends 0 at s = 0 and 1 at s = n."""
     if trials < 1:
         raise InsufficientDataError("interval needs at least one trial")
     if not 0 <= successes <= trials:
         raise DistributionError(f"successes {successes} outside [0, {trials}]")
     alpha = 0.05
-    low = 0.0 if successes == 0 else float(_beta_dist.ppf(alpha / 2.0, successes, trials - successes + 1))
-    high = 1.0 if successes == trials else float(_beta_dist.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes))
+    low = 0.0 if successes == 0 else _beta_ppf(alpha / 2.0, successes, trials - successes + 1)
+    high = 1.0 if successes == trials else _beta_ppf(1.0 - alpha / 2.0, successes + 1, trials - successes)
     return low, high
 
 

@@ -31,7 +31,7 @@ from .calibration import (
     Partition,
     partition_for_spec,
 )
-from .dist import FactoidUniverse, random_dist, tv_distance_forms
+from .dist import MATERIALIZE_LIMIT, FactoidUniverse, random_dist, tv_distance_forms
 from .errors import ConfigError, FactoidLabError
 from .harness import (
     BOUND_NAMES,
@@ -444,6 +444,11 @@ def cmd_thm_main(args, out, err) -> int:
     cfg = parse_config(args.config)
     if not isinstance(cfg.world, PermutedPowerLawWorld) or cfg.world.exponent != 0.0:
         raise ConfigError("thm-main requires a permuted_power_law world with exponent 0")
+    if cfg.world.universe_size > MATERIALIZE_LIMIT:
+        raise ConfigError(
+            f"thm-main: refusing to materialize per-atom blocks for universe of size"
+            f" {cfg.world.universe_size}; the limit is {MATERIALIZE_LIMIT}"
+        )
     world, sample = _draw_trial(cfg.world, cfg.n, SeededRng(cfg.master_seed).child(0))
     algs: list[tuple[str, LmAlgorithm]] = [
         ("empirical", Empirical()),

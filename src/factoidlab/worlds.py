@@ -48,6 +48,7 @@ from .estimators import TrainingSample
 from .rng import SeededRng
 
 __all__ = [
+    "FACT_COUNT_LIMIT",
     "WorldInstance",
     "PermutedPowerLawWorld",
     "W5World",
@@ -106,6 +107,11 @@ class WorldInstance:
         return frozenset(self.universe.indices()) - self.facts
 
 
+#: Most facts one world may hold: drawing a world allocates arrays of its
+#: fact count, so a larger count would exhaust memory rather than run.
+FACT_COUNT_LIMIT = 10_000_000
+
+
 @dataclass(frozen=True)
 class PermutedPowerLawWorld:
     universe_size: int
@@ -118,6 +124,10 @@ class PermutedPowerLawWorld:
         if not 1 <= self.fact_count <= self.universe_size - 1:
             raise DistributionError(
                 f"fact count {self.fact_count} must be in [1, {self.universe_size - 1}]"
+            )
+        if self.fact_count > FACT_COUNT_LIMIT:
+            raise DistributionError(
+                f"fact count {self.fact_count} exceeds the limit of {FACT_COUNT_LIMIT} facts per world"
             )
         if self.exponent < 0.0:
             raise DistributionError(f"exponent must be >= 0, got {self.exponent}")
@@ -138,6 +148,11 @@ class W5World:
         for name in ("n_people", "n_dates", "n_foods", "n_locations"):
             if getattr(self, name) < 1:
                 raise DistributionError(f"{name} must be >= 1")
+        if self.pair_count > FACT_COUNT_LIMIT:
+            raise DistributionError(
+                f"pair count {self.pair_count} (n_people * n_dates) exceeds the limit of"
+                f" {FACT_COUNT_LIMIT} facts per world"
+            )
 
     @property
     def universe_size(self) -> int:

@@ -5,6 +5,8 @@ import math
 from decimal import Decimal, getcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factoidlab.bounds import (
     BoundParams,
@@ -149,6 +151,20 @@ class TestClopperPearson:
         for k, n in [(1, 10), (25, 50), (499, 500)]:
             low, high = clopper_pearson(k, n)
             assert low <= k / n <= high
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_scipy_beta_quantiles(self, data):
+        # the literal route: Beta quantiles from scipy, a test-only dependency
+        beta = pytest.importorskip("scipy.stats").beta
+        n = data.draw(st.integers(1, 10**5), label="n")
+        drawn = data.draw(st.integers(0, n), label="s")
+        for s in sorted({0, 1, n - 1, n, drawn}):
+            low, high = clopper_pearson(s, n)
+            ref_low = 0.0 if s == 0 else float(beta.ppf(0.025, s, n - s + 1))
+            ref_high = 1.0 if s == n else float(beta.ppf(0.975, s + 1, n - s))
+            assert low == pytest.approx(ref_low, rel=0, abs=1e-12), (s, n)
+            assert high == pytest.approx(ref_high, rel=0, abs=1e-12), (s, n)
 
 
 class TestTheoremMainMc:

@@ -29,7 +29,7 @@ from factoidlab.cli import (
     write_reliability_csv,
     write_trials_csv,
 )
-from factoidlab.dist import sample_iid
+from factoidlab.dist import MATERIALIZE_LIMIT, sample_iid
 from factoidlab.estimators import TrainingSample
 from factoidlab.errors import ConfigError
 from factoidlab.harness import BoundSettings, ExperimentConfig
@@ -43,7 +43,7 @@ from factoidlab.lms import (
     train,
 )
 from factoidlab.rng import SeededRng
-from factoidlab.worlds import PermutedPowerLawWorld, W5World, sample_world
+from factoidlab.worlds import FACT_COUNT_LIMIT, PermutedPowerLawWorld, W5World, sample_world
 
 SMALL_CFG = """\
 # smallest meaningful experiment
@@ -300,9 +300,20 @@ class TestFailsClosed:
             ("seed = 31415", "seed = 31415\nbound.r = 0.5", "r must be >= 1"),
             ("seed = 31415", "seed = 31415\nbound.k_types = 7", "unknown key bound.k_types"),
             ("seed = 31415", "seed = -1", "seed must be >= 0"),
+            (
+                "world.universe_size = 2000\nworld.fact_count = 50",
+                "world.universe_size = 100000000000000\nworld.fact_count = 1000000000000",
+                f"exceeds the limit of {FACT_COUNT_LIMIT} facts",
+            ),
+            (
+                "world.kind = permuted_power_law\nworld.universe_size = 2000\n",
+                "world.kind = w5\nworld.people = 10000\nworld.dates = 10000\nworld.locations = 2\n"
+                "world.foods = 2\n",
+                f"exceeds the limit of {FACT_COUNT_LIMIT} facts",
+            ),
         ],
         ids=["fact_count", "exponent", "w5_people", "universe_size", "delta", "b", "epsilon", "r",
-             "k_types", "seed"],
+             "k_types", "seed", "fact_count_limit", "w5_pair_limit"],
     )
     def test_bad_value_exits_two_without_run_dir(self, tmp_path, old, new, reason):
         text = SMALL_CFG.replace("trials = 120", "trials = 3")
@@ -325,13 +336,21 @@ class TestFailsClosed:
     )
     def test_library_error_exits_two(self, tmp_path, argv, reason):
         # exit 1 means a check ran and failed; an input it cannot run on is exit 2
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
-        cfg_path = tmp_path / "readme.cfg"
-        cfg_path.write_text(block)
+        cfg_path = _readme_config(tmp_path)
         code, out, err = run_cli(*(arg.format(cfg=cfg_path) for arg in argv))
         assert code == 2
         assert err.startswith("config error:") and reason in err
+
+    def test_thm_main_refuses_large_universe_before_drawing(self, tmp_path, monkeypatch):
+        cfg_path = _readme_config(tmp_path)
+        worlds = _count_calls(monkeypatch, "sample_world")
+        trainings = _count_calls(monkeypatch, "train")
+        code, out, err = run_cli("thm-main", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and f"the limit is {MATERIALIZE_LIMIT}" in err
+        assert worlds.calls == 0
+        assert trainings.calls == 0
 
     @pytest.mark.parametrize("content", ["{not json", "{}", "[1, 2]"])
     @pytest.mark.parametrize("name", ["aggregate.json", "manifest.json"])
@@ -347,14 +366,38 @@ class TestFailsClosed:
 
     @pytest.mark.parametrize("module", ["factoidlab", "factoidlab.cli"])
     def test_python_m_without_arguments_prints_usage(self, module):
-        src = str(Path(factoidlab.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        done = subprocess.run(
-            [sys.executable, "-m", module], capture_output=True, text=True, env=env, timeout=60
-        )
+        done = _run_python("-m", module)
         assert done.returncode == 2
         assert "usage: factoidlab" in done.stderr
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test-only reference; importing it costs about a second
+        done = _run_python(
+            "-c", "import sys, factoidlab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
+def _run_python(*argv) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's factoidlab."""
+    src = str(Path(factoidlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def _readme_config(tmp_path: Path) -> Path:
+    """The README's example config, written to a file."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg_path = tmp_path / "readme.cfg"
+    cfg_path.write_text(block)
+    return cfg_path
 
 
 def _count_calls(monkeypatch, name: str) -> types.SimpleNamespace:
@@ -439,7 +482,7 @@ def valid_configs(draw):
         size = draw(st.integers(3, 10**9))
         # at least one hallucination, so the world's sparsity is defined
         world = PermutedPowerLawWorld(
-            size, draw(st.integers(1, size - 2)), draw(st.floats(0.0, 5.0))
+            size, draw(st.integers(1, min(size - 2, FACT_COUNT_LIMIT))), draw(st.floats(0.0, 5.0))
         )
     else:
         world = W5World(*(draw(st.integers(1, 40)) for _ in range(3)), draw(st.integers(2, 40)))
