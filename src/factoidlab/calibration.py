@@ -364,11 +364,15 @@ def reliability_curve(
 # ---------------------------------------------------------------------------
 
 
+#: Largest universe whose set partitions are enumerated (Bell(12) = 4213597).
+PARTITION_LIMIT = 12
+
+
 def iter_all_partitions(universe: FactoidUniverse) -> Iterator[Partition]:
-    """Every set partition of a universe of at most 12 atoms (Bell(size)
-    of them; Bell(12) = 4213597)."""
+    """Every set partition of a universe of at most PARTITION_LIMIT atoms
+    (Bell(size) of them)."""
     n = universe.size
-    if n > 12:
+    if n > PARTITION_LIMIT:
         raise PartitionError(f"universe of size {n} too large to enumerate partitions")
     blocks: list[list[int]] = []
 

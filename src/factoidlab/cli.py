@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -25,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 from . import __version__
 from .bounds import verify_lemma_meat_exhaustive, verify_theorem_main_mc
 from .calibration import (
+    PARTITION_LIMIT,
     AdaptiveBinning,
     ExactValueBinning,
     FixedWidthBinning,
@@ -411,6 +413,12 @@ def cmd_brute_force(args, out, err) -> int:
     size = args.max_universe
     if size < 2:
         raise ConfigError("--max-universe must be at least 2")
+    # checked before the random distributions over the universe are drawn
+    if size > PARTITION_LIMIT:
+        raise ConfigError(
+            f"--max-universe {size}: universe too large to enumerate partitions"
+            f" (at most {PARTITION_LIMIT})"
+        )
     universe = FactoidUniverse(size)
     rng = SeededRng(args.seed)
     instances = []
@@ -534,7 +542,9 @@ def cmd_report(args, out, err) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="factoidlab",
         description="Seeded bound-verification experiments over factoid worlds.",

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import BOTTOM, MATERIALIZE_LIMIT, FactoidDist, FactoidUniverse, with_bottom
+from .dist import BOTTOM, MATERIALIZE_LIMIT, FactoidDist, FactoidUniverse, _lookup, with_bottom
 from .errors import DistributionError, InsufficientDataError, UniverseMismatchError
 
 __all__ = [
@@ -96,18 +96,33 @@ def missing_mass(p: FactoidDist, s: TrainingSample) -> float:
 
     Computed by summing p over its own explicit atoms outside the
     observed set plus the background of the remaining unobserved atoms,
-    so no huge complement set is ever built.
+    so no huge complement set is ever built. The explicit part is the
+    correctly rounded sum of the unseen weights, taken by one of two
+    routes that give the same float:
+
+    * fsum over the unseen weights, O(|p.keys|);
+    * when p carries the exact expansion of its total (built by
+      p._expand_total, which callers reusing one p across many samples do
+      once) and fewer than half of p's explicit atoms were seen, fsum of
+      the expansion minus the seen weights, O(seen). Both sums have the
+      same exact value, and fsum rounds it correctly.
     """
     if p.universe != s.universe:
         raise UniverseMismatchError(
             f"universe mismatch: {p.universe.size} vs {s.universe.size}"
         )
     observed = s.observed_keys
-    seen = np.isin(p.keys, observed, assume_unique=True, kind="sort")
-    special_out = math.fsum(p.values[~seen].tolist())
+    pos, hit = _lookup(p.keys, observed)
+    seen = pos[hit]
+    if p._total_parts is not None and 2 * seen.size < p.keys.size:
+        special_out = math.fsum([*p._total_parts, *(-p.values[seen]).tolist()])
+    else:
+        unseen = np.ones(p.keys.size, dtype=bool)
+        unseen[seen] = False
+        special_out = math.fsum(p.values[unseen].tolist())
     if p.background == 0.0:
         return special_out
-    n_obs_plain = observed.size - int(np.count_nonzero(seen))
+    n_obs_plain = observed.size - seen.size
     n_plain_out = (p.universe.size - p.keys.size) - n_obs_plain
     return special_out + p.background * n_plain_out
 

@@ -345,6 +345,9 @@ def run_gt_concentration(
     two_sided = 0
     one_sided = 0
     gaps = np.zeros(trials)
+    # p is fixed across trials, so its total's exact expansion pays off:
+    # each missing_mass below then sums the seen weights only
+    p._expand_total()
     # trial streams start at child 1; child 0 is reserved for callers'
     # setup draws (e.g. the CLI drawing the fixed p from a world model)
     for t in range(trials):

@@ -23,15 +23,15 @@ class SeededRng:
     derive children instead of sharing a live generator across threads.
     """
 
-    __slots__ = ("_seed", "_key", "generator")
+    __slots__ = ("_seed", "_key", "_seq", "generator")
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
         self._seed = int(seed)
         if self._seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self._seed}")
         self._key = tuple(int(k) for k in _key)
-        seq = np.random.SeedSequence(self._seed, spawn_key=self._key)
-        self.generator = np.random.Generator(np.random.PCG64(seq))
+        self._seq = np.random.SeedSequence(self._seed, spawn_key=self._key)
+        self.generator = np.random.Generator(np.random.PCG64(self._seq))
 
     @property
     def seed(self) -> int:
@@ -52,8 +52,7 @@ class SeededRng:
 
     def fingerprint(self) -> int:
         """Stable 64-bit digest of this stream's identity, for run records."""
-        seq = np.random.SeedSequence(self._seed, spawn_key=self._key)
-        lo, hi = seq.generate_state(2, dtype=np.uint64)[:2].tolist()
+        lo, hi = self._seq.generate_state(2, dtype=np.uint64)[:2].tolist()
         return int(lo ^ (hi << 1)) & (2**64 - 1)
 
     def __repr__(self) -> str:

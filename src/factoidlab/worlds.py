@@ -311,17 +311,19 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
         ranked = gen.choice(model.universe_size - 1, size=model.fact_count, replace=False) + 1
         return WorldInstance(_power_law_dist(model.universe, ranked, model.exponent))
     if isinstance(model, W5World):
-        gen = rng.generator
-        # one (food, location) draw per pair, in pair order: the keys come
-        # out increasing because index_of orders pairs before food/location
-        keys = []
-        for person in range(model.n_people):
-            for date in range(model.n_dates):
-                food = int(gen.integers(model.n_foods))
-                location = int(gen.integers(model.n_locations))
-                keys.append(model.index_of(person, date, food, location))
+        # checked first: every index below the universe size fits int64
+        universe = model.universe
+        # one (food, location) draw per pair, in pair order: one integers
+        # call over interleaved bounds draws element by element, so it
+        # consumes the stream exactly as a per-pair loop of scalar calls.
+        # The keys come out increasing because index_of orders pairs before
+        # food/location.
+        bounds = np.tile(np.array([model.n_foods, model.n_locations]), model.pair_count)
+        food, location = rng.generator.integers(bounds).reshape(-1, 2).T
+        pair = np.arange(model.pair_count, dtype=np.int64)
+        keys = 1 + (pair * model.n_foods + food) * model.n_locations + location
         return WorldInstance(
-            dist_from_arrays(model.universe, keys, np.full(len(keys), 1.0 / model.pair_count))
+            dist_from_arrays(universe, keys, np.full(keys.size, 1.0 / model.pair_count))
         )
     if isinstance(model, MultiTypeWorld):
         # type ranges are disjoint and increasing, so the concatenated

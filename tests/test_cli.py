@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import factoidlab
@@ -352,6 +353,14 @@ class TestFailsClosed:
         assert worlds.calls == 0
         assert trainings.calls == 0
 
+    def test_brute_force_refuses_large_universe_before_drawing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(factoidlab.cli, "random_dist", lambda *args: drawn.append(args))
+        code, out, err = run_cli("brute-force", "--max-universe", "1000000")
+        assert code == 2
+        assert err.startswith("config error:") and "too large to enumerate partitions" in err
+        assert drawn == []
+
     @pytest.mark.parametrize("content", ["{not json", "{}", "[1, 2]"])
     @pytest.mark.parametrize("name", ["aggregate.json", "manifest.json"])
     def test_report_on_damaged_run_exits_two(self, tmp_path, name, content):
@@ -523,3 +532,130 @@ class TestConfigProperties:
     @given(valid_configs())
     def test_valid_configs_round_trip(self, cfg):
         assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+# ---------------------------------------------------------------------------
+# Property tests over the command line
+# ---------------------------------------------------------------------------
+
+
+def _small_if_integer(text: str) -> bool:
+    try:
+        return int(text) <= 200
+    except ValueError:
+        return True
+
+
+#: per config key, valid values that keep a config small enough to run
+#: in milliseconds; a key may take no large count that parses, since a
+#: config with 10^7 trials is valid
+SMALL_VALUES = {
+    "world.universe_size": st.integers(60, 200) | st.just(10**13),
+    "world.fact_count": st.integers(1, 40),
+    "world.exponent": st.sampled_from([0.0, 0.0, 1.0, 2.5]),
+    **{f"world.{name}": st.integers(2, 5) for name in ("people", "dates", "foods", "locations")},
+    "algorithm.alpha": st.floats(0.01, 3.0),
+    "algorithm.lambda": st.floats(0.0, 1.0),
+    "bound.delta": st.floats(0.01, 1.0),
+    "bound.b": st.integers(1, 20),
+    "bound.epsilon": st.floats(0.0, 1.0),
+    "bound.s": st.floats(-5.0, 5.0),
+    "bound.r": st.floats(1.0, 10.0),
+    "n": st.integers(1, 40),
+    "trials": st.sampled_from([1, 3, 100, 120]),
+    "seed": st.integers(0, 2**64),
+}
+#: odd values: malformed, out of range for some key, or another key's kind
+ODD_TEXTS = st.sampled_from(
+    ["", "nan", "-inf", "1e999", "words", "-1", "0", "1.5", str(2**63), *_WORLDS, *_ALGORITHMS]
+) | st.text(max_size=6).filter(_small_if_integer)
+
+
+@st.composite
+def small_config_texts(draw):
+    """Mostly valid, small config text: each key of a random world and
+    algorithm kind takes a value from SMALL_VALUES, or one time in twenty
+    an odd string, and one time in twenty is left out."""
+    world_kind = draw(st.sampled_from(sorted(_WORLDS)))
+    algo_kind = draw(st.sampled_from(sorted(_ALGORITHMS)))
+    keys = [*_WORLDS[world_kind][2], *_ALGORITHMS[algo_kind][2], *_BOUND_KEYS, *_RUN_KEYS]
+    lines = [f"world.kind = {world_kind}", f"algorithm.kind = {algo_kind}"]
+    for key, *_ in keys:
+        roll = draw(st.integers(0, 19))
+        if roll == 0:
+            continue
+        value = draw(ODD_TEXTS) if roll == 1 else str(draw(SMALL_VALUES[key]))
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines)
+
+
+JSON_TEXTS = st.one_of(
+    st.text(max_size=12),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(
+            # the keys report reads, so nested records get that far
+            st.sampled_from(
+                ["trials", "delta", "bounds", "passed", "config_hash", "master_seed", "tool",
+                 "version", "frequency", "ci_low", "ci_high", "vacuous_fraction", "cor1"]
+            )
+            | st.text(max_size=4),
+            inner,
+            max_size=6,
+        ),
+        max_leaves=12,
+    ).map(json.dumps),
+)
+ARG_TEXTS = st.integers(-3, 6).map(str) | st.sampled_from(["13", "1000000", "x", "", "-"])
+EXTRA_ARGS = st.sampled_from([["--bogus"], ["extra"], ["--seed", "3"], ["-"], ["--help"]])
+
+
+@st.composite
+def command_lines(draw):
+    """(subcommand, argv tail) with every file the command reads as drawn
+    text; "{dir}" stands for a fresh scratch directory."""
+    command = draw(st.sampled_from(["run", "gt-check", "upper-bound", "thm-main", "report", "brute-force"]))
+    files = {}
+    if command == "report":
+        tail = ["{dir}/rundir"]
+        for name in ("manifest.json", "aggregate.json", "reliability.csv"):
+            if draw(st.booleans()):
+                files[f"rundir/{name}"] = draw(JSON_TEXTS)
+    elif command == "brute-force":
+        tail = []
+        for flag in ("--max-universe", "--seed"):
+            if draw(st.booleans()):
+                tail += [flag, draw(ARG_TEXTS)]
+    else:
+        tail = ["{dir}/c.cfg"]
+        if draw(st.integers(0, 9)):
+            files["c.cfg"] = draw(small_config_texts())
+        if command == "run":
+            # always a scratch output directory, never ./runs
+            tail += ["--out", "{dir}/out"]
+            if draw(st.integers(0, 3)) == 0:
+                tail += ["--seed", draw(ARG_TEXTS)]
+    # one line in five carries a stray argument
+    if draw(st.integers(0, 4)) == 0:
+        tail += draw(EXTRA_ARGS)
+    return command, tail, files
+
+
+class TestCommandLineProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(command_lines())
+    def test_every_subcommand_exits_zero_one_or_two(self, line):
+        """Whatever the config text and argv, a subcommand returns an exit
+        code (0 passed, 1 a check failed, 2 bad usage or config) and never
+        escapes with a traceback."""
+        command, tail, files = line
+        with tempfile.TemporaryDirectory() as scratch:
+            for name, text in files.items():
+                path = Path(scratch, name)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text, encoding="utf-8")
+            code, out, err = run_cli(command, *(arg.replace("{dir}", scratch) for arg in tail))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out + err
+        event(f"{command} exit {code}")

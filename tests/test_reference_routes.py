@@ -6,10 +6,16 @@ Random small universes cover a nonzero background, zero weights, and the
 empty fact (key 0) both present and absent. Equality is exact: the fast
 paths keep the reference arithmetic (math.fsum where it sums, elementwise
 division, the same atom order), so not even the last bit may move.
+
+The cached tables are checked the same way: the guide-table sampler
+against plain searchsorted inversion, both missing-mass routes against
+the literal fsum over unseen atoms, and the exact expansion of a total
+against rational arithmetic.
 """
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,17 +23,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factoidlab.dist import (
+    _GUIDE_STEPS,
     BOTTOM,
     FactoidDist,
     FactoidUniverse,
+    _guided_slots,
     background_dist,
     dist_from_weights,
     mass_of_set,
     paired_profile,
+    sample_iid,
     uniform_dist,
 )
 from factoidlab.errors import DistributionError
 from factoidlab.estimators import TrainingSample, missing_mass, monofact_estimate
+from factoidlab.rng import SeededRng
 from factoidlab.lms import (
     Empirical,
     Laplace,
@@ -128,6 +138,29 @@ def ref_missing_mass(p, draws):
         return special_out
     n_obs_plain = sum(1 for y in observed if y not in sp)
     return special_out + p.background * ((p.universe.size - len(sp)) - n_obs_plain)
+
+
+def ref_sample_iid(d, n, rng):
+    """Plain inversion: one searchsorted over the cumulative weights of the
+    positive atoms and the background bucket, then rejection for each
+    background draw."""
+    gen = rng.generator
+    sp = special(d)
+    atoms = [y for y, w in sp.items() if w > 0.0]
+    probs = [w for w in sp.values() if w > 0.0]
+    bg_total = d.background * (d.universe.size - len(sp))
+    if bg_total > 0.0:
+        atoms.append(-1)
+        probs.append(bg_total)
+    cum = np.cumsum(probs)
+    cum[-1] = max(cum[-1], 1.0)
+    out = np.array(atoms, dtype=np.int64)[np.searchsorted(cum, gen.random(n), side="right")]
+    for i in np.flatnonzero(out == -1).tolist():
+        cand = int(gen.integers(0, d.universe.size))
+        while cand in sp:
+            cand = int(gen.integers(0, d.universe.size))
+        out[i] = cand
+    return out
 
 
 def ref_normalized(universe, sp, background):
@@ -262,6 +295,115 @@ class TestAgainstReference:
         g = train(alg, TrainingSample(u, tuple(draws)), truth=truth)
         assert g.keys.tolist() == sorted(want[0])
         assert (special(g), g.background) == want
+
+
+# ---------------------------------------------------------------------------
+# Cached tables == plain searchsorted and fsum
+# ---------------------------------------------------------------------------
+
+#: masses that stress the tables: zeros, subnormals, and weights so far
+#: apart that their exact total needs several floats
+ODD_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-20, 1e-40, 3.0])
+WEIGHTS = st.floats(0.0, 10.0) | ODD_WEIGHTS
+
+
+def single_atom():
+    return FactoidDist(FactoidUniverse(5), [3], [1.0])
+
+
+def background_bucket():
+    return background_dist(FactoidUniverse(40), {2: 0.5, 9: 0.0, 17: 1e-300}, 0.01)
+
+
+def crowded_bucket():
+    """64 tiny atoms share the first of 64 guide buckets, so a draw there
+    takes more steps than the cap allows and must fall back."""
+    return FactoidDist(FactoidUniverse(100), np.arange(1, 66), [1e-6] * 64 + [1.0 - 64e-6])
+
+
+NAMED_DISTS = [single_atom, background_bucket, crowded_bucket]
+
+
+@st.composite
+def sampling_dists(draw):
+    """A named hard case or a random distribution, with weights spanning
+    normal, tiny and zero masses."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(NAMED_DISTS))()
+    size = draw(st.integers(2, 80))
+    keys = sorted(draw(st.sets(st.integers(0, size - 1), min_size=1)))
+    values = draw(st.lists(WEIGHTS, min_size=len(keys), max_size=len(keys)))
+    if not any(values):
+        values[0] = 1.0
+    background = draw(st.sampled_from([0.0, 0.0, 1e-3]))
+    return background_dist(FactoidUniverse(size), dict(zip(keys, values)), background)
+
+
+class TestCachedTables:
+    @given(d=sampling_dists(), seed=st.integers(0, 2**32))
+    @PROPERTY
+    def test_guided_slots_equal_searchsorted(self, d, seed):
+        cum, _, guide = d._inverse_cdf
+        m = guide.size
+        assert m & (m - 1) == 0 and m <= cum.size
+        edges = np.arange(m) / m
+        assert np.array_equal(guide, np.searchsorted(cum, edges, side="right"))
+        # uniform draws plus every tie and bucket edge, and the floats just below them
+        ties = np.concatenate((cum[cum < 1.0], edges))
+        u = np.concatenate((np.random.default_rng(seed).random(500), ties, np.nextafter(ties, -1.0)))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(_guided_slots(cum, guide, u), np.searchsorted(cum, u, side="right"))
+
+    def test_crowded_bucket_forces_the_fallback(self):
+        cum, _, guide = crowded_bucket()._inverse_cdf
+        u = np.random.default_rng(0).random(20000)
+        steps = np.searchsorted(cum, u, side="right") - guide[(u * guide.size).astype(np.intp)]
+        assert steps.max() > _GUIDE_STEPS
+
+    @given(d=sampling_dists(), n=st.integers(1, 300), seed=st.integers(0, 2**32))
+    @PROPERTY
+    def test_sample_iid_matches_plain_inversion(self, d, n, seed):
+        got = sample_iid(d, n, SeededRng(seed))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref_sample_iid(d, n, SeededRng(seed)))
+
+    @given(data=st.data())
+    @PROPERTY
+    def test_missing_mass_both_routes(self, data):
+        size = data.draw(st.integers(4, 60))
+        keys = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=3)))
+        values = data.draw(st.lists(WEIGHTS, min_size=len(keys), max_size=len(keys)))
+        background = data.draw(st.sampled_from([0.0, 0.25]))
+        # few draws, mostly explicit atoms: the expansion route needs
+        # fewer than half of the keys seen, the empty fact included
+        few = (len(keys) - 3) // 2
+        draws = data.draw(st.lists(st.sampled_from(keys) | st.integers(0, size - 1), max_size=few))
+        s = TrainingSample(FactoidUniverse(size), np.array(draws, dtype=np.int64))
+        want = ref_missing_mass(FactoidDist(FactoidUniverse(size), keys, values, background), draws)
+        plain = FactoidDist(FactoidUniverse(size), keys, values, background)
+        expanded = FactoidDist(FactoidUniverse(size), keys, values, background)
+        expanded._expand_total()
+        assert 2 * len(ref_observed(draws) & set(keys)) < len(keys)
+        assert missing_mass(plain, s) == want
+        assert missing_mass(expanded, s) == want
+        # with most keys seen, the expanded p takes the plain route
+        s_all = TrainingSample(FactoidUniverse(size), np.array(keys, dtype=np.int64))
+        assert missing_mass(expanded, s_all) == ref_missing_mass(plain, keys)
+
+    @given(values=st.lists(WEIGHTS | st.floats(0.0, 1e300), max_size=40))
+    @PROPERTY
+    def test_expansion_sums_exactly(self, values):
+        d = FactoidDist(FactoidUniverse(64), np.arange(len(values)), values)
+        parts = d._expand_total()
+        assert sum(map(Fraction, parts), Fraction(0)) == sum(map(Fraction, values), Fraction(0))
+        for big, small in zip(parts, parts[1:]):
+            assert small != 0.0 and abs(small) <= math.ulp(big) / 2
+
+    def test_expansion_of_spread_weights_has_several_parts(self):
+        values = [1.0, 1e-20, 1e-40, 5e-324]
+        parts = FactoidDist(FactoidUniverse(8), np.arange(4), values)._expand_total()
+        assert len(parts) == 4
+        assert sum(map(Fraction, parts)) == sum(map(Fraction, values))
 
 
 # ---------------------------------------------------------------------------

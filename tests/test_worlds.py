@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from factoidlab.dist import BOTTOM, FactoidUniverse, dist_from_weights, sample_iid
 from factoidlab.errors import DistributionError, UnsupportedModelError
@@ -97,6 +99,33 @@ class TestW5World:
         model = W5World(3, 4, 2, 5)
         for tup in itertools.product(range(3), range(4), range(2), range(5)):
             assert model.tuple_of(model.index_of(*tup)) == tup
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(
+            st.integers(1, 6),
+            st.integers(1, 6),
+            st.integers(1, 9) | st.sampled_from([2**31, 2**32 + 1, 2**33]),
+            st.integers(1, 9) | st.sampled_from([2**31, 2**32 + 1, 2**33]),
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_draw_matches_per_pair_loop(self, shape, seed):
+        """The vectorised draw against the literal per-pair loop: same keys,
+        and the generator left in the same state."""
+        model = W5World(*shape)
+        assume(model.universe_size < 2**63)
+        rng, ref_rng = SeededRng(seed), SeededRng(seed)
+        keys = []
+        for person in range(model.n_people):
+            for date in range(model.n_dates):
+                food = int(ref_rng.generator.integers(model.n_foods))
+                location = int(ref_rng.generator.integers(model.n_locations))
+                keys.append(model.index_of(person, date, food, location))
+        inst = sample_world(model, rng)
+        assert inst.p.keys.tolist() == keys
+        assert inst.p.values.tolist() == [1.0 / model.pair_count] * len(keys)
+        assert rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
 
 
 class TestExplicitWorld:
