@@ -19,6 +19,7 @@ from factoidlab.calibration import AdaptiveBinning, reliability_curve
 from factoidlab.cli import (
     _ALGORITHMS,
     _BOUND_KEYS,
+    _COMMANDS,
     _RUN_KEYS,
     _WORLDS,
     TRIALS_CSV_HEADER,
@@ -613,9 +614,10 @@ EXTRA_ARGS = st.sampled_from([["--bogus"], ["extra"], ["--seed", "3"], ["-"], ["
 
 @st.composite
 def command_lines(draw):
-    """(subcommand, argv tail) with every file the command reads as drawn
-    text; "{dir}" stands for a fresh scratch directory."""
-    command = draw(st.sampled_from(["run", "gt-check", "upper-bound", "thm-main", "report", "brute-force"]))
+    """(subcommand, argv tail, files) with every file the command reads as
+    drawn text; "{dir}" stands for a fresh scratch directory. A subcommand
+    other than report and brute-force takes a config file."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
     files = {}
     if command == "report":
         tail = ["{dir}/rundir"]

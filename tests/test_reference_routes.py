@@ -350,7 +350,8 @@ class TestCachedTables:
         assert np.array_equal(guide, np.searchsorted(cum, edges, side="right"))
         # uniform draws plus every tie and bucket edge, and the floats just below them
         ties = np.concatenate((cum[cum < 1.0], edges))
-        u = np.concatenate((np.random.default_rng(seed).random(500), ties, np.nextafter(ties, -1.0)))
+        uniform = np.random.default_rng(seed).random(500)
+        u = np.concatenate((uniform, ties, np.nextafter(ties, -1.0)))
         u = u[(u >= 0.0) & (u < 1.0)]
         assert np.array_equal(_guided_slots(cum, guide, u), np.searchsorted(cum, u, side="right"))
 
@@ -379,8 +380,8 @@ class TestCachedTables:
         few = (len(keys) - 3) // 2
         draws = data.draw(st.lists(st.sampled_from(keys) | st.integers(0, size - 1), max_size=few))
         s = TrainingSample(FactoidUniverse(size), np.array(draws, dtype=np.int64))
-        want = ref_missing_mass(FactoidDist(FactoidUniverse(size), keys, values, background), draws)
         plain = FactoidDist(FactoidUniverse(size), keys, values, background)
+        want = ref_missing_mass(plain, draws)
         expanded = FactoidDist(FactoidUniverse(size), keys, values, background)
         expanded._expand_total()
         assert 2 * len(ref_observed(draws) & set(keys)) < len(keys)
