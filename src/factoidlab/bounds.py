@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ from .calibration import Partition
 from .dist import BOTTOM, FactoidDist, FactoidUniverse
 from .errors import DistributionError, InsufficientDataError
 from .rng import SeededRng
-from .worlds import ExplicitWorld, PermutedPowerLawWorld, posterior_support_uniform
+from .worlds import ExplicitWorld, PermutedPowerLawWorld, _posterior_completions
 
 __all__ = [
     "FLOAT_SLACK",
@@ -269,6 +270,11 @@ class TheoremMainCheck:
     marginal_max_sigma: float
 
 
+#: Most dense cells (rows x |Y|) one chunk of the posterior Monte Carlo
+#: holds: 2^13 float64 cells is 64 KiB, so memory stays flat at any |Y|.
+_CHUNK_CELLS = 1 << 13
+
+
 def verify_theorem_main_mc(
     universe: FactoidUniverse,
     fact_count: int,
@@ -286,6 +292,13 @@ def verify_theorem_main_mc(
     hypergeometric and reduce to (N-m)/|U| and (N-m)/(N |U|). Before the
     cap is used, the marginal membership frequency of probe atoms is
     checked against the closed form within 3 binomial sigma.
+
+    Posterior sample t is one draw on rng.child(t). The samples are drawn
+    and scored in chunks of at most _CHUNK_CELLS // |Y| rows, with each
+    sample's arithmetic kept as for a lone sample: block masses are
+    shares added one at a time (as np.bincount adds them) and every sum
+    is a 1-D reduction of one row, so each estimate is bit-identical to
+    the per-sample loop.
     """
     if samples < 1:
         raise InsufficientDataError("need at least one posterior sample")
@@ -310,30 +323,35 @@ def verify_theorem_main_mc(
             block_id[y] = i
 
     p_missing = (fact_count - m) / fact_count
-    obs_fact_list = sorted(obs - {BOTTOM})
-    unobserved_atoms = [y for y in range(size) if y not in obs]
-    probe_atoms = unobserved_atoms[: min(5, len(unobserved_atoms))]
+    obs_facts, completions = _posterior_completions(model, obs, map(rng.child, range(samples)))
+    probe_atoms = list(islice((y for y in range(size) if y not in obs), 5))
     probe_hits = np.zeros(len(probe_atoms), dtype=np.int64)
 
     share = 1.0 / fact_count
+    blocks = len(block_len)
+    # acc[k]: k shares added one at a time, from 0.0
+    acc = np.concatenate(([0.0], np.cumsum(np.full(min(fact_count, int(block_len.max())), share))))
+    obs_counts = np.bincount(block_id[obs_facts], minlength=blocks)
     values = np.zeros(samples)
-    base_fact_mass = float(g_arr[BOTTOM]) + float(g_arr[obs_fact_list].sum())
-    for t in range(samples):
-        support = posterior_support_uniform(model, obs, rng.child(t))
-        extra = support[m:]
-        p_arr = np.zeros(size)
-        p_arr[support] = share
-        # coarsen p over the fixed partition, then TV against g
-        block_mass = np.bincount(block_id, weights=p_arr, minlength=len(block_len))
-        coarse = (block_mass / block_len)[block_id]
-        tv = 0.5 * float(np.abs(coarse - g_arr).sum())
-        g_h = max(0.0, 1.0 - (base_fact_mass + float(g_arr[extra].sum())))
-        values[t] = max(0.0, p_missing - tv - g_h)
-        if probe_atoms:
-            extra_set = set(extra)
-            for j, y in enumerate(probe_atoms):
-                if y in extra_set:
-                    probe_hits[j] += 1
+    base_fact_mass = float(g_arr[BOTTOM]) + float(g_arr[obs_facts].sum())
+    chunk = max(1, _CHUNK_CELLS // size)
+    for start in range(0, samples, chunk):
+        extras = np.stack(list(islice(completions, chunk)))
+        rows = len(extras)
+        # per-row support counts of each block, then coarsened p, then |p - g|
+        cells = (block_id[extras] + blocks * np.arange(rows)[:, None]).ravel()
+        counts = np.bincount(cells, minlength=rows * blocks).reshape(rows, blocks)
+        counts += obs_counts
+        # C-ordered, so each row below is one contiguous 1-D reduction
+        gaps = np.take(acc[counts] / block_len, block_id, axis=1)
+        np.abs(np.subtract(gaps, g_arr, out=gaps), out=gaps)
+        extra_mass = g_arr[extras]
+        for i in range(rows):
+            tv = 0.5 * float(gaps[i].sum())
+            g_h = max(0.0, 1.0 - (base_fact_mass + float(extra_mass[i].sum())))
+            values[start + i] = max(0.0, p_missing - tv - g_h)
+        for j, y in enumerate(probe_atoms):
+            probe_hits[j] += np.count_nonzero(extras == y)
 
     lhs = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -384,8 +402,14 @@ def verify_lemma_meat_exhaustive(
         E[(p(S) - coarsened_p(S))_+] <= |Y \\ S| * max_{y in S} E[p(y)]
 
     over the explicit prior. Returns the violations found (empty on
-    success). Enumeration is the oracle here, so the universe must stay
-    tiny: Bell(6) partitions times 2^6 subsets.
+    success), partition by partition, subsets in bitmask order.
+    Enumeration is the oracle here, so the universe must stay tiny:
+    Bell(6) partitions times 2^6 subsets.
+
+    Each subset's right-hand side is computed once, and each partition
+    scores all subsets at once: p(S) and coarsened p(S) are row sums
+    gathered through one subsets x |Y| index padded with a zero column,
+    and each expectation is its own dot product, as for a lone subset.
     """
     from .calibration import iter_all_partitions
 
@@ -396,28 +420,33 @@ def verify_lemma_meat_exhaustive(
     P = np.array([inst.p.weights_at(np.arange(size)) for _, inst in nu.instances])
     mean_p = weights @ P
 
-    subsets = []
-    for mask in range(1, 1 << size):
-        subsets.append(tuple(y for y in range(size) if mask >> y & 1))
+    subsets = [
+        tuple(y for y in range(size) if mask >> y & 1) for mask in range(1, 1 << size)
+    ]
+    rhs = [(size - len(atoms)) * float(mean_p[list(atoms)].max()) for atoms in subsets]
+    # row s lists subset s's atoms, then the zero column `size` as padding
+    gather = np.full((len(subsets), size), size, dtype=np.intp)
+    for s, atoms in enumerate(subsets):
+        gather[s, : len(atoms)] = atoms
+    p_of = np.hstack([P, np.zeros((len(weights), 1))])[:, gather].sum(axis=2)
+    Q = np.zeros((len(weights), size + 1))
 
     violations: list[LemmaMeatViolation] = []
     for part in iter_all_partitions(nu.universe):
-        Q = np.empty_like(P)
         for block in part.blocks:
             atoms = sorted(block)
             Q[:, atoms] = P[:, atoms].sum(axis=1, keepdims=True) / len(atoms)
-        for atoms in subsets:
-            sel = list(atoms)
-            gap = P[:, sel].sum(axis=1) - Q[:, sel].sum(axis=1)
-            lhs = float(weights @ np.clip(gap, 0.0, None))
-            rhs = (size - len(sel)) * float(mean_p[sel].max())
-            if lhs > rhs + tolerance:
+        # one contiguous row per subset, so each dot is a lone subset's
+        gaps = np.clip(p_of - Q[:, gather].sum(axis=2), 0.0, None).T.copy()
+        for s, atoms in enumerate(subsets):
+            lhs = float(weights @ gaps[s])
+            if lhs > rhs[s] + tolerance:
                 violations.append(
                     LemmaMeatViolation(
                         partition_blocks=tuple(tuple(sorted(b)) for b in part.blocks),
                         subset=atoms,
                         lhs=lhs,
-                        rhs=rhs,
+                        rhs=rhs[s],
                     )
                 )
     return violations

@@ -55,6 +55,8 @@ from .rng import SeededRng
 from .worlds import MultiTypeWorld, WorldInstance, WorldModel, sample_world, world_sparsity
 
 __all__ = [
+    "DRAW_COUNT_LIMIT",
+    "TRIAL_COUNT_LIMIT",
     "BoundSettings",
     "ExperimentConfig",
     "TrialRecord",
@@ -96,6 +98,14 @@ class BoundSettings:
     k_types: int = 1
 
 
+#: Most training draws one trial may take: a trial allocates arrays of n
+#: draws and n uniforms, so a larger n would exhaust memory rather than run.
+DRAW_COUNT_LIMIT = 10_000_000
+#: Most trials (or posterior samples) one config may ask for: the suites
+#: keep per-trial arrays, so a larger count would exhaust memory or time.
+TRIAL_COUNT_LIMIT = 1_000_000
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     world: WorldModel
@@ -110,8 +120,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > TRIAL_COUNT_LIMIT:
+            raise ConfigError(
+                f"trials {self.trials} exceeds the limit of {TRIAL_COUNT_LIMIT} trials"
+            )
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if self.n > DRAW_COUNT_LIMIT:
+            raise ConfigError(
+                f"n {self.n} exceeds the limit of {DRAW_COUNT_LIMIT} draws per trial"
+            )
         if self.master_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
         size = self.world.universe.size

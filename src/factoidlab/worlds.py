@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -264,24 +264,32 @@ WorldModel = Union[PermutedPowerLawWorld, W5World, MultiTypeWorld, ExplicitWorld
 # ---------------------------------------------------------------------------
 
 
-def sample_distinct_excluding(
-    rng: SeededRng, low: int, high: int, count: int, exclude: frozenset[int] = frozenset()
-) -> list[int]:
-    """Uniform ordered sample of `count` distinct ints from [low, high)
-    minus `exclude`. Rejection-based when the range dwarfs the request,
-    so no O(range) array is built for huge universes."""
-    gen = rng.generator
+def _distinct_rows(
+    rngs: Iterable[SeededRng], low: int, high: int, count: int, exclude: frozenset[int]
+) -> Iterator[np.ndarray]:
+    """Lazily, one int64 row per rng: a uniform ordered sample of `count`
+    distinct ints from [low, high) minus `exclude`, drawn from that rng
+    alone. The range checks and the eligible array are set up once for
+    all rows. Rejection-based when the range dwarfs the request, so no
+    O(range) array is built for huge universes."""
     span = high - low
-    excluded_inside = sum(1 for y in exclude if low <= y < high)
-    available = span - excluded_inside
+    inside = [y - low for y in exclude if low <= y < high]
+    available = span - len(inside)
     if count > available:
         raise DistributionError(f"cannot draw {count} distinct values from {available} available")
     if count == 0:
-        return []
+        return (np.empty(0, dtype=np.int64) for _ in rngs)
     if span <= 4096 or count * 4 > available:
-        eligible = np.array([y for y in range(low, high) if y not in exclude], dtype=np.int64)
-        picked = gen.permutation(eligible)[:count]
-        return [int(y) for y in picked]
+        keep = np.ones(span, dtype=bool)
+        keep[inside] = False
+        eligible = np.arange(low, high, dtype=np.int64)[keep]
+        return (rng.generator.permutation(eligible)[:count] for rng in rngs)
+    return (_rejection_row(rng.generator, low, high, count, exclude) for rng in rngs)
+
+
+def _rejection_row(
+    gen: np.random.Generator, low: int, high: int, count: int, exclude: frozenset[int]
+) -> np.ndarray:
     seen = set(exclude)
     out: list[int] = []
     while len(out) < count:
@@ -292,7 +300,15 @@ def sample_distinct_excluding(
                 out.append(v)
                 if len(out) == count:
                     break
-    return out
+    return np.array(out, dtype=np.int64)
+
+
+def sample_distinct_excluding(
+    rng: SeededRng, low: int, high: int, count: int, exclude: frozenset[int] = frozenset()
+) -> list[int]:
+    """Uniform ordered sample of `count` distinct ints from [low, high)
+    minus `exclude`; the one-row case of the batched draw."""
+    return next(_distinct_rows([rng], low, high, count, exclude)).tolist()
 
 
 def _power_law_dist(universe: FactoidUniverse, ranked_atoms: np.ndarray, exponent: float) -> FactoidDist:
@@ -355,14 +371,18 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
 # ---------------------------------------------------------------------------
 
 
-def posterior_support_uniform(
-    model: PermutedPowerLawWorld, observed: Iterable[int], rng: SeededRng
-) -> list[int]:
-    """Support draw from the posterior given the observed set.
+def _posterior_completions(
+    model: PermutedPowerLawWorld, observed: Iterable[int], rngs: Iterable[SeededRng]
+) -> tuple[list[int], Iterator[np.ndarray]]:
+    """Batched posterior draw given the observed set: the sorted observed
+    facts, and lazily one row per rng of the N - m unobserved facts that
+    complete them, in draw order.
 
     Valid only at exponent 0: every size-N support containing the
     observed facts has the same likelihood (1/N)^n, so the posterior is
-    uniform over completions of the observed set.
+    uniform over completions of the observed set. The observed set and
+    the draw's eligible atoms are set up once; each row then costs one
+    generator call on its own rng.
     """
     if not isinstance(model, PermutedPowerLawWorld) or model.exponent != 0.0:
         raise UnsupportedModelError("exact posterior sampling requires the uniform world (exponent 0)")
@@ -373,8 +393,17 @@ def posterior_support_uniform(
         raise DistributionError(
             f"{len(obs_facts)} observed facts exceed fact budget {model.fact_count}"
         )
-    extra = sample_distinct_excluding(rng, 1, model.universe_size, extra_needed, exclude=obs)
-    return obs_facts + extra
+    return obs_facts, _distinct_rows(rngs, 1, model.universe_size, extra_needed, obs)
+
+
+def posterior_support_uniform(
+    model: PermutedPowerLawWorld, observed: Iterable[int], rng: SeededRng
+) -> list[int]:
+    """Support draw from the posterior given the observed set: the sorted
+    observed facts, then the drawn completion (the one-row case of
+    _posterior_completions)."""
+    obs_facts, rows = _posterior_completions(model, observed, [rng])
+    return obs_facts + next(rows).tolist()
 
 
 def posterior_sampler_uniform_world(

@@ -206,6 +206,28 @@ class TestTheoremMainMc:
         )
         assert check.passed and check.marginals_ok
 
+    def test_memory_stays_chunked_on_a_large_universe(self):
+        # thm-main runs this at |Y| up to 10^6 with `trials` samples; one
+        # samples x |Y| float64 matrix here would be 480 MB, while the
+        # chunked check (one row per chunk at this |Y|) holds under six
+        # |Y|-long float64 arrays at a time
+        import tracemalloc
+
+        size, samples = 200_000, 300
+        u = FactoidUniverse(size)
+        g = dist_from_weights(u, {y: 1.0 for y in range(0, size, 7)})
+        partition = Partition(u, tuple(frozenset(range(i, size, 10)) for i in range(10)))
+        tracemalloc.start()
+        try:
+            check = verify_theorem_main_mc(
+                u, 100, set(range(1, 51)), g, partition, samples, SeededRng(12)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check.samples == samples
+        assert peak < 6 * size * 8, f"peak {peak / 2**20:.1f} MiB"
+
 
 class TestLemmaMeatSweep:
     def test_zero_violations_on_random_priors(self):

@@ -34,7 +34,12 @@ from factoidlab.cli import (
 from factoidlab.dist import MATERIALIZE_LIMIT, sample_iid
 from factoidlab.estimators import TrainingSample
 from factoidlab.errors import ConfigError
-from factoidlab.harness import BoundSettings, ExperimentConfig
+from factoidlab.harness import (
+    DRAW_COUNT_LIMIT,
+    TRIAL_COUNT_LIMIT,
+    BoundSettings,
+    ExperimentConfig,
+)
 from factoidlab.lms import (
     Empirical,
     Laplace,
@@ -260,6 +265,18 @@ class TestSubcommands:
         assert code == 2
         assert "not found" in err
 
+    def test_usage_error_goes_to_err(self, tmp_path):
+        code, out, err = run_cli("run", str(tmp_path / "c.cfg"), "--bogus")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --bogus" in err
+
+    def test_help_goes_to_out(self):
+        code, out, err = run_cli("thm-main", "--help")
+        assert code == 0
+        assert out.startswith("usage: factoidlab thm-main")
+        assert err == ""
+
 
 class TestSingleTrialRun:
     def test_one_record_row(self, tmp_path):
@@ -326,6 +343,41 @@ class TestFailsClosed:
         assert code == 2
         assert err.startswith("config error:") and reason in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "command, old, new, reason",
+        [
+            ("run", "n = 120", f"n = {DRAW_COUNT_LIMIT + 1}", "draws per trial"),
+            ("gt-check", "trials = 120", f"trials = {TRIAL_COUNT_LIMIT + 1}", "trials"),
+            ("thm-main", "trials = 120", f"trials = {TRIAL_COUNT_LIMIT + 1}", "trials"),
+        ],
+        ids=["n", "gt_check_trials", "thm_main_trials"],
+    )
+    def test_count_above_cap_exits_two_before_running(
+        self, tmp_path, monkeypatch, command, old, new, reason
+    ):
+        # parse only: the run would allocate per-draw or per-trial arrays
+        text = SMALL_CFG.replace("world.universe_size = 2000", "world.universe_size = 100000000")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=f"exceeds the limit of .* {reason}"):
+            parse_config(bad)
+        for name in ("run_experiment", "run_gt_concentration", "_draw_trial", "sample_world"):
+            monkeypatch.setattr(factoidlab.cli, name, _refuse)
+        out_dir = ["--out", str(tmp_path / "r")] if command == "run" else []
+        code, out, err = run_cli(command, str(bad), *out_dir)
+        assert code == 2
+        assert err.startswith("config error:") and "exceeds the limit of" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_counts_at_cap_parse(self):
+        text = SMALL_CFG.replace("world.universe_size = 2000", "world.universe_size = 100000000")
+        cfg = parse_config_text(
+            text.replace("n = 120", f"n = {DRAW_COUNT_LIMIT}").replace(
+                "trials = 120", f"trials = {TRIAL_COUNT_LIMIT}"
+            )
+        )
+        assert (cfg.n, cfg.trials) == (DRAW_COUNT_LIMIT, TRIAL_COUNT_LIMIT)
 
     @pytest.mark.parametrize(
         "argv, reason",
@@ -408,6 +460,10 @@ def _readme_config(tmp_path: Path) -> Path:
     cfg_path = tmp_path / "readme.cfg"
     cfg_path.write_text(block)
     return cfg_path
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a config above a count cap must not run")
 
 
 def _count_calls(monkeypatch, name: str) -> types.SimpleNamespace:

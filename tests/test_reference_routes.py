@@ -11,6 +11,11 @@ The cached tables are checked the same way: the guide-table sampler
 against plain searchsorted inversion, both missing-mass routes against
 the literal fsum over unseen atoms, and the exact expansion of a total
 against rational arithmetic.
+
+So are the two batched bound verifiers: the chunked posterior Monte
+Carlo against a per-sample loop with one dense p per posterior draw, the
+all-subsets-at-once lemma sweep against the subset-by-subset loop, and
+the batched distinct draw against its literal eligible list.
 """
 
 import math
@@ -35,6 +40,23 @@ from factoidlab.dist import (
     sample_iid,
     uniform_dist,
 )
+from factoidlab.bounds import (
+    _CHUNK_CELLS,
+    FLOAT_SLACK,
+    LemmaMeatViolation,
+    TheoremMainCheck,
+    verify_lemma_meat_exhaustive,
+    verify_theorem_main_mc,
+)
+from factoidlab.calibration import (
+    AdaptiveBinning,
+    ExactValueBinning,
+    FixedWidthBinning,
+    Partition,
+    iter_all_partitions,
+    partition_for_spec,
+    random_partition,
+)
 from factoidlab.errors import DistributionError
 from factoidlab.estimators import TrainingSample, missing_mass, monofact_estimate
 from factoidlab.rng import SeededRng
@@ -46,6 +68,13 @@ from factoidlab.lms import (
     Uniform,
     YayMixture,
     train,
+)
+from factoidlab.worlds import (
+    ExplicitWorld,
+    PermutedPowerLawWorld,
+    WorldInstance,
+    posterior_support_uniform,
+    sample_distinct_excluding,
 )
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -493,3 +522,205 @@ class TestSampleFailsClosed:
     def test_negative_draw(self):
         with pytest.raises(DistributionError):
             TrainingSample(FactoidUniverse(4), np.array([1, -1]))
+
+
+# ---------------------------------------------------------------------------
+# Batched bound verifiers == their per-sample and per-subset loops
+# ---------------------------------------------------------------------------
+
+
+def ref_theorem_main(universe, fact_count, observed, g, partition, samples, rng):
+    """verify_theorem_main_mc as a per-sample loop: one posterior support
+    per rng.child(t), a dense p, np.bincount block masses, then TV and the
+    hallucination rate over that one sample."""
+    model = PermutedPowerLawWorld(universe.size, fact_count, 0.0)
+    obs = frozenset(observed) | {BOTTOM}
+    m = len(obs) - 1
+    size = universe.size
+    u_count = size - len(obs)
+    if u_count > 0:
+        rhs = (fact_count - m) / u_count + len(obs) * (fact_count - m) / (fact_count * u_count)
+    else:
+        rhs = 0.0
+    g_arr = g.weights_at(np.arange(size))
+    block_id = np.empty(size, dtype=np.intp)
+    block_len = np.empty(len(partition.blocks), dtype=np.float64)
+    for i, block in enumerate(partition.blocks):
+        block_len[i] = len(block)
+        for y in block:
+            block_id[y] = i
+    p_missing = (fact_count - m) / fact_count
+    obs_fact_list = sorted(obs - {BOTTOM})
+    unobserved_atoms = [y for y in range(size) if y not in obs]
+    probe_atoms = unobserved_atoms[: min(5, len(unobserved_atoms))]
+    probe_hits = np.zeros(len(probe_atoms), dtype=np.int64)
+    share = 1.0 / fact_count
+    values = np.zeros(samples)
+    base_fact_mass = float(g_arr[BOTTOM]) + float(g_arr[obs_fact_list].sum())
+    for t in range(samples):
+        support = posterior_support_uniform(model, obs, rng.child(t))
+        extra = support[m:]
+        p_arr = np.zeros(size)
+        p_arr[support] = share
+        block_mass = np.bincount(block_id, weights=p_arr, minlength=len(block_len))
+        coarse = (block_mass / block_len)[block_id]
+        tv = 0.5 * float(np.abs(coarse - g_arr).sum())
+        g_h = max(0.0, 1.0 - (base_fact_mass + float(g_arr[extra].sum())))
+        values[t] = max(0.0, p_missing - tv - g_h)
+        extra_set = set(extra)
+        for j, y in enumerate(probe_atoms):
+            if y in extra_set:
+                probe_hits[j] += 1
+    lhs = float(values.mean())
+    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    marginals_ok = True
+    max_sigma = 0.0
+    if probe_atoms and u_count > 0:
+        q = (fact_count - m) / u_count
+        sigma = math.sqrt(max(q * (1.0 - q), 0.0) / samples)
+        for hits in probe_hits.tolist():
+            dev = abs(hits / samples - q)
+            devs = dev / sigma if sigma > 0 else (0.0 if dev == 0.0 else math.inf)
+            max_sigma = max(max_sigma, devs)
+            if dev > 3.0 * sigma + FLOAT_SLACK:
+                marginals_ok = False
+    passed = lhs <= rhs + 3.0 * stderr + FLOAT_SLACK
+    return TheoremMainCheck(
+        lhs_estimate=lhs,
+        lhs_stderr=stderr,
+        rhs_exact=rhs,
+        samples=samples,
+        passed=passed and marginals_ok,
+        marginals_ok=marginals_ok,
+        marginal_max_sigma=max_sigma,
+    )
+
+
+def ref_lemma_sweep(nu, tolerance):
+    """verify_lemma_meat_exhaustive subset by subset, each right-hand side
+    recomputed inside the partition loop."""
+    size = nu.universe.size
+    weights = np.array([w for w, _ in nu.instances])
+    P = np.array([inst.p.weights_at(np.arange(size)) for _, inst in nu.instances])
+    mean_p = weights @ P
+    subsets = [tuple(y for y in range(size) if mask >> y & 1) for mask in range(1, 1 << size)]
+    violations = []
+    for part in iter_all_partitions(nu.universe):
+        Q = np.empty_like(P)
+        for block in part.blocks:
+            atoms = sorted(block)
+            Q[:, atoms] = P[:, atoms].sum(axis=1, keepdims=True) / len(atoms)
+        for atoms in subsets:
+            sel = list(atoms)
+            gap = P[:, sel].sum(axis=1) - Q[:, sel].sum(axis=1)
+            lhs = float(weights @ np.clip(gap, 0.0, None))
+            rhs = (size - len(sel)) * float(mean_p[sel].max())
+            if lhs > rhs + tolerance:
+                violations.append(
+                    LemmaMeatViolation(
+                        partition_blocks=tuple(tuple(sorted(b)) for b in part.blocks),
+                        subset=atoms,
+                        lhs=lhs,
+                        rhs=rhs,
+                    )
+                )
+    return violations
+
+
+def ref_distinct(rng, low, high, count, exclude):
+    """The distinct draw with its eligible list built atom by atom."""
+    gen = rng.generator
+    if high - low <= 4096 or count * 4 > high - low - sum(low <= y < high for y in exclude):
+        eligible = np.array([y for y in range(low, high) if y not in exclude], dtype=np.int64)
+        return [int(y) for y in gen.permutation(eligible)[:count]]
+    seen, out = set(exclude), []
+    while len(out) < count:
+        for v in gen.integers(low, high, size=max(64, 2 * (count - len(out)))).tolist():
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+                if len(out) == count:
+                    break
+    return out
+
+
+@st.composite
+def theorem_main_cases(draw):
+    """A uniform world of 2-60 atoms, an observed set holding none, some or
+    all of the fact budget (the empty fact in or out), a g with zeros and
+    backgrounds, a singleton, adaptive, fixed-width, exact-value or random
+    partition, and a sample count that often sits on a chunk boundary."""
+    size = draw(st.integers(2, 60), label="size")
+    u = FactoidUniverse(size)
+    fact_count = draw(st.integers(1, size - 1), label="fact_count")
+    m = draw(st.sampled_from([0, fact_count]) | st.integers(0, fact_count), label="m")
+    observed = set(draw(st.permutations(range(1, size)))[:m])
+    if draw(st.booleans()):
+        observed.add(BOTTOM)
+    g = draw(dists(size))
+    kind = draw(st.sampled_from(["singletons", "adaptive", "fixed", "exact", "random"]))
+    if kind == "singletons":
+        partition = Partition.singletons(u)
+    elif kind == "random":
+        partition = random_partition(u, SeededRng(draw(st.integers(0, 2**32 - 1))))
+    else:
+        spec = {
+            "adaptive": AdaptiveBinning(draw(st.integers(1, 8))),
+            "fixed": FixedWidthBinning(draw(st.floats(0.01, 1.0))),
+            "exact": ExactValueBinning(),
+        }[kind]
+        partition = partition_for_spec(g, spec)
+    chunk = max(1, _CHUNK_CELLS // size)
+    boundaries = [k * chunk + d for k in (1, 2) for d in (-1, 0, 1) if 1 <= k * chunk + d <= 600]
+    count = st.integers(1, 600)
+    if boundaries:
+        count = count | st.sampled_from(boundaries)
+    samples = draw(count, label="samples")
+    rng = SeededRng(draw(st.integers(0, 2**32 - 1)), (draw(st.integers(0, 9)),))
+    return u, fact_count, observed, g, partition, samples, rng
+
+
+@st.composite
+def explicit_worlds(draw):
+    size = draw(st.integers(2, 5), label="size")
+    count = draw(st.integers(1, 8))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count))
+    total = math.fsum(raw)
+    instances = []
+    for w in raw:
+        weights = draw(
+            st.dictionaries(st.integers(1, size - 1), st.floats(0.0, 1.0), max_size=size - 1)
+        )
+        weights[draw(st.integers(0, size - 1))] = draw(st.floats(0.01, 1.0))
+        instances.append((w / total, WorldInstance(dist_from_weights(FactoidUniverse(size), weights))))
+    return ExplicitWorld(tuple(instances))
+
+
+class TestBatchedVerifiers:
+    @given(theorem_main_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_theorem_main_chunks_match_per_sample_loop(self, case):
+        assert verify_theorem_main_mc(*case) == ref_theorem_main(*case)
+
+    @given(explicit_worlds(), st.sampled_from([1e-9, 0.0, -0.01, -0.1, -1.0]))
+    @PROPERTY
+    def test_lemma_sweep_matches_subset_loop(self, nu, tolerance):
+        # negative tolerances turn most (partition, subset) pairs into
+        # violations, so the lists are long and compared entry by entry
+        assert verify_lemma_meat_exhaustive(nu, tolerance) == ref_lemma_sweep(nu, tolerance)
+
+    @given(
+        st.integers(0, 6000),
+        st.integers(1, 6000),
+        st.integers(0, 200),
+        st.sets(st.integers(-5, 6200), max_size=30),
+        st.integers(0, 2**32 - 1),
+    )
+    @PROPERTY
+    def test_distinct_draw_matches_literal_eligible_list(self, low, width, count, exclude, seed):
+        high = low + width
+        available = width - sum(low <= y < high for y in exclude)
+        count = min(count, available)
+        exclude = frozenset(exclude)
+        got = sample_distinct_excluding(SeededRng(seed), low, high, count, exclude)
+        assert got == ref_distinct(SeededRng(seed), low, high, count, exclude)
