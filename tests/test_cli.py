@@ -564,13 +564,13 @@ def valid_configs(draw):
         s=draw(st.none() | st.floats(-50.0, 50.0)),
         r=draw(st.floats(1.0, 1e6)),
     )
-    n = draw(st.integers(1, world.universe_size - 2))
+    n = draw(st.integers(1, min(world.universe_size - 2, DRAW_COUNT_LIMIT)))
     return ExperimentConfig(
         world=world,
         n=n,
         algorithm=algorithm,
         bound=bound,
-        trials=draw(st.integers(1, 10**6)),
+        trials=draw(st.integers(1, TRIAL_COUNT_LIMIT)),
         master_seed=draw(st.integers(0, 2**64)),
     )
 
