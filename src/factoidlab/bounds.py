@@ -69,6 +69,11 @@ class BoundParams:
             raise DistributionError(f"b must be >= 1, got {self.b}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise DistributionError(f"epsilon must be in [0,1], got {self.epsilon}")
+        if self.epsilon > 0.0 and 1.0 - self.epsilon == 1.0:
+            raise DistributionError(
+                f"epsilon {self.epsilon} is too small: 1 - epsilon rounds to 1"
+                " (0 means exact-value bins)"
+            )
         if self.r < 1.0:
             raise DistributionError(f"regularity r must be >= 1, got {self.r}")
         if self.n < 1:
@@ -323,7 +328,7 @@ def verify_theorem_main_mc(
             block_id[y] = i
 
     p_missing = (fact_count - m) / fact_count
-    obs_facts, completions = _posterior_completions(model, obs, map(rng.child, range(samples)))
+    obs_facts, completions = _posterior_completions(model, obs, rng.children(range(samples)))
     probe_atoms = list(islice((y for y in range(size) if y not in obs), 5))
     probe_hits = np.zeros(len(probe_atoms), dtype=np.int64)
 

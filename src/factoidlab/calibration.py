@@ -128,6 +128,12 @@ class FixedWidthBinning:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise PartitionError(f"fixed-width binning needs epsilon in [0,1], got {self.epsilon}")
+        if self.epsilon > 0.0 and 1.0 - self.epsilon == 1.0:
+            # log(1 - epsilon) would be 0: every positive atom in one bin
+            raise PartitionError(
+                f"epsilon {self.epsilon} is too small: 1 - epsilon rounds to 1"
+                " (0 means exact-value bins)"
+            )
 
 
 BinningSpec = Union[ExactValueBinning, AdaptiveBinning, FixedWidthBinning]

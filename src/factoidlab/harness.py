@@ -368,8 +368,7 @@ def run_gt_concentration(
     p._expand_total()
     # trial streams start at child 1; child 0 is reserved for callers'
     # setup draws (e.g. the CLI drawing the fixed p from a world model)
-    for t in range(trials):
-        rng = base.child(1 + t)
+    for t, rng in enumerate(base.children(range(1, trials + 1))):
         sample = TrainingSample(p.universe, sample_iid(p, n, rng))
         mf = monofact_estimate(sample)
         miss = missing_mass(p, sample)
@@ -428,8 +427,8 @@ def run_upper_bound_check(
     memorizer = MonofactMemorizer()
     certainty = 0
     calibration = 0
-    for t in range(trials):
-        inst, sample = _draw_trial(world, n, base.child(1 + t))
+    for rng in base.children(range(1, trials + 1)):
+        inst, sample = _draw_trial(world, n, rng)
         g = train(memorizer, sample)
         mf = monofact_estimate(sample)
         if hallucination_rate(g, inst) <= mf + 1e-12:
@@ -533,8 +532,8 @@ def run_multi_type_experiment(cfg: ExperimentConfig) -> MultiTypeReport:
         raise ConfigError("multi-type experiment needs a MultiTypeWorld")
     k, params = model.k_types, cfg.params
     rows = []
-    for trial_index in range(cfg.trials):
-        world, sample = _draw_trial(model, cfg.n, SeededRng(cfg.master_seed).child(trial_index))
+    for rng in SeededRng(cfg.master_seed).children(range(cfg.trials)):
+        world, sample = _draw_trial(model, cfg.n, rng)
         g = train(cfg.algorithm, sample, truth=world.p)
         rows.append(multi_type_trial_metrics(model, world, sample, g, params))
     types = tuple(

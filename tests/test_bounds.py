@@ -123,6 +123,10 @@ class TestRightHandSides:
             params(r=0.5)
         with pytest.raises(DistributionError):
             params(b=0)
+        with pytest.raises(DistributionError, match="too small"):
+            params(epsilon=1e-17)
+        for eps in (1e-16, 2**-53):
+            assert params(epsilon=eps).epsilon == eps
 
 
 class TestBoundEvaluation:

@@ -1,6 +1,7 @@
 """Partitions, coarsening, and the miscalibration metrics."""
 
 import math
+import warnings
 
 import pytest
 
@@ -180,6 +181,25 @@ class TestFixedWidthPartition:
         assert blocks_as_sets(partition_for_spec(g, FixedWidthBinning(0.0))) == blocks_as_sets(
             partition_for_spec(g, ExactValueBinning())
         )
+
+    def test_epsilon_that_rounds_away_is_refused(self):
+        # 1 - 1e-17 == 1.0: log(1 - epsilon) is 0 and every positive atom
+        # would share one bin
+        with pytest.raises(PartitionError, match="too small"):
+            FixedWidthBinning(1e-17)
+
+    @pytest.mark.parametrize("eps", [1e-16, 2**-53])
+    def test_smallest_epsilons_equal_exact_value(self, eps):
+        u = FactoidUniverse(20)
+        rng = SeededRng(23)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for i in range(150):
+                p = random_dist(u, rng.child(i, 0))
+                g = random_dist(u, rng.child(i, 1))
+                assert miscalibration(p, g, FixedWidthBinning(eps)) == miscalibration(
+                    p, g, ExactValueBinning()
+                )
 
     def test_zero_atom_isolated(self):
         u = FactoidUniverse(3)

@@ -316,6 +316,7 @@ class TestFailsClosed:
             ("bound.delta = 0.1", "bound.delta = 2", "delta must be in (0,1]"),
             ("bound.b = 10", "bound.b = 0", "b must be >= 1"),
             ("bound.epsilon = 0.1", "bound.epsilon = 1.5", "epsilon must be in [0,1]"),
+            ("bound.epsilon = 0.1", "bound.epsilon = 1e-17", "1 - epsilon rounds to 1"),
             ("seed = 31415", "seed = 31415\nbound.r = 0.5", "r must be >= 1"),
             ("seed = 31415", "seed = 31415\nbound.k_types = 7", "unknown key bound.k_types"),
             ("seed = 31415", "seed = -1", "seed must be >= 0"),
@@ -331,7 +332,8 @@ class TestFailsClosed:
                 f"exceeds the limit of {FACT_COUNT_LIMIT} facts",
             ),
         ],
-        ids=["fact_count", "exponent", "w5_people", "universe_size", "delta", "b", "epsilon", "r",
+        ids=["fact_count", "exponent", "w5_people", "universe_size", "delta", "b", "epsilon",
+             "tiny_epsilon", "r",
              "k_types", "seed", "fact_count_limit", "w5_pair_limit"],
     )
     def test_bad_value_exits_two_without_run_dir(self, tmp_path, old, new, reason):
@@ -441,6 +443,13 @@ class TestImportCost:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_numpy_random(self):
+        # numpy.random loads with the first stream a command draws from;
+        # loading it at import adds a few MB to every process's footprint
+        done = _run_python("-c", "import sys, factoidlab.cli; print('numpy.random' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 def _run_python(*argv) -> subprocess.CompletedProcess:
@@ -560,7 +569,8 @@ def valid_configs(draw):
     bound = BoundSettings(
         delta=draw(st.floats(0.0, 1.0, exclude_min=True)),
         b=draw(st.integers(1, 1000)),
-        epsilon=draw(st.floats(0.0, 1.0)),
+        # 0 (exact-value bins) or large enough that 1 - epsilon < 1
+        epsilon=draw(st.just(0.0) | st.floats(2**-53, 1.0)),
         s=draw(st.none() | st.floats(-50.0, 50.0)),
         r=draw(st.floats(1.0, 1e6)),
     )

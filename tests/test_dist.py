@@ -21,7 +21,7 @@ from factoidlab.dist import (
     tv_distance_forms,
     uniform_dist,
 )
-from factoidlab.errors import DistributionError, UniverseMismatchError
+from factoidlab.errors import ConfigError, DistributionError, UniverseMismatchError
 from factoidlab.rng import SeededRng
 
 
@@ -262,6 +262,16 @@ class TestSeededRng:
     def test_fingerprint_stable(self):
         assert SeededRng(5, (1, 2)).fingerprint() == SeededRng(5, (1, 2)).fingerprint()
         assert SeededRng(5, (1, 2)).fingerprint() != SeededRng(5, (2, 1)).fingerprint()
+
+    def test_negative_stream_key_is_a_config_error(self):
+        # refused when the stream is derived, although its generator is
+        # only built on first use
+        with pytest.raises(ConfigError, match="stream key"):
+            SeededRng(0).child(-1)
+        with pytest.raises(ConfigError, match="stream key"):
+            SeededRng(0, (3, -2))
+        with pytest.raises(ConfigError, match="stream key"):
+            next(SeededRng(0).children([4, -1]))
 
 
 class TestMaterializeGuards:

@@ -16,6 +16,9 @@ So are the two batched bound verifiers: the chunked posterior Monte
 Carlo against a per-sample loop with one dense p per posterior draw, the
 all-subsets-at-once lemma sweep against the subset-by-subset loop, and
 the batched distinct draw against its literal eligible list.
+
+Batched child streams are checked against numpy's literal route,
+Generator(PCG64(SeedSequence(seed, spawn_key=key))), one stream at a time.
 """
 
 import math
@@ -59,7 +62,7 @@ from factoidlab.calibration import (
 )
 from factoidlab.errors import DistributionError
 from factoidlab.estimators import TrainingSample, missing_mass, monofact_estimate
-from factoidlab.rng import SeededRng
+from factoidlab.rng import _CHILD_BATCH, SeededRng
 from factoidlab.lms import (
     Empirical,
     Laplace,
@@ -724,3 +727,43 @@ class TestBatchedVerifiers:
         exclude = frozenset(exclude)
         got = sample_distinct_excluding(SeededRng(seed), low, high, count, exclude)
         assert got == ref_distinct(SeededRng(seed), low, high, count, exclude)
+
+
+def ref_stream(seed, key):
+    """numpy's documented stream for (seed, spawn key), and the fingerprint
+    of its SeedSequence."""
+    seq = np.random.SeedSequence(seed, spawn_key=key)
+    lo, hi = seq.generate_state(2, np.uint64).tolist()
+    return np.random.Generator(np.random.PCG64(seq)), (lo ^ (hi << 1)) & (2**64 - 1)
+
+
+#: ints that SeedSequence splits into one, two or three 32-bit words
+WORDY_INTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5]) | st.integers(0, 2**70)
+
+
+class TestChildStreams:
+    @given(
+        WORDY_INTS,
+        st.lists(WORDY_INTS, max_size=3),
+        st.lists(st.sampled_from([0, 2**32 - 1, 2**32, 2**40]) | st.integers(0, 2**33), min_size=1,
+                 max_size=6),
+    )
+    @PROPERTY
+    def test_children_match_literal_seed_sequence(self, seed, key, indices):
+        parent = SeededRng(seed, tuple(key))
+        got = list(parent.children(indices))
+        assert [c.key for c in got] == [tuple(key) + (i,) for i in indices]
+        for i, child in zip(indices, got):
+            ref, fingerprint = ref_stream(seed, tuple(key) + (i,))
+            assert child.generator.bit_generator.state == ref.bit_generator.state
+            assert child.fingerprint() == fingerprint == parent.child(i).fingerprint()
+            assert np.array_equal(child.generator.random(3), ref.random(3))
+            assert child.generator.integers(2**62) == ref.integers(2**62)
+
+    def test_children_across_batches_match_child(self):
+        parent = SeededRng(7, (2,))
+        indices = range(_CHILD_BATCH - 2, _CHILD_BATCH + 3)
+        got = list(parent.children(range(_CHILD_BATCH + 3)))[-len(indices):]
+        for i, child in zip(indices, got):
+            assert child.key == (2, i)
+            assert child.generator.bit_generator.state == ref_stream(7, (2, i))[0].bit_generator.state
