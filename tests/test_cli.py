@@ -333,8 +333,7 @@ class TestFailsClosed:
             ),
         ],
         ids=["fact_count", "exponent", "w5_people", "universe_size", "delta", "b", "epsilon",
-             "tiny_epsilon", "r",
-             "k_types", "seed", "fact_count_limit", "w5_pair_limit"],
+             "tiny_epsilon", "r", "k_types", "seed", "fact_count_limit", "w5_pair_limit"],
     )
     def test_bad_value_exits_two_without_run_dir(self, tmp_path, old, new, reason):
         text = SMALL_CFG.replace("trials = 120", "trials = 3")
