@@ -7,6 +7,11 @@ and are the contract that lets internals change freely: a refactor that
 moves any 12-significant-digit cell fails here. Never re-pin a hash to
 make a change pass; a deliberate output change must show and justify
 the diff.
+
+The multi-type report is pinned the same way: the sha256 of its per-type
+bound frequencies and the repr of every metric mean and std, for a
+two-type and a three-type world under six algorithms, recorded before
+per-type metrics were read off one keyed profile.
 """
 
 import hashlib
@@ -15,6 +20,9 @@ import io
 import pytest
 
 from factoidlab.cli import cli_main
+from factoidlab.harness import BoundSettings, ExperimentConfig, run_multi_type_experiment
+from factoidlab.lms import Empirical, Laplace, MonofactMemorizer, Oracle, Uniform, YayMixture
+from factoidlab.worlds import MultiTypeWorld, PermutedPowerLawWorld
 
 WORLDS = {
     "uniform": (
@@ -109,3 +117,78 @@ def test_run_outputs_match_golden(tmp_path, world, algorithm):
     assert code in (0, 1), sink.getvalue()
     got = (_sha(out / "trials.csv"), _sha(out / "reliability.csv"))
     assert got == GOLDEN[(world, algorithm)]
+
+
+# ---------------------------------------------------------------------------
+# Multi-type reports
+# ---------------------------------------------------------------------------
+
+MULTI_TYPE_WORLDS = {
+    # two types, uniform and Zipf
+    "two_type": MultiTypeWorld(
+        components=(PermutedPowerLawWorld(20000, 100, 0.0), PermutedPowerLawWorld(30000, 150, 1.0)),
+        weights=(0.4, 0.6),
+    ),
+    # three types; at exponent 200 the rank weights past rank 34 underflow
+    # to 0, so the world keeps fewer facts than the model's fact count
+    "three_type": MultiTypeWorld(
+        components=(
+            PermutedPowerLawWorld(20000, 100, 0.0),
+            PermutedPowerLawWorld(10000, 80, 1.0),
+            PermutedPowerLawWorld(5000, 50, 200.0),
+        ),
+        weights=(0.2, 0.3, 0.5),
+    ),
+}
+
+MULTI_TYPE_ALGORITHMS = {
+    "empirical": Empirical(),
+    "laplace": Laplace(0.5),
+    "uniform": Uniform(),
+    "memorizer": MonofactMemorizer(),
+    "oracle": Oracle(),
+    "yay": YayMixture(Empirical(), 0.99),
+}
+
+# (world, algorithm) -> sha256 of multi_type_pin_text(report)
+MULTI_TYPE_GOLDEN = {
+    ("three_type", "empirical"): "c0dd667859d7822de58f9b2289c2f16332a9bfcaf3bef36af0c668d8729c5a5c",
+    ("three_type", "laplace"): "ec67a460ef953d97dc8f1e05f4e39a1d28227d74a246409890526a3e828f4878",
+    ("three_type", "memorizer"): "4fef5e8af901dbe7199f5289659eacf7296c1f9ef239dbfd41696aa8caf7ff50",
+    ("three_type", "oracle"): "23c28428f6b2711ee10dd5a77b3da630f3a4e4247b60995fc80e0c3f090d625a",
+    ("three_type", "uniform"): "4d60454bb9fbdc3983022baf6fd5fa00e1e7a7231c176d0e8d5c7c28a20c4d40",
+    ("three_type", "yay"): "0afbd555a58a346e3eb6560df2fa7cba8ed15d2538bc4a4bde4c4c45cd94a6e9",
+    ("two_type", "empirical"): "05840474678baa2b13a49388c1bf27c7a5a202cd13e84f9f7aa8c152601de339",
+    ("two_type", "laplace"): "a3e660f0722ab3bb4078d2b158439a77e7ef157d3a8c413831275586deac04c4",
+    ("two_type", "memorizer"): "68a7f945b087965e120587dadebc57e3b654d8d24661943a5477f1a17057666f",
+    ("two_type", "oracle"): "e26d62376d69bf260bed23d7805c7c2cc0362b8b328e95cbc3f3eec5b78a8108",
+    ("two_type", "uniform"): "e88ef24cc830cd960ff3572ddde9ad491bf8c71f0169024833fa3662afc39323",
+    ("two_type", "yay"): "b2cffa589de324f7177098e1d7191d93807f0c2fe9461a132b8f76cf95a0d8b8",
+}
+
+
+def multi_type_pin_text(report) -> str:
+    """The report's per-type bound frequencies and the repr of every
+    metric mean and std, one line each."""
+    lines = [repr(t) for t in report.types]
+    lines += [f"{m.name} {m.mean!r} {m.std!r}" for m in report.metrics]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("algorithm", sorted(MULTI_TYPE_ALGORITHMS))
+@pytest.mark.parametrize("world", sorted(MULTI_TYPE_WORLDS))
+def test_multi_type_report_matches_golden(world, algorithm):
+    model = MULTI_TYPE_WORLDS[world]
+    seed = 9100 + 10 * sorted(MULTI_TYPE_WORLDS).index(world)
+    seed += sorted(MULTI_TYPE_ALGORITHMS).index(algorithm)
+    cfg = ExperimentConfig(
+        world=model,
+        n=300,
+        algorithm=MULTI_TYPE_ALGORITHMS[algorithm],
+        bound=BoundSettings(delta=0.1, b=10, epsilon=0.1, k_types=model.k_types),
+        trials=20,
+        master_seed=seed,
+    )
+    text = multi_type_pin_text(run_multi_type_experiment(cfg))
+    got = hashlib.sha256(text.encode()).hexdigest()
+    assert got == MULTI_TYPE_GOLDEN[(world, algorithm)], text
