@@ -59,6 +59,8 @@ __all__ = [
     "kl_divergence",
     "profile_kl",
     "sample_iid",
+    "KeyedProfile",
+    "keyed_profile",
     "paired_profile",
     "with_bottom",
     "random_dist",
@@ -214,10 +216,16 @@ class FactoidDist:
 
     def weights_at(self, atoms: np.ndarray) -> np.ndarray:
         """Weights of an int array of atoms, as a float64 array."""
+        return self._explicit_at(atoms)[0]
+
+    def _explicit_at(self, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weights of an int array of atoms and a mask of the atoms this
+        distribution holds explicitly (an explicit weight may equal the
+        background)."""
         if self.keys.size == 0:
-            return np.full(atoms.shape, self.background)
+            return np.full(atoms.shape, self.background), np.zeros(atoms.shape, dtype=bool)
         pos, hit = _lookup(self.keys, atoms)
-        return np.where(hit, self.values[pos], self.background)
+        return np.where(hit, self.values[pos], self.background), hit
 
     @property
     def weights(self) -> dict[int, float]:
@@ -356,6 +364,51 @@ def mass_of_set(d: FactoidDist, s: Iterable[int]) -> float:
 # -- paired atom classes --------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class KeyedProfile:
+    """Two distributions over one universe, on the union of their
+    explicit atoms.
+
+    keys is that union in increasing order, w1 and w2 the two weights at
+    each key, and in1 and in2 mark the keys each distribution holds
+    explicitly. The rest atoms of the universe are background in both and
+    carry (background1, background2).
+    """
+
+    keys: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    in1: np.ndarray
+    in2: np.ndarray
+    rest: int
+    background1: float
+    background2: float
+
+    def classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The paired profile (w1, w2, count): one class per key, then one
+        class for the rest atoms if there are any."""
+        counts = np.ones(self.keys.size, dtype=np.float64)
+        if self.rest <= 0:
+            return self.w1, self.w2, counts
+        return (
+            np.append(self.w1, self.background1),
+            np.append(self.w2, self.background2),
+            np.append(counts, float(self.rest)),
+        )
+
+
+def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> KeyedProfile:
+    """Both distributions' weights on the union of their explicit atoms,
+    with a mask of the atoms each holds explicitly."""
+    _check_same_universe(d1, d2)
+    keys = _sorted_unique(np.concatenate((d1.keys, d2.keys)))
+    w1, in1 = d1._explicit_at(keys)
+    w2, in2 = d2._explicit_at(keys)
+    return KeyedProfile(
+        keys, w1, w2, in1, in2, d1.universe.size - keys.size, d1.background, d2.background
+    )
+
+
 def paired_profile(d1: FactoidDist, d2: FactoidDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse two distributions into atom classes (w1, w2, count).
 
@@ -365,17 +418,7 @@ def paired_profile(d1: FactoidDist, d2: FactoidDist) -> tuple[np.ndarray, np.nda
     O(#explicit atoms) even on huge universes, and every pairwise metric
     in this package is a function of it.
     """
-    _check_same_universe(d1, d2)
-    keys = _sorted_unique(np.concatenate((d1.keys, d2.keys)))
-    w1 = d1.weights_at(keys)
-    w2 = d2.weights_at(keys)
-    counts = np.ones(keys.size, dtype=np.float64)
-    rest = d1.universe.size - keys.size
-    if rest > 0:
-        w1 = np.append(w1, d1.background)
-        w2 = np.append(w2, d2.background)
-        counts = np.append(counts, float(rest))
-    return w1, w2, counts
+    return keyed_profile(d1, d2).classes()
 
 
 # -- metrics ---------------------------------------------------------------

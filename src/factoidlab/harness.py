@@ -36,7 +36,7 @@ from .calibration import (
     reliability_rows,
     sort_profile_by_g,
 )
-from .dist import BOTTOM, FactoidDist, dist_from_arrays, paired_profile, profile_kl, sample_iid
+from .dist import BOTTOM, FactoidDist, KeyedProfile, keyed_profile, profile_kl, sample_iid
 from .errors import (
     ConfigError,
     DistributionError,
@@ -182,11 +182,31 @@ def _draw_trial(model: WorldModel, n: int, rng: SeededRng) -> tuple[WorldInstanc
     return world, TrainingSample(world.universe, sample_iid(world.p, n, rng))
 
 
+def _profile_hallucination_rate(profile: KeyedProfile) -> float:
+    """hallucination_rate(g, WorldInstance(p)) read off the keyed profile
+    of (p, g), with the same arithmetic.
+
+    The facts are the keys p holds with positive weight, plus the empty
+    fact. The mass g puts on them is the fsum of the weights g holds
+    explicitly at facts, plus g's background times the other facts.
+    """
+    facts = profile.in1 & (profile.w1 > 0.0)
+    bottom_absent = 1
+    if profile.keys.size and profile.keys[0] == BOTTOM:
+        facts[0] = True
+        bottom_absent = 0
+    held = facts & profile.in2
+    n_plain = int(np.count_nonzero(facts)) + bottom_absent - int(np.count_nonzero(held))
+    mass = math.fsum(profile.w2[held].tolist()) + profile.background2 * n_plain
+    return max(0.0, 1.0 - mass)
+
+
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Execute one seeded trial; identical inputs give identical records.
 
-    The (p, g) profile is built once: KL sums over it in atom order, and
-    every calibration metric reads the same profile sorted once by g.
+    The (p, g) profile is built once: the hallucination rate reads its
+    keys, KL sums over its classes in atom order, and every calibration
+    metric reads the same classes sorted once by g.
     """
     rng = SeededRng(cfg.master_seed).child(trial_index)
     params = cfg.params
@@ -195,10 +215,11 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
 
     mf = monofact_estimate(sample)
     p_u = missing_mass(world.p, sample)
-    g_h = hallucination_rate(g, world)
-    profile = paired_profile(world.p, g)
-    kl = profile_kl(*profile)
-    by_g = sort_profile_by_g(*profile)
+    profile = keyed_profile(world.p, g)
+    g_h = _profile_hallucination_rate(profile)
+    classes = profile.classes()
+    kl = profile_kl(*classes)
+    by_g = sort_profile_by_g(*classes)
     mc_exact, _, _ = profile_calibration(*by_g, ExactValueBinning())
     mc_adaptive, _, adaptive_bins = profile_calibration(*by_g, AdaptiveBinning(params.b))
     mc_fixed, mis_eps, _ = profile_calibration(*by_g, FixedWidthBinning(params.epsilon))
@@ -475,25 +496,51 @@ def _in_range(keys: np.ndarray, start: int, stop: int) -> slice:
     return slice(int(lo), int(hi))
 
 
-def _induced_local_dist(model: MultiTypeWorld, i: int, d: FactoidDist) -> FactoidDist:
-    """Project a global distribution onto one type's local universe.
+def _local_side(
+    weights: np.ndarray, held: np.ndarray, background: float, size: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One distribution projected onto a type's local universe of `size`
+    atoms, from its weights at the type's keys and the mask of those it
+    holds explicitly.
 
-    In-range atoms keep their weight (specials mapped, background kept);
-    everything else, the shared empty fact included, lands on the local
-    empty fact.
+    In-range atoms keep their weight and background; the local empty fact
+    takes the rest of the mass, the shared empty fact's included. The
+    result is normalized as dist_from_arrays would: divided by the fsum
+    total, the background kept only where some atom carries it, zeros
+    dropped when it is 0. Returns the weights at [empty fact, *keys], the
+    mask of those the local distribution holds, and its background.
     """
-    start = model.type_offset(i)
-    local_universe = model.components[i].universe
-    part = _in_range(d.keys, start, start + local_universe.size - 1)
-    weights = d.values[part]
+    explicit = weights[held]
+    rest = size - 1 - explicit.size
     # accumulated left to right in atom order, like a running sum
-    in_range_special_mass = float(np.cumsum(weights)[-1]) if weights.size else 0.0
-    range_mass = in_range_special_mass + d.background * (local_universe.size - 1 - weights.size)
-    return dist_from_arrays(
-        local_universe,
-        np.insert(d.keys[part] - (start - 1), 0, BOTTOM),
-        np.insert(weights, 0, max(0.0, 1.0 - range_mass)),
-        d.background,
+    range_mass = (float(np.cumsum(explicit)[-1]) if explicit.size else 0.0) + background * rest
+    bottom = max(0.0, 1.0 - range_mass)
+    total = math.fsum([bottom, *explicit.tolist()]) + background * rest
+    if total <= 0.0:
+        raise DistributionError("weights sum to zero; at least one must be positive")
+    if not math.isfinite(total):
+        raise DistributionError("weights sum is not finite")
+    local_background = background / total if rest else 0.0
+    local = np.concatenate(([bottom / total], np.where(held, weights / total, local_background)))
+    local_held = np.concatenate(([True], held))
+    if local_background == 0.0:
+        local_held &= local > 0.0
+    return local, local_held, local_background
+
+
+def _type_profile(profile: KeyedProfile, start: int, size: int) -> KeyedProfile:
+    """The keyed profile of one type's induced local pair, read off the
+    global keyed profile: the type's keys are a slice of it, in-range
+    atoms map to local indices and everything else lands on the local
+    empty fact."""
+    part = _in_range(profile.keys, start, start + size - 1)
+    w1, in1, background1 = _local_side(profile.w1[part], profile.in1[part], profile.background1, size)
+    w2, in2, background2 = _local_side(profile.w2[part], profile.in2[part], profile.background2, size)
+    member = in1 | in2
+    keys = np.concatenate(([BOTTOM], profile.keys[part] - (start - 1)))[member]
+    return KeyedProfile(
+        keys, w1[member], w2[member], in1[member], in2[member], size - keys.size,
+        background1, background2,
     )
 
 
@@ -509,18 +556,21 @@ def multi_type_trial_metrics(
     Type i's monofact estimate counts the draws whose atom lies in its
     range and occurs once, over all n draws. Its miscalibration and
     hallucination rate are measured on the induced local pair, whose
-    empty fact carries all out-of-range mass. The verdict is cor1 with
-    the union-bound inflation k = params.k_types.
+    empty fact carries all out-of-range mass; every type's pair is read
+    off one keyed profile of (p, g). The verdict is cor1 with the
+    union-bound inflation k = params.k_types.
     """
+    profile = keyed_profile(world.p, g)
     out = []
-    for i in range(model.k_types):
+    for i, component in enumerate(model.components):
         span = model.type_range(i)
         counts = sample.counts[_in_range(sample.atoms, span.start, span.stop)]
         mf_i = int(np.count_nonzero(counts == 1)) / sample.n
-        p_i = _induced_local_dist(model, i, world.p)
-        g_i = _induced_local_dist(model, i, g)
-        mc_i = miscalibration(p_i, g_i, AdaptiveBinning(params.b))
-        g_h_i = hallucination_rate(g_i, WorldInstance(p_i))
+        local = _type_profile(profile, span.start, component.universe_size)
+        mc_i, _, _ = profile_calibration(
+            *sort_profile_by_g(*local.classes()), AdaptiveBinning(params.b)
+        )
+        g_h_i = _profile_hallucination_rate(local)
         out.append((mf_i, g_h_i, mc_i, evaluate_bound(g_h_i, cor1_rhs(mf_i, mc_i, params))))
     return out
 

@@ -16,6 +16,7 @@ numpy.random is imported on first use, not with this module.
 from __future__ import annotations
 
 import functools
+import operator
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
@@ -51,10 +52,10 @@ class SeededRng:
     __slots__ = ("_seed", "_key", "_words", "_generator")
 
     def __init__(self, seed: int, _key: tuple[int, ...] = (), _words: np.ndarray | None = None):
-        self._seed = int(seed)
+        self._seed = _integer(seed, "seed")
         if self._seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self._seed}")
-        self._key = tuple(map(int, _key))
+        self._key = tuple(_integer(k, "stream key entry") for k in _key)
         if self._key and min(self._key) < 0:
             raise ConfigError(f"stream key entries must be >= 0, got {self._key}")
         #: the four uint64 words PCG64 is seeded with, once known
@@ -96,7 +97,7 @@ class SeededRng:
         an index of 2^32 or more takes the literal SeedSequence route.
         """
         it = iter(indices)
-        while batch := list(map(int, islice(it, _CHILD_BATCH))):
+        while batch := [_integer(i, "stream key entry") for i in islice(it, _CHILD_BATCH)]:
             if min(batch) < 0:
                 raise ConfigError(f"stream key entries must be >= 0, got {min(batch)}")
             words = _spawned_words(self._seed, self._key, batch)
@@ -110,6 +111,15 @@ class SeededRng:
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self._seed}, key={self._key})"
+
+
+def _integer(value, what: str) -> int:
+    """value as an int if it is one (a numpy integer included); a float or
+    any other non-integer is refused rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------

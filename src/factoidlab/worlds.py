@@ -136,6 +136,13 @@ class PermutedPowerLawWorld:
     def universe(self) -> FactoidUniverse:
         return FactoidUniverse(self.universe_size)
 
+    @cached_property
+    def rank_template(self) -> tuple[slice | np.ndarray, np.ndarray]:
+        """Every draw's fact weights in rank order (see _rank_template),
+        built on first use and kept with the model: up to 80 MB at
+        FACT_COUNT_LIMIT facts."""
+        return _rank_template(self)
+
 
 @dataclass(frozen=True)
 class W5World:
@@ -229,6 +236,36 @@ class MultiTypeWorld:
         start = self.type_offset(i)
         return range(start, start + self.components[i].universe_size - 1)
 
+    @cached_property
+    def rank_template(self) -> tuple[tuple[slice | np.ndarray, np.ndarray], ...] | None:
+        """Per type, every draw's fact weights in rank order, as for a
+        power-law world, but scaled by the type's mass and normalized by
+        the one total all types share; None unless every component is a
+        permuted power law.
+
+        A draw's values are the drawn components' values times their type
+        masses, divided by the fsum of them all. fsum does not depend on
+        order, so that total is a constant of the model too, and the
+        literal route on every type's atoms in rank order yields the
+        values of every draw.
+        """
+        if not all(isinstance(c, PermutedPowerLawWorld) for c in self.components):
+            return None
+        offsets = [self.type_offset(i) for i in range(self.k_types)]
+        keys, scaled = [], []
+        for offset, component, w in zip(offsets, self.components, self.weights):
+            ranks, weights = _rank_template(component)
+            keys.append(offset + np.arange(component.fact_count)[ranks])
+            scaled.append(w * weights)
+        d = dist_from_arrays(self.universe, np.concatenate(keys), np.concatenate(scaled))
+        bounds = np.searchsorted(d.keys, offsets[1:])
+        return tuple(
+            (_rank_slots(type_keys - offset), values)
+            for offset, type_keys, values in zip(
+                offsets, np.split(d.keys, bounds), np.split(d.values, bounds)
+            )
+        )
+
 
 @dataclass(frozen=True)
 class ExplicitWorld:
@@ -312,6 +349,7 @@ def sample_distinct_excluding(
 
 
 def _power_law_dist(universe: FactoidUniverse, ranked_atoms: np.ndarray, exponent: float) -> FactoidDist:
+    """The i-th of ranked_atoms gets mass proportional to i^(-exponent)."""
     ranks = np.arange(1, ranked_atoms.size + 1, dtype=np.float64)
     raw = ranks ** (-exponent)
     total = math.fsum(raw.tolist())
@@ -319,13 +357,46 @@ def _power_law_dist(universe: FactoidUniverse, ranked_atoms: np.ndarray, exponen
     return dist_from_arrays(universe, ranked_atoms[order], raw[order] / total)
 
 
+def _rank_slots(ranks: np.ndarray) -> slice | np.ndarray:
+    """Increasing 0-based ranks, as a slice when they are a prefix."""
+    return slice(0, ranks.size) if ranks.size == 0 or ranks[-1] == ranks.size - 1 else ranks
+
+
+def _rank_template(model: PermutedPowerLawWorld) -> tuple[slice | np.ndarray, np.ndarray]:
+    """(ranks, weights): the ranks that keep a positive weight in every
+    draw of a power-law world, and those weights in rank order.
+
+    A draw only permutes which atom gets which rank: its values are the
+    rank weights divided by their fsum, then by the fsum of those, zeros
+    dropped. fsum does not depend on order, so both totals are constants
+    of the model, and the literal route on atoms in rank order (atom r at
+    rank r) yields every draw's values. The weights fall with the rank,
+    so the ranks kept are a prefix unless pow rounds out of order where
+    it underflows.
+    """
+    ranked = np.arange(1, model.fact_count + 1, dtype=np.int64)
+    d = _power_law_dist(model.universe, ranked, model.exponent)
+    return _rank_slots(d.keys - 1), d.values
+
+
+def _template_draw(
+    model: PermutedPowerLawWorld, ranks: slice | np.ndarray, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One draw's atoms at the template's ranks, in increasing order, and
+    the order that sorts them (which also sorts the template weights)."""
+    # random subset in random order: position in the draw is the rank
+    ranked = gen.choice(model.universe_size - 1, size=model.fact_count, replace=False) + 1
+    atoms = ranked[ranks]
+    order = np.argsort(atoms)
+    return atoms[order], order
+
+
 def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
     """Draw one world instance from the model prior."""
     if isinstance(model, PermutedPowerLawWorld):
-        gen = rng.generator
-        # random subset in random order: position in the draw is the rank
-        ranked = gen.choice(model.universe_size - 1, size=model.fact_count, replace=False) + 1
-        return WorldInstance(_power_law_dist(model.universe, ranked, model.exponent))
+        ranks, weights = model.rank_template
+        keys, order = _template_draw(model, ranks, rng.generator)
+        return WorldInstance(FactoidDist(model.universe, keys, weights[order]))
     if isinstance(model, W5World):
         # checked first: every index below the universe size fits int64
         universe = model.universe
@@ -340,6 +411,19 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
         keys = 1 + (pair * model.n_foods + food) * model.n_locations + location
         return WorldInstance(
             dist_from_arrays(universe, keys, np.full(keys.size, 1.0 / model.pair_count))
+        )
+    if isinstance(model, MultiTypeWorld) and model.rank_template is not None:
+        # one component draw after another from the same stream, as on the
+        # literal route below; type ranges are disjoint and increasing, so
+        # the concatenated keys stay sorted
+        gen = rng.generator
+        keys, values = [], []
+        for i, (component, (ranks, weights)) in enumerate(zip(model.components, model.rank_template)):
+            type_keys, order = _template_draw(component, ranks, gen)
+            keys.append(type_keys + (model.type_offset(i) - 1))
+            values.append(weights[order])
+        return WorldInstance(
+            FactoidDist(model.universe, np.concatenate(keys), np.concatenate(values))
         )
     if isinstance(model, MultiTypeWorld):
         # type ranges are disjoint and increasing, so the concatenated

@@ -501,7 +501,7 @@ class TestRunDoesEachTrialOnce:
             )
         )
         worlds = _count_calls(monkeypatch, "sample_world")
-        profiles = _count_calls(monkeypatch, "paired_profile")
+        profiles = _count_calls(monkeypatch, "keyed_profile")
         code, _, _ = run_cli("run", str(cfg_path), "--out", str(tmp_path / "r"))
         assert code in (0, 1)
         assert worlds.calls == trials

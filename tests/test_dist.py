@@ -273,6 +273,35 @@ class TestSeededRng:
         with pytest.raises(ConfigError, match="stream key"):
             next(SeededRng(0).children([4, -1]))
 
+    @pytest.mark.parametrize("seed", [2.7, 2.0, "2", None])
+    def test_non_integer_seed_is_a_config_error(self, seed):
+        # a float used to be truncated: SeededRng(2.7) was SeededRng(2)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            SeededRng(seed)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, np.float64(1.0)])
+    def test_non_integer_stream_key_is_a_config_error(self, index):
+        # child(1.5) used to be the same stream as child(1)
+        with pytest.raises(ConfigError, match="stream key entry must be an integer"):
+            SeededRng(0).child(index)
+        with pytest.raises(ConfigError, match="stream key entry must be an integer"):
+            SeededRng(0, (3, index))
+        with pytest.raises(ConfigError, match="stream key entry must be an integer"):
+            next(SeededRng(0).children([index]))
+        with pytest.raises(ConfigError, match="stream key entry must be an integer"):
+            next(SeededRng(0).children([4, index]))
+
+    def test_numpy_integers_are_the_same_stream_as_ints(self):
+        for kind in (np.int64, np.uint32, np.int8):
+            rng = SeededRng(kind(7), (kind(2),))
+            assert (rng.seed, rng.key) == (7, (2,))
+            assert type(rng.seed) is int and all(type(k) is int for k in rng.key)
+            assert rng.fingerprint() == SeededRng(7, (2,)).fingerprint()
+            assert rng.child(kind(5)).fingerprint() == SeededRng(7, (2, 5)).fingerprint()
+            child = next(SeededRng(7).children([kind(5)]))
+            assert child.key == (5,)
+            assert child.fingerprint() == SeededRng(7).child(5).fingerprint()
+
 
 class TestMaterializeGuards:
     def test_unobserved_guarded_on_huge_universe(self):

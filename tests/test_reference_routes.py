@@ -19,6 +19,12 @@ the batched distinct draw against its literal eligible list.
 
 Batched child streams are checked against numpy's literal route,
 Generator(PCG64(SeedSequence(seed, spawn_key=key))), one stream at a time.
+
+World draws through a model's rank template are checked against the
+literal power-law draw (rank weights, two fsum totals and two validated
+constructions per draw), and multi-type per-type metrics read off one
+keyed profile against the literal projection, which builds both induced
+local distributions of every type.
 """
 
 import math
@@ -27,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factoidlab.dist import (
@@ -37,7 +43,9 @@ from factoidlab.dist import (
     FactoidUniverse,
     _guided_slots,
     background_dist,
+    dist_from_arrays,
     dist_from_weights,
+    keyed_profile,
     mass_of_set,
     paired_profile,
     sample_iid,
@@ -46,8 +54,11 @@ from factoidlab.dist import (
 from factoidlab.bounds import (
     _CHUNK_CELLS,
     FLOAT_SLACK,
+    BoundParams,
     LemmaMeatViolation,
     TheoremMainCheck,
+    cor1_rhs,
+    evaluate_bound,
     verify_lemma_meat_exhaustive,
     verify_theorem_main_mc,
 )
@@ -57,11 +68,13 @@ from factoidlab.calibration import (
     FixedWidthBinning,
     Partition,
     iter_all_partitions,
+    miscalibration,
     partition_for_spec,
     random_partition,
 )
 from factoidlab.errors import DistributionError
 from factoidlab.estimators import TrainingSample, missing_mass, monofact_estimate
+from factoidlab.harness import _profile_hallucination_rate, multi_type_trial_metrics
 from factoidlab.rng import _CHILD_BATCH, SeededRng
 from factoidlab.lms import (
     Empirical,
@@ -70,14 +83,19 @@ from factoidlab.lms import (
     Oracle,
     Uniform,
     YayMixture,
+    hallucination_rate,
     train,
 )
 from factoidlab.worlds import (
     ExplicitWorld,
+    MultiTypeWorld,
     PermutedPowerLawWorld,
+    W5World,
     WorldInstance,
+    _rank_slots,
     posterior_support_uniform,
     sample_distinct_excluding,
+    sample_world,
 )
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -144,6 +162,11 @@ def ref_paired_profile(d1, d2):
         w2.append(d2.background)
         counts.append(float(rest))
     return np.array(w1), np.array(w2), np.array(counts)
+
+
+def _sorted_pairs(weights: dict) -> tuple[list[int], list[float]]:
+    keys = sorted(weights)
+    return keys, [weights[y] for y in keys]
 
 
 def ref_mass_of_set(d, s):
@@ -284,6 +307,37 @@ class TestAgainstReference:
         for g, w in zip(got, want):
             assert g.dtype == np.float64
             assert np.array_equal(g, w)
+
+    @given(pair=dist_pairs())
+    @PROPERTY
+    def test_keyed_profile(self, pair):
+        d1, d2 = pair
+        got = keyed_profile(d1, d2)
+        keys = sorted(set(special(d1)) | set(special(d2)))
+        assert got.keys.tolist() == keys
+        assert got.w1.tolist() == [ref_weight(d1, y) for y in keys]
+        assert got.w2.tolist() == [ref_weight(d2, y) for y in keys]
+        assert got.in1.tolist() == [y in special(d1) for y in keys]
+        assert got.in2.tolist() == [y in special(d2) for y in keys]
+        assert got.rest == d1.universe.size - len(keys)
+        assert (got.background1, got.background2) == (d1.background, d2.background)
+
+    @given(data=st.data())
+    @PROPERTY
+    def test_hallucination_rate_from_keyed_profile(self, data):
+        size = data.draw(st.integers(2, 12))
+        g = data.draw(dists(size))
+        weights = data.draw(
+            st.dictionaries(st.integers(0, size - 1), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0))
+        )
+        if not any(w > 0.0 for w in weights.values()):
+            weights[data.draw(st.integers(0, size - 1))] = 1.0
+        # explicit zeros stay: the world keeps keys it gives no mass
+        p = FactoidDist(FactoidUniverse(size), *_sorted_pairs(weights))
+        world = WorldInstance(p)
+        want = max(0.0, 1.0 - ref_mass_of_set(g, world.facts))
+        assert _profile_hallucination_rate(keyed_profile(p, g)) == want
+        assert hallucination_rate(g, world) == want
 
     @given(data=st.data())
     @PROPERTY
@@ -767,3 +821,242 @@ class TestChildStreams:
         for i, child in zip(indices, got):
             assert child.key == (2, i)
             assert child.generator.bit_generator.state == ref_stream(7, (2, i))[0].bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# Rank-template world draws and per-type profiles == their literal routes
+# ---------------------------------------------------------------------------
+
+
+def ref_power_law_draw(model, rng):
+    """A permuted power-law world drawn the literal way: rank weights,
+    their fsum total, a sort of the drawn atoms, and dist_from_arrays
+    normalizing again and dropping zeros."""
+    ranked = rng.generator.choice(model.universe_size - 1, size=model.fact_count, replace=False) + 1
+    ranks = np.arange(1, ranked.size + 1, dtype=np.float64)
+    raw = ranks ** (-model.exponent)
+    total = math.fsum(raw.tolist())
+    order = np.argsort(ranked)
+    return dist_from_arrays(model.universe, ranked[order], raw[order] / total)
+
+
+def ref_world_draw(model, rng):
+    """sample_world's p the literal way: a multi-type world draws each
+    component in turn, scales it by its type weight, puts component mass
+    on the empty fact onto the shared one, and normalizes the lot."""
+    if isinstance(model, PermutedPowerLawWorld):
+        return ref_power_law_draw(model, rng)
+    if not isinstance(model, MultiTypeWorld):
+        return sample_world(model, rng).p
+    keys, values = [], []
+    bottom_mass = 0.0
+    for i, (component, w) in enumerate(zip(model.components, model.weights)):
+        p_i = ref_world_draw(component, rng)
+        real = p_i.keys != BOTTOM
+        keys.append(p_i.keys[real] + (model.type_offset(i) - 1))
+        values.append(w * p_i.values[real])
+        bottom_mass += w * math.fsum(p_i.values[~real].tolist())
+    if bottom_mass > 0.0:
+        keys.insert(0, [BOTTOM])
+        values.insert(0, [bottom_mass])
+    return dist_from_arrays(model.universe, np.concatenate(keys), np.concatenate(values))
+
+
+def ref_induced_local_dist(model, i, d):
+    """Project a global distribution onto one type's local universe.
+
+    In-range atoms keep their weight (specials mapped, background kept);
+    everything else, the shared empty fact included, lands on the local
+    empty fact.
+    """
+    start = model.type_offset(i)
+    local_universe = model.components[i].universe
+    lo, hi = np.searchsorted(d.keys, (start, start + local_universe.size - 1))
+    part = slice(int(lo), int(hi))
+    weights = d.values[part]
+    # accumulated left to right in atom order, like a running sum
+    in_range_special_mass = float(np.cumsum(weights)[-1]) if weights.size else 0.0
+    range_mass = in_range_special_mass + d.background * (local_universe.size - 1 - weights.size)
+    return dist_from_arrays(
+        local_universe,
+        np.insert(d.keys[part] - (start - 1), 0, BOTTOM),
+        np.insert(weights, 0, max(0.0, 1.0 - range_mass)),
+        d.background,
+    )
+
+
+def ref_multi_type_trial_metrics(model, world, sample, g, params):
+    """Per-type tuples through both induced local distributions of every
+    type, miscalibration and hallucination_rate."""
+    out = []
+    for i in range(model.k_types):
+        span = model.type_range(i)
+        in_range = (sample.atoms >= span.start) & (sample.atoms < span.stop)
+        mf_i = int(np.count_nonzero(sample.counts[in_range] == 1)) / sample.n
+        p_i = ref_induced_local_dist(model, i, world.p)
+        g_i = ref_induced_local_dist(model, i, g)
+        mc_i = miscalibration(p_i, g_i, AdaptiveBinning(params.b))
+        g_h_i = hallucination_rate(g_i, WorldInstance(p_i))
+        out.append((mf_i, g_h_i, mc_i, evaluate_bound(g_h_i, cor1_rhs(mf_i, mc_i, params))))
+    return out
+
+
+#: exponents at which rank weights underflow to 0 (2^-1100 = 0) or turn
+#: subnormal, next to the uniform and Zipf worlds
+EXPONENTS = st.sampled_from([0.0, 1.0, 2.0, 200.0, 1030.0, 1100.0]) | st.floats(0.0, 1200.0)
+
+
+@st.composite
+def power_law_worlds(draw, max_universe=300):
+    size = draw(st.integers(2, max_universe), label="universe_size")
+    facts = draw(st.just(size - 1) | st.integers(1, size - 1), label="fact_count")
+    return PermutedPowerLawWorld(size, facts, draw(EXPONENTS, label="exponent"))
+
+
+@st.composite
+def multi_type_worlds(draw, max_universe=25):
+    """One to three components, now and then a W5 one (which sends the
+    whole draw down the literal route), with random type masses that may
+    sum to 1 only within the 1e-9 a MultiTypeWorld allows, so that
+    normalizing a draw moves its values."""
+    k = draw(st.integers(1, 3), label="k")
+    components = []
+    for _ in range(k):
+        if draw(st.integers(0, 4)) == 0:
+            components.append(W5World(*draw(st.tuples(*[st.integers(1, 2)] * 2, *[st.integers(1, 3)] * 2))))
+        else:
+            components.append(draw(power_law_worlds(max_universe)))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    total = math.fsum(raw) * draw(st.sampled_from([1.0, 1.0 + 4e-10, 1.0 - 4e-10]))
+    return MultiTypeWorld(tuple(components), tuple(w / total for w in raw))
+
+
+def same_dist(a: FactoidDist, b: FactoidDist) -> bool:
+    return (
+        a.universe == b.universe
+        and a.keys.tobytes() == b.keys.tobytes()
+        and a.values.tobytes() == b.values.tobytes()
+        and a.background == b.background
+    )
+
+
+class TestRankTemplates:
+    @given(power_law_worlds(), st.integers(0, 2**32 - 1))
+    @example(PermutedPowerLawWorld(1000, 100, 200.0), 5)  # ranks past 34 weigh 0
+    @example(PermutedPowerLawWorld(50, 49, 1.0), 3)  # every atom a fact
+    @example(PermutedPowerLawWorld(10**6, 300, 1030.0), 8)  # rank 2 subnormal
+    @PROPERTY
+    def test_power_law_draw_matches_literal_route(self, model, seed):
+        got_rng, ref_rng = SeededRng(seed), SeededRng(seed)
+        # twice from one model: the second draw reuses the cached template
+        for _ in range(2):
+            assert same_dist(sample_world(model, got_rng).p, ref_power_law_draw(model, ref_rng))
+        assert got_rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
+
+    @given(multi_type_worlds(max_universe=300), st.integers(0, 2**32 - 1))
+    @PROPERTY
+    def test_multi_type_draw_matches_literal_route(self, model, seed):
+        got_rng, ref_rng = SeededRng(seed), SeededRng(seed)
+        for _ in range(2):
+            assert same_dist(sample_world(model, got_rng).p, ref_world_draw(model, ref_rng))
+        assert got_rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
+
+    def test_template_drops_underflowing_ranks(self):
+        model = PermutedPowerLawWorld(1000, 100, 200.0)
+        ranks, weights = model.rank_template
+        assert ranks == slice(0, weights.size)
+        assert 0 < weights.size < model.fact_count
+        assert (weights > 0.0).all()
+        assert MultiTypeWorld((model, W5World(1, 1, 2, 2)), (0.5, 0.5)).rank_template is None
+
+    def test_rank_slots(self):
+        assert _rank_slots(np.array([0, 1, 2])) == slice(0, 3)
+        assert _rank_slots(np.zeros(0, dtype=np.int64)) == slice(0, 0)
+        assert _rank_slots(np.array([0, 2])).tolist() == [0, 2]
+
+    def test_template_ranks_need_not_be_a_prefix(self):
+        # should pow ever round a later rank above 0 where an earlier one
+        # underflowed, the kept ranks are gathered, not sliced
+        model = PermutedPowerLawWorld(60, 5, 1.0)
+        weights = np.array([0.5, 0.2, 0.3])
+        model.__dict__["rank_template"] = (np.array([0, 2, 4]), weights)
+        ranked = SeededRng(4).generator.choice(59, size=5, replace=False) + 1
+        p = sample_world(model, SeededRng(4)).p
+        assert p.keys.tolist() == sorted(ranked[[0, 2, 4]].tolist())
+        assert dict(zip(p.keys.tolist(), p.values.tolist())) == dict(
+            zip(ranked[[0, 2, 4]].tolist(), weights.tolist())
+        )
+
+
+@st.composite
+def multi_type_cases(draw):
+    """A multi-type world, n draws from it (n small enough that the
+    memorizer keeps an unobserved atom) and one algorithm's g. The world
+    is the model's draw or, half the time, any sparse p over its universe
+    whose explicit weights include zeros, which the projection drops."""
+    model = draw(multi_type_worlds().filter(lambda m: m.universe_size >= 3))
+    rng = SeededRng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        world = sample_world(model, rng)
+    else:
+        weights = draw(
+            st.dictionaries(
+                st.integers(0, model.universe_size - 1),
+                st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0),
+                min_size=1,
+            )
+        )
+        if not any(w > 0.0 for w in weights.values()):
+            weights[min(weights)] = 1.0
+        keys, values = _sorted_pairs(weights)
+        total = math.fsum(values)
+        world = WorldInstance(FactoidDist(model.universe, keys, [w / total for w in values]))
+    n = draw(st.integers(1, min(40, model.universe_size - 2)), label="n")
+    sample = TrainingSample(world.universe, sample_iid(world.p, n, rng))
+    g = train(draw(st.sampled_from(ALGORITHMS)), sample, truth=world.p)
+    params = BoundParams(
+        delta=0.1, b=draw(st.integers(1, 10)), epsilon=0.1, s=1.0, r=1.0, n=n, k_types=model.k_types
+    )
+    return model, world, sample, g, params
+
+
+def bottom_dropped_case():
+    """One type holding all the mass: the local empty fact of p weighs
+    1 - (p's mass in range) = 0 and is dropped."""
+    model = MultiTypeWorld((PermutedPowerLawWorld(12, 4, 0.0),), (1.0,))
+    world = WorldInstance(dist_from_weights(model.universe, {3: 1.0, 5: 1.0, 8: 1.0, 9: 1.0}))
+    sample = TrainingSample(world.universe, [3, 3, 5, 8])
+    params = BoundParams(delta=0.1, b=4, epsilon=0.1, s=1.0, r=1.0, n=4, k_types=1)
+    return model, world, sample, train(Empirical(), sample), params
+
+
+def full_range_case(alg):
+    """A type whose facts fill its range, so the local profile has no rest
+    class, next to a sparse type."""
+    model = MultiTypeWorld(
+        (PermutedPowerLawWorld(6, 5, 1.0), PermutedPowerLawWorld(20, 3, 0.0)), (0.3, 0.7)
+    )
+    rng = SeededRng(11)
+    world = sample_world(model, rng)
+    sample = TrainingSample(world.universe, sample_iid(world.p, 12, rng))
+    params = BoundParams(delta=0.1, b=3, epsilon=0.1, s=1.0, r=1.0, n=12, k_types=2)
+    return model, world, sample, train(alg, sample, truth=world.p), params
+
+
+class TestMultiTypeProfiles:
+    @given(multi_type_cases())
+    @PROPERTY
+    def test_per_type_tuples_match_literal_projection(self, case):
+        assert multi_type_trial_metrics(*case) == ref_multi_type_trial_metrics(*case)
+
+    def test_dropped_local_bottom(self):
+        model, world, sample, g, params = case = bottom_dropped_case()
+        assert ref_induced_local_dist(model, 0, world.p).weight(BOTTOM) == 0.0
+        assert BOTTOM not in ref_induced_local_dist(model, 0, world.p).keys
+        assert multi_type_trial_metrics(*case) == ref_multi_type_trial_metrics(*case)
+
+    @pytest.mark.parametrize("alg", ALGORITHMS, ids=repr)
+    def test_type_filling_its_range(self, alg):
+        model, world, sample, g, params = case = full_range_case(alg)
+        assert ref_induced_local_dist(model, 0, world.p).keys.size == model.components[0].universe_size
+        assert multi_type_trial_metrics(*case) == ref_multi_type_trial_metrics(*case)
