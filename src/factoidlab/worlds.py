@@ -137,10 +137,10 @@ class PermutedPowerLawWorld:
         return FactoidUniverse(self.universe_size)
 
     @cached_property
-    def rank_template(self) -> tuple[slice | np.ndarray, np.ndarray]:
-        """Every draw's fact weights in rank order (see _rank_template),
-        built on first use and kept with the model: up to 80 MB at
-        FACT_COUNT_LIMIT facts."""
+    def rank_template(self) -> np.ndarray:
+        """Every draw's weights in rank order (see _rank_template), built on
+        first use and kept with the model: up to 80 MB at FACT_COUNT_LIMIT
+        facts."""
         return _rank_template(self)
 
 
@@ -237,11 +237,11 @@ class MultiTypeWorld:
         return range(start, start + self.components[i].universe_size - 1)
 
     @cached_property
-    def rank_template(self) -> tuple[tuple[slice | np.ndarray, np.ndarray], ...] | None:
-        """Per type, every draw's fact weights in rank order, as for a
-        power-law world, but scaled by the type's mass and normalized by
-        the one total all types share; None unless every component is a
-        permuted power law.
+    def rank_template(self) -> tuple[np.ndarray, ...] | None:
+        """Per type, every draw's weights in rank order, as for a power-law
+        world but scaled by the type's mass and normalized by the one
+        total all types share; None unless every component is a permuted
+        power law.
 
         A draw's values are the drawn components' values times their type
         masses, divided by the fsum of them all. fsum does not depend on
@@ -252,18 +252,11 @@ class MultiTypeWorld:
         if not all(isinstance(c, PermutedPowerLawWorld) for c in self.components):
             return None
         offsets = [self.type_offset(i) for i in range(self.k_types)]
-        keys, scaled = [], []
-        for offset, component, w in zip(offsets, self.components, self.weights):
-            ranks, weights = _rank_template(component)
-            keys.append(offset + np.arange(component.fact_count)[ranks])
-            scaled.append(w * weights)
+        keys = [offset + np.arange(c.fact_count) for offset, c in zip(offsets, self.components)]
+        scaled = [w * _rank_template(c) for c, w in zip(self.components, self.weights)]
         d = dist_from_arrays(self.universe, np.concatenate(keys), np.concatenate(scaled))
-        bounds = np.searchsorted(d.keys, offsets[1:])
         return tuple(
-            (_rank_slots(type_keys - offset), values)
-            for offset, type_keys, values in zip(
-                offsets, np.split(d.keys, bounds), np.split(d.values, bounds)
-            )
+            _rank_vector(d, offset, c.fact_count) for offset, c in zip(offsets, self.components)
         )
 
 
@@ -357,46 +350,48 @@ def _power_law_dist(universe: FactoidUniverse, ranked_atoms: np.ndarray, exponen
     return dist_from_arrays(universe, ranked_atoms[order], raw[order] / total)
 
 
-def _rank_slots(ranks: np.ndarray) -> slice | np.ndarray:
-    """Increasing 0-based ranks, as a slice when they are a prefix."""
-    return slice(0, ranks.size) if ranks.size == 0 or ranks[-1] == ranks.size - 1 else ranks
+def _rank_vector(d: FactoidDist, first: int, count: int) -> np.ndarray:
+    """The weights d holds at atoms first .. first + count - 1, in order,
+    0 for the atoms it dropped."""
+    part = slice(*np.searchsorted(d.keys, (first, first + count)))
+    out = np.zeros(count)
+    out[d.keys[part] - first] = d.values[part]
+    return out
 
 
-def _rank_template(model: PermutedPowerLawWorld) -> tuple[slice | np.ndarray, np.ndarray]:
-    """(ranks, weights): the ranks that keep a positive weight in every
-    draw of a power-law world, and those weights in rank order.
+def _rank_template(model: PermutedPowerLawWorld) -> np.ndarray:
+    """The weights every draw of a power-law world gives its ranks, in rank
+    order, 0 for a rank the draw drops.
 
     A draw only permutes which atom gets which rank: its values are the
     rank weights divided by their fsum, then by the fsum of those, zeros
     dropped. fsum does not depend on order, so both totals are constants
     of the model, and the literal route on atoms in rank order (atom r at
-    rank r) yields every draw's values. The weights fall with the rank,
-    so the ranks kept are a prefix unless pow rounds out of order where
-    it underflows.
+    rank r) yields every draw's values.
     """
     ranked = np.arange(1, model.fact_count + 1, dtype=np.int64)
-    d = _power_law_dist(model.universe, ranked, model.exponent)
-    return _rank_slots(d.keys - 1), d.values
+    return _rank_vector(_power_law_dist(model.universe, ranked, model.exponent), 1, model.fact_count)
 
 
 def _template_draw(
-    model: PermutedPowerLawWorld, ranks: slice | np.ndarray, gen: np.random.Generator
+    model: PermutedPowerLawWorld, template: np.ndarray, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One draw's atoms at the template's ranks, in increasing order, and
-    the order that sorts them (which also sorts the template weights)."""
+    """One draw's facts in increasing order and their weights: the drawn
+    atoms sorted, the template's weights gathered in the same order, and
+    the atoms of weight 0 dropped, as the literal route drops them."""
     # random subset in random order: position in the draw is the rank
     ranked = gen.choice(model.universe_size - 1, size=model.fact_count, replace=False) + 1
-    atoms = ranked[ranks]
-    order = np.argsort(atoms)
-    return atoms[order], order
+    order = np.argsort(ranked)
+    values = template[order]
+    kept = values > 0.0
+    return ranked[order][kept], values[kept]
 
 
 def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
     """Draw one world instance from the model prior."""
     if isinstance(model, PermutedPowerLawWorld):
-        ranks, weights = model.rank_template
-        keys, order = _template_draw(model, ranks, rng.generator)
-        return WorldInstance(FactoidDist(model.universe, keys, weights[order]))
+        keys, values = _template_draw(model, model.rank_template, rng.generator)
+        return WorldInstance(FactoidDist(model.universe, keys, values))
     if isinstance(model, W5World):
         # checked first: every index below the universe size fits int64
         universe = model.universe
@@ -418,10 +413,10 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
         # the concatenated keys stay sorted
         gen = rng.generator
         keys, values = [], []
-        for i, (component, (ranks, weights)) in enumerate(zip(model.components, model.rank_template)):
-            type_keys, order = _template_draw(component, ranks, gen)
+        for i, (component, template) in enumerate(zip(model.components, model.rank_template)):
+            type_keys, type_values = _template_draw(component, template, gen)
             keys.append(type_keys + (model.type_offset(i) - 1))
-            values.append(weights[order])
+            values.append(type_values)
         return WorldInstance(
             FactoidDist(model.universe, np.concatenate(keys), np.concatenate(values))
         )

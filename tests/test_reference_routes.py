@@ -92,7 +92,6 @@ from factoidlab.worlds import (
     PermutedPowerLawWorld,
     W5World,
     WorldInstance,
-    _rank_slots,
     posterior_support_uniform,
     sample_distinct_excluding,
     sample_world,
@@ -961,31 +960,23 @@ class TestRankTemplates:
             assert same_dist(sample_world(model, got_rng).p, ref_world_draw(model, ref_rng))
         assert got_rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
 
-    def test_template_drops_underflowing_ranks(self):
+    def test_template_zeros_underflowing_ranks(self):
         model = PermutedPowerLawWorld(1000, 100, 200.0)
-        ranks, weights = model.rank_template
-        assert ranks == slice(0, weights.size)
-        assert 0 < weights.size < model.fact_count
-        assert (weights > 0.0).all()
+        kept = np.count_nonzero(model.rank_template)
+        assert 0 < kept < model.fact_count
+        assert (model.rank_template[:kept] > 0.0).all()
         assert MultiTypeWorld((model, W5World(1, 1, 2, 2)), (0.5, 0.5)).rank_template is None
 
-    def test_rank_slots(self):
-        assert _rank_slots(np.array([0, 1, 2])) == slice(0, 3)
-        assert _rank_slots(np.zeros(0, dtype=np.int64)) == slice(0, 0)
-        assert _rank_slots(np.array([0, 2])).tolist() == [0, 2]
-
-    def test_template_ranks_need_not_be_a_prefix(self):
-        # should pow ever round a later rank above 0 where an earlier one
-        # underflowed, the kept ranks are gathered, not sliced
+    def test_template_zeros_need_not_trail(self):
+        # the ranks a draw drops are those the template holds at 0, wherever
+        # they sit, not just a tail of the weights falling with the rank
         model = PermutedPowerLawWorld(60, 5, 1.0)
-        weights = np.array([0.5, 0.2, 0.3])
-        model.__dict__["rank_template"] = (np.array([0, 2, 4]), weights)
+        model.__dict__["rank_template"] = np.array([0.5, 0.0, 0.2, 0.0, 0.3])
         ranked = SeededRng(4).generator.choice(59, size=5, replace=False) + 1
         p = sample_world(model, SeededRng(4)).p
-        assert p.keys.tolist() == sorted(ranked[[0, 2, 4]].tolist())
-        assert dict(zip(p.keys.tolist(), p.values.tolist())) == dict(
-            zip(ranked[[0, 2, 4]].tolist(), weights.tolist())
-        )
+        assert dict(zip(p.keys.tolist(), p.values.tolist())) == {
+            ranked[0]: 0.5, ranked[2]: 0.2, ranked[4]: 0.3
+        }
 
 
 @st.composite
