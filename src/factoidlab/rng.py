@@ -52,10 +52,17 @@ class SeededRng:
     __slots__ = ("_seed", "_key", "_words", "_generator")
 
     def __init__(self, seed: int, _key: tuple[int, ...] = (), _words: np.ndarray | None = None):
-        self._seed = _integer(seed, "seed")
+        # operator.index takes ints and numpy integers; a float or any
+        # other value is refused rather than truncated
+        try:
+            self._seed = operator.index(seed)
+            self._key = tuple(map(operator.index, _key))
+        except TypeError:
+            raise ConfigError(
+                f"seed and stream key entries must be integers, got {seed!r} and {_key!r}"
+            ) from None
         if self._seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self._seed}")
-        self._key = tuple(_integer(k, "stream key entry") for k in _key)
         if self._key and min(self._key) < 0:
             raise ConfigError(f"stream key entries must be >= 0, got {self._key}")
         #: the four uint64 words PCG64 is seeded with, once known
@@ -97,7 +104,11 @@ class SeededRng:
         an index of 2^32 or more takes the literal SeedSequence route.
         """
         it = iter(indices)
-        while batch := [_integer(i, "stream key entry") for i in islice(it, _CHILD_BATCH)]:
+        while chunk := tuple(islice(it, _CHILD_BATCH)):
+            try:
+                batch = tuple(map(operator.index, chunk))
+            except TypeError:
+                raise ConfigError(f"stream key entries must be integers, got {chunk!r}") from None
             if min(batch) < 0:
                 raise ConfigError(f"stream key entries must be >= 0, got {min(batch)}")
             words = _spawned_words(self._seed, self._key, batch)
@@ -111,15 +122,6 @@ class SeededRng:
 
     def __repr__(self) -> str:
         return f"SeededRng(seed={self._seed}, key={self._key})"
-
-
-def _integer(value, what: str) -> int:
-    """value as an int if it is one (a numpy integer included); a float or
-    any other non-integer is refused rather than truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +143,7 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _spawned_words(seed: int, key: tuple[int, ...], indices: list[int]) -> np.ndarray:
+def _spawned_words(seed: int, key: tuple[int, ...], indices: tuple[int, ...]) -> np.ndarray:
     """PCG64's seed words of SeedSequence(seed, spawn_key=key + (i,)) for
     every i in indices, as a (len(indices), 4) uint64 array.
 

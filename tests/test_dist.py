@@ -276,19 +276,19 @@ class TestSeededRng:
     @pytest.mark.parametrize("seed", [2.7, 2.0, "2", None])
     def test_non_integer_seed_is_a_config_error(self, seed):
         # a float used to be truncated: SeededRng(2.7) was SeededRng(2)
-        with pytest.raises(ConfigError, match="seed must be an integer"):
+        with pytest.raises(ConfigError, match="seed and stream key entries must be integers"):
             SeededRng(seed)
 
     @pytest.mark.parametrize("index", [1.5, 1.0, np.float64(1.0)])
     def test_non_integer_stream_key_is_a_config_error(self, index):
         # child(1.5) used to be the same stream as child(1)
-        with pytest.raises(ConfigError, match="stream key entry must be an integer"):
+        with pytest.raises(ConfigError, match="stream key entries must be integers"):
             SeededRng(0).child(index)
-        with pytest.raises(ConfigError, match="stream key entry must be an integer"):
+        with pytest.raises(ConfigError, match="stream key entries must be integers"):
             SeededRng(0, (3, index))
-        with pytest.raises(ConfigError, match="stream key entry must be an integer"):
+        with pytest.raises(ConfigError, match="stream key entries must be integers"):
             next(SeededRng(0).children([index]))
-        with pytest.raises(ConfigError, match="stream key entry must be an integer"):
+        with pytest.raises(ConfigError, match="stream key entries must be integers"):
             next(SeededRng(0).children([4, index]))
 
     def test_numpy_integers_are_the_same_stream_as_ints(self):
