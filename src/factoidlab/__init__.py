@@ -12,10 +12,7 @@ from .dist import (
     FactoidDist,
     FactoidUniverse,
     dist_from_weights,
-    kl_divergence,
-    mass_of_set,
     sample_iid,
-    tv_distance,
     uniform_dist,
 )
 from .calibration import (
@@ -24,10 +21,7 @@ from .calibration import (
     FixedWidthBinning,
     Partition,
     coarsen,
-    generative_calibration_error,
-    miscalibration,
     partition_for_spec,
-    reliability_curve,
 )
 from .estimators import (
     TrainingSample,
@@ -43,7 +37,6 @@ from .worlds import (
     W5World,
     WorldInstance,
     analyze_regularity,
-    posterior_sampler_uniform_world,
     sample_world,
     world_sparsity,
 )
@@ -54,7 +47,6 @@ from .lms import (
     Oracle,
     Uniform,
     YayMixture,
-    hallucination_rate,
     train,
 )
 from .bounds import (

@@ -17,11 +17,12 @@ provided:
   ((1-eps)^(i+1), (1-eps)^i], plus a block for zero-probability atoms.
   eps=0 degenerates to exact-value and eps=1 to the single block.
 
-All metrics are computed on the paired atom-class profile from
-dist.paired_profile, so they stay exact and cheap on universes far too
-large to enumerate. The explicit Partition objects below materialize
-blocks and are intended for small universes (tests, exhaustive sweeps);
-both routes are checked against each other in the test suite.
+All metrics are computed by profile_calibration on the paired
+atom-class profile of (p, g) from dist.keyed_profile, sorted once by g,
+so they stay exact and cheap on universes far too large to enumerate.
+The explicit Partition objects below materialize blocks and are
+intended for small universes (tests, exhaustive sweeps); both routes
+are checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .dist import (
     FactoidDist,
     FactoidUniverse,
     dist_from_arrays,
-    paired_profile,
 )
 from .errors import PartitionError, UniverseMismatchError
 from .rng import SeededRng
@@ -54,9 +54,6 @@ __all__ = [
     "sort_profile_by_g",
     "profile_calibration",
     "reliability_rows",
-    "miscalibration",
-    "generative_calibration_error",
-    "reliability_curve",
     "iter_all_partitions",
     "random_partition",
 ]
@@ -294,10 +291,6 @@ def sort_profile_by_g(
     return p_vals[order], g_vals[order], counts[order]
 
 
-def _sorted_profile(p: FactoidDist, g: FactoidDist):
-    return sort_profile_by_g(*paired_profile(p, g))
-
-
 def _block_masses(p_vals, g_vals, counts, starts):
     bounds = np.append(starts, counts.size)
     p_mass = np.add.reduceat(p_vals * counts, starts) if starts.size else np.zeros(0)
@@ -340,29 +333,6 @@ def reliability_rows(
     ]
     rows.sort(key=lambda r: r[0])
     return rows
-
-
-def miscalibration(p: FactoidDist, g: FactoidDist, spec: BinningSpec) -> float:
-    """TV distance between g and the coarsening of p over bins of g.
-
-    Zero exactly when g is a coarsening of p (for the exact-value and
-    adaptive schemes, any number of bins).
-    """
-    return profile_calibration(*_sorted_profile(p, g), spec)[0]
-
-
-def generative_calibration_error(p: FactoidDist, g: FactoidDist, epsilon: float) -> float:
-    """Half the summed absolute gap between p-mass and g-mass over the
-    fixed-width log-probability bins of g."""
-    return profile_calibration(*_sorted_profile(p, g), FixedWidthBinning(epsilon))[1]
-
-
-def reliability_curve(
-    p: FactoidDist, g: FactoidDist, spec: BinningSpec
-) -> list[tuple[float, float, float, int]]:
-    """Rows (mean bin g-value, bin g-mass, bin p-mass, bin size), one per
-    non-empty bin, ascending by bin value. The p column sums to 1."""
-    return reliability_rows(*profile_calibration(*_sorted_profile(p, g), spec)[2])
 
 
 # ---------------------------------------------------------------------------

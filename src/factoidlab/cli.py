@@ -305,6 +305,15 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+@contextlib.contextmanager
+def _writing(out: Path):
+    """Raise a failed write under out as a FactoidLabError (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise FactoidLabError(f"failed writing results under {out}: {exc}") from exc
+
+
 def write_results(
     out_dir: str | Path,
     cfg: ExperimentConfig,
@@ -314,9 +323,9 @@ def write_results(
     reliability_rows: Sequence[tuple[float, float, float, int]],
 ) -> list[Path]:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
-    try:
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
         (out / "config.cfg").write_text(serialize_config(cfg), encoding="utf-8", newline="\n")
         written.append(out / "config.cfg")
         _write_json(out / "manifest.json", dataclasses.asdict(manifest))
@@ -327,8 +336,6 @@ def write_results(
         written.append(out / "aggregate.json")
         write_reliability_csv(out / "reliability.csv", reliability_rows)
         written.append(out / "reliability.csv")
-    except OSError as exc:
-        raise FactoidLabError(f"failed writing results under {out}: {exc}") from exc
     return written
 
 
@@ -360,8 +367,9 @@ def cmd_run(args, out, err) -> int:
     out_dir = Path(args.out) if args.out else Path("runs") / f"{config_hash(cfg)[:12]}"
     manifest = make_manifest(cfg)
     # the manifest describes the run before it starts
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "manifest.json", dataclasses.asdict(manifest))
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(out_dir / "manifest.json", dataclasses.asdict(manifest))
     report, records = run_experiment(cfg)
     write_results(out_dir, cfg, manifest, records, report, records[0].reliability)
     print(_bound_table(report.to_json_dict(), BOUND_NAMES), file=out)
@@ -529,12 +537,16 @@ def cmd_report(args, out, err) -> int:
         passed = agg["passed"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{run_dir} holds a damaged run record: {exc!r}") from None
-    print(header, file=out)
-    print(table, file=out)
+    lines = [header, table]
     rel_path = run_dir / "reliability.csv"
     if rel_path.is_file():
-        n_rows = max(0, len(rel_path.read_text(encoding="utf-8").splitlines()) - 1)
-        print(f"reliability curve: {n_rows} bins in {rel_path}", file=out)
+        try:
+            text = rel_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{rel_path} is not readable text: {exc}") from None
+        n_rows = max(0, len(text.splitlines()) - 1)
+        lines.append(f"reliability curve: {n_rows} bins in {rel_path}")
+    print("\n".join(lines), file=out)
     return 0 if passed else 1
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -53,15 +53,11 @@ __all__ = [
     "dist_from_weights",
     "uniform_dist",
     "background_dist",
-    "mass_of_set",
-    "tv_distance",
     "tv_distance_forms",
-    "kl_divergence",
     "profile_kl",
     "sample_iid",
     "KeyedProfile",
     "keyed_profile",
-    "paired_profile",
     "with_bottom",
     "random_dist",
 ]
@@ -123,13 +119,6 @@ class FactoidUniverse:
             y = raw.ravel()[int(np.argmax(bad))]
             raise DistributionError(f"factoid index {y} outside universe of size {self.size}")
         return arr
-
-
-def _check_same_universe(a: "FactoidDist", b: "FactoidDist") -> None:
-    if a.universe != b.universe:
-        raise UniverseMismatchError(
-            f"universe mismatch: size {a.universe.size} vs {b.universe.size}"
-        )
 
 
 def _sorted_unique(atoms: np.ndarray) -> np.ndarray:
@@ -232,7 +221,7 @@ class FactoidDist:
         """Dense atom -> weight map (sparse form: zero atoms omitted).
 
         Materializes every positive atom, so it is guarded against huge
-        universes; use weight() or mass_of_set() there instead.
+        universes; use weight() or weights_at() there instead.
         """
         if self.background == 0.0:
             pos = self.values > 0.0
@@ -346,21 +335,6 @@ def uniform_dist(universe: FactoidUniverse) -> FactoidDist:
     return FactoidDist(universe, _NO_KEYS, (), 1.0 / universe.size)
 
 
-# -- set mass -------------------------------------------------------------
-
-
-def mass_of_set(d: FactoidDist, s: Iterable[int]) -> float:
-    """Total probability of the atoms in s. Empty set has mass 0.
-
-    s may be any iterable of indices or an int array; repeats count once.
-    """
-    raw = s if isinstance(s, np.ndarray) else list(s)
-    atoms = _sorted_unique(d.universe.atom_array(raw))
-    pos, hit = _lookup(d.keys, atoms)
-    n_plain = atoms.size - int(np.count_nonzero(hit))
-    return math.fsum(d.values[pos[hit]].tolist()) + d.background * n_plain
-
-
 # -- paired atom classes --------------------------------------------------
 
 
@@ -386,7 +360,9 @@ class KeyedProfile:
 
     def classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The paired profile (w1, w2, count): one class per key, then one
-        class for the rest atoms if there are any."""
+        class for the rest atoms if there are any (they carry identical
+        weight pairs). Its size is O(#explicit atoms) even on huge
+        universes, and every pairwise metric in this package reads it."""
         counts = np.ones(self.keys.size, dtype=np.float64)
         if self.rest <= 0:
             return self.w1, self.w2, counts
@@ -400,7 +376,10 @@ class KeyedProfile:
 def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> KeyedProfile:
     """Both distributions' weights on the union of their explicit atoms,
     with a mask of the atoms each holds explicitly."""
-    _check_same_universe(d1, d2)
+    if d1.universe != d2.universe:
+        raise UniverseMismatchError(
+            f"universe mismatch: size {d1.universe.size} vs {d2.universe.size}"
+        )
     keys = _sorted_unique(np.concatenate((d1.keys, d2.keys)))
     w1, in1 = d1._explicit_at(keys)
     w2, in2 = d2._explicit_at(keys)
@@ -409,25 +388,7 @@ def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> KeyedProfile:
     )
 
 
-def paired_profile(d1: FactoidDist, d2: FactoidDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse two distributions into atom classes (w1, w2, count).
-
-    One class per atom explicit in either distribution, in increasing
-    atom order, then one class for the atoms that are background in
-    both (they carry identical weight pairs). The profile size is
-    O(#explicit atoms) even on huge universes, and every pairwise metric
-    in this package is a function of it.
-    """
-    return keyed_profile(d1, d2).classes()
-
-
 # -- metrics ---------------------------------------------------------------
-
-
-def tv_distance(d1: FactoidDist, d2: FactoidDist) -> float:
-    """Total variation distance, computed as half the L1 difference."""
-    w1, w2, counts = paired_profile(d1, d2)
-    return 0.5 * float(np.sum(counts * np.abs(w1 - w2)))
 
 
 def tv_distance_forms(
@@ -440,8 +401,7 @@ def tv_distance_forms(
     universe is small enough, otherwise by taking the witness set where
     d1 exceeds d2 (which attains the maximum).
     """
-    _check_same_universe(d1, d2)
-    w1, w2, counts = paired_profile(d1, d2)
+    w1, w2, counts = keyed_profile(d1, d2).classes()
     half_l1 = 0.5 * float(np.sum(counts * np.abs(w1 - w2)))
     pos_part = float(np.sum(counts * np.clip(w1 - w2, 0.0, None)))
     size = d1.universe.size
@@ -468,11 +428,6 @@ def profile_kl(w1: np.ndarray, w2: np.ndarray, counts: np.ndarray) -> float:
         return math.inf
     w1p, w2p, cp = w1[pos], w2[pos], counts[pos]
     return float(np.sum(cp * w1p * np.log(w1p / w2p)))
-
-
-def kl_divergence(d_true: FactoidDist, d_model: FactoidDist) -> float:
-    """KL(d_true || d_model) in nats; +inf when the model misses support."""
-    return profile_kl(*paired_profile(d_true, d_model))
 
 
 # -- sampling --------------------------------------------------------------

@@ -31,7 +31,6 @@ from .calibration import (
     AdaptiveBinning,
     ExactValueBinning,
     FixedWidthBinning,
-    miscalibration,
     profile_calibration,
     reliability_rows,
     sort_profile_by_g,
@@ -50,7 +49,7 @@ from .estimators import (
     missing_mass_lower_radius,
     monofact_estimate,
 )
-from .lms import LmAlgorithm, MonofactMemorizer, hallucination_rate, train
+from .lms import LmAlgorithm, MonofactMemorizer, train
 from .rng import SeededRng
 from .worlds import MultiTypeWorld, WorldInstance, WorldModel, sample_world, world_sparsity
 
@@ -183,8 +182,9 @@ def _draw_trial(model: WorldModel, n: int, rng: SeededRng) -> tuple[WorldInstanc
 
 
 def _profile_hallucination_rate(profile: KeyedProfile) -> float:
-    """hallucination_rate(g, WorldInstance(p)) read off the keyed profile
-    of (p, g), with the same arithmetic.
+    """The hallucination rate of g in the world whose fact distribution is
+    p: 1 minus the mass g puts on the facts, clamped at 0, read off the
+    keyed profile of (p, g).
 
     The facts are the keys p holds with positive weight, plus the empty
     fact. The mass g puts on them is the fsum of the weights g holds
@@ -441,6 +441,10 @@ class UpperBoundReport:
 def run_upper_bound_check(
     world: WorldModel, n: int, delta: float, trials: int, master_seed: int
 ) -> UpperBoundReport:
+    """Count the trials in which the memorizer's hallucination rate stays
+    at or below the monofact estimate and its exact-value miscalibration
+    within the two-sided radius; both events are read off one keyed
+    profile of (p, g) per trial, as run_trial reads its metrics."""
     if trials < 1:
         raise InsufficientDataError("need at least one trial")
     radius = good_turing_radius(delta, n)
@@ -452,9 +456,11 @@ def run_upper_bound_check(
         inst, sample = _draw_trial(world, n, rng)
         g = train(memorizer, sample)
         mf = monofact_estimate(sample)
-        if hallucination_rate(g, inst) <= mf + 1e-12:
+        profile = keyed_profile(inst.p, g)
+        if _profile_hallucination_rate(profile) <= mf + 1e-12:
             certainty += 1
-        if miscalibration(inst.p, g, ExactValueBinning()) <= radius:
+        by_g = sort_profile_by_g(*profile.classes())
+        if profile_calibration(*by_g, ExactValueBinning())[0] <= radius:
             calibration += 1
     return UpperBoundReport(
         trials=trials,

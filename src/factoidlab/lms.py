@@ -18,10 +18,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dist import BOTTOM, FactoidDist, dist_from_arrays, mass_of_set, uniform_dist
+from .dist import BOTTOM, FactoidDist, dist_from_arrays, uniform_dist
 from .errors import ConfigError, DistributionError, UniverseMismatchError
 from .estimators import TrainingSample, monofact_estimate
-from .worlds import WorldInstance
 
 __all__ = [
     "Empirical",
@@ -32,7 +31,6 @@ __all__ = [
     "YayMixture",
     "LmAlgorithm",
     "train",
-    "hallucination_rate",
 ]
 
 
@@ -133,15 +131,3 @@ def train(
         return dist_from_arrays(universe, keys, values, (1.0 - lam) * base_g.background)
     raise ConfigError(f"unknown algorithm {alg!r}")
 
-
-def hallucination_rate(g: FactoidDist, world: WorldInstance) -> float:
-    """Mass the generator puts outside the world's facts.
-
-    Computed as 1 minus the mass on the (small) fact set, so it works on
-    universes whose hallucination set cannot be enumerated.
-    """
-    if g.universe != world.universe:
-        raise UniverseMismatchError(
-            f"universe mismatch: {g.universe.size} vs {world.universe.size}"
-        )
-    return max(0.0, 1.0 - mass_of_set(g, world.fact_keys))

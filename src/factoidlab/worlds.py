@@ -57,9 +57,6 @@ __all__ = [
     "WorldModel",
     "RegularityReport",
     "sample_world",
-    "sample_distinct_excluding",
-    "posterior_support_uniform",
-    "posterior_sampler_uniform_world",
     "posterior_fact_marginal",
     "analyze_regularity",
     "enumerate_w5_instances",
@@ -129,7 +126,7 @@ class PermutedPowerLawWorld:
             raise DistributionError(
                 f"fact count {self.fact_count} exceeds the limit of {FACT_COUNT_LIMIT} facts per world"
             )
-        if self.exponent < 0.0:
+        if not self.exponent >= 0.0:  # NaN fails this too
             raise DistributionError(f"exponent must be >= 0, got {self.exponent}")
 
     @property
@@ -333,14 +330,6 @@ def _rejection_row(
     return np.array(out, dtype=np.int64)
 
 
-def sample_distinct_excluding(
-    rng: SeededRng, low: int, high: int, count: int, exclude: frozenset[int] = frozenset()
-) -> list[int]:
-    """Uniform ordered sample of `count` distinct ints from [low, high)
-    minus `exclude`; the one-row case of the batched draw."""
-    return next(_distinct_rows([rng], low, high, count, exclude)).tolist()
-
-
 def _power_law_dist(universe: FactoidUniverse, ranked_atoms: np.ndarray, exponent: float) -> FactoidDist:
     """The i-th of ranked_atoms gets mass proportional to i^(-exponent)."""
     ranks = np.arange(1, ranked_atoms.size + 1, dtype=np.float64)
@@ -473,25 +462,6 @@ def _posterior_completions(
             f"{len(obs_facts)} observed facts exceed fact budget {model.fact_count}"
         )
     return obs_facts, _distinct_rows(rngs, 1, model.universe_size, extra_needed, obs)
-
-
-def posterior_support_uniform(
-    model: PermutedPowerLawWorld, observed: Iterable[int], rng: SeededRng
-) -> list[int]:
-    """Support draw from the posterior given the observed set: the sorted
-    observed facts, then the drawn completion (the one-row case of
-    _posterior_completions)."""
-    obs_facts, rows = _posterior_completions(model, observed, [rng])
-    return obs_facts + next(rows).tolist()
-
-
-def posterior_sampler_uniform_world(
-    model: PermutedPowerLawWorld, observed: Iterable[int], rng: SeededRng
-) -> WorldInstance:
-    support = posterior_support_uniform(model, observed, rng)
-    return WorldInstance(
-        dist_from_arrays(model.universe, np.sort(support), np.full(len(support), 1.0 / len(support)))
-    )
 
 
 def posterior_fact_marginal(model: PermutedPowerLawWorld, observed: Iterable[int]) -> float:

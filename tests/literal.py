@@ -1,0 +1,128 @@
+"""One-call metric and draw entry points, kept as test-side references.
+
+The library measures a trial through one keyed (p, g) profile and draws
+posterior completions in batches. The tests also want the plain forms:
+one function per metric taking two distributions, one draw per stream.
+They live here, built from the same library primitives, so a test can
+compare a fast path with them or state a property in their terms.
+"""
+
+import math
+from typing import Iterable
+
+import numpy as np
+
+from factoidlab.calibration import (
+    BinningSpec,
+    FixedWidthBinning,
+    profile_calibration,
+    reliability_rows,
+    sort_profile_by_g,
+)
+from factoidlab.dist import FactoidDist, dist_from_arrays, keyed_profile, profile_kl
+from factoidlab.errors import UniverseMismatchError
+from factoidlab.rng import SeededRng
+from factoidlab.worlds import (
+    PermutedPowerLawWorld,
+    WorldInstance,
+    _distinct_rows,
+    _posterior_completions,
+)
+
+# -- distributions ---------------------------------------------------------
+
+
+def paired_profile(d1: FactoidDist, d2: FactoidDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The atom classes (w1, w2, count) of two distributions."""
+    return keyed_profile(d1, d2).classes()
+
+
+def mass_of_set(d: FactoidDist, s: Iterable[int]) -> float:
+    """Total probability of the atoms in s. Empty set has mass 0.
+
+    s may be any iterable of indices or an int array; repeats count once.
+    """
+    raw = s if isinstance(s, np.ndarray) else list(s)
+    atoms = np.unique(d.universe.atom_array(raw))
+    weights, held = d._explicit_at(atoms)
+    n_plain = atoms.size - int(np.count_nonzero(held))
+    return math.fsum(weights[held].tolist()) + d.background * n_plain
+
+
+def tv_distance(d1: FactoidDist, d2: FactoidDist) -> float:
+    """Total variation distance, computed as half the L1 difference."""
+    w1, w2, counts = paired_profile(d1, d2)
+    return 0.5 * float(np.sum(counts * np.abs(w1 - w2)))
+
+
+def kl_divergence(d_true: FactoidDist, d_model: FactoidDist) -> float:
+    """KL(d_true || d_model) in nats; +inf when the model misses support."""
+    return profile_kl(*paired_profile(d_true, d_model))
+
+
+# -- calibration -----------------------------------------------------------
+
+
+def _calibration(p: FactoidDist, g: FactoidDist, spec: BinningSpec):
+    return profile_calibration(*sort_profile_by_g(*paired_profile(p, g)), spec)
+
+
+def miscalibration(p: FactoidDist, g: FactoidDist, spec: BinningSpec) -> float:
+    """TV distance between g and the coarsening of p over bins of g."""
+    return _calibration(p, g, spec)[0]
+
+
+def generative_calibration_error(p: FactoidDist, g: FactoidDist, epsilon: float) -> float:
+    """Half the summed absolute gap between p-mass and g-mass over the
+    fixed-width log-probability bins of g."""
+    return _calibration(p, g, FixedWidthBinning(epsilon))[1]
+
+
+def reliability_curve(
+    p: FactoidDist, g: FactoidDist, spec: BinningSpec
+) -> list[tuple[float, float, float, int]]:
+    """Rows (mean bin g-value, bin g-mass, bin p-mass, bin size), one per
+    non-empty bin, ascending by bin value."""
+    return reliability_rows(*_calibration(p, g, spec)[2])
+
+
+# -- hallucination ---------------------------------------------------------
+
+
+def hallucination_rate(g: FactoidDist, world: WorldInstance) -> float:
+    """Mass the generator puts outside the world's facts, as 1 minus the
+    mass on the fact set."""
+    if g.universe != world.universe:
+        raise UniverseMismatchError(
+            f"universe mismatch: {g.universe.size} vs {world.universe.size}"
+        )
+    return max(0.0, 1.0 - mass_of_set(g, world.fact_keys))
+
+
+# -- draws -----------------------------------------------------------------
+
+
+def sample_distinct_excluding(
+    rng: SeededRng, low: int, high: int, count: int, exclude: frozenset[int] = frozenset()
+) -> list[int]:
+    """Uniform ordered sample of `count` distinct ints from [low, high)
+    minus `exclude`: one row of the batched draw."""
+    return next(_distinct_rows([rng], low, high, count, exclude)).tolist()
+
+
+def posterior_support_uniform(
+    model: PermutedPowerLawWorld, observed: Iterable[int], rng: SeededRng
+) -> list[int]:
+    """Support draw from the posterior given the observed set: the sorted
+    observed facts, then one drawn completion."""
+    obs_facts, rows = _posterior_completions(model, observed, [rng])
+    return obs_facts + next(rows).tolist()
+
+
+def posterior_sampler_uniform_world(
+    model: PermutedPowerLawWorld, observed: Iterable[int], rng: SeededRng
+) -> WorldInstance:
+    """A posterior world: uniform weight on posterior_support_uniform."""
+    support = posterior_support_uniform(model, observed, rng)
+    weights = np.full(len(support), 1.0 / len(support))
+    return WorldInstance(dist_from_arrays(model.universe, np.sort(support), weights))

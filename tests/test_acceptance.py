@@ -23,9 +23,7 @@ from factoidlab.calibration import (
     FixedWidthBinning,
     Partition,
     coarsen,
-    generative_calibration_error,
     iter_all_partitions,
-    miscalibration,
     partition_for_spec,
     random_partition,
 )
@@ -35,7 +33,6 @@ from factoidlab.dist import (
     dist_from_weights,
     random_dist,
     sample_iid,
-    tv_distance,
     tv_distance_forms,
     uniform_dist,
 )
@@ -68,6 +65,7 @@ from factoidlab.worlds import (
     enumerate_w5_instances,
     sample_world,
 )
+from literal import generative_calibration_error, miscalibration, tv_distance
 
 getcontext().prec = 50
 

@@ -307,9 +307,9 @@ class TestTheoremMainInternalsAgainstPublicRoute:
         # with one posterior sample the estimate is a single clamped term;
         # rebuild that term from public operations and the same stream
         from factoidlab.calibration import coarsen
-        from factoidlab.dist import dist_from_weights, tv_distance
-        from factoidlab.lms import hallucination_rate
-        from factoidlab.worlds import WorldInstance, posterior_support_uniform
+        from factoidlab.dist import dist_from_weights
+        from factoidlab.worlds import WorldInstance
+        from literal import hallucination_rate, posterior_support_uniform, tv_distance
 
         u = FactoidUniverse(31)
         fact_count = 12

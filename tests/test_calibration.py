@@ -11,23 +11,25 @@ from factoidlab.calibration import (
     FixedWidthBinning,
     Partition,
     coarsen,
-    generative_calibration_error,
     iter_all_partitions,
-    miscalibration,
     partition_for_spec,
     random_partition,
-    reliability_curve,
 )
 from factoidlab.dist import (
     FactoidUniverse,
     dist_from_weights,
-    mass_of_set,
     random_dist,
-    tv_distance,
     uniform_dist,
 )
 from factoidlab.errors import PartitionError, UniverseMismatchError
 from factoidlab.rng import SeededRng
+from literal import (
+    generative_calibration_error,
+    mass_of_set,
+    miscalibration,
+    reliability_curve,
+    tv_distance,
+)
 
 
 def blocks_as_sets(partition: Partition) -> set[frozenset[int]]:
@@ -475,8 +477,6 @@ class TestBinningAgainstLiteralReferences:
                 assert idx == scan_index(v, eps), (v, eps)
 
     def test_gce_profile_matches_explicit_partition(self):
-        from factoidlab.dist import mass_of_set
-
         rng = SeededRng(43)
         for i in range(30):
             gen = rng.child(i).generator

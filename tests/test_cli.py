@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import factoidlab
 
-from factoidlab.calibration import AdaptiveBinning, reliability_curve
+from factoidlab.calibration import AdaptiveBinning
 from factoidlab.cli import (
     _ALGORITHMS,
     _BOUND_KEYS,
@@ -51,6 +51,7 @@ from factoidlab.lms import (
 )
 from factoidlab.rng import SeededRng
 from factoidlab.worlds import FACT_COUNT_LIMIT, PermutedPowerLawWorld, W5World, sample_world
+from literal import reliability_curve
 
 SMALL_CFG = """\
 # smallest meaningful experiment
@@ -415,17 +416,39 @@ class TestFailsClosed:
         assert err.startswith("config error:") and "too large to enumerate partitions" in err
         assert drawn == []
 
-    @pytest.mark.parametrize("content", ["{not json", "{}", "[1, 2]"])
-    @pytest.mark.parametrize("name", ["aggregate.json", "manifest.json"])
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            *(
+                (name, content)
+                for name in ("aggregate.json", "manifest.json")
+                for content in ("{not json", "{}", "[1, 2]")
+            ),
+            pytest.param(
+                "reliability.csv", b"bin_value,g_mass\n\xff\xfe\x80\n", id="reliability.csv-non_utf8"
+            ),
+        ],
+    )
     def test_report_on_damaged_run_exits_two(self, tmp_path, name, content):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(SMALL_CFG.replace("trials = 120", "trials = 3"))
         run_cli("run", str(cfg_path), "--out", str(tmp_path / "r"))
-        (tmp_path / "r" / name).write_text(content)
+        raw = content if isinstance(content, bytes) else content.encode()
+        (tmp_path / "r" / name).write_bytes(raw)
         code, out, err = run_cli("report", str(tmp_path / "r"))
         assert code == 2
         assert err.startswith("config error:")
         assert out == ""
+
+    def test_run_out_on_existing_file_exits_two(self, tmp_path):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL_CFG.replace("trials = 120", "trials = 3"))
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code, out, err = run_cli("run", str(cfg_path), "--out", str(taken))
+        assert code == 2
+        assert err.startswith("config error:") and "failed writing results" in err
+        assert taken.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("module", ["factoidlab", "factoidlab.cli"])
     def test_python_m_without_arguments_prints_usage(self, module):
@@ -520,6 +543,18 @@ class TestRunDoesEachTrialOnce:
         assert (tmp_path / "r" / "reliability.csv").read_bytes() == (
             tmp_path / "expected.csv"
         ).read_bytes()
+
+    def test_upper_bound_builds_one_profile_per_trial(self, tmp_path, monkeypatch):
+        trials = 4
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL_CFG.replace("trials = 120", f"trials = {trials}"))
+        worlds = _count_calls(monkeypatch, "sample_world")
+        profiles = _count_calls(monkeypatch, "keyed_profile")
+        code, out, _ = run_cli("upper-bound", str(cfg_path))
+        assert code in (0, 1)
+        assert f"certainty event: {trials}/{trials}" in out
+        assert worlds.calls == trials
+        assert profiles.calls == trials
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +708,14 @@ JSON_TEXTS = st.one_of(
         max_leaves=12,
     ).map(json.dumps),
 )
+#: a readable run record; report's command lines damage one file of it
+RUN_RECORD = {
+    "manifest.json": json.dumps(
+        {"config_hash": "0" * 12, "master_seed": 0, "tool": "factoidlab", "version": "0"}
+    ),
+    "aggregate.json": json.dumps({"trials": 1, "delta": 0.1, "passed": True, "bounds": {}}),
+    "reliability.csv": "bin_value,g_mass,p_mass,bin_size\n",
+}
 ARG_TEXTS = st.integers(-3, 6).map(str) | st.sampled_from(["13", "1000000", "x", "", "-"])
 EXTRA_ARGS = st.sampled_from([["--bogus"], ["extra"], ["--seed", "3"], ["-"], ["--help"]])
 
@@ -681,14 +724,19 @@ EXTRA_ARGS = st.sampled_from([["--bogus"], ["extra"], ["--seed", "3"], ["-"], ["
 def command_lines(draw):
     """(subcommand, argv tail, files) with every file the command reads as
     drawn text; "{dir}" stands for a fresh scratch directory. A subcommand
-    other than report and brute-force takes a config file."""
+    other than report and brute-force takes a config file. report reads a
+    run record with one file left out or replaced by drawn text or raw
+    bytes, so it gets as far as each file."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     files = {}
     if command == "report":
         tail = ["{dir}/rundir"]
-        for name in ("manifest.json", "aggregate.json", "reliability.csv"):
-            if draw(st.booleans()):
-                files[f"rundir/{name}"] = draw(JSON_TEXTS)
+        damaged = draw(st.sampled_from(sorted(RUN_RECORD)))
+        for name, text in RUN_RECORD.items():
+            if name != damaged:
+                files[f"rundir/{name}"] = text
+            elif draw(st.integers(0, 3)):
+                files[f"rundir/{name}"] = draw(JSON_TEXTS | st.binary(min_size=1, max_size=8))
     elif command == "brute-force":
         tail = []
         for flag in ("--max-universe", "--seed"):
@@ -721,7 +769,7 @@ class TestCommandLineProperties:
             for name, text in files.items():
                 path = Path(scratch, name)
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(text, encoding="utf-8")
+                path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
             code, out, err = run_cli(command, *(arg.replace("{dir}", scratch) for arg in tail))
         assert code in (0, 1, 2)
         assert "Traceback" not in out + err

@@ -12,17 +12,14 @@ from factoidlab.dist import (
     FactoidUniverse,
     background_dist,
     dist_from_weights,
-    kl_divergence,
-    mass_of_set,
-    paired_profile,
     random_dist,
     sample_iid,
-    tv_distance,
     tv_distance_forms,
     uniform_dist,
 )
 from factoidlab.errors import ConfigError, DistributionError, UniverseMismatchError
 from factoidlab.rng import SeededRng
+from literal import kl_divergence, mass_of_set, paired_profile, tv_distance
 
 
 def weights_strategy(size: int):

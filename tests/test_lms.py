@@ -2,7 +2,7 @@
 
 import pytest
 
-from factoidlab.calibration import ExactValueBinning, miscalibration
+from factoidlab.calibration import ExactValueBinning
 from factoidlab.dist import BOTTOM, FactoidUniverse, random_dist, sample_iid
 from factoidlab.errors import ConfigError, UniverseMismatchError
 from factoidlab.estimators import TrainingSample, monofact_estimate
@@ -13,11 +13,11 @@ from factoidlab.lms import (
     Oracle,
     Uniform,
     YayMixture,
-    hallucination_rate,
     train,
 )
 from factoidlab.rng import SeededRng
 from factoidlab.worlds import PermutedPowerLawWorld, sample_world
+from literal import hallucination_rate, miscalibration
 
 ALL_ALGORITHMS = [
     Empirical(),

@@ -24,12 +24,15 @@ World draws through a model's rank template are checked against the
 literal power-law draw (rank weights, two fsum totals and two validated
 constructions per draw), and multi-type per-type metrics read off one
 keyed profile against the literal projection, which builds both induced
-local distributions of every type.
+local distributions of every type. The memorizer upper-bound suite, which
+reads both of its events off one keyed profile per trial, is recounted
+through the literal hallucination rate and miscalibration.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,8 +49,6 @@ from factoidlab.dist import (
     dist_from_arrays,
     dist_from_weights,
     keyed_profile,
-    mass_of_set,
-    paired_profile,
     sample_iid,
     uniform_dist,
 )
@@ -68,13 +69,17 @@ from factoidlab.calibration import (
     FixedWidthBinning,
     Partition,
     iter_all_partitions,
-    miscalibration,
     partition_for_spec,
     random_partition,
 )
 from factoidlab.errors import DistributionError
 from factoidlab.estimators import TrainingSample, missing_mass, monofact_estimate
-from factoidlab.harness import _profile_hallucination_rate, multi_type_trial_metrics
+from factoidlab import harness
+from factoidlab.harness import (
+    _profile_hallucination_rate,
+    multi_type_trial_metrics,
+    run_upper_bound_check,
+)
 from factoidlab.rng import _CHILD_BATCH, SeededRng
 from factoidlab.lms import (
     Empirical,
@@ -83,7 +88,6 @@ from factoidlab.lms import (
     Oracle,
     Uniform,
     YayMixture,
-    hallucination_rate,
     train,
 )
 from factoidlab.worlds import (
@@ -92,9 +96,15 @@ from factoidlab.worlds import (
     PermutedPowerLawWorld,
     W5World,
     WorldInstance,
+    sample_world,
+)
+from literal import (
+    hallucination_rate,
+    mass_of_set,
+    miscalibration,
+    paired_profile,
     posterior_support_uniform,
     sample_distinct_excluding,
-    sample_world,
 )
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -1051,3 +1061,40 @@ class TestMultiTypeProfiles:
         model, world, sample, g, params = case = full_range_case(alg)
         assert ref_induced_local_dist(model, 0, world.p).keys.size == model.components[0].universe_size
         assert multi_type_trial_metrics(*case) == ref_multi_type_trial_metrics(*case)
+
+
+# ---------------------------------------------------------------------------
+# Memorizer upper-bound suite
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def upper_bound_cases(draw):
+    """A small power-law world, n below its size, a few trials, a seed and
+    a calibration radius that decides the event either way."""
+    n = draw(st.integers(1, 60), label="n")
+    size = draw(st.integers(n + 2, 300), label="universe_size")
+    facts = draw(st.integers(1, size - 1), label="fact_count")
+    model = PermutedPowerLawWorld(size, facts, draw(st.sampled_from([0.0, 1.0, 2.0])))
+    trials = draw(st.integers(1, 5), label="trials")
+    radius = draw(st.sampled_from([0.0, 0.01, 0.05]) | st.floats(0.0, 0.5), label="radius")
+    return model, n, trials, draw(st.integers(0, 2**32), label="seed"), radius
+
+
+class TestUpperBoundCheck:
+    @given(upper_bound_cases())
+    @PROPERTY
+    def test_hits_match_literal_recount(self, case):
+        """Both event counts equal a recount over the same child streams
+        through the literal hallucination rate and miscalibration."""
+        model, n, trials, seed, radius = case
+        with mock.patch.object(harness, "good_turing_radius", lambda delta, n: radius):
+            report = run_upper_bound_check(model, n, 0.1, trials, seed)
+        certainty = calibration = 0
+        for rng in SeededRng(seed).children(range(1, trials + 1)):
+            world = sample_world(model, rng)
+            sample = TrainingSample(world.universe, sample_iid(world.p, n, rng))
+            g = train(MonofactMemorizer(), sample)
+            certainty += hallucination_rate(g, world) <= monofact_estimate(sample) + 1e-12
+            calibration += miscalibration(world.p, g, ExactValueBinning()) <= radius
+        assert (report.certainty_hits, report.calibration_hits) == (certainty, calibration)

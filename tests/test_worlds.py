@@ -22,11 +22,10 @@ from factoidlab.worlds import (
     analyze_regularity,
     enumerate_w5_instances,
     posterior_fact_marginal,
-    posterior_sampler_uniform_world,
-    sample_distinct_excluding,
     sample_world,
     world_sparsity,
 )
+from literal import posterior_sampler_uniform_world, sample_distinct_excluding
 
 
 class TestPermutedPowerLaw:
@@ -75,6 +74,11 @@ class TestPermutedPowerLaw:
             PermutedPowerLawWorld(10, 10, 0.0)
         # a large accepted configuration constructs without sampling cost
         PermutedPowerLawWorld(10**7, 10**6, 1.0)
+
+    @pytest.mark.parametrize("exponent", [-0.5, float("nan")])
+    def test_bad_exponent_refused_at_construction(self, exponent):
+        with pytest.raises(DistributionError, match="exponent must be >= 0"):
+            PermutedPowerLawWorld(100, 10, exponent)
 
 
 class TestW5World:
