@@ -19,13 +19,18 @@ normalize; zero-sum input is rejected.
 Because a distribution is immutable, it caches two derived tables for
 callers that reuse it:
 
-* the inverse-CDF table sample_iid draws through: the cumulative weights
-  of the positive atoms (the background as one last bucket) and a guide
-  table of m = 2^k <= |cum| buckets, guide[j] = searchsorted(cum, j/m,
+* the inverse-CDF table sample_iid and sample_counts draw through: the
+  cumulative weights of the positive atoms (the background as one last
+  bucket), the atom of each slot in increasing order, and a guide table
+  of m = 2^k <= |cum| buckets, guide[j] = searchsorted(cum, j/m,
   "right"). A draw u starts at guide[floor(u*m)] and steps forward while
   cum[slot] <= u; the few draws still open after a fixed number of steps
   fall back to searchsorted, so every slot equals plain inversion. It is
-  built on the first sample_iid call.
+  built on the first draw. sample_iid returns the drawn atoms in draw
+  order; sample_counts counts the drawn slots instead and returns each
+  drawn atom once with its count, so a caller that needs only the counts
+  (every training sample in the harness) never builds or sorts the n
+  draws.
 * an exact expansion of sum(values): a few non-overlapping floats whose
   exact sum is the exact sum of the weights, so the mass of all explicit
   atoms but a few is fsum(expansion - those few), correctly rounded in
@@ -56,6 +61,7 @@ __all__ = [
     "tv_distance_forms",
     "profile_kl",
     "sample_iid",
+    "sample_counts",
     "KeyedProfile",
     "keyed_profile",
     "with_bottom",
@@ -78,6 +84,17 @@ _NO_KEYS.flags.writeable = False
 #: atoms crowd a dozen into one bucket; each step is a pass over all n
 #: draws, so more steps cost more than the fallback they save.
 _GUIDE_STEPS = 2
+
+#: sample_counts counts the slots of a table of at most
+#: _COUNT_BASE_SLOTS + _COUNT_SLOTS_PER_DRAW * n slots with one bincount
+#: over the table, and the slots of a larger table by sorting the n slots.
+#: Bincount costs O(n + table), with cache misses once the table outgrows
+#: the cache; sorting costs O(n log n). Timed on one core (numpy 2.4, Zipf
+#: and uniform slots), the two break even at about 10^4 slots for n = 250,
+#: 1.4 * 10^4 for n = 1000, 3 * 10^4 for n = 4000 and 6 * 10^5 for
+#: n = 1.6 * 10^5, which the affine rule follows.
+_COUNT_BASE_SLOTS = 8192
+_COUNT_SLOTS_PER_DRAW = 4
 
 
 @dataclass(frozen=True)
@@ -121,20 +138,15 @@ class FactoidUniverse:
         return arr
 
 
-def _sorted_unique(atoms: np.ndarray) -> np.ndarray:
-    # np.unique without counts takes a hash-based route that is an order
-    # of magnitude slower than sorting on a few thousand spread-out atoms
-    out = np.sort(atoms)
-    if out.size > 1:
-        out = out[np.concatenate(([True], out[1:] != out[:-1]))]
-    return out
+_BOTTOM_KEY = np.array([BOTTOM], dtype=np.int64)
+_BOTTOM_KEY.flags.writeable = False
 
 
 def with_bottom(keys: np.ndarray) -> np.ndarray:
     """A strictly increasing atom array with the empty fact added."""
     if keys.size and keys[0] == BOTTOM:
         return keys
-    return np.insert(keys, 0, BOTTOM)
+    return np.concatenate((_BOTTOM_KEY, keys))
 
 
 def _lookup(keys: np.ndarray, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,7 +392,12 @@ def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> KeyedProfile:
         raise UniverseMismatchError(
             f"universe mismatch: size {d1.universe.size} vs {d2.universe.size}"
         )
-    keys = _sorted_unique(np.concatenate((d1.keys, d2.keys)))
+    # both key arrays are sorted runs, which the stable sort (timsort on
+    # int64) merges in linear time; np.unique without counts would take a
+    # hash-based route an order of magnitude slower on spread-out atoms
+    keys = np.sort(np.concatenate((d1.keys, d2.keys)), kind="stable")
+    if keys.size > 1:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     w1, in1 = d1._explicit_at(keys)
     w2, in2 = d2._explicit_at(keys)
     return KeyedProfile(
@@ -466,13 +483,15 @@ def _guided_slots(cum: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarr
 
 
 def sample_iid(d: FactoidDist, n: int, rng: SeededRng) -> np.ndarray:
-    """n independent draws from d, as an int64 array.
+    """n independent draws from d, in draw order, as an int64 array.
 
     Deterministic given the rng seed. Each draw inverts one uniform u
     through d's cached guide table (see the module docstring), which picks
     the same slot as searchsorted(cum, u, "right"). Background mass is drawn
     by inverting into a virtual bucket and then rejection-sampling a
-    uniform non-special atom, which is exact.
+    uniform non-special atom, which is exact. Callers that need only how
+    often each atom was drawn use sample_counts, which reads the same
+    stream and never builds the n-long array.
     """
     if n < 1:
         raise DistributionError(f"sample size must be >= 1, got {n}")
@@ -481,12 +500,54 @@ def sample_iid(d: FactoidDist, n: int, rng: SeededRng) -> np.ndarray:
     out = atoms[_guided_slots(cum, guide, gen.random(n))]
     background_positions = np.flatnonzero(out == -1)
     if background_positions.size:
-        # Background draws pick a uniform atom outside the special set;
-        # zero-weight special atoms must stay unreachable too.
-        special_set = set(d.keys.tolist())
-        for i in background_positions.tolist():
-            cand = int(gen.integers(0, d.universe.size))
-            while cand in special_set:
-                cand = int(gen.integers(0, d.universe.size))
-            out[i] = cand
+        out[background_positions] = _background_atoms(d, background_positions.size, gen)
     return out
+
+
+def _background_atoms(d: FactoidDist, count: int, gen: np.random.Generator) -> np.ndarray:
+    """count uniform atoms outside d's explicit keys, one rejection loop per
+    atom in turn; zero-weight explicit atoms stay unreachable too."""
+    special_set = set(d.keys.tolist())
+    out = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        cand = int(gen.integers(0, d.universe.size))
+        while cand in special_set:
+            cand = int(gen.integers(0, d.universe.size))
+        out[i] = cand
+    return out
+
+
+def sample_counts(d: FactoidDist, n: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct atoms of sample_iid(d, n, rng), in increasing order, and
+    how often each was drawn; rng's generator ends in the same state.
+
+    The n uniforms are inverted to slots of d's inverse-CDF table as in
+    sample_iid, and the slots are counted, not the atoms: the table's atom
+    column is sorted, so the atoms of the counted slots come out in order
+    and no n-long atom array is built. A table of at most 8192 + 4n slots
+    is counted with one bincount over the table, a larger one by sorting
+    the n slots (see _COUNT_BASE_SLOTS for the measured crossover).
+    Background draws, whose atoms are outside the table, take their
+    rejection loops in draw order as in sample_iid and are merged in.
+    """
+    if n < 1:
+        raise DistributionError(f"sample size must be >= 1, got {n}")
+    gen = rng.generator
+    cum, atoms, guide = d._inverse_cdf
+    slots = _guided_slots(cum, guide, gen.random(n))
+    if cum.size <= _COUNT_BASE_SLOTS + _COUNT_SLOTS_PER_DRAW * n:
+        counts = np.bincount(slots, minlength=cum.size)
+        # nonzero of a bool array is several times faster than of an int one
+        seen = np.flatnonzero(counts != 0)
+        counts = counts[seen]
+    else:
+        seen, counts = np.unique(slots, return_counts=True)
+    keys = atoms[seen]
+    if keys[-1] != -1:
+        return keys, counts
+    # the background bucket is the table's last slot
+    bg_keys, bg_counts = np.unique(_background_atoms(d, int(counts[-1]), gen), return_counts=True)
+    keys = np.concatenate((keys[:-1], bg_keys))
+    counts = np.concatenate((counts[:-1], bg_counts))
+    order = np.argsort(keys, kind="stable")
+    return keys[order], counts[order]

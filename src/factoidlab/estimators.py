@@ -28,39 +28,90 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TrainingSample:
-    """An i.i.d. draw sequence plus its observed/unobserved split.
+    """How often each atom was drawn in n i.i.d. draws, plus the
+    observed/unobserved split.
 
-    draws is an int64 array (any integer sequence is accepted and
-    range-checked); atoms holds the distinct draws in increasing order
-    and counts their multiplicities. The empty fact (index 0) counts as
-    observed whether or not it was drawn. The unobserved set is exposed
-    lazily; on huge universes use unobserved_count and set-free mass
-    computations instead.
+    atoms holds the distinct draws in increasing order (int64) and counts
+    their multiplicities (int64, each at least 1). There are two
+    constructors, which validate alike (integer atoms inside the
+    universe):
+
+    * TrainingSample(universe, draws) takes the draw sequence (any
+      integer sequence) and counts it;
+    * TrainingSample.from_counts(universe, atoms, counts) takes the
+      counts themselves, as dist.sample_counts returns them; the trial
+      path builds every sample this way and never holds the n draws.
+
+    Every reader in this package depends on the counts alone. draws is
+    the sequence given, or for a sample built from counts the atoms
+    repeated in increasing order, built on first access. All arrays are
+    copied and read-only, so the cached views below cannot go stale. The
+    empty fact (index 0) counts as observed whether or not it was drawn.
+    The unobserved set is exposed lazily; on huge universes use
+    unobserved_count and set-free mass computations instead.
     """
 
     universe: FactoidUniverse
-    draws: np.ndarray
-    atoms: np.ndarray = field(init=False, repr=False)
-    counts: np.ndarray = field(init=False, repr=False)
+    n: int
+    atoms: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        draws = self.universe.atom_array(self.draws).copy()
+    def __init__(self, universe: FactoidUniverse, draws):
+        draws = universe.atom_array(draws).copy()
         draws.flags.writeable = False
-        atoms, counts = np.unique(draws, return_counts=True)
+        self._set_counts(universe, *np.unique(draws, return_counts=True))
         object.__setattr__(self, "draws", draws)
+
+    @classmethod
+    def from_counts(cls, universe: FactoidUniverse, atoms, counts) -> TrainingSample:
+        """The sample whose distinct atoms, in strictly increasing order,
+        were drawn counts[i] >= 1 times each."""
+        raw_atoms, raw_counts = np.asarray(atoms), np.asarray(counts)
+        for name, raw in (("factoid indices", raw_atoms), ("counts", raw_counts)):
+            if raw.size and raw.dtype.kind not in "iu":
+                raise DistributionError(f"{name} must be integers, got dtype {raw.dtype}")
+        # astype copies, so the caller's arrays stay the caller's
+        atoms = raw_atoms.astype(np.int64).ravel()
+        counts = raw_counts.astype(np.int64).ravel()
+        if atoms.shape != counts.shape:
+            raise DistributionError(
+                f"{atoms.size} atoms but {counts.size} counts; arrays must be parallel"
+            )
+        if atoms.size:
+            # uint64 atoms beyond the int64 range wrap negative and fail here
+            if not (atoms[1:] > atoms[:-1]).all():
+                raise DistributionError("atoms must be strictly increasing (sorted, no duplicates)")
+            if atoms[0] < 0 or atoms[-1] >= universe.size:
+                bad = atoms[0] if atoms[0] < 0 else atoms[-1]
+                raise DistributionError(f"factoid index {bad} outside universe of size {universe.size}")
+            if counts.min() < 1:
+                raise DistributionError(f"counts must be >= 1, got {counts.min()}")
+        sample = cls.__new__(cls)
+        sample._set_counts(universe, atoms, counts)
+        return sample
+
+    def _set_counts(self, universe: FactoidUniverse, atoms: np.ndarray, counts: np.ndarray):
+        atoms.flags.writeable = False
+        counts.flags.writeable = False
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "n", int(counts.sum()))
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def n(self) -> int:
-        return self.draws.size
+    @cached_property
+    def draws(self) -> np.ndarray:
+        draws = np.repeat(self.atoms, self.counts)
+        draws.flags.writeable = False
+        return draws
 
     @cached_property
     def observed_keys(self) -> np.ndarray:
         """Observed atoms, the empty fact included, in increasing order."""
-        return with_bottom(self.atoms)
+        keys = with_bottom(self.atoms)
+        keys.flags.writeable = False
+        return keys
 
     @cached_property
     def observed(self) -> frozenset[int]:

@@ -35,7 +35,7 @@ from .calibration import (
     reliability_rows,
     sort_profile_by_g,
 )
-from .dist import BOTTOM, FactoidDist, KeyedProfile, keyed_profile, profile_kl, sample_iid
+from .dist import BOTTOM, FactoidDist, KeyedProfile, keyed_profile, profile_kl, sample_counts
 from .errors import (
     ConfigError,
     DistributionError,
@@ -176,9 +176,10 @@ class TrialRecord:
 
 def _draw_trial(model: WorldModel, n: int, rng: SeededRng) -> tuple[WorldInstance, TrainingSample]:
     """Draw a world and n i.i.d. training draws from it, in that order
-    from one stream; every suite that trains on a drawn world starts here."""
+    from one stream, the draws as their counts; every suite that trains on
+    a drawn world starts here."""
     world = sample_world(model, rng)
-    return world, TrainingSample(world.universe, sample_iid(world.p, n, rng))
+    return world, TrainingSample.from_counts(world.universe, *sample_counts(world.p, n, rng))
 
 
 def _profile_hallucination_rate(profile: KeyedProfile) -> float:
@@ -390,7 +391,7 @@ def run_gt_concentration(
     # trial streams start at child 1; child 0 is reserved for callers'
     # setup draws (e.g. the CLI drawing the fixed p from a world model)
     for t, rng in enumerate(base.children(range(1, trials + 1))):
-        sample = TrainingSample(p.universe, sample_iid(p, n, rng))
+        sample = TrainingSample.from_counts(p.universe, *sample_counts(p, n, rng))
         mf = monofact_estimate(sample)
         miss = missing_mass(p, sample)
         gaps[t] = mf - miss

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dist import BOTTOM, FactoidDist, dist_from_arrays, uniform_dist
+from .dist import BOTTOM, FactoidDist, dist_from_arrays, uniform_dist, with_bottom
 from .errors import ConfigError, DistributionError, UniverseMismatchError
 from .estimators import TrainingSample, monofact_estimate
 
@@ -127,7 +127,7 @@ def train(
         if keys.size and keys[0] == BOTTOM:
             values[0] = bottom
         else:
-            keys, values = np.insert(keys, 0, BOTTOM), np.insert(values, 0, bottom)
+            keys, values = with_bottom(keys), np.concatenate(([bottom], values))
         return dist_from_arrays(universe, keys, values, (1.0 - lam) * base_g.background)
     raise ConfigError(f"unknown algorithm {alg!r}")
 

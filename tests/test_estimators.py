@@ -53,6 +53,58 @@ class TestTrainingSample:
         with pytest.raises(DistributionError):
             TrainingSample(FactoidUniverse(4), (4,))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda u: TrainingSample(u, (3, 5, 3)),
+            lambda u: TrainingSample.from_counts(u, np.array([3, 5]), np.array([2, 1])),
+        ],
+        ids=["draws", "counts"],
+    )
+    def test_arrays_are_read_only(self, build):
+        """A write would leave the cached observed keys stale."""
+        s = build(FactoidUniverse(8))
+        assert s.observed_keys.tolist() == [0, 3, 5]
+        for arr in (s.atoms, s.counts, s.draws, s.observed_keys):
+            with pytest.raises(ValueError):
+                arr[-1] = 7
+
+    def test_from_counts_copies_its_input(self):
+        atoms, counts = np.array([3, 5]), np.array([2, 1])
+        s = TrainingSample.from_counts(FactoidUniverse(8), atoms, counts)
+        atoms[1], counts[1] = 6, 4
+        assert s.atoms.tolist() == [3, 5] and s.counts.tolist() == [2, 1]
+
+    def test_counted_sample_reads_like_its_draws(self):
+        u = FactoidUniverse(8)
+        s = TrainingSample.from_counts(u, [0, 3, 5], [1, 2, 1])
+        assert s.n == 4
+        assert s.draws.tolist() == [0, 3, 3, 5]
+        assert s.observed == {0, 3, 5}
+        assert monofact_estimate(s) == monofact_estimate(TrainingSample(u, (5, 3, 0, 3)))
+
+    def test_empty_counted_sample(self):
+        s = TrainingSample.from_counts(FactoidUniverse(4), [], [])
+        assert s.n == 0 and s.draws.size == 0
+
+    @pytest.mark.parametrize(
+        "atoms, counts",
+        [
+            ([1, 4], [1, 1]),  # out of the universe
+            ([-1, 2], [1, 1]),
+            ([1.0, 2.0], [1, 1]),  # not integers
+            ([1, 2], [1.0, 1.0]),
+            ([2, 1], [1, 1]),  # not increasing
+            ([2, 2], [1, 1]),
+            ([1, 2], [1, 0]),  # a count below 1
+            ([1, 2], [1, -3]),
+            ([1, 2], [1]),  # not parallel
+        ],
+    )
+    def test_bad_counts_rejected(self, atoms, counts):
+        with pytest.raises(DistributionError):
+            TrainingSample.from_counts(FactoidUniverse(4), atoms, counts)
+
 
 class TestMonofactEstimate:
     def test_two_singletons_of_four(self):

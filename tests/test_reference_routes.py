@@ -8,9 +8,10 @@ paths keep the reference arithmetic (math.fsum where it sums, elementwise
 division, the same atom order), so not even the last bit may move.
 
 The cached tables are checked the same way: the guide-table sampler
-against plain searchsorted inversion, both missing-mass routes against
-the literal fsum over unseen atoms, and the exact expansion of a total
-against rational arithmetic.
+against plain searchsorted inversion, the counted sampler on both sides
+of its size rule against counting the guide-table sampler's draws, both
+missing-mass routes against the literal fsum over unseen atoms, and the
+exact expansion of a total against rational arithmetic.
 
 So are the two batched bound verifiers: the chunked posterior Monte
 Carlo against a per-sample loop with one dense p per posterior draw, the
@@ -26,7 +27,9 @@ constructions per draw), and multi-type per-type metrics read off one
 keyed profile against the literal projection, which builds both induced
 local distributions of every type. The memorizer upper-bound suite, which
 reads both of its events off one keyed profile per trial, is recounted
-through the literal hallucination rate and miscalibration.
+through the literal hallucination rate and miscalibration, and the
+Good-Turing concentration suite, which draws counted samples, through
+the literal sampler, monofact estimate and missing mass.
 """
 
 import math
@@ -39,6 +42,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from factoidlab import dist as dist_module
 from factoidlab.dist import (
     _GUIDE_STEPS,
     BOTTOM,
@@ -49,6 +53,7 @@ from factoidlab.dist import (
     dist_from_arrays,
     dist_from_weights,
     keyed_profile,
+    sample_counts,
     sample_iid,
     uniform_dist,
 )
@@ -78,6 +83,7 @@ from factoidlab import harness
 from factoidlab.harness import (
     _profile_hallucination_rate,
     multi_type_trial_metrics,
+    run_gt_concentration,
     run_upper_bound_check,
 )
 from factoidlab.rng import _CHILD_BATCH, SeededRng
@@ -434,6 +440,30 @@ def sampling_dists(draw):
     return background_dist(FactoidUniverse(size), dict(zip(keys, values)), background)
 
 
+@st.composite
+def counted_dists(draw):
+    """A sampling case, or a few explicit atoms on a universe of up to
+    10^12, with zero weights and half the time a background weight."""
+    if draw(st.booleans()):
+        return draw(sampling_dists())
+    size = draw(st.integers(2, 10**12))
+    keys = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=20))
+    values = draw(st.lists(WEIGHTS, min_size=len(keys), max_size=len(keys)))
+    if not any(values):
+        values[0] = 1.0
+    background = draw(st.sampled_from([0.0, 1e-12, 1.0]))
+    return background_dist(FactoidUniverse(size), dict(zip(sorted(keys), values)), background)
+
+
+#: the size rule's constants forcing each side of it on any table
+COUNT_SIDES = st.sampled_from(
+    [
+        {"_COUNT_BASE_SLOTS": 2**62, "_COUNT_SLOTS_PER_DRAW": 0},
+        {"_COUNT_BASE_SLOTS": -1, "_COUNT_SLOTS_PER_DRAW": 0},
+    ]
+)
+
+
 class TestCachedTables:
     @given(d=sampling_dists(), seed=st.integers(0, 2**32))
     @PROPERTY
@@ -462,6 +492,34 @@ class TestCachedTables:
         got = sample_iid(d, n, SeededRng(seed))
         assert got.dtype == np.int64
         assert np.array_equal(got, ref_sample_iid(d, n, SeededRng(seed)))
+
+    @given(d=counted_dists(), n=st.integers(1, 300), seed=st.integers(0, 2**32), side=COUNT_SIDES)
+    @PROPERTY
+    def test_counted_sample_matches_counted_draws(self, d, n, seed, side):
+        """The counted sample is the literal count of sample_iid's draws,
+        and the generator is left where sample_iid leaves it."""
+        rng, ref_rng = SeededRng(seed), SeededRng(seed)
+        with mock.patch.multiple(dist_module, **side):
+            atoms, counts = sample_counts(d, n, rng)
+        got = TrainingSample.from_counts(d.universe, atoms, counts)
+        ref = TrainingSample(d.universe, sample_iid(d, n, ref_rng))
+        assert atoms.dtype == counts.dtype == np.int64
+        assert np.array_equal(got.atoms, ref.atoms)
+        assert np.array_equal(got.counts, ref.counts)
+        assert got.n == ref.n == n
+        assert rng.generator.random() == ref_rng.generator.random()
+
+    @pytest.mark.parametrize("atoms, counted_by_bincount", [(10_000, True), (1_000_000, False)])
+    def test_size_rule_sides(self, atoms, counted_by_bincount):
+        """The concentration suite's 10^4-slot table at n = 1000 is counted
+        by bincount, a 10^6-slot table at the same n by sorting the slots."""
+        p = FactoidDist(FactoidUniverse(atoms + 1), np.arange(1, atoms + 1), np.full(atoms, 1.0 / atoms))
+        p._inverse_cdf  # built with a bincount of its own
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+            got = sample_counts(p, 1000, SeededRng(3))
+        assert bincount.called == counted_by_bincount
+        ref = TrainingSample(p.universe, sample_iid(p, 1000, SeededRng(3)))
+        assert np.array_equal(got[0], ref.atoms) and np.array_equal(got[1], ref.counts)
 
     @given(data=st.data())
     @PROPERTY
@@ -1098,3 +1156,57 @@ class TestUpperBoundCheck:
             certainty += hallucination_rate(g, world) <= monofact_estimate(sample) + 1e-12
             calibration += miscalibration(world.p, g, ExactValueBinning()) <= radius
         assert (report.certainty_hits, report.calibration_hits) == (certainty, calibration)
+
+
+# ---------------------------------------------------------------------------
+# Good-Turing concentration suite
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def gt_cases(draw):
+    """A distribution with no empty-fact mass (a zero-weight empty fact
+    when it has a background), n, trials, a seed and two radii that decide
+    the events either way."""
+    size = draw(st.integers(2, 10**6), label="universe_size")
+    keys = sorted(draw(st.sets(st.integers(1, size - 1), min_size=1, max_size=40)))
+    values = draw(st.lists(WEIGHTS, min_size=len(keys), max_size=len(keys)))
+    if not any(values):
+        values[0] = 1.0
+    background = draw(st.sampled_from([0.0, 1e-3]))
+    weights = dict(zip(keys, values))
+    if background and size > len(keys) + 1:
+        weights[BOTTOM] = 0.0
+    else:
+        background = 0.0
+    p = background_dist(FactoidUniverse(size), weights, background)
+    n = draw(st.integers(1, 60), label="n")
+    trials = draw(st.integers(100, 120), label="trials")
+    radii = draw(st.lists(st.sampled_from([0.0, 0.02, 0.1]) | st.floats(0.0, 0.5), min_size=2, max_size=2))
+    return p, n, trials, draw(st.integers(0, 2**32), label="seed"), radii
+
+
+class TestGtConcentration:
+    @given(gt_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_literal_recount(self, case):
+        """Both violation counts and the mean gap equal a recount over the
+        same child streams through sample_iid and the literal monofact
+        estimate and missing mass."""
+        p, n, trials, seed, (two_radius, one_radius) = case
+        with mock.patch.multiple(
+            harness,
+            good_turing_radius=lambda delta, n: two_radius,
+            missing_mass_lower_radius=lambda delta, n: one_radius,
+        ):
+            report = run_gt_concentration(p, n, 0.1, trials, seed)
+        gaps = []
+        two_sided = one_sided = 0
+        for rng in SeededRng(seed).children(range(1, trials + 1)):
+            draws = sample_iid(p, n, rng).tolist()
+            mf, miss = ref_monofact(draws), ref_missing_mass(p, draws)
+            gaps.append(mf - miss)
+            two_sided += abs(mf - miss) > two_radius
+            one_sided += miss < mf - one_radius
+        assert (report.two_sided_violations, report.one_sided_violations) == (two_sided, one_sided)
+        assert report.mean_gap == float(np.array(gaps).mean())
