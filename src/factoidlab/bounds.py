@@ -15,6 +15,7 @@ partition, every subset) of the coarsening-mass lemma on tiny universes.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from itertools import islice
@@ -24,7 +25,7 @@ import numpy as np
 
 from .calibration import Partition
 from .dist import BOTTOM, FactoidDist, FactoidUniverse
-from .errors import DistributionError, InsufficientDataError
+from .errors import DistributionError, InsufficientDataError, UniverseMismatchError
 from .rng import SeededRng
 from .worlds import ExplicitWorld, PermutedPowerLawWorld, _posterior_completions
 
@@ -298,19 +299,39 @@ def verify_theorem_main_mc(
     cap is used, the marginal membership frequency of probe atoms is
     checked against the closed form within 3 binomial sigma.
 
+    The inputs are checked before any sample is drawn: g and the
+    partition must be over `universe` (UniverseMismatchError), and every
+    observed atom must be an integer in [0, |Y|) (DistributionError).
+
     Posterior sample t is one draw on rng.child(t). The samples are drawn
     and scored in chunks of at most _CHUNK_CELLS // |Y| rows, with each
     sample's arithmetic kept as for a lone sample: block masses are
-    shares added one at a time (as np.bincount adds them) and every sum
-    is a 1-D reduction of one row, so each estimate is bit-identical to
-    the per-sample loop.
+    shares added one at a time (as np.bincount adds them), and each
+    chunk's TV distances and g-masses are row sums of C-contiguous
+    float64 arrays, taken in one call per chunk. numpy reduces the last
+    axis of a C-contiguous array with the same pairwise sum it applies to
+    a lone 1-D row, so each estimate is bit-identical to the per-sample
+    loop; a strided (non-contiguous) row could be summed in another order.
     """
     if samples < 1:
         raise InsufficientDataError("need at least one posterior sample")
-    model = PermutedPowerLawWorld(universe.size, fact_count, 0.0)
-    obs = frozenset(observed) | {BOTTOM}
-    m = len(obs) - 1
+    for name, other in (("g", g.universe), ("partition", partition.universe)):
+        if other != universe:
+            raise UniverseMismatchError(
+                f"{name} universe size {other.size} != universe size {universe.size}"
+            )
     size = universe.size
+    try:
+        obs = frozenset(map(operator.index, observed)) | {BOTTOM}
+    except TypeError as exc:
+        raise DistributionError(f"observed atoms must be integers: {exc}") from None
+    low, high = min(obs), max(obs)
+    if low < 0 or high >= size:
+        raise DistributionError(
+            f"observed atoms must lie in [0, {size}), got {low if low < 0 else high}"
+        )
+    model = PermutedPowerLawWorld(size, fact_count, 0.0)
+    m = len(obs) - 1
     u_count = size - len(obs)
     if m > fact_count:
         raise DistributionError("observed facts exceed the fact budget")
@@ -347,14 +368,12 @@ def verify_theorem_main_mc(
         cells = (block_id[extras] + blocks * np.arange(rows)[:, None]).ravel()
         counts = np.bincount(cells, minlength=rows * blocks).reshape(rows, blocks)
         counts += obs_counts
-        # C-ordered, so each row below is one contiguous 1-D reduction
+        # C-ordered, so each row sum below is a lone row's pairwise sum
         gaps = np.take(acc[counts] / block_len, block_id, axis=1)
         np.abs(np.subtract(gaps, g_arr, out=gaps), out=gaps)
-        extra_mass = g_arr[extras]
-        for i in range(rows):
-            tv = 0.5 * float(gaps[i].sum())
-            g_h = max(0.0, 1.0 - (base_fact_mass + float(extra_mass[i].sum())))
-            values[start + i] = max(0.0, p_missing - tv - g_h)
+        tv = 0.5 * gaps.sum(axis=1)
+        g_h = np.maximum(1.0 - (base_fact_mass + g_arr[extras].sum(axis=1)), 0.0)
+        np.maximum(p_missing - tv - g_h, 0.0, out=values[start : start + rows])
         for j, y in enumerate(probe_atoms):
             probe_hits[j] += np.count_nonzero(extras == y)
 
@@ -411,10 +430,14 @@ def verify_lemma_meat_exhaustive(
     Enumeration is the oracle here, so the universe must stay tiny:
     Bell(6) partitions times 2^6 subsets.
 
-    Each subset's right-hand side is computed once, and each partition
-    scores all subsets at once: p(S) and coarsened p(S) are row sums
-    gathered through one subsets x |Y| index padded with a zero column,
-    and each expectation is its own dot product, as for a lone subset.
+    Each subset's right-hand side plus tolerance is computed once, and
+    each partition scores all subsets at once: p(S) and coarsened p(S)
+    are row sums gathered through one subsets x |Y| index padded with a
+    zero column. One matrix-vector product then screens every subset's
+    expectation; only a subset it puts within a proven rounding margin of
+    its limit, or past it, is scored again with its own dot product, as
+    for a lone subset, and that dot alone decides the verdict and is the
+    reported lhs.
     """
     from .calibration import iter_all_partitions
 
@@ -429,12 +452,30 @@ def verify_lemma_meat_exhaustive(
         tuple(y for y in range(size) if mask >> y & 1) for mask in range(1, 1 << size)
     ]
     rhs = [(size - len(atoms)) * float(mean_p[list(atoms)].max()) for atoms in subsets]
+    limits = [r + tolerance for r in rhs]
     # row s lists subset s's atoms, then the zero column `size` as padding
     gather = np.full((len(subsets), size), size, dtype=np.intp)
     for s, atoms in enumerate(subsets):
         gather[s, : len(atoms)] = atoms
     p_of = np.hstack([P, np.zeros((len(weights), 1))])[:, gather].sum(axis=2)
     Q = np.zeros((len(weights), size + 1))
+    # The screen's margin. With k instances every term w_i * gap_i is >= 0,
+    # so any float evaluation of the k-term dot (any order, fused
+    # multiply-adds or not) lies within gamma_k * S of the exact sum S,
+    # gamma_k = k u / (1 - k u), u = eps / 2 (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 3.1 and 3.5). The screened value
+    # and the lone dot therefore differ by at most 2 gamma_k S, with
+    # S <= B = sum(w) * max(gap); B is about 1, as the weights sum to 1
+    # and a gap is a difference of masses in [0, 1]. A lone dot above its
+    # limit t >= 0 puts t below (1 + gamma_k) B, so rounding t - margin
+    # adds at most u (1 + gamma_k) B; a limit t < 0 needs no margin, as
+    # both dots are >= 0. A margin of (2 gamma_k + u (1 + gamma_k)) B,
+    # about (k + 1/2) eps B, thus keeps every subset the lone dot flags;
+    # 2 (k + 1) eps B, computed in floats, covers it for any k < 2^40.
+    # A subset is dropped only when its value is <= the screened limit,
+    # so a NaN on either side is scored again rather than dropped.
+    limits_arr = np.array(limits, dtype=np.float64)
+    rounding = 2.0 * (len(weights) + 1) * _EPS * float(weights.sum())
 
     violations: list[LemmaMeatViolation] = []
     for part in iter_all_partitions(nu.universe):
@@ -443,13 +484,14 @@ def verify_lemma_meat_exhaustive(
             Q[:, atoms] = P[:, atoms].sum(axis=1, keepdims=True) / len(atoms)
         # one contiguous row per subset, so each dot is a lone subset's
         gaps = np.clip(p_of - Q[:, gather].sum(axis=2), 0.0, None).T.copy()
-        for s, atoms in enumerate(subsets):
+        margin = rounding * float(gaps.max())
+        for s in np.flatnonzero(~(gaps @ weights <= limits_arr - margin)).tolist():
             lhs = float(weights @ gaps[s])
-            if lhs > rhs[s] + tolerance:
+            if lhs > limits[s]:
                 violations.append(
                     LemmaMeatViolation(
                         partition_blocks=tuple(tuple(sorted(b)) for b in part.blocks),
-                        subset=atoms,
+                        subset=subsets[s],
                         lhs=lhs,
                         rhs=rhs[s],
                     )

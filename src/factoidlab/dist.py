@@ -22,7 +22,8 @@ callers that reuse it:
 * the inverse-CDF table sample_iid and sample_counts draw through: the
   cumulative weights of the positive atoms (the background as one last
   bucket), the atom of each slot in increasing order, and a guide table
-  of m = 2^k <= |cum| buckets, guide[j] = searchsorted(cum, j/m,
+  of m buckets, the least power of two >= |cum| (so a bucket is no
+  wider than the mean slot), guide[j] = searchsorted(cum, j/m,
   "right"). A draw u starts at guide[floor(u*m)] and steps forward while
   cum[slot] <= u; the few draws still open after a fixed number of steps
   fall back to searchsorted, so every slot equals plain inversion. It is
@@ -80,8 +81,8 @@ _NO_KEYS = np.zeros(0, dtype=np.int64)
 _NO_KEYS.flags.writeable = False
 
 #: Guide-table steps a draw may take before it falls back to searchsorted.
-#: Two steps resolve 92% of the draws from a 10^4-atom Zipf p, whose light
-#: atoms crowd a dozen into one bucket; each step is a pass over all n
+#: Two steps resolve 97% of the draws from a 10^4-atom Zipf p, whose light
+#: atoms crowd up to six into one bucket; each step is a pass over all n
 #: draws, so more steps cost more than the fallback they save.
 _GUIDE_STEPS = 2
 
@@ -284,7 +285,7 @@ class FactoidDist:
         atoms = np.append(self.keys[pos], -1) if bg_total > 0.0 else self.keys[pos]
         # guide[j] counts the cum entries <= j/m. With m a power of two,
         # cum*m is exact, and cum[i] <= j/m exactly when j >= ceil(cum[i]*m).
-        m = 1 << (cum.size.bit_length() - 1)
+        m = 1 << (cum.size - 1).bit_length()
         first = np.minimum(np.ceil(cum * m), m).astype(np.intp)
         guide = np.cumsum(np.bincount(first, minlength=m + 1)[:m])
         for table in (cum, atoms, guide):

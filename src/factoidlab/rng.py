@@ -102,8 +102,13 @@ class SeededRng:
 
         The seed words of a batch of indices are computed in one pass;
         an index of 2^32 or more takes the literal SeedSequence route.
+        Each batch is checked (integers, >= 0) before any of its children
+        exists, and this stream's seed and key were checked when it was
+        built, so the children are assembled without re-running
+        __init__'s checks.
         """
         it = iter(indices)
+        seed, key = self._seed, self._key
         while chunk := tuple(islice(it, _CHILD_BATCH)):
             try:
                 batch = tuple(map(operator.index, chunk))
@@ -111,9 +116,14 @@ class SeededRng:
                 raise ConfigError(f"stream key entries must be integers, got {chunk!r}") from None
             if min(batch) < 0:
                 raise ConfigError(f"stream key entries must be >= 0, got {min(batch)}")
-            words = _spawned_words(self._seed, self._key, batch)
+            words = _spawned_words(seed, key, batch)
             for i, row in zip(batch, words):
-                yield SeededRng(self._seed, self._key + (i,), row if i < _WORD_LIMIT else None)
+                rng = object.__new__(SeededRng)
+                rng._seed = seed
+                rng._key = key + (i,)
+                rng._words = row if i < _WORD_LIMIT else None
+                rng._generator = None
+                yield rng
 
     def fingerprint(self) -> int:
         """Stable 64-bit digest of this stream's identity, for run records."""

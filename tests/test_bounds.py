@@ -3,7 +3,9 @@ exhaustive coarsening-lemma sweep, and the proof-step frequency report."""
 
 import math
 from decimal import Decimal, getcontext
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from factoidlab.bounds import (
 )
 from factoidlab.calibration import AdaptiveBinning, Partition, partition_for_spec
 from factoidlab.dist import FactoidUniverse, dist_from_weights, random_dist
-from factoidlab.errors import DistributionError, InsufficientDataError
+from factoidlab.errors import DistributionError, InsufficientDataError, UniverseMismatchError
 from factoidlab.estimators import TrainingSample
 from factoidlab.harness import BoundSettings, ExperimentConfig, run_experiment
 from factoidlab.lms import MonofactMemorizer, train
@@ -231,6 +233,40 @@ class TestTheoremMainMc:
             tracemalloc.stop()
         assert check.samples == samples
         assert peak < 6 * size * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestTheoremMainFailsClosed:
+    """Inputs that do not match the universe are refused before any
+    posterior sample is drawn."""
+
+    SIZE = 11
+
+    def _check(self, g=None, partition=None, observed=frozenset({1, 2})):
+        u = FactoidUniverse(self.SIZE)
+        g = random_dist(u, SeededRng(3)) if g is None else g
+        partition = Partition.singletons(u) if partition is None else partition
+        return verify_theorem_main_mc(u, 5, observed, g, partition, 50, SeededRng(4))
+
+    def _refused(self, error, **inputs):
+        with mock.patch(
+            "factoidlab.bounds._posterior_completions", side_effect=AssertionError("sampled")
+        ), pytest.raises(error):
+            self._check(**inputs)
+
+    def test_g_over_another_universe(self):
+        other = FactoidUniverse(self.SIZE - 1)
+        self._refused(UniverseMismatchError, g=random_dist(other, SeededRng(3)))
+
+    def test_partition_over_another_universe(self):
+        other = FactoidUniverse(self.SIZE - 1)
+        self._refused(UniverseMismatchError, partition=Partition.singletons(other))
+
+    @pytest.mark.parametrize("atom", [-1, SIZE, 2.5, "3"])
+    def test_observed_atom_out_of_range_or_not_an_integer(self, atom):
+        self._refused(DistributionError, observed={1, atom})
+
+    def test_numpy_integer_atoms_are_accepted(self):
+        assert self._check(observed=set(np.array([1, 2]))) == self._check()
 
 
 class TestLemmaMeatSweep:

@@ -417,7 +417,7 @@ def background_bucket():
 
 
 def crowded_bucket():
-    """64 tiny atoms share the first of 64 guide buckets, so a draw there
+    """64 tiny atoms share the first of 128 guide buckets, so a draw there
     takes more steps than the cap allows and must fall back."""
     return FactoidDist(FactoidUniverse(100), np.arange(1, 66), [1e-6] * 64 + [1.0 - 64e-6])
 
@@ -470,7 +470,7 @@ class TestCachedTables:
     def test_guided_slots_equal_searchsorted(self, d, seed):
         cum, _, guide = d._inverse_cdf
         m = guide.size
-        assert m & (m - 1) == 0 and m <= cum.size
+        assert m & (m - 1) == 0 and cum.size <= m < 2 * cum.size
         edges = np.arange(m) / m
         assert np.array_equal(guide, np.searchsorted(cum, edges, side="right"))
         # uniform draws plus every tie and bucket edge, and the floats just below them
@@ -820,6 +820,24 @@ def explicit_worlds(draw):
     return ExplicitWorld(tuple(instances))
 
 
+@st.composite
+def crowded_explicit_worlds(draw):
+    """An explicit world of a few hundred instances, so every expectation
+    the lemma sweep takes is a dot product of hundreds of terms."""
+    size = draw(st.integers(2, 5), label="size")
+    count = draw(st.integers(200, 400), label="count")
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = gen.random(count) + 0.01
+    total = math.fsum(raw.tolist())
+    u = FactoidUniverse(size)
+    instances = []
+    for w in raw.tolist():
+        masses = gen.random(size) * (gen.random(size) < 0.7)
+        masses[gen.integers(size)] += 0.01
+        instances.append((w / total, WorldInstance(dist_from_weights(u, dict(enumerate(masses))))))
+    return ExplicitWorld(tuple(instances))
+
+
 class TestBatchedVerifiers:
     @given(theorem_main_cases())
     @settings(max_examples=60, deadline=None)
@@ -832,6 +850,23 @@ class TestBatchedVerifiers:
         # negative tolerances turn most (partition, subset) pairs into
         # violations, so the lists are long and compared entry by entry
         assert verify_lemma_meat_exhaustive(nu, tolerance) == ref_lemma_sweep(nu, tolerance)
+
+    @given(crowded_explicit_worlds(), st.sampled_from([1e-9, 0.0, -0.01, -0.1, -1.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_lemma_sweep_matches_subset_loop_at_many_instances(self, nu, tolerance):
+        assert verify_lemma_meat_exhaustive(nu, tolerance) == ref_lemma_sweep(nu, tolerance)
+
+    @given(explicit_worlds() | crowded_explicit_worlds(), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_lemma_sweep_tolerance_on_a_tie(self, nu, pick):
+        """A tolerance of exactly lhs - rhs for one (partition, subset), and
+        the floats either side of it, put that subset on the screen's edge."""
+        every = ref_lemma_sweep(nu, -math.inf)
+        tie = every[pick % len(every)]
+        exact = tie.lhs - tie.rhs
+        for tolerance in (np.nextafter(exact, -math.inf), exact, np.nextafter(exact, math.inf)):
+            got = verify_lemma_meat_exhaustive(nu, float(tolerance))
+            assert got == ref_lemma_sweep(nu, float(tolerance))
 
     @given(
         st.integers(0, 6000),
