@@ -31,6 +31,7 @@ from .worlds import ExplicitWorld, PermutedPowerLawWorld, _posterior_completions
 
 __all__ = [
     "FLOAT_SLACK",
+    "BIN_COUNT_LIMIT",
     "BoundParams",
     "BoundEvaluation",
     "evaluate_bound",
@@ -49,6 +50,10 @@ __all__ = [
 
 #: Absolute slack for float comparisons of analytically exact inequalities.
 FLOAT_SLACK = 1e-12
+#: Most adaptive bins a bound may ask for: binning allocates b - 1 float64
+#: thresholds, 8 MB at this limit, so a larger b would exhaust memory
+#: rather than run.
+BIN_COUNT_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,8 @@ class BoundParams:
             raise DistributionError(f"delta must be in (0,1], got {self.delta}")
         if self.b < 1:
             raise DistributionError(f"b must be >= 1, got {self.b}")
+        if self.b > BIN_COUNT_LIMIT:
+            raise DistributionError(f"b {self.b} exceeds the limit of {BIN_COUNT_LIMIT} bins")
         if not 0.0 <= self.epsilon <= 1.0:
             raise DistributionError(f"epsilon must be in [0,1], got {self.epsilon}")
         if self.epsilon > 0.0 and 1.0 - self.epsilon == 1.0:
@@ -75,6 +82,11 @@ class BoundParams:
                 f"epsilon {self.epsilon} is too small: 1 - epsilon rounds to 1"
                 " (0 means exact-value bins)"
             )
+        try:
+            # s = -inf (no hallucinations) gives e^(-s) = inf: vacuous bounds
+            math.exp(-self.s)
+        except OverflowError:
+            raise DistributionError(f"s {self.s} is too negative: e^(-s) overflows") from None
         if self.r < 1.0:
             raise DistributionError(f"regularity r must be >= 1, got {self.r}")
         if self.n < 1:

@@ -2,7 +2,9 @@
 
 Config files are flat key = value text. A run directory is
 self-describing: the stored config copy plus manifest reproduce every
-output byte-for-byte when re-run with the same tool version.
+output byte-for-byte when re-run with the same tool version. It is
+written once, after the trials, with aggregate.json last, so a
+directory that holds aggregate.json is a complete record.
 
 Exit codes: 0 all checks passed, 1 a bound check failed, 2 usage or
 configuration error.
@@ -18,7 +20,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
@@ -66,7 +67,7 @@ from .worlds import (
     sample_world,
 )
 
-__all__ = ["parse_config", "serialize_config", "write_results", "RunManifest", "cli_main", "main"]
+__all__ = ["parse_config", "serialize_config", "write_results", "cli_main", "main"]
 
 RELIABILITY_CSV_HEADER = "bin_value,g_mass,p_mass,bin_size"
 
@@ -262,28 +263,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    tool: str
-    version: str
-    config_hash: str
-    master_seed: int
-    created_utc: str
-    outputs: tuple[str, ...]
-
-
 RUN_OUTPUTS = ("config.cfg", "manifest.json", "trials.csv", "aggregate.json", "reliability.csv")
-
-
-def make_manifest(cfg: ExperimentConfig) -> RunManifest:
-    return RunManifest(
-        tool="factoidlab",
-        version=__version__,
-        config_hash=config_hash(cfg),
-        master_seed=cfg.master_seed,
-        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        outputs=RUN_OUTPUTS,
-    )
 
 
 def _trial_row(r: TrialRecord) -> str:
@@ -317,26 +297,29 @@ def _writing(out: Path):
 def write_results(
     out_dir: str | Path,
     cfg: ExperimentConfig,
-    manifest: RunManifest,
     records: Sequence[TrialRecord],
     aggregate: AggregateReport,
-    reliability_rows: Sequence[tuple[float, float, float, int]],
 ) -> list[Path]:
+    """Write the run record. A stale aggregate.json goes first and the new
+    one is written last, so a failed write leaves no aggregate.json."""
     out = Path(out_dir)
-    written = []
+    manifest = {
+        "tool": "factoidlab",
+        "version": __version__,
+        "config_hash": config_hash(cfg),
+        "master_seed": cfg.master_seed,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "outputs": RUN_OUTPUTS,
+    }
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
+        (out / "aggregate.json").unlink(missing_ok=True)
         (out / "config.cfg").write_text(serialize_config(cfg), encoding="utf-8", newline="\n")
-        written.append(out / "config.cfg")
-        _write_json(out / "manifest.json", dataclasses.asdict(manifest))
-        written.append(out / "manifest.json")
+        _write_json(out / "manifest.json", manifest)
         write_trials_csv(out / "trials.csv", records)
-        written.append(out / "trials.csv")
+        write_reliability_csv(out / "reliability.csv", records[0].reliability)
         _write_json(out / "aggregate.json", aggregate.to_json_dict())
-        written.append(out / "aggregate.json")
-        write_reliability_csv(out / "reliability.csv", reliability_rows)
-        written.append(out / "reliability.csv")
-    return written
+    return [out / name for name in RUN_OUTPUTS]
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +348,8 @@ def cmd_run(args, out, err) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
     out_dir = Path(args.out) if args.out else Path("runs") / f"{config_hash(cfg)[:12]}"
-    manifest = make_manifest(cfg)
-    # the manifest describes the run before it starts
-    with _writing(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "manifest.json", dataclasses.asdict(manifest))
     report, records = run_experiment(cfg)
-    write_results(out_dir, cfg, manifest, records, report, records[0].reliability)
+    write_results(out_dir, cfg, records, report)
     print(_bound_table(report.to_json_dict(), BOUND_NAMES), file=out)
     print(f"results in {out_dir}", file=out)
     return 0 if report.passed else 1
@@ -533,8 +511,12 @@ def cmd_report(args, out, err) -> int:
             f"run {manifest['config_hash'][:12]} seed {manifest['master_seed']} "
             f"({manifest['tool']} {manifest['version']})"
         )
-        table = _bound_table(agg, sorted(agg["bounds"]))
-        passed = agg["passed"]
+        names = sorted(agg["bounds"])
+        table = _bound_table(agg, names)
+        # the verdict is the rows'; the top-level "passed" is not read
+        verdicts = [agg["bounds"][name]["passed"] for name in names]
+        if not verdicts or not all(type(v) is bool for v in verdicts):
+            raise ValueError(f"bound rows must hold true or false verdicts, got {verdicts}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{run_dir} holds a damaged run record: {exc!r}") from None
     lines = [header, table]
@@ -547,7 +529,7 @@ def cmd_report(args, out, err) -> int:
         n_rows = max(0, len(text.splitlines()) - 1)
         lines.append(f"reliability curve: {n_rows} bins in {rel_path}")
     print("\n".join(lines), file=out)
-    return 0 if passed else 1
+    return 0 if all(verdicts) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,8 @@ class ExplicitWorld:
             raise DistributionError("prior weights must be positive")
         if abs(math.fsum(w for w, _ in self.instances) - 1.0) > 1e-9:
             raise DistributionError("prior weights must sum to 1")
+        if any(abs(inst.p.total_mass() - 1.0) > 1e-9 for _, inst in self.instances):
+            raise DistributionError("every instance's fact distribution must sum to 1")
         first = self.instances[0][1].universe
         if any(inst.universe != first for _, inst in self.instances):
             raise UniverseMismatchError("explicit instances must share a universe")

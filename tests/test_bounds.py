@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factoidlab.bounds import (
+    BIN_COUNT_LIMIT,
     BoundParams,
     clopper_pearson,
     cor1_rhs,
@@ -125,10 +126,20 @@ class TestRightHandSides:
             params(r=0.5)
         with pytest.raises(DistributionError):
             params(b=0)
+        with pytest.raises(DistributionError, match="exceeds the limit"):
+            params(b=BIN_COUNT_LIMIT + 1)
+        assert params(b=BIN_COUNT_LIMIT).b == BIN_COUNT_LIMIT
         with pytest.raises(DistributionError, match="too small"):
             params(epsilon=1e-17)
         for eps in (1e-16, 2**-53):
             assert params(epsilon=eps).epsilon == eps
+        # e^(-s) overflows below s = -ln(max float) = -709.78...
+        for s in (-709.8, -1000.0):
+            with pytest.raises(DistributionError, match="overflows"):
+                params(s=s)
+        assert cor1_rhs(0.5, 0.0, params(s=-709.0)) < 0.0
+        # a world with no hallucinations has s = -inf: every bound vacuous
+        assert cor1_rhs(0.5, 0.0, params(s=-math.inf)) == -math.inf
 
 
 class TestBoundEvaluation:

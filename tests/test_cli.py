@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import factoidlab
 
+from factoidlab.bounds import BIN_COUNT_LIMIT
 from factoidlab.calibration import AdaptiveBinning
 from factoidlab.cli import (
     _ALGORITHMS,
@@ -33,7 +34,7 @@ from factoidlab.cli import (
 )
 from factoidlab.dist import MATERIALIZE_LIMIT, sample_iid
 from factoidlab.estimators import TrainingSample
-from factoidlab.errors import ConfigError
+from factoidlab.errors import ConfigError, DistributionError
 from factoidlab.harness import (
     DRAW_COUNT_LIMIT,
     TRIAL_COUNT_LIMIT,
@@ -316,9 +317,11 @@ class TestFailsClosed:
             ("world.universe_size = 2000", f"world.universe_size = {2**63}", "universe size"),
             ("bound.delta = 0.1", "bound.delta = 2", "delta must be in (0,1]"),
             ("bound.b = 10", "bound.b = 0", "b must be >= 1"),
+            ("bound.b = 10", "bound.b = 100000000000", f"exceeds the limit of {BIN_COUNT_LIMIT} bins"),
             ("bound.epsilon = 0.1", "bound.epsilon = 1.5", "epsilon must be in [0,1]"),
             ("bound.epsilon = 0.1", "bound.epsilon = 1e-17", "1 - epsilon rounds to 1"),
             ("seed = 31415", "seed = 31415\nbound.r = 0.5", "r must be >= 1"),
+            ("seed = 31415", "seed = 31415\nbound.s = -1000", "e^(-s) overflows"),
             ("seed = 31415", "seed = 31415\nbound.k_types = 7", "unknown key bound.k_types"),
             ("seed = 31415", "seed = -1", "seed must be >= 0"),
             (
@@ -333,8 +336,9 @@ class TestFailsClosed:
                 f"exceeds the limit of {FACT_COUNT_LIMIT} facts",
             ),
         ],
-        ids=["fact_count", "exponent", "w5_people", "universe_size", "delta", "b", "epsilon",
-             "tiny_epsilon", "r", "k_types", "seed", "fact_count_limit", "w5_pair_limit"],
+        ids=["fact_count", "exponent", "w5_people", "universe_size", "delta", "b", "b_limit",
+             "epsilon", "tiny_epsilon", "r", "s_overflow", "k_types", "seed", "fact_count_limit",
+             "w5_pair_limit"],
     )
     def test_bad_value_exits_two_without_run_dir(self, tmp_path, old, new, reason):
         text = SMALL_CFG.replace("trials = 120", "trials = 3")
@@ -427,6 +431,18 @@ class TestFailsClosed:
             pytest.param(
                 "reliability.csv", b"bin_value,g_mass\n\xff\xfe\x80\n", id="reliability.csv-non_utf8"
             ),
+            pytest.param(
+                "aggregate.json",
+                json.dumps({"trials": 3, "delta": 0.1, "passed": True, "bounds": {"cor1": {
+                    "frequency": 1.0, "ci_low": 0.3, "ci_high": 1.0, "vacuous_fraction": 0.0,
+                    "passed": "no"}}}),
+                id="aggregate.json-row_passed_not_bool",
+            ),
+            pytest.param(
+                "aggregate.json",
+                json.dumps({"trials": 3, "delta": 0.1, "passed": True, "bounds": {}}),
+                id="aggregate.json-no_rows",
+            ),
         ],
     )
     def test_report_on_damaged_run_exits_two(self, tmp_path, name, content):
@@ -455,6 +471,66 @@ class TestFailsClosed:
         done = _run_python("-m", module)
         assert done.returncode == 2
         assert "usage: factoidlab" in done.stderr
+
+
+class TestRunRecord:
+    """A directory that holds aggregate.json is a complete record, and
+    report's verdict is the rows'."""
+
+    @staticmethod
+    def _config(tmp_path) -> Path:
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL_CFG.replace("trials = 120", "trials = 3"))
+        return cfg_path
+
+    def test_failing_trial_leaves_nothing(self, tmp_path, monkeypatch):
+        run_trial = factoidlab.harness.run_trial
+
+        def second_fails(cfg, i):
+            if i == 1:
+                raise DistributionError("injected")
+            return run_trial(cfg, i)
+
+        monkeypatch.setattr(factoidlab.harness, "run_trial", second_fails)
+        code, out, err = run_cli("run", str(self._config(tmp_path)), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert "trial 1: injected" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_failed_reliability_write_leaves_no_aggregate(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(factoidlab.cli, "write_reliability_csv", _fail_write)
+        code, _, err = run_cli("run", str(self._config(tmp_path)), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert "failed writing results" in err
+        assert not (tmp_path / "r" / "aggregate.json").exists()
+        code, out, err = run_cli("report", str(tmp_path / "r"))
+        assert code == 2
+        assert out == ""
+
+    def test_failed_rerun_leaves_no_stale_aggregate(self, tmp_path, monkeypatch):
+        cfg_path = self._config(tmp_path)
+        assert run_cli("run", str(cfg_path), "--out", str(tmp_path / "r"))[0] == 0
+        assert (tmp_path / "r" / "aggregate.json").is_file()
+        monkeypatch.setattr(factoidlab.cli, "write_trials_csv", _fail_write)
+        code, _, _ = run_cli("run", str(cfg_path), "--out", str(tmp_path / "r"), "--seed", "99")
+        assert code == 2
+        assert not (tmp_path / "r" / "aggregate.json").exists()
+        assert run_cli("report", str(tmp_path / "r"))[0] == 2
+
+    def test_report_verdict_comes_from_rows(self, tmp_path):
+        assert run_cli("run", str(self._config(tmp_path)), "--out", str(tmp_path / "r"))[0] == 0
+        agg_path = tmp_path / "r" / "aggregate.json"
+        agg = json.loads(agg_path.read_text())
+        assert agg["passed"] is True
+        agg["bounds"]["cor1"]["passed"] = False
+        agg_path.write_text(json.dumps(agg))
+        code, out, _ = run_cli("report", str(tmp_path / "r"))
+        assert code == 1
+        assert "FAIL" in out
+
+
+def _fail_write(path, *args):
+    raise OSError(f"injected failure writing {path}")
 
 
 class TestImportCost:
@@ -668,7 +744,8 @@ SMALL_VALUES = {
 }
 #: odd values: malformed, out of range for some key, or another key's kind
 ODD_TEXTS = st.sampled_from(
-    ["", "nan", "-inf", "1e999", "words", "-1", "0", "1.5", str(2**63), *_WORLDS, *_ALGORITHMS]
+    ["", "nan", "-inf", "1e999", "words", "-1", "0", "1.5", "-1000", "100000000000", str(2**63),
+     *_WORLDS, *_ALGORITHMS]
 ) | st.text(max_size=6).filter(_small_if_integer)
 
 
@@ -713,7 +790,8 @@ RUN_RECORD = {
     "manifest.json": json.dumps(
         {"config_hash": "0" * 12, "master_seed": 0, "tool": "factoidlab", "version": "0"}
     ),
-    "aggregate.json": json.dumps({"trials": 1, "delta": 0.1, "passed": True, "bounds": {}}),
+    "aggregate.json": json.dumps({"trials": 1, "delta": 0.1, "passed": True, "bounds": {"cor1": {
+        "frequency": 1.0, "ci_low": 0.05, "ci_high": 1.0, "vacuous_fraction": 0.0, "passed": True}}}),
     "reliability.csv": "bin_value,g_mass,p_mass,bin_size\n",
 }
 ARG_TEXTS = st.integers(-3, 6).map(str) | st.sampled_from(["13", "1000000", "x", "", "-"])

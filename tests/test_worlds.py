@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from factoidlab.dist import BOTTOM, FactoidUniverse, dist_from_weights, sample_iid
+from factoidlab.dist import BOTTOM, FactoidDist, FactoidUniverse, dist_from_weights, sample_iid
 from factoidlab.errors import DistributionError, UnsupportedModelError
 from factoidlab.estimators import TrainingSample
 from factoidlab.rng import SeededRng
@@ -145,6 +145,13 @@ class TestExplicitWorld:
         inst = WorldInstance(dist_from_weights(u, {1: 1}))
         with pytest.raises(DistributionError):
             ExplicitWorld(((0.4, inst),))
+
+    def test_unnormalized_instance_refused(self):
+        # weights 3 and 4 on 3 atoms: not a distribution, so no lemma
+        # sweep or posterior may be taken over it
+        inst = WorldInstance(FactoidDist(FactoidUniverse(3), np.array([1, 2]), np.array([3.0, 4.0])))
+        with pytest.raises(DistributionError, match="must sum to 1"):
+            ExplicitWorld(((1.0, inst),))
 
 
 class TestDistinctSampling:
