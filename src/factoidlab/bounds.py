@@ -23,11 +23,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .calibration import Partition
+from .calibration import BIN_COUNT_LIMIT, Partition
 from .dist import BOTTOM, FactoidDist, FactoidUniverse
 from .errors import DistributionError, InsufficientDataError, UniverseMismatchError
 from .rng import SeededRng
-from .worlds import ExplicitWorld, PermutedPowerLawWorld, _posterior_completions
+from .worlds import ExplicitWorld, _distinct_rows
 
 __all__ = [
     "FLOAT_SLACK",
@@ -50,10 +50,6 @@ __all__ = [
 
 #: Absolute slack for float comparisons of analytically exact inequalities.
 FLOAT_SLACK = 1e-12
-#: Most adaptive bins a bound may ask for: binning allocates b - 1 float64
-#: thresholds, 8 MB at this limit, so a larger b would exhaust memory
-#: rather than run.
-BIN_COUNT_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -291,6 +287,20 @@ class TheoremMainCheck:
 #: Most dense cells (rows x |Y|) one chunk of the posterior Monte Carlo
 #: holds: 2^13 float64 cells is 64 KiB, so memory stays flat at any |Y|.
 _CHUNK_CELLS = 1 << 13
+#: Level of the probe-atom marginal check: the normal mass beyond 3 sigma.
+_MARGINAL_LEVEL = math.erfc(3.0 / math.sqrt(2.0))
+
+
+def _binomial_two_sided_p(k: int, n: int, q: float) -> float:
+    """Exact two-sided p-value of k successes in n Binomial(n, q) trials:
+    twice the smaller tail, at most 1, with P[X >= j] = I_q(j, n - j + 1)."""
+
+    def upper(j: int, x: float) -> float:
+        if j == 0 or x >= 1.0:
+            return 1.0
+        return 0.0 if x <= 0.0 else _beta_cdf_pdf(j, n - j + 1, x)[0]
+
+    return min(1.0, 2.0 * min(upper(k, q), upper(n - k, 1.0 - q)))
 
 
 def verify_theorem_main_mc(
@@ -305,15 +315,19 @@ def verify_theorem_main_mc(
     """Estimate the expectation over the exact uniform-world posterior and
     compare with the closed-form right-hand side.
 
-    The right-hand side is max Pr[y in F] + |O| * max E[p(y)] over
-    unobserved y; for the uniform completion posterior both maxima are
-    hypergeometric and reduce to (N-m)/|U| and (N-m)/(N |U|). Before the
-    cap is used, the marginal membership frequency of probe atoms is
-    checked against the closed form within 3 binomial sigma.
+    Every size-N support holding the observed facts is equally likely,
+    so a posterior sample is N - m distinct unobserved atoms drawn
+    uniformly. The right-hand side is max Pr[y in F] + |O| * max E[p(y)]
+    over unobserved y; both maxima are hypergeometric and reduce to
+    q = (N-m)/|U| and q/N. Before the cap is used, each of five probe
+    atoms' hit count must have an exact Binomial(samples, q) two-sided
+    p-value of at least _MARGINAL_LEVEL; marginal_max_sigma reports the
+    largest deviation in normal sigmas.
 
     The inputs are checked before any sample is drawn: g and the
-    partition must be over `universe` (UniverseMismatchError), and every
-    observed atom must be an integer in [0, |Y|) (DistributionError).
+    partition must be over `universe` (UniverseMismatchError), and the
+    fact count must lie in [1, |Y| - 1] and every observed atom be an
+    integer in [0, |Y|) (DistributionError).
 
     Posterior sample t is one draw on rng.child(t). The samples are drawn
     and scored in chunks of at most _CHUNK_CELLS // |Y| rows, with each
@@ -333,6 +347,8 @@ def verify_theorem_main_mc(
                 f"{name} universe size {other.size} != universe size {universe.size}"
             )
     size = universe.size
+    if not 1 <= fact_count <= size - 1:
+        raise DistributionError(f"fact count {fact_count} must be in [1, {size - 1}]")
     try:
         obs = frozenset(map(operator.index, observed)) | {BOTTOM}
     except TypeError as exc:
@@ -342,7 +358,6 @@ def verify_theorem_main_mc(
         raise DistributionError(
             f"observed atoms must lie in [0, {size}), got {low if low < 0 else high}"
         )
-    model = PermutedPowerLawWorld(size, fact_count, 0.0)
     m = len(obs) - 1
     u_count = size - len(obs)
     if m > fact_count:
@@ -353,15 +368,12 @@ def verify_theorem_main_mc(
         rhs = 0.0
 
     g_arr = g.weights_at(np.arange(size))
-    block_id = np.empty(size, dtype=np.intp)
-    block_len = np.empty(len(partition.blocks), dtype=np.float64)
-    for i, block in enumerate(partition.blocks):
-        block_len[i] = len(block)
-        for y in block:
-            block_id[y] = i
+    block_id = partition.labels
+    block_len = np.bincount(block_id)
 
     p_missing = (fact_count - m) / fact_count
-    obs_facts, completions = _posterior_completions(model, obs, rng.children(range(samples)))
+    obs_facts = sorted(obs - {BOTTOM})
+    completions = _distinct_rows(rng.children(range(samples)), 1, size, fact_count - m, obs)
     probe_atoms = list(islice((y for y in range(size) if y not in obs), 5))
     probe_hits = np.zeros(len(probe_atoms), dtype=np.int64)
 
@@ -392,18 +404,15 @@ def verify_theorem_main_mc(
     lhs = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
 
-    marginals_ok = True
-    max_sigma = 0.0
-    if probe_atoms and u_count > 0:
-        q = (fact_count - m) / u_count
-        sigma = math.sqrt(max(q * (1.0 - q), 0.0) / samples)
-        for hits in probe_hits.tolist():
-            freq = hits / samples
-            dev = abs(freq - q)
-            devs = dev / sigma if sigma > 0 else (0.0 if dev == 0.0 else math.inf)
-            max_sigma = max(max_sigma, devs)
-            if dev > 3.0 * sigma + FLOAT_SLACK:
-                marginals_ok = False
+    # there are probe atoms only if some atom is unobserved (u_count > 0)
+    q = (fact_count - m) / max(u_count, 1)
+    sigma = math.sqrt(q * (1.0 - q) / samples)
+    hits = probe_hits.tolist()
+    devs = [abs(h / samples - q) for h in hits]
+    max_sigma = max(
+        (d / sigma if sigma > 0 else (0.0 if d == 0.0 else math.inf) for d in devs), default=0.0
+    )
+    marginals_ok = all(_binomial_two_sided_p(h, samples, q) >= _MARGINAL_LEVEL for h in hits)
 
     passed = lhs <= rhs + 3.0 * stderr + FLOAT_SLACK
     return TheoremMainCheck(
@@ -491,9 +500,12 @@ def verify_lemma_meat_exhaustive(
 
     violations: list[LemmaMeatViolation] = []
     for part in iter_all_partitions(nu.universe):
-        for block in part.blocks:
-            atoms = sorted(block)
-            Q[:, atoms] = P[:, atoms].sum(axis=1, keepdims=True) / len(atoms)
+        labels = part.labels
+        # P's columns added into block sums in atom order from 0.0, as
+        # P[:, block].sum(axis=1) adds them for a block of under 8 atoms
+        sums = np.zeros((len(weights), size))
+        np.add.at(sums, (slice(None), labels), P)
+        Q[:, :size] = sums[:, labels] / np.bincount(labels)[labels]
         # one contiguous row per subset, so each dot is a lone subset's
         gaps = np.clip(p_of - Q[:, gather].sum(axis=2), 0.0, None).T.copy()
         margin = rounding * float(gaps.max())

@@ -20,15 +20,17 @@ provided:
 All metrics are computed by profile_calibration on the paired
 atom-class profile of (p, g) from dist.keyed_profile, sorted once by g,
 so they stay exact and cheap on universes far too large to enumerate.
-The explicit Partition objects below materialize blocks and are
-intended for small universes (tests, exhaustive sweeps); both routes
-are checked against each other in the test suite.
+An explicit Partition holds one block label per atom and is meant for
+universes small enough to materialize (tests, exhaustive sweeps, the
+posterior verifier); both routes are checked against each other in the
+test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Union
 
 import numpy as np
@@ -44,6 +46,7 @@ from .rng import SeededRng
 
 __all__ = [
     "EXACT_VALUE_RTOL",
+    "BIN_COUNT_LIMIT",
     "Partition",
     "ExactValueBinning",
     "AdaptiveBinning",
@@ -61,6 +64,10 @@ __all__ = [
 #: Two g-values this close (relatively) count as the same bin value;
 #: float arithmetic perturbs analytically equal values.
 EXACT_VALUE_RTOL = 1e-12
+#: Most adaptive bins a spec may ask for: binning allocates b - 1 float64
+#: thresholds, 8 MB at this limit, so a larger b would exhaust memory
+#: rather than run.
+BIN_COUNT_LIMIT = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -68,33 +75,45 @@ EXACT_VALUE_RTOL = 1e-12
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint cover of a universe by non-empty blocks."""
+    """Disjoint cover of a universe by non-empty blocks, as one label per
+    atom: labels[y] is the block of atom y, the blocks are numbered 0..k-1
+    with every number used, and the labels are a read-only copy."""
 
     universe: FactoidUniverse
-    blocks: tuple[frozenset[int], ...]
+    labels: np.ndarray
 
     def __post_init__(self):
-        seen: set[int] = set()
-        total = 0
-        for block in self.blocks:
-            if not block:
-                raise PartitionError("empty block")
-            total += len(block)
-            seen.update(block)
-        if total != len(seen):
-            raise PartitionError("blocks overlap")
-        if len(seen) != self.universe.size or (seen and (min(seen) < 0 or max(seen) >= self.universe.size)):
-            raise PartitionError("blocks do not cover the universe exactly")
+        labels = np.asarray(self.labels)
+        size = self.universe.size
+        if labels.shape != (size,) or labels.dtype.kind not in "iu":
+            raise PartitionError(
+                f"labels must be {size} integers, got shape {labels.shape} of {labels.dtype}"
+            )
+        low, high = int(labels.min()), int(labels.max())
+        if low < 0 or high >= size:  # before bincount allocates high + 1 counters
+            raise PartitionError(f"block labels must lie in [0, {size}), got {low}..{high}")
+        labels = labels.astype(np.intp)  # a copy, so the caller's array may change
+        if not np.bincount(labels).all():
+            raise PartitionError(f"block labels must use every number in 0..{high}")
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+
+    @cached_property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The blocks as atom sets in label order, for display and small universes."""
+        order = np.argsort(self.labels, kind="stable")
+        cuts = np.cumsum(np.bincount(self.labels))[:-1]
+        return tuple(frozenset(block.tolist()) for block in np.split(order, cuts))
 
     @classmethod
     def singletons(cls, universe: FactoidUniverse) -> "Partition":
-        return cls(universe, tuple(frozenset((y,)) for y in universe.indices()))
+        return cls(universe, np.arange(universe.size))
 
     @classmethod
     def single_block(cls, universe: FactoidUniverse) -> "Partition":
-        return cls(universe, (frozenset(universe.indices()),))
+        return cls(universe, np.zeros(universe.size, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +132,8 @@ class AdaptiveBinning:
     kind: str = "adaptive"
 
     def __post_init__(self):
-        if self.b < 1:
-            raise PartitionError(f"adaptive binning needs b >= 1, got {self.b}")
+        if not 1 <= self.b <= BIN_COUNT_LIMIT:
+            raise PartitionError(f"adaptive binning needs b in [1, {BIN_COUNT_LIMIT}], got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -241,11 +260,10 @@ def _atom_values(g: FactoidDist) -> np.ndarray:
 def _partition_from_sorted_groups(
     universe: FactoidUniverse, order: np.ndarray, starts: np.ndarray
 ) -> Partition:
-    bounds = np.append(starts, order.size)
-    blocks = tuple(
-        frozenset(order[bounds[i] : bounds[i + 1]].tolist()) for i in range(len(starts))
-    )
-    return Partition(universe, blocks)
+    """Label atom order[j] with the number of the group holding position j."""
+    labels = np.empty(order.size, dtype=np.intp)
+    labels[order] = np.repeat(np.arange(starts.size), np.diff(np.append(starts, order.size)))
+    return Partition(universe, labels)
 
 
 def partition_for_spec(g: FactoidDist, spec: BinningSpec) -> Partition:
@@ -270,11 +288,11 @@ def coarsen(p: FactoidDist, pi: Partition) -> FactoidDist:
             f"partition universe size {pi.universe.size} != distribution size {p.universe.size}"
         )
     keys = np.arange(p.universe.size)
-    values = np.empty(p.universe.size)
-    for block in pi.blocks:
-        atoms = np.fromiter(block, dtype=np.int64, count=len(block))
-        values[atoms] = math.fsum(p.weights_at(atoms).tolist()) / len(block)
-    return dist_from_arrays(p.universe, keys, values)
+    sizes = np.bincount(pi.labels)
+    order = np.argsort(pi.labels, kind="stable")
+    blocks = np.split(p.weights_at(keys)[order], np.cumsum(sizes)[:-1])
+    masses = np.array([math.fsum(block.tolist()) for block in blocks])
+    return dist_from_arrays(p.universe, keys, (masses / sizes)[pi.labels])
 
 
 # ---------------------------------------------------------------------------
@@ -346,25 +364,22 @@ PARTITION_LIMIT = 12
 
 def iter_all_partitions(universe: FactoidUniverse) -> Iterator[Partition]:
     """Every set partition of a universe of at most PARTITION_LIMIT atoms
-    (Bell(size) of them)."""
+    (Bell(size) of them), as restricted growth strings in lexicographic
+    order: atom y joins a block an earlier atom opened, or opens the next."""
     n = universe.size
     if n > PARTITION_LIMIT:
         raise PartitionError(f"universe of size {n} too large to enumerate partitions")
-    blocks: list[list[int]] = []
+    labels = [0] * n
 
-    def rec(y: int) -> Iterator[Partition]:
+    def rec(y: int, opened: int) -> Iterator[Partition]:
         if y == n:
-            yield Partition(universe, tuple(frozenset(b) for b in blocks))
+            yield Partition(universe, np.array(labels))
             return
-        for b in blocks:
-            b.append(y)
-            yield from rec(y + 1)
-            b.pop()
-        blocks.append([y])
-        yield from rec(y + 1)
-        blocks.pop()
+        for block in range(opened + 1):
+            labels[y] = block
+            yield from rec(y + 1, max(opened, block + 1))
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def random_partition(universe: FactoidUniverse, rng: SeededRng) -> Partition:
@@ -373,8 +388,4 @@ def random_partition(universe: FactoidUniverse, rng: SeededRng) -> Partition:
     order = gen.permutation(universe.size)
     n_blocks = int(gen.integers(1, universe.size + 1))
     cuts = np.sort(gen.choice(universe.size - 1, size=n_blocks - 1, replace=False)) + 1 if n_blocks > 1 else np.zeros(0, dtype=np.int64)
-    bounds = np.concatenate(([0], cuts, [universe.size]))
-    blocks = tuple(
-        frozenset(order[bounds[i] : bounds[i + 1]].tolist()) for i in range(len(bounds) - 1)
-    )
-    return Partition(universe, blocks)
+    return _partition_from_sorted_groups(universe, order, np.append(0, cuts))

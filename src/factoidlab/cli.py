@@ -517,6 +517,10 @@ def cmd_report(args, out, err) -> int:
         verdicts = [agg["bounds"][name]["passed"] for name in names]
         if not verdicts or not all(type(v) is bool for v in verdicts):
             raise ValueError(f"bound rows must hold true or false verdicts, got {verdicts}")
+        # every row is judged at the run's delta, as aggregate_records judges it
+        for name, verdict in zip(names, verdicts):
+            if verdict != (agg["bounds"][name]["frequency"] >= 1.0 - agg["delta"]):
+                raise ValueError(f"row {name!r} says passed={verdict}, which its frequency contradicts")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{run_dir} holds a damaged run record: {exc!r}") from None
     lines = [header, table]

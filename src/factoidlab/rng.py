@@ -51,7 +51,7 @@ class SeededRng:
 
     __slots__ = ("_seed", "_key", "_words", "_generator")
 
-    def __init__(self, seed: int, _key: tuple[int, ...] = (), _words: np.ndarray | None = None):
+    def __init__(self, seed: int, _key: tuple[int, ...] = ()):
         # operator.index takes ints and numpy integers; a float or any
         # other value is refused rather than truncated
         try:
@@ -66,7 +66,7 @@ class SeededRng:
         if self._key and min(self._key) < 0:
             raise ConfigError(f"stream key entries must be >= 0, got {self._key}")
         #: the four uint64 words PCG64 is seeded with, once known
-        self._words = _words
+        self._words = None
         self._generator = None
 
     @property

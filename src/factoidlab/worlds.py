@@ -441,31 +441,6 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
 # ---------------------------------------------------------------------------
 
 
-def _posterior_completions(
-    model: PermutedPowerLawWorld, observed: Iterable[int], rngs: Iterable[SeededRng]
-) -> tuple[list[int], Iterator[np.ndarray]]:
-    """Batched posterior draw given the observed set: the sorted observed
-    facts, and lazily one row per rng of the N - m unobserved facts that
-    complete them, in draw order.
-
-    Valid only at exponent 0: every size-N support containing the
-    observed facts has the same likelihood (1/N)^n, so the posterior is
-    uniform over completions of the observed set. The observed set and
-    the draw's eligible atoms are set up once; each row then costs one
-    generator call on its own rng.
-    """
-    if not isinstance(model, PermutedPowerLawWorld) or model.exponent != 0.0:
-        raise UnsupportedModelError("exact posterior sampling requires the uniform world (exponent 0)")
-    obs = frozenset(observed) | {BOTTOM}
-    obs_facts = sorted(obs - {BOTTOM})
-    extra_needed = model.fact_count - len(obs_facts)
-    if extra_needed < 0:
-        raise DistributionError(
-            f"{len(obs_facts)} observed facts exceed fact budget {model.fact_count}"
-        )
-    return obs_facts, _distinct_rows(rngs, 1, model.universe_size, extra_needed, obs)
-
-
 def posterior_fact_marginal(model: PermutedPowerLawWorld, observed: Iterable[int]) -> float:
     """Pr[y is a fact | observed] for any unobserved y, at exponent 0.
 

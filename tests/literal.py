@@ -19,15 +19,10 @@ from factoidlab.calibration import (
     reliability_rows,
     sort_profile_by_g,
 )
-from factoidlab.dist import FactoidDist, dist_from_arrays, keyed_profile, profile_kl
-from factoidlab.errors import UniverseMismatchError
+from factoidlab.dist import BOTTOM, FactoidDist, dist_from_arrays, keyed_profile, profile_kl
+from factoidlab.errors import DistributionError, UniverseMismatchError, UnsupportedModelError
 from factoidlab.rng import SeededRng
-from factoidlab.worlds import (
-    PermutedPowerLawWorld,
-    WorldInstance,
-    _distinct_rows,
-    _posterior_completions,
-)
+from factoidlab.worlds import PermutedPowerLawWorld, WorldInstance, _distinct_rows
 
 # -- distributions ---------------------------------------------------------
 
@@ -114,9 +109,16 @@ def posterior_support_uniform(
     model: PermutedPowerLawWorld, observed: Iterable[int], rng: SeededRng
 ) -> list[int]:
     """Support draw from the posterior given the observed set: the sorted
-    observed facts, then one drawn completion."""
-    obs_facts, rows = _posterior_completions(model, observed, [rng])
-    return obs_facts + next(rows).tolist()
+    observed facts, then one drawn completion. Only at exponent 0 is the
+    posterior uniform over the completions of the observed facts."""
+    if model.exponent != 0.0:
+        raise UnsupportedModelError("exact posterior sampling requires the uniform world (exponent 0)")
+    obs = frozenset(observed) | {BOTTOM}
+    obs_facts = sorted(obs - {BOTTOM})
+    extra = model.fact_count - len(obs_facts)
+    if extra < 0:
+        raise DistributionError(f"{len(obs_facts)} observed facts exceed fact budget {model.fact_count}")
+    return obs_facts + next(_distinct_rows([rng], 1, model.universe_size, extra, obs)).tolist()
 
 
 def posterior_sampler_uniform_world(

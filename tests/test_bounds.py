@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factoidlab import bounds as bounds_module
 from factoidlab.bounds import (
     BIN_COUNT_LIMIT,
     BoundParams,
@@ -24,7 +25,7 @@ from factoidlab.bounds import (
     verify_theorem_main_mc,
 )
 from factoidlab.calibration import AdaptiveBinning, Partition, partition_for_spec
-from factoidlab.dist import FactoidUniverse, dist_from_weights, random_dist
+from factoidlab.dist import FactoidUniverse, dist_from_weights, random_dist, uniform_dist
 from factoidlab.errors import DistributionError, InsufficientDataError, UniverseMismatchError
 from factoidlab.estimators import TrainingSample
 from factoidlab.harness import BoundSettings, ExperimentConfig, run_experiment
@@ -233,7 +234,7 @@ class TestTheoremMainMc:
         size, samples = 200_000, 300
         u = FactoidUniverse(size)
         g = dist_from_weights(u, {y: 1.0 for y in range(0, size, 7)})
-        partition = Partition(u, tuple(frozenset(range(i, size, 10)) for i in range(10)))
+        partition = Partition(u, np.arange(size) % 10)
         tracemalloc.start()
         try:
             check = verify_theorem_main_mc(
@@ -252,15 +253,15 @@ class TestTheoremMainFailsClosed:
 
     SIZE = 11
 
-    def _check(self, g=None, partition=None, observed=frozenset({1, 2})):
+    def _check(self, g=None, partition=None, observed=frozenset({1, 2}), fact_count=5):
         u = FactoidUniverse(self.SIZE)
         g = random_dist(u, SeededRng(3)) if g is None else g
         partition = Partition.singletons(u) if partition is None else partition
-        return verify_theorem_main_mc(u, 5, observed, g, partition, 50, SeededRng(4))
+        return verify_theorem_main_mc(u, fact_count, observed, g, partition, 50, SeededRng(4))
 
     def _refused(self, error, **inputs):
         with mock.patch(
-            "factoidlab.bounds._posterior_completions", side_effect=AssertionError("sampled")
+            "factoidlab.bounds._distinct_rows", side_effect=AssertionError("sampled")
         ), pytest.raises(error):
             self._check(**inputs)
 
@@ -278,6 +279,50 @@ class TestTheoremMainFailsClosed:
 
     def test_numpy_integer_atoms_are_accepted(self):
         assert self._check(observed=set(np.array([1, 2]))) == self._check()
+
+    @pytest.mark.parametrize("fact_count", [0, SIZE, SIZE + 1])
+    def test_fact_count_outside_the_universe(self, fact_count):
+        self._refused(DistributionError, fact_count=fact_count)
+
+    def test_observed_facts_beyond_the_budget(self):
+        self._refused(DistributionError, observed=set(range(1, 7)))
+
+
+class TestTheoremMainMarginals:
+    """The probe atoms' hit counts are judged by their exact binomial
+    tails, at the level of a 3-sigma normal rule."""
+
+    def test_one_extra_hit_at_small_q_passes(self):
+        # q = 2/2000 over 100 samples: 0.1 expected hits, and this stream
+        # gives one probe atom 2 hits, 6 normal sigmas out but with an
+        # exact two-sided p-value of 0.0093
+        u = FactoidUniverse(2001)
+        partition = Partition.singletons(u)
+        check = verify_theorem_main_mc(
+            u, 2, set(), uniform_dist(u), partition, 100, SeededRng(11)
+        )
+        assert check.marginal_max_sigma > 6.0
+        assert check.marginals_ok and check.passed
+        # the partition was read as labels; no block sets were built
+        assert "blocks" not in partition.__dict__
+
+    def test_probe_atoms_never_drawn_fail(self):
+        # the posterior_exhaustive scale: |Y| = 51, N = 20, 17 observed
+        # facts, so q = 3/33 and 1000 samples expect 91 hits per probe atom
+        u = FactoidUniverse(51)
+        observed = set(range(30, 47))
+        g = random_dist(u, SeededRng(1))
+        args = (u, 20, observed, g, Partition.singletons(u), 1000)
+        assert verify_theorem_main_mc(*args, SeededRng(2)).marginals_ok
+        probes = frozenset(range(1, 6))  # the first five unobserved atoms
+        draw = bounds_module._distinct_rows
+
+        def avoid_probes(rngs, low, high, count, exclude):
+            return draw(rngs, low, high, count, exclude | probes)
+
+        with mock.patch("factoidlab.bounds._distinct_rows", avoid_probes):
+            check = verify_theorem_main_mc(*args, SeededRng(2))
+        assert not check.marginals_ok and not check.passed
 
 
 class TestLemmaMeatSweep:

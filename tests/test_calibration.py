@@ -3,9 +3,11 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from factoidlab.calibration import (
+    BIN_COUNT_LIMIT,
     AdaptiveBinning,
     ExactValueBinning,
     FixedWidthBinning,
@@ -38,19 +40,46 @@ def blocks_as_sets(partition: Partition) -> set[frozenset[int]]:
 
 class TestPartitionValidation:
     def test_empty_block_rejected(self):
+        # labels 1 and 2 with no atom in block 0
         u = FactoidUniverse(3)
         with pytest.raises(PartitionError):
-            Partition(u, (frozenset(), frozenset({0, 1, 2})))
+            Partition(u, np.array([1, 2, 2]))
 
     def test_overlap_rejected(self):
+        # one label per atom: an atom listed in two blocks makes too many
         u = FactoidUniverse(3)
         with pytest.raises(PartitionError):
-            Partition(u, (frozenset({0, 1}), frozenset({1, 2})))
+            Partition(u, np.array([0, 0, 1, 1]))
 
     def test_incomplete_cover_rejected(self):
         u = FactoidUniverse(3)
         with pytest.raises(PartitionError):
-            Partition(u, (frozenset({0, 1}),))
+            Partition(u, np.array([0, 0]))
+
+    @pytest.mark.parametrize("labels", [[0, -1, 1], [0.0, 1.0, 1.0], [True, False, True], [[0, 1, 2]]])
+    def test_negative_non_integer_or_misshapen_labels_rejected(self, labels):
+        with pytest.raises(PartitionError):
+            Partition(FactoidUniverse(3), np.array(labels))
+
+    def test_huge_label_rejected_before_counting(self):
+        # bincount would allocate 8 TB of counters for a label of 10^12
+        u = FactoidUniverse(3)
+        with pytest.raises(PartitionError, match="must lie in"):
+            Partition(u, np.array([0, 10**12, 1]))
+
+    def test_labels_are_a_read_only_copy(self):
+        raw = np.array([0, 1, 1])
+        pi = Partition(FactoidUniverse(3), raw)
+        raw[2] = 0
+        assert pi.labels.tolist() == [0, 1, 1]
+        with pytest.raises(ValueError):
+            pi.labels[0] = 1
+
+    def test_blocks_in_label_order(self):
+        pi = Partition(FactoidUniverse(5), np.array([1, 0, 2, 0, 1]))
+        assert pi.blocks == (frozenset({1, 3}), frozenset({0, 4}), frozenset({2}))
+        assert Partition.singletons(FactoidUniverse(3)).blocks == tuple(frozenset({y}) for y in range(3))
+        assert Partition.single_block(FactoidUniverse(3)).blocks == (frozenset(range(3)),)
 
     def test_bell_numbers(self):
         # Bell(2..6) = 2, 5, 15, 52, 203
@@ -63,7 +92,7 @@ class TestCoarsen:
         # p={a:.6,b:.2,c:.2}, blocks {a,b},{c} -> {a:.4,b:.4,c:.2}
         u = FactoidUniverse(3)
         p = dist_from_weights(u, {0: 0.6, 1: 0.2, 2: 0.2})
-        pi = Partition(u, (frozenset({0, 1}), frozenset({2})))
+        pi = Partition(u, np.array([0, 0, 1]))
         c = coarsen(p, pi)
         assert c.weight(0) == pytest.approx(0.4, abs=1e-12)
         assert c.weight(1) == pytest.approx(0.4, abs=1e-12)
@@ -183,6 +212,13 @@ class TestFixedWidthPartition:
         assert blocks_as_sets(partition_for_spec(g, FixedWidthBinning(0.0))) == blocks_as_sets(
             partition_for_spec(g, ExactValueBinning())
         )
+
+    def test_adaptive_bin_count_is_capped(self):
+        # b - 1 thresholds are allocated: 10^11 bins would take 745 GiB
+        assert AdaptiveBinning(BIN_COUNT_LIMIT).b == BIN_COUNT_LIMIT
+        for b in (0, BIN_COUNT_LIMIT + 1, 10**11):
+            with pytest.raises(PartitionError, match="adaptive binning needs b"):
+                AdaptiveBinning(b)
 
     def test_epsilon_that_rounds_away_is_refused(self):
         # 1 - 1e-17 == 1.0: log(1 - epsilon) is 0 and every positive atom

@@ -440,6 +440,13 @@ class TestFailsClosed:
             ),
             pytest.param(
                 "aggregate.json",
+                json.dumps({"trials": 3, "delta": 0.1, "passed": True, "bounds": {"cor1": {
+                    "frequency": 0.0, "ci_low": 0.0, "ci_high": 0.7, "vacuous_fraction": 0.0,
+                    "passed": True}}}),
+                id="aggregate.json-row_passed_against_its_frequency",
+            ),
+            pytest.param(
+                "aggregate.json",
                 json.dumps({"trials": 3, "delta": 0.1, "passed": True, "bounds": {}}),
                 id="aggregate.json-no_rows",
             ),
@@ -522,7 +529,8 @@ class TestRunRecord:
         agg_path = tmp_path / "r" / "aggregate.json"
         agg = json.loads(agg_path.read_text())
         assert agg["passed"] is True
-        agg["bounds"]["cor1"]["passed"] = False
+        # a failed row that its own frequency agrees with
+        agg["bounds"]["cor1"].update(frequency=0.0, passed=False)
         agg_path.write_text(json.dumps(agg))
         code, out, _ = run_cli("report", str(tmp_path / "r"))
         assert code == 1

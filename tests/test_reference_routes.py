@@ -18,6 +18,11 @@ Carlo against a per-sample loop with one dense p per posterior draw, the
 all-subsets-at-once lemma sweep against the subset-by-subset loop, and
 the batched distinct draw against its literal eligible list.
 
+Partitions hold one block label per atom; their derived block sets are
+checked against the frozenset builders the labels replaced: the sorted
+group split behind every binning, the recursive enumeration of all
+partitions and the cut-point random partition.
+
 Batched child streams are checked against numpy's literal route,
 Generator(PCG64(SeedSequence(seed, spawn_key=key))), one stream at a time.
 
@@ -59,10 +64,12 @@ from factoidlab.dist import (
 )
 from factoidlab.bounds import (
     _CHUNK_CELLS,
+    _MARGINAL_LEVEL,
     FLOAT_SLACK,
     BoundParams,
     LemmaMeatViolation,
     TheoremMainCheck,
+    _binomial_two_sided_p,
     cor1_rhs,
     evaluate_bound,
     verify_lemma_meat_exhaustive,
@@ -73,6 +80,7 @@ from factoidlab.calibration import (
     ExactValueBinning,
     FixedWidthBinning,
     Partition,
+    _block_starts_for_spec,
     iter_all_partitions,
     partition_for_spec,
     random_partition,
@@ -706,7 +714,7 @@ def ref_theorem_main(universe, fact_count, observed, g, partition, samples, rng)
             dev = abs(hits / samples - q)
             devs = dev / sigma if sigma > 0 else (0.0 if dev == 0.0 else math.inf)
             max_sigma = max(max_sigma, devs)
-            if dev > 3.0 * sigma + FLOAT_SLACK:
+            if _binomial_two_sided_p(hits, samples, q) < _MARGINAL_LEVEL:
                 marginals_ok = False
     passed = lhs <= rhs + 3.0 * stderr + FLOAT_SLACK
     return TheoremMainCheck(
@@ -844,6 +852,22 @@ class TestBatchedVerifiers:
     def test_theorem_main_chunks_match_per_sample_loop(self, case):
         assert verify_theorem_main_mc(*case) == ref_theorem_main(*case)
 
+    @given(
+        st.integers(1, 3000),
+        st.integers(0, 3000),
+        st.sampled_from([0.0, 1.0, 1e-6, 2.5e-4, 0.09, 0.5]) | st.floats(0.0, 1.0),
+    )
+    @PROPERTY
+    def test_marginal_p_value_matches_scipy_binomial_tails(self, n, k, q):
+        # the literal route: scipy's binomial cdf and survival function, a
+        # test-only dependency. Below about 1e-240 scipy's tails drift from
+        # the exact sums (7% at 4.4e-247, where this p-value is within
+        # 1e-12 of a 60-digit mpmath sum), hence the absolute floor
+        binom = pytest.importorskip("scipy.stats").binom
+        k = min(k, n)
+        ref = min(1.0, 2.0 * min(float(binom.cdf(k, n, q)), float(binom.sf(k - 1, n, q))))
+        assert _binomial_two_sided_p(k, n, q) == pytest.approx(ref, rel=1e-9, abs=1e-200)
+
     @given(explicit_worlds(), st.sampled_from([1e-9, 0.0, -0.01, -0.1, -1.0]))
     @PROPERTY
     def test_lemma_sweep_matches_subset_loop(self, nu, tolerance):
@@ -883,6 +907,79 @@ class TestBatchedVerifiers:
         exclude = frozenset(exclude)
         got = sample_distinct_excluding(SeededRng(seed), low, high, count, exclude)
         assert got == ref_distinct(SeededRng(seed), low, high, count, exclude)
+
+
+# ---------------------------------------------------------------------------
+# Label partitions == the frozenset builders they replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_sorted_groups(order, starts):
+    """Blocks as frozensets: group i is order[starts[i]:starts[i + 1]]."""
+    bounds = np.append(starts, order.size)
+    return tuple(frozenset(order[bounds[i] : bounds[i + 1]].tolist()) for i in range(len(starts)))
+
+
+def ref_all_partitions(size):
+    """Every set partition, each atom joining an open block or opening one."""
+    blocks = []
+
+    def rec(y):
+        if y == size:
+            yield tuple(frozenset(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(y)
+            yield from rec(y + 1)
+            b.pop()
+        blocks.append([y])
+        yield from rec(y + 1)
+        blocks.pop()
+
+    yield from rec(0)
+
+
+def ref_random_partition(size, rng):
+    """Shuffled atoms cut at random split points, with the same generator
+    calls as random_partition."""
+    gen = rng.generator
+    order = gen.permutation(size)
+    n_blocks = int(gen.integers(1, size + 1))
+    if n_blocks > 1:
+        cuts = np.sort(gen.choice(size - 1, size=n_blocks - 1, replace=False)) + 1
+    else:
+        cuts = np.zeros(0, dtype=np.int64)
+    return ref_sorted_groups(order, np.concatenate(([0], cuts)))
+
+
+@st.composite
+def binning_specs(draw):
+    return draw(
+        st.sampled_from([ExactValueBinning(), FixedWidthBinning(0.0), FixedWidthBinning(1.0)])
+        | st.builds(AdaptiveBinning, st.integers(1, 12))
+        | st.builds(FixedWidthBinning, st.floats(0.01, 1.0))
+    )
+
+
+class TestLabelPartitions:
+    @pytest.mark.parametrize("size", range(2, 8))
+    def test_every_partition_matches_the_recursive_enumeration(self, size):
+        got = [part.blocks for part in iter_all_partitions(FactoidUniverse(size))]
+        assert got == list(ref_all_partitions(size))
+
+    @given(st.integers(2, 40).flatmap(dists), binning_specs())
+    @PROPERTY
+    def test_binning_partition_matches_sorted_group_split(self, g, spec):
+        vals = g.weights_at(np.arange(g.universe.size))
+        order = np.argsort(vals, kind="stable")
+        starts = _block_starts_for_spec(vals[order], np.ones(vals.size), spec)
+        assert partition_for_spec(g, spec).blocks == ref_sorted_groups(order, starts)
+
+    @given(st.integers(2, 60), st.integers(0, 2**32 - 1))
+    @PROPERTY
+    def test_random_partition_matches_cut_points(self, size, seed):
+        got = random_partition(FactoidUniverse(size), SeededRng(seed))
+        assert got.blocks == ref_random_partition(size, SeededRng(seed))
 
 
 def ref_stream(seed, key):
