@@ -7,9 +7,10 @@ Variants differ in the penalty (regular worlds, regular facts only,
 multiple fact types) and in which calibration metric is subtracted.
 
 Two verifiers ground the analysis numerically instead of trusting the
-algebra: a Monte Carlo check of the core expectation inequality over
-the exact uniform-world posterior, and an exhaustive sweep (every
-partition, every subset) of the coarsening-mass lemma on tiny universes.
+algebra: a check of the core expectation inequality over the exact
+uniform-world posterior (exact where every completion scores the same,
+Monte Carlo otherwise), and an exhaustive sweep (every partition, every
+subset) of the coarsening-mass lemma on tiny universes.
 """
 
 from __future__ import annotations
@@ -265,15 +266,15 @@ def _bound_frequency(name: str, evals: Sequence[BoundEvaluation], delta: float) 
 
 
 # ---------------------------------------------------------------------------
-# Core expectation inequality, Monte Carlo over the exact posterior
+# Core expectation inequality over the exact posterior
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TheoremMainCheck:
-    """Posterior Monte Carlo estimate of
-    E[(missing mass - TV(coarsened p, g) - hallucination rate)_+]
-    against its closed-form cap."""
+    """Estimate of E[(missing mass - TV(coarsened p, g) - hallucination
+    rate)_+] over the posterior, against its closed-form cap. samples is
+    0 when the expectation was computed exactly rather than sampled."""
 
     lhs_estimate: float
     lhs_stderr: float
@@ -287,7 +288,8 @@ class TheoremMainCheck:
 #: Most dense cells (rows x |Y|) one chunk of the posterior Monte Carlo
 #: holds: 2^13 float64 cells is 64 KiB, so memory stays flat at any |Y|.
 _CHUNK_CELLS = 1 << 13
-#: Level of the probe-atom marginal check: the normal mass beyond 3 sigma.
+#: Level of the probe-atom marginal check, per call: the normal mass
+#: beyond 3 sigma, split evenly over the probe atoms (Bonferroni).
 _MARGINAL_LEVEL = math.erfc(3.0 / math.sqrt(2.0))
 
 
@@ -312,32 +314,48 @@ def verify_theorem_main_mc(
     samples: int,
     rng: SeededRng,
 ) -> TheoremMainCheck:
-    """Estimate the expectation over the exact uniform-world posterior and
-    compare with the closed-form right-hand side.
+    """Compute the expectation over the exact uniform-world posterior,
+    exactly where g and the partition make it a constant and by Monte
+    Carlo otherwise, and compare with the closed-form right-hand side.
 
     Every size-N support holding the observed facts is equally likely,
     so a posterior sample is N - m distinct unobserved atoms drawn
     uniformly. The right-hand side is max Pr[y in F] + |O| * max E[p(y)]
     over unobserved y; both maxima are hypergeometric and reduce to
-    q = (N-m)/|U| and q/N. Before the cap is used, each of five probe
-    atoms' hit count must have an exact Binomial(samples, q) two-sided
-    p-value of at least _MARGINAL_LEVEL; marginal_max_sigma reports the
-    largest deviation in normal sigmas.
+    q = (N-m)/|U| and q/N.
 
-    The inputs are checked before any sample is drawn: g and the
-    partition must be over `universe` (UniverseMismatchError), and the
-    fact count must lie in [1, |Y| - 1] and every observed atom be an
-    integer in [0, |Y|) (DistributionError).
+    The inputs are checked before anything else: g and the partition
+    must be over `universe` (UniverseMismatchError), and the fact count
+    must lie in [1, |Y| - 1] and every observed atom be an integer in
+    [0, |Y|) (DistributionError).
 
-    Posterior sample t is one draw on rng.child(t). The samples are drawn
-    and scored in chunks of at most _CHUNK_CELLS // |Y| rows, with each
-    sample's arithmetic kept as for a lone sample: block masses are
-    shares added one at a time (as np.bincount adds them), and each
-    chunk's TV distances and g-masses are row sums of C-contiguous
-    float64 arrays, taken in one call per chunk. numpy reduces the last
-    axis of a C-contiguous array with the same pairwise sum it applies to
-    a lone 1-D row, so each estimate is bit-identical to the per-sample
-    loop; a strided (non-contiguous) row could be summed in another order.
+    Exact route. When g gives every unobserved atom the same weight and
+    the partition puts all unobserved atoms in one block or each in a
+    block of its own (or N = m), every completion gives the same per-atom
+    terms, only at other atoms, so every sample has the same value. That
+    value, scored once on the first N - m unobserved atoms with the
+    arithmetic below, is returned with lhs_stderr 0, samples 0,
+    marginals_ok True and marginal_max_sigma 0; no stream is derived and
+    nothing is drawn. A per-sample value can differ from it only by the
+    order in which equal terms are summed.
+
+    Monte Carlo route, for any other input. Posterior sample t is one
+    draw on rng.child(t). The samples are drawn and scored in chunks of
+    at most _CHUNK_CELLS // |Y| rows, with each sample's arithmetic kept
+    as for a lone sample: block masses are shares added one at a time
+    (as np.bincount adds them), and each chunk's TV distances and
+    g-masses are row sums of C-contiguous float64 arrays, taken in one
+    call per chunk. numpy reduces the last axis of a C-contiguous array
+    with the same pairwise sum it applies to a lone 1-D row, so each
+    estimate is bit-identical to the per-sample loop; a strided
+    (non-contiguous) row could be summed in another order. Before the
+    cap is used, the hit count of each probe atom (the first five
+    unobserved atoms, or all if fewer) must have an exact
+    Binomial(samples, q) two-sided p-value of at least _MARGINAL_LEVEL
+    divided by the number of probe atoms (Bonferroni), so a correct
+    sampler fails a call with probability at most _MARGINAL_LEVEL =
+    0.0027; marginal_max_sigma reports the largest deviation in normal
+    sigmas.
     """
     if samples < 1:
         raise InsufficientDataError("need at least one posterior sample")
@@ -373,20 +391,15 @@ def verify_theorem_main_mc(
 
     p_missing = (fact_count - m) / fact_count
     obs_facts = sorted(obs - {BOTTOM})
-    completions = _distinct_rows(rng.children(range(samples)), 1, size, fact_count - m, obs)
-    probe_atoms = list(islice((y for y in range(size) if y not in obs), 5))
-    probe_hits = np.zeros(len(probe_atoms), dtype=np.int64)
-
     share = 1.0 / fact_count
     blocks = len(block_len)
     # acc[k]: k shares added one at a time, from 0.0
     acc = np.concatenate(([0.0], np.cumsum(np.full(min(fact_count, int(block_len.max())), share))))
     obs_counts = np.bincount(block_id[obs_facts], minlength=blocks)
-    values = np.zeros(samples)
     base_fact_mass = float(g_arr[BOTTOM]) + float(g_arr[obs_facts].sum())
-    chunk = max(1, _CHUNK_CELLS // size)
-    for start in range(0, samples, chunk):
-        extras = np.stack(list(islice(completions, chunk)))
+
+    def score(extras: np.ndarray, out: np.ndarray) -> None:
+        """Write each completion row's clipped per-sample value to out."""
         rows = len(extras)
         # per-row support counts of each block, then coarsened p, then |p - g|
         cells = (block_id[extras] + blocks * np.arange(rows)[:, None]).ravel()
@@ -397,22 +410,51 @@ def verify_theorem_main_mc(
         np.abs(np.subtract(gaps, g_arr, out=gaps), out=gaps)
         tv = 0.5 * gaps.sum(axis=1)
         g_h = np.maximum(1.0 - (base_fact_mass + g_arr[extras].sum(axis=1)), 0.0)
-        np.maximum(p_missing - tv - g_h, 0.0, out=values[start : start + rows])
+        np.maximum(p_missing - tv - g_h, 0.0, out=out)
+
+    unobserved = np.ones(size, dtype=bool)
+    unobserved[list(obs)] = False
+    u_atoms = np.flatnonzero(unobserved)
+    u_labels = block_id[u_atoms]
+    if fact_count == m or (
+        (g_arr[u_atoms] == g_arr[u_atoms[0]]).all()
+        and ((u_labels == u_labels[0]).all() or (block_len[u_labels] == 1).all())
+    ):
+        value = np.zeros(1)
+        score(u_atoms[None, : fact_count - m], value)
+        lhs = float(value[0])
+        return TheoremMainCheck(
+            lhs_estimate=lhs,
+            lhs_stderr=0.0,
+            rhs_exact=rhs,
+            samples=0,
+            passed=lhs <= rhs + FLOAT_SLACK,
+            marginals_ok=True,
+            marginal_max_sigma=0.0,
+        )
+
+    completions = _distinct_rows(rng.children(range(samples)), 1, size, fact_count - m, obs)
+    probe_atoms = u_atoms[:5].tolist()
+    probe_hits = np.zeros(len(probe_atoms), dtype=np.int64)
+    values = np.zeros(samples)
+    chunk = max(1, _CHUNK_CELLS // size)
+    for start in range(0, samples, chunk):
+        extras = np.stack(list(islice(completions, chunk)))
+        score(extras, values[start : start + len(extras)])
         for j, y in enumerate(probe_atoms):
             probe_hits[j] += np.count_nonzero(extras == y)
 
     lhs = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
 
-    # there are probe atoms only if some atom is unobserved (u_count > 0)
-    q = (fact_count - m) / max(u_count, 1)
+    # here N > m, so some atom is unobserved (u_count > 0)
+    q = (fact_count - m) / u_count
     sigma = math.sqrt(q * (1.0 - q) / samples)
     hits = probe_hits.tolist()
     devs = [abs(h / samples - q) for h in hits]
-    max_sigma = max(
-        (d / sigma if sigma > 0 else (0.0 if d == 0.0 else math.inf) for d in devs), default=0.0
-    )
-    marginals_ok = all(_binomial_two_sided_p(h, samples, q) >= _MARGINAL_LEVEL for h in hits)
+    max_sigma = max(d / sigma if sigma > 0 else (0.0 if d == 0.0 else math.inf) for d in devs)
+    level = _MARGINAL_LEVEL / len(hits)
+    marginals_ok = all(_binomial_two_sided_p(h, samples, q) >= level for h in hits)
 
     passed = lhs <= rhs + 3.0 * stderr + FLOAT_SLACK
     return TheoremMainCheck(

@@ -57,7 +57,6 @@ __all__ = [
     "WorldModel",
     "RegularityReport",
     "sample_world",
-    "posterior_fact_marginal",
     "analyze_regularity",
     "enumerate_w5_instances",
     "world_sparsity",
@@ -434,27 +433,6 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
         idx = int(gen.choice(len(model.instances), p=weights / weights.sum()))
         return model.instances[idx][1]
     raise UnsupportedModelError(f"unknown world model {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# Posterior for the uniform-support world (k = 0)
-# ---------------------------------------------------------------------------
-
-
-def posterior_fact_marginal(model: PermutedPowerLawWorld, observed: Iterable[int]) -> float:
-    """Pr[y is a fact | observed] for any unobserved y, at exponent 0.
-
-    By symmetry of the uniform completion this is (N - m) / |unobserved|
-    with m the number of observed non-bottom facts.
-    """
-    if model.exponent != 0.0:
-        raise UnsupportedModelError("closed-form posterior marginal requires exponent 0")
-    obs = frozenset(observed) | {BOTTOM}
-    m = len(obs) - 1
-    unobserved = model.universe_size - len(obs)
-    if unobserved <= 0:
-        return 0.0
-    return (model.fact_count - m) / unobserved
 
 
 # ---------------------------------------------------------------------------

@@ -128,3 +128,16 @@ def posterior_sampler_uniform_world(
     support = posterior_support_uniform(model, observed, rng)
     weights = np.full(len(support), 1.0 / len(support))
     return WorldInstance(dist_from_arrays(model.universe, np.sort(support), weights))
+
+
+def posterior_fact_marginal(model: PermutedPowerLawWorld, observed: Iterable[int]) -> float:
+    """Pr[y is a fact | observed] for any unobserved y, at exponent 0: by
+    symmetry of the uniform completion, (N - m) / |unobserved| with m the
+    number of observed non-bottom facts."""
+    if model.exponent != 0.0:
+        raise UnsupportedModelError("closed-form posterior marginal requires exponent 0")
+    obs = frozenset(observed) | {BOTTOM}
+    unobserved = model.universe_size - len(obs)
+    if unobserved <= 0:
+        return 0.0
+    return (model.fact_count - (len(obs) - 1)) / unobserved

@@ -1,5 +1,6 @@
-"""The package's exported names: every export resolves, and the top-level
-package re-exports only names its modules export."""
+"""The package's exported names: every export resolves, the top-level
+package re-exports only names its modules export, and the test-side
+references in tests/literal.py are not library names."""
 
 import ast
 import importlib
@@ -41,3 +42,22 @@ def test_package_imports_only_exported_names():
         if name not in getattr(module, "__all__", ()):
             unexported.append(f"{module_name}.{name}")
     assert unexported == []
+
+
+def test_test_side_references_are_not_library_names():
+    # entry points nothing in the library calls live on in tests/literal.py
+    # as references; none of them may come back as a library name
+    tree = ast.parse((Path(__file__).parent / "literal.py").read_text(encoding="utf-8"))
+    references = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert "posterior_fact_marginal" in references
+    defined = [
+        f"{module_name}.{name}"
+        for module_name in MODULES
+        for name in references
+        if hasattr(importlib.import_module(f"factoidlab.{module_name}"), name)
+    ]
+    assert defined == []

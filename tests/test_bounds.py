@@ -25,7 +25,7 @@ from factoidlab.bounds import (
     verify_theorem_main_mc,
 )
 from factoidlab.calibration import AdaptiveBinning, Partition, partition_for_spec
-from factoidlab.dist import FactoidUniverse, dist_from_weights, random_dist, uniform_dist
+from factoidlab.dist import FactoidUniverse, background_dist, dist_from_weights, random_dist
 from factoidlab.errors import DistributionError, InsufficientDataError, UniverseMismatchError
 from factoidlab.estimators import TrainingSample
 from factoidlab.harness import BoundSettings, ExperimentConfig, run_experiment
@@ -247,6 +247,45 @@ class TestTheoremMainMc:
         assert peak < 6 * size * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
+class TestTheoremMainExactRoute:
+    """A g with one weight on the unobserved atoms, blocked together or
+    apart, is scored once; any other g is sampled."""
+
+    def _run(self, g, partition):
+        u = g.universe
+        with mock.patch(
+            "factoidlab.bounds._distinct_rows", wraps=bounds_module._distinct_rows
+        ) as rows, mock.patch.object(
+            SeededRng, "children", autospec=True, side_effect=SeededRng.children
+        ) as children:
+            check = verify_theorem_main_mc(
+                u, 20, set(range(30, 47)), g, partition, 100, SeededRng(2)
+            )
+        return check, rows.call_count, children.call_count
+
+    @pytest.mark.parametrize("blocks", ["singletons", "single_block"])
+    def test_exchangeable_g_draws_nothing(self, blocks):
+        u = FactoidUniverse(51)
+        g = background_dist(u, {y: 2.0 for y in range(30, 47)}, 0.5)
+        check, rows, children = self._run(g, getattr(Partition, blocks)(u))
+        assert (rows, children) == (0, 0)
+        assert (check.samples, check.lhs_stderr, check.marginal_max_sigma) == (0, 0.0, 0.0)
+        assert check.marginals_ok and check.passed
+
+    def test_random_g_is_sampled(self):
+        u = FactoidUniverse(51)
+        check, rows, children = self._run(random_dist(u, SeededRng(1)), Partition.singletons(u))
+        assert (rows, children) == (1, 1)
+        assert check.samples == 100
+
+    def test_unobserved_atoms_split_over_shared_blocks_are_sampled(self):
+        # one g value on the unobserved atoms, but two blocks of them
+        u = FactoidUniverse(51)
+        g = background_dist(u, {y: 2.0 for y in range(30, 47)}, 0.5)
+        check, rows, _ = self._run(g, Partition(u, np.arange(51) % 2))
+        assert rows == 1 and check.samples == 100
+
+
 class TestTheoremMainFailsClosed:
     """Inputs that do not match the universe are refused before any
     posterior sample is drawn."""
@@ -290,17 +329,21 @@ class TestTheoremMainFailsClosed:
 
 class TestTheoremMainMarginals:
     """The probe atoms' hit counts are judged by their exact binomial
-    tails, at the level of a 3-sigma normal rule."""
+    tails, at the level of a 3-sigma normal rule split over the probe
+    atoms."""
 
     def test_one_extra_hit_at_small_q_passes(self):
         # q = 2/2000 over 100 samples: 0.1 expected hits, and this stream
         # gives one probe atom 2 hits, 6 normal sigmas out but with an
-        # exact two-sided p-value of 0.0093
+        # exact two-sided p-value of 0.0093, above 0.0027 / 5. The draws
+        # depend only on the stream and the exclusions; a g that is not
+        # the same on every unobserved atom keeps the check on the sampler
         u = FactoidUniverse(2001)
         partition = Partition.singletons(u)
         check = verify_theorem_main_mc(
-            u, 2, set(), uniform_dist(u), partition, 100, SeededRng(11)
+            u, 2, set(), random_dist(u, SeededRng(3)), partition, 100, SeededRng(11)
         )
+        assert check.samples == 100
         assert check.marginal_max_sigma > 6.0
         assert check.marginals_ok and check.passed
         # the partition was read as labels; no block sets were built

@@ -243,6 +243,11 @@ class TestSubcommands:
         code, out, _ = run_cli("thm-main", str(cfg_path))
         assert code == 0
         assert "PASS" in out
+        # every algorithm's g is one weight on the unobserved atoms, so
+        # each probe is computed exactly and no spread is printed
+        rows = out.splitlines()[:-1]
+        assert len(rows) == 20 and all(" exact rhs " in row for row in rows)
+        assert "+/-" not in out
 
     def test_malformed_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -44,7 +44,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factoidlab import dist as dist_module
@@ -661,19 +661,15 @@ class TestSampleFailsClosed:
 # ---------------------------------------------------------------------------
 
 
-def ref_theorem_main(universe, fact_count, observed, g, partition, samples, rng):
-    """verify_theorem_main_mc as a per-sample loop: one posterior support
-    per rng.child(t), a dense p, np.bincount block masses, then TV and the
-    hallucination rate over that one sample."""
+def ref_posterior_values(universe, fact_count, observed, g, partition, samples, rng):
+    """verify_theorem_main_mc's samples as a per-sample loop: one posterior
+    support per rng.child(t), a dense p, np.bincount block masses, then
+    TV and the hallucination rate over that one sample. Returns each
+    sample's clipped value and each probe atom's hit count."""
     model = PermutedPowerLawWorld(universe.size, fact_count, 0.0)
     obs = frozenset(observed) | {BOTTOM}
     m = len(obs) - 1
     size = universe.size
-    u_count = size - len(obs)
-    if u_count > 0:
-        rhs = (fact_count - m) / u_count + len(obs) * (fact_count - m) / (fact_count * u_count)
-    else:
-        rhs = 0.0
     g_arr = g.weights_at(np.arange(size))
     block_id = np.empty(size, dtype=np.intp)
     block_len = np.empty(len(partition.blocks), dtype=np.float64)
@@ -703,18 +699,34 @@ def ref_theorem_main(universe, fact_count, observed, g, partition, samples, rng)
         for j, y in enumerate(probe_atoms):
             if y in extra_set:
                 probe_hits[j] += 1
+    return values, probe_hits
+
+
+def ref_theorem_main(universe, fact_count, observed, g, partition, samples, rng):
+    """verify_theorem_main_mc's Monte Carlo route over ref_posterior_values,
+    each probe atom tested at _MARGINAL_LEVEL over the number of probes."""
+    values, probe_hits = ref_posterior_values(
+        universe, fact_count, observed, g, partition, samples, rng
+    )
+    obs = frozenset(observed) | {BOTTOM}
+    m = len(obs) - 1
+    u_count = universe.size - len(obs)
+    if u_count > 0:
+        rhs = (fact_count - m) / u_count + len(obs) * (fact_count - m) / (fact_count * u_count)
+    else:
+        rhs = 0.0
     lhs = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     marginals_ok = True
     max_sigma = 0.0
-    if probe_atoms and u_count > 0:
+    if len(probe_hits) and u_count > 0:
         q = (fact_count - m) / u_count
         sigma = math.sqrt(max(q * (1.0 - q), 0.0) / samples)
         for hits in probe_hits.tolist():
             dev = abs(hits / samples - q)
             devs = dev / sigma if sigma > 0 else (0.0 if dev == 0.0 else math.inf)
             max_sigma = max(max_sigma, devs)
-            if _binomial_two_sided_p(hits, samples, q) < _MARGINAL_LEVEL:
+            if _binomial_two_sided_p(hits, samples, q) < _MARGINAL_LEVEL / len(probe_hits):
                 marginals_ok = False
     passed = lhs <= rhs + 3.0 * stderr + FLOAT_SLACK
     return TheoremMainCheck(
@@ -725,6 +737,20 @@ def ref_theorem_main(universe, fact_count, observed, g, partition, samples, rng)
         passed=passed and marginals_ok,
         marginals_ok=marginals_ok,
         marginal_max_sigma=max_sigma,
+    )
+
+
+def takes_exact_route(universe, fact_count, observed, g, partition, samples, rng):
+    """The exact route's rule, atom by atom: the observed facts fill the
+    budget, or g has one weight on the unobserved atoms and they share
+    one block or each have a block to themselves."""
+    obs = set(observed) | {BOTTOM}
+    if fact_count == len(obs) - 1:
+        return True
+    unobserved = [y for y in range(universe.size) if y not in obs]
+    touched = [block for block in partition.blocks if not block.isdisjoint(unobserved)]
+    return len(set(g.weights_at(np.array(unobserved)).tolist())) == 1 and (
+        len(touched) == 1 or all(len(block) == 1 for block in touched)
     )
 
 
@@ -778,14 +804,15 @@ def ref_distinct(rng, low, high, count, exclude):
 
 @st.composite
 def theorem_main_cases(draw):
-    """A uniform world of 2-60 atoms, an observed set holding none, some or
-    all of the fact budget (the empty fact in or out), a g with zeros and
-    backgrounds, a singleton, adaptive, fixed-width, exact-value or random
-    partition, and a sample count that often sits on a chunk boundary."""
+    """A uniform world of 2-60 atoms, an observed set holding none, some,
+    all but one or all of the fact budget (the empty fact in or out), a g
+    with zeros and backgrounds, a singleton, adaptive, fixed-width,
+    exact-value or random partition, and a sample count that often sits
+    on a chunk boundary."""
     size = draw(st.integers(2, 60), label="size")
     u = FactoidUniverse(size)
     fact_count = draw(st.integers(1, size - 1), label="fact_count")
-    m = draw(st.sampled_from([0, fact_count]) | st.integers(0, fact_count), label="m")
+    m = draw(st.sampled_from([0, fact_count - 1]) | st.integers(0, fact_count), label="m")
     observed = set(draw(st.permutations(range(1, size)))[:m])
     if draw(st.booleans()):
         observed.add(BOTTOM)
@@ -808,6 +835,43 @@ def theorem_main_cases(draw):
     if boundaries:
         count = count | st.sampled_from(boundaries)
     samples = draw(count, label="samples")
+    rng = SeededRng(draw(st.integers(0, 2**32 - 1)), (draw(st.integers(0, 9)),))
+    return u, fact_count, observed, g, partition, samples, rng
+
+
+@st.composite
+def exchangeable_theorem_main_cases(draw):
+    """A case the exact route takes: g is one weight on every unobserved
+    atom (a shared background or equal explicit weights, over observed
+    atoms of any weight), and the unobserved atoms share one block (with
+    observed atoms or not) or each have a block to themselves, the
+    observed atoms blocked at random."""
+    size = draw(st.integers(2, 60), label="size")
+    u = FactoidUniverse(size)
+    fact_count = draw(st.integers(1, size - 1), label="fact_count")
+    m = draw(
+        st.sampled_from([0, fact_count - 1, fact_count]) | st.integers(0, fact_count), label="m"
+    )
+    observed = set(draw(st.permutations(range(1, size)))[:m])
+    if draw(st.booleans()):
+        observed.add(BOTTOM)
+    unobserved = [y for y in range(size) if y not in observed | {BOTTOM}]
+    weight = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0)
+    weights = {y: draw(weight) for y in sorted(observed | {BOTTOM}) if draw(st.booleans())}
+    shared = draw(weight)
+    if not any(w > 0.0 for w in weights.values()) and shared == 0.0:
+        weights[BOTTOM] = 1.0
+    if draw(st.booleans()):
+        g = background_dist(u, weights, shared)
+    else:
+        g = dist_from_weights(u, weights | {y: shared for y in unobserved})
+    labels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 4, size)
+    if draw(st.booleans()):
+        labels[unobserved] = draw(st.integers(0, 3))
+    else:
+        labels[unobserved] = 4 + np.arange(len(unobserved))
+    partition = Partition(u, np.unique(labels, return_inverse=True)[1])
+    samples = draw(st.integers(1, 300), label="samples")
     rng = SeededRng(draw(st.integers(0, 2**32 - 1)), (draw(st.integers(0, 9)),))
     return u, fact_count, observed, g, partition, samples, rng
 
@@ -850,7 +914,27 @@ class TestBatchedVerifiers:
     @given(theorem_main_cases())
     @settings(max_examples=60, deadline=None)
     def test_theorem_main_chunks_match_per_sample_loop(self, case):
+        assume(not takes_exact_route(*case))
         assert verify_theorem_main_mc(*case) == ref_theorem_main(*case)
+
+    @given(
+        exchangeable_theorem_main_cases()
+        | theorem_main_cases().filter(lambda case: takes_exact_route(*case))
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_theorem_main_exact_route_matches_per_sample_loop(self, case):
+        # every sample the loop draws has the one value the exact route
+        # scores, up to the order in which equal terms are summed
+        assert takes_exact_route(*case)
+        check = verify_theorem_main_mc(*case)
+        assert (check.samples, check.lhs_stderr) == (0, 0.0)
+        assert check.marginals_ok and check.marginal_max_sigma == 0.0
+        values, _ = ref_posterior_values(*case)
+        assert np.abs(values - check.lhs_estimate).max() <= 1e-12
+        ref = ref_theorem_main(*case)
+        assert check.rhs_exact == ref.rhs_exact
+        if ref.marginals_ok:
+            assert check.passed == ref.passed
 
     @given(
         st.integers(1, 3000),

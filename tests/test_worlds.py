@@ -21,11 +21,14 @@ from factoidlab.worlds import (
     WorldInstance,
     analyze_regularity,
     enumerate_w5_instances,
-    posterior_fact_marginal,
     sample_world,
     world_sparsity,
 )
-from literal import posterior_sampler_uniform_world, sample_distinct_excluding
+from literal import (
+    posterior_fact_marginal,
+    posterior_sampler_uniform_world,
+    sample_distinct_excluding,
+)
 
 
 class TestPermutedPowerLaw:
