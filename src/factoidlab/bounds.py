@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .calibration import BIN_COUNT_LIMIT, Partition
+from .calibration import BIN_COUNT_LIMIT, Partition, _partition_label_rows
 from .dist import BOTTOM, FactoidDist, FactoidUniverse
 from .errors import DistributionError, InsufficientDataError, UniverseMismatchError
 from .rng import SeededRng
@@ -288,6 +288,8 @@ class TheoremMainCheck:
 #: Most dense cells (rows x |Y|) one chunk of the posterior Monte Carlo
 #: holds: 2^13 float64 cells is 64 KiB, so memory stays flat at any |Y|.
 _CHUNK_CELLS = 1 << 13
+#: Most gathered float64 cells (512 KiB) one block of the lemma sweep holds.
+_SWEEP_CELLS = 1 << 16
 #: Level of the probe-atom marginal check, per call: the normal mass
 #: beyond 3 sigma, split evenly over the probe atoms (Bonferroni).
 _MARGINAL_LEVEL = math.erfc(3.0 / math.sqrt(2.0))
@@ -490,20 +492,18 @@ def verify_lemma_meat_exhaustive(
 
     over the explicit prior. Returns the violations found (empty on
     success), partition by partition, subsets in bitmask order.
-    Enumeration is the oracle here, so the universe must stay tiny:
-    Bell(6) partitions times 2^6 subsets.
+    Enumeration is the oracle here, so the universe must stay tiny: k
+    instances cost Bell(|Y|) k 2^|Y| |Y| gathered cells.
 
-    Each subset's right-hand side plus tolerance is computed once, and
-    each partition scores all subsets at once: p(S) and coarsened p(S)
-    are row sums gathered through one subsets x |Y| index padded with a
-    zero column. One matrix-vector product then screens every subset's
-    expectation; only a subset it puts within a proven rounding margin of
-    its limit, or past it, is scored again with its own dot product, as
-    for a lone subset, and that dot alone decides the verdict and is the
-    reported lhs.
+    Each subset's right-hand side plus tolerance is computed once. The
+    partitions are scored in blocks of label rows, as many as fit in
+    _SWEEP_CELLS cells (at least one): p(S) and each coarsened p(S) are
+    row sums gathered through one subsets x |Y| index padded with a zero
+    column, and one matrix-vector product per partition screens every
+    subset. Only a (partition, subset) pair it puts within a proven
+    rounding margin of its limit, or past it, is scored again, in that
+    order, by its own dot product, which decides and is the reported lhs.
     """
-    from .calibration import iter_all_partitions
-
     size = nu.universe.size
     if size > max_universe:
         raise DistributionError(f"universe size {size} exceeds exhaustive limit {max_universe}")
@@ -521,7 +521,6 @@ def verify_lemma_meat_exhaustive(
     for s, atoms in enumerate(subsets):
         gather[s, : len(atoms)] = atoms
     p_of = np.hstack([P, np.zeros((len(weights), 1))])[:, gather].sum(axis=2)
-    Q = np.zeros((len(weights), size + 1))
     # The screen's margin. With k instances every term w_i * gap_i is >= 0,
     # so any float evaluation of the k-term dot (any order, fused
     # multiply-adds or not) lies within gamma_k * S of the exact sum S,
@@ -535,28 +534,33 @@ def verify_lemma_meat_exhaustive(
     # both dots are >= 0. A margin of (2 gamma_k + u (1 + gamma_k)) B,
     # about (k + 1/2) eps B, thus keeps every subset the lone dot flags;
     # 2 (k + 1) eps B, computed in floats, covers it for any k < 2^40.
-    # A subset is dropped only when its value is <= the screened limit,
-    # so a NaN on either side is scored again rather than dropped.
+    # B is taken per partition. A subset is dropped only when its value is
+    # <= the screened limit, so a NaN on either side is scored again.
     limits_arr = np.array(limits, dtype=np.float64)
     rounding = 2.0 * (len(weights) + 1) * _EPS * float(weights.sum())
 
     violations: list[LemmaMeatViolation] = []
-    for part in iter_all_partitions(nu.universe):
-        labels = part.labels
-        # P's columns added into block sums in atom order from 0.0, as
-        # P[:, block].sum(axis=1) adds them for a block of under 8 atoms
-        sums = np.zeros((len(weights), size))
-        np.add.at(sums, (slice(None), labels), P)
-        Q[:, :size] = sums[:, labels] / np.bincount(labels)[labels]
-        # one contiguous row per subset, so each dot is a lone subset's
-        gaps = np.clip(p_of - Q[:, gather].sum(axis=2), 0.0, None).T.copy()
-        margin = rounding * float(gaps.max())
-        for s in np.flatnonzero(~(gaps @ weights <= limits_arr - margin)).tolist():
-            lhs = float(weights @ gaps[s])
+    rows = max(1, _SWEEP_CELLS // (len(weights) * gather.size))
+    for labels in _partition_label_rows(size, rows):
+        n = np.arange(len(labels))
+        # P's columns added into block sums in atom order from 0.0, as P[:, block].sum(axis=1)
+        # adds them for under 8 atoms; a row has one label per atom, so no target repeats
+        sums = np.zeros((len(labels), len(weights), size))
+        for y in range(size):
+            sums[n, :, labels[:, y]] += P[:, y]
+        counts = (labels[:, :, None] == labels[:, None, :]).sum(axis=2)
+        Q = np.zeros((len(labels), len(weights), size + 1))
+        Q[..., :size] = (sums[n[:, None], :, labels] / counts[..., None]).transpose(0, 2, 1)
+        # one contiguous row per (partition, subset), so each dot is a lone subset's
+        gaps = np.clip(p_of - Q[..., gather].sum(axis=-1), 0.0, None).transpose(0, 2, 1).copy()
+        margin = rounding * gaps.max(axis=(1, 2))
+        for b, s in np.argwhere(~(gaps @ weights <= limits_arr - margin[:, None])).tolist():
+            lhs = float(weights @ gaps[b, s])
             if lhs > limits[s]:
+                blocks = Partition(nu.universe, labels[b]).blocks
                 violations.append(
                     LemmaMeatViolation(
-                        partition_blocks=tuple(tuple(sorted(b)) for b in part.blocks),
+                        partition_blocks=tuple(tuple(sorted(block)) for block in blocks),
                         subset=subsets[s],
                         lhs=lhs,
                         rhs=rhs[s],

@@ -362,24 +362,35 @@ def reliability_rows(
 PARTITION_LIMIT = 12
 
 
+def _partition_label_rows(size: int, rows: int) -> Iterator[np.ndarray]:
+    """Every set partition of `size` <= PARTITION_LIMIT atoms as a row of
+    block labels, a restricted growth string (atom y joins a block an
+    earlier atom opened, or opens the next), in lexicographic order and in
+    blocks of at most `rows` rows, unranked a few thousand rows at a time."""
+    if size > PARTITION_LIMIT:
+        raise PartitionError(f"universe of size {size} too large to enumerate partitions")
+    # ways[r, k]: completions of a prefix that opened k blocks, r atoms left
+    ways = np.ones((size + 1, size + 2), dtype=np.int64)
+    for r in range(1, size + 1):
+        ways[r, :-1] = np.arange(size + 1) * ways[r - 1, :-1] + ways[r - 1, 1:]
+    total, step = int(ways[size, 0]), rows * max(1, 4096 // rows)
+    for start in range(0, total, step):
+        rank = np.arange(start, min(start + step, total))
+        labels = np.empty((rank.size, size), dtype=np.intp)
+        opened = np.zeros_like(rank)
+        for y in range(size):
+            join = ways[size - 1 - y, opened]
+            labels[:, y] = np.minimum(rank // join, opened)
+            rank -= labels[:, y] * join
+            np.maximum(opened, labels[:, y] + 1, out=opened)
+        for i in range(0, rank.size, rows):
+            yield labels[i : i + rows]
+
+
 def iter_all_partitions(universe: FactoidUniverse) -> Iterator[Partition]:
-    """Every set partition of a universe of at most PARTITION_LIMIT atoms
-    (Bell(size) of them), as restricted growth strings in lexicographic
-    order: atom y joins a block an earlier atom opened, or opens the next."""
-    n = universe.size
-    if n > PARTITION_LIMIT:
-        raise PartitionError(f"universe of size {n} too large to enumerate partitions")
-    labels = [0] * n
-
-    def rec(y: int, opened: int) -> Iterator[Partition]:
-        if y == n:
-            yield Partition(universe, np.array(labels))
-            return
-        for block in range(opened + 1):
-            labels[y] = block
-            yield from rec(y + 1, max(opened, block + 1))
-
-    yield from rec(0, 0)
+    """Every set partition of a universe, lazily, one per label row."""
+    for block in _partition_label_rows(universe.size, 1024):
+        yield from (Partition(universe, labels) for labels in block)
 
 
 def random_partition(universe: FactoidUniverse, rng: SeededRng) -> Partition:

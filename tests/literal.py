@@ -1,14 +1,15 @@
 """One-call metric and draw entry points, kept as test-side references.
 
-The library measures a trial through one keyed (p, g) profile and draws
-posterior completions in batches. The tests also want the plain forms:
-one function per metric taking two distributions, one draw per stream.
+The library measures a trial through one keyed (p, g) profile, draws
+posterior completions in batches and unranks partitions in blocks. The
+tests also want the plain forms: one function per metric taking two
+distributions, one draw per stream, one recursive partition enumeration.
 They live here, built from the same library primitives, so a test can
 compare a fast path with them or state a property in their terms.
 """
 
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -79,6 +80,23 @@ def reliability_curve(
     """Rows (mean bin g-value, bin g-mass, bin p-mass, bin size), one per
     non-empty bin, ascending by bin value."""
     return reliability_rows(*_calibration(p, g, spec)[2])
+
+
+def restricted_growth_strings(size: int) -> Iterator[tuple[int, ...]]:
+    """Every set partition of `size` atoms as block labels, recursively in
+    lexicographic order: atom y joins a block an earlier atom opened, or
+    opens the next."""
+    labels = [0] * size
+
+    def rec(y: int, opened: int) -> Iterator[tuple[int, ...]]:
+        if y == size:
+            yield tuple(labels)
+            return
+        for block in range(opened + 1):
+            labels[y] = block
+            yield from rec(y + 1, max(opened, block + 1))
+
+    yield from rec(0, 0)
 
 
 # -- hallucination ---------------------------------------------------------

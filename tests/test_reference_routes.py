@@ -38,8 +38,10 @@ the literal sampler, monofact estimate and missing mass.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -47,6 +49,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from factoidlab import bounds as bounds_module
 from factoidlab import dist as dist_module
 from factoidlab.dist import (
     _GUIDE_STEPS,
@@ -58,6 +61,7 @@ from factoidlab.dist import (
     dist_from_arrays,
     dist_from_weights,
     keyed_profile,
+    random_dist,
     sample_counts,
     sample_iid,
     uniform_dist,
@@ -79,13 +83,15 @@ from factoidlab.calibration import (
     AdaptiveBinning,
     ExactValueBinning,
     FixedWidthBinning,
+    PARTITION_LIMIT,
     Partition,
     _block_starts_for_spec,
+    _partition_label_rows,
     iter_all_partitions,
     partition_for_spec,
     random_partition,
 )
-from factoidlab.errors import DistributionError
+from factoidlab.errors import DistributionError, PartitionError
 from factoidlab.estimators import TrainingSample, missing_mass, monofact_estimate
 from factoidlab import harness
 from factoidlab.harness import (
@@ -118,6 +124,7 @@ from literal import (
     miscalibration,
     paired_profile,
     posterior_support_uniform,
+    restricted_growth_strings,
     sample_distinct_excluding,
 )
 
@@ -755,7 +762,8 @@ def takes_exact_route(universe, fact_count, observed, g, partition, samples, rng
 
 
 def ref_lemma_sweep(nu, tolerance):
-    """verify_lemma_meat_exhaustive subset by subset, each right-hand side
+    """verify_lemma_meat_exhaustive one partition at a time, from the
+    recursive enumeration, and subset by subset, each right-hand side
     recomputed inside the partition loop."""
     size = nu.universe.size
     weights = np.array([w for w, _ in nu.instances])
@@ -763,7 +771,8 @@ def ref_lemma_sweep(nu, tolerance):
     mean_p = weights @ P
     subsets = [tuple(y for y in range(size) if mask >> y & 1) for mask in range(1, 1 << size)]
     violations = []
-    for part in iter_all_partitions(nu.universe):
+    for labels in restricted_growth_strings(size):
+        part = Partition(nu.universe, np.array(labels))
         Q = np.empty_like(P)
         for block in part.blocks:
             atoms = sorted(block)
@@ -976,6 +985,40 @@ class TestBatchedVerifiers:
             got = verify_lemma_meat_exhaustive(nu, float(tolerance))
             assert got == ref_lemma_sweep(nu, float(tolerance))
 
+    @pytest.mark.parametrize("per_block", [1, 7, None])
+    @given(explicit_worlds() | crowded_explicit_worlds(), st.sampled_from([1e-9, 0.0, -0.01, -0.1, -1.0]))
+    @settings(max_examples=15, deadline=None)
+    def test_lemma_sweep_across_block_boundaries(self, per_block, nu, tolerance):
+        """One partition per block, seven (Bell(5) = 52 is 7 blocks of 7 and
+        one of 3), or every partition in one block."""
+        size = nu.universe.size
+        bell = sum(1 for _ in restricted_growth_strings(size))
+        per_partition = len(nu.instances) * ((1 << size) - 1) * size
+        blocks = []
+
+        def recorded(size, rows):
+            for labels in _partition_label_rows(size, rows):
+                blocks.append(len(labels))
+                yield labels
+
+        budget = per_partition * (per_block or bell) + per_partition // 2
+        with mock.patch.object(bounds_module, "_SWEEP_CELLS", budget), mock.patch.object(
+            bounds_module, "_partition_label_rows", recorded
+        ):
+            got = verify_lemma_meat_exhaustive(nu, tolerance)
+        assert got == ref_lemma_sweep(nu, tolerance)
+        assert sum(blocks) == bell and max(blocks) == min(per_block or bell, bell)
+
+    @pytest.mark.parametrize("seed, tolerance", [(0, 1e-9), (1, 0.0), (2, -0.05)])
+    def test_lemma_sweep_matches_subset_loop_at_six_atoms(self, seed, tolerance):
+        # Bell(6) = 203 partitions in blocks of 17 at ten instances
+        u = FactoidUniverse(6)
+        rng = SeededRng(seed)
+        nu = ExplicitWorld(
+            tuple((0.1, WorldInstance(random_dist(u, rng.child(i)))) for i in range(10))
+        )
+        assert verify_lemma_meat_exhaustive(nu, tolerance) == ref_lemma_sweep(nu, tolerance)
+
     @given(
         st.integers(0, 6000),
         st.integers(1, 6000),
@@ -1050,6 +1093,35 @@ class TestLabelPartitions:
     def test_every_partition_matches_the_recursive_enumeration(self, size):
         got = [part.blocks for part in iter_all_partitions(FactoidUniverse(size))]
         assert got == list(ref_all_partitions(size))
+
+    @pytest.mark.parametrize(
+        "size, bell",
+        [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877), (8, 4140), (9, 21147)],
+    )
+    def test_label_rows_match_the_recursive_generator(self, size, bell):
+        expected = list(restricted_growth_strings(size))
+        assert len(expected) == bell
+        for rows in (1, 7, 4096):
+            blocks = list(_partition_label_rows(size, rows))
+            assert max(len(block) for block in blocks) == min(rows, bell)
+            assert [tuple(row) for block in blocks for row in block.tolist()] == expected
+        if size >= 2:  # a universe has at least two atoms
+            got = [tuple(part.labels.tolist()) for part in iter_all_partitions(FactoidUniverse(size))]
+            assert got == expected
+
+    def test_partitions_at_the_limit_come_out_lazily(self):
+        # all Bell(12) = 4213597 label rows would take 404 MB
+        tracemalloc.start()
+        try:
+            first = list(islice(iter_all_partitions(FactoidUniverse(PARTITION_LIMIT)), 1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        expected = list(islice(restricted_growth_strings(PARTITION_LIMIT), 1000))
+        assert [tuple(part.labels.tolist()) for part in first] == expected
+        with pytest.raises(PartitionError):
+            next(_partition_label_rows(PARTITION_LIMIT + 1, 1))
 
     @given(st.integers(2, 40).flatmap(dists), binning_specs())
     @PROPERTY
