@@ -501,8 +501,8 @@ def verify_lemma_meat_exhaustive(
     row sums gathered through one subsets x |Y| index padded with a zero
     column, and one matrix-vector product per partition screens every
     subset. Only a (partition, subset) pair it puts within a proven
-    rounding margin of its limit, or past it, is scored again, in that
-    order, by its own dot product, which decides and is the reported lhs.
+    rounding margin of its limit, or past it, is scored again, partition
+    by partition, by its own dot product, which decides and is the lhs.
     """
     size = nu.universe.size
     if size > max_universe:
