@@ -20,7 +20,6 @@ from .calibration import (
     ExactValueBinning,
     FixedWidthBinning,
     Partition,
-    coarsen,
     partition_for_spec,
 )
 from .estimators import (

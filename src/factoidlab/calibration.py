@@ -1,4 +1,4 @@
-"""Partitions, coarsenings, binning schemes, and miscalibration metrics.
+"""Partitions, binning schemes, and miscalibration metrics.
 
 A generated distribution g is *calibrated* to a source distribution p
 when g equals some block-averaged coarsening of p. Miscalibration is
@@ -20,10 +20,12 @@ provided:
 All metrics are computed by profile_calibration on the paired
 atom-class profile of (p, g) from dist.keyed_profile, sorted once by g,
 so they stay exact and cheap on universes far too large to enumerate.
-An explicit Partition holds one block label per atom and is meant for
-universes small enough to materialize (tests, exhaustive sweeps, the
-posterior verifier); both routes are checked against each other in the
-test suite.
+An explicit Partition holds one block label per atom, so this is the one
+module that builds per-atom arrays: its builders (Partition.singletons,
+partition_for_spec) refuse universes above MATERIALIZE_LIMIT atoms. The
+exhaustive lemma sweep and the posterior verifier read such partitions,
+and the test suite checks the profile route against the literal
+partition-then-coarsen route on them.
 """
 
 from __future__ import annotations
@@ -35,14 +37,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .dist import (
-    MATERIALIZE_LIMIT,
-    FactoidDist,
-    FactoidUniverse,
-    dist_from_arrays,
-)
-from .errors import PartitionError, UniverseMismatchError
-from .rng import SeededRng
+from .dist import FactoidDist, FactoidUniverse
+from .errors import PartitionError
 
 __all__ = [
     "EXACT_VALUE_RTOL",
@@ -52,13 +48,10 @@ __all__ = [
     "AdaptiveBinning",
     "FixedWidthBinning",
     "BinningSpec",
-    "coarsen",
     "partition_for_spec",
     "sort_profile_by_g",
     "profile_calibration",
     "reliability_rows",
-    "iter_all_partitions",
-    "random_partition",
 ]
 
 #: Two g-values this close (relatively) count as the same bin value;
@@ -68,6 +61,9 @@ EXACT_VALUE_RTOL = 1e-12
 #: thresholds, 8 MB at this limit, so a larger b would exhaust memory
 #: rather than run.
 BIN_COUNT_LIMIT = 1_000_000
+#: Universes larger than this refuse per-atom arrays: the labels of an
+#: explicit partition and the atom values it is built from.
+MATERIALIZE_LIMIT = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +105,15 @@ class Partition:
 
     @classmethod
     def singletons(cls, universe: FactoidUniverse) -> "Partition":
+        _check_materializable(universe)
         return cls(universe, np.arange(universe.size))
 
-    @classmethod
-    def single_block(cls, universe: FactoidUniverse) -> "Partition":
-        return cls(universe, np.zeros(universe.size, dtype=np.intp))
+
+def _check_materializable(universe: FactoidUniverse) -> None:
+    if universe.size > MATERIALIZE_LIMIT:
+        raise PartitionError(
+            f"refusing to materialize per-atom blocks for universe of size {universe.size}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +123,12 @@ class Partition:
 
 @dataclass(frozen=True)
 class ExactValueBinning:
-    kind: str = "exact_value"
+    """One bin per distinct g-value."""
 
 
 @dataclass(frozen=True)
 class AdaptiveBinning:
     b: int
-    kind: str = "adaptive"
 
     def __post_init__(self):
         if not 1 <= self.b <= BIN_COUNT_LIMIT:
@@ -139,7 +138,6 @@ class AdaptiveBinning:
 @dataclass(frozen=True)
 class FixedWidthBinning:
     epsilon: float
-    kind: str = "fixed_width"
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
@@ -249,50 +247,18 @@ def _block_starts_for_spec(
 # ---------------------------------------------------------------------------
 
 
-def _atom_values(g: FactoidDist) -> np.ndarray:
-    if g.universe.size > MATERIALIZE_LIMIT:
-        raise PartitionError(
-            f"refusing to materialize per-atom blocks for universe of size {g.universe.size}"
-        )
-    return g.weights_at(np.arange(g.universe.size))
-
-
-def _partition_from_sorted_groups(
-    universe: FactoidUniverse, order: np.ndarray, starts: np.ndarray
-) -> Partition:
-    """Label atom order[j] with the number of the group holding position j."""
-    labels = np.empty(order.size, dtype=np.intp)
-    labels[order] = np.repeat(np.arange(starts.size), np.diff(np.append(starts, order.size)))
-    return Partition(universe, labels)
-
-
 def partition_for_spec(g: FactoidDist, spec: BinningSpec) -> Partition:
     """The bins spec builds from g as an explicit partition of g's atoms,
     for small universes. Empty bins are dropped, so an adaptive or
     fixed-width spec may give fewer blocks than it has nominal bins."""
-    vals = _atom_values(g)
+    _check_materializable(g.universe)
+    vals = g.weights_at(np.arange(g.universe.size))
     order = np.argsort(vals, kind="stable")
     starts = _block_starts_for_spec(vals[order], np.ones(vals.size), spec)
-    return _partition_from_sorted_groups(g.universe, order, starts)
-
-
-# ---------------------------------------------------------------------------
-# Coarsening
-# ---------------------------------------------------------------------------
-
-
-def coarsen(p: FactoidDist, pi: Partition) -> FactoidDist:
-    """Spread each block's p-mass uniformly over the block's atoms."""
-    if pi.universe != p.universe:
-        raise UniverseMismatchError(
-            f"partition universe size {pi.universe.size} != distribution size {p.universe.size}"
-        )
-    keys = np.arange(p.universe.size)
-    sizes = np.bincount(pi.labels)
-    order = np.argsort(pi.labels, kind="stable")
-    blocks = np.split(p.weights_at(keys)[order], np.cumsum(sizes)[:-1])
-    masses = np.array([math.fsum(block.tolist()) for block in blocks])
-    return dist_from_arrays(p.universe, keys, (masses / sizes)[pi.labels])
+    # atom order[j] joins the group holding position j
+    labels = np.empty(vals.size, dtype=np.intp)
+    labels[order] = np.repeat(np.arange(starts.size), np.diff(np.append(starts, vals.size)))
+    return Partition(g.universe, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +320,7 @@ def reliability_rows(
 
 
 # ---------------------------------------------------------------------------
-# Partition enumeration and sampling (small universes)
+# Partition enumeration (small universes)
 # ---------------------------------------------------------------------------
 
 
@@ -385,18 +351,3 @@ def _partition_label_rows(size: int, rows: int) -> Iterator[np.ndarray]:
             np.maximum(opened, labels[:, y] + 1, out=opened)
         for i in range(0, rank.size, rows):
             yield labels[i : i + rows]
-
-
-def iter_all_partitions(universe: FactoidUniverse) -> Iterator[Partition]:
-    """Every set partition of a universe, lazily, one per label row."""
-    for block in _partition_label_rows(universe.size, 1024):
-        yield from (Partition(universe, labels) for labels in block)
-
-
-def random_partition(universe: FactoidUniverse, rng: SeededRng) -> Partition:
-    """Uniformly shuffled indices cut at a random set of split points."""
-    gen = rng.generator
-    order = gen.permutation(universe.size)
-    n_blocks = int(gen.integers(1, universe.size + 1))
-    cuts = np.sort(gen.choice(universe.size - 1, size=n_blocks - 1, replace=False)) + 1 if n_blocks > 1 else np.zeros(0, dtype=np.int64)
-    return _partition_from_sorted_groups(universe, order, np.append(0, cuts))

@@ -28,6 +28,7 @@ from typing import Iterable, Optional, Sequence
 from . import __version__
 from .bounds import verify_lemma_meat_exhaustive, verify_theorem_main_mc
 from .calibration import (
+    MATERIALIZE_LIMIT,
     PARTITION_LIMIT,
     AdaptiveBinning,
     ExactValueBinning,
@@ -35,7 +36,7 @@ from .calibration import (
     Partition,
     partition_for_spec,
 )
-from .dist import MATERIALIZE_LIMIT, FactoidUniverse, random_dist, tv_distance_forms
+from .dist import FactoidUniverse, random_dist, tv_distance_forms
 from .errors import ConfigError, FactoidLabError
 from .harness import (
     BOUND_NAMES,

@@ -9,7 +9,8 @@ is two parallel arrays: `keys`, the atoms in strictly increasing order
 huge near-uniform distributions (for example "1/|Y| everywhere" on ten
 million atoms) exact and O(sparse) to operate on, which the Monte Carlo
 harness relies on: every reader works on the arrays with numpy and no
-array ever has the size of the universe.
+array ever has the size of the universe. There is no per-atom view of a
+distribution; weight(y) and weights_at(atoms) read the atoms asked for.
 
 The constructor fails closed: unsorted or duplicate keys, keys outside
 the universe, NaN, infinite or negative weights and a non-finite or
@@ -58,7 +59,6 @@ __all__ = [
     "dist_from_arrays",
     "dist_from_weights",
     "uniform_dist",
-    "background_dist",
     "tv_distance_forms",
     "profile_kl",
     "sample_iid",
@@ -72,10 +72,6 @@ __all__ = [
 #: Index of the empty fact. Fixed package-wide so nothing needs to thread
 #: a per-universe bottom id around.
 BOTTOM = 0
-
-#: Universes larger than this refuse to materialize per-atom structures
-#: (dense weight maps, explicit partition blocks).
-MATERIALIZE_LIMIT = 1_000_000
 
 _NO_KEYS = np.zeros(0, dtype=np.int64)
 _NO_KEYS.flags.writeable = False
@@ -113,13 +109,6 @@ class FactoidUniverse:
         if not 2 <= self.size <= 2**63 - 1:
             raise DistributionError(f"universe size must be in [2, 2**63 - 1], got {self.size}")
 
-    @property
-    def bottom_id(self) -> int:
-        return BOTTOM
-
-    def indices(self) -> range:
-        return range(self.size)
-
     def atom_array(self, atoms) -> np.ndarray:
         """atoms (a sequence or array of indices) as an int64 array.
 
@@ -148,6 +137,28 @@ def with_bottom(keys: np.ndarray) -> np.ndarray:
     if keys.size and keys[0] == BOTTOM:
         return keys
     return np.concatenate((_BOTTOM_KEY, keys))
+
+
+def _sorted_keys(
+    universe: FactoidUniverse, atoms, column: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """atoms as a fresh int64 array, checked to be integers, strictly
+    increasing and inside the universe, and column, flattened, checked to
+    be parallel to it."""
+    raw = np.asarray(atoms)
+    if raw.size and raw.dtype.kind not in "iu":
+        raise DistributionError(f"factoid indices must be integers, got dtype {raw.dtype}")
+    keys = raw.astype(np.int64).ravel()
+    column = column.ravel()
+    if keys.shape != column.shape:
+        raise DistributionError(f"{keys.size} atoms but {column.size} entries; arrays must be parallel")
+    # uint64 atoms beyond the int64 range wrap negative and fail here
+    if keys.size and not (keys[1:] > keys[:-1]).all():
+        raise DistributionError("atoms must be strictly increasing (sorted, no duplicates)")
+    if keys.size and (keys[0] < 0 or keys[-1] >= universe.size):
+        bad = keys[0] if keys[0] < 0 else keys[-1]
+        raise DistributionError(f"factoid index {bad} outside universe of size {universe.size}")
+    return keys, column
 
 
 def _lookup(keys: np.ndarray, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,27 +192,10 @@ class FactoidDist:
         background = float(self.background)
         if not (math.isfinite(background) and background >= 0.0):
             raise DistributionError(f"background weight must be finite and >= 0, got {background}")
-        raw = np.asarray(self.keys)
-        if raw.size and raw.dtype.kind not in "iu":
-            raise DistributionError(f"factoid indices must be integers, got dtype {raw.dtype}")
-        keys = raw.astype(np.int64).ravel()
-        values = np.array(self.values, dtype=np.float64).ravel()
-        if keys.shape != values.shape:
-            raise DistributionError(
-                f"{keys.size} keys but {values.size} values; arrays must be parallel"
-            )
-        if keys.size:
-            # uint64 keys beyond the int64 range wrap negative and fail here
-            if not (keys[1:] > keys[:-1]).all():
-                raise DistributionError("keys must be strictly increasing (sorted, no duplicates)")
-            if keys[0] < 0 or keys[-1] >= self.universe.size:
-                bad = keys[0] if keys[0] < 0 else keys[-1]
-                raise DistributionError(
-                    f"factoid index {bad} outside universe of size {self.universe.size}"
-                )
-            if not (values.min() >= 0.0 and np.isfinite(values).all()):
-                i = int(np.argmax(~(np.isfinite(values) & (values >= 0.0))))
-                raise DistributionError(f"weight {values[i]} at index {keys[i]} is negative or not finite")
+        keys, values = _sorted_keys(self.universe, self.keys, np.array(self.values, dtype=np.float64))
+        if keys.size and not (values.min() >= 0.0 and np.isfinite(values).all()):
+            i = int(np.argmax(~(np.isfinite(values) & (values >= 0.0))))
+            raise DistributionError(f"weight {values[i]} at index {keys[i]} is negative or not finite")
         keys.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "keys", keys)
@@ -228,24 +222,6 @@ class FactoidDist:
             return np.full(atoms.shape, self.background), np.zeros(atoms.shape, dtype=bool)
         pos, hit = _lookup(self.keys, atoms)
         return np.where(hit, self.values[pos], self.background), hit
-
-    @property
-    def weights(self) -> dict[int, float]:
-        """Dense atom -> weight map (sparse form: zero atoms omitted).
-
-        Materializes every positive atom, so it is guarded against huge
-        universes; use weight() or weights_at() there instead.
-        """
-        if self.background == 0.0:
-            pos = self.values > 0.0
-            return dict(zip(self.keys[pos].tolist(), self.values[pos].tolist()))
-        if self.universe.size > MATERIALIZE_LIMIT:
-            raise DistributionError(
-                f"refusing to materialize weights for universe of size {self.universe.size}"
-            )
-        dense = self.weights_at(np.arange(self.universe.size))
-        pos = np.flatnonzero(dense > 0.0)
-        return dict(zip(pos.tolist(), dense[pos].tolist()))
 
     def total_mass(self) -> float:
         rest = self.universe.size - self.keys.size
@@ -334,14 +310,6 @@ def dist_from_weights(universe: FactoidUniverse, weights: Mapping[int, float]) -
     out-of-range indices. Atoms absent from the map have probability zero.
     """
     return dist_from_arrays(universe, *_sorted_items(weights))
-
-
-def background_dist(
-    universe: FactoidUniverse, special: Mapping[int, float], background: float
-) -> FactoidDist:
-    """Distribution with explicit weights on some atoms and a shared
-    background weight on all others; normalizes like dist_from_weights."""
-    return dist_from_arrays(universe, *_sorted_items(special), background)
 
 
 def uniform_dist(universe: FactoidUniverse) -> FactoidDist:

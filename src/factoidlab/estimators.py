@@ -6,6 +6,11 @@ estimate of the missing mass, i.e. of the probability that a fresh draw
 was never seen in training. The radius functions give the concentration
 widths under which |estimate - missing mass| falls with probability
 1 - delta; the harness validates both empirically.
+
+A training sample holds its distinct atoms and their counts. The
+unobserved atoms are counted, never listed, and the missing mass sums p
+over its own explicit atoms, so nothing here has the size of the
+universe.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import BOTTOM, MATERIALIZE_LIMIT, FactoidDist, FactoidUniverse, _lookup, with_bottom
+from .dist import BOTTOM, FactoidDist, FactoidUniverse, _lookup, _sorted_keys, with_bottom
 from .errors import DistributionError, InsufficientDataError, UniverseMismatchError
 
 __all__ = [
@@ -49,8 +54,8 @@ class TrainingSample:
     repeated in increasing order, built on first access. All arrays are
     copied and read-only, so the cached views below cannot go stale. The
     empty fact (index 0) counts as observed whether or not it was drawn.
-    The unobserved set is exposed lazily; on huge universes use
-    unobserved_count and set-free mass computations instead.
+    The unobserved atoms are only counted (unobserved_count), never
+    listed: on a huge universe they are nearly all of it.
     """
 
     universe: FactoidUniverse
@@ -68,26 +73,13 @@ class TrainingSample:
     def from_counts(cls, universe: FactoidUniverse, atoms, counts) -> TrainingSample:
         """The sample whose distinct atoms, in strictly increasing order,
         were drawn counts[i] >= 1 times each."""
-        raw_atoms, raw_counts = np.asarray(atoms), np.asarray(counts)
-        for name, raw in (("factoid indices", raw_atoms), ("counts", raw_counts)):
-            if raw.size and raw.dtype.kind not in "iu":
-                raise DistributionError(f"{name} must be integers, got dtype {raw.dtype}")
+        raw_counts = np.asarray(counts)
+        if raw_counts.size and raw_counts.dtype.kind not in "iu":
+            raise DistributionError(f"counts must be integers, got dtype {raw_counts.dtype}")
         # astype copies, so the caller's arrays stay the caller's
-        atoms = raw_atoms.astype(np.int64).ravel()
-        counts = raw_counts.astype(np.int64).ravel()
-        if atoms.shape != counts.shape:
-            raise DistributionError(
-                f"{atoms.size} atoms but {counts.size} counts; arrays must be parallel"
-            )
-        if atoms.size:
-            # uint64 atoms beyond the int64 range wrap negative and fail here
-            if not (atoms[1:] > atoms[:-1]).all():
-                raise DistributionError("atoms must be strictly increasing (sorted, no duplicates)")
-            if atoms[0] < 0 or atoms[-1] >= universe.size:
-                bad = atoms[0] if atoms[0] < 0 else atoms[-1]
-                raise DistributionError(f"factoid index {bad} outside universe of size {universe.size}")
-            if counts.min() < 1:
-                raise DistributionError(f"counts must be >= 1, got {counts.min()}")
+        atoms, counts = _sorted_keys(universe, atoms, raw_counts.astype(np.int64))
+        if counts.size and counts.min() < 1:
+            raise DistributionError(f"counts must be >= 1, got {counts.min()}")
         sample = cls.__new__(cls)
         sample._set_counts(universe, atoms, counts)
         return sample
@@ -124,14 +116,6 @@ class TrainingSample:
     @property
     def unobserved_count(self) -> int:
         return self.universe.size - self.observed_count
-
-    @cached_property
-    def unobserved(self) -> frozenset[int]:
-        if self.universe.size > MATERIALIZE_LIMIT:
-            raise DistributionError(
-                f"refusing to materialize unobserved set over universe of size {self.universe.size}"
-            )
-        return frozenset(self.universe.indices()) - self.observed
 
 
 def monofact_estimate(s: TrainingSample) -> float:

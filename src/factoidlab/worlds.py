@@ -18,6 +18,10 @@ models:
 Regularity of a world, conditioned on a training sample, measures how
 far any single unobserved factoid's chance of being a fact (or expected
 mass) can exceed the unobserved average; 1 means perfectly exchangeable.
+
+Instances are sparse: a world instance lists its facts and counts its
+hallucinations, and the explicit regularity analysis scores only the
+unobserved atoms some instance holds, so it runs on any universe size.
 """
 
 from __future__ import annotations
@@ -25,20 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from .dist import (
-    BOTTOM,
-    MATERIALIZE_LIMIT,
-    FactoidDist,
-    FactoidUniverse,
-    dist_from_arrays,
-    dist_from_weights,
-    with_bottom,
-)
+from .dist import BOTTOM, FactoidDist, FactoidUniverse, dist_from_arrays, with_bottom
 from .errors import (
     DistributionError,
     UnsupportedModelError,
@@ -58,14 +53,17 @@ __all__ = [
     "RegularityReport",
     "sample_world",
     "analyze_regularity",
-    "enumerate_w5_instances",
     "world_sparsity",
 ]
 
 
 @dataclass(frozen=True)
 class WorldInstance:
-    """One realized world: a sparse fact distribution and its fact set."""
+    """One realized world: a sparse fact distribution and its facts.
+
+    The facts are listed (fact_keys); the hallucinations, every other
+    atom of the universe, are only counted.
+    """
 
     p: FactoidDist
 
@@ -82,10 +80,6 @@ class WorldInstance:
         """The facts, the empty fact included, in increasing order."""
         return with_bottom(self.p.keys[self.p.values > 0.0])
 
-    @cached_property
-    def facts(self) -> frozenset[int]:
-        return frozenset(self.fact_keys.tolist())
-
     @property
     def fact_count(self) -> int:
         return self.fact_keys.size
@@ -93,14 +87,6 @@ class WorldInstance:
     @property
     def hallucination_count(self) -> int:
         return self.universe.size - self.fact_count
-
-    @cached_property
-    def hallucinations(self) -> frozenset[int]:
-        if self.universe.size > MATERIALIZE_LIMIT:
-            raise DistributionError(
-                f"refusing to materialize hallucination set over universe of size {self.universe.size}"
-            )
-        return frozenset(self.universe.indices()) - self.facts
 
 
 #: Most facts one world may hold: drawing a world allocates arrays of its
@@ -453,7 +439,6 @@ class RegularityReport:
     s: float
     r_facts: float
     r_probs: float
-    conditioning_sample: TrainingSample
 
 
 def _instance_sparsity(inst: WorldInstance) -> float:
@@ -495,9 +480,7 @@ def analyze_regularity(model: WorldModel, sample: TrainingSample) -> RegularityR
     if isinstance(model, PermutedPowerLawWorld):
         if sample.universe.size != model.universe_size:
             raise UniverseMismatchError("sample universe does not match the model")
-        return RegularityReport(
-            s=world_sparsity(model), r_facts=1.0, r_probs=1.0, conditioning_sample=sample
-        )
+        return RegularityReport(s=world_sparsity(model), r_facts=1.0, r_probs=1.0)
     raise UnsupportedModelError(f"regularity analysis not available for {type(model).__name__}")
 
 
@@ -505,13 +488,19 @@ def _analyze_explicit(model: ExplicitWorld, sample: TrainingSample) -> Regularit
     if sample.universe != model.universe:
         raise UniverseMismatchError("sample universe does not match the model")
     post = _posterior_over_instances(model, sample)
-    unobserved = np.array(sorted(sample.unobserved), dtype=np.int64)
-    n_unobs = unobserved.size
+    n_unobs = sample.unobserved_count
     s = min(_instance_sparsity(inst) for _, inst in model.instances)
     if n_unobs == 0:
-        return RegularityReport(s=s, r_facts=1.0, r_probs=1.0, conditioning_sample=sample)
-    pr_fact = np.zeros(n_unobs)
-    exp_mass = np.zeros(n_unobs)
+        return RegularityReport(s=s, r_facts=1.0, r_probs=1.0)
+    # an unobserved atom outside every instance's keys is a fact of none
+    # and carries no mass: it adds exactly 0 to every sum below (fsum
+    # ignores zeros) and cannot raise a maximum of non-negative terms, so
+    # only the keyed atoms are scored and the rest enter through n_unobs
+    unobserved = np.setdiff1d(
+        np.concatenate([inst.p.keys for _, inst in model.instances]), sample.observed_keys
+    )
+    pr_fact = np.zeros(unobserved.size)
+    exp_mass = np.zeros(unobserved.size)
     exp_overlap = 0.0
     exp_missing = 0.0
     for w, (_, inst) in zip(post, model.instances):
@@ -525,7 +514,7 @@ def _analyze_explicit(model: ExplicitWorld, sample: TrainingSample) -> Regularit
         exp_missing += w * math.fsum(mass.tolist())
     r_facts = 1.0 if exp_overlap == 0.0 else float(pr_fact.max()) * n_unobs / exp_overlap
     r_probs = 1.0 if exp_missing == 0.0 else float(exp_mass.max()) * n_unobs / exp_missing
-    return RegularityReport(s=s, r_facts=r_facts, r_probs=r_probs, conditioning_sample=sample)
+    return RegularityReport(s=s, r_facts=r_facts, r_probs=r_probs)
 
 
 def _analyze_w5(model: W5World, sample: TrainingSample) -> RegularityReport:
@@ -545,7 +534,7 @@ def _analyze_w5(model: W5World, sample: TrainingSample) -> RegularityReport:
     n_unobs = size - sample.observed_count
     s = world_sparsity(model)
     if n_unobs == 0 or free_pairs == 0:
-        return RegularityReport(s=s, r_facts=1.0, r_probs=1.0, conditioning_sample=sample)
+        return RegularityReport(s=s, r_facts=1.0, r_probs=1.0)
     # any unobserved factoid on a free pair is that pair's fact with
     # probability 1/(foods*locations); pinned pairs contribute nothing
     per_pair_choices = model.n_foods * model.n_locations
@@ -555,29 +544,7 @@ def _analyze_w5(model: W5World, sample: TrainingSample) -> RegularityReport:
     # mass given membership is deterministic (uniform over all facts),
     # so the probability ratio coincides with the fact ratio
     r_probs = r_facts
-    return RegularityReport(s=s, r_facts=r_facts, r_probs=r_probs, conditioning_sample=sample)
-
-
-def enumerate_w5_instances(model: W5World) -> ExplicitWorld:
-    """All assignments of one (food, location) per (person, date) pair,
-    with uniform prior. Guarded at 200000 instances: the count grows as
-    (foods*locations)^(people*dates)."""
-    per_pair = model.n_foods * model.n_locations
-    count = per_pair ** model.pair_count
-    if count > 200_000:
-        raise DistributionError(f"{count} instances exceed enumeration limit 200000")
-    universe = model.universe
-    share = 1.0 / model.pair_count
-    pairs = [(p, d) for p in range(model.n_people) for d in range(model.n_dates)]
-    choices = [(f, l) for f in range(model.n_foods) for l in range(model.n_locations)]
-    prior = 1.0 / count
-    instances = []
-    for combo in product(choices, repeat=len(pairs)):
-        weights = {
-            model.index_of(p, d, f, l): share for (p, d), (f, l) in zip(pairs, combo)
-        }
-        instances.append((prior, WorldInstance(dist_from_weights(universe, weights))))
-    return ExplicitWorld(tuple(instances))
+    return RegularityReport(s=s, r_facts=r_facts, r_probs=r_probs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,61 @@
-"""One-call metric and draw entry points, kept as test-side references.
+"""One-call metric, draw and builder entry points, kept as test-side
+references.
 
 The library measures a trial through one keyed (p, g) profile, draws
-posterior completions in batches and unranks partitions in blocks. The
-tests also want the plain forms: one function per metric taking two
-distributions, one draw per stream, one recursive partition enumeration.
-They live here, built from the same library primitives, so a test can
-compare a fast path with them or state a property in their terms.
+posterior completions in batches, unranks partitions in blocks and never
+builds a per-atom view of a distribution. The tests also want the plain
+forms: one function per metric taking two distributions, one draw per
+stream, one recursive partition enumeration, a literal coarsening, and
+builders of small test inputs (background distributions, random and
+enumerated partitions, enumerated W5 worlds). They live here, built from
+the same library primitives, so a test can compare a fast path with them
+or state a property in their terms.
 """
 
 import math
-from typing import Iterable, Iterator
+from itertools import product
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from factoidlab.calibration import (
     BinningSpec,
     FixedWidthBinning,
+    Partition,
+    _partition_label_rows,
     profile_calibration,
     reliability_rows,
     sort_profile_by_g,
 )
-from factoidlab.dist import BOTTOM, FactoidDist, dist_from_arrays, keyed_profile, profile_kl
+from factoidlab.dist import (
+    BOTTOM,
+    FactoidDist,
+    FactoidUniverse,
+    _sorted_items,
+    dist_from_arrays,
+    dist_from_weights,
+    keyed_profile,
+    profile_kl,
+)
 from factoidlab.errors import DistributionError, UniverseMismatchError, UnsupportedModelError
 from factoidlab.rng import SeededRng
-from factoidlab.worlds import PermutedPowerLawWorld, WorldInstance, _distinct_rows
+from factoidlab.worlds import (
+    ExplicitWorld,
+    PermutedPowerLawWorld,
+    W5World,
+    WorldInstance,
+    _distinct_rows,
+)
 
 # -- distributions ---------------------------------------------------------
+
+
+def background_dist(
+    universe: FactoidUniverse, special: Mapping[int, float], background: float
+) -> FactoidDist:
+    """Distribution with explicit weights on some atoms and a shared
+    background weight on all others; normalizes like dist_from_weights."""
+    return dist_from_arrays(universe, *_sorted_items(special), background)
 
 
 def paired_profile(d1: FactoidDist, d2: FactoidDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,6 +112,45 @@ def reliability_curve(
     return reliability_rows(*_calibration(p, g, spec)[2])
 
 
+def coarsen(p: FactoidDist, pi: Partition) -> FactoidDist:
+    """Spread each block's p-mass uniformly over the block's atoms."""
+    if pi.universe != p.universe:
+        raise UniverseMismatchError(
+            f"partition universe size {pi.universe.size} != distribution size {p.universe.size}"
+        )
+    keys = np.arange(p.universe.size)
+    sizes = np.bincount(pi.labels)
+    order = np.argsort(pi.labels, kind="stable")
+    blocks = np.split(p.weights_at(keys)[order], np.cumsum(sizes)[:-1])
+    masses = np.array([math.fsum(block.tolist()) for block in blocks])
+    return dist_from_arrays(p.universe, keys, (masses / sizes)[pi.labels])
+
+
+# -- partitions ------------------------------------------------------------
+
+
+def iter_all_partitions(universe: FactoidUniverse) -> Iterator[Partition]:
+    """Every set partition of a universe, lazily, one per label row."""
+    for block in _partition_label_rows(universe.size, 1024):
+        yield from (Partition(universe, labels) for labels in block)
+
+
+def random_partition(universe: FactoidUniverse, rng: SeededRng) -> Partition:
+    """Uniformly shuffled indices cut at a random set of split points."""
+    gen = rng.generator
+    order = gen.permutation(universe.size)
+    n_blocks = int(gen.integers(1, universe.size + 1))
+    if n_blocks > 1:
+        cuts = np.sort(gen.choice(universe.size - 1, size=n_blocks - 1, replace=False)) + 1
+    else:
+        cuts = np.zeros(0, dtype=np.int64)
+    starts = np.append(0, cuts)
+    # atom order[j] joins the group holding position j
+    labels = np.empty(universe.size, dtype=np.intp)
+    labels[order] = np.repeat(np.arange(starts.size), np.diff(np.append(starts, universe.size)))
+    return Partition(universe, labels)
+
+
 def restricted_growth_strings(size: int) -> Iterator[tuple[int, ...]]:
     """Every set partition of `size` atoms as block labels, recursively in
     lexicographic order: atom y joins a block an earlier atom opened, or
@@ -110,6 +179,31 @@ def hallucination_rate(g: FactoidDist, world: WorldInstance) -> float:
             f"universe mismatch: {g.universe.size} vs {world.universe.size}"
         )
     return max(0.0, 1.0 - mass_of_set(g, world.fact_keys))
+
+
+# -- worlds ----------------------------------------------------------------
+
+
+def enumerate_w5_instances(model: W5World) -> ExplicitWorld:
+    """All assignments of one (food, location) per (person, date) pair,
+    with uniform prior. Guarded at 200000 instances: the count grows as
+    (foods*locations)^(people*dates)."""
+    per_pair = model.n_foods * model.n_locations
+    count = per_pair ** model.pair_count
+    if count > 200_000:
+        raise DistributionError(f"{count} instances exceed enumeration limit 200000")
+    universe = model.universe
+    share = 1.0 / model.pair_count
+    pairs = [(p, d) for p in range(model.n_people) for d in range(model.n_dates)]
+    choices = [(f, l) for f in range(model.n_foods) for l in range(model.n_locations)]
+    prior = 1.0 / count
+    instances = []
+    for combo in product(choices, repeat=len(pairs)):
+        weights = {
+            model.index_of(p, d, f, l): share for (p, d), (f, l) in zip(pairs, combo)
+        }
+        instances.append((prior, WorldInstance(dist_from_weights(universe, weights))))
+    return ExplicitWorld(tuple(instances))
 
 
 # -- draws -----------------------------------------------------------------

@@ -25,13 +25,14 @@ from factoidlab.bounds import (
     verify_theorem_main_mc,
 )
 from factoidlab.calibration import AdaptiveBinning, Partition, partition_for_spec
-from factoidlab.dist import FactoidUniverse, background_dist, dist_from_weights, random_dist
+from factoidlab.dist import FactoidUniverse, dist_from_weights, random_dist
 from factoidlab.errors import DistributionError, InsufficientDataError, UniverseMismatchError
 from factoidlab.estimators import TrainingSample
 from factoidlab.harness import BoundSettings, ExperimentConfig, run_experiment
 from factoidlab.lms import MonofactMemorizer, train
 from factoidlab.rng import SeededRng
 from factoidlab.worlds import ExplicitWorld, PermutedPowerLawWorld, WorldInstance, sample_world
+from literal import background_dist
 
 getcontext().prec = 50
 
@@ -267,7 +268,8 @@ class TestTheoremMainExactRoute:
     def test_exchangeable_g_draws_nothing(self, blocks):
         u = FactoidUniverse(51)
         g = background_dist(u, {y: 2.0 for y in range(30, 47)}, 0.5)
-        check, rows, children = self._run(g, getattr(Partition, blocks)(u))
+        labels = np.arange(u.size) if blocks == "singletons" else np.zeros(u.size, dtype=np.intp)
+        check, rows, children = self._run(g, Partition(u, labels))
         assert (rows, children) == (0, 0)
         assert (check.samples, check.lhs_stderr, check.marginal_max_sigma) == (0, 0.0, 0.0)
         assert check.marginals_ok and check.passed
@@ -441,10 +443,9 @@ class TestTheoremMainInternalsAgainstPublicRoute:
     def test_single_draw_matches_coarsen_tv_route(self):
         # with one posterior sample the estimate is a single clamped term;
         # rebuild that term from public operations and the same stream
-        from factoidlab.calibration import coarsen
         from factoidlab.dist import dist_from_weights
         from factoidlab.worlds import WorldInstance
-        from literal import hallucination_rate, posterior_support_uniform, tv_distance
+        from literal import coarsen, hallucination_rate, posterior_support_uniform, tv_distance
 
         u = FactoidUniverse(31)
         fact_count = 12

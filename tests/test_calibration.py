@@ -11,11 +11,9 @@ from factoidlab.calibration import (
     AdaptiveBinning,
     ExactValueBinning,
     FixedWidthBinning,
+    MATERIALIZE_LIMIT,
     Partition,
-    coarsen,
-    iter_all_partitions,
     partition_for_spec,
-    random_partition,
 )
 from factoidlab.dist import (
     FactoidUniverse,
@@ -26,9 +24,13 @@ from factoidlab.dist import (
 from factoidlab.errors import PartitionError, UniverseMismatchError
 from factoidlab.rng import SeededRng
 from literal import (
+    background_dist,
+    coarsen,
     generative_calibration_error,
+    iter_all_partitions,
     mass_of_set,
     miscalibration,
+    random_partition,
     reliability_curve,
     tv_distance,
 )
@@ -79,7 +81,16 @@ class TestPartitionValidation:
         pi = Partition(FactoidUniverse(5), np.array([1, 0, 2, 0, 1]))
         assert pi.blocks == (frozenset({1, 3}), frozenset({0, 4}), frozenset({2}))
         assert Partition.singletons(FactoidUniverse(3)).blocks == tuple(frozenset({y}) for y in range(3))
-        assert Partition.single_block(FactoidUniverse(3)).blocks == (frozenset(range(3)),)
+        assert Partition(FactoidUniverse(3), np.zeros(3, dtype=np.intp)).blocks == (frozenset(range(3)),)
+
+    def test_singletons_refused_above_materialize_limit(self):
+        # as partition_for_spec refuses: 10^6 + 1 labels would be built
+        u = FactoidUniverse(MATERIALIZE_LIMIT + 1)
+        with pytest.raises(PartitionError, match="refusing to materialize"):
+            Partition.singletons(u)
+        with pytest.raises(PartitionError, match="refusing to materialize"):
+            partition_for_spec(uniform_dist(u), ExactValueBinning())
+        assert Partition.singletons(FactoidUniverse(4)).labels.tolist() == [0, 1, 2, 3]
 
     def test_bell_numbers(self):
         # Bell(2..6) = 2, 5, 15, 52, 203
@@ -101,15 +112,15 @@ class TestCoarsen:
     def test_single_block_gives_uniform(self):
         u = FactoidUniverse(6)
         p = random_dist(u, SeededRng(1))
-        c = coarsen(p, Partition.single_block(u))
-        for y in u.indices():
+        c = coarsen(p, Partition(u, np.zeros(u.size, dtype=np.intp)))
+        for y in range(u.size):
             assert c.weight(y) == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_singletons_identity(self):
         u = FactoidUniverse(6)
         p = random_dist(u, SeededRng(2))
         c = coarsen(p, Partition.singletons(u))
-        for y in u.indices():
+        for y in range(u.size):
             assert c.weight(y) == pytest.approx(p.weight(y), abs=1e-12)
 
     def test_mass_preserved(self):
@@ -182,7 +193,7 @@ class TestAdaptivePartition:
         rng = SeededRng(5)
         for i in range(20):
             g_full = random_dist(u, rng.child(i, 0), support_size=4)
-            b_i = math.ceil(1.0 / min(g_full.weight(y) for y in u.indices()))
+            b_i = math.ceil(1.0 / min(g_full.weight(y) for y in range(u.size)))
             p = random_dist(u, rng.child(i, 1))
             assert miscalibration(p, g_full, AdaptiveBinning(b_i)) == pytest.approx(
                 miscalibration(p, g_full, ExactValueBinning()), abs=1e-12
@@ -318,8 +329,6 @@ class TestMiscalibration:
             assert miscalibration(p, g, spec) == pytest.approx(explicit, abs=1e-12)
 
     def test_profile_route_matches_explicit_route_with_background(self):
-        from factoidlab.dist import background_dist
-
         u = FactoidUniverse(400)
         rng = SeededRng(13)
         for i in range(10):

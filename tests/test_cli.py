@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import factoidlab
 
 from factoidlab.bounds import BIN_COUNT_LIMIT
-from factoidlab.calibration import AdaptiveBinning
+from factoidlab.calibration import MATERIALIZE_LIMIT, AdaptiveBinning
 from factoidlab.cli import (
     _ALGORITHMS,
     _BOUND_KEYS,
@@ -32,7 +32,7 @@ from factoidlab.cli import (
     write_reliability_csv,
     write_trials_csv,
 )
-from factoidlab.dist import MATERIALIZE_LIMIT, sample_iid
+from factoidlab.dist import sample_iid
 from factoidlab.estimators import TrainingSample
 from factoidlab.errors import ConfigError, DistributionError
 from factoidlab.harness import (

@@ -40,7 +40,7 @@ class TestTrainingSample:
         s = TrainingSample(u, (3, 4))
         assert 0 in s.observed
         assert s.observed == {0, 3, 4}
-        assert s.unobserved == {1, 2, 5}
+        assert s.unobserved_count == 3
         assert s.observed_count + s.unobserved_count == u.size
 
     def test_observed_at_most_n_plus_one(self):
@@ -169,7 +169,7 @@ class TestMissingMass:
             p = random_dist(u, rng.child(i, 0))
             draws = tuple(sample_iid(p, 15, rng.child(i, 1)).tolist())
             s = TrainingSample(u, draws)
-            direct = sum(p.weight(y) for y in s.unobserved)
+            direct = sum(p.weight(y) for y in range(u.size) if y not in s.observed)
             assert missing_mass(p, s) == pytest.approx(direct, abs=1e-12)
             assert 0.0 <= missing_mass(p, s) <= 1.0
 

@@ -284,6 +284,6 @@ class TestMultiTypeInducedMetrics:
             in_range = [y for y in draws if y in rng_i]
             counts = Counter(in_range)
             assert mf_i == sum(1 for c in counts.values() if c == 1) / len(draws)
-            halluc_atoms = set(rng_i) - world.facts
+            halluc_atoms = set(rng_i) - set(world.fact_keys.tolist())
             direct = sum(g.weight(y) for y in halluc_atoms)
             assert g_h_i == pytest.approx(direct, abs=1e-12)

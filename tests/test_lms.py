@@ -98,7 +98,7 @@ class TestLaplace:
         alpha = 0.5
         g = train(Laplace(alpha), sample)
         size = world.universe.size
-        expected = len(world.hallucinations) * alpha / (sample.n + alpha * size)
+        expected = world.hallucination_count * alpha / (sample.n + alpha * size)
         assert hallucination_rate(g, world) == pytest.approx(expected, abs=1e-12)
 
     def test_alpha_validated(self):
@@ -110,7 +110,7 @@ class TestUniformAndOracle:
     def test_uniform_hallucination_share(self):
         world, sample = make_setup(4)
         g = train(Uniform(), sample)
-        expected = len(world.hallucinations) / world.universe.size
+        expected = world.hallucination_count / world.universe.size
         assert hallucination_rate(g, world) == pytest.approx(expected, abs=1e-12)
 
     def test_oracle_requires_truth(self):

@@ -57,7 +57,6 @@ from factoidlab.dist import (
     FactoidDist,
     FactoidUniverse,
     _guided_slots,
-    background_dist,
     dist_from_arrays,
     dist_from_weights,
     keyed_profile,
@@ -87,11 +86,9 @@ from factoidlab.calibration import (
     Partition,
     _block_starts_for_spec,
     _partition_label_rows,
-    iter_all_partitions,
     partition_for_spec,
-    random_partition,
 )
-from factoidlab.errors import DistributionError, PartitionError
+from factoidlab.errors import DistributionError, PartitionError, UniverseMismatchError
 from factoidlab.estimators import TrainingSample, missing_mass, monofact_estimate
 from factoidlab import harness
 from factoidlab.harness import (
@@ -116,14 +113,21 @@ from factoidlab.worlds import (
     PermutedPowerLawWorld,
     W5World,
     WorldInstance,
+    _instance_sparsity,
+    _posterior_over_instances,
+    analyze_regularity,
     sample_world,
 )
 from literal import (
+    background_dist,
+    enumerate_w5_instances,
     hallucination_rate,
+    iter_all_partitions,
     mass_of_set,
     miscalibration,
     paired_profile,
     posterior_support_uniform,
+    random_partition,
     restricted_growth_strings,
     sample_distinct_excluding,
 )
@@ -365,7 +369,7 @@ class TestAgainstReference:
         # explicit zeros stay: the world keeps keys it gives no mass
         p = FactoidDist(FactoidUniverse(size), *_sorted_pairs(weights))
         world = WorldInstance(p)
-        want = max(0.0, 1.0 - ref_mass_of_set(g, world.facts))
+        want = max(0.0, 1.0 - ref_mass_of_set(g, world.fact_keys.tolist()))
         assert _profile_hallucination_rate(keyed_profile(p, g)) == want
         assert hallucination_rate(g, world) == want
 
@@ -1176,6 +1180,116 @@ class TestChildStreams:
         for i, child in zip(indices, got):
             assert child.key == (2, i)
             assert child.generator.bit_generator.state == ref_stream(7, (2, i))[0].bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# Explicit regularity analysis == the dense route over every atom
+# ---------------------------------------------------------------------------
+
+
+def ref_analyze_explicit(model, sample):
+    """(s, r_facts, r_probs) of an explicit world the dense way: every
+    unobserved atom of the universe gets a fact probability and an
+    expected mass."""
+    if sample.universe != model.universe:
+        raise UniverseMismatchError("sample universe does not match the model")
+    post = _posterior_over_instances(model, sample)
+    unobserved = np.setdiff1d(np.arange(sample.universe.size), sample.observed_keys)
+    n_unobs = unobserved.size
+    s = min(_instance_sparsity(inst) for _, inst in model.instances)
+    if n_unobs == 0:
+        return s, 1.0, 1.0
+    pr_fact = np.zeros(n_unobs)
+    exp_mass = np.zeros(n_unobs)
+    exp_overlap = 0.0
+    exp_missing = 0.0
+    for w, (_, inst) in zip(post, model.instances):
+        if w == 0.0:
+            continue
+        is_fact = np.isin(unobserved, inst.fact_keys)
+        mass = inst.p.weights_at(unobserved)
+        pr_fact += np.where(is_fact, w, 0.0)
+        exp_mass += w * mass
+        exp_overlap += w * int(np.count_nonzero(is_fact))
+        exp_missing += w * math.fsum(mass.tolist())
+    r_facts = 1.0 if exp_overlap == 0.0 else float(pr_fact.max()) * n_unobs / exp_overlap
+    r_probs = 1.0 if exp_missing == 0.0 else float(exp_mass.max()) * n_unobs / exp_missing
+    return s, r_facts, r_probs
+
+
+def regularity_bits(report) -> list[str]:
+    return [float.hex(float(x)) for x in (report.s, report.r_facts, report.r_probs)]
+
+
+@st.composite
+def regularity_cases(draw):
+    """An explicit world of 1-4 instances on 2-30 atoms, whose fact
+    distributions keep explicit zero weights and may weigh the empty
+    fact, and a sample of facts of any instance or of any atoms, which
+    may contradict every instance or observe the whole universe."""
+    size = draw(st.integers(2, 30), label="size")
+    u = FactoidUniverse(size)
+    count = draw(st.integers(1, 4), label="count")
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count))
+    total = math.fsum(raw)
+    instances = []
+    for w in raw:
+        weights = draw(
+            st.dictionaries(
+                st.integers(0, size - 1), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0),
+                min_size=1, max_size=size,
+            )
+        )
+        if not any(v > 0.0 for v in weights.values()):
+            weights[draw(st.integers(0, size - 1))] = 1.0
+        keys, values = _sorted_pairs(weights)
+        mass = math.fsum(values)
+        p = FactoidDist(u, keys, [v / mass for v in values])
+        instances.append((w / total, WorldInstance(p)))
+    facts = sorted({y for _, inst in instances for y in inst.fact_keys.tolist()})
+    draws = draw(st.lists(st.sampled_from(facts) | st.integers(0, size - 1), max_size=size + 2))
+    return ExplicitWorld(tuple(instances)), TrainingSample(u, draws)
+
+
+class TestExplicitRegularity:
+    @given(regularity_cases())
+    @PROPERTY
+    def test_keyed_atoms_match_dense_route(self, case):
+        model, sample = case
+        try:
+            want = ref_analyze_explicit(model, sample)
+        except DistributionError:
+            with pytest.raises(DistributionError):
+                analyze_regularity(model, sample)
+            return
+        assert regularity_bits(analyze_regularity(model, sample)) == [float.hex(x) for x in want]
+
+    def test_enumerated_w5_matches_dense_route(self):
+        model = W5World(2, 2, 2, 2)
+        enumerated = enumerate_w5_instances(model)
+        rng = SeededRng(18)
+        for i in range(12):
+            inst = sample_world(model, rng.child(i, 0))
+            draws = sample_iid(inst.p, 1 + i % 4, rng.child(i, 1)) if i else ()
+            sample = TrainingSample(model.universe, draws)
+            want = ref_analyze_explicit(enumerated, sample)
+            assert regularity_bits(analyze_regularity(enumerated, sample)) == [
+                float.hex(x) for x in want
+            ]
+
+    def test_universe_above_a_million_atoms(self):
+        # the dense route lists all 2,000,001 atoms; the keyed one scores 5
+        u = FactoidUniverse(2_000_001)
+        small = WorldInstance(FactoidDist(u, [1, 2], [0.5, 0.5]))
+        large = WorldInstance(FactoidDist(u, [3, 4, 5, 6], [0.25] * 4))
+        model = ExplicitWorld(((0.5, small), (0.5, large)))
+        sample = TrainingSample(u, (1,))
+        report = analyze_regularity(model, sample)
+        # only the small instance explains atom 1; its one unobserved fact
+        # is atom 2, with probability 1 and mass 0.5
+        assert sample.unobserved_count == 1_999_999
+        assert (report.r_facts, report.r_probs) == (1_999_999.0, 1_999_999.0)
+        assert regularity_bits(report) == [float.hex(x) for x in ref_analyze_explicit(model, sample)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,11 @@ from factoidlab.worlds import (
     W5World,
     WorldInstance,
     analyze_regularity,
-    enumerate_w5_instances,
     sample_world,
     world_sparsity,
 )
 from literal import (
+    enumerate_w5_instances,
     posterior_fact_marginal,
     posterior_sampler_uniform_world,
     sample_distinct_excluding,
@@ -52,11 +52,11 @@ class TestPermutedPowerLaw:
         rng = SeededRng(3)
         for i in range(20):
             inst = sample_world(model, rng.child(i))
-            assert BOTTOM in inst.facts
+            facts = set(inst.fact_keys.tolist())
+            assert BOTTOM in facts
             assert inst.p.weight(BOTTOM) == 0.0
-            assert sum(inst.p.weight(y) for y in inst.hallucinations) == 0.0
-            assert inst.facts | inst.hallucinations == set(range(50))
-            assert not inst.facts & inst.hallucinations
+            assert sum(inst.p.weight(y) for y in range(50) if y not in facts) == 0.0
+            assert len(facts) == inst.fact_count == 50 - inst.hallucination_count
 
     def test_membership_marginal_uniform_over_universe(self):
         # every non-bottom atom is a fact with probability N/(|Y|-1)
@@ -66,7 +66,7 @@ class TestPermutedPowerLaw:
         hits = Counter()
         for i in range(draws):
             inst = sample_world(model, rng.child(i))
-            hits.update(inst.facts - {BOTTOM})
+            hits.update(inst.fact_keys[1:].tolist())
         q = 5 / 20
         sigma = math.sqrt(q * (1 - q) / draws)
         for y in (1, 7, 20):
@@ -97,7 +97,7 @@ class TestW5World:
         rng = SeededRng(6)
         for i in range(10):
             inst = sample_world(model, rng.child(i))
-            pairs = [model.pair_of(y) for y in inst.facts - {BOTTOM}]
+            pairs = [model.pair_of(y) for y in inst.fact_keys[1:].tolist()]
             assert sorted(pairs) == sorted(
                 (p, d) for p in range(3) for d in range(2)
             )
@@ -184,12 +184,12 @@ class TestPosteriorSampler:
         model = PermutedPowerLawWorld(10, 3, 0.0)
         observed = {0, 1, 2, 3}
         inst = posterior_sampler_uniform_world(model, observed, SeededRng(10))
-        assert inst.facts == {0, 1, 2, 3}
+        assert inst.fact_keys.tolist() == [0, 1, 2, 3]
 
     def test_full_budget_takes_everything(self):
         model = PermutedPowerLawWorld(6, 5, 0.0)
         inst = posterior_sampler_uniform_world(model, {0}, SeededRng(11))
-        assert inst.facts == set(range(6))
+        assert inst.fact_keys.tolist() == list(range(6))
 
     def test_nonzero_exponent_unsupported(self):
         model = PermutedPowerLawWorld(10, 3, 1.0)
@@ -211,7 +211,7 @@ class TestPosteriorSampler:
         hits = Counter()
         for i in range(draws):
             inst = posterior_sampler_uniform_world(model, observed, rng.child(i))
-            hits.update(inst.facts)
+            hits.update(inst.fact_keys.tolist())
         sigma = math.sqrt(q * (1 - q) / draws)
         for y in (1, 12, 29):
             assert abs(hits[y] / draws - q) <= 3.5 * sigma
