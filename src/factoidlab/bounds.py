@@ -288,7 +288,8 @@ class TheoremMainCheck:
 #: Most dense cells (rows x |Y|) one chunk of the posterior Monte Carlo
 #: holds: 2^13 float64 cells is 64 KiB, so memory stays flat at any |Y|.
 _CHUNK_CELLS = 1 << 13
-#: Most gathered float64 cells (512 KiB) one block of the lemma sweep holds.
+#: Most subset-table float64 cells (512 KiB) one block of the lemma sweep
+#: holds: (subset, partition, instance) cells, k 2^|Y| per partition.
 _SWEEP_CELLS = 1 << 16
 #: Level of the probe-atom marginal check, per call: the normal mass
 #: beyond 3 sigma, split evenly over the probe atoms (Bonferroni).
@@ -331,15 +332,16 @@ def verify_theorem_main_mc(
     must lie in [1, |Y| - 1] and every observed atom be an integer in
     [0, |Y|) (DistributionError).
 
-    Exact route. When g gives every unobserved atom the same weight and
-    the partition puts all unobserved atoms in one block or each in a
-    block of its own (or N = m), every completion gives the same per-atom
-    terms, only at other atoms, so every sample has the same value. That
-    value, scored once on the first N - m unobserved atoms with the
-    arithmetic below, is returned with lhs_stderr 0, samples 0,
-    marginals_ok True and marginal_max_sigma 0; no stream is derived and
-    nothing is drawn. A per-sample value can differ from it only by the
-    order in which equal terms are summed.
+    Exact route, decided before any Monte Carlo set-up. When g gives every
+    unobserved atom the same weight and the partition puts all unobserved
+    atoms in one block or each in a block of its own (or N = m), every
+    completion gives the same per-atom terms, only at other atoms, so
+    every sample has the same value. That value, scored once on the first
+    N - m unobserved atoms with the arithmetic below (a lone row of it),
+    is returned with lhs_stderr 0, samples 0, marginals_ok True and
+    marginal_max_sigma 0; no stream is derived and nothing is drawn. A
+    per-sample value can differ from it only by the order in which equal
+    terms are summed.
 
     Monte Carlo route, for any other input. Posterior sample t is one
     draw on rng.child(t). The samples are drawn and scored in chunks of
@@ -390,41 +392,37 @@ def verify_theorem_main_mc(
     g_arr = g.weights_at(np.arange(size))
     block_id = partition.labels
     block_len = np.bincount(block_id)
-
-    p_missing = (fact_count - m) / fact_count
-    obs_facts = sorted(obs - {BOTTOM})
-    share = 1.0 / fact_count
-    blocks = len(block_len)
-    # acc[k]: k shares added one at a time, from 0.0
-    acc = np.concatenate(([0.0], np.cumsum(np.full(min(fact_count, int(block_len.max())), share))))
-    obs_counts = np.bincount(block_id[obs_facts], minlength=blocks)
-    base_fact_mass = float(g_arr[BOTTOM]) + float(g_arr[obs_facts].sum())
-
-    def score(extras: np.ndarray, out: np.ndarray) -> None:
-        """Write each completion row's clipped per-sample value to out."""
-        rows = len(extras)
-        # per-row support counts of each block, then coarsened p, then |p - g|
-        cells = (block_id[extras] + blocks * np.arange(rows)[:, None]).ravel()
-        counts = np.bincount(cells, minlength=rows * blocks).reshape(rows, blocks)
-        counts += obs_counts
-        # C-ordered, so each row sum below is a lone row's pairwise sum
-        gaps = np.take(acc[counts] / block_len, block_id, axis=1)
-        np.abs(np.subtract(gaps, g_arr, out=gaps), out=gaps)
-        tv = 0.5 * gaps.sum(axis=1)
-        g_h = np.maximum(1.0 - (base_fact_mass + g_arr[extras].sum(axis=1)), 0.0)
-        np.maximum(p_missing - tv - g_h, 0.0, out=out)
-
     unobserved = np.ones(size, dtype=bool)
     unobserved[list(obs)] = False
     u_atoms = np.flatnonzero(unobserved)
+    obs_facts = np.flatnonzero(~unobserved)[1:]  # ascending, without BOTTOM = 0
     u_labels = block_id[u_atoms]
-    if fact_count == m or (
+    exact = fact_count == m or (
         (g_arr[u_atoms] == g_arr[u_atoms[0]]).all()
         and ((u_labels == u_labels[0]).all() or (block_len[u_labels] == 1).all())
-    ):
-        value = np.zeros(1)
-        score(u_atoms[None, : fact_count - m], value)
-        lhs = float(value[0])
+    )
+
+    p_missing = (fact_count - m) / fact_count
+    # acc[k]: k shares added one at a time, from 0.0
+    share = 1.0 / fact_count
+    acc = np.concatenate(([0.0], np.cumsum(np.full(min(fact_count, int(block_len.max())), share))))
+    base_fact_mass = float(g_arr[BOTTOM]) + float(g_arr[obs_facts].sum())
+
+    def score(counts: np.ndarray, extras: np.ndarray) -> np.ndarray:
+        """The clipped per-sample value of each completion (last axis of
+        extras) from its per-block support counts (last axis of counts)."""
+        # coarsened p, then |p - g|; a C-ordered row sums as a lone row would
+        gaps = np.take(acc[counts] / block_len, block_id, axis=-1)
+        np.abs(np.subtract(gaps, g_arr, out=gaps), out=gaps)
+        tv = 0.5 * gaps.sum(axis=-1)
+        g_h = np.maximum(1.0 - (base_fact_mass + g_arr[extras].sum(axis=-1)), 0.0)
+        return np.maximum(p_missing - tv - g_h, 0.0)
+
+    if exact:
+        extras = u_atoms[: fact_count - m]
+        support = np.concatenate((obs_facts, extras))
+        counts = np.bincount(block_id[support], minlength=len(block_len))
+        lhs = float(score(counts, extras))
         return TheoremMainCheck(
             lhs_estimate=lhs,
             lhs_stderr=0.0,
@@ -435,6 +433,8 @@ def verify_theorem_main_mc(
             marginal_max_sigma=0.0,
         )
 
+    blocks = len(block_len)
+    obs_counts = np.bincount(block_id[obs_facts], minlength=blocks)
     completions = _distinct_rows(rng.children(range(samples)), 1, size, fact_count - m, obs)
     probe_atoms = u_atoms[:5].tolist()
     probe_hits = np.zeros(len(probe_atoms), dtype=np.int64)
@@ -442,7 +442,12 @@ def verify_theorem_main_mc(
     chunk = max(1, _CHUNK_CELLS // size)
     for start in range(0, samples, chunk):
         extras = np.stack(list(islice(completions, chunk)))
-        score(extras, values[start : start + len(extras)])
+        rows = len(extras)
+        # per-row support counts of each block
+        cells = (block_id[extras] + blocks * np.arange(rows)[:, None]).ravel()
+        counts = np.bincount(cells, minlength=rows * blocks).reshape(rows, blocks)
+        counts += obs_counts
+        values[start : start + rows] = score(counts, extras)
         for j, y in enumerate(probe_atoms):
             probe_hits[j] += np.count_nonzero(extras == y)
 
@@ -483,6 +488,22 @@ class LemmaMeatViolation:
     rhs: float
 
 
+def _subset_table(
+    op: np.ufunc, values: np.ndarray, start, out: np.ndarray | None = None
+) -> np.ndarray:
+    """op folded over every subset of the atoms of `values` (axis 0), one
+    call per atom: row `mask` of the table is start, then values[y] for
+    each bit y of mask in atom order, as T[2^h : 2^(h+1)] = op(T[:2^h],
+    values[h]). Written into `out` when given."""
+    size = len(values)
+    if out is None:
+        out = np.empty((1 << size,) + values.shape[1:], dtype=values.dtype)
+    out[0] = start
+    for h in range(size):
+        op(out[: 1 << h], values[h], out=out[1 << h : 2 << h])
+    return out
+
+
 def verify_lemma_meat_exhaustive(
     nu: ExplicitWorld, tolerance: float = 1e-9, max_universe: int = 6
 ) -> list[LemmaMeatViolation]:
@@ -493,17 +514,24 @@ def verify_lemma_meat_exhaustive(
     over the explicit prior. Returns the violations found (empty on
     success), partition by partition, subsets in bitmask order.
     Enumeration is the oracle here, so the universe must stay tiny: k
-    instances cost Bell(|Y|) k 2^|Y| |Y| gathered cells.
+    instances cost Bell(|Y|) k 2^|Y| table cells. The tolerance may be
+    -inf (every pair is a violation) but not NaN or +inf, which would
+    pass every pair (DistributionError).
 
-    Each subset's right-hand side plus tolerance is computed once. The
-    partitions are scored in blocks of label rows, as many as fit in
-    _SWEEP_CELLS cells (at least one): p(S) and each coarsened p(S) are
-    row sums gathered through one subsets x |Y| index padded with a zero
-    column, and one matrix-vector product per partition screens every
-    subset. Only a (partition, subset) pair it puts within a proven
-    rounding margin of its limit, or past it, is scored again, partition
-    by partition, by its own dot product, which decides and is the lhs.
+    Every subset is indexed by its bitmask and every per-subset quantity
+    is a subset table (_subset_table): its size, max E[p(y)], p(S) and,
+    per partition, coarsened p(S), each sum added in atom order from 0.0
+    (the order np.sum adds a row of fewer than 8 terms). The partitions
+    are scored in blocks of label rows, as many as fit in _SWEEP_CELLS
+    table cells (at least one), in one buffer reused block after block:
+    the coarsened tables, then in place the clipped gaps, and one
+    matrix-vector product per block screens every (partition, subset)
+    pair. Only a pair it puts within a proven rounding margin of its
+    limit, or past it, is scored again, partition by partition, by its
+    own dot product, which decides and is the lhs.
     """
+    if math.isnan(tolerance) or tolerance == math.inf:
+        raise DistributionError(f"tolerance must not be NaN or +inf, got {tolerance}")
     size = nu.universe.size
     if size > max_universe:
         raise DistributionError(f"universe size {size} exceeds exhaustive limit {max_universe}")
@@ -511,16 +539,11 @@ def verify_lemma_meat_exhaustive(
     P = np.array([inst.p.weights_at(np.arange(size)) for _, inst in nu.instances])
     mean_p = weights @ P
 
-    subsets = [
-        tuple(y for y in range(size) if mask >> y & 1) for mask in range(1, 1 << size)
-    ]
-    rhs = [(size - len(atoms)) * float(mean_p[list(atoms)].max()) for atoms in subsets]
-    limits = [r + tolerance for r in rhs]
-    # row s lists subset s's atoms, then the zero column `size` as padding
-    gather = np.full((len(subsets), size), size, dtype=np.intp)
-    for s, atoms in enumerate(subsets):
-        gather[s, : len(atoms)] = atoms
-    p_of = np.hstack([P, np.zeros((len(weights), 1))])[:, gather].sum(axis=2)
+    # row 0, the empty subset, is never scored
+    outside = size - _subset_table(np.add, np.ones(size, dtype=np.intp), 0)
+    rhs = outside * _subset_table(np.maximum, mean_p, -math.inf)
+    limits = rhs + tolerance
+    p_of = _subset_table(np.add, P.T, 0.0)
     # The screen's margin. With k instances every term w_i * gap_i is >= 0,
     # so any float evaluation of the k-term dot (any order, fused
     # multiply-adds or not) lies within gamma_k * S of the exact sum S,
@@ -536,11 +559,11 @@ def verify_lemma_meat_exhaustive(
     # 2 (k + 1) eps B, computed in floats, covers it for any k < 2^40.
     # B is taken per partition. A subset is dropped only when its value is
     # <= the screened limit, so a NaN on either side is scored again.
-    limits_arr = np.array(limits, dtype=np.float64)
     rounding = 2.0 * (len(weights) + 1) * _EPS * float(weights.sum())
 
     violations: list[LemmaMeatViolation] = []
-    rows = max(1, _SWEEP_CELLS // (len(weights) * gather.size))
+    rows = max(1, _SWEEP_CELLS // (len(weights) << size))
+    table = np.empty((1 << size, rows, len(weights)))
     for labels in _partition_label_rows(size, rows):
         n = np.arange(len(labels))
         # P's columns added into block sums in atom order from 0.0, as P[:, block].sum(axis=1)
@@ -549,21 +572,26 @@ def verify_lemma_meat_exhaustive(
         for y in range(size):
             sums[n, :, labels[:, y]] += P[:, y]
         counts = (labels[:, :, None] == labels[:, None, :]).sum(axis=2)
-        Q = np.zeros((len(labels), len(weights), size + 1))
-        Q[..., :size] = (sums[n[:, None], :, labels] / counts[..., None]).transpose(0, 2, 1)
-        # one contiguous row per (partition, subset), so each dot is a lone subset's
-        gaps = np.clip(p_of - Q[..., gather].sum(axis=-1), 0.0, None).transpose(0, 2, 1).copy()
-        margin = rounding * gaps.max(axis=(1, 2))
-        for b, s in np.argwhere(~(gaps @ weights <= limits_arr - margin[:, None])).tolist():
-            lhs = float(weights @ gaps[b, s])
-            if lhs > limits[s]:
+        # Q[y, b]: partition b's coarsened p at atom y, per instance
+        Q = sums[n, :, labels.T] / counts.T[..., None]
+        gaps = _subset_table(np.add, Q, 0.0, out=table[:, : len(labels)])
+        np.subtract(p_of[:, None], gaps, out=gaps)
+        np.maximum(gaps, 0.0, out=gaps)
+        # per partition; over the subset axis first, as numpy is slow to reduce a middle axis
+        margin = rounding * gaps.max(axis=0).max(axis=1)
+        screened = (gaps[1:] @ weights).T
+        for b, s in np.argwhere(~(screened <= limits[1:] - margin[:, None])).tolist():
+            mask = s + 1
+            # each (subset, partition) row of gaps is contiguous, so this is a lone subset's dot
+            lhs = float(weights @ gaps[mask, b])
+            if lhs > limits[mask]:
                 blocks = Partition(nu.universe, labels[b]).blocks
                 violations.append(
                     LemmaMeatViolation(
                         partition_blocks=tuple(tuple(sorted(block)) for block in blocks),
-                        subset=subsets[s],
+                        subset=tuple(y for y in range(size) if mask >> y & 1),
                         lhs=lhs,
-                        rhs=rhs[s],
+                        rhs=float(rhs[mask]),
                     )
                 )
     return violations

@@ -2,22 +2,26 @@
 references.
 
 The library measures a trial through one keyed (p, g) profile, draws
-posterior completions in batches, unranks partitions in blocks and never
-builds a per-atom view of a distribution. The tests also want the plain
-forms: one function per metric taking two distributions, one draw per
-stream, one recursive partition enumeration, a literal coarsening, and
-builders of small test inputs (background distributions, random and
-enumerated partitions, enumerated W5 worlds). They live here, built from
-the same library primitives, so a test can compare a fast path with them
-or state a property in their terms.
+posterior completions in batches, unranks partitions in blocks, sums
+subsets through subset tables and never builds a per-atom view of a
+distribution. The tests also want the plain forms: one function per
+metric taking two distributions, one draw per stream, one recursive
+partition enumeration, a literal coarsening, the lemma sweep's padded
+gather of each subset's atoms, and builders of small test inputs
+(background distributions, random and enumerated partitions, enumerated
+W5 worlds). They live here, built from the same library primitives, so
+a test can compare a fast path with them or state a property in their
+terms.
 """
 
 import math
+import sys
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from factoidlab.bounds import LemmaMeatViolation
 from factoidlab.calibration import (
     BinningSpec,
     FixedWidthBinning,
@@ -166,6 +170,56 @@ def restricted_growth_strings(size: int) -> Iterator[tuple[int, ...]]:
             yield from rec(y + 1, max(opened, block + 1))
 
     yield from rec(0, 0)
+
+
+# -- lemma sweep -----------------------------------------------------------
+
+
+def gather_lemma_sweep(nu: ExplicitWorld, tolerance: float) -> list[LemmaMeatViolation]:
+    """verify_lemma_meat_exhaustive by the padded gather: each subset's
+    atoms listed in one row of a subsets x |Y| index padded with a zero
+    column, p(S) and every coarsened p(S) summed over it, the partitions
+    scored in blocks of at most 2^16 gathered cells, screened by one
+    matrix-vector product within a rounding margin and the flagged pairs
+    re-scored by their lone dot."""
+    size = nu.universe.size
+    weights = np.array([w for w, _ in nu.instances])
+    P = np.array([inst.p.weights_at(np.arange(size)) for _, inst in nu.instances])
+    mean_p = weights @ P
+    subsets = [tuple(y for y in range(size) if mask >> y & 1) for mask in range(1, 1 << size)]
+    rhs = [(size - len(atoms)) * float(mean_p[list(atoms)].max()) for atoms in subsets]
+    limits = [r + tolerance for r in rhs]
+    gather = np.full((len(subsets), size), size, dtype=np.intp)
+    for s, atoms in enumerate(subsets):
+        gather[s, : len(atoms)] = atoms
+    p_of = np.hstack([P, np.zeros((len(weights), 1))])[:, gather].sum(axis=2)
+    limits_arr = np.array(limits, dtype=np.float64)
+    rounding = 2.0 * (len(weights) + 1) * sys.float_info.epsilon * float(weights.sum())
+    violations = []
+    rows = max(1, (1 << 16) // (len(weights) * gather.size))
+    for labels in _partition_label_rows(size, rows):
+        n = np.arange(len(labels))
+        sums = np.zeros((len(labels), len(weights), size))
+        for y in range(size):
+            sums[n, :, labels[:, y]] += P[:, y]
+        counts = (labels[:, :, None] == labels[:, None, :]).sum(axis=2)
+        Q = np.zeros((len(labels), len(weights), size + 1))
+        Q[..., :size] = (sums[n[:, None], :, labels] / counts[..., None]).transpose(0, 2, 1)
+        gaps = np.clip(p_of - Q[..., gather].sum(axis=-1), 0.0, None).transpose(0, 2, 1).copy()
+        margin = rounding * gaps.max(axis=(1, 2))
+        for b, s in np.argwhere(~(gaps @ weights <= limits_arr - margin[:, None])).tolist():
+            lhs = float(weights @ gaps[b, s])
+            if lhs > limits[s]:
+                blocks = Partition(nu.universe, labels[b]).blocks
+                violations.append(
+                    LemmaMeatViolation(
+                        partition_blocks=tuple(tuple(sorted(block)) for block in blocks),
+                        subset=subsets[s],
+                        lhs=lhs,
+                        rhs=rhs[s],
+                    )
+                )
+    return violations
 
 
 # -- hallucination ---------------------------------------------------------

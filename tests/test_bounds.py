@@ -385,6 +385,21 @@ class TestLemmaMeatSweep:
         with pytest.raises(DistributionError):
             verify_lemma_meat_exhaustive(ExplicitWorld(((1.0, inst),)))
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_tolerance_that_passes_every_pair_is_refused(self, tolerance):
+        # NaN or +inf would make every limit NaN or +inf, so no pair could
+        # be a violation and the empty list would read as a pass
+        u = FactoidUniverse(4)
+        nu = ExplicitWorld(((1.0, WorldInstance(dist_from_weights(u, {1: 1, 2: 3}))),))
+        with pytest.raises(DistributionError, match="tolerance"):
+            verify_lemma_meat_exhaustive(nu, tolerance=tolerance)
+
+    def test_minus_infinity_tolerance_flags_every_pair(self):
+        u = FactoidUniverse(4)
+        nu = ExplicitWorld(((1.0, WorldInstance(dist_from_weights(u, {1: 1, 2: 3}))),))
+        # Bell(4) = 15 partitions x 15 non-empty subsets
+        assert len(verify_lemma_meat_exhaustive(nu, tolerance=-math.inf)) == 15 * 15
+
 
 class TestMarkovStep:
     @staticmethod

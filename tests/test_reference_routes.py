@@ -15,8 +15,9 @@ exact expansion of a total against rational arithmetic.
 
 So are the two batched bound verifiers: the chunked posterior Monte
 Carlo against a per-sample loop with one dense p per posterior draw, the
-all-subsets-at-once lemma sweep against the subset-by-subset loop, and
-the batched distinct draw against its literal eligible list.
+all-subsets-at-once lemma sweep against the subset-by-subset loop and
+the padded-gather route its subset tables replaced, and the batched
+distinct draw against its literal eligible list.
 
 Partitions hold one block label per atom; their derived block sets are
 checked against the frozenset builders the labels replaced: the sorted
@@ -73,6 +74,7 @@ from factoidlab.bounds import (
     LemmaMeatViolation,
     TheoremMainCheck,
     _binomial_two_sided_p,
+    _subset_table,
     cor1_rhs,
     evaluate_bound,
     verify_lemma_meat_exhaustive,
@@ -121,6 +123,7 @@ from factoidlab.worlds import (
 from literal import (
     background_dist,
     enumerate_w5_instances,
+    gather_lemma_sweep,
     hallucination_rate,
     iter_all_partitions,
     mass_of_set,
@@ -997,7 +1000,7 @@ class TestBatchedVerifiers:
         one of 3), or every partition in one block."""
         size = nu.universe.size
         bell = sum(1 for _ in restricted_growth_strings(size))
-        per_partition = len(nu.instances) * ((1 << size) - 1) * size
+        per_partition = len(nu.instances) << size
         blocks = []
 
         def recorded(size, rows):
@@ -1022,6 +1025,45 @@ class TestBatchedVerifiers:
             tuple((0.1, WorldInstance(random_dist(u, rng.child(i)))) for i in range(10))
         )
         assert verify_lemma_meat_exhaustive(nu, tolerance) == ref_lemma_sweep(nu, tolerance)
+
+    @pytest.mark.parametrize("size", [7, 8])
+    @pytest.mark.parametrize("tolerance", [-0.02, -0.1])
+    def test_lemma_sweep_matches_gather_route(self, size, tolerance):
+        # brute-force's prior. The lists hold one violation per partition
+        # (S = Y, whose lhs is the rounding left in p(Y) - coarsened p(Y),
+        # so it moves with any change in summation order) and more at -0.1
+        u = FactoidUniverse(size)
+        rng = SeededRng(0)
+        nu = ExplicitWorld(
+            tuple((0.1, WorldInstance(random_dist(u, rng.child(0, i)))) for i in range(10))
+        )
+        got = verify_lemma_meat_exhaustive(nu, tolerance, max_universe=size)
+        assert len(got) >= len(list(restricted_growth_strings(size)))
+        assert any(v.lhs > 0.0 for v in got)
+        assert got == gather_lemma_sweep(nu, tolerance)
+
+    @given(st.integers(1, 7).flatmap(
+        lambda size: st.lists(st.floats(0.0, 1e300), min_size=size, max_size=size)
+    ))
+    @PROPERTY
+    def test_subset_table_matches_gathered_row_sums(self, values):
+        """Row mask of each table is the per-subset np.sum of the gathered
+        row, zero-padded as the gather route padded it, bit for bit; the
+        same doubling gives each subset's size and largest value."""
+        x = np.array(values)
+        size = len(values)
+        padded = np.append(x, 0.0)
+        sums = _subset_table(np.add, x, 0.0)
+        sizes = _subset_table(np.add, np.ones(size, dtype=np.intp), 0)
+        largest = _subset_table(np.maximum, x, -math.inf)
+        for mask in range(1, 1 << size):
+            atoms = [y for y in range(size) if mask >> y & 1]
+            row = np.array(atoms + [size] * (size - len(atoms)))
+            assert sums[mask].tobytes() == np.sum(padded[row]).tobytes()
+            assert sums[mask].tobytes() == np.sum(x[atoms]).tobytes()
+            assert sizes[mask] == len(atoms)
+            assert largest[mask] == x[atoms].max()
+        assert sums[0] == 0.0 and sizes[0] == 0
 
     @given(
         st.integers(0, 6000),
