@@ -875,7 +875,8 @@ def exchangeable_theorem_main_cases(draw):
     weight = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0)
     weights = {y: draw(weight) for y in sorted(observed | {BOTTOM}) if draw(st.booleans())}
     shared = draw(weight)
-    if not any(w > 0.0 for w in weights.values()) and shared == 0.0:
+    # shared weighs nothing when every atom is observed
+    if not any(w > 0.0 for w in weights.values()) and (shared == 0.0 or not unobserved):
         weights[BOTTOM] = 1.0
     if draw(st.booleans()):
         g = background_dist(u, weights, shared)
