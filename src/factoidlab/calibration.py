@@ -17,9 +17,17 @@ provided:
   ((1-eps)^(i+1), (1-eps)^i], plus a block for zero-probability atoms.
   eps=0 degenerates to exact-value and eps=1 to the single block.
 
-All metrics are computed by profile_calibration on the paired
-atom-class profile of (p, g) from dist.keyed_profile, sorted once by g,
-so they stay exact and cheap on universes far too large to enumerate.
+All metrics are computed on paired atom-class profiles of (p, g) from
+dist.keyed_profile, so they stay exact and cheap on universes far too
+large to enumerate. Profiles are scored many at a time: SortedProfiles
+takes a batch of them joined end to end and sorts every one by g at
+once (one sort ranks the g-values, one stable sort orders the classes by
+profile and rank), and each binning spec then marks the bin starts of
+the whole batch in one pass over its runs of equal g (a bin starts at
+every profile's first class) and sums each bin quantity with one
+np.add.reduceat. Every sum that yields one profile's metric is taken
+over that profile's slice alone, so a profile's metrics are the same
+bits in any batch as on their own.
 An explicit Partition holds one block label per atom, so this is the one
 module that builds per-atom arrays: its builders (Partition.singletons,
 partition_for_spec) refuse universes above MATERIALIZE_LIMIT atoms. The
@@ -49,8 +57,8 @@ __all__ = [
     "FixedWidthBinning",
     "BinningSpec",
     "partition_for_spec",
-    "sort_profile_by_g",
-    "profile_calibration",
+    "SortedProfiles",
+    "ProfileBins",
     "reliability_rows",
 ]
 
@@ -154,45 +162,8 @@ BinningSpec = Union[ExactValueBinning, AdaptiveBinning, FixedWidthBinning]
 
 
 # ---------------------------------------------------------------------------
-# Grouping primitives (shared by explicit and profile routes)
+# Binning profiles sorted by g, many at a time
 # ---------------------------------------------------------------------------
-
-
-def _exact_group_starts(sorted_vals: np.ndarray) -> np.ndarray:
-    """Start offsets of equal-value groups in an ascending value array."""
-    if sorted_vals.size == 0:
-        return np.zeros(0, dtype=np.intp)
-    gaps = np.diff(sorted_vals) > EXACT_VALUE_RTOL * np.abs(sorted_vals[1:])
-    return np.concatenate(([0], np.flatnonzero(gaps) + 1))
-
-
-def _adaptive_thresholds(sorted_vals: np.ndarray, sorted_counts: np.ndarray, b: int) -> np.ndarray:
-    """Upper bin edges t_1..t_{b-1} for mass-balanced binning.
-
-    t_i is the supremum of values z whose cumulative mass (over atoms
-    with value <= z) stays within i/b, i.e. the smallest distinct value
-    whose cumulative mass strictly exceeds i/b. The final edge is always
-    1 and is left implicit.
-    """
-    if b == 1 or sorted_vals.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    distinct_starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_vals) > 0) + 1))
-    masses = np.add.reduceat(sorted_vals * sorted_counts, distinct_starts)
-    cum = np.cumsum(masses)
-    cum[-1] = max(cum[-1], 1.0)
-    ladder = sorted_vals[distinct_starts]
-    quantiles = np.arange(1, b) / b
-    # first ladder entry with cumulative mass strictly above i/b
-    pos = np.searchsorted(cum, quantiles, side="right")
-    pos = np.minimum(pos, len(ladder) - 1)
-    return ladder[pos]
-
-
-def _adaptive_block_ids(vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Interval index per value: v <= t_1 -> 0, v in (t_i, t_{i+1}] -> i."""
-    if thresholds.size == 0:
-        return np.zeros(vals.shape, dtype=np.intp)
-    return np.searchsorted(thresholds, vals, side="left")
 
 
 def _fixed_width_block_ids(vals: np.ndarray, epsilon: float) -> np.ndarray:
@@ -219,27 +190,152 @@ def _fixed_width_block_ids(vals: np.ndarray, epsilon: float) -> np.ndarray:
     return ids
 
 
-def _block_starts_for_spec(
-    sorted_vals: np.ndarray, sorted_counts: np.ndarray, spec: BinningSpec
-) -> np.ndarray:
-    """Group an ascending value array into bin blocks; returns start offsets."""
-    if isinstance(spec, ExactValueBinning):
-        return _exact_group_starts(sorted_vals)
+class SortedProfiles:
+    """Paired (p, g) profiles joined end to end, each stably sorted by
+    ascending g, the order every binning scheme groups in.
+
+    Profile t holds classes bounds[t]:bounds[t+1] and has at least one.
+    Sorting keeps each profile in its own slice, in the order a stable
+    argsort of that profile alone gives it; order maps the sorted classes
+    back to the input. The sorted classes fall into runs of one g-value
+    within one profile: run_starts are their offsets and run_vals their
+    values. p_mass and g_mass hold each class's masses (weight times
+    count), and totals[t] is profile t's p-mass.
+
+    Every per-profile sum here is np.add.reduce over that profile's slice
+    alone, the pairwise sum np.sum takes of the profile by itself, so a
+    profile scores the same bits in any batch.
+    """
+
+    def __init__(self, p_vals: np.ndarray, g_vals: np.ndarray, counts: np.ndarray, bounds):
+        self.bounds = np.asarray(bounds, dtype=np.intp)
+        self.slices = list(zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist()))
+        # rank the g-values through one unstable sort, whose order among
+        # equal values is never used; the stable sort by (profile, rank)
+        # is then a radix sort whenever the keys fit in 16 bits
+        by_value = np.argsort(g_vals)
+        ascending = g_vals[by_value]
+        new_value = np.empty(ascending.size, dtype=bool)
+        new_value[0] = True
+        np.not_equal(ascending[1:], ascending[:-1], out=new_value[1:])
+        del ascending
+        ranks = np.cumsum(new_value)
+        distinct = int(ranks[-1])
+        key = np.repeat(np.arange(len(self.slices)) * distinct, np.diff(self.bounds))
+        key[by_value] += ranks
+        del by_value, ranks
+        if len(self.slices) * distinct <= np.iinfo(np.uint16).max:
+            key = key.astype(np.uint16)
+        self.order = np.argsort(key, kind="stable")
+        key = key[self.order]
+        self.run_starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        del key
+        self.g_vals = g_vals[self.order]
+        self.run_vals = self.g_vals[self.run_starts]
+        self.counts = counts[self.order]
+        self.p_mass = p_vals[self.order]
+        self.p_mass *= self.counts
+        self.g_mass = self.g_vals * self.counts
+        self.totals = np.array([np.add.reduce(self.p_mass[a:b]) for a, b in self.slices])
+
+    def binned(self, spec: BinningSpec) -> ProfileBins:
+        """The bins spec builds from g in every profile, with each
+        profile's miscalibration over its own bins."""
+        starts = _block_starts_for_spec(self, spec)
+        p_mass = np.add.reduceat(self.p_mass, starts)
+        g_mass = np.add.reduceat(self.g_mass, starts)
+        sizes = np.add.reduceat(self.counts, starts)
+        bin_bounds = np.searchsorted(starts, self.bounds)
+        owner = np.repeat(np.arange(len(self.slices)), np.diff(bin_bounds))
+        coarse = (p_mass / sizes) / self.totals[owner]
+        off = np.repeat(coarse, np.diff(np.append(starts, self.counts.size)))
+        off -= self.g_vals
+        np.abs(off, out=off)
+        off *= self.counts
+        return ProfileBins(
+            miscalibration=[0.5 * float(np.add.reduce(off[a:b])) for a, b in self.slices],
+            g_mass=g_mass,
+            p_mass=p_mass,
+            sizes=sizes,
+            bin_bounds=bin_bounds.tolist(),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ProfileBins:
+    """The bins one spec builds from g in every profile of a sorted batch.
+
+    g_mass, p_mass and sizes hold each bin's masses and size, ascending by
+    g within each profile; profile t's bins are
+    bin_bounds[t]:bin_bounds[t+1]. miscalibration[t] is the TV distance
+    between profile t's g and the coarsening of its p over its bins.
+    """
+
+    miscalibration: list[float]
+    g_mass: np.ndarray
+    p_mass: np.ndarray
+    sizes: np.ndarray
+    bin_bounds: list[int]
+
+    def mass_gaps(self) -> list[float]:
+        """Per profile, half the summed absolute difference between bin
+        p-mass and bin g-mass; over fixed-width bins, the generative
+        calibration error."""
+        gaps = np.abs(self.p_mass - self.g_mass)
+        cuts = self.bin_bounds
+        return [0.5 * float(np.add.reduce(gaps[a:b])) for a, b in zip(cuts[:-1], cuts[1:])]
+
+    def bins(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Profile t's per-bin (g-mass, p-mass, size) arrays, which
+        reliability_rows turns into rows."""
+        part = slice(self.bin_bounds[t], self.bin_bounds[t + 1])
+        return self.g_mass[part], self.p_mass[part], self.sizes[part]
+
+
+def _block_starts_for_spec(profiles: SortedProfiles, spec: BinningSpec) -> np.ndarray:
+    """Start offsets of the bins spec builds from g in every profile of a
+    sorted batch, ascending; each profile's first class starts a bin.
+
+    A bin is a range of g-values, so bins start only where runs start:
+    each scheme reads one value per run.
+    """
+    vals = profiles.run_vals
+    new = np.zeros(vals.size, dtype=bool)
+    new[np.searchsorted(profiles.run_starts, profiles.bounds[:-1])] = True
     if isinstance(spec, AdaptiveBinning):
-        thresholds = _adaptive_thresholds(sorted_vals, sorted_counts, spec.b)
-        ids = _adaptive_block_ids(sorted_vals, thresholds)
+        _mark_adaptive_starts(profiles, spec.b, new)
+    elif isinstance(spec, ExactValueBinning) or (
+        isinstance(spec, FixedWidthBinning) and spec.epsilon == 0.0
+    ):
+        new[1:] |= np.diff(vals) > EXACT_VALUE_RTOL * np.abs(vals[1:])
     elif isinstance(spec, FixedWidthBinning):
-        if spec.epsilon == 0.0:
-            return _exact_group_starts(sorted_vals)
-        if spec.epsilon == 1.0:
-            return np.zeros(1, dtype=np.intp) if sorted_vals.size else np.zeros(0, dtype=np.intp)
-        ids = _fixed_width_block_ids(sorted_vals, spec.epsilon)
+        if spec.epsilon < 1.0:
+            new[1:] |= np.diff(_fixed_width_block_ids(vals, spec.epsilon)) != 0
     else:
         raise PartitionError(f"unknown binning spec {spec!r}")
-    if ids.size == 0:
-        return np.zeros(0, dtype=np.intp)
-    changes = np.flatnonzero(np.diff(ids) != 0) + 1
-    return np.concatenate(([0], changes))
+    return profiles.run_starts[new]
+
+
+def _mark_adaptive_starts(profiles: SortedProfiles, b: int, new: np.ndarray) -> None:
+    """Mark in new, one flag per run, the runs where the adaptive(b) bins
+    of each profile start; new already marks each profile's first run.
+
+    The bin edge t_i is the smallest distinct g-value whose cumulative
+    g-mass (over the values up to it) strictly exceeds i/b, and a value
+    lies in bin i when t_i < v <= t_{i+1}. So a distinct value v lies
+    above t_i exactly when the cumulative mass of the values below v
+    already exceeds i/b, and its bin is the number of edges i/b that mass
+    exceeds. The cumulative mass is a running sum over each profile's
+    runs, restarted for each profile.
+    """
+    run_mass = np.add.reduceat(profiles.g_mass, profiles.run_starts)
+    below = np.zeros(run_mass.size)
+    firsts = np.append(np.flatnonzero(new), new.size).tolist()
+    for lo, hi in zip(firsts[:-1], firsts[1:]):
+        if hi - lo > 1:
+            below[lo + 1 : hi] = np.cumsum(run_mass[lo : hi - 1])
+    bins = np.searchsorted(np.arange(1, b) / b, below, side="left")
+    new[1:] |= bins[1:] != bins[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -253,57 +349,17 @@ def partition_for_spec(g: FactoidDist, spec: BinningSpec) -> Partition:
     fixed-width spec may give fewer blocks than it has nominal bins."""
     _check_materializable(g.universe)
     vals = g.weights_at(np.arange(g.universe.size))
-    order = np.argsort(vals, kind="stable")
-    starts = _block_starts_for_spec(vals[order], np.ones(vals.size), spec)
-    # atom order[j] joins the group holding position j
+    profile = SortedProfiles(vals, vals, np.ones(vals.size), (0, vals.size))
+    starts = _block_starts_for_spec(profile, spec)
+    # atom profile.order[j] joins the group holding position j
     labels = np.empty(vals.size, dtype=np.intp)
-    labels[order] = np.repeat(np.arange(starts.size), np.diff(np.append(starts, vals.size)))
+    labels[profile.order] = np.repeat(np.arange(starts.size), np.diff(np.append(starts, vals.size)))
     return Partition(g.universe, labels)
 
 
 # ---------------------------------------------------------------------------
-# Profile-route metrics
+# Reliability rows
 # ---------------------------------------------------------------------------
-
-
-def sort_profile_by_g(
-    p_vals: np.ndarray, g_vals: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A paired (p, g) profile stably sorted by ascending g, the order
-    every binning scheme groups in."""
-    order = np.argsort(g_vals, kind="stable")
-    return p_vals[order], g_vals[order], counts[order]
-
-
-def _block_masses(p_vals, g_vals, counts, starts):
-    bounds = np.append(starts, counts.size)
-    p_mass = np.add.reduceat(p_vals * counts, starts) if starts.size else np.zeros(0)
-    g_mass = np.add.reduceat(g_vals * counts, starts) if starts.size else np.zeros(0)
-    sizes = np.add.reduceat(counts, starts) if starts.size else np.zeros(0)
-    block_of_class = np.repeat(np.arange(starts.size), np.diff(bounds)) if starts.size else np.zeros(0, dtype=np.intp)
-    return p_mass, g_mass, sizes, block_of_class
-
-
-def profile_calibration(
-    p_vals: np.ndarray, g_vals: np.ndarray, counts: np.ndarray, spec: BinningSpec
-) -> tuple[float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(miscalibration, mass gap, bins) of a (p, g) profile sorted by g,
-    over the bins spec builds from g.
-
-    Miscalibration is the TV distance between g and the coarsening of p
-    over the bins. The mass gap is half the summed absolute difference
-    between bin p-mass and bin g-mass; over fixed-width bins it is the
-    generative calibration error. bins holds the per-bin (g-mass,
-    p-mass, size) arrays in ascending g order; reliability_rows turns
-    them into rows.
-    """
-    starts = _block_starts_for_spec(g_vals, counts, spec)
-    p_mass, g_mass, sizes, block_of_class = _block_masses(p_vals, g_vals, counts, starts)
-    total = float(np.sum(p_vals * counts))
-    coarse = (p_mass / sizes) / total
-    mis = 0.5 * float(np.sum(counts * np.abs(coarse[block_of_class] - g_vals)))
-    gap = 0.5 * float(np.sum(np.abs(p_mass - g_mass)))
-    return mis, gap, (g_mass, p_mass, sizes)
 
 
 def reliability_rows(
@@ -312,8 +368,8 @@ def reliability_rows(
     """Rows (mean bin g-value, bin g-mass, bin p-mass, bin size), one per
     bin, ascending by bin value."""
     rows = [
-        (float(g_mass[i] / sizes[i]), float(g_mass[i]), float(p_mass[i]), int(sizes[i]))
-        for i in range(sizes.size)
+        (g / size, g, p, int(size))
+        for g, p, size in zip(g_mass.tolist(), p_mass.tolist(), sizes.tolist())
     ]
     rows.sort(key=lambda r: r[0])
     return rows

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -60,11 +60,13 @@ __all__ = [
     "dist_from_weights",
     "uniform_dist",
     "tv_distance_forms",
-    "profile_kl",
     "sample_iid",
     "sample_counts",
     "KeyedProfile",
     "keyed_profile",
+    "ProfileBatch",
+    "join_profiles",
+    "kl_divergences",
     "with_bottom",
     "random_dist",
 ]
@@ -343,7 +345,8 @@ class KeyedProfile:
         """The paired profile (w1, w2, count): one class per key, then one
         class for the rest atoms if there are any (they carry identical
         weight pairs). Its size is O(#explicit atoms) even on huge
-        universes, and every pairwise metric in this package reads it."""
+        universes; tv_distance_forms reads it, and join_profiles lays
+        many profiles out the same way for the batch metrics."""
         counts = np.ones(self.keys.size, dtype=np.float64)
         if self.rest <= 0:
             return self.w1, self.w2, counts
@@ -371,6 +374,59 @@ def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> KeyedProfile:
     w2, in2 = d2._explicit_at(keys)
     return KeyedProfile(
         keys, w1, w2, in1, in2, d1.universe.size - keys.size, d1.background, d2.background
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ProfileBatch:
+    """Keyed profiles joined end to end as one array of paired classes.
+
+    Profile t holds classes bounds[t]:bounds[t+1] of w1, w2 and counts,
+    laid out as KeyedProfile.classes lays them out: one class per key,
+    then one class for its rest atoms if it has any. in1 and in2 mark the
+    classes whose key each distribution holds explicitly (a rest class is
+    held by neither). Per profile, bottom says whether its first key is
+    the empty fact and background2 is the second distribution's
+    background.
+    """
+
+    w1: np.ndarray
+    w2: np.ndarray
+    counts: np.ndarray
+    in1: np.ndarray
+    in2: np.ndarray
+    bounds: np.ndarray
+    bottom: np.ndarray
+    background2: np.ndarray
+
+
+def join_profiles(profiles: Sequence[KeyedProfile]) -> ProfileBatch:
+    """One or more keyed profiles as one batch, in the order given."""
+    resting = [p for p in profiles if p.rest > 0]
+    bounds = np.zeros(len(profiles) + 1, dtype=np.intp)
+    np.cumsum([p.keys.size + (p.rest > 0) for p in profiles], out=bounds[1:])
+    rest_at = bounds[1:][[p.rest > 0 for p in profiles]] - 1
+    keyed = np.ones(bounds[-1], dtype=bool)
+    keyed[rest_at] = False
+
+    def joined(field: str, fill) -> np.ndarray:
+        out = np.full(keyed.size, fill)
+        out[keyed] = np.concatenate([getattr(p, field) for p in profiles])
+        return out
+
+    w1, w2, counts = joined("w1", 0.0), joined("w2", 0.0), np.ones(keyed.size)
+    w1[rest_at] = [p.background1 for p in resting]
+    w2[rest_at] = [p.background2 for p in resting]
+    counts[rest_at] = [float(p.rest) for p in resting]
+    return ProfileBatch(
+        w1=w1,
+        w2=w2,
+        counts=counts,
+        in1=joined("in1", False),
+        in2=joined("in2", False),
+        bounds=bounds,
+        bottom=np.array([p.keys.size > 0 and p.keys[0] == BOTTOM for p in profiles]),
+        background2=np.array([p.background2 for p in profiles]),
     )
 
 
@@ -406,14 +462,25 @@ def tv_distance_forms(
     return half_l1, pos_part, subset_max
 
 
-def profile_kl(w1: np.ndarray, w2: np.ndarray, counts: np.ndarray) -> float:
-    """KL(first || second) in nats over a paired profile; +inf when the
-    second misses support of the first."""
-    pos = w1 > 0.0
-    if np.any(pos & (w2 <= 0.0)):
-        return math.inf
-    w1p, w2p, cp = w1[pos], w2[pos], counts[pos]
-    return float(np.sum(cp * w1p * np.log(w1p / w2p)))
+def kl_divergences(batch: ProfileBatch) -> list[float]:
+    """KL(first || second) in nats of each profile of a batch; +inf where
+    the second misses support of the first. A profile's terms are summed
+    alone, over its own classes in order, as np.sum sums one profile."""
+    pos = batch.w1 > 0.0
+    starts = batch.bounds[:-1]
+    missed = np.logical_or.reduceat(pos & (batch.w2 <= 0.0), starts)
+    pos &= np.repeat(~missed, np.diff(batch.bounds))
+    w1p = batch.w1[pos]
+    logs = np.divide(w1p, batch.w2[pos])
+    np.log(logs, out=logs)
+    terms = batch.counts[pos]
+    terms *= w1p
+    terms *= logs
+    cuts = np.cumsum(np.add.reduceat(pos, starts)).tolist()
+    return [
+        math.inf if lost else float(np.add.reduce(terms[a:b]))
+        for lost, a, b in zip(missed.tolist(), [0, *cuts], cuts)
+    ]
 
 
 # -- sampling --------------------------------------------------------------

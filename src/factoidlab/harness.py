@@ -4,7 +4,9 @@ One trial is: draw a world, draw training data, train the algorithm,
 measure (monofact estimate, missing mass, hallucination rate, the
 calibration metrics), and evaluate every bound. Trials are pure
 functions of (master seed, trial index), so experiments reproduce
-byte-for-byte and can run in any order.
+byte-for-byte and can run in any order. The keyed (p, g) profiles of
+consecutive trials are scored together in batches, and every metric of
+a trial is the same bits in any batch as on its own.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -31,11 +33,19 @@ from .calibration import (
     AdaptiveBinning,
     ExactValueBinning,
     FixedWidthBinning,
-    profile_calibration,
+    SortedProfiles,
     reliability_rows,
-    sort_profile_by_g,
 )
-from .dist import BOTTOM, FactoidDist, KeyedProfile, keyed_profile, profile_kl, sample_counts
+from .dist import (
+    BOTTOM,
+    FactoidDist,
+    KeyedProfile,
+    ProfileBatch,
+    join_profiles,
+    keyed_profile,
+    kl_divergences,
+    sample_counts,
+)
 from .errors import (
     ConfigError,
     DistributionError,
@@ -182,67 +192,142 @@ def _draw_trial(model: WorldModel, n: int, rng: SeededRng) -> tuple[WorldInstanc
     return world, TrainingSample.from_counts(world.universe, *sample_counts(world.p, n, rng))
 
 
-def _profile_hallucination_rate(profile: KeyedProfile) -> float:
+#: Most profile classes one scoring batch holds. Trials join a batch
+#: whole, and a trial with more classes than this is a batch of its own.
+#: The limit is set by memory: a batch's profiles are kept until it is
+#: scored, and its working arrays grow with it. On the README config
+#: (about 1,000 classes a trial) the benchmark's peak RSS rose by about
+#: 0.5 MB (1%) with this limit, 8 trials a batch, and by about 1 MB with
+#: 30 trials a batch, while 8 trials already spread most of the fixed
+#: cost of each numpy call.
+_BATCH_CLASSES = 8192
+
+_Trial = TypeVar("_Trial")
+_Scored = TypeVar("_Scored")
+
+
+def _scored_in_batches(
+    trials: Iterable[tuple[_Trial, Sequence[KeyedProfile]]],
+    score: Callable[[list[_Trial], ProfileBatch], list[_Scored]],
+) -> Iterator[_Scored]:
+    """score(trials, joined), item by item, for consecutive batches of
+    trials, each trial given with its keyed profiles and a batch joining
+    at most _BATCH_CLASSES profile classes. Only one batch is alive at a
+    time: its profiles are released once joined, and score holds the
+    only reference to the joined batch."""
+    batch: list = []
+    profiles: list = []
+    classes = 0
+    for trial, own in trials:
+        size = sum(p.keys.size + (p.rest > 0) for p in own)
+        if batch and classes + size > _BATCH_CLASSES:
+            yield from score(batch, _join_released(profiles))
+            batch, classes = [], 0
+        batch.append(trial)
+        profiles.extend(own)
+        classes += size
+    if batch:
+        yield from score(batch, _join_released(profiles))
+
+
+def _join_released(profiles: list[KeyedProfile]) -> ProfileBatch:
+    """The profiles joined into one batch; the list is emptied, so the
+    batch holds the only copy of their arrays."""
+    joined = join_profiles(profiles)
+    profiles.clear()
+    return joined
+
+
+def _hallucination_rates(batch: ProfileBatch) -> list[float]:
     """The hallucination rate of g in the world whose fact distribution is
-    p: 1 minus the mass g puts on the facts, clamped at 0, read off the
-    keyed profile of (p, g).
+    p, per keyed profile of (p, g) in a batch: 1 minus the mass g puts on
+    the facts, clamped at 0.
 
     The facts are the keys p holds with positive weight, plus the empty
     fact. The mass g puts on them is the fsum of the weights g holds
     explicitly at facts, plus g's background times the other facts.
     """
-    facts = profile.in1 & (profile.w1 > 0.0)
-    bottom_absent = 1
-    if profile.keys.size and profile.keys[0] == BOTTOM:
-        facts[0] = True
-        bottom_absent = 0
-    held = facts & profile.in2
-    n_plain = int(np.count_nonzero(facts)) + bottom_absent - int(np.count_nonzero(held))
-    mass = math.fsum(profile.w2[held].tolist()) + profile.background2 * n_plain
-    return max(0.0, 1.0 - mass)
+    starts = batch.bounds[:-1]
+    facts = batch.in1 & (batch.w1 > 0.0)
+    facts[starts[batch.bottom]] = True
+    held = facts & batch.in2
+    n_held = np.add.reduceat(held, starts)
+    n_plain = np.add.reduceat(facts, starts) + ~batch.bottom - n_held
+    weights = batch.w2[held]
+    cuts = np.cumsum(n_held).tolist()
+    return [
+        max(0.0, 1.0 - (math.fsum(weights[a:b].tolist()) + background * plain))
+        for a, b, background, plain in zip(
+            [0, *cuts], cuts, batch.background2.tolist(), n_plain.tolist()
+        )
+    ]
+
+
+def _trial_records(cfg: ExperimentConfig, indices: Sequence[int]) -> Iterator[TrialRecord]:
+    """The records of the given trials, in order.
+
+    Each trial draws its world, sample and g on its own stream, child i
+    of the master seed, and builds its keyed (p, g) profile once; a
+    failing draw surfaces with its trial index attached. The profiles of
+    consecutive trials are then scored together in batches: the
+    hallucination rate reads the keys, KL sums over the classes in atom
+    order, and every calibration metric reads the same classes sorted once
+    by g.
+    """
+    params = cfg.params
+
+    def drawn():
+        for i, rng in zip(indices, SeededRng(cfg.master_seed).children(indices)):
+            try:
+                world, sample = _draw_trial(cfg.world, cfg.n, rng)
+                g = train(cfg.algorithm, sample, truth=world.p)
+                mf, p_u = monofact_estimate(sample), missing_mass(world.p, sample)
+                profile = keyed_profile(world.p, g)
+            except FactoidLabError as exc:
+                raise type(exc)(f"trial {i}: {exc}") from exc
+            yield (i, rng.fingerprint(), mf, p_u), (profile,)
+
+    def score(batch, joined: ProfileBatch) -> list[TrialRecord]:
+        halluc, kl = _hallucination_rates(joined), kl_divergences(joined)
+        by_g = SortedProfiles(joined.w1, joined.w2, joined.counts, joined.bounds)
+        del joined  # the bins read only the sorted copy
+        exact = by_g.binned(ExactValueBinning())
+        adaptive = by_g.binned(AdaptiveBinning(params.b))
+        fixed = by_g.binned(FixedWidthBinning(params.epsilon))
+        mis_eps = fixed.mass_gaps()
+        records = []
+        for t, (i, seed, mf, p_u) in enumerate(batch):
+            g_h, mc_adaptive = halluc[t], adaptive.miscalibration[t]
+            mc_fixed = fixed.miscalibration[t]
+            records.append(
+                TrialRecord(
+                    trial_index=i,
+                    seed=seed,
+                    mf=mf,
+                    missing_mass=p_u,
+                    halluc_rate=g_h,
+                    mc_exact=exact.miscalibration[t],
+                    mc_adaptive=mc_adaptive,
+                    mc_fixed=mc_fixed,
+                    mis_eps=mis_eps[t],
+                    kl=kl[t],
+                    cor1=evaluate_bound(g_h, cor1_rhs(mf, mc_adaptive, params)),
+                    cor_general=evaluate_bound(g_h, cor_general_rhs(mf, mc_adaptive, params)),
+                    cor_balfact=evaluate_bound(g_h, cor_balfact_rhs(mf, mc_adaptive, params)),
+                    cor_fixed_tv=evaluate_bound(g_h, cor1_rhs(mf, mc_fixed, params)),
+                    cor_fixed_mis=evaluate_bound(g_h, cor_fixed_mis_rhs(mf, mis_eps[t], params)),
+                    reliability=tuple(reliability_rows(*adaptive.bins(t))),
+                )
+            )
+        return records
+
+    return _scored_in_batches(drawn(), score)
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Execute one seeded trial; identical inputs give identical records.
-
-    The (p, g) profile is built once: the hallucination rate reads its
-    keys, KL sums over its classes in atom order, and every calibration
-    metric reads the same classes sorted once by g.
-    """
-    rng = SeededRng(cfg.master_seed).child(trial_index)
-    params = cfg.params
-    world, sample = _draw_trial(cfg.world, cfg.n, rng)
-    g = train(cfg.algorithm, sample, truth=world.p)
-
-    mf = monofact_estimate(sample)
-    p_u = missing_mass(world.p, sample)
-    profile = keyed_profile(world.p, g)
-    g_h = _profile_hallucination_rate(profile)
-    classes = profile.classes()
-    kl = profile_kl(*classes)
-    by_g = sort_profile_by_g(*classes)
-    mc_exact, _, _ = profile_calibration(*by_g, ExactValueBinning())
-    mc_adaptive, _, adaptive_bins = profile_calibration(*by_g, AdaptiveBinning(params.b))
-    mc_fixed, mis_eps, _ = profile_calibration(*by_g, FixedWidthBinning(params.epsilon))
-
-    return TrialRecord(
-        trial_index=trial_index,
-        seed=rng.fingerprint(),
-        mf=mf,
-        missing_mass=p_u,
-        halluc_rate=g_h,
-        mc_exact=mc_exact,
-        mc_adaptive=mc_adaptive,
-        mc_fixed=mc_fixed,
-        mis_eps=mis_eps,
-        kl=kl,
-        cor1=evaluate_bound(g_h, cor1_rhs(mf, mc_adaptive, params)),
-        cor_general=evaluate_bound(g_h, cor_general_rhs(mf, mc_adaptive, params)),
-        cor_balfact=evaluate_bound(g_h, cor_balfact_rhs(mf, mc_adaptive, params)),
-        cor_fixed_tv=evaluate_bound(g_h, cor1_rhs(mf, mc_fixed, params)),
-        cor_fixed_mis=evaluate_bound(g_h, cor_fixed_mis_rhs(mf, mis_eps, params)),
-        reliability=tuple(reliability_rows(*adaptive_bins)),
-    )
+    """Execute one seeded trial, scored as a batch of one; identical
+    inputs give identical records, the same as run_experiment's."""
+    return next(_trial_records(cfg, (trial_index,)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +399,9 @@ def aggregate_records(records: Sequence[TrialRecord], delta: float) -> Aggregate
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[AggregateReport, list[TrialRecord]]:
-    """Run all trials in index order and aggregate. A failing trial
-    surfaces with its trial index attached."""
-    records = []
-    for i in range(cfg.trials):
-        try:
-            records.append(run_trial(cfg, i))
-        except FactoidLabError as exc:
-            raise type(exc)(f"trial {i}: {exc}") from exc
+    """Run all trials in index order, scored in batches, and aggregate. A
+    failing trial surfaces with its trial index attached."""
+    records = list(_trial_records(cfg, range(cfg.trials)))
     return aggregate_records(records, cfg.bound.delta), records
 
 
@@ -445,24 +525,31 @@ def run_upper_bound_check(
     """Count the trials in which the memorizer's hallucination rate stays
     at or below the monofact estimate and its exact-value miscalibration
     within the two-sided radius; both events are read off one keyed
-    profile of (p, g) per trial, as run_trial reads its metrics."""
+    profile of (p, g) per trial, scored in batches as run_experiment
+    scores its trials."""
     if trials < 1:
         raise InsufficientDataError("need at least one trial")
     radius = good_turing_radius(delta, n)
-    base = SeededRng(master_seed)
     memorizer = MonofactMemorizer()
-    certainty = 0
-    calibration = 0
-    for rng in base.children(range(1, trials + 1)):
-        inst, sample = _draw_trial(world, n, rng)
-        g = train(memorizer, sample)
-        mf = monofact_estimate(sample)
-        profile = keyed_profile(inst.p, g)
-        if _profile_hallucination_rate(profile) <= mf + 1e-12:
-            certainty += 1
-        by_g = sort_profile_by_g(*profile.classes())
-        if profile_calibration(*by_g, ExactValueBinning())[0] <= radius:
-            calibration += 1
+
+    def drawn():
+        for rng in SeededRng(master_seed).children(range(1, trials + 1)):
+            inst, sample = _draw_trial(world, n, rng)
+            g = train(memorizer, sample)
+            yield monofact_estimate(sample), (keyed_profile(inst.p, g),)
+
+    def score(batch, joined: ProfileBatch) -> list[tuple[bool, bool]]:
+        halluc = _hallucination_rates(joined)
+        by_g = SortedProfiles(joined.w1, joined.w2, joined.counts, joined.bounds)
+        exact = by_g.binned(ExactValueBinning())
+        return [
+            (g_h <= mf + 1e-12, mc <= radius)
+            for mf, g_h, mc in zip(batch, halluc, exact.miscalibration)
+        ]
+
+    events = list(_scored_in_batches(drawn(), score))
+    certainty = sum(certain for certain, _ in events)
+    calibration = sum(calibrated for _, calibrated in events)
     return UpperBoundReport(
         trials=trials,
         delta=delta,
@@ -553,33 +640,48 @@ def _type_profile(profile: KeyedProfile, start: int, size: int) -> KeyedProfile:
 
 def multi_type_trial_metrics(
     model: MultiTypeWorld,
-    world: WorldInstance,
-    sample: TrainingSample,
-    g: FactoidDist,
+    trials: Iterable[tuple[WorldInstance, TrainingSample, FactoidDist]],
     params: BoundParams,
-) -> list[tuple[float, float, float, BoundEvaluation]]:
-    """Per-type (monofact, hallucinated mass, miscalibration, evaluation).
+) -> list[list[tuple[float, float, float, BoundEvaluation]]]:
+    """Per trial, in order, per type (monofact, hallucinated mass,
+    miscalibration, evaluation), for each (world, sample, g) in trials.
 
     Type i's monofact estimate counts the draws whose atom lies in its
     range and occurs once, over all n draws. Its miscalibration and
     hallucination rate are measured on the induced local pair, whose
     empty fact carries all out-of-range mass; every type's pair is read
-    off one keyed profile of (p, g). The verdict is cor1 with the
-    union-bound inflation k = params.k_types.
+    off one keyed profile of (p, g), and the local profiles of consecutive
+    trials are scored in batches. The verdict is cor1 with the union-bound
+    inflation k = params.k_types.
     """
-    profile = keyed_profile(world.p, g)
-    out = []
-    for i, component in enumerate(model.components):
-        span = model.type_range(i)
-        counts = sample.counts[_in_range(sample.atoms, span.start, span.stop)]
-        mf_i = int(np.count_nonzero(counts == 1)) / sample.n
-        local = _type_profile(profile, span.start, component.universe_size)
-        mc_i, _, _ = profile_calibration(
-            *sort_profile_by_g(*local.classes()), AdaptiveBinning(params.b)
-        )
-        g_h_i = _profile_hallucination_rate(local)
-        out.append((mf_i, g_h_i, mc_i, evaluate_bound(g_h_i, cor1_rhs(mf_i, mc_i, params))))
-    return out
+
+    def drawn():
+        for world, sample, g in trials:
+            profile = keyed_profile(world.p, g)
+            mfs, local = [], []
+            for i, component in enumerate(model.components):
+                span = model.type_range(i)
+                counts = sample.counts[_in_range(sample.atoms, span.start, span.stop)]
+                mfs.append(int(np.count_nonzero(counts == 1)) / sample.n)
+                local.append(_type_profile(profile, span.start, component.universe_size))
+            yield mfs, local
+
+    spec, k = AdaptiveBinning(params.b), model.k_types
+
+    def score(batch, joined: ProfileBatch) -> list[list[tuple[float, float, float, BoundEvaluation]]]:
+        halluc = _hallucination_rates(joined)
+        by_g = SortedProfiles(joined.w1, joined.w2, joined.counts, joined.bounds)
+        mis = by_g.binned(spec).miscalibration
+        rows = []
+        for t, mfs in enumerate(batch):
+            row = []
+            for i, mf_i in enumerate(mfs):
+                g_h_i, mc_i = halluc[t * k + i], mis[t * k + i]
+                row.append((mf_i, g_h_i, mc_i, evaluate_bound(g_h_i, cor1_rhs(mf_i, mc_i, params))))
+            rows.append(row)
+        return rows
+
+    return list(_scored_in_batches(drawn(), score))
 
 
 def run_multi_type_experiment(cfg: ExperimentConfig) -> MultiTypeReport:
@@ -588,11 +690,13 @@ def run_multi_type_experiment(cfg: ExperimentConfig) -> MultiTypeReport:
     if not isinstance(model, MultiTypeWorld):
         raise ConfigError("multi-type experiment needs a MultiTypeWorld")
     k, params = model.k_types, cfg.params
-    rows = []
-    for rng in SeededRng(cfg.master_seed).children(range(cfg.trials)):
-        world, sample = _draw_trial(model, cfg.n, rng)
-        g = train(cfg.algorithm, sample, truth=world.p)
-        rows.append(multi_type_trial_metrics(model, world, sample, g, params))
+
+    def trials():
+        for rng in SeededRng(cfg.master_seed).children(range(cfg.trials)):
+            world, sample = _draw_trial(model, cfg.n, rng)
+            yield world, sample, train(cfg.algorithm, sample, truth=world.p)
+
+    rows = multi_type_trial_metrics(model, trials(), params)
     types = tuple(
         _bound_frequency(f"type{i}", [row[i][3] for row in rows], params.delta) for i in range(k)
     )

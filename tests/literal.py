@@ -1,17 +1,18 @@
 """One-call metric, draw and builder entry points, kept as test-side
 references.
 
-The library measures a trial through one keyed (p, g) profile, draws
-posterior completions in batches, unranks partitions in blocks, sums
-subsets through subset tables and never builds a per-atom view of a
-distribution. The tests also want the plain forms: one function per
-metric taking two distributions, one draw per stream, one recursive
-partition enumeration, a literal coarsening, the lemma sweep's padded
-gather of each subset's atoms, and builders of small test inputs
-(background distributions, random and enumerated partitions, enumerated
-W5 worlds). They live here, built from the same library primitives, so
-a test can compare a fast path with them or state a property in their
-terms.
+The library measures trials through keyed (p, g) profiles scored many
+at a time, draws posterior completions in batches, unranks partitions
+in blocks, sums subsets through subset tables and never builds a
+per-atom view of a distribution. The tests also want the plain forms:
+one function per metric taking two distributions, the one-profile
+calibration, KL and hallucination-rate routes the batch scorer
+replaced, one draw per stream, one recursive partition enumeration, a
+literal coarsening, the lemma sweep's padded gather of each subset's
+atoms, and builders of small test inputs (background distributions,
+random and enumerated partitions, enumerated W5 worlds). They live
+here, built from the same library primitives, so a test can compare a
+fast path with them or state a property in their terms.
 """
 
 import math
@@ -23,25 +24,32 @@ import numpy as np
 
 from factoidlab.bounds import LemmaMeatViolation
 from factoidlab.calibration import (
+    EXACT_VALUE_RTOL,
+    AdaptiveBinning,
     BinningSpec,
+    ExactValueBinning,
     FixedWidthBinning,
     Partition,
+    _fixed_width_block_ids,
     _partition_label_rows,
-    profile_calibration,
     reliability_rows,
-    sort_profile_by_g,
 )
 from factoidlab.dist import (
     BOTTOM,
     FactoidDist,
     FactoidUniverse,
+    KeyedProfile,
     _sorted_items,
     dist_from_arrays,
     dist_from_weights,
     keyed_profile,
-    profile_kl,
 )
-from factoidlab.errors import DistributionError, UniverseMismatchError, UnsupportedModelError
+from factoidlab.errors import (
+    DistributionError,
+    PartitionError,
+    UniverseMismatchError,
+    UnsupportedModelError,
+)
 from factoidlab.rng import SeededRng
 from factoidlab.worlds import (
     ExplicitWorld,
@@ -85,12 +93,103 @@ def tv_distance(d1: FactoidDist, d2: FactoidDist) -> float:
     return 0.5 * float(np.sum(counts * np.abs(w1 - w2)))
 
 
+def profile_kl(w1: np.ndarray, w2: np.ndarray, counts: np.ndarray) -> float:
+    """KL(first || second) in nats over one paired profile; +inf when the
+    second misses support of the first."""
+    pos = w1 > 0.0
+    if np.any(pos & (w2 <= 0.0)):
+        return math.inf
+    w1p, w2p, cp = w1[pos], w2[pos], counts[pos]
+    return float(np.sum(cp * w1p * np.log(w1p / w2p)))
+
+
 def kl_divergence(d_true: FactoidDist, d_model: FactoidDist) -> float:
     """KL(d_true || d_model) in nats; +inf when the model misses support."""
     return profile_kl(*paired_profile(d_true, d_model))
 
 
 # -- calibration -----------------------------------------------------------
+#
+# One profile at a time: sorted by its own stable argsort, binned through
+# explicit thresholds and block ids, each sum taken over that profile.
+
+
+def sort_profile_by_g(
+    p_vals: np.ndarray, g_vals: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A paired (p, g) profile stably sorted by ascending g, the order
+    every binning scheme groups in."""
+    order = np.argsort(g_vals, kind="stable")
+    return p_vals[order], g_vals[order], counts[order]
+
+
+def _exact_group_starts(sorted_vals: np.ndarray) -> np.ndarray:
+    """Start offsets of equal-value groups in an ascending value array."""
+    if sorted_vals.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    gaps = np.diff(sorted_vals) > EXACT_VALUE_RTOL * np.abs(sorted_vals[1:])
+    return np.concatenate(([0], np.flatnonzero(gaps) + 1))
+
+
+def _adaptive_thresholds(sorted_vals: np.ndarray, sorted_counts: np.ndarray, b: int) -> np.ndarray:
+    """Upper bin edges t_1..t_{b-1} for mass-balanced binning: t_i is the
+    smallest distinct value whose cumulative mass strictly exceeds i/b.
+    The final edge is always 1 and is left implicit."""
+    if b == 1 or sorted_vals.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    distinct_starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_vals) > 0) + 1))
+    masses = np.add.reduceat(sorted_vals * sorted_counts, distinct_starts)
+    cum = np.cumsum(masses)
+    cum[-1] = max(cum[-1], 1.0)
+    ladder = sorted_vals[distinct_starts]
+    quantiles = np.arange(1, b) / b
+    # first ladder entry with cumulative mass strictly above i/b
+    pos = np.searchsorted(cum, quantiles, side="right")
+    pos = np.minimum(pos, len(ladder) - 1)
+    return ladder[pos]
+
+
+def _profile_block_starts(
+    sorted_vals: np.ndarray, sorted_counts: np.ndarray, spec: BinningSpec
+) -> np.ndarray:
+    """Group one ascending value array into bin blocks; returns start offsets."""
+    if isinstance(spec, ExactValueBinning):
+        return _exact_group_starts(sorted_vals)
+    if isinstance(spec, AdaptiveBinning):
+        thresholds = _adaptive_thresholds(sorted_vals, sorted_counts, spec.b)
+        # interval index per value: v <= t_1 -> 0, v in (t_i, t_{i+1}] -> i
+        ids = np.searchsorted(thresholds, sorted_vals, side="left")
+    elif isinstance(spec, FixedWidthBinning):
+        if spec.epsilon == 0.0:
+            return _exact_group_starts(sorted_vals)
+        if spec.epsilon == 1.0:
+            return np.zeros(1, dtype=np.intp) if sorted_vals.size else np.zeros(0, dtype=np.intp)
+        ids = _fixed_width_block_ids(sorted_vals, spec.epsilon)
+    else:
+        raise PartitionError(f"unknown binning spec {spec!r}")
+    if ids.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    changes = np.flatnonzero(np.diff(ids) != 0) + 1
+    return np.concatenate(([0], changes))
+
+
+def profile_calibration(
+    p_vals: np.ndarray, g_vals: np.ndarray, counts: np.ndarray, spec: BinningSpec
+) -> tuple[float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(miscalibration, mass gap, bins) of one (p, g) profile sorted by g,
+    over the bins spec builds from g; bins holds the per-bin (g-mass,
+    p-mass, size) arrays in ascending g order."""
+    starts = _profile_block_starts(g_vals, counts, spec)
+    bounds = np.append(starts, counts.size)
+    p_mass = np.add.reduceat(p_vals * counts, starts)
+    g_mass = np.add.reduceat(g_vals * counts, starts)
+    sizes = np.add.reduceat(counts, starts)
+    block_of_class = np.repeat(np.arange(starts.size), np.diff(bounds))
+    total = float(np.sum(p_vals * counts))
+    coarse = (p_mass / sizes) / total
+    mis = 0.5 * float(np.sum(counts * np.abs(coarse[block_of_class] - g_vals)))
+    gap = 0.5 * float(np.sum(np.abs(p_mass - g_mass)))
+    return mis, gap, (g_mass, p_mass, sizes)
 
 
 def _calibration(p: FactoidDist, g: FactoidDist, spec: BinningSpec):
@@ -223,6 +322,23 @@ def gather_lemma_sweep(nu: ExplicitWorld, tolerance: float) -> list[LemmaMeatVio
 
 
 # -- hallucination ---------------------------------------------------------
+
+
+def profile_hallucination_rate(profile: KeyedProfile) -> float:
+    """The hallucination rate of g in the world whose fact distribution is
+    p, read off one keyed profile of (p, g): 1 minus the fsum of the
+    weights g holds explicitly at facts plus g's background times the
+    other facts, clamped at 0. The facts are the keys p holds with
+    positive weight, plus the empty fact."""
+    facts = profile.in1 & (profile.w1 > 0.0)
+    bottom_absent = 1
+    if profile.keys.size and profile.keys[0] == BOTTOM:
+        facts[0] = True
+        bottom_absent = 0
+    held = facts & profile.in2
+    n_plain = int(np.count_nonzero(facts)) + bottom_absent - int(np.count_nonzero(held))
+    mass = math.fsum(profile.w2[held].tolist()) + profile.background2 * n_plain
+    return max(0.0, 1.0 - mass)
 
 
 def hallucination_rate(g: FactoidDist, world: WorldInstance) -> float:

@@ -20,6 +20,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(factoidlab.__path__)
 UNUSED_EXPORTS_ALLOWED = {
     "sample_iid",  # perfbench's posterior_exhaustive draws its sample with it
     "run_multi_type_experiment",  # perfbench's multi_type workload runs it
+    "run_trial",  # the public one-trial entry point: run_experiment's scoring on a batch of one
     "dist_from_weights",  # perfbench's concentration workload builds its p with it
     "verify_markov_step",  # ROADMAP item 1: its rows are to join run's aggregate.json
     "analyze_regularity",  # ROADMAP item 8: the systematic-facts verdict reads it

@@ -496,14 +496,14 @@ class TestRunRecord:
         return cfg_path
 
     def test_failing_trial_leaves_nothing(self, tmp_path, monkeypatch):
-        run_trial = factoidlab.harness.run_trial
+        draw_trial = factoidlab.harness._draw_trial
 
-        def second_fails(cfg, i):
-            if i == 1:
+        def second_fails(model, n, rng):
+            if rng.key == (1,):
                 raise DistributionError("injected")
-            return run_trial(cfg, i)
+            return draw_trial(model, n, rng)
 
-        monkeypatch.setattr(factoidlab.harness, "run_trial", second_fails)
+        monkeypatch.setattr(factoidlab.harness, "_draw_trial", second_fails)
         code, out, err = run_cli("run", str(self._config(tmp_path)), "--out", str(tmp_path / "r"))
         assert code == 2
         assert "trial 1: injected" in err

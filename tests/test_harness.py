@@ -17,6 +17,7 @@ from factoidlab.harness import (
     run_upper_bound_check,
 )
 from factoidlab.lms import Empirical, MonofactMemorizer, Oracle, Uniform
+from factoidlab.rng import SeededRng
 from factoidlab.worlds import MultiTypeWorld, PermutedPowerLawWorld
 
 
@@ -85,6 +86,21 @@ class TestRunTrial:
         for i in range(10):
             record = run_trial(cfg, i)
             assert record.halluc_rate <= record.mf + 1e-12
+
+    def test_record_seeds_are_the_literal_child_streams(self, monkeypatch):
+        """run_experiment derives its trial streams in one batched pass;
+        every record's seed is still the fingerprint of the literal
+        SeedSequence stream child(i), and run_trial gives the same record
+        as run_experiment, across batch boundaries too."""
+        import factoidlab.harness as h
+
+        cfg = make_cfg(trials=12)
+        monkeypatch.setattr(h, "_BATCH_CLASSES", 300)
+        _, records = run_experiment(cfg)
+        want = [SeededRng(cfg.master_seed).child(i).fingerprint() for i in range(cfg.trials)]
+        assert [r.seed for r in records] == want
+        assert [r.trial_index for r in records] == list(range(cfg.trials))
+        assert records == [run_trial(cfg, i) for i in range(cfg.trials)]
 
     def test_probabilities_in_range(self):
         cfg = make_cfg(algorithm=Uniform())
@@ -218,14 +234,14 @@ class TestTrialErrorContext:
         from factoidlab.errors import DistributionError
 
         cfg = make_cfg(trials=3)
-        original = h.run_trial
+        original = h._draw_trial
 
-        def boom(c, i):
-            if i == 1:
+        def boom(model, n, rng):
+            if rng.key == (1,):
                 raise DistributionError("synthetic failure")
-            return original(c, i)
+            return original(model, n, rng)
 
-        monkeypatch.setattr(h, "run_trial", boom)
+        monkeypatch.setattr(h, "_draw_trial", boom)
         with pytest.raises(DistributionError, match="trial 1"):
             run_experiment(cfg)
 
@@ -278,7 +294,7 @@ class TestMultiTypeInducedMetrics:
 
         model, world, draws, sample, g = self._setup(22)
         params = BoundParams(delta=0.1, b=5, epsilon=0.1, s=1.0, r=1.0, n=len(draws), k_types=2)
-        rows = multi_type_trial_metrics(model, world, sample, g, params)
+        (rows,) = multi_type_trial_metrics(model, [(world, sample, g)], params)
         for i, (mf_i, g_h_i, _, _) in enumerate(rows):
             rng_i = model.type_range(i)
             in_range = [y for y in draws if y in rng_i]

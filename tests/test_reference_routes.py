@@ -24,6 +24,12 @@ checked against the frozenset builders the labels replaced: the sorted
 group split behind every binning, the recursive enumeration of all
 partitions and the cut-point random partition.
 
+The batch scorer, which joins many keyed profiles, sorts them all by g
+at once and bins every profile in one pass per spec, is checked against
+the one-profile literal route (its own stable argsort, explicit
+thresholds, each sum over that profile) on random batches split at
+random points, down to one profile a batch.
+
 Batched child streams are checked against numpy's literal route,
 Generator(PCG64(SeedSequence(seed, spawn_key=key))), one stream at a time.
 
@@ -60,7 +66,9 @@ from factoidlab.dist import (
     _guided_slots,
     dist_from_arrays,
     dist_from_weights,
+    join_profiles,
     keyed_profile,
+    kl_divergences,
     random_dist,
     sample_counts,
     sample_iid,
@@ -81,11 +89,13 @@ from factoidlab.bounds import (
     verify_theorem_main_mc,
 )
 from factoidlab.calibration import (
+    EXACT_VALUE_RTOL,
     AdaptiveBinning,
     ExactValueBinning,
     FixedWidthBinning,
     PARTITION_LIMIT,
     Partition,
+    SortedProfiles,
     _block_starts_for_spec,
     _partition_label_rows,
     partition_for_spec,
@@ -94,7 +104,7 @@ from factoidlab.errors import DistributionError, PartitionError, UniverseMismatc
 from factoidlab.estimators import TrainingSample, missing_mass, monofact_estimate
 from factoidlab import harness
 from factoidlab.harness import (
-    _profile_hallucination_rate,
+    _hallucination_rates,
     multi_type_trial_metrics,
     run_gt_concentration,
     run_upper_bound_check,
@@ -130,9 +140,13 @@ from literal import (
     miscalibration,
     paired_profile,
     posterior_support_uniform,
+    profile_calibration,
+    profile_hallucination_rate,
+    profile_kl,
     random_partition,
     restricted_growth_strings,
     sample_distinct_excluding,
+    sort_profile_by_g,
 )
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -373,7 +387,8 @@ class TestAgainstReference:
         p = FactoidDist(FactoidUniverse(size), *_sorted_pairs(weights))
         world = WorldInstance(p)
         want = max(0.0, 1.0 - ref_mass_of_set(g, world.fact_keys.tolist()))
-        assert _profile_hallucination_rate(keyed_profile(p, g)) == want
+        assert _hallucination_rates(join_profiles([keyed_profile(p, g)])) == [want]
+        assert profile_hallucination_rate(keyed_profile(p, g)) == want
         assert hallucination_rate(g, world) == want
 
     @given(data=st.data())
@@ -1174,9 +1189,10 @@ class TestLabelPartitions:
     @PROPERTY
     def test_binning_partition_matches_sorted_group_split(self, g, spec):
         vals = g.weights_at(np.arange(g.universe.size))
-        order = np.argsort(vals, kind="stable")
-        starts = _block_starts_for_spec(vals[order], np.ones(vals.size), spec)
-        assert partition_for_spec(g, spec).blocks == ref_sorted_groups(order, starts)
+        profile = SortedProfiles(vals, vals, np.ones(vals.size), (0, vals.size))
+        assert profile.order.tolist() == np.argsort(vals, kind="stable").tolist()
+        starts = _block_starts_for_spec(profile, spec)
+        assert partition_for_spec(g, spec).blocks == ref_sorted_groups(profile.order, starts)
 
     @given(st.integers(2, 60), st.integers(0, 2**32 - 1))
     @PROPERTY
@@ -1547,23 +1563,29 @@ def full_range_case(alg):
     return model, world, sample, train(alg, sample, truth=world.p), params
 
 
+def one_trial_metrics(model, world, sample, g, params):
+    """multi_type_trial_metrics of one trial, scored as a batch of one."""
+    (row,) = multi_type_trial_metrics(model, [(world, sample, g)], params)
+    return row
+
+
 class TestMultiTypeProfiles:
     @given(multi_type_cases())
     @PROPERTY
     def test_per_type_tuples_match_literal_projection(self, case):
-        assert multi_type_trial_metrics(*case) == ref_multi_type_trial_metrics(*case)
+        assert one_trial_metrics(*case) == ref_multi_type_trial_metrics(*case)
 
     def test_dropped_local_bottom(self):
         model, world, sample, g, params = case = bottom_dropped_case()
         assert ref_induced_local_dist(model, 0, world.p).weight(BOTTOM) == 0.0
         assert BOTTOM not in ref_induced_local_dist(model, 0, world.p).keys
-        assert multi_type_trial_metrics(*case) == ref_multi_type_trial_metrics(*case)
+        assert one_trial_metrics(*case) == ref_multi_type_trial_metrics(*case)
 
     @pytest.mark.parametrize("alg", ALGORITHMS, ids=repr)
     def test_type_filling_its_range(self, alg):
         model, world, sample, g, params = case = full_range_case(alg)
         assert ref_induced_local_dist(model, 0, world.p).keys.size == model.components[0].universe_size
-        assert multi_type_trial_metrics(*case) == ref_multi_type_trial_metrics(*case)
+        assert one_trial_metrics(*case) == ref_multi_type_trial_metrics(*case)
 
 
 # ---------------------------------------------------------------------------
@@ -1655,3 +1677,122 @@ class TestGtConcentration:
             one_sided += miss < mf - one_radius
         assert (report.two_sided_violations, report.one_sided_violations) == (two_sided, one_sided)
         assert report.mean_gap == float(np.array(gaps).mean())
+
+
+# ---------------------------------------------------------------------------
+# Batch scorer
+# ---------------------------------------------------------------------------
+
+
+#: g and p weights: zeros, a subnormal, and runs of values within
+#: EXACT_VALUE_RTOL of each other (one exact-value bin, distinct values)
+SCORED_WEIGHTS = (
+    st.sampled_from([0.0, 0.0, 5e-324, 0.001, 0.01, 0.25, 0.5, 1.0])
+    | st.builds(
+        lambda base, k: base * (1.0 + k * EXACT_VALUE_RTOL / 4),
+        st.sampled_from([0.001, 0.02, 0.3]),
+        st.integers(0, 3),
+    )
+    | st.floats(0.0, 1.0)
+)
+
+#: every spec the harness scores with, at the edges of each scheme
+SCORED_SPECS = (
+    ExactValueBinning(),
+    AdaptiveBinning(1),
+    AdaptiveBinning(2),
+    AdaptiveBinning(10),
+    FixedWidthBinning(0.0),
+    FixedWidthBinning(0.1),
+    FixedWidthBinning(1.0),
+)
+
+
+@st.composite
+def scored_profiles(draw):
+    """A keyed profile of 1-60 classes with or without a rest class, the
+    empty fact among its keys or not, and p-mass somewhere."""
+    rest = draw(st.sampled_from([0, 1, 7, 10**6]), label="rest")
+    size = draw(st.integers(0 if rest else 1, 59 if rest else 60), label="keys")
+    keys = sorted(draw(st.sets(st.integers(0, 200), min_size=size, max_size=size)))
+    w1 = draw(st.lists(SCORED_WEIGHTS, min_size=size, max_size=size))
+    w2 = draw(st.lists(SCORED_WEIGHTS, min_size=size, max_size=size))
+    background1, background2 = draw(SCORED_WEIGHTS), draw(SCORED_WEIGHTS)
+    if not any(w1) and not (rest and background1):
+        if size:
+            w1[0] = 0.5
+        else:
+            background1 = 0.5
+    masks = st.lists(st.booleans(), min_size=size, max_size=size)
+    return dist_module.KeyedProfile(
+        np.array(keys, dtype=np.int64),
+        np.array(w1, dtype=np.float64),
+        np.array(w2, dtype=np.float64),
+        np.array(draw(masks), dtype=bool),
+        np.array(draw(masks), dtype=bool),
+        rest,
+        background1,
+        background2,
+    )
+
+
+@st.composite
+def split_batches(draw):
+    """1-40 profiles and the cut points that split them into consecutive
+    batches, from one batch down to one profile a batch."""
+    profiles = draw(st.lists(scored_profiles(), min_size=1, max_size=40))
+    inner = range(1, len(profiles))
+    cuts = draw(st.just(list(inner)) | st.sets(st.sampled_from(inner) if inner else st.nothing()))
+    return profiles, [0, *sorted(cuts), len(profiles)]
+
+
+def quantile_tie_batch():
+    """Two profiles whose runs of g hold masses 0.25, 0.25 and 0.5: the
+    cumulative mass below the top run is exactly the adaptive edge 1/2
+    (b = 2), which stays in the lower bin."""
+    profile = dist_module.KeyedProfile(
+        np.array([1, 2, 3], dtype=np.int64),
+        np.array([0.2, 0.3, 0.5]),
+        np.array([0.25, 0.25, 0.5]),
+        np.ones(3, dtype=bool),
+        np.ones(3, dtype=bool),
+        0,
+        0.0,
+        0.0,
+    )
+    return [profile, profile], [0, 2]
+
+
+def same_float(got, want):
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+class TestBatchScorer:
+    # a subnormal g-weight overflows p/g in KL, the same on both routes
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(split_batches())
+    @example(quantile_tie_batch())
+    @settings(max_examples=200, deadline=None)
+    def test_batches_match_the_per_profile_route(self, case):
+        """Every metric of every profile, scored in batches, equals the
+        one-profile literal route bit for bit, whatever the batch."""
+        profiles, cuts = case
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            part = profiles[lo:hi]
+            joined = join_profiles(part)
+            halluc = _hallucination_rates(joined)
+            kl = kl_divergences(joined)
+            by_g = SortedProfiles(joined.w1, joined.w2, joined.counts, joined.bounds)
+            binned = {spec: by_g.binned(spec) for spec in SCORED_SPECS}
+            for t, profile in enumerate(part):
+                classes = profile.classes()
+                assert halluc[t] == profile_hallucination_rate(profile)
+                assert same_float(kl[t], profile_kl(*classes))
+                by_g_alone = sort_profile_by_g(*classes)
+                for spec, bins in binned.items():
+                    mis, gap, (g_mass, p_mass, sizes) = profile_calibration(*by_g_alone, spec)
+                    assert same_float(bins.miscalibration[t], mis), spec
+                    assert same_float(bins.mass_gaps()[t], gap), spec
+                    got = bins.bins(t)
+                    want = (g_mass, p_mass, sizes)
+                    assert [a.tolist() for a in got] == [a.tolist() for a in want], spec
