@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -197,19 +197,15 @@ def _draw_trial(model: WorldModel, n: int, rng: SeededRng) -> tuple[WorldInstanc
 #: The limit is set by memory: a batch's profiles are kept until it is
 #: scored, and its working arrays grow with it. On the README config
 #: (about 1,000 classes a trial) the benchmark's peak RSS rose by about
-#: 0.5 MB (1%) with this limit, 8 trials a batch, and by about 1 MB with
-#: 30 trials a batch, while 8 trials already spread most of the fixed
-#: cost of each numpy call.
+#: 0.6 MB (1.5%) with this limit, 8 trials a batch, and by about 1 MB
+#: (2.4%) with 30 trials a batch, while 8 trials already spread most of
+#: the fixed cost of each numpy call.
 _BATCH_CLASSES = 8192
 
-_Trial = TypeVar("_Trial")
-_Scored = TypeVar("_Scored")
-
-
 def _scored_in_batches(
-    trials: Iterable[tuple[_Trial, Sequence[KeyedProfile]]],
-    score: Callable[[list[_Trial], ProfileBatch], list[_Scored]],
-) -> Iterator[_Scored]:
+    trials: Iterable[tuple[object, Sequence[KeyedProfile]]],
+    score: Callable[[list, ProfileBatch], list],
+) -> Iterator:
     """score(trials, joined), item by item, for consecutive batches of
     trials, each trial given with its keyed profiles and a batch joining
     at most _BATCH_CLASSES profile classes. Only one batch is alive at a
@@ -668,7 +664,7 @@ def multi_type_trial_metrics(
 
     spec, k = AdaptiveBinning(params.b), model.k_types
 
-    def score(batch, joined: ProfileBatch) -> list[list[tuple[float, float, float, BoundEvaluation]]]:
+    def score(batch, joined: ProfileBatch) -> list[list]:
         halluc = _hallucination_rates(joined)
         by_g = SortedProfiles(joined.w1, joined.w2, joined.counts, joined.bounds)
         mis = by_g.binned(spec).miscalibration
