@@ -62,7 +62,6 @@ __all__ = [
     "tv_distance_forms",
     "sample_iid",
     "sample_counts",
-    "KeyedProfile",
     "keyed_profile",
     "ProfileBatch",
     "join_profiles",
@@ -322,111 +321,79 @@ def uniform_dist(universe: FactoidUniverse) -> FactoidDist:
 
 
 @dataclass(frozen=True, eq=False)
-class KeyedProfile:
-    """Two distributions over one universe, on the union of their
-    explicit atoms.
+class ProfileBatch:
+    """Paired atom-class profiles of one or more pairs of distributions,
+    joined end to end.
 
-    keys is that union in increasing order, w1 and w2 the two weights at
-    each key, and in1 and in2 mark the keys each distribution holds
-    explicitly. The rest atoms of the universe are background in both and
-    carry (background1, background2).
+    Profile t holds classes bounds[t]:bounds[t+1]: one class per key of
+    the union of the pair's explicit atoms, in increasing order, then one
+    rest class for the atoms neither distribution holds, if any are left.
+    The rest class is keyed by the universe size, an index no atom has.
+    w1 and w2 are the two weights of each class, counts its number of
+    atoms, and in1 and in2 mark the classes each distribution holds
+    explicitly (never a rest class). background1 and background2 are the
+    two backgrounds of each profile. A batch has O(#explicit atoms)
+    classes even on huge universes.
     """
 
     keys: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-    in1: np.ndarray
-    in2: np.ndarray
-    rest: int
-    background1: float
-    background2: float
-
-    def classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The paired profile (w1, w2, count): one class per key, then one
-        class for the rest atoms if there are any (they carry identical
-        weight pairs). Its size is O(#explicit atoms) even on huge
-        universes; tv_distance_forms reads it, and join_profiles lays
-        many profiles out the same way for the batch metrics."""
-        counts = np.ones(self.keys.size, dtype=np.float64)
-        if self.rest <= 0:
-            return self.w1, self.w2, counts
-        return (
-            np.append(self.w1, self.background1),
-            np.append(self.w2, self.background2),
-            np.append(counts, float(self.rest)),
-        )
-
-
-def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> KeyedProfile:
-    """Both distributions' weights on the union of their explicit atoms,
-    with a mask of the atoms each holds explicitly."""
-    if d1.universe != d2.universe:
-        raise UniverseMismatchError(
-            f"universe mismatch: size {d1.universe.size} vs {d2.universe.size}"
-        )
-    # both key arrays are sorted runs, which the stable sort (timsort on
-    # int64) merges in linear time; np.unique without counts would take a
-    # hash-based route an order of magnitude slower on spread-out atoms
-    keys = np.sort(np.concatenate((d1.keys, d2.keys)), kind="stable")
-    if keys.size > 1:
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    w1, in1 = d1._explicit_at(keys)
-    w2, in2 = d2._explicit_at(keys)
-    return KeyedProfile(
-        keys, w1, w2, in1, in2, d1.universe.size - keys.size, d1.background, d2.background
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class ProfileBatch:
-    """Keyed profiles joined end to end as one array of paired classes.
-
-    Profile t holds classes bounds[t]:bounds[t+1] of w1, w2 and counts,
-    laid out as KeyedProfile.classes lays them out: one class per key,
-    then one class for its rest atoms if it has any. in1 and in2 mark the
-    classes whose key each distribution holds explicitly (a rest class is
-    held by neither). Per profile, bottom says whether its first key is
-    the empty fact and background2 is the second distribution's
-    background.
-    """
-
     w1: np.ndarray
     w2: np.ndarray
     counts: np.ndarray
     in1: np.ndarray
     in2: np.ndarray
     bounds: np.ndarray
-    bottom: np.ndarray
+    background1: np.ndarray
     background2: np.ndarray
 
 
-def join_profiles(profiles: Sequence[KeyedProfile]) -> ProfileBatch:
-    """One or more keyed profiles as one batch, in the order given."""
-    resting = [p for p in profiles if p.rest > 0]
-    bounds = np.zeros(len(profiles) + 1, dtype=np.intp)
-    np.cumsum([p.keys.size + (p.rest > 0) for p in profiles], out=bounds[1:])
-    rest_at = bounds[1:][[p.rest > 0 for p in profiles]] - 1
-    keyed = np.ones(bounds[-1], dtype=bool)
-    keyed[rest_at] = False
-
-    def joined(field: str, fill) -> np.ndarray:
-        out = np.full(keyed.size, fill)
-        out[keyed] = np.concatenate([getattr(p, field) for p in profiles])
-        return out
-
-    w1, w2, counts = joined("w1", 0.0), joined("w2", 0.0), np.ones(keyed.size)
-    w1[rest_at] = [p.background1 for p in resting]
-    w2[rest_at] = [p.background2 for p in resting]
-    counts[rest_at] = [float(p.rest) for p in resting]
+def _one_profile(keys, w1, w2, in1, in2, background1: float, background2: float) -> ProfileBatch:
+    """A batch of one profile from its classes at keys, whose last entry
+    is the rest key: the universe size, which no distribution holds, so
+    w1 and w2 there are the two backgrounds. The rest class counts the
+    atoms no other key names and is dropped when there are none."""
+    counts = np.ones(keys.size)
+    counts[-1] = rest = int(keys[-1]) - (keys.size - 1)
+    if not rest:
+        keys, w1, w2, counts, in1, in2 = (a[:-1] for a in (keys, w1, w2, counts, in1, in2))
+    bounds = np.array([0, keys.size])
     return ProfileBatch(
-        w1=w1,
-        w2=w2,
-        counts=counts,
-        in1=joined("in1", False),
-        in2=joined("in2", False),
-        bounds=bounds,
-        bottom=np.array([p.keys.size > 0 and p.keys[0] == BOTTOM for p in profiles]),
-        background2=np.array([p.background2 for p in profiles]),
+        keys, w1, w2, counts, in1, in2, bounds, np.array([background1]), np.array([background2])
+    )
+
+
+def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> ProfileBatch:
+    """The paired profile of two distributions over one universe, as a
+    batch of one: both weights on the union of their explicit atoms, a
+    mask of the atoms each holds explicitly, and the rest class."""
+    if d1.universe != d2.universe:
+        raise UniverseMismatchError(
+            f"universe mismatch: size {d1.universe.size} vs {d2.universe.size}"
+        )
+    # the key arrays and the rest key are sorted runs, which the stable
+    # sort (timsort on int64) merges in linear time; np.unique without
+    # counts would take a hash-based route an order of magnitude slower on
+    # spread-out atoms
+    keys = np.sort(np.concatenate((d1.keys, d2.keys, (d1.universe.size,))), kind="stable")
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    w1, in1 = d1._explicit_at(keys)
+    w2, in2 = d2._explicit_at(keys)
+    return _one_profile(keys, w1, w2, in1, in2, d1.background, d2.background)
+
+
+def join_profiles(batches: Sequence[ProfileBatch]) -> ProfileBatch:
+    """One or more batches as one, in the order given."""
+
+    def joined(field: str) -> np.ndarray:
+        return np.concatenate([getattr(b, field) for b in batches])
+
+    # each batch's bounds, shifted by the classes of the batches before it
+    tops = np.array([b.bounds[-1] for b in batches])
+    shifts = np.repeat(np.cumsum(tops) - tops, [b.bounds.size - 1 for b in batches])
+    bounds = np.concatenate(([0], np.concatenate([b.bounds[1:] for b in batches]) + shifts))
+    return ProfileBatch(
+        joined("keys"), joined("w1"), joined("w2"), joined("counts"), joined("in1"),
+        joined("in2"), bounds, joined("background1"), joined("background2"),
     )
 
 
@@ -443,9 +410,10 @@ def tv_distance_forms(
     universe is small enough, otherwise by taking the witness set where
     d1 exceeds d2 (which attains the maximum).
     """
-    w1, w2, counts = keyed_profile(d1, d2).classes()
-    half_l1 = 0.5 * float(np.sum(counts * np.abs(w1 - w2)))
-    pos_part = float(np.sum(counts * np.clip(w1 - w2, 0.0, None)))
+    profile = keyed_profile(d1, d2)
+    gaps = profile.w1 - profile.w2
+    half_l1 = 0.5 * float(np.sum(profile.counts * np.abs(gaps)))
+    pos_part = float(np.sum(profile.counts * np.clip(gaps, 0.0, None)))
     size = d1.universe.size
     if size <= exhaustive_limit:
         atoms = np.arange(size)

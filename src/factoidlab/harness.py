@@ -4,7 +4,7 @@ One trial is: draw a world, draw training data, train the algorithm,
 measure (monofact estimate, missing mass, hallucination rate, the
 calibration metrics), and evaluate every bound. Trials are pure
 functions of (master seed, trial index), so experiments reproduce
-byte-for-byte and can run in any order. The keyed (p, g) profiles of
+byte-for-byte and can run in any order. The (p, g) profiles of
 consecutive trials are scored together in batches, and every metric of
 a trial is the same bits in any batch as on its own.
 """
@@ -39,8 +39,8 @@ from .calibration import (
 from .dist import (
     BOTTOM,
     FactoidDist,
-    KeyedProfile,
     ProfileBatch,
+    _one_profile,
     join_profiles,
     keyed_profile,
     kl_divergences,
@@ -192,6 +192,21 @@ def _draw_trial(model: WorldModel, n: int, rng: SeededRng) -> tuple[WorldInstanc
     return world, TrainingSample.from_counts(world.universe, *sample_counts(world.p, n, rng))
 
 
+def _trained(
+    model: WorldModel, n: int, algorithm: LmAlgorithm, master_seed: int, indices: Sequence[int]
+) -> Iterator[tuple[int, SeededRng, WorldInstance, TrainingSample, FactoidDist]]:
+    """(i, rng, world, sample, g) per stream index i, in order: a world and
+    sample drawn on child i of the master seed and g trained on them (p as
+    truth). A failing draw or training surfaces with its index attached."""
+    for i, rng in zip(indices, SeededRng(master_seed).children(indices)):
+        try:
+            world, sample = _draw_trial(model, n, rng)
+            g = train(algorithm, sample, truth=world.p)
+        except FactoidLabError as exc:
+            raise type(exc)(f"trial {i}: {exc}") from exc
+        yield i, rng, world, sample, g
+
+
 #: Most profile classes one scoring batch holds. Trials join a batch
 #: whole, and a trial with more classes than this is a batch of its own.
 #: The limit is set by memory: a batch's profiles are kept until it is
@@ -203,52 +218,47 @@ def _draw_trial(model: WorldModel, n: int, rng: SeededRng) -> tuple[WorldInstanc
 _BATCH_CLASSES = 8192
 
 def _scored_in_batches(
-    trials: Iterable[tuple[object, Sequence[KeyedProfile]]],
+    trials: Iterable[tuple[object, Sequence[ProfileBatch]]],
     score: Callable[[list, ProfileBatch], list],
 ) -> Iterator:
     """score(trials, joined), item by item, for consecutive batches of
-    trials, each trial given with its keyed profiles and a batch joining
-    at most _BATCH_CLASSES profile classes. Only one batch is alive at a
-    time: its profiles are released once joined, and score holds the
-    only reference to the joined batch."""
+    trials, each trial given with its profiles and a batch joining at most
+    _BATCH_CLASSES profile classes. Only one batch is alive at a time: the
+    pending list swaps its profiles for their join, and popping that hands
+    score the only reference to the joined batch."""
     batch: list = []
     profiles: list = []
     classes = 0
     for trial, own in trials:
-        size = sum(p.keys.size + (p.rest > 0) for p in own)
+        size = sum(int(p.bounds[-1]) for p in own)
         if batch and classes + size > _BATCH_CLASSES:
-            yield from score(batch, _join_released(profiles))
+            profiles[:] = [join_profiles(profiles)]
+            yield from score(batch, profiles.pop())
             batch, classes = [], 0
         batch.append(trial)
         profiles.extend(own)
         classes += size
     if batch:
-        yield from score(batch, _join_released(profiles))
-
-
-def _join_released(profiles: list[KeyedProfile]) -> ProfileBatch:
-    """The profiles joined into one batch; the list is emptied, so the
-    batch holds the only copy of their arrays."""
-    joined = join_profiles(profiles)
-    profiles.clear()
-    return joined
+        profiles[:] = [join_profiles(profiles)]
+        yield from score(batch, profiles.pop())
 
 
 def _hallucination_rates(batch: ProfileBatch) -> list[float]:
     """The hallucination rate of g in the world whose fact distribution is
-    p, per keyed profile of (p, g) in a batch: 1 minus the mass g puts on
-    the facts, clamped at 0.
+    p, per profile of (p, g) in a batch: 1 minus the mass g puts on the
+    facts, clamped at 0.
 
     The facts are the keys p holds with positive weight, plus the empty
     fact. The mass g puts on them is the fsum of the weights g holds
     explicitly at facts, plus g's background times the other facts.
     """
     starts = batch.bounds[:-1]
+    bottom = batch.keys[starts] == BOTTOM
     facts = batch.in1 & (batch.w1 > 0.0)
-    facts[starts[batch.bottom]] = True
+    facts[starts[bottom]] = True
     held = facts & batch.in2
     n_held = np.add.reduceat(held, starts)
-    n_plain = np.add.reduceat(facts, starts) + ~batch.bottom - n_held
+    n_plain = np.add.reduceat(facts, starts) + ~bottom - n_held
     weights = batch.w2[held]
     cuts = np.cumsum(n_held).tolist()
     return [
@@ -263,8 +273,8 @@ def _trial_records(cfg: ExperimentConfig, indices: Sequence[int]) -> Iterator[Tr
     """The records of the given trials, in order.
 
     Each trial draws its world, sample and g on its own stream, child i
-    of the master seed, and builds its keyed (p, g) profile once; a
-    failing draw surfaces with its trial index attached. The profiles of
+    of the master seed, and builds its (p, g) profile once; a failing
+    draw surfaces with its trial index attached. The profiles of
     consecutive trials are then scored together in batches: the
     hallucination rate reads the keys, KL sums over the classes in atom
     order, and every calibration metric reads the same classes sorted once
@@ -273,15 +283,11 @@ def _trial_records(cfg: ExperimentConfig, indices: Sequence[int]) -> Iterator[Tr
     params = cfg.params
 
     def drawn():
-        for i, rng in zip(indices, SeededRng(cfg.master_seed).children(indices)):
-            try:
-                world, sample = _draw_trial(cfg.world, cfg.n, rng)
-                g = train(cfg.algorithm, sample, truth=world.p)
-                mf, p_u = monofact_estimate(sample), missing_mass(world.p, sample)
-                profile = keyed_profile(world.p, g)
-            except FactoidLabError as exc:
-                raise type(exc)(f"trial {i}: {exc}") from exc
-            yield (i, rng.fingerprint(), mf, p_u), (profile,)
+        for i, rng, world, sample, g in _trained(
+            cfg.world, cfg.n, cfg.algorithm, cfg.master_seed, indices
+        ):
+            mf, p_u = monofact_estimate(sample), missing_mass(world.p, sample)
+            yield (i, rng.fingerprint(), mf, p_u), (keyed_profile(world.p, g),)
 
     def score(batch, joined: ProfileBatch) -> list[TrialRecord]:
         halluc, kl = _hallucination_rates(joined), kl_divergences(joined)
@@ -520,19 +526,18 @@ def run_upper_bound_check(
 ) -> UpperBoundReport:
     """Count the trials in which the memorizer's hallucination rate stays
     at or below the monofact estimate and its exact-value miscalibration
-    within the two-sided radius; both events are read off one keyed
-    profile of (p, g) per trial, scored in batches as run_experiment
-    scores its trials."""
+    within the two-sided radius; both events are read off one profile of
+    (p, g) per trial, scored in batches as run_experiment scores its
+    trials. A failing draw surfaces with its stream index attached."""
     if trials < 1:
         raise InsufficientDataError("need at least one trial")
     radius = good_turing_radius(delta, n)
-    memorizer = MonofactMemorizer()
-
-    def drawn():
-        for rng in SeededRng(master_seed).children(range(1, trials + 1)):
-            inst, sample = _draw_trial(world, n, rng)
-            g = train(memorizer, sample)
-            yield monofact_estimate(sample), (keyed_profile(inst.p, g),)
+    drawn = (
+        (monofact_estimate(sample), (keyed_profile(inst.p, g),))
+        for _, _, inst, sample, g in _trained(
+            world, n, MonofactMemorizer(), master_seed, range(1, trials + 1)
+        )
+    )
 
     def score(batch, joined: ProfileBatch) -> list[tuple[bool, bool]]:
         halluc = _hallucination_rates(joined)
@@ -543,7 +548,7 @@ def run_upper_bound_check(
             for mf, g_h, mc in zip(batch, halluc, exact.miscalibration)
         ]
 
-    events = list(_scored_in_batches(drawn(), score))
+    events = list(_scored_in_batches(drawn, score))
     certainty = sum(certain for certain, _ in events)
     calibration = sum(calibrated for _, calibrated in events)
     return UpperBoundReport(
@@ -597,8 +602,9 @@ def _local_side(
     takes the rest of the mass, the shared empty fact's included. The
     result is normalized as dist_from_arrays would: divided by the fsum
     total, the background kept only where some atom carries it, zeros
-    dropped when it is 0. Returns the weights at [empty fact, *keys], the
-    mask of those the local distribution holds, and its background.
+    dropped when it is 0. Returns the weights at [empty fact, *keys, rest
+    key], the mask of those the local distribution holds (never the rest
+    key, which carries the background), and its background.
     """
     explicit = weights[held]
     rest = size - 1 - explicit.size
@@ -611,26 +617,28 @@ def _local_side(
     if not math.isfinite(total):
         raise DistributionError("weights sum is not finite")
     local_background = background / total if rest else 0.0
-    local = np.concatenate(([bottom / total], np.where(held, weights / total, local_background)))
-    local_held = np.concatenate(([True], held))
+    local = np.concatenate(
+        ([bottom / total], np.where(held, weights / total, local_background), [local_background])
+    )
+    local_held = np.concatenate(([True], held, [False]))
     if local_background == 0.0:
         local_held &= local > 0.0
     return local, local_held, local_background
 
 
-def _type_profile(profile: KeyedProfile, start: int, size: int) -> KeyedProfile:
-    """The keyed profile of one type's induced local pair, read off the
-    global keyed profile: the type's keys are a slice of it, in-range
+def _type_profile(profile: ProfileBatch, start: int, size: int) -> ProfileBatch:
+    """The profile of one type's induced local pair, read off the global
+    profile (a batch of one): the type's keys are a slice of it, in-range
     atoms map to local indices and everything else lands on the local
     empty fact."""
     part = _in_range(profile.keys, start, start + size - 1)
-    w1, in1, background1 = _local_side(profile.w1[part], profile.in1[part], profile.background1, size)
-    w2, in2, background2 = _local_side(profile.w2[part], profile.in2[part], profile.background2, size)
+    w1, in1, background1 = _local_side(profile.w1[part], profile.in1[part], profile.background1[0], size)
+    w2, in2, background2 = _local_side(profile.w2[part], profile.in2[part], profile.background2[0], size)
     member = in1 | in2
-    keys = np.concatenate(([BOTTOM], profile.keys[part] - (start - 1)))[member]
-    return KeyedProfile(
-        keys, w1[member], w2[member], in1[member], in2[member], size - keys.size,
-        background1, background2,
+    member[-1] = True  # the rest key; _one_profile drops it when no atom is left
+    keys = np.concatenate(([BOTTOM], profile.keys[part] - (start - 1), [size]))[member]
+    return _one_profile(
+        keys, w1[member], w2[member], in1[member], in2[member], background1, background2
     )
 
 
@@ -646,7 +654,7 @@ def multi_type_trial_metrics(
     range and occurs once, over all n draws. Its miscalibration and
     hallucination rate are measured on the induced local pair, whose
     empty fact carries all out-of-range mass; every type's pair is read
-    off one keyed profile of (p, g), and the local profiles of consecutive
+    off one profile of (p, g), and the local profiles of consecutive
     trials are scored in batches. The verdict is cor1 with the union-bound
     inflation k = params.k_types.
     """
@@ -681,18 +689,20 @@ def multi_type_trial_metrics(
 
 
 def run_multi_type_experiment(cfg: ExperimentConfig) -> MultiTypeReport:
-    """Per-type bound check with the union-bound inflated right-hand side."""
+    """Per-type bound check with the union-bound inflated right-hand side.
+    A failing draw surfaces with its stream index attached."""
     model = cfg.world
     if not isinstance(model, MultiTypeWorld):
         raise ConfigError("multi-type experiment needs a MultiTypeWorld")
     k, params = model.k_types, cfg.params
 
-    def trials():
-        for rng in SeededRng(cfg.master_seed).children(range(cfg.trials)):
-            world, sample = _draw_trial(model, cfg.n, rng)
-            yield world, sample, train(cfg.algorithm, sample, truth=world.p)
-
-    rows = multi_type_trial_metrics(model, trials(), params)
+    trials = (
+        (world, sample, g)
+        for _, _, world, sample, g in _trained(
+            model, cfg.n, cfg.algorithm, cfg.master_seed, range(cfg.trials)
+        )
+    )
+    rows = multi_type_trial_metrics(model, trials, params)
     types = tuple(
         _bound_frequency(f"type{i}", [row[i][3] for row in rows], params.delta) for i in range(k)
     )

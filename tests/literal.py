@@ -1,13 +1,13 @@
 """One-call metric, draw and builder entry points, kept as test-side
 references.
 
-The library measures trials through keyed (p, g) profiles scored many
+The library measures trials through (p, g) class profiles scored many
 at a time, draws posterior completions in batches, unranks partitions
 in blocks, sums subsets through subset tables and never builds a
 per-atom view of a distribution. The tests also want the plain forms:
-one function per metric taking two distributions, the one-profile
-calibration, KL and hallucination-rate routes the batch scorer
-replaced, one draw per stream, one recursive partition enumeration, a
+one function per metric taking two distributions, a pair's class layout
+built atom by atom, the one-profile calibration, KL and
+hallucination-rate routes the batch scorer replaced, one draw per stream, one recursive partition enumeration, a
 literal coarsening, the lemma sweep's padded gather of each subset's
 atoms, and builders of small test inputs (background distributions,
 random and enumerated partitions, enumerated W5 worlds). They live
@@ -38,7 +38,7 @@ from factoidlab.dist import (
     BOTTOM,
     FactoidDist,
     FactoidUniverse,
-    KeyedProfile,
+    ProfileBatch,
     _sorted_items,
     dist_from_arrays,
     dist_from_weights,
@@ -72,7 +72,47 @@ def background_dist(
 
 def paired_profile(d1: FactoidDist, d2: FactoidDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The atom classes (w1, w2, count) of two distributions."""
-    return keyed_profile(d1, d2).classes()
+    profile = keyed_profile(d1, d2)
+    return profile.w1, profile.w2, profile.counts
+
+
+def profile_layout(d1: FactoidDist, d2: FactoidDist) -> ProfileBatch:
+    """The paired profile of two distributions as a batch of one, built
+    atom by atom: one class per atom either holds explicitly, in
+    increasing order, with both weights and whether each holds it, then
+    one class for the atoms neither holds, keyed by the universe size,
+    when any are left."""
+    if d1.universe != d2.universe:
+        raise UniverseMismatchError(f"universe mismatch: {d1.universe.size} vs {d2.universe.size}")
+    size = d1.universe.size
+    held1 = dict(zip(d1.keys.tolist(), d1.values.tolist()))
+    held2 = dict(zip(d2.keys.tolist(), d2.values.tolist()))
+    keys, w1, w2, counts, in1, in2 = [], [], [], [], [], []
+    for y in sorted(held1.keys() | held2.keys()):
+        keys.append(y)
+        w1.append(held1.get(y, d1.background))
+        w2.append(held2.get(y, d2.background))
+        counts.append(1.0)
+        in1.append(y in held1)
+        in2.append(y in held2)
+    if len(keys) < size:
+        keys.append(size)
+        w1.append(d1.background)
+        w2.append(d2.background)
+        counts.append(float(size - (len(keys) - 1)))
+        in1.append(False)
+        in2.append(False)
+    return ProfileBatch(
+        keys=np.array(keys, dtype=np.int64),
+        w1=np.array(w1, dtype=np.float64),
+        w2=np.array(w2, dtype=np.float64),
+        counts=np.array(counts),
+        in1=np.array(in1, dtype=bool),
+        in2=np.array(in2, dtype=bool),
+        bounds=np.array([0, len(keys)]),
+        background1=np.array([d1.background]),
+        background2=np.array([d2.background]),
+    )
 
 
 def mass_of_set(d: FactoidDist, s: Iterable[int]) -> float:
@@ -324,9 +364,9 @@ def gather_lemma_sweep(nu: ExplicitWorld, tolerance: float) -> list[LemmaMeatVio
 # -- hallucination ---------------------------------------------------------
 
 
-def profile_hallucination_rate(profile: KeyedProfile) -> float:
+def profile_hallucination_rate(profile: ProfileBatch) -> float:
     """The hallucination rate of g in the world whose fact distribution is
-    p, read off one keyed profile of (p, g): 1 minus the fsum of the
+    p, read off a batch of one profile of (p, g): 1 minus the fsum of the
     weights g holds explicitly at facts plus g's background times the
     other facts, clamped at 0. The facts are the keys p holds with
     positive weight, plus the empty fact."""
@@ -337,7 +377,7 @@ def profile_hallucination_rate(profile: KeyedProfile) -> float:
         bottom_absent = 0
     held = facts & profile.in2
     n_plain = int(np.count_nonzero(facts)) + bottom_absent - int(np.count_nonzero(held))
-    mass = math.fsum(profile.w2[held].tolist()) + profile.background2 * n_plain
+    mass = math.fsum(profile.w2[held].tolist()) + profile.background2.item() * n_plain
     return max(0.0, 1.0 - mass)
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from factoidlab.dist import FactoidUniverse, dist_from_weights
-from factoidlab.errors import ConfigError, InsufficientDataError
+from factoidlab.errors import ConfigError, DistributionError, InsufficientDataError
 from factoidlab.harness import (
     BoundSettings,
     ExperimentConfig,
@@ -229,21 +229,46 @@ class TestGtConcentrationContract:
 
 
 class TestTrialErrorContext:
-    def test_failing_trial_names_its_index(self, monkeypatch):
-        import factoidlab.harness as h
-        from factoidlab.errors import DistributionError
+    """Each suite that scores profiles names the stream a failing draw was
+    on, the run's trial index."""
 
-        cfg = make_cfg(trials=3)
+    @staticmethod
+    def _fail_on_stream(monkeypatch, key):
+        import factoidlab.harness as h
+
         original = h._draw_trial
 
         def boom(model, n, rng):
-            if rng.key == (1,):
+            if rng.key == key:
                 raise DistributionError("synthetic failure")
             return original(model, n, rng)
 
         monkeypatch.setattr(h, "_draw_trial", boom)
-        with pytest.raises(DistributionError, match="trial 1"):
-            run_experiment(cfg)
+
+    def test_failing_trial_names_its_index(self, monkeypatch):
+        self._fail_on_stream(monkeypatch, (1,))
+        with pytest.raises(DistributionError, match="trial 1: synthetic failure"):
+            run_experiment(make_cfg(trials=3))
+
+    def test_failing_upper_bound_trial_names_its_stream(self, monkeypatch):
+        # the upper-bound suite's trials run on streams 1..trials
+        self._fail_on_stream(monkeypatch, (2,))
+        with pytest.raises(DistributionError, match="trial 2: synthetic failure"):
+            run_upper_bound_check(PermutedPowerLawWorld(2000, 80, 1.0), 200, 0.1, 3, 8)
+
+    def test_failing_multi_type_trial_names_its_stream(self, monkeypatch):
+        component = PermutedPowerLawWorld(3001, 80, 0.0)
+        cfg = ExperimentConfig(
+            world=MultiTypeWorld(components=(component, component), weights=(0.5, 0.5)),
+            n=200,
+            algorithm=MonofactMemorizer(),
+            bound=BoundSettings(k_types=2),
+            trials=3,
+            master_seed=9,
+        )
+        self._fail_on_stream(monkeypatch, (1,))
+        with pytest.raises(DistributionError, match="trial 1: synthetic failure"):
+            run_multi_type_experiment(cfg)
 
 
 class TestMultiTypeInducedMetrics:

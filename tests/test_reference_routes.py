@@ -24,7 +24,11 @@ checked against the frozenset builders the labels replaced: the sorted
 group split behind every binning, the recursive enumeration of all
 partitions and the cut-point random partition.
 
-The batch scorer, which joins many keyed profiles, sorts them all by g
+A pair's class profile, as keyed_profile lays it out and join_profiles
+joins many of them, is checked bit for bit against the layout built
+atom by atom, on its own and concatenated over random batches.
+
+The batch scorer, which joins many profiles, sorts them all by g
 at once and bins every profile in one pass per spec, is checked against
 the one-profile literal route (its own stable argsort, explicit
 thresholds, each sum over that profile) on random batches split at
@@ -36,14 +40,15 @@ Generator(PCG64(SeedSequence(seed, spawn_key=key))), one stream at a time.
 World draws through a model's rank template are checked against the
 literal power-law draw (rank weights, two fsum totals and two validated
 constructions per draw), and multi-type per-type metrics read off one
-keyed profile against the literal projection, which builds both induced
+(p, g) profile against the literal projection, which builds both induced
 local distributions of every type. The memorizer upper-bound suite, which
-reads both of its events off one keyed profile per trial, is recounted
+reads both of its events off one (p, g) profile per trial, is recounted
 through the literal hallucination rate and miscalibration, and the
 Good-Turing concentration suite, which draws counted samples, through
 the literal sampler, monofact estimate and missing mass.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -63,6 +68,7 @@ from factoidlab.dist import (
     BOTTOM,
     FactoidDist,
     FactoidUniverse,
+    ProfileBatch,
     _guided_slots,
     dist_from_arrays,
     dist_from_weights,
@@ -143,6 +149,7 @@ from literal import (
     profile_calibration,
     profile_hallucination_rate,
     profile_kl,
+    profile_layout,
     random_partition,
     restricted_growth_strings,
     sample_distinct_excluding,
@@ -365,13 +372,18 @@ class TestAgainstReference:
         d1, d2 = pair
         got = keyed_profile(d1, d2)
         keys = sorted(set(special(d1)) | set(special(d2)))
-        assert got.keys.tolist() == keys
-        assert got.w1.tolist() == [ref_weight(d1, y) for y in keys]
-        assert got.w2.tolist() == [ref_weight(d2, y) for y in keys]
-        assert got.in1.tolist() == [y in special(d1) for y in keys]
-        assert got.in2.tolist() == [y in special(d2) for y in keys]
-        assert got.rest == d1.universe.size - len(keys)
-        assert (got.background1, got.background2) == (d1.background, d2.background)
+        rest = d1.universe.size - len(keys)
+        # the rest class is keyed by the universe size, which no atom has
+        classes = keys + [d1.universe.size] * (rest > 0)
+        assert got.keys.tolist() == classes
+        assert got.w1.tolist() == [ref_weight(d1, y) for y in classes]
+        assert got.w2.tolist() == [ref_weight(d2, y) for y in classes]
+        assert got.in1.tolist() == [y in special(d1) for y in classes]
+        assert got.in2.tolist() == [y in special(d2) for y in classes]
+        assert got.counts.tolist() == [1.0] * len(keys) + [float(rest)] * (rest > 0)
+        assert got.bounds.tolist() == [0, len(classes)]
+        assert got.background1.tolist() == [d1.background]
+        assert got.background2.tolist() == [d2.background]
 
     @given(data=st.data())
     @PROPERTY
@@ -1680,6 +1692,74 @@ class TestGtConcentration:
 
 
 # ---------------------------------------------------------------------------
+# Profile layout
+# ---------------------------------------------------------------------------
+
+
+def same_batch(got: ProfileBatch, want: ProfileBatch) -> bool:
+    """Every field of two batches holds the same dtype, shape and bits."""
+    for f in dataclasses.fields(ProfileBatch):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if a.dtype != b.dtype or a.shape != b.shape or a.tobytes() != b.tobytes():
+            return False
+    return True
+
+
+def concatenated(batches: list[ProfileBatch]) -> ProfileBatch:
+    """Batches end to end, field by field, each one's bounds shifted by
+    the classes of those before it."""
+    fields = {
+        f.name: np.concatenate([getattr(b, f.name) for b in batches])
+        for f in dataclasses.fields(ProfileBatch)
+        if f.name != "bounds"
+    }
+    bounds = [0]
+    for b in batches:
+        bounds += [bounds[-1] + int(end) for end in b.bounds[1:]]
+    return ProfileBatch(bounds=np.array(bounds), **fields)
+
+
+LAYOUT_U = FactoidUniverse(6)
+LAYOUT_UNIFORM = uniform_dist(LAYOUT_U)
+
+
+class TestProfileLayout:
+    """keyed_profile and join_profiles against the class layout built atom
+    by atom, bit for bit."""
+
+    @given(pair=dist_pairs())
+    # rest = 0: the keys cover the universe, the empty fact among them
+    @example(pair=(dist_from_weights(LAYOUT_U, dict.fromkeys(range(6), 1.0)), LAYOUT_UNIFORM))
+    # rest > 0 and the empty fact held by one side only
+    @example(
+        pair=(background_dist(LAYOUT_U, {0: 2.0, 3: 1.0}, 0.5), dist_from_weights(LAYOUT_U, {2: 1.0}))
+    )
+    # two uniforms: no explicit key, only the rest class
+    @example(pair=(LAYOUT_UNIFORM, LAYOUT_UNIFORM))
+    # the empty fact held by neither side
+    @example(pair=(dist_from_weights(LAYOUT_U, {1: 1.0, 5: 3.0}), LAYOUT_UNIFORM))
+    @PROPERTY
+    def test_keyed_profile_is_the_layout(self, pair):
+        assert same_batch(keyed_profile(*pair), profile_layout(*pair))
+
+    @given(data=st.data())
+    @PROPERTY
+    def test_join_is_the_concatenated_layouts(self, data):
+        """Pairs grouped into random batches and joined again equal their
+        layouts end to end."""
+        pairs = data.draw(st.lists(dist_pairs(), min_size=1, max_size=8))
+        inner = range(1, len(pairs))
+        cuts = data.draw(st.sets(st.sampled_from(inner)) if inner else st.just(set()))
+        ends = [0, *sorted(cuts), len(pairs)]
+        batches = [
+            join_profiles([keyed_profile(*pair) for pair in pairs[lo:hi]])
+            for lo, hi in zip(ends[:-1], ends[1:])
+        ]
+        want = concatenated([profile_layout(*pair) for pair in pairs])
+        assert same_batch(join_profiles(batches), want)
+
+
+# ---------------------------------------------------------------------------
 # Batch scorer
 # ---------------------------------------------------------------------------
 
@@ -1708,10 +1788,32 @@ SCORED_SPECS = (
 )
 
 
+def hand_profile(keys, w1, w2, in1, in2, rest, background1, background2) -> ProfileBatch:
+    """A batch of one profile laid out by hand: one class per key, then,
+    when rest is not 0, a class of rest atoms keyed past every key (201),
+    held by neither side and carrying the backgrounds. The weights and
+    masks need not agree with any pair of distributions."""
+    counts = [1.0] * len(keys)
+    if rest:
+        keys, w1, w2 = [*keys, 201], [*w1, background1], [*w2, background2]
+        in1, in2, counts = [*in1, False], [*in2, False], [*counts, float(rest)]
+    return ProfileBatch(
+        keys=np.array(keys, dtype=np.int64),
+        w1=np.array(w1, dtype=np.float64),
+        w2=np.array(w2, dtype=np.float64),
+        counts=np.array(counts),
+        in1=np.array(in1, dtype=bool),
+        in2=np.array(in2, dtype=bool),
+        bounds=np.array([0, len(keys)]),
+        background1=np.array([background1]),
+        background2=np.array([background2]),
+    )
+
+
 @st.composite
 def scored_profiles(draw):
-    """A keyed profile of 1-60 classes with or without a rest class, the
-    empty fact among its keys or not, and p-mass somewhere."""
+    """A batch of one profile of 1-60 classes with or without a rest
+    class, the empty fact among its keys or not, and p-mass somewhere."""
     rest = draw(st.sampled_from([0, 1, 7, 10**6]), label="rest")
     size = draw(st.integers(0 if rest else 1, 59 if rest else 60), label="keys")
     keys = sorted(draw(st.sets(st.integers(0, 200), min_size=size, max_size=size)))
@@ -1724,16 +1826,7 @@ def scored_profiles(draw):
         else:
             background1 = 0.5
     masks = st.lists(st.booleans(), min_size=size, max_size=size)
-    return dist_module.KeyedProfile(
-        np.array(keys, dtype=np.int64),
-        np.array(w1, dtype=np.float64),
-        np.array(w2, dtype=np.float64),
-        np.array(draw(masks), dtype=bool),
-        np.array(draw(masks), dtype=bool),
-        rest,
-        background1,
-        background2,
-    )
+    return hand_profile(keys, w1, w2, draw(masks), draw(masks), rest, background1, background2)
 
 
 @st.composite
@@ -1750,15 +1843,8 @@ def quantile_tie_batch():
     """Two profiles whose runs of g hold masses 0.25, 0.25 and 0.5: the
     cumulative mass below the top run is exactly the adaptive edge 1/2
     (b = 2), which stays in the lower bin."""
-    profile = dist_module.KeyedProfile(
-        np.array([1, 2, 3], dtype=np.int64),
-        np.array([0.2, 0.3, 0.5]),
-        np.array([0.25, 0.25, 0.5]),
-        np.ones(3, dtype=bool),
-        np.ones(3, dtype=bool),
-        0,
-        0.0,
-        0.0,
+    profile = hand_profile(
+        [1, 2, 3], [0.2, 0.3, 0.5], [0.25, 0.25, 0.5], [True] * 3, [True] * 3, 0, 0.0, 0.0
     )
     return [profile, profile], [0, 2]
 
@@ -1785,7 +1871,7 @@ class TestBatchScorer:
             by_g = SortedProfiles(joined.w1, joined.w2, joined.counts, joined.bounds)
             binned = {spec: by_g.binned(spec) for spec in SCORED_SPECS}
             for t, profile in enumerate(part):
-                classes = profile.classes()
+                classes = profile.w1, profile.w2, profile.counts
                 assert halluc[t] == profile_hallucination_rate(profile)
                 assert same_float(kl[t], profile_kl(*classes))
                 by_g_alone = sort_profile_by_g(*classes)
