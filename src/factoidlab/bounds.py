@@ -516,7 +516,10 @@ def verify_lemma_meat_exhaustive(
     Enumeration is the oracle here, so the universe must stay tiny: k
     instances cost Bell(|Y|) k 2^|Y| table cells. The tolerance may be
     -inf (every pair is a violation) but not NaN or +inf, which would
-    pass every pair (DistributionError).
+    pass every pair (DistributionError). Tolerance 0 flags S = Y (rhs 0)
+    from rounding alone, its lhs the residue of p(Y) - coarsened p(Y), up
+    to 1.1e-16: 5 of 15 partitions at |Y| = 4, 37 of 52 at 5 and 190 of
+    203 at 6 on brute-force's seed-0 prior. That is no lemma failure.
 
     Every subset is indexed by its bitmask and every per-subset quantity
     is a subset table (_subset_table): its size, max E[p(y)], p(S) and,

@@ -171,6 +171,15 @@ def _lookup(keys: np.ndarray, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pos, keys[pos] == atoms
 
 
+def _explicit_at(keys, values, background: float, atoms) -> tuple[np.ndarray, np.ndarray]:
+    """FactoidDist._explicit_at of the distribution with these keys, values
+    and background."""
+    if keys.size == 0:
+        return np.full(atoms.shape, background), np.zeros(atoms.shape, dtype=bool)
+    pos, hit = _lookup(keys, atoms)
+    return np.where(hit, values[pos], background), hit
+
+
 @dataclass(frozen=True, eq=False)
 class FactoidDist:
     """Probability distribution over one universe.
@@ -219,10 +228,7 @@ class FactoidDist:
         """Weights of an int array of atoms and a mask of the atoms this
         distribution holds explicitly (an explicit weight may equal the
         background)."""
-        if self.keys.size == 0:
-            return np.full(atoms.shape, self.background), np.zeros(atoms.shape, dtype=bool)
-        pos, hit = _lookup(self.keys, atoms)
-        return np.where(hit, self.values[pos], self.background), hit
+        return _explicit_at(self.keys, self.values, self.background, atoms)
 
     def total_mass(self) -> float:
         rest = self.universe.size - self.keys.size
@@ -270,6 +276,24 @@ class FactoidDist:
         return cum, atoms, guide
 
 
+def _normalized(size: int, keys, values, background: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """dist_from_arrays's normalization of valid arrays on a universe of
+    `size` atoms, as (keys, values, background)."""
+    rest = size - keys.size
+    total = math.fsum(values.tolist()) + background * rest
+    if total <= 0.0:
+        raise DistributionError("weights sum to zero; at least one must be positive")
+    if not math.isfinite(total):
+        raise DistributionError("weights sum is not finite")
+    values = values / total
+    # a background no atom carries normalizes to 0, even over a subnormal total
+    background = background / total if rest else 0.0
+    if background == 0.0:
+        pos = values > 0.0
+        keys, values = keys[pos], values[pos]
+    return keys, values, background
+
+
 def dist_from_arrays(
     universe: FactoidUniverse, keys, values, background: float = 0.0
 ) -> FactoidDist:
@@ -280,19 +304,7 @@ def dist_from_arrays(
     non-finite totals. With no background, zero-weight keys are dropped.
     """
     raw = FactoidDist(universe, keys, values, background)
-    rest = universe.size - raw.keys.size
-    total = math.fsum(raw.values.tolist()) + raw.background * rest
-    if total <= 0.0:
-        raise DistributionError("weights sum to zero; at least one must be positive")
-    if not math.isfinite(total):
-        raise DistributionError("weights sum is not finite")
-    keys, values = raw.keys, raw.values / total
-    # a background no atom carries normalizes to 0, even over a subnormal total
-    background = raw.background / total if rest else 0.0
-    if background == 0.0:
-        pos = values > 0.0
-        keys, values = keys[pos], values[pos]
-    return FactoidDist(universe, keys, values, background)
+    return FactoidDist(universe, *_normalized(universe.size, raw.keys, raw.values, raw.background))
 
 
 def _sorted_items(weights: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -331,9 +343,9 @@ class ProfileBatch:
     The rest class is keyed by the universe size, an index no atom has.
     w1 and w2 are the two weights of each class, counts its number of
     atoms, and in1 and in2 mark the classes each distribution holds
-    explicitly (never a rest class). background1 and background2 are the
-    two backgrounds of each profile. A batch has O(#explicit atoms)
-    classes even on huge universes.
+    explicitly (never a rest class). background2 is the second
+    distribution's background in each profile. A batch has O(#explicit
+    atoms) classes even on huge universes.
     """
 
     keys: np.ndarray
@@ -343,23 +355,28 @@ class ProfileBatch:
     in1: np.ndarray
     in2: np.ndarray
     bounds: np.ndarray
-    background1: np.ndarray
     background2: np.ndarray
 
 
-def _one_profile(keys, w1, w2, in1, in2, background1: float, background2: float) -> ProfileBatch:
-    """A batch of one profile from its classes at keys, whose last entry
-    is the rest key: the universe size, which no distribution holds, so
-    w1 and w2 there are the two backgrounds. The rest class counts the
-    atoms no other key names and is dropped when there are none."""
+def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
+    """The paired profile, as a batch of one, of two distributions on a
+    universe of `size` atoms, each given as (keys, values, background):
+    a class per key of either, then the rest class, keyed by `size` and
+    weighted by the backgrounds, unless the keys cover the universe."""
+    # the key arrays and the rest key are sorted runs, which the stable
+    # sort (timsort on int64) merges in linear time; np.unique without
+    # counts would take a hash-based route an order of magnitude slower on
+    # spread-out atoms
+    keys = np.sort(np.concatenate((side1[0], side2[0], (size,))), kind="stable")
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    w1, in1 = _explicit_at(*side1, keys)
+    w2, in2 = _explicit_at(*side2, keys)
     counts = np.ones(keys.size)
-    counts[-1] = rest = int(keys[-1]) - (keys.size - 1)
+    counts[-1] = rest = size - (keys.size - 1)
     if not rest:
         keys, w1, w2, counts, in1, in2 = (a[:-1] for a in (keys, w1, w2, counts, in1, in2))
     bounds = np.array([0, keys.size])
-    return ProfileBatch(
-        keys, w1, w2, counts, in1, in2, bounds, np.array([background1]), np.array([background2])
-    )
+    return ProfileBatch(keys, w1, w2, counts, in1, in2, bounds, np.array([side2[2]]))
 
 
 def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> ProfileBatch:
@@ -370,15 +387,9 @@ def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> ProfileBatch:
         raise UniverseMismatchError(
             f"universe mismatch: size {d1.universe.size} vs {d2.universe.size}"
         )
-    # the key arrays and the rest key are sorted runs, which the stable
-    # sort (timsort on int64) merges in linear time; np.unique without
-    # counts would take a hash-based route an order of magnitude slower on
-    # spread-out atoms
-    keys = np.sort(np.concatenate((d1.keys, d2.keys, (d1.universe.size,))), kind="stable")
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    w1, in1 = d1._explicit_at(keys)
-    w2, in2 = d2._explicit_at(keys)
-    return _one_profile(keys, w1, w2, in1, in2, d1.background, d2.background)
+    return _pair_profile(
+        d1.universe.size, (d1.keys, d1.values, d1.background), (d2.keys, d2.values, d2.background)
+    )
 
 
 def join_profiles(batches: Sequence[ProfileBatch]) -> ProfileBatch:
@@ -393,7 +404,7 @@ def join_profiles(batches: Sequence[ProfileBatch]) -> ProfileBatch:
     bounds = np.concatenate(([0], np.concatenate([b.bounds[1:] for b in batches]) + shifts))
     return ProfileBatch(
         joined("keys"), joined("w1"), joined("w2"), joined("counts"), joined("in1"),
-        joined("in2"), bounds, joined("background1"), joined("background2"),
+        joined("in2"), bounds, joined("background2"),
     )
 
 

@@ -40,7 +40,8 @@ from .dist import (
     BOTTOM,
     FactoidDist,
     ProfileBatch,
-    _one_profile,
+    _normalized,
+    _pair_profile,
     join_profiles,
     keyed_profile,
     kl_divergences,
@@ -591,55 +592,19 @@ def _in_range(keys: np.ndarray, start: int, stop: int) -> slice:
     return slice(int(lo), int(hi))
 
 
-def _local_side(
-    weights: np.ndarray, held: np.ndarray, background: float, size: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """One distribution projected onto a type's local universe of `size`
-    atoms, from its weights at the type's keys and the mask of those it
-    holds explicitly.
-
-    In-range atoms keep their weight and background; the local empty fact
-    takes the rest of the mass, the shared empty fact's included. The
-    result is normalized as dist_from_arrays would: divided by the fsum
-    total, the background kept only where some atom carries it, zeros
-    dropped when it is 0. Returns the weights at [empty fact, *keys, rest
-    key], the mask of those the local distribution holds (never the rest
-    key, which carries the background), and its background.
-    """
-    explicit = weights[held]
-    rest = size - 1 - explicit.size
+def _local_side(d: FactoidDist, start: int, size: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """d projected onto the type of `size` local atoms from global atom
+    `start`, as normalized (keys, values, background): in-range atoms keep
+    their weight and background, and the local empty fact takes the rest
+    of the mass, the shared empty fact's included."""
+    part = _in_range(d.keys, start, start + size - 1)
+    values = d.values[part]
+    rest = size - 1 - values.size
     # accumulated left to right in atom order, like a running sum
-    range_mass = (float(np.cumsum(explicit)[-1]) if explicit.size else 0.0) + background * rest
-    bottom = max(0.0, 1.0 - range_mass)
-    total = math.fsum([bottom, *explicit.tolist()]) + background * rest
-    if total <= 0.0:
-        raise DistributionError("weights sum to zero; at least one must be positive")
-    if not math.isfinite(total):
-        raise DistributionError("weights sum is not finite")
-    local_background = background / total if rest else 0.0
-    local = np.concatenate(
-        ([bottom / total], np.where(held, weights / total, local_background), [local_background])
-    )
-    local_held = np.concatenate(([True], held, [False]))
-    if local_background == 0.0:
-        local_held &= local > 0.0
-    return local, local_held, local_background
-
-
-def _type_profile(profile: ProfileBatch, start: int, size: int) -> ProfileBatch:
-    """The profile of one type's induced local pair, read off the global
-    profile (a batch of one): the type's keys are a slice of it, in-range
-    atoms map to local indices and everything else lands on the local
-    empty fact."""
-    part = _in_range(profile.keys, start, start + size - 1)
-    w1, in1, background1 = _local_side(profile.w1[part], profile.in1[part], profile.background1[0], size)
-    w2, in2, background2 = _local_side(profile.w2[part], profile.in2[part], profile.background2[0], size)
-    member = in1 | in2
-    member[-1] = True  # the rest key; _one_profile drops it when no atom is left
-    keys = np.concatenate(([BOTTOM], profile.keys[part] - (start - 1), [size]))[member]
-    return _one_profile(
-        keys, w1[member], w2[member], in1[member], in2[member], background1, background2
-    )
+    range_mass = (float(np.cumsum(values)[-1]) if values.size else 0.0) + d.background * rest
+    keys = np.concatenate(([BOTTOM], d.keys[part] - (start - 1)))
+    values = np.concatenate(([max(0.0, 1.0 - range_mass)], values))
+    return _normalized(size, keys, values, d.background)
 
 
 def multi_type_trial_metrics(
@@ -653,21 +618,21 @@ def multi_type_trial_metrics(
     Type i's monofact estimate counts the draws whose atom lies in its
     range and occurs once, over all n draws. Its miscalibration and
     hallucination rate are measured on the induced local pair, whose
-    empty fact carries all out-of-range mass; every type's pair is read
-    off one profile of (p, g), and the local profiles of consecutive
-    trials are scored in batches. The verdict is cor1 with the union-bound
-    inflation k = params.k_types.
+    empty fact carries all out-of-range mass; each type's profile pairs
+    the projections of p and g onto it, and the local profiles of
+    consecutive trials are scored in batches. The verdict is cor1 with the
+    union-bound inflation k = params.k_types.
     """
 
     def drawn():
         for world, sample, g in trials:
-            profile = keyed_profile(world.p, g)
             mfs, local = [], []
             for i, component in enumerate(model.components):
-                span = model.type_range(i)
+                span, size = model.type_range(i), component.universe_size
                 counts = sample.counts[_in_range(sample.atoms, span.start, span.stop)]
                 mfs.append(int(np.count_nonzero(counts == 1)) / sample.n)
-                local.append(_type_profile(profile, span.start, component.universe_size))
+                sides = _local_side(world.p, span.start, size), _local_side(g, span.start, size)
+                local.append(_pair_profile(size, *sides))
             yield mfs, local
 
     spec, k = AdaptiveBinning(params.b), model.k_types

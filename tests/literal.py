@@ -110,7 +110,6 @@ def profile_layout(d1: FactoidDist, d2: FactoidDist) -> ProfileBatch:
         in1=np.array(in1, dtype=bool),
         in2=np.array(in2, dtype=bool),
         bounds=np.array([0, len(keys)]),
-        background1=np.array([d1.background]),
         background2=np.array([d2.background]),
     )
 

@@ -1,7 +1,10 @@
 """The package's exported names: every export resolves, the top-level
 package re-exports only names its modules export, every export is used
 by the library itself (bar a commented allowlist), and the test-side
-references in tests/literal.py are not library names."""
+references in tests/literal.py are not library names. With no linter at
+hand, two dead-code checks run here too: no library module imports a
+name it never loads, and every private module-level function or class is
+loaded by some library module."""
 
 import ast
 import importlib
@@ -57,19 +60,26 @@ def test_package_imports_only_exported_names():
     assert unexported == []
 
 
+#: every library module outside __init__.py, which only re-exports
+LIBRARY_TREES = {
+    path.name: ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted(Path(factoidlab.__file__).parent.glob("*.py"))
+    if path.name != "__init__.py"
+}
+
+
+def _loads(tree: ast.AST) -> set[str]:
+    """Every name a module loads, as a bare name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def _loaded_names() -> set[str]:
-    """Every name a library module outside __init__.py loads, as a bare
-    name or as an attribute."""
-    loaded = set()
-    for path in Path(factoidlab.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
-    return loaded
+    """Every name a library module outside __init__.py loads."""
+    return set().union(*map(_loads, LIBRARY_TREES.values()))
 
 
 def test_every_export_is_used_by_the_library():
@@ -101,3 +111,33 @@ def test_test_side_references_are_not_library_names():
         if hasattr(importlib.import_module(f"factoidlab.{module_name}"), name)
     ]
     assert defined == []
+
+
+def test_no_library_module_imports_a_name_it_never_loads():
+    unused = []
+    for file, tree in LIBRARY_TREES.items():
+        module = importlib.import_module(f"factoidlab.{Path(file).stem}")
+        used = _loads(tree) | set(getattr(module, "__all__", ()))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{file}: {name}")
+    assert unused == []
+
+
+def test_every_private_function_and_class_is_loaded_by_the_library():
+    loaded = _loaded_names()
+    dead = [
+        f"{file}: {node.name}"
+        for file, tree in LIBRARY_TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in loaded
+    ]
+    assert dead == []

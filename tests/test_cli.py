@@ -40,6 +40,7 @@ from factoidlab.harness import (
     TRIAL_COUNT_LIMIT,
     BoundSettings,
     ExperimentConfig,
+    run_multi_type_experiment,
 )
 from factoidlab.lms import (
     Empirical,
@@ -51,7 +52,13 @@ from factoidlab.lms import (
     train,
 )
 from factoidlab.rng import SeededRng
-from factoidlab.worlds import FACT_COUNT_LIMIT, PermutedPowerLawWorld, W5World, sample_world
+from factoidlab.worlds import (
+    FACT_COUNT_LIMIT,
+    MultiTypeWorld,
+    PermutedPowerLawWorld,
+    W5World,
+    sample_world,
+)
 from literal import reliability_curve
 
 SMALL_CFG = """\
@@ -644,6 +651,30 @@ class TestRunDoesEachTrialOnce:
         assert f"certainty event: {trials}/{trials}" in out
         assert worlds.calls == trials
         assert profiles.calls == trials
+
+    def test_multi_type_builds_one_local_profile_per_type(self, monkeypatch):
+        """Each type's profile pairs the projections of p and g onto it;
+        no profile of the whole world is built."""
+        trials, components = 3, (
+            PermutedPowerLawWorld(301, 20, 0.0),
+            PermutedPowerLawWorld(401, 30, 1.0),
+            PermutedPowerLawWorld(201, 10, 2.0),
+        )
+        cfg = ExperimentConfig(
+            world=MultiTypeWorld(components=components, weights=(0.5, 0.3, 0.2)),
+            n=50,
+            algorithm=Laplace(),
+            bound=BoundSettings(k_types=len(components)),
+            trials=trials,
+            master_seed=5,
+        )
+        worlds = _count_calls(monkeypatch, "sample_world")
+        profiles = _count_calls(monkeypatch, "keyed_profile")
+        pairs = _count_calls(monkeypatch, "_pair_profile")
+        run_multi_type_experiment(cfg)
+        assert worlds.calls == trials
+        assert profiles.calls == 0
+        assert pairs.calls == trials * len(components)
 
 
 # ---------------------------------------------------------------------------

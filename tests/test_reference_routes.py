@@ -111,6 +111,7 @@ from factoidlab.estimators import TrainingSample, missing_mass, monofact_estimat
 from factoidlab import harness
 from factoidlab.harness import (
     _hallucination_rates,
+    _local_side,
     multi_type_trial_metrics,
     run_gt_concentration,
     run_upper_bound_check,
@@ -382,7 +383,6 @@ class TestAgainstReference:
         assert got.in2.tolist() == [y in special(d2) for y in classes]
         assert got.counts.tolist() == [1.0] * len(keys) + [float(rest)] * (rest > 0)
         assert got.bounds.tolist() == [0, len(classes)]
-        assert got.background1.tolist() == [d1.background]
         assert got.background2.tolist() == [d2.background]
 
     @given(data=st.data())
@@ -1587,6 +1587,25 @@ class TestMultiTypeProfiles:
     def test_per_type_tuples_match_literal_projection(self, case):
         assert one_trial_metrics(*case) == ref_multi_type_trial_metrics(*case)
 
+    @given(multi_type_cases())
+    @example(bottom_dropped_case())
+    @example(full_range_case(Laplace(0.5)))
+    @example(full_range_case(MonofactMemorizer()))
+    @PROPERTY
+    def test_local_sides_are_the_literal_projection(self, case):
+        """Each type's projection of p and of g holds the keys, values and
+        background of the literal induced distribution, byte for byte, so a
+        zero key kept on one route and dropped on the other shows."""
+        model, world, _, g, _ = case
+        for i, component in enumerate(model.components):
+            for d in (world.p, g):
+                keys, values, background = _local_side(d, model.type_offset(i), component.universe_size)
+                want = ref_induced_local_dist(model, i, d)
+                assert (keys.dtype, values.dtype) == (want.keys.dtype, want.values.dtype)
+                assert keys.tobytes() == want.keys.tobytes()
+                assert values.tobytes() == want.values.tobytes()
+                assert background == want.background
+
     def test_dropped_local_bottom(self):
         model, world, sample, g, params = case = bottom_dropped_case()
         assert ref_induced_local_dist(model, 0, world.p).weight(BOTTOM) == 0.0
@@ -1805,7 +1824,6 @@ def hand_profile(keys, w1, w2, in1, in2, rest, background1, background2) -> Prof
         in1=np.array(in1, dtype=bool),
         in2=np.array(in2, dtype=bool),
         bounds=np.array([0, len(keys)]),
-        background1=np.array([background1]),
         background2=np.array([background2]),
     )
 
