@@ -283,7 +283,8 @@ def write_reliability_csv(path: Path, rows: Sequence[tuple[float, float, float, 
 
 
 def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 @contextlib.contextmanager
@@ -515,14 +516,23 @@ def cmd_report(args, out, err) -> int:
         )
         names = sorted(agg["bounds"])
         table = _bound_table(agg, names)
-        # the verdict is the rows'; the top-level "passed" is not read
+        delta, trials = agg["delta"], agg["trials"]
+        if not (type(delta) in (int, float) and 0 < delta <= 1 and type(trials) is int and trials > 0):
+            raise ValueError(f"delta {delta!r} must be in (0, 1] and trials {trials!r} a positive int")
+        # the verdict is the rows', each judged from its counts at the run's
+        # delta, as aggregate_records judges it; the top-level "passed" is not read
         verdicts = [agg["bounds"][name]["passed"] for name in names]
-        if not verdicts or not all(type(v) is bool for v in verdicts):
-            raise ValueError(f"bound rows must hold true or false verdicts, got {verdicts}")
-        # every row is judged at the run's delta, as aggregate_records judges it
+        if not verdicts:
+            raise ValueError("no bound rows")
         for name, verdict in zip(names, verdicts):
-            if verdict != (agg["bounds"][name]["frequency"] >= 1.0 - agg["delta"]):
-                raise ValueError(f"row {name!r} says passed={verdict}, which its frequency contradicts")
+            row = agg["bounds"][name]
+            satisfied, freq = row["satisfied"], row["frequency"]
+            if not (type(satisfied) is type(row["trials"]) is int and 0 <= satisfied <= row["trials"]):
+                raise ValueError(f"row {name!r} counts {satisfied!r} of {row['trials']!r} trials")
+            if row["trials"] != trials or freq != satisfied / trials:
+                raise ValueError(f"row {name!r} says {freq!r} for {satisfied} of {row['trials']}")
+            if type(verdict) is not bool or verdict != (freq >= 1.0 - delta):
+                raise ValueError(f"row {name!r} says passed={verdict!r}, which its frequency contradicts")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{run_dir} holds a damaged run record: {exc!r}") from None
     lines = [header, table]

@@ -172,8 +172,9 @@ def _lookup(keys: np.ndarray, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _explicit_at(keys, values, background: float, atoms) -> tuple[np.ndarray, np.ndarray]:
-    """FactoidDist._explicit_at of the distribution with these keys, values
-    and background."""
+    """Weights of an int array of atoms under the distribution with these
+    keys, values and background, and a mask of the atoms it holds
+    explicitly (an explicit weight may equal the background)."""
     if keys.size == 0:
         return np.full(atoms.shape, background), np.zeros(atoms.shape, dtype=bool)
     pos, hit = _lookup(keys, atoms)
@@ -222,13 +223,7 @@ class FactoidDist:
 
     def weights_at(self, atoms: np.ndarray) -> np.ndarray:
         """Weights of an int array of atoms, as a float64 array."""
-        return self._explicit_at(atoms)[0]
-
-    def _explicit_at(self, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weights of an int array of atoms and a mask of the atoms this
-        distribution holds explicitly (an explicit weight may equal the
-        background)."""
-        return _explicit_at(self.keys, self.values, self.background, atoms)
+        return _explicit_at(self.keys, self.values, self.background, atoms)[0]
 
     def total_mass(self) -> float:
         rest = self.universe.size - self.keys.size
@@ -340,22 +335,18 @@ class ProfileBatch:
     Profile t holds classes bounds[t]:bounds[t+1]: one class per key of
     the union of the pair's explicit atoms, in increasing order, then one
     rest class for the atoms neither distribution holds, if any are left.
-    The rest class is keyed by the universe size, an index no atom has.
-    w1 and w2 are the two weights of each class, counts its number of
-    atoms, and in1 and in2 mark the classes each distribution holds
-    explicitly (never a rest class). background2 is the second
-    distribution's background in each profile. A batch has O(#explicit
-    atoms) classes even on huge universes.
+    w1 and w2 are the two weights of each class and counts its number of
+    atoms. halluc_rate[t] is 1 minus the mass the second distribution puts
+    on the facts, the atoms the first weights positively and the empty
+    fact, clamped at 0. A batch has O(#explicit atoms) classes even on
+    huge universes.
     """
 
-    keys: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
     counts: np.ndarray
-    in1: np.ndarray
-    in2: np.ndarray
     bounds: np.ndarray
-    background2: np.ndarray
+    halluc_rate: np.ndarray
 
 
 def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
@@ -371,18 +362,24 @@ def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     w1, in1 = _explicit_at(*side1, keys)
     w2, in2 = _explicit_at(*side2, keys)
+    # the mass on the facts: the fsum of the second side's explicit weights
+    # there, plus its background times the facts it does not hold (the
+    # empty fact among them when neither side holds it)
+    facts = in1 & (w1 > 0.0)
+    facts[0] |= keys[0] == BOTTOM
+    plain = int(np.count_nonzero(facts & ~in2)) + int(keys[0] != BOTTOM)
+    rate = max(0.0, 1.0 - (math.fsum(w2[facts & in2].tolist()) + side2[2] * plain))
     counts = np.ones(keys.size)
     counts[-1] = rest = size - (keys.size - 1)
     if not rest:
-        keys, w1, w2, counts, in1, in2 = (a[:-1] for a in (keys, w1, w2, counts, in1, in2))
-    bounds = np.array([0, keys.size])
-    return ProfileBatch(keys, w1, w2, counts, in1, in2, bounds, np.array([side2[2]]))
+        w1, w2, counts = w1[:-1], w2[:-1], counts[:-1]
+    return ProfileBatch(w1, w2, counts, np.array([0, w1.size]), np.array([rate]))
 
 
 def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> ProfileBatch:
     """The paired profile of two distributions over one universe, as a
-    batch of one: both weights on the union of their explicit atoms, a
-    mask of the atoms each holds explicitly, and the rest class."""
+    batch of one: both weights on the union of their explicit atoms, the
+    rest class, and the hallucination rate of d2 in the world of d1."""
     if d1.universe != d2.universe:
         raise UniverseMismatchError(
             f"universe mismatch: size {d1.universe.size} vs {d2.universe.size}"
@@ -402,10 +399,7 @@ def join_profiles(batches: Sequence[ProfileBatch]) -> ProfileBatch:
     tops = np.array([b.bounds[-1] for b in batches])
     shifts = np.repeat(np.cumsum(tops) - tops, [b.bounds.size - 1 for b in batches])
     bounds = np.concatenate(([0], np.concatenate([b.bounds[1:] for b in batches]) + shifts))
-    return ProfileBatch(
-        joined("keys"), joined("w1"), joined("w2"), joined("counts"), joined("in1"),
-        joined("in2"), bounds, joined("background2"),
-    )
+    return ProfileBatch(joined("w1"), joined("w2"), joined("counts"), bounds, joined("halluc_rate"))
 
 
 # -- metrics ---------------------------------------------------------------

@@ -244,40 +244,14 @@ def _scored_in_batches(
         yield from score(batch, profiles.pop())
 
 
-def _hallucination_rates(batch: ProfileBatch) -> list[float]:
-    """The hallucination rate of g in the world whose fact distribution is
-    p, per profile of (p, g) in a batch: 1 minus the mass g puts on the
-    facts, clamped at 0.
-
-    The facts are the keys p holds with positive weight, plus the empty
-    fact. The mass g puts on them is the fsum of the weights g holds
-    explicitly at facts, plus g's background times the other facts.
-    """
-    starts = batch.bounds[:-1]
-    bottom = batch.keys[starts] == BOTTOM
-    facts = batch.in1 & (batch.w1 > 0.0)
-    facts[starts[bottom]] = True
-    held = facts & batch.in2
-    n_held = np.add.reduceat(held, starts)
-    n_plain = np.add.reduceat(facts, starts) + ~bottom - n_held
-    weights = batch.w2[held]
-    cuts = np.cumsum(n_held).tolist()
-    return [
-        max(0.0, 1.0 - (math.fsum(weights[a:b].tolist()) + background * plain))
-        for a, b, background, plain in zip(
-            [0, *cuts], cuts, batch.background2.tolist(), n_plain.tolist()
-        )
-    ]
-
-
 def _trial_records(cfg: ExperimentConfig, indices: Sequence[int]) -> Iterator[TrialRecord]:
     """The records of the given trials, in order.
 
     Each trial draws its world, sample and g on its own stream, child i
     of the master seed, and builds its (p, g) profile once; a failing
     draw surfaces with its trial index attached. The profiles of
-    consecutive trials are then scored together in batches: the
-    hallucination rate reads the keys, KL sums over the classes in atom
+    consecutive trials are then scored together in batches: each profile
+    carries its hallucination rate, KL sums over the classes in atom
     order, and every calibration metric reads the same classes sorted once
     by g.
     """
@@ -291,7 +265,7 @@ def _trial_records(cfg: ExperimentConfig, indices: Sequence[int]) -> Iterator[Tr
             yield (i, rng.fingerprint(), mf, p_u), (keyed_profile(world.p, g),)
 
     def score(batch, joined: ProfileBatch) -> list[TrialRecord]:
-        halluc, kl = _hallucination_rates(joined), kl_divergences(joined)
+        halluc, kl = joined.halluc_rate.tolist(), kl_divergences(joined)
         by_g = SortedProfiles(joined.w1, joined.w2, joined.counts, joined.bounds)
         del joined  # the bins read only the sorted copy
         exact = by_g.binned(ExactValueBinning())
@@ -371,7 +345,11 @@ class AggregateReport:
                 b.name: {k: v for k, v in dataclasses.asdict(b).items() if k != "name"}
                 for b in self.bounds
             },
-            "metrics": {m.name: {"mean": m.mean, "std": m.std} for m in self.metrics},
+            # a non-finite summary (the mean KL of a run with no finite KL) is null
+            "metrics": {
+                m.name: {k: v if math.isfinite(v) else None for k, v in (("mean", m.mean), ("std", m.std))}
+                for m in self.metrics
+            },
         }
 
 
@@ -541,7 +519,7 @@ def run_upper_bound_check(
     )
 
     def score(batch, joined: ProfileBatch) -> list[tuple[bool, bool]]:
-        halluc = _hallucination_rates(joined)
+        halluc = joined.halluc_rate.tolist()
         by_g = SortedProfiles(joined.w1, joined.w2, joined.counts, joined.bounds)
         exact = by_g.binned(ExactValueBinning())
         return [
@@ -638,7 +616,7 @@ def multi_type_trial_metrics(
     spec, k = AdaptiveBinning(params.b), model.k_types
 
     def score(batch, joined: ProfileBatch) -> list[list]:
-        halluc = _hallucination_rates(joined)
+        halluc = joined.halluc_rate.tolist()
         by_g = SortedProfiles(joined.w1, joined.w2, joined.counts, joined.bounds)
         mis = by_g.binned(spec).miscalibration
         rows = []

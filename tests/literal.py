@@ -6,8 +6,8 @@ at a time, draws posterior completions in batches, unranks partitions
 in blocks, sums subsets through subset tables and never builds a
 per-atom view of a distribution. The tests also want the plain forms:
 one function per metric taking two distributions, a pair's class layout
-built atom by atom, the one-profile calibration, KL and
-hallucination-rate routes the batch scorer replaced, one draw per stream, one recursive partition enumeration, a
+and hallucination rate built atom by atom, the one-profile calibration
+and KL routes the batch scorer replaced, one draw per stream, one recursive partition enumeration, a
 literal coarsening, the lemma sweep's padded gather of each subset's
 atoms, and builders of small test inputs (background distributions,
 random and enumerated partitions, enumerated W5 worlds). They live
@@ -39,6 +39,7 @@ from factoidlab.dist import (
     FactoidDist,
     FactoidUniverse,
     ProfileBatch,
+    _explicit_at,
     _sorted_items,
     dist_from_arrays,
     dist_from_weights,
@@ -79,38 +80,32 @@ def paired_profile(d1: FactoidDist, d2: FactoidDist) -> tuple[np.ndarray, np.nda
 def profile_layout(d1: FactoidDist, d2: FactoidDist) -> ProfileBatch:
     """The paired profile of two distributions as a batch of one, built
     atom by atom: one class per atom either holds explicitly, in
-    increasing order, with both weights and whether each holds it, then
-    one class for the atoms neither holds, keyed by the universe size,
-    when any are left."""
+    increasing order, with both weights, then one class for the atoms
+    neither holds, when any are left; and the hallucination rate of d2
+    where the facts are the atoms d1 weights positively and the empty
+    fact."""
     if d1.universe != d2.universe:
         raise UniverseMismatchError(f"universe mismatch: {d1.universe.size} vs {d2.universe.size}")
     size = d1.universe.size
     held1 = dict(zip(d1.keys.tolist(), d1.values.tolist()))
     held2 = dict(zip(d2.keys.tolist(), d2.values.tolist()))
-    keys, w1, w2, counts, in1, in2 = [], [], [], [], [], []
+    w1, w2, counts = [], [], []
     for y in sorted(held1.keys() | held2.keys()):
-        keys.append(y)
         w1.append(held1.get(y, d1.background))
         w2.append(held2.get(y, d2.background))
         counts.append(1.0)
-        in1.append(y in held1)
-        in2.append(y in held2)
-    if len(keys) < size:
-        keys.append(size)
+    if len(counts) < size:
         w1.append(d1.background)
         w2.append(d2.background)
-        counts.append(float(size - (len(keys) - 1)))
-        in1.append(False)
-        in2.append(False)
+        counts.append(float(size - len(counts)))
+    facts = {BOTTOM} | {y for y, w in held1.items() if w > 0.0}
+    mass = math.fsum(held2[y] for y in facts if y in held2) + d2.background * len(facts - held2.keys())
     return ProfileBatch(
-        keys=np.array(keys, dtype=np.int64),
         w1=np.array(w1, dtype=np.float64),
         w2=np.array(w2, dtype=np.float64),
         counts=np.array(counts),
-        in1=np.array(in1, dtype=bool),
-        in2=np.array(in2, dtype=bool),
-        bounds=np.array([0, len(keys)]),
-        background2=np.array([d2.background]),
+        bounds=np.array([0, len(counts)]),
+        halluc_rate=np.array([max(0.0, 1.0 - mass)]),
     )
 
 
@@ -121,7 +116,7 @@ def mass_of_set(d: FactoidDist, s: Iterable[int]) -> float:
     """
     raw = s if isinstance(s, np.ndarray) else list(s)
     atoms = np.unique(d.universe.atom_array(raw))
-    weights, held = d._explicit_at(atoms)
+    weights, held = _explicit_at(d.keys, d.values, d.background, atoms)
     n_plain = atoms.size - int(np.count_nonzero(held))
     return math.fsum(weights[held].tolist()) + d.background * n_plain
 
@@ -361,23 +356,6 @@ def gather_lemma_sweep(nu: ExplicitWorld, tolerance: float) -> list[LemmaMeatVio
 
 
 # -- hallucination ---------------------------------------------------------
-
-
-def profile_hallucination_rate(profile: ProfileBatch) -> float:
-    """The hallucination rate of g in the world whose fact distribution is
-    p, read off a batch of one profile of (p, g): 1 minus the fsum of the
-    weights g holds explicitly at facts plus g's background times the
-    other facts, clamped at 0. The facts are the keys p holds with
-    positive weight, plus the empty fact."""
-    facts = profile.in1 & (profile.w1 > 0.0)
-    bottom_absent = 1
-    if profile.keys.size and profile.keys[0] == BOTTOM:
-        facts[0] = True
-        bottom_absent = 0
-    held = facts & profile.in2
-    n_plain = int(np.count_nonzero(facts)) + bottom_absent - int(np.count_nonzero(held))
-    mass = math.fsum(profile.w2[held].tolist()) + profile.background2.item() * n_plain
-    return max(0.0, 1.0 - mass)
 
 
 def hallucination_rate(g: FactoidDist, world: WorldInstance) -> float:

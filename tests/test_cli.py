@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -541,12 +542,55 @@ class TestRunRecord:
         agg_path = tmp_path / "r" / "aggregate.json"
         agg = json.loads(agg_path.read_text())
         assert agg["passed"] is True
-        # a failed row that its own frequency agrees with
-        agg["bounds"]["cor1"].update(frequency=0.0, passed=False)
+        # a failed row that its own counts and frequency agree with
+        agg["bounds"]["cor1"].update(satisfied=0, frequency=0.0, passed=False)
         agg_path.write_text(json.dumps(agg))
         code, out, _ = run_cli("report", str(tmp_path / "r"))
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize(
+        "record, rows",
+        [
+            pytest.param({"delta": math.nan}, {}, id="delta_nan"),
+            pytest.param({}, {"frequency": math.nan}, id="every_frequency_nan"),
+            pytest.param(
+                {}, {"frequency": 0.5, "satisfied": 20, "trials": 20}, id="frequency_against_counts"
+            ),
+        ],
+    )
+    def test_report_on_damaged_counts_exits_two(self, tmp_path, record, rows):
+        """A record whose rows all say failed, but whose delta or counts do
+        not hold, is damaged (exit 2), not a failed bound (exit 1)."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL_CFG.replace("trials = 120", "trials = 20"))
+        run_cli("run", str(cfg_path), "--out", str(tmp_path / "r"))
+        agg_path = tmp_path / "r" / "aggregate.json"
+        agg = json.loads(agg_path.read_text())
+        agg.update(record)
+        for row in agg["bounds"].values():
+            row.update(passed=False, **rows)
+        agg_path.write_text(json.dumps(agg))
+        code, out, err = run_cli("report", str(tmp_path / "r"))
+        assert code == 2
+        assert err.startswith("config error:") and "damaged run record" in err
+        assert out == ""
+
+    def test_aggregate_is_strict_json(self, tmp_path):
+        """With every trial's KL infinite, the finite-KL summary is written as
+        null, and the file parses with NaN and infinities refused."""
+        cfg_path = tmp_path / "c.cfg"
+        text = SMALL_CFG.replace("trials = 120", "trials = 3")
+        cfg_path.write_text(text.replace("monofact_memorizer", "empirical"))
+        run_cli("run", str(cfg_path), "--out", str(tmp_path / "r"))
+
+        def refuse(name):
+            raise ValueError(f"non-finite number {name}")
+
+        agg = json.loads((tmp_path / "r" / "aggregate.json").read_text(), parse_constant=refuse)
+        assert agg["metrics"]["kl_inf_fraction"] == {"mean": 1.0, "std": 0.0}
+        assert agg["metrics"]["kl_finite"] == {"mean": None, "std": 0.0}
+        assert run_cli("report", str(tmp_path / "r"))[0] in (0, 1)
 
 
 def _fail_write(path, *args):
@@ -820,7 +864,8 @@ JSON_TEXTS = st.one_of(
             # the keys report reads, so nested records get that far
             st.sampled_from(
                 ["trials", "delta", "bounds", "passed", "config_hash", "master_seed", "tool",
-                 "version", "frequency", "ci_low", "ci_high", "vacuous_fraction", "cor1"]
+                 "version", "satisfied", "frequency", "ci_low", "ci_high", "vacuous_fraction",
+                 "cor1"]
             )
             | st.text(max_size=4),
             inner,
@@ -835,7 +880,8 @@ RUN_RECORD = {
         {"config_hash": "0" * 12, "master_seed": 0, "tool": "factoidlab", "version": "0"}
     ),
     "aggregate.json": json.dumps({"trials": 1, "delta": 0.1, "passed": True, "bounds": {"cor1": {
-        "frequency": 1.0, "ci_low": 0.05, "ci_high": 1.0, "vacuous_fraction": 0.0, "passed": True}}}),
+        "satisfied": 1, "trials": 1, "frequency": 1.0, "ci_low": 0.05, "ci_high": 1.0,
+        "vacuous_fraction": 0.0, "passed": True}}}),
     "reliability.csv": "bin_value,g_mass,p_mass,bin_size\n",
 }
 ARG_TEXTS = st.integers(-3, 6).map(str) | st.sampled_from(["13", "1000000", "x", "", "-"])

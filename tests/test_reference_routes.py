@@ -24,9 +24,10 @@ checked against the frozenset builders the labels replaced: the sorted
 group split behind every binning, the recursive enumeration of all
 partitions and the cut-point random partition.
 
-A pair's class profile, as keyed_profile lays it out and join_profiles
-joins many of them, is checked bit for bit against the layout built
-atom by atom, on its own and concatenated over random batches.
+A pair's class profile and hallucination rate, as keyed_profile lays
+them out and join_profiles joins many of them, are checked bit for bit
+against the layout built atom by atom, on its own and concatenated over
+random batches, and the rate against the literal one of a world.
 
 The batch scorer, which joins many profiles, sorts them all by g
 at once and bins every profile in one pass per spec, is checked against
@@ -110,7 +111,6 @@ from factoidlab.errors import DistributionError, PartitionError, UniverseMismatc
 from factoidlab.estimators import TrainingSample, missing_mass, monofact_estimate
 from factoidlab import harness
 from factoidlab.harness import (
-    _hallucination_rates,
     _local_side,
     multi_type_trial_metrics,
     run_gt_concentration,
@@ -148,7 +148,6 @@ from literal import (
     paired_profile,
     posterior_support_uniform,
     profile_calibration,
-    profile_hallucination_rate,
     profile_kl,
     profile_layout,
     random_partition,
@@ -188,6 +187,30 @@ def dists(draw, size):
 def dist_pairs(draw):
     size = draw(st.integers(2, 12))
     return draw(dists(size)), draw(dists(size))
+
+
+@st.composite
+def world_pairs(draw):
+    """(p, g) on one universe of 2-12 atoms: p a sparse fact distribution
+    that keeps its explicit zeros (a world keeps keys it gives no mass),
+    g any distribution of dists."""
+    size = draw(st.integers(2, 12))
+    g = draw(dists(size))
+    weights = draw(
+        st.dictionaries(st.integers(0, size - 1), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0))
+    )
+    if not any(w > 0.0 for w in weights.values()):
+        weights[draw(st.integers(0, size - 1))] = 1.0
+    return FactoidDist(FactoidUniverse(size), *_sorted_pairs(weights)), g
+
+
+HALLUC_U = FactoidUniverse(6)
+HALLUC_SAMPLE = TrainingSample(HALLUC_U, (1, 1, 3, 4))
+
+
+def fact_dist(weights: dict) -> FactoidDist:
+    """A fact distribution on HALLUC_U with exactly these explicit weights."""
+    return FactoidDist(HALLUC_U, *_sorted_pairs(weights))
 
 
 @st.composite
@@ -376,31 +399,41 @@ class TestAgainstReference:
         rest = d1.universe.size - len(keys)
         # the rest class is keyed by the universe size, which no atom has
         classes = keys + [d1.universe.size] * (rest > 0)
-        assert got.keys.tolist() == classes
         assert got.w1.tolist() == [ref_weight(d1, y) for y in classes]
         assert got.w2.tolist() == [ref_weight(d2, y) for y in classes]
-        assert got.in1.tolist() == [y in special(d1) for y in classes]
-        assert got.in2.tolist() == [y in special(d2) for y in classes]
         assert got.counts.tolist() == [1.0] * len(keys) + [float(rest)] * (rest > 0)
         assert got.bounds.tolist() == [0, len(classes)]
-        assert got.background2.tolist() == [d2.background]
+        facts = [BOTTOM, *(y for y, w in special(d1).items() if w > 0.0)]
+        assert got.halluc_rate.tolist() == [max(0.0, 1.0 - ref_mass_of_set(d2, facts))]
 
-    @given(data=st.data())
+    @given(pair=world_pairs())
+    # g with a background: Laplace smoothing of a sample
+    @example(pair=(fact_dist({1: 0.5, 3: 0.5}), train(Laplace(), HALLUC_SAMPLE)))
+    # p keeps zero-weight keys, the empty fact among them
+    @example(pair=(fact_dist({0: 0.0, 2: 0.0, 4: 1.0}), background_dist(HALLUC_U, {2: 1.0}, 0.2)))
+    # the empty fact held by p only
+    @example(pair=(fact_dist({0: 0.5, 3: 0.5}), background_dist(HALLUC_U, {3: 1.0}, 0.2)))
+    # the empty fact held by g only
+    @example(pair=(fact_dist({2: 0.5, 5: 0.5}), background_dist(HALLUC_U, {0: 1.0, 2: 1.0}, 0.1)))
+    # the empty fact held by neither
+    @example(pair=(fact_dist({1: 0.25, 5: 0.75}), background_dist(HALLUC_U, {2: 1.0}, 0.3)))
+    # the keys cover the universe: no rest class
+    @example(
+        pair=(fact_dist({0: 0.2, 1: 0.3, 2: 0.5}), dist_from_weights(HALLUC_U, {3: 1.0, 4: 2.0, 5: 1.0}))
+    )
+    @example(
+        pair=(fact_dist({1: 0.5, 4: 0.5}), dist_from_weights(HALLUC_U, dict.fromkeys(range(6), 1.0)))
+    )
+    # g uniform: p's facts are the only keys
+    @example(pair=(fact_dist({0: 0.5, 5: 0.5}), uniform_dist(HALLUC_U)))
     @PROPERTY
-    def test_hallucination_rate_from_keyed_profile(self, data):
-        size = data.draw(st.integers(2, 12))
-        g = data.draw(dists(size))
-        weights = data.draw(
-            st.dictionaries(st.integers(0, size - 1), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0))
-        )
-        if not any(w > 0.0 for w in weights.values()):
-            weights[data.draw(st.integers(0, size - 1))] = 1.0
-        # explicit zeros stay: the world keeps keys it gives no mass
-        p = FactoidDist(FactoidUniverse(size), *_sorted_pairs(weights))
+    def test_hallucination_rate_from_keyed_profile(self, pair):
+        """The rate keyed_profile carries is the literal rate of g in the
+        world of p, exactly: both sides take one fsum of the same terms."""
+        p, g = pair
         world = WorldInstance(p)
         want = max(0.0, 1.0 - ref_mass_of_set(g, world.fact_keys.tolist()))
-        assert _hallucination_rates(join_profiles([keyed_profile(p, g)])) == [want]
-        assert profile_hallucination_rate(keyed_profile(p, g)) == want
+        assert keyed_profile(world.p, g).halluc_rate.tolist() == [hallucination_rate(g, world)]
         assert hallucination_rate(g, world) == want
 
     @given(data=st.data())
@@ -1807,34 +1840,29 @@ SCORED_SPECS = (
 )
 
 
-def hand_profile(keys, w1, w2, in1, in2, rest, background1, background2) -> ProfileBatch:
-    """A batch of one profile laid out by hand: one class per key, then,
-    when rest is not 0, a class of rest atoms keyed past every key (201),
-    held by neither side and carrying the backgrounds. The weights and
-    masks need not agree with any pair of distributions."""
-    counts = [1.0] * len(keys)
+def hand_profile(w1, w2, rest, background1, background2, halluc_rate) -> ProfileBatch:
+    """A batch of one profile laid out by hand: one class per weight pair,
+    then, when rest is not 0, a class of rest atoms carrying the
+    backgrounds. The weights and the rate need not agree with any pair of
+    distributions."""
+    counts = [1.0] * len(w1)
     if rest:
-        keys, w1, w2 = [*keys, 201], [*w1, background1], [*w2, background2]
-        in1, in2, counts = [*in1, False], [*in2, False], [*counts, float(rest)]
+        w1, w2, counts = [*w1, background1], [*w2, background2], [*counts, float(rest)]
     return ProfileBatch(
-        keys=np.array(keys, dtype=np.int64),
         w1=np.array(w1, dtype=np.float64),
         w2=np.array(w2, dtype=np.float64),
         counts=np.array(counts),
-        in1=np.array(in1, dtype=bool),
-        in2=np.array(in2, dtype=bool),
-        bounds=np.array([0, len(keys)]),
-        background2=np.array([background2]),
+        bounds=np.array([0, len(counts)]),
+        halluc_rate=np.array([halluc_rate]),
     )
 
 
 @st.composite
 def scored_profiles(draw):
     """A batch of one profile of 1-60 classes with or without a rest
-    class, the empty fact among its keys or not, and p-mass somewhere."""
+    class, p-mass somewhere, and a hallucination rate."""
     rest = draw(st.sampled_from([0, 1, 7, 10**6]), label="rest")
     size = draw(st.integers(0 if rest else 1, 59 if rest else 60), label="keys")
-    keys = sorted(draw(st.sets(st.integers(0, 200), min_size=size, max_size=size)))
     w1 = draw(st.lists(SCORED_WEIGHTS, min_size=size, max_size=size))
     w2 = draw(st.lists(SCORED_WEIGHTS, min_size=size, max_size=size))
     background1, background2 = draw(SCORED_WEIGHTS), draw(SCORED_WEIGHTS)
@@ -1843,8 +1871,8 @@ def scored_profiles(draw):
             w1[0] = 0.5
         else:
             background1 = 0.5
-    masks = st.lists(st.booleans(), min_size=size, max_size=size)
-    return hand_profile(keys, w1, w2, draw(masks), draw(masks), rest, background1, background2)
+    rate = draw(st.floats(0.0, 1.0), label="halluc_rate")
+    return hand_profile(w1, w2, rest, background1, background2, rate)
 
 
 @st.composite
@@ -1861,9 +1889,7 @@ def quantile_tie_batch():
     """Two profiles whose runs of g hold masses 0.25, 0.25 and 0.5: the
     cumulative mass below the top run is exactly the adaptive edge 1/2
     (b = 2), which stays in the lower bin."""
-    profile = hand_profile(
-        [1, 2, 3], [0.2, 0.3, 0.5], [0.25, 0.25, 0.5], [True] * 3, [True] * 3, 0, 0.0, 0.0
-    )
+    profile = hand_profile([0.2, 0.3, 0.5], [0.25, 0.25, 0.5], 0, 0.0, 0.0, 0.0)
     return [profile, profile], [0, 2]
 
 
@@ -1884,13 +1910,12 @@ class TestBatchScorer:
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             part = profiles[lo:hi]
             joined = join_profiles(part)
-            halluc = _hallucination_rates(joined)
             kl = kl_divergences(joined)
             by_g = SortedProfiles(joined.w1, joined.w2, joined.counts, joined.bounds)
             binned = {spec: by_g.binned(spec) for spec in SCORED_SPECS}
             for t, profile in enumerate(part):
                 classes = profile.w1, profile.w2, profile.counts
-                assert halluc[t] == profile_hallucination_rate(profile)
+                assert joined.halluc_rate[t] == profile.halluc_rate[0]
                 assert same_float(kl[t], profile_kl(*classes))
                 by_g_alone = sort_profile_by_g(*classes)
                 for spec, bins in binned.items():
