@@ -32,7 +32,6 @@ from .worlds import ExplicitWorld, _distinct_rows
 
 __all__ = [
     "FLOAT_SLACK",
-    "BIN_COUNT_LIMIT",
     "BoundParams",
     "BoundEvaluation",
     "evaluate_bound",
@@ -84,7 +83,9 @@ class BoundParams:
             math.exp(-self.s)
         except OverflowError:
             raise DistributionError(f"s {self.s} is too negative: e^(-s) overflows") from None
-        if self.r < 1.0:
+        if math.isnan(self.s):
+            raise DistributionError(f"s must not be NaN, got {self.s}")
+        if not self.r >= 1.0:
             raise DistributionError(f"regularity r must be >= 1, got {self.r}")
         if self.n < 1:
             raise DistributionError(f"n must be >= 1, got {self.n}")

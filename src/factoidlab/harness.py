@@ -70,7 +70,6 @@ __all__ = [
     "BoundSettings",
     "ExperimentConfig",
     "TrialRecord",
-    "BoundFrequency",
     "MetricSummary",
     "AggregateReport",
     "run_trial",

@@ -13,6 +13,7 @@ no map from training data alone can implement it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -46,8 +47,8 @@ class Laplace:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ConfigError(f"laplace smoothing needs alpha > 0, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ConfigError(f"laplace smoothing needs a finite alpha > 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -169,12 +169,6 @@ class W5World:
         person, date, _, _ = self.tuple_of(index)
         return person, date
 
-    @property
-    def regularity_bound(self) -> float:
-        """Worst-case regularity over samples never exceeds the number
-        of (person, date) pairs."""
-        return float(self.pair_count)
-
 
 @dataclass(frozen=True)
 class MultiTypeWorld:
@@ -194,7 +188,7 @@ class MultiTypeWorld:
             raise DistributionError("multi-type world needs at least one component")
         if len(self.weights) != len(self.components):
             raise DistributionError("one weight per component required")
-        if any(w <= 0.0 for w in self.weights):
+        if not all(w > 0.0 for w in self.weights):
             raise DistributionError("type weights must be positive")
         if abs(math.fsum(self.weights) - 1.0) > 1e-9:
             raise DistributionError("type weights must sum to 1")
@@ -251,7 +245,7 @@ class ExplicitWorld:
     def __post_init__(self):
         if not self.instances:
             raise DistributionError("explicit world needs at least one instance")
-        if any(w <= 0.0 for w, _ in self.instances):
+        if not all(w > 0.0 for w, _ in self.instances):
             raise DistributionError("prior weights must be positive")
         if abs(math.fsum(w for w, _ in self.instances) - 1.0) > 1e-9:
             raise DistributionError("prior weights must sum to 1")
@@ -378,8 +372,8 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
         # food/location.
         bounds = np.tile(np.array([model.n_foods, model.n_locations]), model.pair_count)
         food, location = rng.generator.integers(bounds).reshape(-1, 2).T
-        pair = np.arange(model.pair_count, dtype=np.int64)
-        keys = 1 + (pair * model.n_foods + food) * model.n_locations + location
+        person, date = np.divmod(np.arange(model.pair_count, dtype=np.int64), model.n_dates)
+        keys = model.index_of(person, date, food, location)
         return WorldInstance(
             dist_from_arrays(universe, keys, np.full(keys.size, 1.0 / model.pair_count))
         )

@@ -1,10 +1,12 @@
-"""The package's exported names: every export resolves, the top-level
-package re-exports only names its modules export, every export is used
-by the library itself (bar a commented allowlist), and the test-side
-references in tests/literal.py are not library names. With no linter at
-hand, two dead-code checks run here too: no library module imports a
-name it never loads, and every private module-level function or class is
-loaded by some library module."""
+"""The package's exported names: the top-level package binds nothing but
+its version, every export resolves and is defined in the module that
+exports it, every export is used by the library itself (bar a commented
+allowlist), and the test-side references in tests/literal.py are not
+library names. With no linter at hand, three dead-code checks run here
+too: no library module imports a name it never loads, every private
+module-level function or class is loaded by some library module, and
+every public method or property of a library class is loaded by some
+library module."""
 
 import ast
 import importlib
@@ -25,21 +27,9 @@ UNUSED_EXPORTS_ALLOWED = {
     "run_multi_type_experiment",  # perfbench's multi_type workload runs it
     "run_trial",  # the public one-trial entry point: run_experiment's scoring on a batch of one
     "dist_from_weights",  # perfbench's concentration workload builds its p with it
-    "verify_markov_step",  # ROADMAP item 1: its rows are to join run's aggregate.json
-    "analyze_regularity",  # ROADMAP item 8: the systematic-facts verdict reads it
+    "verify_markov_step",  # ROADMAP item 2: its rows are to join run's aggregate.json
+    "analyze_regularity",  # ROADMAP item 11: the systematic-facts verdict reads it
 }
-
-
-def _package_imports() -> list[tuple[str, str]]:
-    """(module, name) for every name factoidlab/__init__.py imports from
-    one of its own modules."""
-    tree = ast.parse(Path(factoidlab.__file__).read_text(encoding="utf-8"))
-    return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -49,23 +39,43 @@ def test_every_export_resolves(module_name):
     assert missing == []
 
 
-def test_package_imports_only_exported_names():
-    imports = _package_imports()
-    assert imports
-    unexported = []
-    for module_name, name in imports:
-        module = importlib.import_module(f"factoidlab.{module_name}")
-        if name not in getattr(module, "__all__", ()):
-            unexported.append(f"{module_name}.{name}")
-    assert unexported == []
-
-
-#: every library module outside __init__.py, which only re-exports
+#: every library module outside __init__.py, which binds only __version__
 LIBRARY_TREES = {
     path.name: ast.parse(path.read_text(encoding="utf-8"))
     for path in sorted(Path(factoidlab.__file__).parent.glob("*.py"))
     if path.name != "__init__.py"
 }
+
+
+def test_package_binds_only_its_version():
+    # every name is imported from the module that defines it; the package
+    # holds its docstring and the version each run's manifest.json records
+    tree = ast.parse(Path(factoidlab.__file__).read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    statements = tree.body[1:]
+    assert [type(node) for node in statements] == [ast.Assign]
+    assert [ast.unparse(target) for target in statements[0].targets] == ["__version__"]
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Every name a module's top level binds by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_every_export_is_defined_in_its_module():
+    # a name exported by a module that only imports it has two import paths
+    foreign = []
+    for file, tree in LIBRARY_TREES.items():
+        module = importlib.import_module(f"factoidlab.{Path(file).stem}")
+        defined = _defined(tree)
+        foreign += [f"{file}: {name}" for name in getattr(module, "__all__", ()) if name not in defined]
+    assert foreign == []
 
 
 def _loads(tree: ast.AST) -> set[str]:
@@ -138,6 +148,21 @@ def test_every_private_function_and_class_is_loaded_by_the_library():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_")
         and not node.name.startswith("__")
+        and node.name not in loaded
+    ]
+    assert dead == []
+
+
+def test_every_public_method_and_property_is_loaded_by_the_library():
+    loaded = _loaded_names()
+    dead = [
+        f"{file}: {cls.name}.{node.name}"
+        for file, tree in LIBRARY_TREES.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
         and node.name not in loaded
     ]
     assert dead == []

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from factoidlab import bounds as bounds_module
 from factoidlab.bounds import (
-    BIN_COUNT_LIMIT,
     BoundParams,
     clopper_pearson,
     cor1_rhs,
@@ -24,7 +23,7 @@ from factoidlab.bounds import (
     verify_markov_step,
     verify_theorem_main_mc,
 )
-from factoidlab.calibration import AdaptiveBinning, Partition, partition_for_spec
+from factoidlab.calibration import BIN_COUNT_LIMIT, AdaptiveBinning, Partition, partition_for_spec
 from factoidlab.dist import FactoidUniverse, dist_from_weights, random_dist
 from factoidlab.errors import DistributionError, InsufficientDataError, UniverseMismatchError
 from factoidlab.estimators import TrainingSample
@@ -142,6 +141,22 @@ class TestRightHandSides:
         assert cor1_rhs(0.5, 0.0, params(s=-709.0)) < 0.0
         # a world with no hallucinations has s = -inf: every bound vacuous
         assert cor1_rhs(0.5, 0.0, params(s=-math.inf)) == -math.inf
+
+    def test_nan_s_or_r_refused(self):
+        # a NaN s would make every rhs NaN, and a NaN r would fail
+        # cor_general and cor_balfact: a bad input read as a violated bound
+        with pytest.raises(DistributionError, match="s must not be NaN"):
+            params(s=math.nan)
+        with pytest.raises(DistributionError, match="regularity r must be >= 1"):
+            params(r=math.nan)
+        world = PermutedPowerLawWorld(10**5, 100)
+        for bound in (BoundSettings(s=math.nan), BoundSettings(r=math.nan)):
+            with pytest.raises(DistributionError):
+                ExperimentConfig(world, 200, MonofactMemorizer(), bound, 5, 0)
+        # +inf stays: s = inf drops the regularity penalty, r = inf makes it
+        # infinite and the bounds vacuous
+        assert cor1_rhs(0.5, 0.0, params(s=math.inf)) < 0.5
+        assert cor_general_rhs(0.5, 0.0, params(r=math.inf)) == -math.inf
 
 
 class TestBoundEvaluation:

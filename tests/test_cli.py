@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 import factoidlab
 
-from factoidlab.bounds import BIN_COUNT_LIMIT
-from factoidlab.calibration import MATERIALIZE_LIMIT, AdaptiveBinning
+from factoidlab.calibration import BIN_COUNT_LIMIT, MATERIALIZE_LIMIT, AdaptiveBinning
 from factoidlab.cli import (
     _ALGORITHMS,
     _BOUND_KEYS,

@@ -1,5 +1,7 @@
 """Learning algorithms and hallucination rates."""
 
+import math
+
 import pytest
 
 from factoidlab.calibration import ExactValueBinning
@@ -104,6 +106,12 @@ class TestLaplace:
     def test_alpha_validated(self):
         with pytest.raises(ConfigError):
             Laplace(0.0)
+
+    def test_non_finite_alpha_refused(self):
+        # refused here, not inside the first trial's training
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="finite alpha"):
+                Laplace(alpha)
 
 
 class TestUniformAndOracle:

@@ -149,6 +149,13 @@ class TestExplicitWorld:
         with pytest.raises(DistributionError):
             ExplicitWorld(((0.4, inst),))
 
+    def test_nan_prior_weights_refused(self):
+        # with NaN weights the lemma sweep would find no violation even at
+        # tolerance -inf, where every pair is one
+        inst = WorldInstance(dist_from_weights(FactoidUniverse(4), {1: 1, 2: 1}))
+        with pytest.raises(DistributionError, match="must be positive"):
+            ExplicitWorld(((math.nan, inst), (math.nan, inst)))
+
     def test_unnormalized_instance_refused(self):
         # weights 3 and 4 on 3 atoms: not a distribution, so no lemma
         # sweep or posterior may be taken over it
@@ -299,7 +306,7 @@ class TestRegularity:
     def test_w5_regularity_within_pair_bound(self):
         model = W5World(2, 2, 2, 2)
         rep = analyze_regularity(model, TrainingSample(model.universe, ()))
-        assert rep.r_facts <= model.regularity_bound + 1e-12
+        assert rep.r_facts <= model.pair_count + 1e-12
 
     def test_permuted_power_law_reports_exchangeable(self):
         model = PermutedPowerLawWorld(50, 7, 1.0)
@@ -356,3 +363,9 @@ class TestMultiTypeWorld:
                 components=(PermutedPowerLawWorld(11, 3, 0.0),),
                 weights=(0.5,),
             )
+
+    def test_nan_weights_refused(self):
+        components = (PermutedPowerLawWorld(11, 3, 0.0), PermutedPowerLawWorld(21, 4, 0.0))
+        for weights in ((math.nan, math.nan), (1.0, math.nan)):
+            with pytest.raises(DistributionError, match="must be positive"):
+                MultiTypeWorld(components=components, weights=weights)
