@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .calibration import BIN_COUNT_LIMIT, Partition, _partition_label_rows
-from .dist import BOTTOM, FactoidDist, FactoidUniverse
-from .errors import DistributionError, InsufficientDataError, UniverseMismatchError
+from .dist import BOTTOM, FactoidDist, FactoidUniverse, _subset_table
+from .errors import DistributionError, InsufficientDataError, UniverseMismatchError, check_count
 from .rng import SeededRng
 from .worlds import ExplicitWorld, _distinct_rows
 
@@ -67,10 +67,7 @@ class BoundParams:
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
             raise DistributionError(f"delta must be in (0,1], got {self.delta}")
-        if self.b < 1:
-            raise DistributionError(f"b must be >= 1, got {self.b}")
-        if self.b > BIN_COUNT_LIMIT:
-            raise DistributionError(f"b {self.b} exceeds the limit of {BIN_COUNT_LIMIT} bins")
+        check_count(self.b, "b", 1, BIN_COUNT_LIMIT, "bins")
         if not 0.0 <= self.epsilon <= 1.0:
             raise DistributionError(f"epsilon must be in [0,1], got {self.epsilon}")
         if self.epsilon > 0.0 and 1.0 - self.epsilon == 1.0:
@@ -87,10 +84,8 @@ class BoundParams:
             raise DistributionError(f"s must not be NaN, got {self.s}")
         if not self.r >= 1.0:
             raise DistributionError(f"regularity r must be >= 1, got {self.r}")
-        if self.n < 1:
-            raise DistributionError(f"n must be >= 1, got {self.n}")
-        if self.k_types < 1:
-            raise DistributionError(f"k_types must be >= 1, got {self.k_types}")
+        check_count(self.n, "n", 1)
+        check_count(self.k_types, "k_types", 1)
 
 
 @dataclass(frozen=True)
@@ -222,10 +217,8 @@ def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
     """Exact 95% binomial confidence interval for an empirical frequency:
     the 2.5% quantile of Beta(s, n - s + 1) and the 97.5% quantile of
     Beta(s + 1, n - s), with exact ends 0 at s = 0 and 1 at s = n."""
-    if trials < 1:
-        raise InsufficientDataError("interval needs at least one trial")
-    if not 0 <= successes <= trials:
-        raise DistributionError(f"successes {successes} outside [0, {trials}]")
+    check_count(trials, "trials", 1, error=InsufficientDataError)
+    check_count(successes, "successes", 0, trials)
     alpha = 0.05
     low = 0.0 if successes == 0 else _beta_ppf(alpha / 2.0, successes, trials - successes + 1)
     high = 1.0 if successes == trials else _beta_ppf(1.0 - alpha / 2.0, successes + 1, trials - successes)
@@ -328,9 +321,10 @@ def verify_theorem_main_mc(
     over unobserved y; both maxima are hypergeometric and reduce to
     q = (N-m)/|U| and q/N.
 
-    The inputs are checked before anything else: g and the partition
-    must be over `universe` (UniverseMismatchError), and the fact count
-    must lie in [1, |Y| - 1] and every observed atom be an integer in
+    The inputs are checked before anything else: samples must be an
+    integer >= 1 (InsufficientDataError), g and the partition must be
+    over `universe` (UniverseMismatchError), and the fact count must be
+    an integer in [1, |Y| - 1] and every observed atom an integer in
     [0, |Y|) (DistributionError).
 
     Exact route, decided before any Monte Carlo set-up. When g gives every
@@ -362,16 +356,14 @@ def verify_theorem_main_mc(
     0.0027; marginal_max_sigma reports the largest deviation in normal
     sigmas.
     """
-    if samples < 1:
-        raise InsufficientDataError("need at least one posterior sample")
+    check_count(samples, "posterior samples", 1, error=InsufficientDataError)
     for name, other in (("g", g.universe), ("partition", partition.universe)):
         if other != universe:
             raise UniverseMismatchError(
                 f"{name} universe size {other.size} != universe size {universe.size}"
             )
     size = universe.size
-    if not 1 <= fact_count <= size - 1:
-        raise DistributionError(f"fact count {fact_count} must be in [1, {size - 1}]")
+    check_count(fact_count, "fact count", 1, size - 1)
     try:
         obs = frozenset(map(operator.index, observed)) | {BOTTOM}
     except TypeError as exc:
@@ -489,22 +481,6 @@ class LemmaMeatViolation:
     rhs: float
 
 
-def _subset_table(
-    op: np.ufunc, values: np.ndarray, start, out: np.ndarray | None = None
-) -> np.ndarray:
-    """op folded over every subset of the atoms of `values` (axis 0), one
-    call per atom: row `mask` of the table is start, then values[y] for
-    each bit y of mask in atom order, as T[2^h : 2^(h+1)] = op(T[:2^h],
-    values[h]). Written into `out` when given."""
-    size = len(values)
-    if out is None:
-        out = np.empty((1 << size,) + values.shape[1:], dtype=values.dtype)
-    out[0] = start
-    for h in range(size):
-        op(out[: 1 << h], values[h], out=out[1 << h : 2 << h])
-    return out
-
-
 def verify_lemma_meat_exhaustive(
     nu: ExplicitWorld, tolerance: float = 1e-9, max_universe: int = 6
 ) -> list[LemmaMeatViolation]:
@@ -537,8 +513,8 @@ def verify_lemma_meat_exhaustive(
     if math.isnan(tolerance) or tolerance == math.inf:
         raise DistributionError(f"tolerance must not be NaN or +inf, got {tolerance}")
     size = nu.universe.size
-    if size > max_universe:
-        raise DistributionError(f"universe size {size} exceeds exhaustive limit {max_universe}")
+    limit = check_count(max_universe, "max_universe", 2)
+    check_count(size, "universe size", 2, limit, "atoms to sweep exhaustively")
     weights = np.array([w for w, _ in nu.instances])
     P = np.array([inst.p.weights_at(np.arange(size)) for _, inst in nu.instances])
     mean_p = weights @ P
@@ -620,9 +596,7 @@ def verify_markov_step(
     k = params.k_types is 1 for a regular world. records need attributes
     mf, missing_mass, halluc_rate, mc_adaptive.
     """
-    m = len(records)
-    if m < 100:
-        raise InsufficientDataError(f"need at least 100 trials, got {m}")
+    check_count(len(records), "trials", 100, error=InsufficientDataError)
     penalty = _sparsity_penalty(params)
     width = _gt_term(params)
     markov = [

@@ -46,7 +46,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .dist import FactoidDist, FactoidUniverse
-from .errors import PartitionError
+from .errors import PartitionError, check_count
 
 __all__ = [
     "EXACT_VALUE_RTOL",
@@ -139,8 +139,7 @@ class AdaptiveBinning:
     b: int
 
     def __post_init__(self):
-        if not 1 <= self.b <= BIN_COUNT_LIMIT:
-            raise PartitionError(f"adaptive binning needs b in [1, {BIN_COUNT_LIMIT}], got {self.b}")
+        check_count(self.b, "adaptive binning b", 1, BIN_COUNT_LIMIT, "bins", PartitionError)
 
 
 @dataclass(frozen=True)
@@ -389,8 +388,7 @@ def _partition_label_rows(size: int, rows: int) -> Iterator[np.ndarray]:
     block labels, a restricted growth string (atom y joins a block an
     earlier atom opened, or opens the next), in lexicographic order and in
     blocks of at most `rows` rows, unranked a few thousand rows at a time."""
-    if size > PARTITION_LIMIT:
-        raise PartitionError(f"universe of size {size} too large to enumerate partitions")
+    check_count(size, "universe size", 1, PARTITION_LIMIT, "atoms to partition", PartitionError)
     # ways[r, k]: completions of a prefix that opened k blocks, r atoms left
     ways = np.ones((size + 1, size + 2), dtype=np.int64)
     for r in range(1, size + 1):

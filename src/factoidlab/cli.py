@@ -37,7 +37,7 @@ from .calibration import (
     partition_for_spec,
 )
 from .dist import FactoidUniverse, random_dist, tv_distance_forms
-from .errors import ConfigError, FactoidLabError
+from .errors import ConfigError, FactoidLabError, check_count
 from .harness import (
     BOUND_NAMES,
     AggregateReport,
@@ -399,15 +399,9 @@ def cmd_upper_bound(args, out, err) -> int:
 
 
 def cmd_brute_force(args, out, err) -> int:
-    size = args.max_universe
-    if size < 2:
-        raise ConfigError("--max-universe must be at least 2")
     # checked before the random distributions over the universe are drawn
-    if size > PARTITION_LIMIT:
-        raise ConfigError(
-            f"--max-universe {size}: universe too large to enumerate partitions"
-            f" (at most {PARTITION_LIMIT})"
-        )
+    too_large = "atoms: universe too large to enumerate partitions"
+    size = check_count(args.max_universe, "--max-universe", 2, PARTITION_LIMIT, too_large, ConfigError)
     universe = FactoidUniverse(size)
     rng = SeededRng(args.seed)
     instances = []

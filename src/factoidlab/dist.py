@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DistributionError, UniverseMismatchError
+from .errors import DistributionError, UniverseMismatchError, check_count
 from .rng import SeededRng
 
 __all__ = [
@@ -107,8 +107,7 @@ class FactoidUniverse:
 
     def __post_init__(self):
         # indices are int64 throughout
-        if not 2 <= self.size <= 2**63 - 1:
-            raise DistributionError(f"universe size must be in [2, 2**63 - 1], got {self.size}")
+        check_count(self.size, "universe size", 2, 2**63 - 1)
 
     def atom_array(self, atoms) -> np.ndarray:
         """atoms (a sequence or array of indices) as an int64 array.
@@ -411,8 +410,9 @@ def tv_distance_forms(
     """The three equivalent total-variation formulas, for cross-checking.
 
     Returns (half_l1, positive_part_sum, subset_max). The subset maximum
-    is found by exhaustive enumeration of all 2^|Y| subsets when the
-    universe is small enough, otherwise by taking the witness set where
+    is max |d1(S) - d2(S)| over all 2^|Y| subsets S, read off the subset
+    table of the atomwise gaps d1 - d2, when the universe is small enough;
+    otherwise it is the positive part, the gap of the witness set where
     d1 exceeds d2 (which attains the maximum).
     """
     profile = keyed_profile(d1, d2)
@@ -420,19 +420,27 @@ def tv_distance_forms(
     half_l1 = 0.5 * float(np.sum(profile.counts * np.abs(gaps)))
     pos_part = float(np.sum(profile.counts * np.clip(gaps, 0.0, None)))
     size = d1.universe.size
-    if size <= exhaustive_limit:
-        atoms = np.arange(size)
-        v1 = d1.weights_at(atoms)
-        v2 = d2.weights_at(atoms)
-        subset_max = 0.0
-        for mask in range(1, 1 << size):
-            members = [y for y in range(size) if mask >> y & 1]
-            gap = abs(float(v1[members].sum() - v2[members].sum()))
-            if gap > subset_max:
-                subset_max = gap
-    else:
-        subset_max = pos_part
-    return half_l1, pos_part, subset_max
+    if size > check_count(exhaustive_limit, "exhaustive_limit", 0):
+        return half_l1, pos_part, pos_part
+    atoms = np.arange(size)
+    subset_gaps = _subset_table(np.add, d1.weights_at(atoms) - d2.weights_at(atoms), 0.0)
+    return half_l1, pos_part, float(np.abs(subset_gaps).max())
+
+
+def _subset_table(
+    op: np.ufunc, values: np.ndarray, start, out: np.ndarray | None = None
+) -> np.ndarray:
+    """op folded over every subset of the atoms of `values` (axis 0), one
+    call per atom: row `mask` of the table is start, then values[y] for
+    each bit y of mask in atom order, as T[2^h : 2^(h+1)] = op(T[:2^h],
+    values[h]). Written into `out` when given."""
+    size = len(values)
+    if out is None:
+        out = np.empty((1 << size,) + values.shape[1:], dtype=values.dtype)
+    out[0] = start
+    for h in range(size):
+        op(out[: 1 << h], values[h], out=out[1 << h : 2 << h])
+    return out
 
 
 def kl_divergences(batch: ProfileBatch) -> list[float]:
@@ -468,8 +476,7 @@ def random_dist(
     gen = rng.generator
     if support_size is None:
         support_size = int(gen.integers(1, universe.size + 1))
-    if not 1 <= support_size <= universe.size:
-        raise DistributionError(f"support size {support_size} out of range")
+    check_count(support_size, "support size", 1, universe.size)
     atoms = gen.choice(universe.size, size=support_size, replace=False)
     raw = gen.random(support_size) + 1e-9
     order = np.argsort(atoms)
@@ -502,8 +509,7 @@ def sample_iid(d: FactoidDist, n: int, rng: SeededRng) -> np.ndarray:
     often each atom was drawn use sample_counts, which reads the same
     stream and never builds the n-long array.
     """
-    if n < 1:
-        raise DistributionError(f"sample size must be >= 1, got {n}")
+    check_count(n, "sample size", 1)
     gen = rng.generator
     cum, atoms, guide = d._inverse_cdf
     out = atoms[_guided_slots(cum, guide, gen.random(n))]
@@ -539,8 +545,7 @@ def sample_counts(d: FactoidDist, n: int, rng: SeededRng) -> tuple[np.ndarray, n
     Background draws, whose atoms are outside the table, take their
     rejection loops in draw order as in sample_iid and are merged in.
     """
-    if n < 1:
-        raise DistributionError(f"sample size must be >= 1, got {n}")
+    check_count(n, "sample size", 1)
     gen = rng.generator
     cum, atoms, guide = d._inverse_cdf
     slots = _guided_slots(cum, guide, gen.random(n))

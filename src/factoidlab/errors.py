@@ -1,8 +1,10 @@
-"""Semantic exception hierarchy.
+"""Semantic exception hierarchy, and the one rule for count parameters.
 
 Public functions raise these instead of bare ValueError so callers can
 distinguish contract violations from genuine bugs.
 """
+
+import operator
 
 
 class FactoidLabError(Exception):
@@ -31,3 +33,27 @@ class InsufficientDataError(FactoidLabError, ValueError):
 
 class ConfigError(FactoidLabError, ValueError):
     """Invalid experiment configuration (bad key, type, or invariant)."""
+
+
+def check_count(
+    value, name: str, low: int, high: int | None = None, unit: str = "", error=DistributionError
+) -> int:
+    """value as an int, or `error` unless it is an integer in [low, high].
+
+    Integers are taken through operator.index: ints and numpy integers
+    pass, while floats (NaN and 2.0 among them) and strings are refused
+    rather than truncated or compared. A unit marks high as a resource
+    limit ("{name} {value} exceeds the limit of {high} {unit}"); without
+    one, [low, high] is the parameter's domain.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if high is not None and not unit and not low <= count <= high:
+        raise error(f"{name} {count} must be in [{low}, {high}]")
+    if count < low:
+        raise error(f"{name} must be >= {low}, got {count}")
+    if high is not None and count > high:
+        raise error(f"{name} {count} exceeds the limit of {high} {unit}")
+    return count

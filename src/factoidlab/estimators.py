@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .dist import BOTTOM, FactoidDist, FactoidUniverse, _lookup, _sorted_keys, with_bottom
-from .errors import DistributionError, InsufficientDataError, UniverseMismatchError
+from .errors import DistributionError, InsufficientDataError, UniverseMismatchError, check_count
 
 __all__ = [
     "TrainingSample",
@@ -171,8 +171,7 @@ def good_turing_radius(delta: float, n: int) -> float:
     """Two-sided width: |estimate - missing mass| <= 3*sqrt(ln(4/delta)/n)
     with probability at least 1 - delta."""
     _check_delta(delta, 1.0)
-    if n < 1:
-        raise InsufficientDataError(f"n must be >= 1, got {n}")
+    check_count(n, "n", 1, error=InsufficientDataError)
     return 3.0 * math.sqrt(math.log(4.0 / delta) / n)
 
 
@@ -184,6 +183,5 @@ def missing_mass_lower_radius(delta: float, n: int) -> float:
     ln(6/original delta).
     """
     _check_delta(delta, 1.0 / 3.0)
-    if n < 1:
-        raise InsufficientDataError(f"n must be >= 1, got {n}")
+    check_count(n, "n", 1, error=InsufficientDataError)
     return math.sqrt(6.0 * math.log(2.0 / delta) / n)

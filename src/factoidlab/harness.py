@@ -52,6 +52,7 @@ from .errors import (
     DistributionError,
     FactoidLabError,
     InsufficientDataError,
+    check_count,
 )
 from .estimators import (
     TrainingSample,
@@ -127,20 +128,9 @@ class ExperimentConfig:
     params: BoundParams = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.trials > TRIAL_COUNT_LIMIT:
-            raise ConfigError(
-                f"trials {self.trials} exceeds the limit of {TRIAL_COUNT_LIMIT} trials"
-            )
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.n > DRAW_COUNT_LIMIT:
-            raise ConfigError(
-                f"n {self.n} exceeds the limit of {DRAW_COUNT_LIMIT} draws per trial"
-            )
-        if self.master_seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.master_seed}")
+        check_count(self.trials, "trials", 1, TRIAL_COUNT_LIMIT, "trials", ConfigError)
+        check_count(self.n, "n", 1, DRAW_COUNT_LIMIT, "draws per trial", ConfigError)
+        check_count(self.master_seed, "seed", 0, error=ConfigError)
         size = self.world.universe.size
         if size <= self.n + 1:
             raise ConfigError(
@@ -433,8 +423,7 @@ def run_gt_concentration(
     concentration statements are about. (With empty-fact mass the two
     can differ by up to 1/n.)
     """
-    if trials < 100:
-        raise InsufficientDataError(f"need at least 100 trials, got {trials}")
+    check_count(trials, "trials", 100, error=InsufficientDataError)
     if p.weight(0) > 0.0:
         raise DistributionError(
             "concentration suite needs a distribution with no empty-fact mass"
@@ -507,8 +496,7 @@ def run_upper_bound_check(
     within the two-sided radius; both events are read off one profile of
     (p, g) per trial, scored in batches as run_experiment scores its
     trials. A failing draw surfaces with its stream index attached."""
-    if trials < 1:
-        raise InsufficientDataError("need at least one trial")
+    check_count(trials, "trials", 1, error=InsufficientDataError)
     radius = good_turing_radius(delta, n)
     drawn = (
         (monofact_estimate(sample), (keyed_profile(inst.p, g),))

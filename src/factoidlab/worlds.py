@@ -34,11 +34,7 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from .dist import BOTTOM, FactoidDist, FactoidUniverse, dist_from_arrays, with_bottom
-from .errors import (
-    DistributionError,
-    UnsupportedModelError,
-    UniverseMismatchError,
-)
+from .errors import DistributionError, UnsupportedModelError, UniverseMismatchError, check_count
 from .estimators import TrainingSample
 from .rng import SeededRng
 
@@ -101,16 +97,9 @@ class PermutedPowerLawWorld:
     exponent: float = 0.0
 
     def __post_init__(self):
-        if self.universe_size < 2:
-            raise DistributionError(f"universe size must be >= 2, got {self.universe_size}")
-        if not 1 <= self.fact_count <= self.universe_size - 1:
-            raise DistributionError(
-                f"fact count {self.fact_count} must be in [1, {self.universe_size - 1}]"
-            )
-        if self.fact_count > FACT_COUNT_LIMIT:
-            raise DistributionError(
-                f"fact count {self.fact_count} exceeds the limit of {FACT_COUNT_LIMIT} facts per world"
-            )
+        # FactoidUniverse checks the universe size
+        check_count(self.fact_count, "fact count", 1, self.universe.size - 1)
+        check_count(self.fact_count, "fact count", 1, FACT_COUNT_LIMIT, "facts per world")
         if not self.exponent >= 0.0:  # NaN fails this too
             raise DistributionError(f"exponent must be >= 0, got {self.exponent}")
 
@@ -135,13 +124,9 @@ class W5World:
 
     def __post_init__(self):
         for name in ("n_people", "n_dates", "n_foods", "n_locations"):
-            if getattr(self, name) < 1:
-                raise DistributionError(f"{name} must be >= 1")
-        if self.pair_count > FACT_COUNT_LIMIT:
-            raise DistributionError(
-                f"pair count {self.pair_count} (n_people * n_dates) exceeds the limit of"
-                f" {FACT_COUNT_LIMIT} facts per world"
-            )
+            # kept as Python ints, whose products cannot wrap as numpy's do
+            object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
+        check_count(self.pair_count, "n_people * n_dates", 1, FACT_COUNT_LIMIT, "facts per world")
 
     @property
     def universe_size(self) -> int:
@@ -514,16 +499,17 @@ def _analyze_explicit(model: ExplicitWorld, sample: TrainingSample) -> Regularit
 def _analyze_w5(model: W5World, sample: TrainingSample) -> RegularityReport:
     if sample.universe.size != model.universe_size:
         raise UniverseMismatchError("sample universe does not match the model")
-    pinned: dict[tuple[int, int], int] = {}
-    for y in sample.draws.tolist():
-        if y == BOTTOM:
-            continue
-        pair = model.pair_of(y)
-        if pinned.setdefault(pair, y) != y:
-            raise DistributionError(
-                f"sample pins two different facts for (person, date) pair {pair}"
-            )
-    free_pairs = model.pair_count - len(pinned)
+    # the distinct observed facts in increasing order, so the facts of one
+    # (person, date) pair are adjacent
+    facts = sample.atoms[sample.atoms != BOTTOM]
+    pairs = (facts - 1) // (model.n_foods * model.n_locations)
+    clash = np.flatnonzero(pairs[1:] == pairs[:-1])
+    if clash.size:
+        raise DistributionError(
+            "sample pins two different facts for (person, date) pair"
+            f" {model.pair_of(int(facts[clash[0]]))}"
+        )
+    free_pairs = model.pair_count - pairs.size
     size = model.universe_size
     n_unobs = size - sample.observed_count
     s = world_sparsity(model)

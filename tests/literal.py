@@ -5,7 +5,8 @@ The library measures trials through (p, g) class profiles scored many
 at a time, draws posterior completions in batches, unranks partitions
 in blocks, sums subsets through subset tables and never builds a
 per-atom view of a distribution. The tests also want the plain forms:
-one function per metric taking two distributions, a pair's class layout
+one function per metric taking two distributions, a subset-by-subset
+total-variation maximum, a pair's class layout
 and hallucination rate built atom by atom, the one-profile calibration
 and KL routes the batch scorer replaced, one draw per stream, one recursive partition enumeration, a
 literal coarsening, the lemma sweep's padded gather of each subset's
@@ -125,6 +126,20 @@ def tv_distance(d1: FactoidDist, d2: FactoidDist) -> float:
     """Total variation distance, computed as half the L1 difference."""
     w1, w2, counts = paired_profile(d1, d2)
     return 0.5 * float(np.sum(counts * np.abs(w1 - w2)))
+
+
+def subset_tv_max(d1: FactoidDist, d2: FactoidDist) -> float:
+    """max |d1(S) - d2(S)| over every subset S of the universe, one member
+    list per bitmask and each side summed on its own."""
+    size = d1.universe.size
+    atoms = np.arange(size)
+    v1 = d1.weights_at(atoms)
+    v2 = d2.weights_at(atoms)
+    subset_max = 0.0
+    for mask in range(1, 1 << size):
+        members = [y for y in range(size) if mask >> y & 1]
+        subset_max = max(subset_max, abs(float(v1[members].sum() - v2[members].sum())))
+    return subset_max
 
 
 def profile_kl(w1: np.ndarray, w2: np.ndarray, counts: np.ndarray) -> float:

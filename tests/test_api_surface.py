@@ -2,11 +2,11 @@
 its version, every export resolves and is defined in the module that
 exports it, every export is used by the library itself (bar a commented
 allowlist), and the test-side references in tests/literal.py are not
-library names. With no linter at hand, three dead-code checks run here
+library names. With no linter at hand, four dead-code checks run here
 too: no library module imports a name it never loads, every private
-module-level function or class is loaded by some library module, and
-every public method or property of a library class is loaded by some
-library module."""
+module-level function, class or constant is loaded by some library
+module, and every public method or property of a library class is
+loaded by some library module."""
 
 import ast
 import importlib
@@ -149,6 +149,23 @@ def test_every_private_function_and_class_is_loaded_by_the_library():
         and node.name.startswith("_")
         and not node.name.startswith("__")
         and node.name not in loaded
+    ]
+    assert dead == []
+
+
+def test_every_private_module_constant_is_loaded_by_the_library():
+    # a limit, table or message constant left unread once its last reader is gone
+    loaded = _loaded_names()
+    dead = [
+        f"{file}: {target.id}"
+        for file, tree in LIBRARY_TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and target.id.startswith("_")
+        and not target.id.startswith("__")
+        and target.id not in loaded
     ]
     assert dead == []
 

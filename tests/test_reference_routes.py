@@ -71,6 +71,7 @@ from factoidlab.dist import (
     FactoidUniverse,
     ProfileBatch,
     _guided_slots,
+    _subset_table,
     dist_from_arrays,
     dist_from_weights,
     join_profiles,
@@ -79,6 +80,7 @@ from factoidlab.dist import (
     random_dist,
     sample_counts,
     sample_iid,
+    tv_distance_forms,
     uniform_dist,
 )
 from factoidlab.bounds import (
@@ -89,7 +91,6 @@ from factoidlab.bounds import (
     LemmaMeatViolation,
     TheoremMainCheck,
     _binomial_two_sided_p,
-    _subset_table,
     cor1_rhs,
     evaluate_bound,
     verify_lemma_meat_exhaustive,
@@ -154,6 +155,7 @@ from literal import (
     restricted_growth_strings,
     sample_distinct_excluding,
     sort_profile_by_g,
+    subset_tv_max,
 )
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -405,6 +407,16 @@ class TestAgainstReference:
         assert got.bounds.tolist() == [0, len(classes)]
         facts = [BOTTOM, *(y for y, w in special(d1).items() if w > 0.0)]
         assert got.halluc_rate.tolist() == [max(0.0, 1.0 - ref_mass_of_set(d2, facts))]
+
+    @given(pair=st.integers(2, 9).flatmap(lambda size: st.tuples(dists(size), dists(size))))
+    @PROPERTY
+    def test_subset_tv_max(self, pair):
+        # one subset table of d1 - d2 against each subset's two sums taken
+        # apart: every partial sum is a mass or a mass gap in [-1, 1], so each
+        # of the at most 2 |Y| + 1 operations per subset rounds by <= eps / 2
+        size = pair[0].universe.size
+        subset_max = tv_distance_forms(*pair, exhaustive_limit=size)[2]
+        assert abs(subset_max - subset_tv_max(*pair)) <= 2 * (size + 1) * np.finfo(float).eps
 
     @given(pair=world_pairs())
     # g with a background: Laplace smoothing of a sample

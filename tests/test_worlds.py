@@ -303,6 +303,18 @@ class TestRegularity:
             assert fast.r_probs == pytest.approx(slow.r_probs, abs=1e-9)
             assert fast.s == pytest.approx(slow.s, abs=1e-12)
 
+    def test_w5_sample_pinning_two_facts_of_a_pair_is_refused(self):
+        model = W5World(2, 3, 2, 2)
+        first, second = model.index_of(1, 2, 0, 1), model.index_of(1, 2, 1, 0)
+        other = model.index_of(0, 1, 1, 1)
+        # two of the six pairs pinned, repeats and the empty fact aside:
+        # r = (1 / (2 * 2 foods and locations)) * 22 unobserved / 4 free pairs
+        draws = (first, 0, other, first, other)
+        rep = analyze_regularity(model, TrainingSample(model.universe, draws))
+        assert (rep.r_facts, rep.r_probs) == (1.375, 1.375)
+        with pytest.raises(DistributionError, match=r"pins two different facts .* pair \(1, 2\)"):
+            analyze_regularity(model, TrainingSample(model.universe, (*draws, second)))
+
     def test_w5_regularity_within_pair_bound(self):
         model = W5World(2, 2, 2, 2)
         rep = analyze_regularity(model, TrainingSample(model.universe, ()))
