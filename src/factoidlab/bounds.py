@@ -7,9 +7,9 @@ Variants differ in the penalty (regular worlds, regular facts only,
 multiple fact types) and in which calibration metric is subtracted.
 
 Two verifiers ground the analysis numerically instead of trusting the
-algebra: a check of the core expectation inequality over the exact
-uniform-world posterior (exact where every completion scores the same,
-Monte Carlo otherwise), and an exhaustive sweep (every partition, every
+algebra: the core expectation inequality over the exact uniform-world
+posterior (computed exactly where every completion scores the same, and
+refused otherwise), and an exhaustive sweep (every partition, every
 subset) of the coarsening-mass lemma on tiny universes.
 """
 
@@ -19,8 +19,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .calibration import BIN_COUNT_LIMIT, Partition, _partition_label_rows
 from .dist import BOTTOM, FactoidDist, FactoidUniverse, _subset_table
 from .errors import DistributionError, InsufficientDataError, UniverseMismatchError, check_count
 from .rng import SeededRng
-from .worlds import ExplicitWorld, _distinct_rows
+from .worlds import ExplicitWorld
 
 __all__ = [
     "FLOAT_SLACK",
@@ -266,40 +265,14 @@ def _bound_frequency(name: str, evals: Sequence[BoundEvaluation], delta: float) 
 
 @dataclass(frozen=True)
 class TheoremMainCheck:
-    """Estimate of E[(missing mass - TV(coarsened p, g) - hallucination
-    rate)_+] over the posterior, against its closed-form cap. samples is
-    0 when the expectation was computed exactly rather than sampled."""
+    """E[(missing mass - TV(coarsened p, g) - hallucination rate)_+] over
+    the posterior, computed exactly, against its closed-form cap."""
 
     lhs_estimate: float
-    lhs_stderr: float
     rhs_exact: float
-    samples: int
     passed: bool
-    marginals_ok: bool
-    marginal_max_sigma: float
-
-
-#: Most dense cells (rows x |Y|) one chunk of the posterior Monte Carlo
-#: holds: 2^13 float64 cells is 64 KiB, so memory stays flat at any |Y|.
-_CHUNK_CELLS = 1 << 13
-#: Most subset-table float64 cells (512 KiB) one block of the lemma sweep
-#: holds: (subset, partition, instance) cells, k 2^|Y| per partition.
-_SWEEP_CELLS = 1 << 16
-#: Level of the probe-atom marginal check, per call: the normal mass
-#: beyond 3 sigma, split evenly over the probe atoms (Bonferroni).
-_MARGINAL_LEVEL = math.erfc(3.0 / math.sqrt(2.0))
-
-
-def _binomial_two_sided_p(k: int, n: int, q: float) -> float:
-    """Exact two-sided p-value of k successes in n Binomial(n, q) trials:
-    twice the smaller tail, at most 1, with P[X >= j] = I_q(j, n - j + 1)."""
-
-    def upper(j: int, x: float) -> float:
-        if j == 0 or x >= 1.0:
-            return 1.0
-        return 0.0 if x <= 0.0 else _beta_cdf_pdf(j, n - j + 1, x)[0]
-
-    return min(1.0, 2.0 * min(upper(k, q), upper(n - k, 1.0 - q)))
+    # perfbench's posterior_exhaustive still reads it (ROADMAP item 1)
+    marginals_ok: ClassVar[bool] = True
 
 
 def verify_theorem_main_mc(
@@ -308,55 +281,32 @@ def verify_theorem_main_mc(
     observed: Iterable[int],
     g: FactoidDist,
     partition: Partition,
-    samples: int,
-    rng: SeededRng,
+    samples: Optional[int] = None,  # unread; perfbench still passes it (ROADMAP item 1)
+    rng: Optional[SeededRng] = None,  # unread; perfbench still passes it (ROADMAP item 1)
 ) -> TheoremMainCheck:
-    """Compute the expectation over the exact uniform-world posterior,
-    exactly where g and the partition make it a constant and by Monte
-    Carlo otherwise, and compare with the closed-form right-hand side.
+    """Compute the expectation over the exact uniform-world posterior
+    where g and the partition make it a constant, refuse any other input,
+    and compare it with the closed-form right-hand side.
 
     Every size-N support holding the observed facts is equally likely,
-    so a posterior sample is N - m distinct unobserved atoms drawn
+    so a posterior draw is N - m distinct unobserved atoms chosen
     uniformly. The right-hand side is max Pr[y in F] + |O| * max E[p(y)]
     over unobserved y; both maxima are hypergeometric and reduce to
     q = (N-m)/|U| and q/N.
 
-    The inputs are checked before anything else: samples must be an
-    integer >= 1 (InsufficientDataError), g and the partition must be
-    over `universe` (UniverseMismatchError), and the fact count must be
-    an integer in [1, |Y| - 1] and every observed atom an integer in
-    [0, |Y|) (DistributionError).
+    The inputs are checked first: g and the partition must be over
+    `universe` (UniverseMismatchError), and the fact count must be an
+    integer in [1, |Y| - 1] and every observed atom an integer in [0, |Y|)
+    (DistributionError).
 
-    Exact route, decided before any Monte Carlo set-up. When g gives every
-    unobserved atom the same weight and the partition puts all unobserved
-    atoms in one block or each in a block of its own (or N = m), every
-    completion gives the same per-atom terms, only at other atoms, so
-    every sample has the same value. That value, scored once on the first
-    N - m unobserved atoms with the arithmetic below (a lone row of it),
-    is returned with lhs_stderr 0, samples 0, marginals_ok True and
-    marginal_max_sigma 0; no stream is derived and nothing is drawn. A
-    per-sample value can differ from it only by the order in which equal
-    terms are summed.
-
-    Monte Carlo route, for any other input. Posterior sample t is one
-    draw on rng.child(t). The samples are drawn and scored in chunks of
-    at most _CHUNK_CELLS // |Y| rows, with each sample's arithmetic kept
-    as for a lone sample: block masses are shares added one at a time
-    (as np.bincount adds them), and each chunk's TV distances and
-    g-masses are row sums of C-contiguous float64 arrays, taken in one
-    call per chunk. numpy reduces the last axis of a C-contiguous array
-    with the same pairwise sum it applies to a lone 1-D row, so each
-    estimate is bit-identical to the per-sample loop; a strided
-    (non-contiguous) row could be summed in another order. Before the
-    cap is used, the hit count of each probe atom (the first five
-    unobserved atoms, or all if fewer) must have an exact
-    Binomial(samples, q) two-sided p-value of at least _MARGINAL_LEVEL
-    divided by the number of probe atoms (Bonferroni), so a correct
-    sampler fails a call with probability at most _MARGINAL_LEVEL =
-    0.0027; marginal_max_sigma reports the largest deviation in normal
-    sigmas.
+    Then the exactness rule decides. When the observed facts fill the
+    budget (N = m), or g gives every unobserved atom the same weight and
+    the partition puts all unobserved atoms in one block or each in a
+    block of its own, every completion gives the same per-atom terms,
+    only at other atoms, so the expectation is the value of any one
+    completion. That value is scored once, on the first N - m unobserved
+    atoms. Any other input raises DistributionError, naming the rule.
     """
-    check_count(samples, "posterior samples", 1, error=InsufficientDataError)
     for name, other in (("g", g.universe), ("partition", partition.universe)):
         if other != universe:
             raise UniverseMismatchError(
@@ -377,10 +327,6 @@ def verify_theorem_main_mc(
     u_count = size - len(obs)
     if m > fact_count:
         raise DistributionError("observed facts exceed the fact budget")
-    if u_count > 0:
-        rhs = (fact_count - m) / u_count + len(obs) * (fact_count - m) / (fact_count * u_count)
-    else:
-        rhs = 0.0
 
     g_arr = g.weights_at(np.arange(size))
     block_id = partition.labels
@@ -390,87 +336,42 @@ def verify_theorem_main_mc(
     u_atoms = np.flatnonzero(unobserved)
     obs_facts = np.flatnonzero(~unobserved)[1:]  # ascending, without BOTTOM = 0
     u_labels = block_id[u_atoms]
-    exact = fact_count == m or (
-        (g_arr[u_atoms] == g_arr[u_atoms[0]]).all()
-        and ((u_labels == u_labels[0]).all() or (block_len[u_labels] == 1).all())
-    )
-
-    p_missing = (fact_count - m) / fact_count
-    # acc[k]: k shares added one at a time, from 0.0
-    share = 1.0 / fact_count
-    acc = np.concatenate(([0.0], np.cumsum(np.full(min(fact_count, int(block_len.max())), share))))
-    base_fact_mass = float(g_arr[BOTTOM]) + float(g_arr[obs_facts].sum())
-
-    def score(counts: np.ndarray, extras: np.ndarray) -> np.ndarray:
-        """The clipped per-sample value of each completion (last axis of
-        extras) from its per-block support counts (last axis of counts)."""
-        # coarsened p, then |p - g|; a C-ordered row sums as a lone row would
-        gaps = np.take(acc[counts] / block_len, block_id, axis=-1)
-        np.abs(np.subtract(gaps, g_arr, out=gaps), out=gaps)
-        tv = 0.5 * gaps.sum(axis=-1)
-        g_h = np.maximum(1.0 - (base_fact_mass + g_arr[extras].sum(axis=-1)), 0.0)
-        return np.maximum(p_missing - tv - g_h, 0.0)
-
-    if exact:
-        extras = u_atoms[: fact_count - m]
-        support = np.concatenate((obs_facts, extras))
-        counts = np.bincount(block_id[support], minlength=len(block_len))
-        lhs = float(score(counts, extras))
-        return TheoremMainCheck(
-            lhs_estimate=lhs,
-            lhs_stderr=0.0,
-            rhs_exact=rhs,
-            samples=0,
-            passed=lhs <= rhs + FLOAT_SLACK,
-            marginals_ok=True,
-            marginal_max_sigma=0.0,
+    if not (
+        fact_count == m
+        or (
+            (g_arr[u_atoms] == g_arr[u_atoms[0]]).all()
+            and ((u_labels == u_labels[0]).all() or (block_len[u_labels] == 1).all())
+        )
+    ):
+        raise DistributionError(
+            "the core inequality is computed exactly only when the observed facts fill"
+            " the fact budget, or g has one weight on the unobserved atoms and the"
+            " partition puts them all in one block or each in a block of its own"
         )
 
-    blocks = len(block_len)
-    obs_counts = np.bincount(block_id[obs_facts], minlength=blocks)
-    completions = _distinct_rows(rng.children(range(samples)), 1, size, fact_count - m, obs)
-    probe_atoms = u_atoms[:5].tolist()
-    probe_hits = np.zeros(len(probe_atoms), dtype=np.int64)
-    values = np.zeros(samples)
-    chunk = max(1, _CHUNK_CELLS // size)
-    for start in range(0, samples, chunk):
-        extras = np.stack(list(islice(completions, chunk)))
-        rows = len(extras)
-        # per-row support counts of each block
-        cells = (block_id[extras] + blocks * np.arange(rows)[:, None]).ravel()
-        counts = np.bincount(cells, minlength=rows * blocks).reshape(rows, blocks)
-        counts += obs_counts
-        values[start : start + rows] = score(counts, extras)
-        for j, y in enumerate(probe_atoms):
-            probe_hits[j] += np.count_nonzero(extras == y)
-
-    lhs = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-
-    # here N > m, so some atom is unobserved (u_count > 0)
-    q = (fact_count - m) / u_count
-    sigma = math.sqrt(q * (1.0 - q) / samples)
-    hits = probe_hits.tolist()
-    devs = [abs(h / samples - q) for h in hits]
-    max_sigma = max(d / sigma if sigma > 0 else (0.0 if d == 0.0 else math.inf) for d in devs)
-    level = _MARGINAL_LEVEL / len(hits)
-    marginals_ok = all(_binomial_two_sided_p(h, samples, q) >= level for h in hits)
-
-    passed = lhs <= rhs + 3.0 * stderr + FLOAT_SLACK
-    return TheoremMainCheck(
-        lhs_estimate=lhs,
-        lhs_stderr=stderr,
-        rhs_exact=rhs,
-        samples=samples,
-        passed=passed and marginals_ok,
-        marginals_ok=marginals_ok,
-        marginal_max_sigma=max_sigma,
-    )
+    if u_count > 0:
+        rhs = (fact_count - m) / u_count + len(obs) * (fact_count - m) / (fact_count * u_count)
+    else:
+        rhs = 0.0
+    extras = u_atoms[: fact_count - m]
+    support = np.concatenate((obs_facts, extras))
+    shares = np.full(support.size, 1.0 / fact_count)
+    block_mass = np.bincount(block_id[support], weights=shares, minlength=len(block_len))
+    tv = 0.5 * np.abs((block_mass / block_len)[block_id] - g_arr).sum()
+    base_fact_mass = float(g_arr[BOTTOM]) + float(g_arr[obs_facts].sum())
+    g_h = np.maximum(1.0 - (base_fact_mass + g_arr[extras].sum()), 0.0)
+    lhs = float(np.maximum((fact_count - m) / fact_count - tv - g_h, 0.0))
+    return TheoremMainCheck(lhs_estimate=lhs, rhs_exact=rhs, passed=lhs <= rhs + FLOAT_SLACK)
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive lemma sweep
 # ---------------------------------------------------------------------------
+
+
+#: Most subset-table float64 cells (512 KiB) one block of the lemma sweep
+#: holds: (subset, partition, instance) cells, k 2^|Y| per partition.
+_SWEEP_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)

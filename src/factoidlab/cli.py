@@ -345,7 +345,7 @@ def _bound_table(agg: dict, names: Iterable[str]) -> str:
     return "\n".join(lines)
 
 
-def cmd_run(args, out, err) -> int:
+def cmd_run(args, out) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
@@ -357,7 +357,7 @@ def cmd_run(args, out, err) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_gt_check(args, out, err) -> int:
+def cmd_gt_check(args, out) -> int:
     cfg = parse_config(args.config)
     setup_rng = SeededRng(cfg.master_seed).child(0)
     world = sample_world(cfg.world, setup_rng)
@@ -379,7 +379,7 @@ def cmd_gt_check(args, out, err) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_upper_bound(args, out, err) -> int:
+def cmd_upper_bound(args, out) -> int:
     cfg = parse_config(args.config)
     report = run_upper_bound_check(
         cfg.world, cfg.n, cfg.bound.delta, cfg.trials, cfg.master_seed
@@ -398,7 +398,7 @@ def cmd_upper_bound(args, out, err) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_brute_force(args, out, err) -> int:
+def cmd_brute_force(args, out) -> int:
     # checked before the random distributions over the universe are drawn
     too_large = "atoms: universe too large to enumerate partitions"
     size = check_count(args.max_universe, "--max-universe", 2, PARTITION_LIMIT, too_large, ConfigError)
@@ -431,7 +431,7 @@ def cmd_brute_force(args, out, err) -> int:
     return 0 if passed else 1
 
 
-def cmd_thm_main(args, out, err) -> int:
+def cmd_thm_main(args, out) -> int:
     cfg = parse_config(args.config)
     if not isinstance(cfg.world, PermutedPowerLawWorld) or cfg.world.exponent != 0.0:
         raise ConfigError("thm-main requires a permuted_power_law world with exponent 0")
@@ -455,8 +455,6 @@ def cmd_thm_main(args, out, err) -> int:
         ("singletons", None),
     ]
     all_ok = True
-    probe_rng = SeededRng(cfg.master_seed).child(1)
-    probe = 0
     for alg_name, alg in algs:
         g = train(alg, sample, truth=world.p)
         for spec_name, spec in specs:
@@ -464,23 +462,15 @@ def cmd_thm_main(args, out, err) -> int:
                 Partition.singletons(world.universe) if spec is None else partition_for_spec(g, spec)
             )
             check = verify_theorem_main_mc(
-                world.universe,
-                cfg.world.fact_count,
-                sample.observed,
-                g,
-                partition,
-                cfg.trials,
-                probe_rng.child(probe),
+                world.universe, cfg.world.fact_count, sample.observed, g, partition
             )
             status = "ok" if check.passed else "FAIL"
-            spread = "exact" if check.samples == 0 else f"(+/- {check.lhs_stderr:.6f})"
             print(
                 f"{alg_name:<10} {spec_name:<10} lhs {check.lhs_estimate:.6f}"
-                f" {spread} rhs {check.rhs_exact:.6f} {status}",
+                f" exact rhs {check.rhs_exact:.6f} {status}",
                 file=out,
             )
             all_ok = all_ok and check.passed
-            probe += 1
     print("PASS" if all_ok else "FAIL", file=out)
     return 0 if all_ok else 1
 
@@ -495,7 +485,7 @@ def _read_json(path: Path) -> dict:
     return data
 
 
-def cmd_report(args, out, err) -> int:
+def cmd_report(args, out) -> int:
     run_dir = Path(args.run_dir)
     agg_path = run_dir / "aggregate.json"
     manifest_path = run_dir / "manifest.json"
@@ -571,7 +561,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bf.add_argument("--max-universe", type=int, default=5)
     p_bf.add_argument("--seed", type=int, default=0)
 
-    p_tm = sub.add_parser("thm-main", help="the core inequality over the posterior, exact or Monte Carlo")
+    p_tm = sub.add_parser(
+        "thm-main", help="the core inequality over the posterior, exact, or refused"
+    )
     p_tm.add_argument("config")
 
     p_rep = sub.add_parser("report", help="render tables for a finished run")
@@ -602,7 +594,7 @@ def cli_main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, out, err)
+        return _COMMANDS[args.command](args, out)
     except FactoidLabError as exc:
         # exit 1 is reserved for a check that ran and failed
         print(f"config error: {exc}", file=err)

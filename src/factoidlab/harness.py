@@ -111,8 +111,8 @@ class BoundSettings:
 #: Most training draws one trial may take: a trial allocates arrays of n
 #: draws and n uniforms, so a larger n would exhaust memory rather than run.
 DRAW_COUNT_LIMIT = 10_000_000
-#: Most trials (or posterior samples) one config may ask for: the suites
-#: keep per-trial arrays, so a larger count would exhaust memory or time.
+#: Most trials one config may ask for: the suites keep per-trial arrays,
+#: so a larger count would exhaust memory or time.
 TRIAL_COUNT_LIMIT = 1_000_000
 
 

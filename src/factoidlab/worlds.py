@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -255,45 +255,6 @@ WorldModel = Union[PermutedPowerLawWorld, W5World, MultiTypeWorld, ExplicitWorld
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-
-def _distinct_rows(
-    rngs: Iterable[SeededRng], low: int, high: int, count: int, exclude: frozenset[int]
-) -> Iterator[np.ndarray]:
-    """Lazily, one int64 row per rng: a uniform ordered sample of `count`
-    distinct ints from [low, high) minus `exclude`, drawn from that rng
-    alone. The range checks and the eligible array are set up once for
-    all rows. Rejection-based when the range dwarfs the request, so no
-    O(range) array is built for huge universes."""
-    span = high - low
-    inside = [y - low for y in exclude if low <= y < high]
-    available = span - len(inside)
-    if count > available:
-        raise DistributionError(f"cannot draw {count} distinct values from {available} available")
-    if count == 0:
-        return (np.empty(0, dtype=np.int64) for _ in rngs)
-    if span <= 4096 or count * 4 > available:
-        keep = np.ones(span, dtype=bool)
-        keep[inside] = False
-        eligible = np.arange(low, high, dtype=np.int64)[keep]
-        return (rng.generator.permutation(eligible)[:count] for rng in rngs)
-    return (_rejection_row(rng.generator, low, high, count, exclude) for rng in rngs)
-
-
-def _rejection_row(
-    gen: np.random.Generator, low: int, high: int, count: int, exclude: frozenset[int]
-) -> np.ndarray:
-    seen = set(exclude)
-    out: list[int] = []
-    while len(out) < count:
-        batch = gen.integers(low, high, size=max(64, 2 * (count - len(out))))
-        for v in batch.tolist():
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-                if len(out) == count:
-                    break
-    return np.array(out, dtype=np.int64)
 
 
 def _power_law_dist(universe: FactoidUniverse, ranked_atoms: np.ndarray, exponent: float) -> FactoidDist:

@@ -2,23 +2,25 @@
 references.
 
 The library measures trials through (p, g) class profiles scored many
-at a time, draws posterior completions in batches, unranks partitions
-in blocks, sums subsets through subset tables and never builds a
-per-atom view of a distribution. The tests also want the plain forms:
-one function per metric taking two distributions, a subset-by-subset
-total-variation maximum, a pair's class layout
-and hallucination rate built atom by atom, the one-profile calibration
-and KL routes the batch scorer replaced, one draw per stream, one recursive partition enumeration, a
-literal coarsening, the lemma sweep's padded gather of each subset's
-atoms, and builders of small test inputs (background distributions,
-random and enumerated partitions, enumerated W5 worlds). They live
+at a time, scores the core inequality on one posterior completion,
+unranks partitions in blocks, sums subsets through subset tables and
+never builds a per-atom view of a distribution. The tests also want the
+plain forms: one function per metric taking two distributions, a
+subset-by-subset total-variation maximum, a pair's class layout and
+hallucination rate built atom by atom, the one-profile calibration and
+KL routes the batch scorer replaced, the core inequality's mean over
+every posterior completion, distinct draws and posterior completions one
+stream at a time, one recursive partition enumeration, a literal
+coarsening, the lemma sweep's padded gather of each subset's atoms, and
+builders of small test inputs (background distributions, random and
+enumerated partitions, enumerated W5 worlds). They live
 here, built from the same library primitives, so a test can compare a
 fast path with them or state a property in their terms.
 """
 
 import math
 import sys
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -53,13 +55,7 @@ from factoidlab.errors import (
     UnsupportedModelError,
 )
 from factoidlab.rng import SeededRng
-from factoidlab.worlds import (
-    ExplicitWorld,
-    PermutedPowerLawWorld,
-    W5World,
-    WorldInstance,
-    _distinct_rows,
-)
+from factoidlab.worlds import ExplicitWorld, PermutedPowerLawWorld, W5World, WorldInstance
 
 # -- distributions ---------------------------------------------------------
 
@@ -383,6 +379,33 @@ def hallucination_rate(g: FactoidDist, world: WorldInstance) -> float:
     return max(0.0, 1.0 - mass_of_set(g, world.fact_keys))
 
 
+# -- core inequality -------------------------------------------------------
+
+
+def theorem_main_exhaustive(
+    universe: FactoidUniverse,
+    fact_count: int,
+    observed: Iterable[int],
+    g: FactoidDist,
+    partition: Partition,
+) -> float:
+    """The core inequality's left-hand side over the uniform-world
+    posterior, completion by completion: the mean over every
+    (N - m)-subset of the unobserved atoms of max(0, (N - m)/N -
+    TV(coarsen(p, partition), g) - hallucination rate), with p uniform
+    on the observed facts and the subset."""
+    obs = frozenset(observed) | {BOTTOM}
+    facts = sorted(obs - {BOTTOM})
+    missing = fact_count - len(facts)
+    unobserved = [y for y in range(universe.size) if y not in obs]
+    values = []
+    for extra in combinations(unobserved, missing):
+        p = dist_from_weights(universe, dict.fromkeys([*facts, *extra], 1.0))
+        tv = tv_distance(coarsen(p, partition), g)
+        values.append(max(0.0, missing / fact_count - tv - hallucination_rate(g, WorldInstance(p))))
+    return math.fsum(values) / len(values)
+
+
 # -- worlds ----------------------------------------------------------------
 
 
@@ -409,6 +432,45 @@ def enumerate_w5_instances(model: W5World) -> ExplicitWorld:
 
 
 # -- draws -----------------------------------------------------------------
+
+
+def _distinct_rows(
+    rngs: Iterable[SeededRng], low: int, high: int, count: int, exclude: frozenset[int]
+) -> Iterator[np.ndarray]:
+    """Lazily, one int64 row per rng: a uniform ordered sample of `count`
+    distinct ints from [low, high) minus `exclude`, drawn from that rng
+    alone. The range checks and the eligible array are set up once for
+    all rows. Rejection-based when the range dwarfs the request, so no
+    O(range) array is built for huge universes."""
+    span = high - low
+    inside = [y - low for y in exclude if low <= y < high]
+    available = span - len(inside)
+    if count > available:
+        raise DistributionError(f"cannot draw {count} distinct values from {available} available")
+    if count == 0:
+        return (np.empty(0, dtype=np.int64) for _ in rngs)
+    if span <= 4096 or count * 4 > available:
+        keep = np.ones(span, dtype=bool)
+        keep[inside] = False
+        eligible = np.arange(low, high, dtype=np.int64)[keep]
+        return (rng.generator.permutation(eligible)[:count] for rng in rngs)
+    return (_rejection_row(rng.generator, low, high, count, exclude) for rng in rngs)
+
+
+def _rejection_row(
+    gen: np.random.Generator, low: int, high: int, count: int, exclude: frozenset[int]
+) -> np.ndarray:
+    seen = set(exclude)
+    out: list[int] = []
+    while len(out) < count:
+        batch = gen.integers(low, high, size=max(64, 2 * (count - len(out))))
+        for v in batch.tolist():
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+                if len(out) == count:
+                    break
+    return np.array(out, dtype=np.int64)
 
 
 def sample_distinct_excluding(

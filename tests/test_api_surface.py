@@ -2,11 +2,12 @@
 its version, every export resolves and is defined in the module that
 exports it, every export is used by the library itself (bar a commented
 allowlist), and the test-side references in tests/literal.py are not
-library names. With no linter at hand, four dead-code checks run here
+library names. With no linter at hand, five dead-code checks run here
 too: no library module imports a name it never loads, every private
 module-level function, class or constant is loaded by some library
-module, and every public method or property of a library class is
-loaded by some library module."""
+module, every public method or property of a library class is loaded by
+some library module, and every parameter of a library function is read
+in its body (bar a commented allowlist)."""
 
 import ast
 import importlib
@@ -183,3 +184,41 @@ def test_every_public_method_and_property_is_loaded_by_the_library():
         and node.name not in loaded
     ]
     assert dead == []
+
+
+#: Parameters no library function body reads, each kept for the reason
+#: beside it. Anything else a function takes and never reads goes.
+UNREAD_PARAMETERS_ALLOWED = {
+    # perfbench's posterior_exhaustive passes both positionally (ROADMAP item 1)
+    "bounds.py: verify_theorem_main_mc(samples)",
+    "bounds.py: verify_theorem_main_mc(rng)",
+}
+
+
+def test_every_parameter_is_read_by_its_function():
+    # self and cls excepted; a nested function's reads count for the
+    # function that holds it
+    unread = set()
+    for file, tree in LIBRARY_TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                name.id
+                for statement in body
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread |= {
+                f"{file}: {name}({param})"
+                for param in params
+                if param not in read and param not in ("self", "cls")
+            }
+    assert sorted(unread - UNREAD_PARAMETERS_ALLOWED) == []
+    # an allowlisted parameter that gains a reader leaves the list
+    assert sorted(UNREAD_PARAMETERS_ALLOWED - unread) == []

@@ -1,16 +1,15 @@
-"""Bound right-hand sides, the posterior Monte Carlo verifier, the
-exhaustive coarsening-lemma sweep, and the proof-step frequency report."""
+"""Bound right-hand sides, the exact posterior verifier of the core
+inequality, the exhaustive coarsening-lemma sweep, and the proof-step
+frequency report."""
 
 import math
 from decimal import Decimal, getcontext
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factoidlab import bounds as bounds_module
 from factoidlab.bounds import (
     BoundParams,
     clopper_pearson,
@@ -24,7 +23,7 @@ from factoidlab.bounds import (
     verify_theorem_main_mc,
 )
 from factoidlab.calibration import BIN_COUNT_LIMIT, AdaptiveBinning, Partition, partition_for_spec
-from factoidlab.dist import FactoidUniverse, dist_from_weights, random_dist
+from factoidlab.dist import FactoidUniverse, dist_from_weights, random_dist, uniform_dist
 from factoidlab.errors import DistributionError, InsufficientDataError, UniverseMismatchError
 from factoidlab.estimators import TrainingSample
 from factoidlab.harness import BoundSettings, ExperimentConfig, run_experiment
@@ -206,20 +205,16 @@ class TestTheoremMainMc:
         # 51 atoms, budget 20, 10 observed facts: (N-m)/|U| + |O|(N-m)/(N|U|)
         u = FactoidUniverse(51)
         observed = set(range(1, 11)) | {0}
-        g = random_dist(u, SeededRng(3))
-        check = verify_theorem_main_mc(
-            u, 20, observed, g, Partition.singletons(u), 500, SeededRng(4)
-        )
+        check = verify_theorem_main_mc(u, 20, observed, uniform_dist(u), Partition.singletons(u))
         assert check.rhs_exact == pytest.approx(0.3875, abs=1e-12)
-        assert check.passed and check.marginals_ok
+        assert check.passed
 
     def test_exhausted_budget_degenerates(self):
+        # N = m: the one completion is the observed facts, whatever g is
         u = FactoidUniverse(12)
         observed = set(range(1, 6)) | {0}
         g = random_dist(u, SeededRng(5))
-        check = verify_theorem_main_mc(
-            u, 5, observed, g, Partition.singletons(u), 200, SeededRng(6)
-        )
+        check = verify_theorem_main_mc(u, 5, observed, g, Partition.singletons(u))
         assert check.rhs_exact == 0.0
         assert check.lhs_estimate == 0.0
         assert check.passed
@@ -235,154 +230,81 @@ class TestTheoremMainMc:
         sample = TrainingSample(u, tuple(int(y) for y in draws))
         g = train(MonofactMemorizer(), sample)
         partition = partition_for_spec(g, AdaptiveBinning(5))
-        check = verify_theorem_main_mc(
-            u, 15, sample.observed, g, partition, 800, SeededRng(8)
-        )
-        assert check.passed and check.marginals_ok
-
-    def test_memory_stays_chunked_on_a_large_universe(self):
-        # thm-main runs this at |Y| up to 10^6 with `trials` samples; one
-        # samples x |Y| float64 matrix here would be 480 MB, while the
-        # chunked check (one row per chunk at this |Y|) holds under six
-        # |Y|-long float64 arrays at a time
-        import tracemalloc
-
-        size, samples = 200_000, 300
-        u = FactoidUniverse(size)
-        g = dist_from_weights(u, {y: 1.0 for y in range(0, size, 7)})
-        partition = Partition(u, np.arange(size) % 10)
-        tracemalloc.start()
-        try:
-            check = verify_theorem_main_mc(
-                u, 100, set(range(1, 51)), g, partition, samples, SeededRng(12)
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert check.samples == samples
-        assert peak < 6 * size * 8, f"peak {peak / 2**20:.1f} MiB"
+        check = verify_theorem_main_mc(u, 15, sample.observed, g, partition)
+        assert check.passed
 
 
-class TestTheoremMainExactRoute:
+class TestTheoremMainExactOrRefused:
     """A g with one weight on the unobserved atoms, blocked together or
-    apart, is scored once; any other g is sampled."""
+    apart, is scored once; any other input is refused, naming the rule."""
+
+    OBSERVED = set(range(30, 47))
 
     def _run(self, g, partition):
-        u = g.universe
-        with mock.patch(
-            "factoidlab.bounds._distinct_rows", wraps=bounds_module._distinct_rows
-        ) as rows, mock.patch.object(
-            SeededRng, "children", autospec=True, side_effect=SeededRng.children
-        ) as children:
-            check = verify_theorem_main_mc(
-                u, 20, set(range(30, 47)), g, partition, 100, SeededRng(2)
-            )
-        return check, rows.call_count, children.call_count
+        return verify_theorem_main_mc(g.universe, 20, self.OBSERVED, g, partition)
 
     @pytest.mark.parametrize("blocks", ["singletons", "single_block"])
-    def test_exchangeable_g_draws_nothing(self, blocks):
+    def test_exchangeable_g_is_scored(self, blocks):
         u = FactoidUniverse(51)
         g = background_dist(u, {y: 2.0 for y in range(30, 47)}, 0.5)
         labels = np.arange(u.size) if blocks == "singletons" else np.zeros(u.size, dtype=np.intp)
-        check, rows, children = self._run(g, Partition(u, labels))
-        assert (rows, children) == (0, 0)
-        assert (check.samples, check.lhs_stderr, check.marginal_max_sigma) == (0, 0.0, 0.0)
-        assert check.marginals_ok and check.passed
+        partition = Partition(u, labels)
+        check = self._run(g, partition)
+        assert 0.0 <= check.lhs_estimate <= check.rhs_exact and check.passed
+        # the partition was read as labels; no block sets were built
+        assert "blocks" not in partition.__dict__
 
-    def test_random_g_is_sampled(self):
+    def test_random_g_is_refused(self):
         u = FactoidUniverse(51)
-        check, rows, children = self._run(random_dist(u, SeededRng(1)), Partition.singletons(u))
-        assert (rows, children) == (1, 1)
-        assert check.samples == 100
+        with pytest.raises(DistributionError, match="one weight on the unobserved atoms"):
+            self._run(random_dist(u, SeededRng(1)), Partition.singletons(u))
 
-    def test_unobserved_atoms_split_over_shared_blocks_are_sampled(self):
+    def test_unobserved_atoms_split_over_shared_blocks_are_refused(self):
         # one g value on the unobserved atoms, but two blocks of them
         u = FactoidUniverse(51)
         g = background_dist(u, {y: 2.0 for y in range(30, 47)}, 0.5)
-        check, rows, _ = self._run(g, Partition(u, np.arange(51) % 2))
-        assert rows == 1 and check.samples == 100
+        with pytest.raises(DistributionError, match="each in a block of its own"):
+            self._run(g, Partition(u, np.arange(51) % 2))
 
 
 class TestTheoremMainFailsClosed:
-    """Inputs that do not match the universe are refused before any
-    posterior sample is drawn."""
+    """Inputs that do not match the universe are refused before the
+    exactness rule is read."""
 
     SIZE = 11
 
     def _check(self, g=None, partition=None, observed=frozenset({1, 2}), fact_count=5):
         u = FactoidUniverse(self.SIZE)
-        g = random_dist(u, SeededRng(3)) if g is None else g
+        g = uniform_dist(u) if g is None else g
         partition = Partition.singletons(u) if partition is None else partition
-        return verify_theorem_main_mc(u, fact_count, observed, g, partition, 50, SeededRng(4))
-
-    def _refused(self, error, **inputs):
-        with mock.patch(
-            "factoidlab.bounds._distinct_rows", side_effect=AssertionError("sampled")
-        ), pytest.raises(error):
-            self._check(**inputs)
+        return verify_theorem_main_mc(u, fact_count, observed, g, partition)
 
     def test_g_over_another_universe(self):
         other = FactoidUniverse(self.SIZE - 1)
-        self._refused(UniverseMismatchError, g=random_dist(other, SeededRng(3)))
+        with pytest.raises(UniverseMismatchError):
+            self._check(g=uniform_dist(other))
 
     def test_partition_over_another_universe(self):
         other = FactoidUniverse(self.SIZE - 1)
-        self._refused(UniverseMismatchError, partition=Partition.singletons(other))
+        with pytest.raises(UniverseMismatchError):
+            self._check(partition=Partition.singletons(other))
 
     @pytest.mark.parametrize("atom", [-1, SIZE, 2.5, "3"])
     def test_observed_atom_out_of_range_or_not_an_integer(self, atom):
-        self._refused(DistributionError, observed={1, atom})
+        with pytest.raises(DistributionError):
+            self._check(observed={1, atom})
 
     def test_numpy_integer_atoms_are_accepted(self):
         assert self._check(observed=set(np.array([1, 2]))) == self._check()
 
     @pytest.mark.parametrize("fact_count", [0, SIZE, SIZE + 1])
     def test_fact_count_outside_the_universe(self, fact_count):
-        self._refused(DistributionError, fact_count=fact_count)
+        with pytest.raises(DistributionError):
+            self._check(fact_count=fact_count)
 
     def test_observed_facts_beyond_the_budget(self):
-        self._refused(DistributionError, observed=set(range(1, 7)))
-
-
-class TestTheoremMainMarginals:
-    """The probe atoms' hit counts are judged by their exact binomial
-    tails, at the level of a 3-sigma normal rule split over the probe
-    atoms."""
-
-    def test_one_extra_hit_at_small_q_passes(self):
-        # q = 2/2000 over 100 samples: 0.1 expected hits, and this stream
-        # gives one probe atom 2 hits, 6 normal sigmas out but with an
-        # exact two-sided p-value of 0.0093, above 0.0027 / 5. The draws
-        # depend only on the stream and the exclusions; a g that is not
-        # the same on every unobserved atom keeps the check on the sampler
-        u = FactoidUniverse(2001)
-        partition = Partition.singletons(u)
-        check = verify_theorem_main_mc(
-            u, 2, set(), random_dist(u, SeededRng(3)), partition, 100, SeededRng(11)
-        )
-        assert check.samples == 100
-        assert check.marginal_max_sigma > 6.0
-        assert check.marginals_ok and check.passed
-        # the partition was read as labels; no block sets were built
-        assert "blocks" not in partition.__dict__
-
-    def test_probe_atoms_never_drawn_fail(self):
-        # the posterior_exhaustive scale: |Y| = 51, N = 20, 17 observed
-        # facts, so q = 3/33 and 1000 samples expect 91 hits per probe atom
-        u = FactoidUniverse(51)
-        observed = set(range(30, 47))
-        g = random_dist(u, SeededRng(1))
-        args = (u, 20, observed, g, Partition.singletons(u), 1000)
-        assert verify_theorem_main_mc(*args, SeededRng(2)).marginals_ok
-        probes = frozenset(range(1, 6))  # the first five unobserved atoms
-        draw = bounds_module._distinct_rows
-
-        def avoid_probes(rngs, low, high, count, exclude):
-            return draw(rngs, low, high, count, exclude | probes)
-
-        with mock.patch("factoidlab.bounds._distinct_rows", avoid_probes):
-            check = verify_theorem_main_mc(*args, SeededRng(2))
-        assert not check.marginals_ok and not check.passed
+        with pytest.raises(DistributionError):
+            self._check(observed=set(range(1, 7)))
 
 
 class TestLemmaMeatSweep:
@@ -467,34 +389,3 @@ class TestMarkovStep:
         _, records = run_experiment(cfg)
         markov, _ = verify_markov_step(records, cfg.params)
         assert markov.frequency == 1.0
-
-
-class TestTheoremMainInternalsAgainstPublicRoute:
-    def test_single_draw_matches_coarsen_tv_route(self):
-        # with one posterior sample the estimate is a single clamped term;
-        # rebuild that term from public operations and the same stream
-        from factoidlab.dist import dist_from_weights
-        from factoidlab.worlds import WorldInstance
-        from literal import coarsen, hallucination_rate, posterior_support_uniform, tv_distance
-
-        u = FactoidUniverse(31)
-        fact_count = 12
-        observed = {0, 2, 3, 5, 8, 13}
-        g = random_dist(u, SeededRng(55))
-        partition = partition_for_spec(g, AdaptiveBinning(4))
-        seed = SeededRng(56)
-        check = verify_theorem_main_mc(
-            u, fact_count, observed, g, partition, 1, seed
-        )
-
-        model = PermutedPowerLawWorld(31, fact_count, 0.0)
-        support = posterior_support_uniform(model, observed, seed.child(0))
-        p = dist_from_weights(u, {y: 1.0 / fact_count for y in support})
-        world = WorldInstance(p)
-        m = len(observed) - 1
-        p_missing = (fact_count - m) / fact_count
-        direct = max(
-            0.0,
-            p_missing - tv_distance(coarsen(p, partition), g) - hallucination_rate(g, world),
-        )
-        assert check.lhs_estimate == pytest.approx(direct, abs=1e-12)

@@ -32,7 +32,7 @@ from factoidlab.cli import (
     write_reliability_csv,
     write_trials_csv,
 )
-from factoidlab.dist import sample_iid
+from factoidlab.dist import random_dist, sample_iid
 from factoidlab.estimators import TrainingSample
 from factoidlab.errors import ConfigError, DistributionError
 from factoidlab.harness import (
@@ -240,13 +240,15 @@ class TestSubcommands:
         assert code == 0
         assert "0 violations" in out
 
+    THM_MAIN_CFG = (
+        "world.kind = permuted_power_law\nworld.universe_size = 41\n"
+        "world.fact_count = 15\nworld.exponent = 0.0\n"
+        "n = 25\nalgorithm.kind = empirical\ntrials = 200\nseed = 7\n"
+    )
+
     def test_thm_main(self, tmp_path):
         cfg_path = tmp_path / "c.cfg"
-        cfg_path.write_text(
-            "world.kind = permuted_power_law\nworld.universe_size = 41\n"
-            "world.fact_count = 15\nworld.exponent = 0.0\n"
-            "n = 25\nalgorithm.kind = empirical\ntrials = 200\nseed = 7\n"
-        )
+        cfg_path.write_text(self.THM_MAIN_CFG)
         code, out, _ = run_cli("thm-main", str(cfg_path))
         assert code == 0
         assert "PASS" in out
@@ -255,6 +257,20 @@ class TestSubcommands:
         rows = out.splitlines()[:-1]
         assert len(rows) == 20 and all(" exact rhs " in row for row in rows)
         assert "+/-" not in out
+
+    def test_thm_main_refuses_a_g_the_exactness_rule_does_not_cover(self, tmp_path, monkeypatch):
+        # no built-in algorithm gives such a g; the check cannot run on it,
+        # so it is an input error (exit 2), not a failed bound
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(self.THM_MAIN_CFG)
+        def train_random(alg, sample, truth):
+            return random_dist(sample.universe, SeededRng(3))
+
+        monkeypatch.setattr(factoidlab.cli, "train", train_random)
+        code, out, err = run_cli("thm-main", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and "computed exactly only when" in err
 
     def test_malformed_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"

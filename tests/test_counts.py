@@ -1,8 +1,8 @@
 """Every count parameter follows errors.check_count: an integer (int or
 numpy integer) in its range, or the calling module's own error at the
 call. NaN, a fraction or a numeric string used to pass the hand-written
-comparisons and then fail a bound, pass a check that drew nothing, or
-die inside numpy with a bare TypeError."""
+comparisons and then fail a bound or die inside numpy with a bare
+TypeError."""
 
 import math
 
@@ -61,10 +61,9 @@ def bound_params(**fields):
     return BoundParams(**{**dict(delta=0.1, b=10, epsilon=0.1, s=2.0, r=1.0, n=30), **fields})
 
 
-def theorem_main(fact_count=20, samples=50):
+def theorem_main(fact_count):
     g = uniform_dist(U)
-    partition = Partition(U, np.arange(U.size) % 3)
-    return verify_theorem_main_mc(U, fact_count, {0, 1, 2}, g, partition, samples, SeededRng(4))
+    return verify_theorem_main_mc(U, fact_count, {0, 1, 2}, g, Partition.singletons(U))
 
 
 def lemma_sweep(max_universe):
@@ -107,12 +106,7 @@ COUNTS = {
     ),
     "clopper_pearson.successes": (lambda v: clopper_pearson(v, 10), DistributionError, 3),
     "clopper_pearson.trials": (lambda v: clopper_pearson(1, v), InsufficientDataError, 3),
-    "verify_theorem_main_mc.samples": (
-        lambda v: theorem_main(samples=v), InsufficientDataError, 3
-    ),
-    "verify_theorem_main_mc.fact_count": (
-        lambda v: theorem_main(fact_count=v), DistributionError, 3
-    ),
+    "verify_theorem_main_mc.fact_count": (theorem_main, DistributionError, 3),
     "tv_distance_forms.exhaustive_limit": (
         lambda v: tv_distance_forms(P, uniform_dist(U), exhaustive_limit=v), DistributionError, 3
     ),

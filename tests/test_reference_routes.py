@@ -13,8 +13,9 @@ of its size rule against counting the guide-table sampler's draws, both
 missing-mass routes against the literal fsum over unseen atoms, and the
 exact expansion of a total against rational arithmetic.
 
-So are the two batched bound verifiers: the chunked posterior Monte
-Carlo against a per-sample loop with one dense p per posterior draw, the
+So are the two bound verifiers: the core inequality, scored on one
+completion, against its literal mean over every posterior completion
+(and refused wherever the exactness rule does not hold), the
 all-subsets-at-once lemma sweep against the subset-by-subset loop and
 the padded-gather route its subset tables replaced, and the batched
 distinct draw against its literal eligible list.
@@ -84,13 +85,9 @@ from factoidlab.dist import (
     uniform_dist,
 )
 from factoidlab.bounds import (
-    _CHUNK_CELLS,
-    _MARGINAL_LEVEL,
     FLOAT_SLACK,
     BoundParams,
     LemmaMeatViolation,
-    TheoremMainCheck,
-    _binomial_two_sided_p,
     cor1_rhs,
     evaluate_bound,
     verify_lemma_meat_exhaustive,
@@ -147,7 +144,7 @@ from literal import (
     mass_of_set,
     miscalibration,
     paired_profile,
-    posterior_support_uniform,
+    posterior_fact_marginal,
     profile_calibration,
     profile_kl,
     profile_layout,
@@ -156,6 +153,7 @@ from literal import (
     sample_distinct_excluding,
     sort_profile_by_g,
     subset_tv_max,
+    theorem_main_exhaustive,
 )
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -743,90 +741,11 @@ class TestSampleFailsClosed:
 
 
 # ---------------------------------------------------------------------------
-# Batched bound verifiers == their per-sample and per-subset loops
+# Bound verifiers == their every-completion and per-subset loops
 # ---------------------------------------------------------------------------
 
 
-def ref_posterior_values(universe, fact_count, observed, g, partition, samples, rng):
-    """verify_theorem_main_mc's samples as a per-sample loop: one posterior
-    support per rng.child(t), a dense p, np.bincount block masses, then
-    TV and the hallucination rate over that one sample. Returns each
-    sample's clipped value and each probe atom's hit count."""
-    model = PermutedPowerLawWorld(universe.size, fact_count, 0.0)
-    obs = frozenset(observed) | {BOTTOM}
-    m = len(obs) - 1
-    size = universe.size
-    g_arr = g.weights_at(np.arange(size))
-    block_id = np.empty(size, dtype=np.intp)
-    block_len = np.empty(len(partition.blocks), dtype=np.float64)
-    for i, block in enumerate(partition.blocks):
-        block_len[i] = len(block)
-        for y in block:
-            block_id[y] = i
-    p_missing = (fact_count - m) / fact_count
-    obs_fact_list = sorted(obs - {BOTTOM})
-    unobserved_atoms = [y for y in range(size) if y not in obs]
-    probe_atoms = unobserved_atoms[: min(5, len(unobserved_atoms))]
-    probe_hits = np.zeros(len(probe_atoms), dtype=np.int64)
-    share = 1.0 / fact_count
-    values = np.zeros(samples)
-    base_fact_mass = float(g_arr[BOTTOM]) + float(g_arr[obs_fact_list].sum())
-    for t in range(samples):
-        support = posterior_support_uniform(model, obs, rng.child(t))
-        extra = support[m:]
-        p_arr = np.zeros(size)
-        p_arr[support] = share
-        block_mass = np.bincount(block_id, weights=p_arr, minlength=len(block_len))
-        coarse = (block_mass / block_len)[block_id]
-        tv = 0.5 * float(np.abs(coarse - g_arr).sum())
-        g_h = max(0.0, 1.0 - (base_fact_mass + float(g_arr[extra].sum())))
-        values[t] = max(0.0, p_missing - tv - g_h)
-        extra_set = set(extra)
-        for j, y in enumerate(probe_atoms):
-            if y in extra_set:
-                probe_hits[j] += 1
-    return values, probe_hits
-
-
-def ref_theorem_main(universe, fact_count, observed, g, partition, samples, rng):
-    """verify_theorem_main_mc's Monte Carlo route over ref_posterior_values,
-    each probe atom tested at _MARGINAL_LEVEL over the number of probes."""
-    values, probe_hits = ref_posterior_values(
-        universe, fact_count, observed, g, partition, samples, rng
-    )
-    obs = frozenset(observed) | {BOTTOM}
-    m = len(obs) - 1
-    u_count = universe.size - len(obs)
-    if u_count > 0:
-        rhs = (fact_count - m) / u_count + len(obs) * (fact_count - m) / (fact_count * u_count)
-    else:
-        rhs = 0.0
-    lhs = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    marginals_ok = True
-    max_sigma = 0.0
-    if len(probe_hits) and u_count > 0:
-        q = (fact_count - m) / u_count
-        sigma = math.sqrt(max(q * (1.0 - q), 0.0) / samples)
-        for hits in probe_hits.tolist():
-            dev = abs(hits / samples - q)
-            devs = dev / sigma if sigma > 0 else (0.0 if dev == 0.0 else math.inf)
-            max_sigma = max(max_sigma, devs)
-            if _binomial_two_sided_p(hits, samples, q) < _MARGINAL_LEVEL / len(probe_hits):
-                marginals_ok = False
-    passed = lhs <= rhs + 3.0 * stderr + FLOAT_SLACK
-    return TheoremMainCheck(
-        lhs_estimate=lhs,
-        lhs_stderr=stderr,
-        rhs_exact=rhs,
-        samples=samples,
-        passed=passed and marginals_ok,
-        marginals_ok=marginals_ok,
-        marginal_max_sigma=max_sigma,
-    )
-
-
-def takes_exact_route(universe, fact_count, observed, g, partition, samples, rng):
+def takes_exact_route(universe, fact_count, observed, g, partition):
     """The exact route's rule, atom by atom: the observed facts fill the
     budget, or g has one weight on the unobserved atoms and they share
     one block or each have a block to themselves."""
@@ -891,13 +810,12 @@ def ref_distinct(rng, low, high, count, exclude):
 
 
 @st.composite
-def theorem_main_cases(draw):
-    """A uniform world of 2-60 atoms, an observed set holding none, some,
-    all but one or all of the fact budget (the empty fact in or out), a g
-    with zeros and backgrounds, a singleton, adaptive, fixed-width,
-    exact-value or random partition, and a sample count that often sits
-    on a chunk boundary."""
-    size = draw(st.integers(2, 60), label="size")
+def theorem_main_cases(draw, max_size=60):
+    """A uniform world of 2 to max_size atoms, an observed set holding
+    none, some, all but one or all of the fact budget (the empty fact in
+    or out), a g with zeros and backgrounds, and a singleton, adaptive,
+    fixed-width, exact-value or random partition."""
+    size = draw(st.integers(2, max_size), label="size")
     u = FactoidUniverse(size)
     fact_count = draw(st.integers(1, size - 1), label="fact_count")
     m = draw(st.sampled_from([0, fact_count - 1]) | st.integers(0, fact_count), label="m")
@@ -917,24 +835,17 @@ def theorem_main_cases(draw):
             "exact": ExactValueBinning(),
         }[kind]
         partition = partition_for_spec(g, spec)
-    chunk = max(1, _CHUNK_CELLS // size)
-    boundaries = [k * chunk + d for k in (1, 2) for d in (-1, 0, 1) if 1 <= k * chunk + d <= 600]
-    count = st.integers(1, 600)
-    if boundaries:
-        count = count | st.sampled_from(boundaries)
-    samples = draw(count, label="samples")
-    rng = SeededRng(draw(st.integers(0, 2**32 - 1)), (draw(st.integers(0, 9)),))
-    return u, fact_count, observed, g, partition, samples, rng
+    return u, fact_count, observed, g, partition
 
 
 @st.composite
-def exchangeable_theorem_main_cases(draw):
-    """A case the exact route takes: g is one weight on every unobserved
-    atom (a shared background or equal explicit weights, over observed
-    atoms of any weight), and the unobserved atoms share one block (with
-    observed atoms or not) or each have a block to themselves, the
-    observed atoms blocked at random."""
-    size = draw(st.integers(2, 60), label="size")
+def exchangeable_theorem_main_cases(draw, max_size=60):
+    """A case the exact route takes, over 2 to max_size atoms: g is one
+    weight on every unobserved atom (a shared background or equal
+    explicit weights, over observed atoms of any weight), and the
+    unobserved atoms share one block (with observed atoms or not) or each
+    have a block to themselves, the observed atoms blocked at random."""
+    size = draw(st.integers(2, max_size), label="size")
     u = FactoidUniverse(size)
     fact_count = draw(st.integers(1, size - 1), label="fact_count")
     m = draw(
@@ -960,9 +871,7 @@ def exchangeable_theorem_main_cases(draw):
     else:
         labels[unobserved] = 4 + np.arange(len(unobserved))
     partition = Partition(u, np.unique(labels, return_inverse=True)[1])
-    samples = draw(st.integers(1, 300), label="samples")
-    rng = SeededRng(draw(st.integers(0, 2**32 - 1)), (draw(st.integers(0, 9)),))
-    return u, fact_count, observed, g, partition, samples, rng
+    return u, fact_count, observed, g, partition
 
 
 @st.composite
@@ -1000,46 +909,30 @@ def crowded_explicit_worlds(draw):
 
 
 class TestBatchedVerifiers:
-    @given(theorem_main_cases())
-    @settings(max_examples=60, deadline=None)
-    def test_theorem_main_chunks_match_per_sample_loop(self, case):
-        assume(not takes_exact_route(*case))
-        assert verify_theorem_main_mc(*case) == ref_theorem_main(*case)
-
     @given(
-        exchangeable_theorem_main_cases()
-        | theorem_main_cases().filter(lambda case: takes_exact_route(*case))
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_theorem_main_exact_route_matches_per_sample_loop(self, case):
-        # every sample the loop draws has the one value the exact route
-        # scores, up to the order in which equal terms are summed
-        assert takes_exact_route(*case)
-        check = verify_theorem_main_mc(*case)
-        assert (check.samples, check.lhs_stderr) == (0, 0.0)
-        assert check.marginals_ok and check.marginal_max_sigma == 0.0
-        values, _ = ref_posterior_values(*case)
-        assert np.abs(values - check.lhs_estimate).max() <= 1e-12
-        ref = ref_theorem_main(*case)
-        assert check.rhs_exact == ref.rhs_exact
-        if ref.marginals_ok:
-            assert check.passed == ref.passed
-
-    @given(
-        st.integers(1, 3000),
-        st.integers(0, 3000),
-        st.sampled_from([0.0, 1.0, 1e-6, 2.5e-4, 0.09, 0.5]) | st.floats(0.0, 1.0),
+        exchangeable_theorem_main_cases(max_size=10)
+        | theorem_main_cases(max_size=10).filter(lambda case: takes_exact_route(*case))
     )
     @PROPERTY
-    def test_marginal_p_value_matches_scipy_binomial_tails(self, n, k, q):
-        # the literal route: scipy's binomial cdf and survival function, a
-        # test-only dependency. Below about 1e-240 scipy's tails drift from
-        # the exact sums (7% at 4.4e-247, where this p-value is within
-        # 1e-12 of a 60-digit mpmath sum), hence the absolute floor
-        binom = pytest.importorskip("scipy.stats").binom
-        k = min(k, n)
-        ref = min(1.0, 2.0 * min(float(binom.cdf(k, n, q)), float(binom.sf(k - 1, n, q))))
-        assert _binomial_two_sided_p(k, n, q) == pytest.approx(ref, rel=1e-9, abs=1e-200)
+    def test_theorem_main_exact_route_matches_every_completion(self, case):
+        # every completion has the one value the exact route scores, up to
+        # the order in which equal terms are summed
+        u, fact_count, observed, _, _ = case
+        check = verify_theorem_main_mc(*case)
+        assert abs(check.lhs_estimate - theorem_main_exhaustive(*case)) <= 1e-15
+        q = posterior_fact_marginal(PermutedPowerLawWorld(u.size, fact_count), observed)
+        obs_count = len(set(observed) | {BOTTOM})
+        assert check.rhs_exact == pytest.approx(q + obs_count * q / fact_count, rel=0, abs=1e-15)
+        assert check.passed == (check.lhs_estimate <= check.rhs_exact + FLOAT_SLACK)
+
+    @given(theorem_main_cases())
+    @PROPERTY
+    def test_theorem_main_refuses_what_the_rule_does_not_cover(self, case):
+        if takes_exact_route(*case):
+            verify_theorem_main_mc(*case)
+        else:
+            with pytest.raises(DistributionError, match="computed exactly only when"):
+                verify_theorem_main_mc(*case)
 
     @given(explicit_worlds(), st.sampled_from([1e-9, 0.0, -0.01, -0.1, -1.0]))
     @PROPERTY
