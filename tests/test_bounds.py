@@ -233,6 +233,42 @@ class TestTheoremMainMc:
         check = verify_theorem_main_mc(u, 15, sample.observed, g, partition)
         assert check.passed
 
+    def test_memory_stays_linear_on_a_large_universe(self):
+        # thm-main runs this at |Y| up to 10^6; the one completion is
+        # scored with under eight |Y|-long float64 arrays at a time, never
+        # a completions x |Y| table
+        import tracemalloc
+
+        size = 200_000
+        u = FactoidUniverse(size)
+        observed = set(range(1, 51))
+        g = background_dist(u, {y: 3.0 for y in observed}, 1.0)
+        partition = Partition.singletons(u)
+        tracemalloc.start()
+        try:
+            check = verify_theorem_main_mc(u, 100, observed, g, partition)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check.passed
+        assert peak < 8 * size * 8, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_marginals_ok_is_a_class_constant_not_a_field(self):
+        # perfbench's posterior_exhaustive still reads it (ROADMAP item 1);
+        # it is no longer computed, so it is no field of the result
+        import dataclasses
+
+        from factoidlab.bounds import TheoremMainCheck
+
+        u = FactoidUniverse(12)
+        check = verify_theorem_main_mc(u, 5, {1, 2}, uniform_dist(u), Partition.singletons(u))
+        assert [f.name for f in dataclasses.fields(TheoremMainCheck)] == [
+            "lhs_estimate",
+            "rhs_exact",
+            "passed",
+        ]
+        assert check.marginals_ok is True and TheoremMainCheck.marginals_ok is True
+
 
 class TestTheoremMainExactOrRefused:
     """A g with one weight on the unobserved atoms, blocked together or
@@ -265,6 +301,47 @@ class TestTheoremMainExactOrRefused:
         g = background_dist(u, {y: 2.0 for y in range(30, 47)}, 0.5)
         with pytest.raises(DistributionError, match="each in a block of its own"):
             self._run(g, Partition(u, np.arange(51) % 2))
+
+    def test_singletons_beside_one_shared_block_are_refused(self):
+        # neither all unobserved atoms in one block nor each in its own:
+        # atoms 1-9 are singletons, the other unobserved atoms share block 0
+        u = FactoidUniverse(51)
+        g = background_dist(u, {y: 2.0 for y in range(30, 47)}, 0.5)
+        labels = np.zeros(u.size, dtype=np.intp)
+        labels[1:10] = np.arange(1, 10)
+        with pytest.raises(DistributionError, match="one weight on the unobserved atoms"):
+            self._run(g, Partition(u, labels))
+
+    def test_exhausted_budget_is_scored_whatever_g_and_partition(self):
+        # N = m leaves one completion, so neither g nor the blocks are read
+        u = FactoidUniverse(51)
+        g = random_dist(u, SeededRng(4))
+        observed = set(range(30, 50))
+        check = verify_theorem_main_mc(u, 20, observed, g, Partition(u, np.arange(51) % 2))
+        assert check.rhs_exact == 0.0 and check.lhs_estimate == 0.0 and check.passed
+
+    def test_one_shared_block_with_observed_atoms_matches_every_completion(self):
+        # the unobserved atoms share block 0 with two observed atoms; the
+        # one scored completion is the mean over all C(6, 5) of them
+        from literal import theorem_main_exhaustive
+
+        u = FactoidUniverse(10)
+        observed = {1, 2, 3}
+        g = background_dist(u, {0: 0.0, 1: 1.5, 3: 2.0}, 1.0)
+        partition = Partition(u, np.array([1, 0, 0, 2, 0, 0, 0, 0, 0, 0]))
+        check = verify_theorem_main_mc(u, 8, observed, g, partition)
+        reference = theorem_main_exhaustive(u, 8, observed, g, partition)
+        assert check.lhs_estimate == pytest.approx(reference, rel=0, abs=1e-15)
+        assert check.lhs_estimate > 0.0 and check.passed
+
+    def test_input_checks_come_before_the_rule(self):
+        # a random g would be refused by the rule, but the fact count is
+        # read first
+        u = FactoidUniverse(51)
+        with pytest.raises(DistributionError, match="fact count 51 must be in"):
+            verify_theorem_main_mc(
+                u, 51, self.OBSERVED, random_dist(u, SeededRng(1)), Partition.singletons(u)
+            )
 
 
 class TestTheoremMainFailsClosed:
@@ -305,6 +382,36 @@ class TestTheoremMainFailsClosed:
     def test_observed_facts_beyond_the_budget(self):
         with pytest.raises(DistributionError):
             self._check(observed=set(range(1, 7)))
+
+
+class TestTheoremMainInternalsAgainstPublicRoute:
+    def test_single_draw_matches_coarsen_tv_route(self):
+        # the exact route scores one completion, the observed facts and
+        # the first N - m unobserved atoms; rebuild that term from public
+        # operations
+        from factoidlab.worlds import WorldInstance
+        from literal import coarsen, hallucination_rate, tv_distance
+
+        u = FactoidUniverse(31)
+        fact_count = 12
+        observed = {0, 2, 3, 5, 8, 13}
+        weights = random_dist(u, SeededRng(55)).weights_at(np.arange(31))
+        g = background_dist(u, {y: float(weights[y]) for y in observed}, 0.01)
+        partition = partition_for_spec(g, AdaptiveBinning(4))
+        check = verify_theorem_main_mc(u, fact_count, observed, g, partition)
+
+        m = len(observed) - 1
+        unobserved = [y for y in range(31) if y not in observed]
+        support = sorted(observed - {0}) + unobserved[: fact_count - m]
+        p = dist_from_weights(u, dict.fromkeys(support, 1.0))
+        direct = max(
+            0.0,
+            (fact_count - m) / fact_count
+            - tv_distance(coarsen(p, partition), g)
+            - hallucination_rate(g, WorldInstance(p)),
+        )
+        assert check.lhs_estimate == pytest.approx(direct, rel=0, abs=1e-15)
+        assert check.lhs_estimate > 0.0
 
 
 class TestLemmaMeatSweep:

@@ -4,6 +4,8 @@ call. NaN, a fraction or a numeric string used to pass the hand-written
 comparisons and then fail a bound or die inside numpy with a bare
 TypeError."""
 
+import argparse
+import io
 import math
 
 import numpy as np
@@ -16,6 +18,7 @@ from factoidlab.bounds import (
     verify_theorem_main_mc,
 )
 from factoidlab.calibration import AdaptiveBinning, Partition
+from factoidlab.cli import cmd_brute_force
 from factoidlab.dist import (
     FactoidUniverse,
     dist_from_weights,
@@ -66,6 +69,11 @@ def theorem_main(fact_count):
     return verify_theorem_main_mc(U, fact_count, {0, 1, 2}, g, Partition.singletons(U))
 
 
+def brute_force(max_universe):
+    args = argparse.Namespace(max_universe=max_universe, seed=0)
+    return cmd_brute_force(args, io.StringIO())
+
+
 def lemma_sweep(max_universe):
     u = FactoidUniverse(3)
     nu = ExplicitWorld(((1.0, WorldInstance(random_dist(u, SeededRng(5)))),))
@@ -111,6 +119,7 @@ COUNTS = {
         lambda v: tv_distance_forms(P, uniform_dist(U), exhaustive_limit=v), DistributionError, 3
     ),
     "verify_lemma_meat_exhaustive.max_universe": (lemma_sweep, DistributionError, 3),
+    "cmd_brute_force.max_universe": (brute_force, ConfigError, 3),
     "run_gt_concentration.trials": (
         lambda v: run_gt_concentration(P, 30, 0.1, v, 5), InsufficientDataError, 100
     ),
