@@ -24,7 +24,7 @@ from typing import ClassVar, Iterable, Optional, Sequence
 import numpy as np
 
 from .calibration import BIN_COUNT_LIMIT, Partition, _partition_label_rows
-from .dist import BOTTOM, FactoidDist, FactoidUniverse, _subset_table
+from .dist import BOTTOM, FactoidDist, FactoidUniverse, _dense_weights, _subset_table
 from .errors import DistributionError, InsufficientDataError, UniverseMismatchError, check_count
 from .rng import SeededRng
 from .worlds import ExplicitWorld
@@ -315,10 +315,10 @@ def verify_theorem_main_mc(
     size = universe.size
     check_count(fact_count, "fact count", 1, size - 1)
     try:
-        obs = frozenset(map(operator.index, observed)) | {BOTTOM}
+        obs = sorted(frozenset(map(operator.index, observed)) | {BOTTOM})
     except TypeError as exc:
         raise DistributionError(f"observed atoms must be integers: {exc}") from None
-    low, high = min(obs), max(obs)
+    low, high = obs[0], obs[-1]
     if low < 0 or high >= size:
         raise DistributionError(
             f"observed atoms must lie in [0, {size}), got {low if low < 0 else high}"
@@ -328,13 +328,18 @@ def verify_theorem_main_mc(
     if m > fact_count:
         raise DistributionError("observed facts exceed the fact budget")
 
-    g_arr = g.weights_at(np.arange(size))
+    # the observed layout: the observed facts ascending (BOTTOM = 0 is the
+    # least atom), the unobserved atoms ascending, and the first N - m of
+    # them, which stand in for every completion
+    obs_atoms = np.array(obs, dtype=np.intp)
+    obs_facts = obs_atoms[1:]
+    unobserved = np.ones(size, dtype=bool)
+    unobserved[obs_atoms] = False
+    u_atoms = np.flatnonzero(unobserved)
+    extras = u_atoms[: fact_count - m]
+    g_arr = _dense_weights(g)
     block_id = partition.labels
     block_len = np.bincount(block_id)
-    unobserved = np.ones(size, dtype=bool)
-    unobserved[list(obs)] = False
-    u_atoms = np.flatnonzero(unobserved)
-    obs_facts = np.flatnonzero(~unobserved)[1:]  # ascending, without BOTTOM = 0
     u_labels = block_id[u_atoms]
     if not (
         fact_count == m
@@ -353,7 +358,6 @@ def verify_theorem_main_mc(
         rhs = (fact_count - m) / u_count + len(obs) * (fact_count - m) / (fact_count * u_count)
     else:
         rhs = 0.0
-    extras = u_atoms[: fact_count - m]
     support = np.concatenate((obs_facts, extras))
     shares = np.full(support.size, 1.0 / fact_count)
     block_mass = np.bincount(block_id[support], weights=shares, minlength=len(block_len))
@@ -402,12 +406,17 @@ def verify_lemma_meat_exhaustive(
     Every subset is indexed by its bitmask and every per-subset quantity
     is a subset table (_subset_table): its size, max E[p(y)], p(S) and,
     per partition, coarsened p(S), each sum added in atom order from 0.0
-    (the order np.sum adds a row of fewer than 8 terms). The partitions
-    are scored in blocks of label rows, as many as fit in _SWEEP_CELLS
-    table cells (at least one), in one buffer reused block after block:
-    the coarsened tables, then in place the clipped gaps, and one
-    matrix-vector product per block screens every (partition, subset)
-    pair. Only a pair it puts within a proven rounding margin of its
+    (the order np.sum adds a row of fewer than 8 terms). A block's
+    coarsened p is its row of p's table over its size, read by the
+    block's bitmask. Before any partition, the trivial bound clears every
+    subset whose E[p(S)] is within a proven rounding margin of its limit,
+    or below: a gap max(p(S) - coarsened p(S), 0) is never above p(S), so
+    no partition can flag it. The partitions are scored in blocks of
+    label rows, as many as fit in _SWEEP_CELLS table cells (at least
+    one): their coarsened tables go into one buffer reused block after
+    block, the clipped gaps of the subsets left are taken from it, and
+    one matrix-vector product per block screens every such (partition,
+    subset) pair. Only a pair it puts within the same margin of its
     limit, or past it, is scored again, partition by partition, by its
     own dot product, which decides and is the lhs.
     """
@@ -417,54 +426,58 @@ def verify_lemma_meat_exhaustive(
     limit = check_count(max_universe, "max_universe", 2)
     check_count(size, "universe size", 2, limit, "atoms to sweep exhaustively")
     weights = np.array([w for w, _ in nu.instances])
-    P = np.array([inst.p.weights_at(np.arange(size)) for _, inst in nu.instances])
+    P = np.array([_dense_weights(inst.p) for _, inst in nu.instances])
     mean_p = weights @ P
 
     # row 0, the empty subset, is never scored
-    outside = size - _subset_table(np.add, np.ones(size, dtype=np.intp), 0)
-    rhs = outside * _subset_table(np.maximum, mean_p, -math.inf)
+    sizes = _subset_table(np.add, np.ones(size, dtype=np.intp), 0)
+    rhs = (size - sizes) * _subset_table(np.maximum, mean_p, -math.inf)
     limits = rhs + tolerance
     p_of = _subset_table(np.add, P.T, 0.0)
-    # The screen's margin. With k instances every term w_i * gap_i is >= 0,
-    # so any float evaluation of the k-term dot (any order, fused
-    # multiply-adds or not) lies within gamma_k * S of the exact sum S,
-    # gamma_k = k u / (1 - k u), u = eps / 2 (Higham, Accuracy and
-    # Stability of Numerical Algorithms, 3.1 and 3.5). The screened value
-    # and the lone dot therefore differ by at most 2 gamma_k S, with
-    # S <= B = sum(w) * max(gap); B is about 1, as the weights sum to 1
-    # and a gap is a difference of masses in [0, 1]. A lone dot above its
-    # limit t >= 0 puts t below (1 + gamma_k) B, so rounding t - margin
-    # adds at most u (1 + gamma_k) B; a limit t < 0 needs no margin, as
-    # both dots are >= 0. A margin of (2 gamma_k + u (1 + gamma_k)) B,
-    # about (k + 1/2) eps B, thus keeps every subset the lone dot flags;
-    # 2 (k + 1) eps B, computed in floats, covers it for any k < 2^40.
-    # B is taken per partition. A subset is dropped only when its value is
-    # <= the screened limit, so a NaN on either side is scored again.
+    # the coarsened p at each atom of a block with this bitmask (row 0,
+    # the empty subset, over 1 rather than 0)
+    block_p = p_of / np.maximum(sizes, 1)[:, None]
+    # The margin. With k instances every term w_i * gap_i is >= 0, so any
+    # float evaluation of the k-term dot (any order, fused multiply-adds
+    # or not) lies within gamma_k * S of the exact sum S, gamma_k =
+    # k u / (1 - k u), u = eps / 2 (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 3.1 and 3.5). The screened value and the lone
+    # dot of one (partition, subset) pair therefore differ by at most
+    # 2 gamma_k S. A float gap max(p(S) - c(S), 0) with c(S) >= 0 is never
+    # above p(S), so a lone dot exceeds the float E[p(S)] by at most
+    # 2 gamma_k times the exact one. Both are at most B = sum(w) * max p(S)
+    # over the instances, about 1 at most, as the weights sum to 1 and
+    # p(S) is a mass. A lone dot above its limit t >= 0 puts t below (1 + gamma_k) B,
+    # so rounding t - margin adds at most u (1 + gamma_k) B; a limit t < 0
+    # needs no margin, as every dot is >= 0. A margin of
+    # (2 gamma_k + u (1 + gamma_k)) B, about (k + 1/2) eps B, thus keeps
+    # every subset the lone dot flags; 2 (k + 1) eps B, computed in floats,
+    # covers it for any k < 2^40. A value is cleared only when it is <= its
+    # cleared limit, so a NaN on either side is kept.
     rounding = 2.0 * (len(weights) + 1) * _EPS * float(weights.sum())
+    cleared = limits - rounding * p_of.max(axis=1)
+    live = np.flatnonzero(~(p_of[1:] @ weights <= cleared[1:])) + 1
+    live_p, live_cleared = p_of[live, None], cleared[live]
+    # atom y's bit, to name each atom's block by the bitmask of its atoms
+    bits = 1 << np.arange(size)
 
     violations: list[LemmaMeatViolation] = []
     rows = max(1, _SWEEP_CELLS // (len(weights) << size))
     table = np.empty((1 << size, rows, len(weights)))
     for labels in _partition_label_rows(size, rows):
-        n = np.arange(len(labels))
-        # P's columns added into block sums in atom order from 0.0, as P[:, block].sum(axis=1)
-        # adds them for under 8 atoms; a row has one label per atom, so no target repeats
-        sums = np.zeros((len(labels), len(weights), size))
-        for y in range(size):
-            sums[n, :, labels[:, y]] += P[:, y]
-        counts = (labels[:, :, None] == labels[:, None, :]).sum(axis=2)
+        if not live.size:
+            break  # the enumeration has refused a universe above PARTITION_LIMIT by now
         # Q[y, b]: partition b's coarsened p at atom y, per instance
-        Q = sums[n, :, labels.T] / counts.T[..., None]
-        gaps = _subset_table(np.add, Q, 0.0, out=table[:, : len(labels)])
-        np.subtract(p_of[:, None], gaps, out=gaps)
+        Q = block_p[((labels[:, :, None] == labels[:, None, :]) @ bits).T]
+        coarse = _subset_table(np.add, Q, 0.0, out=table[:, : len(labels)])
+        gaps = coarse[live]
+        np.subtract(live_p, gaps, out=gaps)
         np.maximum(gaps, 0.0, out=gaps)
-        # per partition; over the subset axis first, as numpy is slow to reduce a middle axis
-        margin = rounding * gaps.max(axis=0).max(axis=1)
-        screened = (gaps[1:] @ weights).T
-        for b, s in np.argwhere(~(screened <= limits[1:] - margin[:, None])).tolist():
-            mask = s + 1
+        screened = (gaps @ weights).T
+        for b, s in np.argwhere(~(screened <= live_cleared)).tolist():
+            mask = int(live[s])
             # each (subset, partition) row of gaps is contiguous, so this is a lone subset's dot
-            lhs = float(weights @ gaps[mask, b])
+            lhs = float(weights @ gaps[s, b])
             if lhs > limits[mask]:
                 blocks = Partition(nu.universe, labels[b]).blocks
                 violations.append(

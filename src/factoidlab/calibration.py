@@ -45,7 +45,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .dist import FactoidDist, FactoidUniverse
+from .dist import FactoidDist, FactoidUniverse, _dense_weights
 from .errors import PartitionError, check_count
 
 __all__ = [
@@ -347,7 +347,7 @@ def partition_for_spec(g: FactoidDist, spec: BinningSpec) -> Partition:
     for small universes. Empty bins are dropped, so an adaptive or
     fixed-width spec may give fewer blocks than it has nominal bins."""
     _check_materializable(g.universe)
-    vals = g.weights_at(np.arange(g.universe.size))
+    vals = _dense_weights(g)
     profile = SortedProfiles(vals, vals, np.ones(vals.size), (0, vals.size))
     starts = _block_starts_for_spec(profile, spec)
     # atom profile.order[j] joins the group holding position j

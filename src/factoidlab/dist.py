@@ -9,8 +9,10 @@ is two parallel arrays: `keys`, the atoms in strictly increasing order
 huge near-uniform distributions (for example "1/|Y| everywhere" on ten
 million atoms) exact and O(sparse) to operate on, which the Monte Carlo
 harness relies on: every reader works on the arrays with numpy and no
-array ever has the size of the universe. There is no per-atom view of a
-distribution; weight(y) and weights_at(atoms) read the atoms asked for.
+array ever has the size of the universe. There is no public per-atom
+view of a distribution; weight(y) and weights_at(atoms) read the atoms
+asked for, and _dense_weights lays out the whole table for the checks
+that run on small universes only.
 
 The constructor fails closed: unsorted or duplicate keys, keys outside
 the universe, NaN, infinite or negative weights and a non-finite or
@@ -323,6 +325,16 @@ def uniform_dist(universe: FactoidUniverse) -> FactoidDist:
     return FactoidDist(universe, _NO_KEYS, (), 1.0 / universe.size)
 
 
+def _dense_weights(d: FactoidDist) -> np.ndarray:
+    """Every atom's weight in atom order, for the small-universe checks
+    that need the whole table: the background everywhere, then the
+    explicit weights at their keys. The same floats weights_at gives for
+    every atom, without a search per atom."""
+    dense = np.full(d.universe.size, d.background)
+    dense[d.keys] = d.values
+    return dense
+
+
 # -- paired atom classes --------------------------------------------------
 
 
@@ -422,8 +434,7 @@ def tv_distance_forms(
     size = d1.universe.size
     if size > check_count(exhaustive_limit, "exhaustive_limit", 0):
         return half_l1, pos_part, pos_part
-    atoms = np.arange(size)
-    subset_gaps = _subset_table(np.add, d1.weights_at(atoms) - d2.weights_at(atoms), 0.0)
+    subset_gaps = _subset_table(np.add, _dense_weights(d1) - _dense_weights(d2), 0.0)
     return half_l1, pos_part, float(np.abs(subset_gaps).max())
 
 

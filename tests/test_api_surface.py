@@ -7,7 +7,9 @@ too: no library module imports a name it never loads, every private
 module-level function, class or constant is loaded by some library
 module, every public method or property of a library class is loaded by
 some library module, and every parameter of a library function is read
-in its body (bar a commented allowlist)."""
+in its body (bar a commented allowlist). No library module reads every
+atom's weight through weights_at(np.arange(...)): dist._dense_weights is
+the one route to a per-atom table."""
 
 import ast
 import importlib
@@ -222,3 +224,21 @@ def test_every_parameter_is_read_by_its_function():
     assert sorted(unread - UNREAD_PARAMETERS_ALLOWED) == []
     # an allowlisted parameter that gains a reader leaves the list
     assert sorted(UNREAD_PARAMETERS_ALLOWED - unread) == []
+
+
+def test_no_library_module_reads_every_atom_through_weights_at():
+    # a table of every atom's weight is dist._dense_weights, one scatter;
+    # weights_at(np.arange(...)) would run a sorted-key search per atom
+    calls = [
+        f"{file}:{node.lineno}"
+        for file, tree in LIBRARY_TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "weights_at"
+        and any(
+            isinstance(arg, ast.Call) and ast.unparse(arg.func).split(".")[-1] == "arange"
+            for arg in node.args
+        )
+    ]
+    assert calls == []

@@ -17,8 +17,11 @@ So are the two bound verifiers: the core inequality, scored on one
 completion, against its literal mean over every posterior completion
 (and refused wherever the exactness rule does not hold), the
 all-subsets-at-once lemma sweep against the subset-by-subset loop and
-the padded-gather route its subset tables replaced, and the batched
-distinct draw against its literal eligible list.
+the padded-gather route its subset tables replaced, also with tolerances
+on the edge where its trivial bound clears a subset before any partition
+is scored, and the batched distinct draw against its literal eligible
+list. The dense table of every atom's weight those verifiers read is
+checked against weights_at over every atom.
 
 Partitions hold one block label per atom; their derived block sets are
 checked against the frozenset builders the labels replaced: the sorted
@@ -71,6 +74,7 @@ from factoidlab.dist import (
     FactoidDist,
     FactoidUniverse,
     ProfileBatch,
+    _dense_weights,
     _guided_slots,
     _subset_table,
     dist_from_arrays,
@@ -380,6 +384,23 @@ class TestAgainstReference:
             return
         d = background_dist(u, weights, background)
         assert (special(d), d.background) == want
+
+    @given(data=st.data())
+    @PROPERTY
+    def test_dense_weights_match_weights_at_every_atom(self, data):
+        """The one scatter that lays out every atom's weight gives the bits
+        of weights_at over np.arange(size): zero-weight keys kept by the
+        raw constructor, key 0 present or absent, background 0 or not."""
+        size = data.draw(st.integers(2, 64), label="size")
+        weight = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0)
+        weights = data.draw(st.dictionaries(st.integers(1, size - 1), weight, max_size=size - 1))
+        if data.draw(st.booleans(), label="key 0"):
+            weights[BOTTOM] = data.draw(weight)
+        background = data.draw(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 1.0), label="background")
+        d = FactoidDist(FactoidUniverse(size), *_sorted_pairs(weights), background)
+        got = _dense_weights(d)
+        assert got.dtype == np.float64 and got.shape == (size,)
+        assert got.tobytes() == d.weights_at(np.arange(size)).tobytes()
 
     @given(pair=dist_pairs())
     @PROPERTY
@@ -1007,6 +1028,62 @@ class TestBatchedVerifiers:
         assert len(got) >= len(list(restricted_growth_strings(size)))
         assert any(v.lhs > 0.0 for v in got)
         assert got == gather_lemma_sweep(nu, tolerance)
+
+    @given(explicit_worlds() | crowded_explicit_worlds(), st.integers(0, 2**16))
+    @settings(max_examples=12, deadline=None)
+    def test_lemma_sweep_tolerance_on_a_trivial_bound_edge(self, nu, pick):
+        """A tolerance that puts one subset's limit on its E[p(S)], where
+        the trivial bound decides whether the subset is cleared before any
+        partition is scored; the floats either side of it and one rounding
+        margin either side; -inf; and a negative tolerance under which every
+        limit is below 0, so nothing is cleared."""
+        size = nu.universe.size
+        weights = np.array([w for w, _ in nu.instances])
+        P = np.array([inst.p.weights_at(np.arange(size)) for _, inst in nu.instances])
+        atoms = [y for y in range(size) if (pick % ((1 << size) - 1) + 1) >> y & 1]
+        mean = float(weights @ P[:, atoms].sum(axis=1))
+        edge = mean - (size - len(atoms)) * float((weights @ P)[atoms].max())
+        margin = 2.0 * (len(weights) + 1) * np.finfo(float).eps
+        for tolerance in (
+            np.nextafter(edge, -math.inf),
+            edge,
+            np.nextafter(edge, math.inf),
+            edge - margin,
+            edge + margin,
+            -math.inf,
+            -float(size),
+        ):
+            got = verify_lemma_meat_exhaustive(nu, float(tolerance))
+            assert got == ref_lemma_sweep(nu, float(tolerance))
+            assert got == gather_lemma_sweep(nu, float(tolerance))
+
+    @pytest.mark.parametrize("tolerance, flagged", [(0.0, 190), (1e-9, 0)])
+    def test_lemma_sweep_clears_every_subset_of_at_most_half_the_atoms(self, tolerance, flagged):
+        """brute-force's seed-0 prior at |Y| = 6. E[p(S)] <= |S| max_{y in S}
+        E[p(y)], which is at most the rhs when |S| <= |Y|/2; here every such
+        subset is below its rhs by more than 0.01, far past any rounding
+        margin, so the trivial bound clears all 41 of them."""
+        size = 6
+        u = FactoidUniverse(size)
+        rng = SeededRng(0)
+        nu = ExplicitWorld(
+            tuple((0.1, WorldInstance(random_dist(u, rng.child(0, i)))) for i in range(10))
+        )
+        weights = np.array([w for w, _ in nu.instances])
+        P = np.array([inst.p.weights_at(np.arange(size)) for _, inst in nu.instances])
+        small = [
+            atoms
+            for mask in range(1, 1 << size)
+            if len(atoms := [y for y in range(size) if mask >> y & 1]) <= size // 2
+        ]
+        assert len(small) == 41
+        for atoms in small:
+            rhs = (size - len(atoms)) * float((weights @ P)[atoms].max())
+            assert rhs - float(weights @ P[:, atoms].sum(axis=1)) > 0.01
+        # at tolerance 0, S = Y is flagged from rounding alone (rhs 0)
+        got = verify_lemma_meat_exhaustive(nu, tolerance)
+        assert len(got) == flagged
+        assert got == ref_lemma_sweep(nu, tolerance) == gather_lemma_sweep(nu, tolerance)
 
     @given(st.integers(1, 7).flatmap(
         lambda size: st.lists(st.floats(0.0, 1e300), min_size=size, max_size=size)
