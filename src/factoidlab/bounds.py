@@ -465,8 +465,6 @@ def verify_lemma_meat_exhaustive(
     rows = max(1, _SWEEP_CELLS // (len(weights) << size))
     table = np.empty((1 << size, rows, len(weights)))
     for labels in _partition_label_rows(size, rows):
-        if not live.size:
-            break  # the enumeration has refused a universe above PARTITION_LIMIT by now
         # Q[y, b]: partition b's coarsened p at atom y, per instance
         Q = block_p[((labels[:, :, None] == labels[:, None, :]) @ bits).T]
         coarse = _subset_table(np.add, Q, 0.0, out=table[:, : len(labels)])

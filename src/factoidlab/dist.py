@@ -11,8 +11,9 @@ million atoms) exact and O(sparse) to operate on, which the Monte Carlo
 harness relies on: every reader works on the arrays with numpy and no
 array ever has the size of the universe. There is no public per-atom
 view of a distribution; weight(y) and weights_at(atoms) read the atoms
-asked for, and _dense_weights lays out the whole table for the checks
-that run on small universes only.
+asked for, and _dense_weights lays out a |Y|-long table for the few
+callers that already bound |Y|: by MATERIALIZE_LIMIT, by a per-atom
+Partition they are given, or by an exhaustive enumeration's limit.
 
 The constructor fails closed: unsorted or duplicate keys, keys outside
 the universe, NaN, infinite or negative weights and a non-finite or
@@ -326,10 +327,13 @@ def uniform_dist(universe: FactoidUniverse) -> FactoidDist:
 
 
 def _dense_weights(d: FactoidDist) -> np.ndarray:
-    """Every atom's weight in atom order, for the small-universe checks
-    that need the whole table: the background everywhere, then the
-    explicit weights at their keys. The same floats weights_at gives for
-    every atom, without a search per atom."""
+    """Every atom's weight in atom order, a |Y|-long table: the background
+    everywhere, then the explicit weights at their keys. The same floats
+    weights_at gives for every atom, without a search per atom. Only for
+    callers that already bound |Y|: partition_for_spec by
+    MATERIALIZE_LIMIT, verify_theorem_main_mc by the per-atom Partition
+    it is given, the lemma sweep and tv_distance_forms by their
+    exhaustive limits."""
     dense = np.full(d.universe.size, d.background)
     dense[d.keys] = d.values
     return dense

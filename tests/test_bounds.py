@@ -455,32 +455,13 @@ class TestLemmaMeatSweep:
         # Bell(4) = 15 partitions x 15 non-empty subsets
         assert len(verify_lemma_meat_exhaustive(nu, tolerance=-math.inf)) == 15 * 15
 
-    def test_tolerance_that_clears_every_subset_scores_no_partition(self):
-        # every limit is above 1e6 >= E[p(S)], so the trivial bound clears every subset
-        u = FactoidUniverse(4)
+    def test_universe_above_the_partition_limit_is_refused(self):
+        # a max_universe above PARTITION_LIMIT lets the size check pass;
+        # the partition enumeration still refuses the universe
+        u = FactoidUniverse(PARTITION_LIMIT + 1)
         nu = ExplicitWorld(((1.0, WorldInstance(dist_from_weights(u, {1: 1, 2: 3}))),))
-        assert verify_lemma_meat_exhaustive(nu, tolerance=1e6) == []
-
-    @pytest.mark.parametrize(
-        "size, tolerance, max_universe, error, match",
-        [
-            (4, math.nan, 6, DistributionError, "tolerance"),
-            (4, math.inf, 6, DistributionError, "tolerance"),
-            (4, 1e6, 1, DistributionError, "max_universe"),
-            (7, 1e6, 6, DistributionError, "atoms to sweep exhaustively"),
-            (PARTITION_LIMIT + 1, 1e6, PARTITION_LIMIT + 1, PartitionError, "atoms to partition"),
-        ],
-    )
-    def test_refusals_come_before_the_every_subset_cleared_return(
-        self, size, tolerance, max_universe, error, match
-    ):
-        # with no subset left to score the sweep returns early, but only after
-        # every refusal it makes on a sweep that scores partitions: +inf
-        # clears every subset, and so does 1e6
-        u = FactoidUniverse(size)
-        nu = ExplicitWorld(((1.0, WorldInstance(dist_from_weights(u, {1: 1, 2: 3}))),))
-        with pytest.raises(error, match=match):
-            verify_lemma_meat_exhaustive(nu, tolerance=tolerance, max_universe=max_universe)
+        with pytest.raises(PartitionError, match="atoms to partition"):
+            verify_lemma_meat_exhaustive(nu, max_universe=PARTITION_LIMIT + 1)
 
 
 class TestMarkovStep:
