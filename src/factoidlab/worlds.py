@@ -261,7 +261,7 @@ def _power_law_dist(universe: FactoidUniverse, ranked_atoms: np.ndarray, exponen
     """The i-th of ranked_atoms gets mass proportional to i^(-exponent)."""
     ranks = np.arange(1, ranked_atoms.size + 1, dtype=np.float64)
     raw = ranks ** (-exponent)
-    total = math.fsum(raw.tolist())
+    total = math.fsum(memoryview(raw))
     order = np.argsort(ranked_atoms)
     return dist_from_arrays(universe, ranked_atoms[order], raw[order] / total)
 
@@ -346,7 +346,7 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
             real = p_i.keys != BOTTOM
             keys.append(p_i.keys[real] + (model.type_offset(i) - 1))
             values.append(w * p_i.values[real])
-            bottom_mass += w * math.fsum(p_i.values[~real].tolist())
+            bottom_mass += w * math.fsum(memoryview(p_i.values[~real]))
         if bottom_mass > 0.0:
             keys.insert(0, [BOTTOM])
             values.insert(0, [bottom_mass])
@@ -451,7 +451,7 @@ def _analyze_explicit(model: ExplicitWorld, sample: TrainingSample) -> Regularit
         pr_fact += np.where(is_fact, w, 0.0)
         exp_mass += w * mass
         exp_overlap += w * int(np.count_nonzero(is_fact))
-        exp_missing += w * math.fsum(mass.tolist())
+        exp_missing += w * math.fsum(memoryview(mass))
     r_facts = 1.0 if exp_overlap == 0.0 else float(pr_fact.max()) * n_unobs / exp_overlap
     r_probs = 1.0 if exp_missing == 0.0 else float(exp_mass.max()) * n_unobs / exp_missing
     return RegularityReport(s=s, r_facts=r_facts, r_probs=r_probs)

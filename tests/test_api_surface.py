@@ -9,7 +9,9 @@ module, every public method or property of a library class is loaded by
 some library module, and every parameter of a library function is read
 in its body (bar a commented allowlist). No library module reads every
 atom's weight through weights_at(np.arange(...)): dist._dense_weights is
-the one route to a per-atom table."""
+the one route to a per-atom table. No library module hands math.fsum a
+.tolist() of an array, directly or star-unpacked in a list: fsum reads
+the array's buffer through memoryview instead."""
 
 import ast
 import importlib
@@ -238,6 +240,33 @@ def test_no_library_module_reads_every_atom_through_weights_at():
         and node.func.attr == "weights_at"
         and any(
             isinstance(arg, ast.Call) and ast.unparse(arg.func).split(".")[-1] == "arange"
+            for arg in node.args
+        )
+    ]
+    assert calls == []
+
+
+def _is_tolist(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "tolist"
+    )
+
+
+def test_no_library_module_hands_fsum_a_list_of_an_array():
+    # math.fsum(memoryview(a)) reads the same floats off a's buffer; a
+    # .tolist() first builds a Python float per weight, about half the cost
+    calls = [
+        f"{file}:{node.lineno}"
+        for file, tree in LIBRARY_TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] == "fsum"
+        and any(
+            _is_tolist(arg)
+            or isinstance(arg, ast.List)
+            and any(isinstance(e, ast.Starred) and _is_tolist(e.value) for e in arg.elts)
             for arg in node.args
         )
     ]
