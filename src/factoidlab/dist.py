@@ -31,7 +31,12 @@ callers that reuse it:
   "right"). A draw u starts at guide[floor(u*m)] and steps forward while
   cum[slot] <= u; the few draws still open after a fixed number of steps
   fall back to searchsorted, so every slot equals plain inversion. It is
-  built on the first draw. sample_iid returns the drawn atoms in draw
+  built on the first draw, or shared: the draws of a world model whose
+  rank template holds one value all have the same weights in key order,
+  so the model builds cum and guide once and _share_inverse_cdf, the one
+  place outside _inverse_cdf that writes a table, hands each draw that
+  pair with its own keys as the atom column; the shared arrays are
+  read-only like every table. sample_iid returns the drawn atoms in draw
   order; sample_counts counts the drawn slots instead and returns each
   drawn atom once with its count, so a caller that needs only the counts
   (every training sample in the harness) never builds or sorts the n
@@ -277,6 +282,15 @@ class FactoidDist:
         for table in (cum, atoms, guide):
             table.flags.writeable = False
         return cum, atoms, guide
+
+
+def _share_inverse_cdf(d: FactoidDist, cum: np.ndarray, guide: np.ndarray) -> FactoidDist:
+    """d, its inverse-CDF table set to cum, its own keys and guide: a table
+    shared by many distributions. cum and guide must be what _inverse_cdf
+    builds on weights equal to d's values bit for bit, every one positive,
+    with no background, so that the table is the one d would build."""
+    d.__dict__["_inverse_cdf"] = (cum, d.keys, guide)
+    return d
 
 
 def _normalized(size: int, keys, values, background: float) -> tuple[np.ndarray, np.ndarray, float]:

@@ -33,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .dist import BOTTOM, FactoidDist, FactoidUniverse, dist_from_arrays, with_bottom
+from .dist import BOTTOM, FactoidDist, FactoidUniverse, _share_inverse_cdf, dist_from_arrays, with_bottom
 from .errors import DistributionError, UnsupportedModelError, UniverseMismatchError, check_count
 from .estimators import TrainingSample
 from .rng import SeededRng
@@ -111,8 +111,17 @@ class PermutedPowerLawWorld:
     def rank_template(self) -> np.ndarray:
         """Every draw's weights in rank order (see _rank_template), built on
         first use and kept with the model: up to 80 MB at FACT_COUNT_LIMIT
-        facts."""
+        facts. A model whose template holds one value also keeps the
+        inverse-CDF table every draw shares (draw_table): about 80 MB of
+        cum and 128 MB of guide more at that count, which each draw used
+        to build for itself, so a run's peak does not rise."""
         return _rank_template(self)
+
+    @cached_property
+    def draw_table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(cum, guide) of every draw when the rank template holds one
+        value (see _shared_table), else None."""
+        return _shared_table(self.universe, (self.rank_template,))
 
 
 @dataclass(frozen=True)
@@ -220,6 +229,13 @@ class MultiTypeWorld:
             _rank_vector(d, offset, c.fact_count) for offset, c in zip(offsets, self.components)
         )
 
+    @cached_property
+    def draw_table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(cum, guide) of every draw when each type's rank template holds
+        one value (see _shared_table), else None."""
+        templates = self.rank_template
+        return None if templates is None else _shared_table(self.universe, templates)
+
 
 @dataclass(frozen=True)
 class ExplicitWorld:
@@ -289,25 +305,67 @@ def _rank_template(model: PermutedPowerLawWorld) -> np.ndarray:
     return _rank_vector(_power_law_dist(model.universe, ranked, model.exponent), 1, model.fact_count)
 
 
+def _one_value(template: np.ndarray) -> bool:
+    """Whether every rank of a template has the same positive weight."""
+    return template[0] > 0.0 and bool((template == template[0]).all())
+
+
+def _shared_table(
+    universe: FactoidUniverse, templates: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """cum and guide of the inverse-CDF table of every draw whose types'
+    templates each hold one value, else None.
+
+    Such a draw's values are the templates end to end whichever atoms it
+    draws, so its table is the one _inverse_cdf builds on those weights,
+    here on keys 1, 2, ... in place of the draw's atoms; only the atom
+    column differs from draw to draw."""
+    if not all(map(_one_value, templates)):
+        return None
+    weights = np.concatenate(templates)
+    cum, _, guide = FactoidDist(universe, np.arange(1, weights.size + 1), weights)._inverse_cdf
+    return cum, guide
+
+
 def _template_draw(
-    model: PermutedPowerLawWorld, template: np.ndarray, gen: np.random.Generator
+    model: PermutedPowerLawWorld, template: np.ndarray, one_value: bool, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """One draw's facts in increasing order and their weights: the drawn
     atoms sorted, the template's weights gathered in the same order, and
-    the atoms of weight 0 dropped, as the literal route drops them."""
+    the atoms of weight 0 dropped, as the literal route drops them. When
+    the template holds one value (one_value), the gather would return the
+    template itself and nothing is dropped, so the atoms are sorted in
+    place and the template is the weights."""
     # random subset in random order: position in the draw is the rank
     ranked = gen.choice(model.universe_size - 1, size=model.fact_count, replace=False) + 1
+    if one_value:
+        # the atoms are distinct, so the sort is the argsort's gather
+        ranked.sort()
+        return ranked, template
     order = np.argsort(ranked)
     values = template[order]
     kept = values > 0.0
     return ranked[order][kept], values[kept]
 
 
+def _template_world(
+    universe: FactoidUniverse,
+    keys: np.ndarray,
+    values: np.ndarray,
+    table: tuple[np.ndarray, np.ndarray] | None,
+) -> WorldInstance:
+    """The world of a template draw, carrying the model's shared table
+    when it has one."""
+    p = FactoidDist(universe, keys, values)
+    return WorldInstance(p if table is None else _share_inverse_cdf(p, *table))
+
+
 def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
     """Draw one world instance from the model prior."""
     if isinstance(model, PermutedPowerLawWorld):
-        keys, values = _template_draw(model, model.rank_template, rng.generator)
-        return WorldInstance(FactoidDist(model.universe, keys, values))
+        table = model.draw_table
+        keys, values = _template_draw(model, model.rank_template, table is not None, rng.generator)
+        return _template_world(model.universe, keys, values, table)
     if isinstance(model, W5World):
         # checked first: every index below the universe size fits int64
         universe = model.universe
@@ -326,16 +384,18 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
     if isinstance(model, MultiTypeWorld) and model.rank_template is not None:
         # one component draw after another from the same stream, as on the
         # literal route below; type ranges are disjoint and increasing, so
-        # the concatenated keys stay sorted
+        # the concatenated keys stay sorted. With no shared table (some
+        # type's template holds several values), a type whose template
+        # holds one value still sorts its atoms
         gen = rng.generator
+        table = model.draw_table
         keys, values = [], []
         for i, (component, template) in enumerate(zip(model.components, model.rank_template)):
-            type_keys, type_values = _template_draw(component, template, gen)
+            one_value = table is not None or _one_value(template)
+            type_keys, type_values = _template_draw(component, template, one_value, gen)
             keys.append(type_keys + (model.type_offset(i) - 1))
             values.append(type_values)
-        return WorldInstance(
-            FactoidDist(model.universe, np.concatenate(keys), np.concatenate(values))
-        )
+        return _template_world(model.universe, np.concatenate(keys), np.concatenate(values), table)
     if isinstance(model, MultiTypeWorld):
         # type ranges are disjoint and increasing, so the concatenated
         # keys stay sorted; component mass on the shared empty fact adds up

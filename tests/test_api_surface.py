@@ -11,7 +11,9 @@ in its body (bar a commented allowlist). No library module reads every
 atom's weight through weights_at(np.arange(...)): dist._dense_weights is
 the one route to a per-atom table. No library module hands math.fsum a
 .tolist() of an array, directly or star-unpacked in a list: fsum reads
-the array's buffer through memoryview instead."""
+the array's buffer through memoryview instead. No library module but
+dist.py writes a distribution's inverse-CDF table: dist lays it out and
+is the one place that hands a table to a distribution."""
 
 import ast
 import importlib
@@ -271,3 +273,41 @@ def test_no_library_module_hands_fsum_a_list_of_an_array():
         )
     ]
     assert calls == []
+
+
+def _names_inverse_cdf(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Constant) and n.value == "_inverse_cdf" for n in ast.walk(node))
+
+
+def _writes_inverse_cdf(node: ast.AST) -> bool:
+    """Whether a node assigns an _inverse_cdf: as an attribute, through a
+    setattr, or as a key of an instance dict (a __dict__ or vars())."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        return node.attr == "_inverse_cdf"
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        target = ast.unparse(node.value)
+        return (target.endswith("__dict__") or target.startswith("vars(")) and _names_inverse_cdf(
+            node.slice
+        )
+    if isinstance(node, ast.Call):
+        func = ast.unparse(node.func)
+        setattr_call = func.split(".")[-1].strip("_") == "setattr"
+        if setattr_call or "__dict__." in func or func.startswith("vars("):
+            return any(map(_names_inverse_cdf, node.args)) or any(
+                k.arg == "_inverse_cdf" for k in node.keywords
+            )
+    return False
+
+
+def test_only_dist_writes_an_inverse_cdf_table():
+    # a world model shares one table among its draws through
+    # dist._share_inverse_cdf; no other module lays out or sets a table
+    writes = [
+        f"{file}:{node.lineno}"
+        for file, tree in LIBRARY_TREES.items()
+        for node in ast.walk(tree)
+        if _writes_inverse_cdf(node)
+    ]
+    assert [w for w in writes if not w.startswith("dist.py:")] == []
+    # the rule sees the one write it allows
+    assert len(writes) == 1

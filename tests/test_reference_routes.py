@@ -10,8 +10,10 @@ division, the same atom order), so not even the last bit may move.
 The cached tables are checked the same way: the guide-table sampler
 against plain searchsorted inversion, the counted sampler on both sides
 of its size rule against counting the guide-table sampler's draws, both
-missing-mass routes against the literal fsum over unseen atoms, and the
-exact expansion of a total against rational arithmetic.
+missing-mass routes against the literal fsum over unseen atoms, the
+exact expansion of a total against rational arithmetic, and the table a
+world model whose rank templates hold one value shares among its draws
+against the table each draw builds for itself.
 
 So are the two bound verifiers: the core inequality, scored on one
 completion, against its literal mean over every posterior completion
@@ -577,6 +579,50 @@ COUNT_SIDES = st.sampled_from(
 )
 
 
+#: exponents at which rank weights underflow to 0 (2^-1100 = 0) or turn
+#: subnormal, next to the uniform and Zipf worlds
+EXPONENTS = st.sampled_from([0.0, 1.0, 2.0, 200.0, 1030.0, 1100.0]) | st.floats(0.0, 1200.0)
+
+
+@st.composite
+def power_law_worlds(draw, max_universe=300, exponents=EXPONENTS):
+    size = draw(st.integers(2, max_universe), label="universe_size")
+    facts = draw(st.just(size - 1) | st.integers(1, size - 1), label="fact_count")
+    return PermutedPowerLawWorld(size, facts, draw(exponents, label="exponent"))
+
+
+@st.composite
+def multi_type_worlds(draw, max_universe=25, exponents=EXPONENTS, w5=True):
+    """One to three components, now and then a W5 one (which sends the
+    whole draw down the literal route) unless w5 is False, with random type
+    masses that may sum to 1 only within the 1e-9 a MultiTypeWorld allows,
+    so that normalizing a draw moves its values."""
+    k = draw(st.integers(1, 3), label="k")
+    components = []
+    for _ in range(k):
+        if w5 and draw(st.integers(0, 4)) == 0:
+            components.append(W5World(*draw(st.tuples(*[st.integers(1, 2)] * 2, *[st.integers(1, 3)] * 2))))
+        else:
+            components.append(draw(power_law_worlds(max_universe, exponents)))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    total = math.fsum(raw) * draw(st.sampled_from([1.0, 1.0 + 4e-10, 1.0 - 4e-10]))
+    return MultiTypeWorld(tuple(components), tuple(w / total for w in raw))
+
+
+#: the models whose rank templates each hold one value: exponent-0 power
+#: laws and multi-type worlds built only from them
+UNIFORM_WORLDS = power_law_worlds(exponents=st.just(0.0)) | multi_type_worlds(
+    300, exponents=st.just(0.0), w5=False
+)
+
+
+def zero_punched_world() -> PermutedPowerLawWorld:
+    """A power-law world whose template holds zeros between its weights."""
+    model = PermutedPowerLawWorld(60, 5, 1.0)
+    model.__dict__["rank_template"] = np.array([0.5, 0.0, 0.2, 0.0, 0.3])
+    return model
+
+
 class TestCachedTables:
     @given(d=sampling_dists(), seed=st.integers(0, 2**32))
     @PROPERTY
@@ -656,6 +702,50 @@ class TestCachedTables:
         # with most keys seen, the expanded p takes the plain route
         s_all = TrainingSample(FactoidUniverse(size), np.array(keys, dtype=np.int64))
         assert missing_mass(expanded, s_all) == ref_missing_mass(plain, keys)
+
+    @given(case=st.tuples(UNIFORM_WORLDS, st.just(True)), seed=st.integers(0, 2**32 - 1))
+    @example(case=(PermutedPowerLawWorld(10**7, 1000, 0.0), True), seed=0)  # the README world
+    @example(
+        case=(
+            MultiTypeWorld((PermutedPowerLawWorld(10**7, 1000, 0.0),) * 2, (0.5, 0.5)),  # AC05's
+            True,
+        ),
+        seed=1,
+    )
+    @example(case=(PermutedPowerLawWorld(300, 40, 1.0), False), seed=2)
+    @example(case=(PermutedPowerLawWorld(10**4, 2000, 1.0), False), seed=3)
+    @example(
+        case=(
+            MultiTypeWorld(
+                (PermutedPowerLawWorld(10**4, 300, 0.0), PermutedPowerLawWorld(10**3, 50, 1.0)),
+                (0.5, 0.5),
+            ),
+            False,
+        ),
+        seed=4,
+    )
+    @example(case=(zero_punched_world(), False), seed=5)
+    @PROPERTY
+    def test_one_value_templates_share_one_table(self, case, seed):
+        """Every draw of a model whose rank templates each hold one value
+        carries the model's one read-only table, bit for bit the table its
+        own weights build; draws of any other model build their own."""
+        model, shared = case
+        rng = SeededRng(seed)
+        tables = []
+        for _ in range(2):
+            p = sample_world(model, rng).p
+            table = p._inverse_cdf
+            fresh = FactoidDist(p.universe, p.keys, p.values)._inverse_cdf
+            for got, want in zip(table, fresh):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            tables.append(table)
+        (cum, _, guide), (next_cum, _, next_guide) = tables
+        if shared:
+            assert cum is next_cum and guide is next_guide
+        else:
+            assert cum is not next_cum and guide is not next_guide
 
     @given(values=st.lists(WEIGHTS | st.floats(0.0, 1e300), max_size=40))
     @PROPERTY
@@ -1418,36 +1508,6 @@ def ref_multi_type_trial_metrics(model, world, sample, g, params):
     return out
 
 
-#: exponents at which rank weights underflow to 0 (2^-1100 = 0) or turn
-#: subnormal, next to the uniform and Zipf worlds
-EXPONENTS = st.sampled_from([0.0, 1.0, 2.0, 200.0, 1030.0, 1100.0]) | st.floats(0.0, 1200.0)
-
-
-@st.composite
-def power_law_worlds(draw, max_universe=300):
-    size = draw(st.integers(2, max_universe), label="universe_size")
-    facts = draw(st.just(size - 1) | st.integers(1, size - 1), label="fact_count")
-    return PermutedPowerLawWorld(size, facts, draw(EXPONENTS, label="exponent"))
-
-
-@st.composite
-def multi_type_worlds(draw, max_universe=25):
-    """One to three components, now and then a W5 one (which sends the
-    whole draw down the literal route), with random type masses that may
-    sum to 1 only within the 1e-9 a MultiTypeWorld allows, so that
-    normalizing a draw moves its values."""
-    k = draw(st.integers(1, 3), label="k")
-    components = []
-    for _ in range(k):
-        if draw(st.integers(0, 4)) == 0:
-            components.append(W5World(*draw(st.tuples(*[st.integers(1, 2)] * 2, *[st.integers(1, 3)] * 2))))
-        else:
-            components.append(draw(power_law_worlds(max_universe)))
-    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
-    total = math.fsum(raw) * draw(st.sampled_from([1.0, 1.0 + 4e-10, 1.0 - 4e-10]))
-    return MultiTypeWorld(tuple(components), tuple(w / total for w in raw))
-
-
 def same_dist(a: FactoidDist, b: FactoidDist) -> bool:
     return (
         a.universe == b.universe
@@ -1462,6 +1522,9 @@ class TestRankTemplates:
     @example(PermutedPowerLawWorld(1000, 100, 200.0), 5)  # ranks past 34 weigh 0
     @example(PermutedPowerLawWorld(50, 49, 1.0), 3)  # every atom a fact
     @example(PermutedPowerLawWorld(10**6, 300, 1030.0), 8)  # rank 2 subnormal
+    @example(PermutedPowerLawWorld(40, 1, 0.0), 11)  # one fact
+    @example(PermutedPowerLawWorld(50, 49, 0.0), 12)  # every atom a fact, uniform
+    @example(PermutedPowerLawWorld(10**6, 2000, 0.0), 13)
     @PROPERTY
     def test_power_law_draw_matches_literal_route(self, model, seed):
         got_rng, ref_rng = SeededRng(seed), SeededRng(seed)
@@ -1488,8 +1551,7 @@ class TestRankTemplates:
     def test_template_zeros_need_not_trail(self):
         # the ranks a draw drops are those the template holds at 0, wherever
         # they sit, not just a tail of the weights falling with the rank
-        model = PermutedPowerLawWorld(60, 5, 1.0)
-        model.__dict__["rank_template"] = np.array([0.5, 0.0, 0.2, 0.0, 0.3])
+        model = zero_punched_world()
         ranked = SeededRng(4).generator.choice(59, size=5, replace=False) + 1
         p = sample_world(model, SeededRng(4)).p
         assert dict(zip(p.keys.tolist(), p.values.tolist())) == {
