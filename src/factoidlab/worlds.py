@@ -112,9 +112,11 @@ class PermutedPowerLawWorld:
         """Every draw's weights in rank order (see _rank_template), built on
         first use and kept with the model: up to 80 MB at FACT_COUNT_LIMIT
         facts. A model whose template holds one value also keeps the
-        inverse-CDF table every draw shares (draw_table): about 80 MB of
-        cum and 128 MB of guide more at that count, which each draw used
-        to build for itself, so a run's peak does not rise."""
+        inverse-CDF table every draw that sample_world returns shares
+        (draw_table): about 80 MB of cum and 128 MB of guide more at that
+        count, which each such draw used to build for itself when sampled,
+        so a run that samples its worlds does not peak higher. A draw taken
+        as one type of a multi-type world with a W5 type never builds it."""
         return _rank_template(self)
 
     @cached_property
@@ -384,15 +386,12 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
     if isinstance(model, MultiTypeWorld) and model.rank_template is not None:
         # one component draw after another from the same stream, as on the
         # literal route below; type ranges are disjoint and increasing, so
-        # the concatenated keys stay sorted. With no shared table (some
-        # type's template holds several values), a type whose template
-        # holds one value still sorts its atoms
+        # the concatenated keys stay sorted
         gen = rng.generator
         table = model.draw_table
         keys, values = [], []
         for i, (component, template) in enumerate(zip(model.components, model.rank_template)):
-            one_value = table is not None or _one_value(template)
-            type_keys, type_values = _template_draw(component, template, one_value, gen)
+            type_keys, type_values = _template_draw(component, template, table is not None, gen)
             keys.append(type_keys + (model.type_offset(i) - 1))
             values.append(type_values)
         return _template_world(model.universe, np.concatenate(keys), np.concatenate(values), table)
@@ -402,7 +401,15 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
         keys, values = [], []
         bottom_mass = 0.0
         for i, (component, w) in enumerate(zip(model.components, model.weights)):
-            p_i = sample_world(component, rng).p
+            if isinstance(component, PermutedPowerLawWorld):
+                # drawn as sample_world draws it, but without the shared
+                # table: p_i is read here, never sampled from
+                template = component.rank_template
+                p_i = FactoidDist(
+                    component.universe, *_template_draw(component, template, False, rng.generator)
+                )
+            else:
+                p_i = sample_world(component, rng).p
             real = p_i.keys != BOTTOM
             keys.append(p_i.keys[real] + (model.type_offset(i) - 1))
             values.append(w * p_i.values[real])

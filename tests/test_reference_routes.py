@@ -747,6 +747,16 @@ class TestCachedTables:
         else:
             assert cum is not next_cum and guide is not next_guide
 
+    def test_literal_route_builds_no_shared_table(self):
+        # a multi-type world with a W5 type reads each type's draw and
+        # never samples from it, so its uniform type builds no table
+        uniform = PermutedPowerLawWorld(300, 40, 0.0)
+        model = MultiTypeWorld((W5World(1, 1, 2, 2), uniform), (0.5, 0.5))
+        got_rng, ref_rng = SeededRng(6), SeededRng(6)
+        for _ in range(2):
+            assert same_dist(sample_world(model, got_rng).p, ref_world_draw(model, ref_rng))
+        assert "draw_table" not in uniform.__dict__
+
     @given(values=st.lists(WEIGHTS | st.floats(0.0, 1e300), max_size=40))
     @PROPERTY
     def test_expansion_sums_exactly(self, values):
