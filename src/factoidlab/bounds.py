@@ -1,10 +1,12 @@
 """Closed-form bound right-hand sides and theorem verifiers.
 
-The hallucination lower bounds all share one skeleton: the monofact
-estimate, minus a miscalibration term, minus a sparsity/regularity
-penalty scaled by 1/delta, minus a Good-Turing concentration width.
-Variants differ in the penalty (regular worlds, regular facts only,
-multiple fact types) and in which calibration metric is subtracted.
+The hallucination lower bounds all share one skeleton of named terms
+(BOUND_TERMS): mf, the monofact estimate, minus calibration, a
+miscalibration metric, minus penalty, a sparsity/regularity penalty
+scaled by 1/delta, minus gt_width, a Good-Turing concentration width,
+minus epsilon. One table (BOUNDS) says which metric, which penalty
+factors and whether epsilon each bound takes, and one evaluator names
+the term that made a vacuous bound vacuous.
 
 Two verifiers ground the analysis numerically instead of trusting the
 algebra: the core expectation inequality over the exact uniform-world
@@ -15,10 +17,12 @@ subset) of the coarsening-mass lemma on tiny universes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
@@ -33,11 +37,10 @@ __all__ = [
     "FLOAT_SLACK",
     "BoundParams",
     "BoundEvaluation",
+    "BOUND_TERMS",
+    "BOUNDS",
+    "bound_terms",
     "evaluate_bound",
-    "cor1_rhs",
-    "cor_balfact_rhs",
-    "cor_general_rhs",
-    "cor_fixed_mis_rhs",
     "clopper_pearson",
     "BoundFrequency",
     "TheoremMainCheck",
@@ -87,66 +90,62 @@ class BoundParams:
         check_count(self.k_types, "k_types", 1)
 
 
+#: The terms of every right-hand side, in order: mf minus each later term.
+BOUND_TERMS = ("mf", "calibration", "penalty", "gt_width", "epsilon")
+
+#: Every lower bound, in report order: the TrialRecord metric it subtracts
+#: as calibration, the BoundParams factors of its penalty, and whether it
+#: also subtracts epsilon. cor_general adds regular probabilities (factor
+#: r); cor_balfact bounds the observed count by n rather than by the fact
+#: budget (factor r n); the fixed-width bounds take the fixed-width TV, or
+#: the binned mass gap plus epsilon, the price of the sandwich between
+#: the two calibration metrics. In a k-type world cor1 bounds each type.
+BOUNDS = {
+    "cor1": ("mc_adaptive", (), False),
+    "cor_general": ("mc_adaptive", ("r",), False),
+    "cor_balfact": ("mc_adaptive", ("r", "n"), False),
+    "cor_fixed_tv": ("mc_fixed", (), False),
+    "cor_fixed_mis": ("mis_eps", (), True),
+}
+
+
+def bound_terms(name: str, mf: float, calibration: float, params: BoundParams) -> tuple:
+    """Bound `name`'s BOUND_TERMS: mf, calibration, the penalty 3 k
+    (factors) e^(-s)/delta multiplied left to right, the one-sided
+    Good-Turing width at failure budget delta/(3k), sqrt(6 ln(6k/delta)/n),
+    and epsilon (0 where the bound does not subtract it). k =
+    params.k_types is the union-bound inflation over fact types."""
+    _, factors, subtracts_epsilon = BOUNDS[name]
+    k, delta = params.k_types, params.delta
+    penalty = math.prod((getattr(params, f) for f in factors), start=3.0 * k) * math.exp(-params.s)
+    width = math.sqrt(6.0 * math.log(6.0 * k / delta) / params.n)
+    return mf, calibration, penalty / delta, width, params.epsilon if subtracts_epsilon else 0.0
+
+
 @dataclass(frozen=True)
 class BoundEvaluation:
     """One observed hallucination rate against one bound value.
 
     A vacuous bound (rhs <= 0) is always satisfied and is reported, not
-    hidden: at small n or small sparsity the corollaries say nothing.
+    hidden: at small n or small sparsity the corollaries say nothing. Its
+    cause is the term after which the running value first fell to 0 or
+    below; a bound that is not vacuous (a NaN rhs included) has none.
     """
 
-    lhs: float
     rhs: float
     satisfied: bool
     vacuous: bool
+    cause: Optional[str]
 
 
-def evaluate_bound(lhs: float, rhs: float) -> BoundEvaluation:
-    return BoundEvaluation(
-        lhs=lhs, rhs=rhs, satisfied=lhs >= rhs - FLOAT_SLACK, vacuous=rhs <= 0.0
-    )
-
-
-def _sparsity_penalty(params: BoundParams, *factors: float) -> float:
-    """3 k (factors) e^(-s)/delta, multiplied left to right."""
-    return math.prod(factors, start=3.0 * params.k_types) * math.exp(-params.s) / params.delta
-
-
-def _gt_term(params: BoundParams) -> float:
-    """One-sided Good-Turing width at failure budget delta/(3k):
-    sqrt(6 ln(6k/delta)/n)."""
-    return math.sqrt(6.0 * math.log(6.0 * params.k_types / params.delta) / params.n)
-
-
-def _rhs(mf: float, calibration: float, params: BoundParams, *penalty: float) -> float:
-    """The shared skeleton: mf - calibration - 3 k (penalty) e^(-s)/delta
-    - sqrt(6 ln(6k/delta)/n). k = params.k_types is the union-bound
-    inflation over fact types; it is 1 for a single-type world."""
-    return mf - calibration - _sparsity_penalty(params, *penalty) - _gt_term(params)
-
-
-def cor1_rhs(mf: float, mc: float, params: BoundParams) -> float:
-    """Lower bound for regular worlds; in a k-type world, the bound on
-    each type's own monofact estimate and miscalibration."""
-    return _rhs(mf, mc, params)
-
-
-def cor_balfact_rhs(mf: float, mc: float, params: BoundParams) -> float:
-    """Regular facts only; the penalty picks up a factor r*n because the
-    observed count is bounded by n rather than by the fact budget."""
-    return _rhs(mf, mc, params, params.r, params.n)
-
-
-def cor_general_rhs(mf: float, mc: float, params: BoundParams) -> float:
-    """Regular facts and regular probabilities; penalty factor r."""
-    return _rhs(mf, mc, params, params.r)
-
-
-def cor_fixed_mis_rhs(mf: float, mis_eps: float, params: BoundParams) -> float:
-    """Fixed-width binning, subtracting the binned mass gap mis_eps and
-    epsilon, the price of the sandwich between the two calibration
-    metrics. (The TV variant is cor1_rhs on the fixed-width mc.)"""
-    return _rhs(mf, mis_eps, params) - params.epsilon
+def evaluate_bound(lhs: float, terms: Sequence[float]) -> BoundEvaluation:
+    """lhs against the first term minus each later one, left to right,
+    the terms named by BOUND_TERMS in order."""
+    running = list(itertools.accumulate(terms, operator.sub))
+    rhs = running[-1]
+    vacuous = rhs <= 0.0
+    cause = next(t for t, v in zip(BOUND_TERMS, running) if v <= 0.0) if vacuous else None
+    return BoundEvaluation(rhs, lhs >= rhs - FLOAT_SLACK, vacuous, cause)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +234,17 @@ class BoundFrequency:
     vacuous: int
     vacuous_fraction: float
     passed: bool
+    #: how many vacuous trials each of BOUND_TERMS caused
+    vacuous_by: dict[str, int] = field(repr=False)
 
 
 def _bound_frequency(name: str, evals: Sequence[BoundEvaluation], delta: float) -> BoundFrequency:
-    """Satisfaction count, its 95% Clopper-Pearson interval, vacuity and
-    the 1 - delta pass verdict of one bound over a run's trials."""
+    """Satisfaction count, its 95% Clopper-Pearson interval, vacuity by
+    cause and the 1 - delta pass verdict of one bound over a run's trials."""
     m = len(evals)
     satisfied = sum(1 for e in evals if e.satisfied)
-    vacuous = sum(1 for e in evals if e.vacuous)
+    causes = Counter(e.cause for e in evals)
+    vacuous = m - causes[None]
     low, high = clopper_pearson(satisfied, m)
     freq = satisfied / m
     return BoundFrequency(
@@ -255,6 +257,7 @@ def _bound_frequency(name: str, evals: Sequence[BoundEvaluation], delta: float) 
         vacuous=vacuous,
         vacuous_fraction=vacuous / m,
         passed=freq >= 1.0 - delta,
+        vacuous_by={term: causes[term] for term in BOUND_TERMS},
     )
 
 
@@ -504,17 +507,17 @@ def verify_markov_step(
     - 3 k e^(-s)/delta (must hold with frequency >= 1 - 2 delta/3 for
     regular worlds). Event B: missing mass >= monofact estimate minus the
     one-sided Good-Turing width sqrt(6 ln(6k/delta)/n) (frequency >=
-    1 - delta/3). These are the two halves of the cor1 right-hand side;
-    k = params.k_types is 1 for a regular world. records need attributes
-    mf, missing_mass, halluc_rate, mc_adaptive.
+    1 - delta/3). These are the two halves of cor1's terms (A's "mf" is
+    the missing mass; each half takes 0 for the terms it lacks); k =
+    params.k_types is 1 for a regular world. records need attributes mf,
+    missing_mass, halluc_rate, mc_adaptive.
     """
     check_count(len(records), "trials", 100, error=InsufficientDataError)
-    penalty = _sparsity_penalty(params)
-    width = _gt_term(params)
+    _, _, penalty, width, _ = bound_terms("cor1", 0.0, 0.0, params)
     markov = [
-        evaluate_bound(r.halluc_rate, r.missing_mass - r.mc_adaptive - penalty) for r in records
+        evaluate_bound(r.halluc_rate, (r.missing_mass, r.mc_adaptive, penalty)) for r in records
     ]
-    goodturing = [evaluate_bound(r.missing_mass, r.mf - width) for r in records]
+    goodturing = [evaluate_bound(r.missing_mass, (r.mf, 0.0, 0.0, width)) for r in records]
     return (
         _bound_frequency("markov", markov, 2.0 * params.delta / 3.0),
         _bound_frequency("goodturing", goodturing, params.delta / 3.0),

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
-from .bounds import verify_lemma_meat_exhaustive, verify_theorem_main_mc
+from .bounds import BOUNDS, verify_lemma_meat_exhaustive, verify_theorem_main_mc
 from .calibration import (
     MATERIALIZE_LIMIT,
     PARTITION_LIMIT,
@@ -39,7 +39,6 @@ from .calibration import (
 from .dist import FactoidUniverse, random_dist, tv_distance_forms
 from .errors import ConfigError, FactoidLabError, check_count
 from .harness import (
-    BOUND_NAMES,
     AggregateReport,
     BoundSettings,
     ExperimentConfig,
@@ -352,7 +351,7 @@ def cmd_run(args, out) -> int:
     out_dir = Path(args.out) if args.out else Path("runs") / f"{config_hash(cfg)[:12]}"
     report, records = run_experiment(cfg)
     write_results(out_dir, cfg, records, report)
-    print(_bound_table(report.to_json_dict(), BOUND_NAMES), file=out)
+    print(_bound_table(report.to_json_dict(), BOUNDS), file=out)
     print(f"results in {out_dir}", file=out)
     return 0 if report.passed else 1
 

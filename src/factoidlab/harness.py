@@ -19,14 +19,12 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .bounds import (
+    BOUNDS,
     BoundEvaluation,
     BoundFrequency,
     BoundParams,
     _bound_frequency,
-    cor1_rhs,
-    cor_balfact_rhs,
-    cor_fixed_mis_rhs,
-    cor_general_rhs,
+    bound_terms,
     evaluate_bound,
 )
 from .calibration import (
@@ -83,7 +81,6 @@ __all__ = [
     "run_multi_type_experiment",
 ]
 
-BOUND_NAMES = ("cor1", "cor_general", "cor_balfact", "cor_fixed_tv", "cor_fixed_mis")
 METRIC_NAMES = (
     "mf",
     "missing_mass",
@@ -260,11 +257,17 @@ def _trial_records(cfg: ExperimentConfig, indices: Sequence[int]) -> Iterator[Tr
         exact = by_g.binned(ExactValueBinning())
         adaptive = by_g.binned(AdaptiveBinning(params.b))
         fixed = by_g.binned(FixedWidthBinning(params.epsilon))
-        mis_eps = fixed.mass_gaps()
+        # the calibration metrics, by the TrialRecord names BOUNDS reads
+        columns = dict(
+            mc_adaptive=adaptive.miscalibration, mc_fixed=fixed.miscalibration, mis_eps=fixed.mass_gaps()
+        )
         records = []
         for t, (i, seed, mf, p_u) in enumerate(batch):
-            g_h, mc_adaptive = halluc[t], adaptive.miscalibration[t]
-            mc_fixed = fixed.miscalibration[t]
+            g_h, mc = halluc[t], {name: column[t] for name, column in columns.items()}
+            bounds = {
+                name: evaluate_bound(g_h, bound_terms(name, mf, mc[metric], params))
+                for name, (metric, _, _) in BOUNDS.items()
+            }
             records.append(
                 TrialRecord(
                     trial_index=i,
@@ -273,15 +276,9 @@ def _trial_records(cfg: ExperimentConfig, indices: Sequence[int]) -> Iterator[Tr
                     missing_mass=p_u,
                     halluc_rate=g_h,
                     mc_exact=exact.miscalibration[t],
-                    mc_adaptive=mc_adaptive,
-                    mc_fixed=mc_fixed,
-                    mis_eps=mis_eps[t],
                     kl=kl[t],
-                    cor1=evaluate_bound(g_h, cor1_rhs(mf, mc_adaptive, params)),
-                    cor_general=evaluate_bound(g_h, cor_general_rhs(mf, mc_adaptive, params)),
-                    cor_balfact=evaluate_bound(g_h, cor_balfact_rhs(mf, mc_adaptive, params)),
-                    cor_fixed_tv=evaluate_bound(g_h, cor1_rhs(mf, mc_fixed, params)),
-                    cor_fixed_mis=evaluate_bound(g_h, cor_fixed_mis_rhs(mf, mis_eps[t], params)),
+                    **mc,
+                    **bounds,
                     reliability=tuple(reliability_rows(*adaptive.bins(t))),
                 )
             )
@@ -352,7 +349,7 @@ def _summarize(name: str, values: Sequence[float]) -> MetricSummary:
 def aggregate_records(records: Sequence[TrialRecord], delta: float) -> AggregateReport:
     m = len(records)
     bounds = [
-        _bound_frequency(name, [getattr(r, name) for r in records], delta) for name in BOUND_NAMES
+        _bound_frequency(name, [getattr(r, name) for r in records], delta) for name in BOUNDS
     ]
     metrics = [_summarize(name, [getattr(r, name) for r in records]) for name in METRIC_NAMES]
     kl_values = [r.kl for r in records]
@@ -611,7 +608,8 @@ def multi_type_trial_metrics(
             row = []
             for i, mf_i in enumerate(mfs):
                 g_h_i, mc_i = halluc[t * k + i], mis[t * k + i]
-                row.append((mf_i, g_h_i, mc_i, evaluate_bound(g_h_i, cor1_rhs(mf_i, mc_i, params))))
+                bound = evaluate_bound(g_h_i, bound_terms("cor1", mf_i, mc_i, params))
+                row.append((mf_i, g_h_i, mc_i, bound))
             rows.append(row)
         return rows
 

@@ -13,9 +13,11 @@ every posterior completion, distinct draws and posterior completions one
 stream at a time, one recursive partition enumeration, a literal
 coarsening, the lemma sweep's padded gather of each subset's atoms, and
 builders of small test inputs (background distributions, random and
-enumerated partitions, enumerated W5 worlds). They live
-here, built from the same library primitives, so a test can compare a
-fast path with them or state a property in their terms.
+enumerated partitions, enumerated W5 worlds), and one function per
+lower-bound right-hand side, each its own formula, where the library
+reads one table of terms. They live here, built from the same library
+primitives, so a test can compare a fast path with them or state a
+property in their terms.
 """
 
 import math
@@ -25,7 +27,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from factoidlab.bounds import LemmaMeatViolation
+from factoidlab.bounds import BoundParams, LemmaMeatViolation
 from factoidlab.calibration import (
     EXACT_VALUE_RTOL,
     AdaptiveBinning,
@@ -364,6 +366,67 @@ def gather_lemma_sweep(nu: ExplicitWorld, tolerance: float) -> list[LemmaMeatVio
                     )
                 )
     return violations
+
+
+# -- bound right-hand sides ------------------------------------------------
+
+
+def _sparsity_penalty(params: BoundParams, *factors: float) -> float:
+    """3 k (factors) e^(-s)/delta, multiplied left to right."""
+    return math.prod(factors, start=3.0 * params.k_types) * math.exp(-params.s) / params.delta
+
+
+def _gt_term(params: BoundParams) -> float:
+    """One-sided Good-Turing width at failure budget delta/(3k):
+    sqrt(6 ln(6k/delta)/n)."""
+    return math.sqrt(6.0 * math.log(6.0 * params.k_types / params.delta) / params.n)
+
+
+def _rhs(mf: float, calibration: float, params: BoundParams, *penalty: float) -> float:
+    """The shared skeleton: mf - calibration - 3 k (penalty) e^(-s)/delta
+    - sqrt(6 ln(6k/delta)/n)."""
+    return mf - calibration - _sparsity_penalty(params, *penalty) - _gt_term(params)
+
+
+def cor1_rhs(mf: float, mc: float, params: BoundParams) -> float:
+    """Lower bound for regular worlds; in a k-type world, the bound on
+    each type's own monofact estimate and miscalibration."""
+    return _rhs(mf, mc, params)
+
+
+def cor_balfact_rhs(mf: float, mc: float, params: BoundParams) -> float:
+    """Regular facts only; the penalty picks up a factor r*n."""
+    return _rhs(mf, mc, params, params.r, params.n)
+
+
+def cor_general_rhs(mf: float, mc: float, params: BoundParams) -> float:
+    """Regular facts and regular probabilities; penalty factor r."""
+    return _rhs(mf, mc, params, params.r)
+
+
+def cor_fixed_mis_rhs(mf: float, mis_eps: float, params: BoundParams) -> float:
+    """Fixed-width binning, subtracting the binned mass gap and epsilon.
+    (The TV variant is cor1_rhs on the fixed-width mc.)"""
+    return _rhs(mf, mis_eps, params) - params.epsilon
+
+
+#: bound name -> (its right-hand side, its penalty factors' BoundParams
+#: names, whether it subtracts epsilon), one literal row per bound
+REFERENCE_BOUNDS = {
+    "cor1": (cor1_rhs, (), False),
+    "cor_general": (cor_general_rhs, ("r",), False),
+    "cor_balfact": (cor_balfact_rhs, ("r", "n"), False),
+    "cor_fixed_tv": (cor1_rhs, (), False),
+    "cor_fixed_mis": (cor_fixed_mis_rhs, (), True),
+}
+
+
+def rhs_terms(name: str, mf: float, calibration: float, params: BoundParams) -> tuple:
+    """Bound name's (mf, calibration, penalty, gt_width, epsilon), each
+    from the literal formulas above, epsilon 0 where it is not taken."""
+    _, factors, takes_epsilon = REFERENCE_BOUNDS[name]
+    penalty = _sparsity_penalty(params, *(getattr(params, f) for f in factors))
+    return mf, calibration, penalty, _gt_term(params), params.epsilon if takes_epsilon else 0.0
 
 
 # -- hallucination ---------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 
 from factoidlab.bounds import (
     BoundParams,
-    cor1_rhs,
+    bound_terms,
+    evaluate_bound,
     verify_lemma_meat_exhaustive,
     verify_theorem_main_mc,
 )
@@ -89,6 +90,12 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
     line = f"[{criterion}] {'PASS' if ok else 'FAIL'}  {detail}; {wall:.2f}s"
     print(line, flush=True)
     return ok
+
+
+def vacuity(freq) -> str:
+    """A bound row's vacuous fraction and the count each vacuity cause made."""
+    causes = ", ".join(f"{term} {count}" for term, count in freq.vacuous_by.items() if count)
+    return f"vac {freq.vacuous_fraction:.2f}" + (f": {causes}" if causes else "")
 
 
 def uniform_over(universe_size: int, atoms: int) -> tuple[FactoidUniverse, "dist"]:
@@ -192,7 +199,7 @@ class TestAc04RegularWorldLowerBound:
             )
             rep, _ = run_experiment(cfg)
             freq = rep.bound("cor1")
-            details.append(f"{name} {freq.frequency:.3f} (vac {freq.vacuous_fraction:.2f})")
+            details.append(f"{name} {freq.frequency:.3f} ({vacuity(freq)})")
             ok = ok and freq.frequency >= 0.9
         elapsed = time.perf_counter() - t0
         ok = ok and elapsed <= 120.0
@@ -209,7 +216,8 @@ class TestAc05MultiTypeBound:
             - 6 * (-Decimal("9.2")).exp() / Decimal("0.1")
             - (6 * Decimal(120).ln() / Decimal(2000)).sqrt()
         )
-        inflation_ok = cor1_rhs(0.3, 0.05, p2) == pytest.approx(float(expected), abs=1e-14)
+        rhs = evaluate_bound(0.0, bound_terms("cor1", 0.3, 0.05, p2)).rhs
+        inflation_ok = rhs == pytest.approx(float(expected), abs=1e-14)
 
         model = MultiTypeWorld(
             components=(
@@ -231,7 +239,8 @@ class TestAc05MultiTypeBound:
             )
             rep = run_multi_type_experiment(cfg)
             freqs = [t.frequency for t in rep.types]
-            details.append(f"{name} {min(freqs):.3f}")
+            causes = ", ".join(f"{t.name} {vacuity(t)}" for t in rep.types)
+            details.append(f"{name} {min(freqs):.3f} ({causes})")
             ok = ok and all(f >= 0.9 for f in freqs)
         assert report(
             "AC05",

@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 
 from factoidlab.bounds import (
     BoundParams,
+    bound_terms,
     clopper_pearson,
-    cor1_rhs,
-    cor_balfact_rhs,
-    cor_fixed_mis_rhs,
-    cor_general_rhs,
     evaluate_bound,
     verify_lemma_meat_exhaustive,
     verify_markov_step,
@@ -50,6 +47,11 @@ def params(delta=0.1, b=10, epsilon=0.1, s=20.0, r=1.0, n=10**4, k_types=1):
     return BoundParams(delta=delta, b=b, epsilon=epsilon, s=s, r=r, n=n, k_types=k_types)
 
 
+def rhs(name, mf, calibration, p):
+    """Bound name's right-hand side through the table and its evaluator."""
+    return evaluate_bound(0.0, bound_terms(name, mf, calibration, p)).rhs
+
+
 def dec_rhs(mf, mc, delta, s, n, penalty_factor=1):
     """50-digit recomputation of the shared bound skeleton."""
     d_delta, d_s = Decimal(repr(delta)), Decimal(repr(s))
@@ -60,18 +62,18 @@ def dec_rhs(mf, mc, delta, s, n, penalty_factor=1):
 
 class TestRightHandSides:
     def test_cor1_against_high_precision(self):
-        got = cor1_rhs(0.5, 0.05, params())
+        got = rhs("cor1", 0.5, 0.05, params())
         assert got == pytest.approx(float(dec_rhs(0.5, 0.05, 0.1, 20.0, 10**4)), abs=1e-14)
 
     def test_cor1_limits(self):
         # huge sparsity and sample size leave just the monofact estimate
         p = params(s=500.0, n=10**12)
-        assert cor1_rhs(0.7, 0.0, p) == pytest.approx(0.7, abs=1e-5)
+        assert rhs("cor1", 0.7, 0.0, p) == pytest.approx(0.7, abs=1e-5)
         # a zero estimate makes the bound vacuous
-        assert cor1_rhs(0.0, 0.0, params()) < 0.0
+        assert rhs("cor1", 0.0, 0.0, params()) < 0.0
 
     def test_balfact_against_high_precision(self):
-        got = cor_balfact_rhs(0.5, 0.05, params(r=4.0))
+        got = rhs("cor_balfact", 0.5, 0.05, params(r=4.0))
         expected = dec_rhs(0.5, 0.05, 0.1, 20.0, 10**4, penalty_factor=4 * 10**4)
         assert got == pytest.approx(float(expected), abs=1e-14)
 
@@ -84,12 +86,12 @@ class TestRightHandSides:
                 n=int(rng.integers(10, 10**6)),
             )
             mf, mc = float(rng.random()), float(rng.random())
-            assert cor_general_rhs(mf, mc, p) == cor1_rhs(mf, mc, p)
+            assert rhs("cor_general", mf, mc, p) == rhs("cor1", mf, mc, p)
 
     def test_general_third_term_scale(self):
         # r=10, s=9.2, delta=0.1: penalty 300 * e^(-9.2)
         p = params(s=9.2, r=10.0)
-        gap = cor1_rhs(0.5, 0.0, p) - cor_general_rhs(0.5, 0.0, p)
+        gap = rhs("cor1", 0.5, 0.0, p) - rhs("cor_general", 0.5, 0.0, p)
         expected = float(27 * (-Decimal("9.2")).exp() / Decimal("0.1"))
         assert gap == pytest.approx(expected, abs=1e-14)
 
@@ -103,32 +105,32 @@ class TestRightHandSides:
             p = params(delta=delta, s=s, r=r, n=n)
             mf, mc = float(rng.random()), float(rng.random())
             width = math.sqrt(6.0 * math.log(6.0 / delta) / n)
-            assert cor1_rhs(mf, mc, p) == mf - mc - 3.0 * math.exp(-s) / delta - width
-            assert cor_general_rhs(mf, mc, p) == mf - mc - 3.0 * r * math.exp(-s) / delta - width
-            assert cor_balfact_rhs(mf, mc, p) == (
+            assert rhs("cor1", mf, mc, p) == mf - mc - 3.0 * math.exp(-s) / delta - width
+            assert rhs("cor_general", mf, mc, p) == mf - mc - 3.0 * r * math.exp(-s) / delta - width
+            assert rhs("cor_balfact", mf, mc, p) == (
                 mf - mc - 3.0 * r * n * math.exp(-s) / delta - width
             )
 
     def test_types_width_against_high_precision(self):
         # at k=2 the concentration width becomes sqrt(6 ln(120)/n)
         p2 = params(k_types=2)
-        base = cor1_rhs(0.5, 0.05, p2)
+        base = rhs("cor1", 0.5, 0.05, p2)
         width = float((6 * Decimal(120).ln() / Decimal(10**4)).sqrt())
         penalty = float(6 * (-Decimal(20)).exp() / Decimal("0.1"))
         assert base == pytest.approx(0.45 - penalty - width, abs=1e-14)
 
     def test_types_penalty_linear_in_k(self):
         p2, p4 = params(s=5.0, k_types=2), params(s=5.0, k_types=4)
-        gap2 = 0.5 - cor1_rhs(0.5, 0.0, p2) - math.sqrt(6 * math.log(120) / 10**4)
-        gap4 = 0.5 - cor1_rhs(0.5, 0.0, p4) - math.sqrt(6 * math.log(240) / 10**4)
+        gap2 = 0.5 - rhs("cor1", 0.5, 0.0, p2) - math.sqrt(6 * math.log(120) / 10**4)
+        gap4 = 0.5 - rhs("cor1", 0.5, 0.0, p4) - math.sqrt(6 * math.log(240) / 10**4)
         assert gap4 == pytest.approx(2 * gap2, rel=1e-12)
 
     def test_fixed_width_variants(self):
         p = params(epsilon=0.05)
-        mis_variant = cor_fixed_mis_rhs(0.5, 0.08, p)
-        assert mis_variant == pytest.approx(cor1_rhs(0.5, 0.08, p) - 0.05, abs=1e-15)
+        mis_variant = rhs("cor_fixed_mis", 0.5, 0.08, p)
+        assert mis_variant == pytest.approx(rhs("cor1", 0.5, 0.08, p) - 0.05, abs=1e-15)
         p0 = params(epsilon=0.0)
-        assert cor_fixed_mis_rhs(0.5, 0.08, p0) == cor1_rhs(0.5, 0.08, p0)
+        assert rhs("cor_fixed_mis", 0.5, 0.08, p0) == rhs("cor1", 0.5, 0.08, p0)
 
     def test_param_validation(self):
         with pytest.raises(DistributionError):
@@ -148,9 +150,9 @@ class TestRightHandSides:
         for s in (-709.8, -1000.0):
             with pytest.raises(DistributionError, match="overflows"):
                 params(s=s)
-        assert cor1_rhs(0.5, 0.0, params(s=-709.0)) < 0.0
+        assert rhs("cor1", 0.5, 0.0, params(s=-709.0)) < 0.0
         # a world with no hallucinations has s = -inf: every bound vacuous
-        assert cor1_rhs(0.5, 0.0, params(s=-math.inf)) == -math.inf
+        assert rhs("cor1", 0.5, 0.0, params(s=-math.inf)) == -math.inf
 
     def test_nan_s_or_r_refused(self):
         # a NaN s would make every rhs NaN, and a NaN r would fail
@@ -165,8 +167,8 @@ class TestRightHandSides:
                 ExperimentConfig(world, 200, MonofactMemorizer(), bound, 5, 0)
         # +inf stays: s = inf drops the regularity penalty, r = inf makes it
         # infinite and the bounds vacuous
-        assert cor1_rhs(0.5, 0.0, params(s=math.inf)) < 0.5
-        assert cor_general_rhs(0.5, 0.0, params(r=math.inf)) == -math.inf
+        assert rhs("cor1", 0.5, 0.0, params(s=math.inf)) < 0.5
+        assert rhs("cor_general", 0.5, 0.0, params(r=math.inf)) == -math.inf
 
 
 class TestBoundEvaluation:
@@ -175,13 +177,13 @@ class TestBoundEvaluation:
         for _ in range(200):
             lhs = float(rng.random())
             rhs = float(rng.uniform(-2.0, 1.0))
-            ev = evaluate_bound(lhs, rhs)
+            ev = evaluate_bound(lhs, (rhs,))
             if ev.vacuous:
                 assert ev.satisfied
             assert ev.satisfied == (lhs >= rhs - 1e-12)
 
     def test_float_slack(self):
-        assert evaluate_bound(0.5, 0.5 + 1e-13).satisfied
+        assert evaluate_bound(0.5, (0.5 + 1e-13,)).satisfied
 
 
 class TestClopperPearson:

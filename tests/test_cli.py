@@ -1,5 +1,6 @@
 """Config parsing, result files, and the command-line surface."""
 
+import hashlib
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import factoidlab
 
+from factoidlab.bounds import BOUND_TERMS, BOUNDS
 from factoidlab.calibration import BIN_COUNT_LIMIT, MATERIALIZE_LIMIT, AdaptiveBinning
 from factoidlab.cli import (
     _ALGORITHMS,
@@ -162,6 +164,28 @@ class TestParseConfig:
         assert cfg.world == PermutedPowerLawWorld(10**7, 1000, 0.0)
         assert isinstance(cfg.algorithm, MonofactMemorizer)
         assert (cfg.n, cfg.trials, cfg.master_seed) == (2000, 300, 20240811)
+
+    def test_readme_config_record_is_pinned(self, tmp_path):
+        # the README run's files, and why each bound was vacuous: the
+        # Good-Turing width against MF ~ 0.135, the r n penalty, epsilon
+        run_dir = tmp_path / "run"
+        code, _, err = run_cli("run", str(_readme_config(tmp_path)), "--out", str(run_dir))
+        assert code == 0, err
+        digest = {
+            name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in ("trials.csv", "reliability.csv")
+        }
+        assert digest == {
+            "trials.csv": "91ebb86a872f7a62e0d657da6e55573bf5648a27c9a017bfade6d817646ff717",
+            "reliability.csv": "06088718c97d0e8398238ac4fbc67d7fe5db9d6fc11d5b7fa52c360447839dec",
+        }
+        want = {name: dict.fromkeys(BOUND_TERMS, 0) for name in BOUNDS}
+        for name in ("cor1", "cor_general", "cor_fixed_tv"):
+            want[name]["gt_width"] = 45
+        want["cor_balfact"]["penalty"] = 300
+        want["cor_fixed_mis"].update(epsilon=255, gt_width=45)
+        bounds = json.loads((run_dir / "aggregate.json").read_text(encoding="utf-8"))["bounds"]
+        assert {name: row["vacuous_by"] for name, row in bounds.items()} == want
 
     def test_hash_tracks_content(self):
         a = parse_config_text(SMALL_CFG)

@@ -53,14 +53,21 @@ reads both of its events off one (p, g) profile per trial, is recounted
 through the literal hallucination rate and miscalibration, and the
 Good-Turing concentration suite, which draws counted samples, through
 the literal sampler, monofact estimate and missing mass.
+
+Every row of the bound table, evaluated as named terms, is checked
+against its literal right-hand-side formula bit for bit, with the
+vacuity cause recounted from the literal running value, and so are both
+proof-step events of verify_markov_step.
 """
 
 import dataclasses
 import math
+import operator
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -91,12 +98,16 @@ from factoidlab.dist import (
     uniform_dist,
 )
 from factoidlab.bounds import (
+    BOUND_TERMS,
+    BOUNDS,
     FLOAT_SLACK,
     BoundParams,
     LemmaMeatViolation,
-    cor1_rhs,
+    _bound_frequency,
+    bound_terms,
     evaluate_bound,
     verify_lemma_meat_exhaustive,
+    verify_markov_step,
     verify_theorem_main_mc,
 )
 from factoidlab.calibration import (
@@ -142,6 +153,7 @@ from factoidlab.worlds import (
     sample_world,
 )
 from literal import (
+    REFERENCE_BOUNDS,
     background_dist,
     enumerate_w5_instances,
     gather_lemma_sweep,
@@ -156,6 +168,7 @@ from literal import (
     profile_layout,
     random_partition,
     restricted_growth_strings,
+    rhs_terms,
     sample_distinct_excluding,
     sort_profile_by_g,
     subset_tv_max,
@@ -1514,7 +1527,7 @@ def ref_multi_type_trial_metrics(model, world, sample, g, params):
         g_i = ref_induced_local_dist(model, i, g)
         mc_i = miscalibration(p_i, g_i, AdaptiveBinning(params.b))
         g_h_i = hallucination_rate(g_i, WorldInstance(p_i))
-        out.append((mf_i, g_h_i, mc_i, evaluate_bound(g_h_i, cor1_rhs(mf_i, mc_i, params))))
+        out.append((mf_i, g_h_i, mc_i, evaluate_bound(g_h_i, rhs_terms("cor1", mf_i, mc_i, params))))
     return out
 
 
@@ -1941,3 +1954,92 @@ class TestBatchScorer:
                     got = bins.bins(t)
                     want = (g_mass, p_mass, sizes)
                     assert [a.tolist() for a in got] == [a.tolist() for a in want], spec
+
+
+# ---------------------------------------------------------------------------
+# Bound right-hand sides
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def bound_params(draw):
+    """BoundParams across their accepted range: s = +-inf, r = inf and
+    epsilon = 0 included (s = inf with r = inf makes the penalty NaN)."""
+    return BoundParams(
+        delta=draw(st.floats(1e-9, 1.0), label="delta"),
+        b=10,
+        epsilon=draw(st.just(0.0) | st.floats(1e-15, 1.0), label="epsilon"),
+        s=draw(st.floats(-709.0, 1e3) | st.sampled_from([-math.inf, math.inf]), label="s"),
+        r=draw(st.floats(1.0, 1e6) | st.just(math.inf), label="r"),
+        n=draw(st.integers(1, 10**12), label="n"),
+        k_types=draw(st.integers(1, 8), label="k"),
+    )
+
+
+def ref_cause(terms) -> str | None:
+    """The first term after which the literal running value, terms[0]
+    minus each later term, is <= 0; None where the final value is not
+    (a NaN included)."""
+    running = list(accumulate(terms, operator.sub))
+    if not running[-1] <= 0.0:
+        return None
+    return next(term for term, value in zip(BOUND_TERMS, running) if value <= 0.0)
+
+
+UNIT = st.floats(0.0, 1.0)
+NAN_PENALTY = BoundParams(delta=0.1, b=10, epsilon=0.0, s=math.inf, r=math.inf, n=1)
+
+
+class TestBoundTable:
+    @given(bound_params(), st.lists(st.tuples(UNIT, UNIT, UNIT), min_size=1, max_size=8))
+    @example(NAN_PENALTY, [(0.0, 0.0, 0.0), (1.0, 0.0, 1.0)])
+    @example(dataclasses.replace(NAN_PENALTY, s=-math.inf, epsilon=1.0), [(0.0, 1.0, 0.5)])
+    @PROPERTY
+    def test_every_row_matches_its_literal_formula(self, params, trials):
+        """Per BOUNDS row and (mf, calibration, lhs): the rhs is the
+        literal formula's float, bit for bit (NaN exactly where it is
+        NaN) and the last running value of the literal terms; the bound
+        is vacuous exactly when it names a cause, the first term after
+        which the running value is <= 0; and the row's frequency puts
+        every vacuous trial under one cause."""
+        assert list(BOUNDS) == list(REFERENCE_BOUNDS)
+        for name, (formula, _, _) in REFERENCE_BOUNDS.items():
+            evals = []
+            for mf, calibration, lhs in trials:
+                got = evaluate_bound(lhs, bound_terms(name, mf, calibration, params))
+                want = formula(mf, calibration, params)
+                terms = rhs_terms(name, mf, calibration, params)
+                assert got.rhs.hex() == want.hex() == list(accumulate(terms, operator.sub))[-1].hex()
+                assert got.vacuous == (got.cause is not None) == (want <= 0.0)
+                assert got.cause == ref_cause(terms)
+                assert got.satisfied == (lhs >= want - FLOAT_SLACK)
+                evals.append(got)
+            row = _bound_frequency(name, evals, params.delta)
+            assert list(row.vacuous_by) == list(BOUND_TERMS)
+            assert sum(row.vacuous_by.values()) == row.vacuous == sum(e.vacuous for e in evals)
+            assert row.vacuous_by == {t: [e.cause for e in evals].count(t) for t in BOUND_TERMS}
+
+    @given(bound_params(), st.integers(0, 2**32 - 1))
+    @PROPERTY
+    def test_markov_halves_match_their_literal_formulas(self, params, seed):
+        """verify_markov_step's two rows against the literal events
+        halluc_rate >= missing_mass - mc_adaptive - penalty and
+        missing_mass >= mf - gt_width, recounted trial by trial, with a
+        quarter of the inputs exactly 0."""
+        rng = SeededRng(seed).generator
+        values = rng.random((100, 4)) * (rng.random((100, 4)) >= 0.25)
+        records = [
+            SimpleNamespace(mf=a, missing_mass=b, halluc_rate=c, mc_adaptive=d)
+            for a, b, c, d in values.tolist()
+        ]
+        _, _, penalty, width, _ = rhs_terms("cor1", 0.0, 0.0, params)
+        halves = (
+            [(r.halluc_rate, (r.missing_mass, r.mc_adaptive, penalty)) for r in records],
+            [(r.missing_mass, (r.mf, 0.0, 0.0, width)) for r in records],
+        )
+        for row, events in zip(verify_markov_step(records, params), halves):
+            rhs = [list(accumulate(terms, operator.sub))[-1] for _, terms in events]
+            causes = Counter(ref_cause(terms) for _, terms in events)
+            assert row.satisfied == sum(lhs >= v - FLOAT_SLACK for (lhs, _), v in zip(events, rhs))
+            assert row.vacuous == sum(v <= 0.0 for v in rhs)
+            assert row.vacuous_by == {t: causes[t] for t in BOUND_TERMS}
