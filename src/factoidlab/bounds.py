@@ -86,6 +86,9 @@ class BoundParams:
             raise DistributionError(f"s must not be NaN, got {self.s}")
         if not self.r >= 1.0:
             raise DistributionError(f"regularity r must be >= 1, got {self.r}")
+        if self.s == math.inf and self.r == math.inf:
+            # the penalty r e^(-s) would be inf * 0 = NaN: no verdict
+            raise DistributionError("s = inf and r = inf together leave the penalty undefined")
         check_count(self.n, "n", 1)
         check_count(self.k_types, "k_types", 1)
 

@@ -328,18 +328,28 @@ def write_results(
 # ---------------------------------------------------------------------------
 
 
+def _vacuity_causes(row: dict) -> str:
+    """A bound row's vacuous trials by cause, "term count, ...", or "-"
+    for a row with none or with no vacuous_by (written before rows had it)."""
+    by = row["vacuous_by"] if "vacuous_by" in row else {}
+    if not (isinstance(by, dict) and all(type(c) is int and c >= 0 for c in by.values())):
+        raise ValueError(f"vacuous_by {by!r} must map terms to counts")
+    return ", ".join(f"{term} {count}" for term, count in sorted(by.items()) if count) or "-"
+
+
 def _bound_table(agg: dict, names: Iterable[str]) -> str:
     """The bound table of an aggregate.json dict, rows in the given order."""
     lines = [
         f"trials: {agg['trials']}  delta: {_fmt(agg['delta'])}",
-        "bound          freq      ci95           vacuous  pass",
+        "bound          freq      ci95           vacuous  pass  vacuous by",
     ]
     for name in names:
         row = agg["bounds"][name]
         lines.append(
             f"{name:<13} {row['frequency']:>7.4f}  "
             f"[{row['ci_low']:.4f},{row['ci_high']:.4f}]  "
-            f"{row['vacuous_fraction']:>7.4f}  {'ok' if row['passed'] else 'FAIL'}"
+            f"{row['vacuous_fraction']:>7.4f}  {'ok' if row['passed'] else 'FAIL':<4}  "
+            f"{_vacuity_causes(row)}"
         )
     return "\n".join(lines)
 

@@ -35,7 +35,7 @@ UNUSED_EXPORTS_ALLOWED = {
     "run_trial",  # the public one-trial entry point: run_experiment's scoring on a batch of one
     "dist_from_weights",  # perfbench's concentration workload builds its p with it
     "verify_markov_step",  # ROADMAP item 2: its rows are to join run's aggregate.json
-    "analyze_regularity",  # ROADMAP item 11: the systematic-facts verdict reads it
+    "analyze_regularity",  # ROADMAP item 13: the systematic-facts verdict reads it
 }
 
 

@@ -169,6 +169,12 @@ class TestRightHandSides:
         # infinite and the bounds vacuous
         assert rhs("cor1", 0.5, 0.0, params(s=math.inf)) < 0.5
         assert rhs("cor_general", 0.5, 0.0, params(r=math.inf)) == -math.inf
+        # together they would make the penalty inf * e^(-inf) = NaN, which
+        # reads as neither satisfied nor vacuous
+        with pytest.raises(DistributionError, match="s = inf and r = inf"):
+            params(s=math.inf, r=math.inf)
+        with pytest.raises(DistributionError):
+            ExperimentConfig(world, 200, MonofactMemorizer(), BoundSettings(s=math.inf, r=math.inf), 5, 0)
 
 
 class TestBoundEvaluation:

@@ -186,6 +186,17 @@ class TestParseConfig:
         want["cor_fixed_mis"].update(epsilon=255, gt_width=45)
         bounds = json.loads((run_dir / "aggregate.json").read_text(encoding="utf-8"))["bounds"]
         assert {name: row["vacuous_by"] for name, row in bounds.items()} == want
+        # report shows each row's causes, by term name
+        code, out, _ = run_cli("report", str(run_dir))
+        assert code == 0
+        causes = {line.split()[0]: line.split("ok", 1)[1].strip() for line in out.splitlines()[3:8]}
+        assert causes == {
+            "cor1": "gt_width 45",
+            "cor_balfact": "penalty 300",
+            "cor_fixed_mis": "epsilon 255, gt_width 45",
+            "cor_fixed_tv": "gt_width 45",
+            "cor_general": "gt_width 45",
+        }
 
     def test_hash_tracks_content(self):
         a = parse_config_text(SMALL_CFG)
@@ -587,6 +598,33 @@ class TestRunRecord:
         code, out, _ = run_cli("report", str(tmp_path / "r"))
         assert code == 1
         assert "FAIL" in out
+
+    def test_report_without_vacuous_by_shows_a_dash(self, tmp_path):
+        """A row written before rows carried vacuous_by renders "-"."""
+        assert run_cli("run", str(self._config(tmp_path)), "--out", str(tmp_path / "r"))[0] == 0
+        agg_path = tmp_path / "r" / "aggregate.json"
+        agg = json.loads(agg_path.read_text())
+        for row in agg["bounds"].values():
+            del row["vacuous_by"]
+        agg_path.write_text(json.dumps(agg))
+        code, out, _ = run_cli("report", str(tmp_path / "r"))
+        assert code == 0
+        rows = [line.split() for line in out.splitlines() if line.startswith("cor")]
+        assert len(rows) == len(agg["bounds"]) and all(row[-1] == "-" for row in rows)
+
+    @pytest.mark.parametrize(
+        "causes", [[1], {"gt_width": -1}, {"gt_width": 1.5}, {"gt_width": True}, "gt_width 3"]
+    )
+    def test_report_on_damaged_vacuous_by_exits_two(self, tmp_path, causes):
+        assert run_cli("run", str(self._config(tmp_path)), "--out", str(tmp_path / "r"))[0] == 0
+        agg_path = tmp_path / "r" / "aggregate.json"
+        agg = json.loads(agg_path.read_text())
+        agg["bounds"]["cor1"]["vacuous_by"] = causes
+        agg_path.write_text(json.dumps(agg))
+        code, out, err = run_cli("report", str(tmp_path / "r"))
+        assert code == 2
+        assert "damaged run record" in err and "vacuous_by" in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "record, rows",

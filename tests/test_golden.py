@@ -12,17 +12,30 @@ The multi-type report is pinned the same way: the sha256 of its per-type
 bound frequencies and the repr of every metric mean and std, for a
 two-type and a three-type world under six algorithms, recorded before
 per-type metrics were read off one keyed profile.
+
+Every field of the Good-Turing concentration report is pinned on two
+worlds, the floats as hex.
 """
 
+import dataclasses
 import hashlib
 import io
+from pathlib import Path
 
 import pytest
 
-from factoidlab.cli import cli_main
-from factoidlab.harness import BoundSettings, ExperimentConfig, run_multi_type_experiment
+from factoidlab.cli import cli_main, parse_config_text
+from factoidlab.dist import FactoidUniverse, dist_from_weights
+from factoidlab.harness import (
+    BoundSettings,
+    ExperimentConfig,
+    GtConcentrationReport,
+    run_gt_concentration,
+    run_multi_type_experiment,
+)
 from factoidlab.lms import Empirical, Laplace, MonofactMemorizer, Oracle, Uniform, YayMixture
-from factoidlab.worlds import MultiTypeWorld, PermutedPowerLawWorld
+from factoidlab.rng import SeededRng
+from factoidlab.worlds import MultiTypeWorld, PermutedPowerLawWorld, sample_world
 
 WORLDS = {
     "uniform": (
@@ -192,3 +205,44 @@ def test_multi_type_report_matches_golden(world, algorithm):
     text = multi_type_pin_text(run_multi_type_experiment(cfg))
     got = hashlib.sha256(text.encode()).hexdigest()
     assert got == MULTI_TYPE_GOLDEN[(world, algorithm)], text
+
+
+# The concentration report, every field, recorded before the suite counted
+# its trials in chunks: AC10's Zipf p, and the world `gt-check` draws from
+# the README config. Both runs span many chunks of trials.
+GT_GOLDEN = {
+    "zipf": dict(
+        trials=2000, n=1000, delta="0x1.999999999999ap-4",
+        two_sided_radius="0x1.7529b2a5cae87p-3", one_sided_radius="0x1.40fea04ac8373p-3",
+        two_sided_violations=0, one_sided_violations=0,
+        mean_gap="0x1.a48dd10aa1864p-12", gap_stderr="0x1.ac46c5d006053p-12",
+    ),
+    "readme": dict(
+        trials=300, n=2000, delta="0x1.999999999999ap-4",
+        two_sided_radius="0x1.07ddb2785b293p-3", one_sided_radius="0x1.c5f478847dd32p-4",
+        two_sided_violations=0, one_sided_violations=0,
+        mean_gap="-0x1.434f9953b1e83p-11", gap_stderr="0x1.aa3b54571cab0p-11",
+    ),
+}
+
+
+def _gt_report(world: str) -> GtConcentrationReport:
+    if world == "zipf":
+        universe = FactoidUniverse(10_001)
+        p = dist_from_weights(universe, {y: 1.0 / y for y in range(1, 10_001)})
+        return run_gt_concentration(p, n=1000, delta=0.1, trials=2000, master_seed=1002)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config_text(block, source="README.md")
+    # drawn as `factoidlab gt-check` draws it, on child 0 of the seed
+    p = sample_world(cfg.world, SeededRng(cfg.master_seed).child(0)).p
+    return run_gt_concentration(p, cfg.n, cfg.bound.delta, cfg.trials, cfg.master_seed)
+
+
+@pytest.mark.parametrize("world", sorted(GT_GOLDEN))
+def test_gt_concentration_report_matches_golden(world):
+    got = {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in dataclasses.asdict(_gt_report(world)).items()
+    }
+    assert got == GT_GOLDEN[world]

@@ -51,8 +51,9 @@ constructions per draw), and multi-type per-type metrics read off one
 local distributions of every type. The memorizer upper-bound suite, which
 reads both of its events off one (p, g) profile per trial, is recounted
 through the literal hallucination rate and miscalibration, and the
-Good-Turing concentration suite, which draws counted samples, through
-the literal sampler, monofact estimate and missing mass.
+Good-Turing concentration suite, which counts a chunk of trials in one
+pass, through the literal sampler, monofact estimate and missing mass,
+also with chunks of one and three trials.
 
 Every row of the bound table, evaluated as named terms, is checked
 against its literal right-hand-side formula bit for bit, with the
@@ -1746,6 +1747,49 @@ def gt_cases(draw):
     return p, n, trials, draw(st.integers(0, 2**32), label="seed"), radii
 
 
+@st.composite
+def gt_chunk_cases(draw):
+    """A p with an explicit zero-weight empty fact, m near-uniform keys, a
+    few more zero-weight keys and, mostly, a background of a tenth to
+    nearly half of the mass; n up to 2m, so that trials see fewer and more
+    than half of p's keys; chunks of 1 or 3 trials, and a trial count that
+    is a multiple of neither (a seed and two radii as in gt_cases)."""
+    m = draw(st.integers(2, 30), label="keys")
+    zeros = draw(st.integers(0, 3), label="zero_keys")
+    size = draw(st.integers(m + zeros + 2, 10**6), label="universe_size")
+    keys = sorted(draw(st.sets(st.integers(1, size - 1), min_size=m + zeros, max_size=m + zeros)))
+    values = draw(st.lists(st.floats(0.5, 2.0), min_size=m, max_size=m)) + [0.0] * zeros
+    values = draw(st.permutations(values))
+    share = draw(st.sampled_from([0.0, 0.1, 0.45]), label="background_share")
+    u = FactoidUniverse(size)
+    if share:
+        background = share / (1.0 - share) * math.fsum(values) / (size - 1 - len(keys))
+        p = background_dist(u, {BOTTOM: 0.0, **dict(zip(keys, values))}, background)
+    else:
+        # the module constructors drop zero weights when there is no background
+        p = FactoidDist(u, [BOTTOM, *keys], np.array([0.0, *values]) / math.fsum(values))
+    n = draw(st.integers(1, 2 * m), label="n")
+    chunk = draw(st.sampled_from([1, 3]), label="chunk_trials")
+    trials = draw(st.integers(100, 120).filter(lambda t: t % 3), label="trials")
+    radii = draw(st.lists(st.sampled_from([0.0, 0.02, 0.1]) | st.floats(0.0, 0.5), min_size=2, max_size=2))
+    return p, n, chunk, trials, draw(st.integers(0, 2**32), label="seed"), radii
+
+
+def gt_recount(p, n, trials, seed, two_radius, one_radius):
+    """(two-sided count, one-sided count, gaps) over the suite's child
+    streams through sample_iid, the literal monofact estimate and missing
+    mass, and the suite's two comparisons."""
+    gaps = []
+    two_sided = one_sided = 0
+    for rng in SeededRng(seed).children(range(1, trials + 1)):
+        draws = sample_iid(p, n, rng).tolist()
+        mf, miss = ref_monofact(draws), ref_missing_mass(p, draws)
+        gaps.append(mf - miss)
+        two_sided += abs(mf - miss) > two_radius
+        one_sided += miss < mf - one_radius
+    return two_sided, one_sided, np.array(gaps)
+
+
 class TestGtConcentration:
     @given(gt_cases())
     @settings(max_examples=40, deadline=None)
@@ -1770,6 +1814,35 @@ class TestGtConcentration:
             one_sided += miss < mf - one_radius
         assert (report.two_sided_violations, report.one_sided_violations) == (two_sided, one_sided)
         assert report.mean_gap == float(np.array(gaps).mean())
+
+    @given(gt_chunk_cases())
+    @example(
+        (
+            background_dist(
+                FactoidUniverse(1000), {BOTTOM: 0.0, **{y: 1.0 for y in range(1, 21)}, 21: 0.0}, 2e-3
+            ),
+            14, 3, 101, 7, (0.0, 0.1),
+        )
+    )
+    @PROPERTY
+    def test_chunk_edges_match_literal_recount(self, case):
+        """Chunks of 1 and 3 trials, a last chunk cut short, background
+        draws and both missing-mass routes give the literal recount's
+        counts, mean gap and standard error. In the example, 49 of the 101
+        trials see fewer than half of p's 22 keys, 52 see half or more, and
+        71 draw background atoms."""
+        p, n, chunk, trials, seed, (two_radius, one_radius) = case
+        with mock.patch.multiple(
+            harness,
+            _CHUNK_DRAWS=chunk * n,
+            good_turing_radius=lambda delta, n: two_radius,
+            missing_mass_lower_radius=lambda delta, n: one_radius,
+        ):
+            report = run_gt_concentration(p, n, 0.1, trials, seed)
+        two_sided, one_sided, gaps = gt_recount(p, n, trials, seed, two_radius, one_radius)
+        assert (report.two_sided_violations, report.one_sided_violations) == (two_sided, one_sided)
+        assert report.mean_gap == float(gaps.mean())
+        assert report.gap_stderr == float(gaps.std(ddof=1) / math.sqrt(trials))
 
 
 # ---------------------------------------------------------------------------
@@ -1964,13 +2037,16 @@ class TestBatchScorer:
 @st.composite
 def bound_params(draw):
     """BoundParams across their accepted range: s = +-inf, r = inf and
-    epsilon = 0 included (s = inf with r = inf makes the penalty NaN)."""
+    epsilon = 0 included, but not s = inf with r = inf, which BoundParams
+    refuses (the penalty would be NaN)."""
+    s = draw(st.floats(-709.0, 1e3) | st.sampled_from([-math.inf, math.inf]), label="s")
+    finite_r = st.floats(1.0, 1e6)
     return BoundParams(
         delta=draw(st.floats(1e-9, 1.0), label="delta"),
         b=10,
         epsilon=draw(st.just(0.0) | st.floats(1e-15, 1.0), label="epsilon"),
-        s=draw(st.floats(-709.0, 1e3) | st.sampled_from([-math.inf, math.inf]), label="s"),
-        r=draw(st.floats(1.0, 1e6) | st.just(math.inf), label="r"),
+        s=s,
+        r=draw(finite_r if s == math.inf else finite_r | st.just(math.inf), label="r"),
         n=draw(st.integers(1, 10**12), label="n"),
         k_types=draw(st.integers(1, 8), label="k"),
     )
@@ -1987,18 +2063,18 @@ def ref_cause(terms) -> str | None:
 
 
 UNIT = st.floats(0.0, 1.0)
-NAN_PENALTY = BoundParams(delta=0.1, b=10, epsilon=0.0, s=math.inf, r=math.inf, n=1)
+NO_PENALTY = BoundParams(delta=0.1, b=10, epsilon=0.0, s=math.inf, r=1e6, n=1)
 
 
 class TestBoundTable:
     @given(bound_params(), st.lists(st.tuples(UNIT, UNIT, UNIT), min_size=1, max_size=8))
-    @example(NAN_PENALTY, [(0.0, 0.0, 0.0), (1.0, 0.0, 1.0)])
-    @example(dataclasses.replace(NAN_PENALTY, s=-math.inf, epsilon=1.0), [(0.0, 1.0, 0.5)])
+    @example(NO_PENALTY, [(0.0, 0.0, 0.0), (1.0, 0.0, 1.0)])
+    @example(dataclasses.replace(NO_PENALTY, s=-math.inf, r=math.inf, epsilon=1.0), [(0.0, 1.0, 0.5)])
     @PROPERTY
     def test_every_row_matches_its_literal_formula(self, params, trials):
         """Per BOUNDS row and (mf, calibration, lhs): the rhs is the
-        literal formula's float, bit for bit (NaN exactly where it is
-        NaN) and the last running value of the literal terms; the bound
+        literal formula's float, bit for bit, and the last running value
+        of the literal terms; the bound
         is vacuous exactly when it names a cause, the first term after
         which the running value is <= 0; and the row's frequency puts
         every vacuous trial under one cause."""
