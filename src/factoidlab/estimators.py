@@ -19,11 +19,21 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dist import BOTTOM, FactoidDist, FactoidUniverse, _lookup, _sorted_keys, with_bottom
+from .dist import (
+    BOTTOM,
+    FactoidDist,
+    FactoidUniverse,
+    _lookup,
+    _sample_count_runs,
+    _sorted_keys,
+    with_bottom,
+)
 from .errors import DistributionError, InsufficientDataError, UniverseMismatchError, check_count
+from .rng import SeededRng
 
 __all__ = [
     "TrainingSample",
@@ -161,6 +171,33 @@ def missing_mass(p: FactoidDist, s: TrainingSample) -> float:
     n_obs_plain = observed.size - seen.size
     n_plain_out = (p.universe.size - p.keys.size) - n_obs_plain
     return special_out + p.background * n_plain_out
+
+
+def _gt_estimates(
+    p: FactoidDist, n: int, streams: Iterable[SeededRng]
+) -> Iterator[tuple[float, float]]:
+    """(monofact_estimate, missing_mass) of the sample
+    sample_counts(p, n, rng) for each stream, in order, for a p with no
+    mass on the empty fact: the same floats, read off each stream's runs
+    (dist._sample_count_runs) with no TrainingSample built.
+
+    An atom drawn once is a singleton. The missing mass always takes
+    missing_mass's expansion route, p's total expansion minus the seen
+    weights, in O(n) a sample: its exact value is the sum of the unseen
+    weights, which missing_mass's other route rounds too, so the float is
+    the same whichever route missing_mass would take.
+    """
+    parts = p._expand_total()
+    # the empty fact counts as seen, as in missing_mass, though with no
+    # mass it is never drawn; it is a plain atom unless p lists it
+    seen_plain = int(p.keys.size == 0 or p.keys[0] != BOTTOM)
+    plain = p.universe.size - p.keys.size
+    for weights, counts, bg_counts in _sample_count_runs(p, n, streams):
+        singles = np.count_nonzero(counts == 1) + np.count_nonzero(bg_counts == 1)
+        miss = math.fsum(chain(parts, memoryview(-weights)))
+        if p.background != 0.0:
+            miss = miss + p.background * (plain - seen_plain - bg_counts.size)
+        yield singles / n, miss
 
 
 def _check_delta(delta: float, upper: float) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -39,8 +38,6 @@ from .dist import (
     BOTTOM,
     FactoidDist,
     ProfileBatch,
-    _background_atoms,
-    _guided_slots,
     _normalized,
     _pair_profile,
     join_profiles,
@@ -57,6 +54,7 @@ from .errors import (
 )
 from .estimators import (
     TrainingSample,
+    _gt_estimates,
     good_turing_radius,
     missing_mass,
     missing_mass_lower_radius,
@@ -411,15 +409,6 @@ class GtConcentrationReport:
         )
 
 
-#: Most draws one chunk of the concentration suite inverts and sorts at
-#: once; a trial of more draws is a chunk of its own, so a chunk's working
-#: arrays stay at one trial's scale. The limit is set by memory: on the
-#: benchmark's 10^4-atom Zipf p at n = 1000, the concentration workload's
-#: peak RSS rose by about 0.4 MB (0.9%) at 2^15 draws a chunk and by under
-#: 0.1 MB at 2^14, while trials/s was the same within its spread.
-_CHUNK_DRAWS = 1 << 14
-
-
 def run_gt_concentration(
     p: FactoidDist, n: int, delta: float, trials: int, master_seed: int
 ) -> GtConcentrationReport:
@@ -463,85 +452,6 @@ def run_gt_concentration(
         mean_gap=float(gaps.mean()),
         gap_stderr=stderr,
     )
-
-
-def _gt_estimates(
-    p: FactoidDist, n: int, streams: Iterable[SeededRng]
-) -> Iterator[tuple[float, float]]:
-    """(monofact estimate, missing mass) of sample_counts(p, n, rng) for
-    each stream, in order: the floats monofact_estimate and missing_mass
-    give on that sample, for a p with no empty-fact mass.
-
-    The trials go in chunks of at most _CHUNK_DRAWS draws. Each trial's
-    generator fills its own row of n uniforms, one inversion through p's
-    table maps the chunk to slots, and one sort per row puts each trial's
-    equal slots in runs. A run of one is a singleton. The background
-    bucket is the table's last slot, so its run ends the row, and its
-    draws take their rejection loops on the trial's own generator, as in
-    sample_counts. The other slots a trial drew are the keys of p it saw;
-    missing_mass also counts the empty fact as seen, which is never drawn.
-    The sum follows missing_mass's rule: p's total expansion minus the
-    seen weights while fewer than half of p's keys were seen, else the
-    unseen weights; both give the same float.
-    """
-    # p is fixed across trials, so its total's exact expansion pays off:
-    # a trial's missing mass then sums the seen weights only
-    parts = p._expand_total()
-    cum, atoms, guide = p._inverse_cdf
-    explicit = cum.size - int(atoms[-1] == -1)
-    # each slot's weight, 0 for the background bucket, which no sum then
-    # needs to leave out
-    weights = np.zeros(cum.size)
-    weights[:explicit] = p.weights_at(atoms[:explicit])
-    has_bottom = int(p.keys.size > 0 and p.keys[0] == BOTTOM)
-    plain = p.universe.size - p.keys.size
-    streams = iter(streams)
-    while gens := [rng.generator for rng in islice(streams, max(1, _CHUNK_DRAWS // n))]:
-        u = np.empty((len(gens), n))
-        for row, gen in zip(u, gens):
-            gen.random(out=row)
-        slots = _guided_slots(cum, guide, u.reshape(-1))
-        slots.reshape(u.shape).sort(axis=1)
-        first = np.empty(slots.size, dtype=bool)
-        np.not_equal(slots[1:], slots[:-1], out=first[1:])
-        first[::n] = True
-        starts = np.flatnonzero(first)
-        sizes = np.diff(starts, append=slots.size)
-        run_slots = slots[starts]
-        run_rows = starts // n
-        # row t's runs are cuts[t]:cuts[t + 1], its background run last
-        cuts = np.searchsorted(starts, np.arange(len(gens) + 1) * n)
-        drawn = run_slots < explicit
-        background = np.zeros(len(gens), dtype=np.int64)
-        background[run_rows[~drawn]] = sizes[~drawn]
-        singles = np.bincount(run_rows[drawn & (sizes == 1)], minlength=len(gens))
-        ends = cuts[1:] - (background > 0)
-        by_parts = 2 * (ends - cuts[:-1] + has_bottom) < p.keys.size
-        seen = -weights[run_slots]
-        if not by_parts.all():
-            # a trial on this route saw at least half of p's keys, so p has
-            # at most 2(n + 1) keys and the mask at most 2n + 3 slots a row
-            unseen = np.ones((len(gens), cum.size), dtype=bool)
-            unseen[run_rows, run_slots] = False
-            rest = np.broadcast_to(weights, unseen.shape)[unseen]
-            rest_cuts = [0, *np.cumsum(np.count_nonzero(unseen, axis=1)).tolist()]
-        rows = zip(
-            gens, by_parts.tolist(), cuts.tolist(), ends.tolist(), singles.tolist(),
-            background.tolist(),
-        )
-        for t, (gen, route, lo, hi, single, bg) in enumerate(rows):
-            if route:
-                miss = math.fsum(chain(parts, memoryview(seen[lo:hi])))
-            else:
-                miss = math.fsum(memoryview(rest[rest_cuts[t] : rest_cuts[t + 1]]))
-            seen_plain = 1 - has_bottom
-            if bg:
-                counts = np.unique(_background_atoms(p, bg, gen), return_counts=True)[1]
-                single += int(np.count_nonzero(counts == 1))
-                seen_plain += counts.size
-            if p.background != 0.0:
-                miss = miss + p.background * (plain - seen_plain)
-            yield single / n, miss
 
 
 # ---------------------------------------------------------------------------

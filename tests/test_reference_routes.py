@@ -1827,14 +1827,13 @@ class TestGtConcentration:
     @PROPERTY
     def test_chunk_edges_match_literal_recount(self, case):
         """Chunks of 1 and 3 trials, a last chunk cut short, background
-        draws and both missing-mass routes give the literal recount's
-        counts, mean gap and standard error. In the example, 49 of the 101
-        trials see fewer than half of p's 22 keys, 52 see half or more, and
-        71 draw background atoms."""
+        draws and seen counts on both sides of missing_mass's route choice
+        give the literal recount's counts, mean gap and standard error. In
+        the example, 49 of the 101 trials see fewer than half of p's 22
+        keys, 52 see half or more, and 71 draw background atoms."""
         p, n, chunk, trials, seed, (two_radius, one_radius) = case
-        with mock.patch.multiple(
+        with mock.patch.object(dist_module, "_CHUNK_DRAWS", chunk * n), mock.patch.multiple(
             harness,
-            _CHUNK_DRAWS=chunk * n,
             good_turing_radius=lambda delta, n: two_radius,
             missing_mass_lower_radius=lambda delta, n: one_radius,
         ):
@@ -1843,6 +1842,27 @@ class TestGtConcentration:
         assert (report.two_sided_violations, report.one_sided_violations) == (two_sided, one_sided)
         assert report.mean_gap == float(gaps.mean())
         assert report.gap_stderr == float(gaps.std(ddof=1) / math.sqrt(trials))
+
+    @given(gt_chunk_cases())
+    @PROPERTY
+    def test_count_runs_match_sample_counts(self, case):
+        """Each stream's runs are sample_counts's counts of the same stream,
+        split into p's explicit atoms (read as their weights) and the
+        background atoms, and each generator ends where sample_counts
+        leaves it."""
+        p, n, chunk, trials, seed, _ = case
+        streams = list(SeededRng(seed).children(range(1, trials + 1)))
+        with mock.patch.object(dist_module, "_CHUNK_DRAWS", chunk * n):
+            runs = list(dist_module._sample_count_runs(p, n, streams))
+        assert len(runs) == trials
+        refs = SeededRng(seed).children(range(1, trials + 1))
+        for (weights, counts, bg_counts), rng, ref in zip(runs, streams, refs):
+            atoms, ref_counts = sample_counts(p, n, ref)
+            explicit = np.isin(atoms, p.keys)
+            assert np.array_equal(weights, p.weights_at(atoms[explicit]))
+            assert np.array_equal(counts, ref_counts[explicit])
+            assert np.array_equal(bg_counts, ref_counts[~explicit])
+            assert rng.generator.random() == ref.generator.random()
 
 
 # ---------------------------------------------------------------------------
