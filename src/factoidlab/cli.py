@@ -427,7 +427,7 @@ def cmd_brute_force(args, out) -> int:
     for i in range(30):
         d1 = random_dist(tv_universe, rng.child(1, i, 0))
         d2 = random_dist(tv_universe, rng.child(1, i, 1))
-        half_l1, pos_part, subset_max = tv_distance_forms(d1, d2, exhaustive_limit=tv_size)
+        half_l1, pos_part, subset_max = tv_distance_forms(d1, d2)
         worst = max(worst, abs(half_l1 - pos_part), abs(half_l1 - subset_max))
     tv_ok = worst <= 1e-12
     print(

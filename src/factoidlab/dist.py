@@ -20,34 +20,29 @@ the universe, NaN, infinite or negative weights and a non-finite or
 negative background are rejected. The module constructors also
 normalize; zero-sum input is rejected.
 
-Because a distribution is immutable, it caches two derived tables for
-callers that reuse it:
-
-* the inverse-CDF table sample_iid and sample_counts draw through: the
-  cumulative weights of the positive atoms (the background as one last
-  bucket), the atom of each slot in increasing order, and a guide table
-  of m buckets, the least power of two >= |cum| (so a bucket is no
-  wider than the mean slot), guide[j] = searchsorted(cum, j/m,
-  "right"). A draw u starts at guide[floor(u*m)] and steps forward while
-  cum[slot] <= u; the few draws still open after a fixed number of steps
-  fall back to searchsorted, so every slot equals plain inversion. It is
-  built on the first draw, or shared: the draws of a world model whose
-  rank template holds one value all have the same weights in key order,
-  so the model builds cum and guide once and _share_inverse_cdf, the one
-  place outside _inverse_cdf that writes a table, hands each draw that
-  pair with its own keys as the atom column; the shared arrays are
-  read-only like every table. sample_iid returns the drawn atoms in draw
-  order; sample_counts counts the drawn slots instead and returns each
-  drawn atom once with its count, so a caller that needs only the counts
-  (every training sample in the harness) never builds or sorts the n
-  draws. _sample_count_runs gives sample_counts's counts for many
-  streams of one distribution, a chunk of streams inverted and sorted at
-  once.
-* an exact expansion of sum(values): a few non-overlapping floats whose
-  exact sum is the exact sum of the weights, so the mass of all explicit
-  atoms but a few is fsum(expansion - those few), correctly rounded in
-  O(few). It is built only on request (_expand_total), by callers that
-  take many missing masses of one fixed p.
+Because a distribution is immutable, it caches the inverse-CDF table
+sample_iid and sample_counts draw through: the cumulative weights of the
+positive atoms, the atom of each slot in increasing order, and a guide
+table of m buckets, the least power of two >= |cum| (so a bucket is no
+wider than the mean slot), guide[j] = searchsorted(cum, j/m, "right"). A
+draw u starts at guide[floor(u*m)] and steps forward while cum[slot] <=
+u; the few draws still open after a fixed number of steps fall back to
+searchsorted, so every slot equals plain inversion. Training data are
+draws from a world's fact distribution, whose facts are its support, so
+the table holds explicit atoms only: a distribution whose background
+some atom outside its keys carries is refused before any uniform is
+drawn. The table is built on the first draw, or shared: the draws of a
+world model whose rank template holds one value all have the same
+weights in key order, so the model builds cum and guide once and
+_share_inverse_cdf, the one place outside _inverse_cdf that writes a
+table, hands each draw that pair with its own keys as the atom column;
+the shared arrays are read-only like every table. sample_iid returns the
+drawn atoms in draw order; sample_counts counts the drawn slots instead
+and returns each drawn atom once with its count, so a caller that needs
+only the counts (every training sample in the harness) never builds or
+sorts the n draws. _sample_count_runs gives sample_counts's counts for
+many streams of one distribution, a chunk of streams inverted and sorted
+at once.
 
 Every exact sum in the package, here and in estimators and worlds, is
 math.fsum over the array's buffer, fsum(memoryview(a)), with any extra
@@ -61,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -220,8 +215,6 @@ class FactoidDist:
     keys: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     background: float = 0.0
-    # exact expansion of sum(values); None until _expand_total builds it
-    _total_parts: tuple[float, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         background = float(self.background)
@@ -253,37 +246,27 @@ class FactoidDist:
         rest = self.universe.size - self.keys.size
         return math.fsum(memoryview(self.values)) + self.background * rest
 
-    # -- cached tables (see the module docstring) --------------------------
-
-    def _expand_total(self) -> tuple[float, ...]:
-        """Non-overlapping floats whose exact sum is the exact sum of the
-        values, largest first; built once, on the first call.
-
-        Each part is the correctly rounded rest of the exact total after
-        the parts before it, so the rest shrinks by about 2^-53 a part and
-        reaches 0 (every weight is a multiple of 2^-1074)."""
-        if self._total_parts is None:
-            parts: list[float] = []
-            while (rest := math.fsum(chain((-x for x in parts), memoryview(self.values)))) != 0.0:
-                parts.append(rest)
-            object.__setattr__(self, "_total_parts", tuple(parts))
-        return self._total_parts
+    # -- cached table (see the module docstring) ---------------------------
 
     @cached_property
     def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cum, atoms, guide) for sample_iid: cumulative weights of the
-        positive atoms and of the background bucket, the last raised to at
-        least 1 so every u in [0, 1) lands; the atom of each slot (-1 for
-        the background bucket); and the guide table.
+        positive atoms, the last raised to at least 1 so every u in [0, 1)
+        lands; the atom of each slot; and the guide table. Refuses a
+        background that an atom outside the keys carries.
         """
+        rest = self.universe.size - self.keys.size
+        if self.background * rest > 0.0:
+            raise DistributionError(
+                f"cannot sample a distribution with background weight {self.background} "
+                f"on {rest} atoms outside its keys; sampling needs a sparse distribution"
+            )
         pos = self.values > 0.0
-        bg_total = self.background * (self.universe.size - self.keys.size)
-        probs = np.append(self.values[pos], bg_total) if bg_total > 0.0 else self.values[pos]
-        if probs.size == 0:
+        if not pos.any():
             raise DistributionError("distribution has no positive mass")
-        cum = np.cumsum(probs)
+        cum = np.cumsum(self.values[pos])
         cum[-1] = max(cum[-1], 1.0)
-        atoms = np.append(self.keys[pos], -1) if bg_total > 0.0 else self.keys[pos]
+        atoms = self.keys[pos]
         # guide[j] counts the cum entries <= j/m. With m a power of two,
         # cum*m is exact, and cum[i] <= j/m exactly when j >= ceil(cum[i]*m).
         m = 1 << (cum.size - 1).bit_length()
@@ -298,7 +281,8 @@ def _share_inverse_cdf(d: FactoidDist, cum: np.ndarray, guide: np.ndarray) -> Fa
     """d, its inverse-CDF table set to cum, its own keys and guide: a table
     shared by many distributions. cum and guide must be what _inverse_cdf
     builds on weights equal to d's values bit for bit, every one positive,
-    with no background, so that the table is the one d would build."""
+    so that the table is the one d would build, and d must carry no
+    background: a shared table skips _inverse_cdf's refusal."""
     d.__dict__["_inverse_cdf"] = (cum, d.keys, guide)
     return d
 
@@ -450,24 +434,20 @@ def join_profiles(batches: Sequence[ProfileBatch]) -> ProfileBatch:
 # -- metrics ---------------------------------------------------------------
 
 
-def tv_distance_forms(
-    d1: FactoidDist, d2: FactoidDist, exhaustive_limit: int = 12
-) -> tuple[float, float, float]:
+def tv_distance_forms(d1: FactoidDist, d2: FactoidDist) -> tuple[float, float, float]:
     """The three equivalent total-variation formulas, for cross-checking.
 
     Returns (half_l1, positive_part_sum, subset_max). The subset maximum
     is max |d1(S) - d2(S)| over all 2^|Y| subsets S, read off the subset
-    table of the atomwise gaps d1 - d2, when the universe is small enough;
-    otherwise it is the positive part, the gap of the witness set where
-    d1 exceeds d2 (which attains the maximum).
+    table of the atomwise gaps d1 - d2. The table has 2^|Y| rows, so a
+    universe of more than 12 atoms, the largest any cross-check sweeps,
+    is refused.
     """
+    check_count(d1.universe.size, "universe size", 2, 12, "atoms")
     profile = keyed_profile(d1, d2)
     gaps = profile.w1 - profile.w2
     half_l1 = 0.5 * float(np.sum(profile.counts * np.abs(gaps)))
     pos_part = float(np.sum(profile.counts * np.clip(gaps, 0.0, None)))
-    size = d1.universe.size
-    if size > check_count(exhaustive_limit, "exhaustive_limit", 0):
-        return half_l1, pos_part, pos_part
     subset_gaps = _subset_table(np.add, _dense_weights(d1) - _dense_weights(d2), 0.0)
     return half_l1, pos_part, float(np.abs(subset_gaps).max())
 
@@ -548,38 +528,21 @@ def sample_iid(d: FactoidDist, n: int, rng: SeededRng) -> np.ndarray:
 
     Deterministic given the rng seed. Each draw inverts one uniform u
     through d's cached guide table (see the module docstring), which picks
-    the same slot as searchsorted(cum, u, "right"). Background mass is drawn
-    by inverting into a virtual bucket and then rejection-sampling a
-    uniform non-special atom, which is exact. Callers that need only how
-    often each atom was drawn use sample_counts, which reads the same
-    stream and never builds the n-long array.
+    the same slot as searchsorted(cum, u, "right"). d must be sparse: a
+    background that an atom outside d's keys carries is refused before
+    any uniform is drawn. Callers that need only how often each atom was
+    drawn use sample_counts, which reads the same stream and never builds
+    the n-long array.
     """
     check_count(n, "sample size", 1)
-    gen = rng.generator
     cum, atoms, guide = d._inverse_cdf
-    out = atoms[_guided_slots(cum, guide, gen.random(n))]
-    background_positions = np.flatnonzero(out == -1)
-    if background_positions.size:
-        out[background_positions] = _background_atoms(d, background_positions.size, gen)
-    return out
-
-
-def _background_atoms(d: FactoidDist, count: int, gen: np.random.Generator) -> np.ndarray:
-    """count uniform atoms outside d's explicit keys, one rejection loop per
-    atom in turn; zero-weight explicit atoms stay unreachable too."""
-    special_set = set(d.keys.tolist())
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        cand = int(gen.integers(0, d.universe.size))
-        while cand in special_set:
-            cand = int(gen.integers(0, d.universe.size))
-        out[i] = cand
-    return out
+    return atoms[_guided_slots(cum, guide, rng.generator.random(n))]
 
 
 def sample_counts(d: FactoidDist, n: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
     """The distinct atoms of sample_iid(d, n, rng), in increasing order, and
-    how often each was drawn; rng's generator ends in the same state.
+    how often each was drawn; rng's generator ends in the same state, and
+    d is refused as sample_iid refuses it.
 
     The n uniforms are inverted to slots of d's inverse-CDF table as in
     sample_iid, and the slots are counted, not the atoms: the table's atom
@@ -587,52 +550,35 @@ def sample_counts(d: FactoidDist, n: int, rng: SeededRng) -> tuple[np.ndarray, n
     and no n-long atom array is built. A table of at most 8192 + 4n slots
     is counted with one bincount over the table, a larger one by sorting
     the n slots (see _COUNT_BASE_SLOTS for the measured crossover).
-    Background draws, whose atoms are outside the table, take their
-    rejection loops in draw order as in sample_iid and are merged in.
     """
     check_count(n, "sample size", 1)
-    gen = rng.generator
     cum, atoms, guide = d._inverse_cdf
-    slots = _guided_slots(cum, guide, gen.random(n))
+    slots = _guided_slots(cum, guide, rng.generator.random(n))
     if cum.size <= _COUNT_BASE_SLOTS + _COUNT_SLOTS_PER_DRAW * n:
         counts = np.bincount(slots, minlength=cum.size)
         # nonzero of a bool array is several times faster than of an int one
         seen = np.flatnonzero(counts != 0)
-        counts = counts[seen]
-    else:
-        seen, counts = np.unique(slots, return_counts=True)
-    keys = atoms[seen]
-    if keys[-1] != -1:
-        return keys, counts
-    # the background bucket is the table's last slot
-    bg_keys, bg_counts = np.unique(_background_atoms(d, int(counts[-1]), gen), return_counts=True)
-    keys = np.concatenate((keys[:-1], bg_keys))
-    counts = np.concatenate((counts[:-1], bg_counts))
-    order = np.argsort(keys, kind="stable")
-    return keys[order], counts[order]
+        return atoms[seen], counts[seen]
+    seen, counts = np.unique(slots, return_counts=True)
+    return atoms[seen], counts
 
 
 def _sample_count_runs(
     d: FactoidDist, n: int, streams: Iterable[SeededRng]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """sample_counts(d, n, rng) for each stream in turn, as (weights,
-    counts, background counts): the weight of each explicit atom drawn, in
-    increasing atom order, how often each was drawn, and how often each
-    distinct background atom was drawn. Every generator ends in the state
-    sample_counts leaves it in.
+    counts): the weight of each atom drawn, in increasing atom order, and
+    how often each was drawn. Every generator ends in the state
+    sample_counts leaves it in, and d is refused as sample_counts refuses
+    it, before any stream is read.
 
     The streams go in chunks of at most _CHUNK_DRAWS draws. Each stream's
     generator fills its own row of n uniforms, one inversion through d's
     table maps the chunk to slots, and one sort per row puts each row's
-    equal slots in runs. The background bucket is the table's last slot,
-    so its run ends the row, and its draws take their rejection loops on
-    the row's own generator, as in sample_counts.
+    equal slots in runs.
     """
     cum, atoms, guide = d._inverse_cdf
-    explicit = cum.size - int(atoms[-1] == -1)
-    # each slot's weight, 0 for the background bucket
-    slot_weights = np.zeros(cum.size)
-    slot_weights[:explicit] = d.weights_at(atoms[:explicit])
+    slot_weights = d.weights_at(atoms)
     streams = iter(streams)
     while gens := [rng.generator for rng in islice(streams, max(1, _CHUNK_DRAWS // n))]:
         u = np.empty((len(gens), n))
@@ -645,13 +591,8 @@ def _sample_count_runs(
         first[::n] = True
         starts = np.flatnonzero(first)
         sizes = np.diff(starts, append=slots.size)
-        run_slots = slots[starts]
-        weights = slot_weights[run_slots]
-        # row t's runs are cuts[t]:cuts[t + 1], its background run last
-        cuts = np.searchsorted(starts, np.arange(len(gens) + 1) * n)
-        last = cuts[1:] - 1
-        background = np.where(run_slots[last] == explicit, sizes[last], 0)
-        ends = cuts[1:] - (background > 0)
-        for gen, lo, hi, bg in zip(gens, cuts.tolist(), ends.tolist(), background.tolist()):
-            bg_counts = np.unique(_background_atoms(d, bg, gen), return_counts=True)[1] if bg else _NO_KEYS
-            yield weights[lo:hi], sizes[lo:hi], bg_counts
+        weights = slot_weights[slots[starts]]
+        # row t's runs are cuts[t]:cuts[t + 1]
+        cuts = np.searchsorted(starts, np.arange(len(gens) + 1) * n).tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield weights[lo:hi], sizes[lo:hi]

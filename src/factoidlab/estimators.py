@@ -143,15 +143,8 @@ def missing_mass(p: FactoidDist, s: TrainingSample) -> float:
     Computed by summing p over its own explicit atoms outside the
     observed set plus the background of the remaining unobserved atoms,
     so no huge complement set is ever built. The explicit part is the
-    correctly rounded sum of the unseen weights, taken by one of two
-    routes that give the same float:
-
-    * fsum over the unseen weights, O(|p.keys|);
-    * when p carries the exact expansion of its total (built by
-      p._expand_total, which callers reusing one p across many samples do
-      once) and fewer than half of p's explicit atoms were seen, fsum of
-      the expansion minus the seen weights, O(seen). Both sums have the
-      same exact value, and fsum rounds it correctly.
+    correctly rounded sum of the unseen weights, fsum over them in
+    O(|p.keys|).
     """
     if p.universe != s.universe:
         raise UniverseMismatchError(
@@ -160,12 +153,9 @@ def missing_mass(p: FactoidDist, s: TrainingSample) -> float:
     observed = s.observed_keys
     pos, hit = _lookup(p.keys, observed)
     seen = pos[hit]
-    if p._total_parts is not None and 2 * seen.size < p.keys.size:
-        special_out = math.fsum(chain(p._total_parts, memoryview(-p.values[seen])))
-    else:
-        unseen = np.ones(p.keys.size, dtype=bool)
-        unseen[seen] = False
-        special_out = math.fsum(memoryview(p.values[unseen]))
+    unseen = np.ones(p.keys.size, dtype=bool)
+    unseen[seen] = False
+    special_out = math.fsum(memoryview(p.values[unseen]))
     if p.background == 0.0:
         return special_out
     n_obs_plain = observed.size - seen.size
@@ -173,31 +163,35 @@ def missing_mass(p: FactoidDist, s: TrainingSample) -> float:
     return special_out + p.background * n_plain_out
 
 
+def _expanded_total(values: np.ndarray) -> tuple[float, ...]:
+    """Non-overlapping floats whose exact sum is the exact sum of values,
+    largest first.
+
+    Each part is the correctly rounded rest of the exact total after the
+    parts before it, so the rest shrinks by about 2^-53 a part and reaches
+    0 (every weight is a multiple of 2^-1074)."""
+    parts: list[float] = []
+    while (rest := math.fsum(chain((-x for x in parts), memoryview(values)))) != 0.0:
+        parts.append(rest)
+    return tuple(parts)
+
+
 def _gt_estimates(
     p: FactoidDist, n: int, streams: Iterable[SeededRng]
 ) -> Iterator[tuple[float, float]]:
     """(monofact_estimate, missing_mass) of the sample
-    sample_counts(p, n, rng) for each stream, in order, for a p with no
-    mass on the empty fact: the same floats, read off each stream's runs
-    (dist._sample_count_runs) with no TrainingSample built.
+    sample_counts(p, n, rng) for each stream, in order, for a sparse p
+    with no mass on the empty fact: the same floats, read off each
+    stream's runs (dist._sample_count_runs) with no TrainingSample built.
 
-    An atom drawn once is a singleton. The missing mass always takes
-    missing_mass's expansion route, p's total expansion minus the seen
-    weights, in O(n) a sample: its exact value is the sum of the unseen
-    weights, which missing_mass's other route rounds too, so the float is
-    the same whichever route missing_mass would take.
+    An atom drawn once is a singleton. The missing mass is p's total
+    expansion minus the seen weights, in O(n) a sample: its exact value
+    is the sum of the unseen weights, which missing_mass rounds
+    correctly too, so the float is the same.
     """
-    parts = p._expand_total()
-    # the empty fact counts as seen, as in missing_mass, though with no
-    # mass it is never drawn; it is a plain atom unless p lists it
-    seen_plain = int(p.keys.size == 0 or p.keys[0] != BOTTOM)
-    plain = p.universe.size - p.keys.size
-    for weights, counts, bg_counts in _sample_count_runs(p, n, streams):
-        singles = np.count_nonzero(counts == 1) + np.count_nonzero(bg_counts == 1)
-        miss = math.fsum(chain(parts, memoryview(-weights)))
-        if p.background != 0.0:
-            miss = miss + p.background * (plain - seen_plain - bg_counts.size)
-        yield singles / n, miss
+    parts = _expanded_total(p.values)
+    for weights, counts in _sample_count_runs(p, n, streams):
+        yield np.count_nonzero(counts == 1) / n, math.fsum(chain(parts, memoryview(-weights)))
 
 
 def _check_delta(delta: float, upper: float) -> None:

@@ -419,7 +419,9 @@ def run_gt_concentration(
     Requires p to put no mass on the empty fact: then the monofact
     estimate coincides exactly with the generic unique-draw fraction the
     concentration statements are about. (With empty-fact mass the two
-    can differ by up to 1/n.)
+    can differ by up to 1/n.) p must also be sparse, as every sampled
+    distribution: a background that an atom outside p's keys carries is
+    refused by the sampler.
     """
     check_count(trials, "trials", 100, error=InsufficientDataError)
     if p.weight(0) > 0.0:

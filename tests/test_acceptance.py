@@ -359,7 +359,7 @@ class TestAc09CalibrationIdentities:
             u = FactoidUniverse(12)
             d1 = random_dist(u, rng3.child(i, 0))
             d2 = random_dist(u, rng3.child(i, 1))
-            half_l1, pos_part, subset_max = tv_distance_forms(d1, d2, exhaustive_limit=12)
+            half_l1, pos_part, subset_max = tv_distance_forms(d1, d2)
             worst_tv = max(worst_tv, abs(half_l1 - pos_part), abs(half_l1 - subset_max))
         ok_c = worst_tv <= 1e-12
 

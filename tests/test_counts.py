@@ -115,9 +115,6 @@ COUNTS = {
     "clopper_pearson.successes": (lambda v: clopper_pearson(v, 10), DistributionError, 3),
     "clopper_pearson.trials": (lambda v: clopper_pearson(1, v), InsufficientDataError, 3),
     "verify_theorem_main_mc.fact_count": (theorem_main, DistributionError, 3),
-    "tv_distance_forms.exhaustive_limit": (
-        lambda v: tv_distance_forms(P, uniform_dist(U), exhaustive_limit=v), DistributionError, 3
-    ),
     "verify_lemma_meat_exhaustive.max_universe": (lemma_sweep, DistributionError, 3),
     "cmd_brute_force.max_universe": (brute_force, ConfigError, 3),
     "run_gt_concentration.trials": (
@@ -162,6 +159,20 @@ def test_integral_float_is_refused_not_truncated():
 def test_out_of_range_messages(args, message):
     with pytest.raises(DistributionError, match=message):
         check_count(*args)
+
+
+@pytest.mark.parametrize("size", [13, 51])
+def test_tv_distance_forms_refuses_a_universe_above_12_atoms(size):
+    # its subset table has 2^|Y| rows
+    u = FactoidUniverse(size)
+    with pytest.raises(DistributionError, match=f"universe size {size} exceeds the limit of 12 atoms"):
+        tv_distance_forms(uniform_dist(u), uniform_dist(u))
+
+
+@pytest.mark.parametrize("size", [2, 12])
+def test_tv_distance_forms_accepts_a_universe_up_to_12_atoms(size):
+    u = FactoidUniverse(size)
+    assert tv_distance_forms(uniform_dist(u), uniform_dist(u)) == (0.0, 0.0, 0.0)
 
 
 def test_w5_dimensions_are_kept_as_python_ints():

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from factoidlab.dist import (
     BOTTOM,
+    FactoidDist,
     FactoidUniverse,
     dist_from_weights,
     random_dist,
+    sample_counts,
     sample_iid,
     tv_distance_forms,
     uniform_dist,
@@ -150,7 +152,7 @@ class TestTotalVariation:
         for i in range(25):
             a = random_dist(u, rng.child(i, 0))
             b = random_dist(u, rng.child(i, 1))
-            half_l1, pos_part, subset_max = tv_distance_forms(a, b, exhaustive_limit=8)
+            half_l1, pos_part, subset_max = tv_distance_forms(a, b)
             assert abs(half_l1 - pos_part) <= 1e-12
             assert abs(half_l1 - subset_max) <= 1e-12
 
@@ -215,19 +217,31 @@ class TestSampling:
         with pytest.raises(DistributionError):
             sample_iid(uniform_dist(FactoidUniverse(4)), 0, SeededRng(12))
 
-    def test_background_sampling_frequencies(self):
-        # half the mass on atom 1, the rest spread over the other 9 atoms
-        u = FactoidUniverse(10)
-        d = background_dist(u, {1: 0.5}, 0.5 / 9)
-        draws = sample_iid(d, 60_000, SeededRng(13))
-        freq1 = np.mean(draws == 1)
-        assert abs(freq1 - 0.5) < 0.01
-        others = np.array([np.mean(draws == y) for y in range(10) if y != 1])
-        assert np.all(np.abs(others - 0.5 / 9) < 0.01)
+    @pytest.mark.parametrize("sample", [sample_iid, sample_counts])
+    @pytest.mark.parametrize(
+        "d",
+        [uniform_dist(FactoidUniverse(10)), background_dist(FactoidUniverse(10), {1: 0.5}, 0.5 / 9)],
+        ids=["uniform", "background"],
+    )
+    def test_background_mass_is_refused_before_any_draw(self, sample, d):
+        rng = SeededRng(13)
+        with pytest.raises(DistributionError, match="sampling needs a sparse distribution"):
+            sample(d, 100, rng)
+        assert rng.generator.random() == SeededRng(13).generator.random()
+
+    def test_keys_covering_the_universe_sample_with_a_background_field(self):
+        # no atom is left to carry the background, so p is sparse
+        u = FactoidUniverse(3)
+        d = FactoidDist(u, [0, 1, 2], [0.25, 0.25, 0.5], 0.125)
+        assert d.background == 0.125
+        draws = sample_iid(d, 1000, SeededRng(13))
+        assert set(draws.tolist()) == {0, 1, 2}
+        atoms, counts = sample_counts(d, 1000, SeededRng(13))
+        assert atoms.tolist() == [0, 1, 2] and counts.tolist() == np.bincount(draws).tolist()
 
     def test_zero_weight_special_never_drawn(self):
         u = FactoidUniverse(5)
-        d = background_dist(u, {2: 0.0}, 0.25)
+        d = FactoidDist(u, [1, 2, 3], [0.5, 0.0, 0.5])
         draws = sample_iid(d, 5000, SeededRng(14))
         assert not np.any(draws == 2)
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from factoidlab.dist import FactoidUniverse, dist_from_weights
+from factoidlab.dist import FactoidDist, FactoidUniverse, dist_from_weights, uniform_dist
 from factoidlab.errors import ConfigError, DistributionError, InsufficientDataError
 from factoidlab.harness import (
     BoundSettings,
@@ -19,6 +19,7 @@ from factoidlab.harness import (
 from factoidlab.lms import Empirical, MonofactMemorizer, Oracle, Uniform
 from factoidlab.rng import SeededRng
 from factoidlab.worlds import MultiTypeWorld, PermutedPowerLawWorld
+from literal import background_dist
 
 
 def make_cfg(algorithm=MonofactMemorizer(), trials=20, seed=77, **bound_kwargs):
@@ -218,6 +219,20 @@ class TestGtConcentrationContract:
         u = FactoidUniverse(5)
         p = dist_from_weights(u, {0: 0.5, 1: 0.5})
         with pytest.raises(Exception, match="empty-fact"):
+            run_gt_concentration(p, n=50, delta=0.1, trials=100, master_seed=1)
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (uniform_dist(FactoidUniverse(10)), "empty-fact"),
+            (background_dist(FactoidUniverse(10), {1: 0.5}, 0.5 / 9), "empty-fact"),
+            # no empty-fact mass, so the sampler refuses the background
+            (FactoidDist(FactoidUniverse(10), [0, 1], [0.0, 0.5], 0.5 / 8), "sparse distribution"),
+        ],
+        ids=["uniform", "background", "background_without_empty_fact"],
+    )
+    def test_background_mass_rejected(self, p, message):
+        with pytest.raises(DistributionError, match=message):
             run_gt_concentration(p, n=50, delta=0.1, trials=100, master_seed=1)
 
     def test_aggregate_json_round_trips(self):

@@ -9,9 +9,9 @@ division, the same atom order), so not even the last bit may move.
 
 The cached tables are checked the same way: the guide-table sampler
 against plain searchsorted inversion, the counted sampler on both sides
-of its size rule against counting the guide-table sampler's draws, both
-missing-mass routes against the literal fsum over unseen atoms, the
-exact expansion of a total against rational arithmetic, and the table a
+of its size rule against counting the guide-table sampler's draws, the
+missing mass against the literal fsum over unseen atoms, the exact
+expansion of a total against rational arithmetic, and the table a
 world model whose rank templates hold one value shares among its draws
 against the table each draw builds for itself.
 
@@ -124,7 +124,7 @@ from factoidlab.calibration import (
     partition_for_spec,
 )
 from factoidlab.errors import DistributionError, PartitionError, UniverseMismatchError
-from factoidlab.estimators import TrainingSample, missing_mass, monofact_estimate
+from factoidlab.estimators import TrainingSample, _expanded_total, missing_mass, monofact_estimate
 from factoidlab import harness
 from factoidlab.harness import (
     _local_side,
@@ -299,25 +299,12 @@ def ref_missing_mass(p, draws):
 
 def ref_sample_iid(d, n, rng):
     """Plain inversion: one searchsorted over the cumulative weights of the
-    positive atoms and the background bucket, then rejection for each
-    background draw."""
-    gen = rng.generator
+    positive atoms."""
     sp = special(d)
     atoms = [y for y, w in sp.items() if w > 0.0]
-    probs = [w for w in sp.values() if w > 0.0]
-    bg_total = d.background * (d.universe.size - len(sp))
-    if bg_total > 0.0:
-        atoms.append(-1)
-        probs.append(bg_total)
-    cum = np.cumsum(probs)
+    cum = np.cumsum([w for w in sp.values() if w > 0.0])
     cum[-1] = max(cum[-1], 1.0)
-    out = np.array(atoms, dtype=np.int64)[np.searchsorted(cum, gen.random(n), side="right")]
-    for i in np.flatnonzero(out == -1).tolist():
-        cand = int(gen.integers(0, d.universe.size))
-        while cand in sp:
-            cand = int(gen.integers(0, d.universe.size))
-        out[i] = cand
-    return out
+    return np.array(atoms, dtype=np.int64)[np.searchsorted(cum, rng.generator.random(n), side="right")]
 
 
 def ref_normalized(universe, sp, background):
@@ -450,7 +437,7 @@ class TestAgainstReference:
         # apart: every partial sum is a mass or a mass gap in [-1, 1], so each
         # of the at most 2 |Y| + 1 operations per subset rounds by <= eps / 2
         size = pair[0].universe.size
-        subset_max = tv_distance_forms(*pair, exhaustive_limit=size)[2]
+        subset_max = tv_distance_forms(*pair)[2]
         assert abs(subset_max - subset_tv_max(*pair)) <= 2 * (size + 1) * np.finfo(float).eps
 
     @given(pair=world_pairs())
@@ -541,8 +528,8 @@ def single_atom():
     return FactoidDist(FactoidUniverse(5), [3], [1.0])
 
 
-def background_bucket():
-    return background_dist(FactoidUniverse(40), {2: 0.5, 9: 0.0, 17: 1e-300}, 0.01)
+def zero_and_tiny_weights():
+    return FactoidDist(FactoidUniverse(40), [2, 9, 17], [1.0, 0.0, 1e-300])
 
 
 def crowded_bucket():
@@ -551,7 +538,7 @@ def crowded_bucket():
     return FactoidDist(FactoidUniverse(100), np.arange(1, 66), [1e-6] * 64 + [1.0 - 64e-6])
 
 
-NAMED_DISTS = [single_atom, background_bucket, crowded_bucket]
+NAMED_DISTS = [single_atom, zero_and_tiny_weights, crowded_bucket]
 
 
 @st.composite
@@ -565,14 +552,13 @@ def sampling_dists(draw):
     values = draw(st.lists(WEIGHTS, min_size=len(keys), max_size=len(keys)))
     if not any(values):
         values[0] = 1.0
-    background = draw(st.sampled_from([0.0, 0.0, 1e-3]))
-    return background_dist(FactoidUniverse(size), dict(zip(keys, values)), background)
+    return dist_from_weights(FactoidUniverse(size), dict(zip(keys, values)))
 
 
 @st.composite
 def counted_dists(draw):
     """A sampling case, or a few explicit atoms on a universe of up to
-    10^12, with zero weights and half the time a background weight."""
+    10^12."""
     if draw(st.booleans()):
         return draw(sampling_dists())
     size = draw(st.integers(2, 10**12))
@@ -580,8 +566,7 @@ def counted_dists(draw):
     values = draw(st.lists(WEIGHTS, min_size=len(keys), max_size=len(keys)))
     if not any(values):
         values[0] = 1.0
-    background = draw(st.sampled_from([0.0, 1e-12, 1.0]))
-    return background_dist(FactoidUniverse(size), dict(zip(sorted(keys), values)), background)
+    return dist_from_weights(FactoidUniverse(size), dict(zip(sorted(keys), values)))
 
 
 #: the size rule's constants forcing each side of it on any table
@@ -696,26 +681,15 @@ class TestCachedTables:
 
     @given(data=st.data())
     @PROPERTY
-    def test_missing_mass_both_routes(self, data):
+    def test_missing_mass_matches_literal(self, data):
         size = data.draw(st.integers(4, 60))
         keys = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=3)))
         values = data.draw(st.lists(WEIGHTS, min_size=len(keys), max_size=len(keys)))
         background = data.draw(st.sampled_from([0.0, 0.25]))
-        # few draws, mostly explicit atoms: the expansion route needs
-        # fewer than half of the keys seen, the empty fact included
-        few = (len(keys) - 3) // 2
-        draws = data.draw(st.lists(st.sampled_from(keys) | st.integers(0, size - 1), max_size=few))
+        draws = data.draw(st.lists(st.sampled_from(keys) | st.integers(0, size - 1), max_size=2 * len(keys)))
         s = TrainingSample(FactoidUniverse(size), np.array(draws, dtype=np.int64))
-        plain = FactoidDist(FactoidUniverse(size), keys, values, background)
-        want = ref_missing_mass(plain, draws)
-        expanded = FactoidDist(FactoidUniverse(size), keys, values, background)
-        expanded._expand_total()
-        assert 2 * len(ref_observed(draws) & set(keys)) < len(keys)
-        assert missing_mass(plain, s) == want
-        assert missing_mass(expanded, s) == want
-        # with most keys seen, the expanded p takes the plain route
-        s_all = TrainingSample(FactoidUniverse(size), np.array(keys, dtype=np.int64))
-        assert missing_mass(expanded, s_all) == ref_missing_mass(plain, keys)
+        p = FactoidDist(FactoidUniverse(size), keys, values, background)
+        assert missing_mass(p, s) == ref_missing_mass(p, draws)
 
     @given(case=st.tuples(UNIFORM_WORLDS, st.just(True)), seed=st.integers(0, 2**32 - 1))
     @example(case=(PermutedPowerLawWorld(10**7, 1000, 0.0), True), seed=0)  # the README world
@@ -774,15 +748,14 @@ class TestCachedTables:
     @given(values=st.lists(WEIGHTS | st.floats(0.0, 1e300), max_size=40))
     @PROPERTY
     def test_expansion_sums_exactly(self, values):
-        d = FactoidDist(FactoidUniverse(64), np.arange(len(values)), values)
-        parts = d._expand_total()
+        parts = _expanded_total(np.array(values, dtype=np.float64))
         assert sum(map(Fraction, parts), Fraction(0)) == sum(map(Fraction, values), Fraction(0))
         for big, small in zip(parts, parts[1:]):
             assert small != 0.0 and abs(small) <= math.ulp(big) / 2
 
     def test_expansion_of_spread_weights_has_several_parts(self):
         values = [1.0, 1e-20, 1e-40, 5e-324]
-        parts = FactoidDist(FactoidUniverse(8), np.arange(4), values)._expand_total()
+        parts = _expanded_total(np.array(values))
         assert len(parts) == 4
         assert sum(map(Fraction, parts)) == sum(map(Fraction, values))
 
@@ -1726,21 +1699,14 @@ class TestUpperBoundCheck:
 
 @st.composite
 def gt_cases(draw):
-    """A distribution with no empty-fact mass (a zero-weight empty fact
-    when it has a background), n, trials, a seed and two radii that decide
-    the events either way."""
+    """A sparse distribution with no empty-fact mass, n, trials, a seed and
+    two radii that decide the events either way."""
     size = draw(st.integers(2, 10**6), label="universe_size")
     keys = sorted(draw(st.sets(st.integers(1, size - 1), min_size=1, max_size=40)))
     values = draw(st.lists(WEIGHTS, min_size=len(keys), max_size=len(keys)))
     if not any(values):
         values[0] = 1.0
-    background = draw(st.sampled_from([0.0, 1e-3]))
-    weights = dict(zip(keys, values))
-    if background and size > len(keys) + 1:
-        weights[BOTTOM] = 0.0
-    else:
-        background = 0.0
-    p = background_dist(FactoidUniverse(size), weights, background)
+    p = dist_from_weights(FactoidUniverse(size), dict(zip(keys, values)))
     n = draw(st.integers(1, 60), label="n")
     trials = draw(st.integers(100, 120), label="trials")
     radii = draw(st.lists(st.sampled_from([0.0, 0.02, 0.1]) | st.floats(0.0, 0.5), min_size=2, max_size=2))
@@ -1749,25 +1715,18 @@ def gt_cases(draw):
 
 @st.composite
 def gt_chunk_cases(draw):
-    """A p with an explicit zero-weight empty fact, m near-uniform keys, a
-    few more zero-weight keys and, mostly, a background of a tenth to
-    nearly half of the mass; n up to 2m, so that trials see fewer and more
-    than half of p's keys; chunks of 1 or 3 trials, and a trial count that
-    is a multiple of neither (a seed and two radii as in gt_cases)."""
+    """A sparse p with an explicit zero-weight empty fact, m near-uniform
+    keys and a few more zero-weight keys; n up to 2m, so that trials see
+    few and most of p's keys; chunks of 1 or 3 trials, and a trial count
+    that is a multiple of neither (a seed and two radii as in gt_cases)."""
     m = draw(st.integers(2, 30), label="keys")
     zeros = draw(st.integers(0, 3), label="zero_keys")
     size = draw(st.integers(m + zeros + 2, 10**6), label="universe_size")
     keys = sorted(draw(st.sets(st.integers(1, size - 1), min_size=m + zeros, max_size=m + zeros)))
     values = draw(st.lists(st.floats(0.5, 2.0), min_size=m, max_size=m)) + [0.0] * zeros
     values = draw(st.permutations(values))
-    share = draw(st.sampled_from([0.0, 0.1, 0.45]), label="background_share")
-    u = FactoidUniverse(size)
-    if share:
-        background = share / (1.0 - share) * math.fsum(values) / (size - 1 - len(keys))
-        p = background_dist(u, {BOTTOM: 0.0, **dict(zip(keys, values))}, background)
-    else:
-        # the module constructors drop zero weights when there is no background
-        p = FactoidDist(u, [BOTTOM, *keys], np.array([0.0, *values]) / math.fsum(values))
+    # the module constructors would drop the zero weights
+    p = FactoidDist(FactoidUniverse(size), [BOTTOM, *keys], np.array([0.0, *values]) / math.fsum(values))
     n = draw(st.integers(1, 2 * m), label="n")
     chunk = draw(st.sampled_from([1, 3]), label="chunk_trials")
     trials = draw(st.integers(100, 120).filter(lambda t: t % 3), label="trials")
@@ -1818,19 +1777,15 @@ class TestGtConcentration:
     @given(gt_chunk_cases())
     @example(
         (
-            background_dist(
-                FactoidUniverse(1000), {BOTTOM: 0.0, **{y: 1.0 for y in range(1, 21)}, 21: 0.0}, 2e-3
-            ),
+            FactoidDist(FactoidUniverse(1000), np.arange(22), np.array([0.0] + [0.05] * 20 + [0.0])),
             14, 3, 101, 7, (0.0, 0.1),
         )
     )
     @PROPERTY
     def test_chunk_edges_match_literal_recount(self, case):
-        """Chunks of 1 and 3 trials, a last chunk cut short, background
-        draws and seen counts on both sides of missing_mass's route choice
-        give the literal recount's counts, mean gap and standard error. In
-        the example, 49 of the 101 trials see fewer than half of p's 22
-        keys, 52 see half or more, and 71 draw background atoms."""
+        """Chunks of 1 and 3 trials, a last chunk cut short and zero-weight
+        keys, the empty fact among them, give the literal recount's counts,
+        mean gap and standard error."""
         p, n, chunk, trials, seed, (two_radius, one_radius) = case
         with mock.patch.object(dist_module, "_CHUNK_DRAWS", chunk * n), mock.patch.multiple(
             harness,
@@ -1847,21 +1802,18 @@ class TestGtConcentration:
     @PROPERTY
     def test_count_runs_match_sample_counts(self, case):
         """Each stream's runs are sample_counts's counts of the same stream,
-        split into p's explicit atoms (read as their weights) and the
-        background atoms, and each generator ends where sample_counts
-        leaves it."""
+        its atoms read as their weights, and each generator ends where
+        sample_counts leaves it."""
         p, n, chunk, trials, seed, _ = case
         streams = list(SeededRng(seed).children(range(1, trials + 1)))
         with mock.patch.object(dist_module, "_CHUNK_DRAWS", chunk * n):
             runs = list(dist_module._sample_count_runs(p, n, streams))
         assert len(runs) == trials
         refs = SeededRng(seed).children(range(1, trials + 1))
-        for (weights, counts, bg_counts), rng, ref in zip(runs, streams, refs):
+        for (weights, counts), rng, ref in zip(runs, streams, refs):
             atoms, ref_counts = sample_counts(p, n, ref)
-            explicit = np.isin(atoms, p.keys)
-            assert np.array_equal(weights, p.weights_at(atoms[explicit]))
-            assert np.array_equal(counts, ref_counts[explicit])
-            assert np.array_equal(bg_counts, ref_counts[~explicit])
+            assert np.array_equal(weights, p.weights_at(atoms))
+            assert np.array_equal(counts, ref_counts)
             assert rng.generator.random() == ref.generator.random()
 
 
