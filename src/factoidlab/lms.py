@@ -7,14 +7,15 @@ stays at or below the monofact estimate, and with high probability it
 is nearly calibrated; together these cap how strong any lower bound on
 calibrated hallucination can be.
 
-The oracle returns the hidden truth and is flagged as a non-algorithm:
-no map from training data alone can implement it.
+The oracle returns the hidden truth, so it is no learning algorithm: no
+map from training data alone can implement it, and train refuses it
+without the truth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -64,8 +65,6 @@ class MonofactMemorizer:
 @dataclass(frozen=True)
 class Oracle:
     """Returns the hidden fact distribution; not realizable from data."""
-
-    is_algorithm: bool = field(default=False, init=False)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ models:
 * W5: factoids are (person, date, food, location) tuples; each
   (person, date) pair contributes exactly one uniformly chosen fact, so
   factoids sharing a pair are anti-correlated;
-* multi-type: disjoint index ranges, one component world per range,
+* multi-type: disjoint index ranges, one permuted power law per range,
   mixed with fixed per-type mass;
 * explicit: a finite list of (prior weight, instance) pairs, enumerable
   for exact posterior computations.
@@ -115,8 +115,7 @@ class PermutedPowerLawWorld:
         inverse-CDF table every draw that sample_world returns shares
         (draw_table): about 80 MB of cum and 128 MB of guide more at that
         count, which each such draw used to build for itself when sampled,
-        so a run that samples its worlds does not peak higher. A draw taken
-        as one type of a multi-type world with a W5 type never builds it."""
+        so a run that samples its worlds does not peak higher."""
         return _rank_template(self)
 
     @cached_property
@@ -174,14 +173,22 @@ class MultiTypeWorld:
     where local index 0 (the component's empty fact) maps to the shared
     global index 0. Component draws are independent; type i receives
     total mass weights[i].
+
+    Every type is a permuted power law: a W5, explicit or nested
+    multi-type component is refused with DistributionError.
     """
 
-    components: tuple
+    components: tuple[PermutedPowerLawWorld, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.components) < 1:
             raise DistributionError("multi-type world needs at least one component")
+        for c in self.components:
+            if not isinstance(c, PermutedPowerLawWorld):
+                raise DistributionError(
+                    f"multi-type world types must be permuted power laws, got {type(c).__name__}"
+                )
         if len(self.weights) != len(self.components):
             raise DistributionError("one weight per component required")
         if not all(w > 0.0 for w in self.weights):
@@ -209,20 +216,17 @@ class MultiTypeWorld:
         return range(start, start + self.components[i].universe_size - 1)
 
     @cached_property
-    def rank_template(self) -> tuple[np.ndarray, ...] | None:
+    def rank_template(self) -> tuple[np.ndarray, ...]:
         """Per type, every draw's weights in rank order, as for a power-law
         world but scaled by the type's mass and normalized by the one
-        total all types share; None unless every component is a permuted
-        power law.
+        total all types share.
 
         A draw's values are the drawn components' values times their type
         masses, divided by the fsum of them all. fsum does not depend on
-        order, so that total is a constant of the model too, and the
-        literal route on every type's atoms in rank order yields the
-        values of every draw.
+        order, so that total is a constant of the model too, and scaling
+        and normalizing every type's atoms in rank order yields the values
+        of every draw.
         """
-        if not all(isinstance(c, PermutedPowerLawWorld) for c in self.components):
-            return None
         offsets = [self.type_offset(i) for i in range(self.k_types)]
         keys = [offset + np.arange(c.fact_count) for offset, c in zip(offsets, self.components)]
         scaled = [w * _rank_template(c) for c, w in zip(self.components, self.weights)]
@@ -235,8 +239,7 @@ class MultiTypeWorld:
     def draw_table(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(cum, guide) of every draw when each type's rank template holds
         one value (see _shared_table), else None."""
-        templates = self.rank_template
-        return None if templates is None else _shared_table(self.universe, templates)
+        return _shared_table(self.universe, self.rank_template)
 
 
 @dataclass(frozen=True)
@@ -383,10 +386,10 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
         return WorldInstance(
             dist_from_arrays(universe, keys, np.full(keys.size, 1.0 / model.pair_count))
         )
-    if isinstance(model, MultiTypeWorld) and model.rank_template is not None:
-        # one component draw after another from the same stream, as on the
-        # literal route below; type ranges are disjoint and increasing, so
-        # the concatenated keys stay sorted
+    if isinstance(model, MultiTypeWorld):
+        # one component draw after another from the same stream; type
+        # ranges are disjoint and increasing, so the concatenated keys stay
+        # sorted
         gen = rng.generator
         table = model.draw_table
         keys, values = [], []
@@ -395,31 +398,6 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
             keys.append(type_keys + (model.type_offset(i) - 1))
             values.append(type_values)
         return _template_world(model.universe, np.concatenate(keys), np.concatenate(values), table)
-    if isinstance(model, MultiTypeWorld):
-        # type ranges are disjoint and increasing, so the concatenated
-        # keys stay sorted; component mass on the shared empty fact adds up
-        keys, values = [], []
-        bottom_mass = 0.0
-        for i, (component, w) in enumerate(zip(model.components, model.weights)):
-            if isinstance(component, PermutedPowerLawWorld):
-                # drawn as sample_world draws it, but without the shared
-                # table: p_i is read here, never sampled from
-                template = component.rank_template
-                p_i = FactoidDist(
-                    component.universe, *_template_draw(component, template, False, rng.generator)
-                )
-            else:
-                p_i = sample_world(component, rng).p
-            real = p_i.keys != BOTTOM
-            keys.append(p_i.keys[real] + (model.type_offset(i) - 1))
-            values.append(w * p_i.values[real])
-            bottom_mass += w * math.fsum(memoryview(p_i.values[~real]))
-        if bottom_mass > 0.0:
-            keys.insert(0, [BOTTOM])
-            values.insert(0, [bottom_mass])
-        return WorldInstance(
-            dist_from_arrays(model.universe, np.concatenate(keys), np.concatenate(values))
-        )
     if isinstance(model, ExplicitWorld):
         gen = rng.generator
         weights = np.array([w for w, _ in model.instances])
@@ -562,14 +540,9 @@ def _analyze_w5(model: W5World, sample: TrainingSample) -> RegularityReport:
 
 def world_sparsity(model: WorldModel) -> float:
     """Largest s with |facts| <= e^(-s) |hallucinations| on every draw."""
-    if isinstance(model, PermutedPowerLawWorld):
-        facts = model.fact_count + 1
-        hallucinations = model.universe_size - facts
-        if hallucinations <= 0:
-            raise DistributionError("world has no hallucinations; sparsity undefined")
-        return math.log(hallucinations / facts)
-    if isinstance(model, W5World):
-        facts = model.pair_count + 1
+    if isinstance(model, (PermutedPowerLawWorld, W5World)):
+        # every draw holds as many facts, the empty one too: W5 one per (person, date) pair
+        facts = 1 + (model.pair_count if isinstance(model, W5World) else model.fact_count)
         hallucinations = model.universe_size - facts
         if hallucinations <= 0:
             raise DistributionError("world has no hallucinations; sparsity undefined")

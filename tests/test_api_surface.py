@@ -2,12 +2,13 @@
 its version, every export resolves and is defined in the module that
 exports it, every export is used by the library itself (bar a commented
 allowlist), and the test-side references in tests/literal.py are not
-library names. With no linter at hand, five dead-code checks run here
+library names. With no linter at hand, six dead-code checks run here
 too: no library module imports a name it never loads, every private
 module-level function, class or constant is loaded by some library
 module, every public method or property of a library class is loaded by
-some library module, and every parameter of a library function is read
-in its body (bar a commented allowlist). No library module reads every
+some library module, every parameter of a library function is read in
+its body and every field of a library dataclass is read by some library
+module (both bar a commented allowlist). No library module reads every
 atom's weight through weights_at(np.arange(...)): dist._dense_weights is
 the one route to a per-atom table. No library module hands math.fsum a
 .tolist() of an array, directly or star-unpacked in a list: fsum reads
@@ -228,6 +229,47 @@ def test_every_parameter_is_read_by_its_function():
     assert sorted(unread - UNREAD_PARAMETERS_ALLOWED) == []
     # an allowlisted parameter that gains a reader leaves the list
     assert sorted(UNREAD_PARAMETERS_ALLOWED - unread) == []
+
+
+#: Dataclass fields no library module reads, each kept for the reason
+#: beside it. Anything else a dataclass holds and nothing reads goes.
+UNREAD_FIELDS_ALLOWED = {
+    "bounds.py: TheoremMainCheck.marginals_ok",  # perfbench's posterior_exhaustive reads it (ROADMAP item 1)
+    # a violation's content; brute-force prints only the count
+    "bounds.py: LemmaMeatViolation.partition_blocks",
+    "bounds.py: LemmaMeatViolation.subset",
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(ast.unparse(d).split("(")[0].split(".")[-1] == "dataclass" for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read_by_the_library():
+    # a field counts as read when some library module loads its name or
+    # holds it in a string constant, alone or as a step of a dotted path:
+    # the getattr, attrgetter and dict-key routes name a field as a string
+    strings = {
+        part
+        for tree in LIBRARY_TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for part in node.value.split(".")
+    }
+    read = _loaded_names() | strings
+    unread = {
+        f"{file}: {cls.name}.{node.target.id}"
+        for file, tree in LIBRARY_TREES.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and isinstance(node.target, ast.Name)
+        and node.target.id not in read
+    }
+    assert sorted(unread - UNREAD_FIELDS_ALLOWED) == []
+    # an allowlisted field that gains a reader leaves the list
+    assert sorted(UNREAD_FIELDS_ALLOWED - unread) == []
 
 
 def test_no_library_module_reads_every_atom_through_weights_at():

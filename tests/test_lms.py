@@ -132,9 +132,6 @@ class TestUniformAndOracle:
         assert hallucination_rate(g, world) == pytest.approx(0.0, abs=1e-12)
         assert miscalibration(world.p, g, ExactValueBinning()) == pytest.approx(0.0, abs=1e-12)
 
-    def test_oracle_flagged_non_algorithm(self):
-        assert Oracle().is_algorithm is False
-
 
 class TestYayMixture:
     def test_hand_worked_mixture(self):

@@ -591,18 +591,12 @@ def power_law_worlds(draw, max_universe=300, exponents=EXPONENTS):
 
 
 @st.composite
-def multi_type_worlds(draw, max_universe=25, exponents=EXPONENTS, w5=True):
-    """One to three components, now and then a W5 one (which sends the
-    whole draw down the literal route) unless w5 is False, with random type
-    masses that may sum to 1 only within the 1e-9 a MultiTypeWorld allows,
-    so that normalizing a draw moves its values."""
+def multi_type_worlds(draw, max_universe=25, exponents=EXPONENTS):
+    """One to three power-law components with random type masses that may
+    sum to 1 only within the 1e-9 a MultiTypeWorld allows, so that
+    normalizing a draw moves its values."""
     k = draw(st.integers(1, 3), label="k")
-    components = []
-    for _ in range(k):
-        if w5 and draw(st.integers(0, 4)) == 0:
-            components.append(W5World(*draw(st.tuples(*[st.integers(1, 2)] * 2, *[st.integers(1, 3)] * 2))))
-        else:
-            components.append(draw(power_law_worlds(max_universe, exponents)))
+    components = [draw(power_law_worlds(max_universe, exponents)) for _ in range(k)]
     raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
     total = math.fsum(raw) * draw(st.sampled_from([1.0, 1.0 + 4e-10, 1.0 - 4e-10]))
     return MultiTypeWorld(tuple(components), tuple(w / total for w in raw))
@@ -610,9 +604,7 @@ def multi_type_worlds(draw, max_universe=25, exponents=EXPONENTS, w5=True):
 
 #: the models whose rank templates each hold one value: exponent-0 power
 #: laws and multi-type worlds built only from them
-UNIFORM_WORLDS = power_law_worlds(exponents=st.just(0.0)) | multi_type_worlds(
-    300, exponents=st.just(0.0), w5=False
-)
+UNIFORM_WORLDS = power_law_worlds(exponents=st.just(0.0)) | multi_type_worlds(300, exponents=st.just(0.0))
 
 
 def zero_punched_world() -> PermutedPowerLawWorld:
@@ -734,16 +726,6 @@ class TestCachedTables:
             assert cum is next_cum and guide is next_guide
         else:
             assert cum is not next_cum and guide is not next_guide
-
-    def test_literal_route_builds_no_shared_table(self):
-        # a multi-type world with a W5 type reads each type's draw and
-        # never samples from it, so its uniform type builds no table
-        uniform = PermutedPowerLawWorld(300, 40, 0.0)
-        model = MultiTypeWorld((W5World(1, 1, 2, 2), uniform), (0.5, 0.5))
-        got_rng, ref_rng = SeededRng(6), SeededRng(6)
-        for _ in range(2):
-            assert same_dist(sample_world(model, got_rng).p, ref_world_draw(model, ref_rng))
-        assert "draw_table" not in uniform.__dict__
 
     @given(values=st.lists(WEIGHTS | st.floats(0.0, 1e300), max_size=40))
     @PROPERTY
@@ -1543,7 +1525,8 @@ class TestRankTemplates:
         kept = np.count_nonzero(model.rank_template)
         assert 0 < kept < model.fact_count
         assert (model.rank_template[:kept] > 0.0).all()
-        assert MultiTypeWorld((model, W5World(1, 1, 2, 2)), (0.5, 0.5)).rank_template is None
+        with pytest.raises(DistributionError, match="W5World"):
+            MultiTypeWorld((model, W5World(1, 1, 2, 2)), (0.5, 0.5))
 
     def test_template_zeros_need_not_trail(self):
         # the ranks a draw drops are those the template holds at 0, wherever

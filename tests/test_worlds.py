@@ -381,3 +381,16 @@ class TestMultiTypeWorld:
         for weights in ((math.nan, math.nan), (1.0, math.nan)):
             with pytest.raises(DistributionError, match="must be positive"):
                 MultiTypeWorld(components=components, weights=weights)
+
+    def test_types_other_than_power_laws_refused(self):
+        power_law = PermutedPowerLawWorld(11, 3, 0.0)
+        inst = WorldInstance(dist_from_weights(FactoidUniverse(5), {1: 0.5, 2: 0.5}))
+        others = (
+            W5World(1, 1, 2, 2),
+            ExplicitWorld(((1.0, inst),)),
+            MultiTypeWorld((power_law,), (1.0,)),
+        )
+        for other in others:
+            for components, weights in (((other,), (1.0,)), ((power_law, other), (0.5, 0.5))):
+                with pytest.raises(DistributionError, match=type(other).__name__):
+                    MultiTypeWorld(components=components, weights=weights)
