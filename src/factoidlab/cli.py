@@ -526,6 +526,14 @@ def cmd_report(args, out) -> int:
                 raise ValueError(f"row {name!r} says {freq!r} for {satisfied} of {row['trials']}")
             if type(verdict) is not bool or verdict != (freq >= 1.0 - delta):
                 raise ValueError(f"row {name!r} says passed={verdict!r}, which its frequency contradicts")
+            # vacuous_by is checked by _bound_table; a row written before rows had it has none
+            vacuous, fraction = row["vacuous"], row["vacuous_fraction"]
+            if not (type(vacuous) is int and 0 <= vacuous <= trials and fraction == vacuous / trials):
+                raise ValueError(f"row {name!r} says {fraction!r} vacuous for {vacuous!r} of {trials}")
+            if "vacuous_by" in row and sum(row["vacuous_by"].values()) != vacuous:
+                raise ValueError(f"row {name!r} says vacuous_by {row['vacuous_by']!r} for {vacuous} vacuous")
+            if not 0 <= row["ci_low"] <= freq <= row["ci_high"] <= 1:
+                raise ValueError(f"row {name!r} has ci95 {row['ci_low']!r}..{row['ci_high']!r} off {freq!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{run_dir} holds a damaged run record: {exc!r}") from None
     lines = [header, table]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, get_args
 
 import numpy as np
 
@@ -126,6 +126,9 @@ class ExperimentConfig:
     params: BoundParams = field(init=False, compare=False)
 
     def __post_init__(self):
+        # an explicit prior is enumerated by the exact checks, never drawn
+        if not isinstance(self.world, get_args(WorldModel)):
+            raise ConfigError(f"{type(self.world).__name__} is not a drawable world model")
         check_count(self.trials, "trials", 1, TRIAL_COUNT_LIMIT, "trials", ConfigError)
         check_count(self.n, "n", 1, DRAW_COUNT_LIMIT, "draws per trial", ConfigError)
         check_count(self.master_seed, "seed", 0, error=ConfigError)
@@ -532,17 +535,12 @@ TYPE_METRIC_NAMES = ("mf", "halluc_rate", "mc_adaptive")
 @dataclass(frozen=True)
 class MultiTypeReport:
     """Per-type bound frequencies (named type0, type1, ...) and per-type
-    metric summaries (named type0.mf, type0.halluc_rate, ...)."""
+    metric summaries (named type0.mf, type0.halluc_rate, ...). Each row
+    carries its trial count and 1 - delta verdict; a caller judges the
+    rows by its own rule."""
 
-    trials: int
-    delta: float
-    k_types: int
     types: tuple[BoundFrequency, ...]
     metrics: tuple[MetricSummary, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(t.passed for t in self.types)
 
 
 def _in_range(keys: np.ndarray, start: int, stop: int) -> slice:
@@ -636,6 +634,4 @@ def run_multi_type_experiment(cfg: ExperimentConfig) -> MultiTypeReport:
         for i in range(k)
         for j, name in enumerate(TYPE_METRIC_NAMES)
     )
-    return MultiTypeReport(
-        trials=cfg.trials, delta=params.delta, k_types=k, types=types, metrics=metrics
-    )
+    return MultiTypeReport(types=types, metrics=metrics)

@@ -12,8 +12,9 @@ models:
   factoids sharing a pair are anti-correlated;
 * multi-type: disjoint index ranges, one permuted power law per range,
   mixed with fixed per-type mass;
-* explicit: a finite list of (prior weight, instance) pairs, enumerable
-  for exact posterior computations.
+* explicit: a finite list of (prior weight, instance) pairs, a prior
+  the exhaustive checks (the lemma sweep, the regularity analysis)
+  enumerate in full and never draw from.
 
 Regularity of a world, conditioned on a training sample, measures how
 far any single unobserved factoid's chance of being a fact (or expected
@@ -244,7 +245,9 @@ class MultiTypeWorld:
 
 @dataclass(frozen=True)
 class ExplicitWorld:
-    """Finite prior over instances; the exact-posterior workhorse."""
+    """Finite prior over instances, enumerated by the exact checks and
+    never drawn: sample_world, world_sparsity and ExperimentConfig
+    refuse it."""
 
     instances: tuple[tuple[float, WorldInstance], ...]
 
@@ -265,26 +268,15 @@ class ExplicitWorld:
     def universe(self) -> FactoidUniverse:
         return self.instances[0][1].universe
 
-    @property
-    def universe_size(self) -> int:
-        return self.universe.size
 
-
-WorldModel = Union[PermutedPowerLawWorld, W5World, MultiTypeWorld, ExplicitWorld]
+#: The drawable world models: the ones sample_world draws from and an
+#: ExperimentConfig accepts.
+WorldModel = Union[PermutedPowerLawWorld, W5World, MultiTypeWorld]
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-
-def _power_law_dist(universe: FactoidUniverse, ranked_atoms: np.ndarray, exponent: float) -> FactoidDist:
-    """The i-th of ranked_atoms gets mass proportional to i^(-exponent)."""
-    ranks = np.arange(1, ranked_atoms.size + 1, dtype=np.float64)
-    raw = ranks ** (-exponent)
-    total = math.fsum(memoryview(raw))
-    order = np.argsort(ranked_atoms)
-    return dist_from_arrays(universe, ranked_atoms[order], raw[order] / total)
 
 
 def _rank_vector(d: FactoidDist, first: int, count: int) -> np.ndarray:
@@ -300,14 +292,16 @@ def _rank_template(model: PermutedPowerLawWorld) -> np.ndarray:
     """The weights every draw of a power-law world gives its ranks, in rank
     order, 0 for a rank the draw drops.
 
-    A draw only permutes which atom gets which rank: its values are the
-    rank weights divided by their fsum, then by the fsum of those, zeros
-    dropped. fsum does not depend on order, so both totals are constants
-    of the model, and the literal route on atoms in rank order (atom r at
-    rank r) yields every draw's values.
+    A draw only permutes which atom gets which rank: rank i weighs
+    i^(-exponent), and its values are those weights divided by their
+    fsum, then by the fsum of those, zeros dropped. fsum does not depend
+    on order, so both totals are constants of the model, and normalizing
+    on atoms in rank order (atom r at rank r) yields every draw's values.
     """
     ranked = np.arange(1, model.fact_count + 1, dtype=np.int64)
-    return _rank_vector(_power_law_dist(model.universe, ranked, model.exponent), 1, model.fact_count)
+    raw = ranked.astype(np.float64) ** (-model.exponent)
+    d = dist_from_arrays(model.universe, ranked, raw / math.fsum(memoryview(raw)))
+    return _rank_vector(d, 1, model.fact_count)
 
 
 def _one_value(template: np.ndarray) -> bool:
@@ -366,7 +360,9 @@ def _template_world(
 
 
 def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
-    """Draw one world instance from the model prior."""
+    """Draw one world instance from the model prior. An explicit prior is
+    enumerated by the exact checks, never drawn: it is refused with
+    UnsupportedModelError, as any other model is."""
     if isinstance(model, PermutedPowerLawWorld):
         table = model.draw_table
         keys, values = _template_draw(model, model.rank_template, table is not None, rng.generator)
@@ -398,11 +394,6 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
             keys.append(type_keys + (model.type_offset(i) - 1))
             values.append(type_values)
         return _template_world(model.universe, np.concatenate(keys), np.concatenate(values), table)
-    if isinstance(model, ExplicitWorld):
-        gen = rng.generator
-        weights = np.array([w for w, _ in model.instances])
-        idx = int(gen.choice(len(model.instances), p=weights / weights.sum()))
-        return model.instances[idx][1]
     raise UnsupportedModelError(f"unknown world model {model!r}")
 
 
@@ -448,7 +439,7 @@ def _posterior_over_instances(model: ExplicitWorld, sample: TrainingSample) -> n
     return arr / total
 
 
-def analyze_regularity(model: WorldModel, sample: TrainingSample) -> RegularityReport:
+def analyze_regularity(model: WorldModel | ExplicitWorld, sample: TrainingSample) -> RegularityReport:
     """Exact regularity given a sample.
 
     Explicit models are enumerated in full. W5 models use the product
@@ -547,8 +538,6 @@ def world_sparsity(model: WorldModel) -> float:
         if hallucinations <= 0:
             raise DistributionError("world has no hallucinations; sparsity undefined")
         return math.log(hallucinations / facts)
-    if isinstance(model, ExplicitWorld):
-        return min(_instance_sparsity(inst) for _, inst in model.instances)
     if isinstance(model, MultiTypeWorld):
         return min(world_sparsity(c) for c in model.components)
     raise UnsupportedModelError(f"unknown world model {model!r}")

@@ -5,10 +5,11 @@ allowlist), and the test-side references in tests/literal.py are not
 library names. With no linter at hand, six dead-code checks run here
 too: no library module imports a name it never loads, every private
 module-level function, class or constant is loaded by some library
-module, every public method or property of a library class is loaded by
-some library module, every parameter of a library function is read in
-its body and every field of a library dataclass is read by some library
-module (both bar a commented allowlist). No library module reads every
+module, every public method or property of a library class is loaded as
+an attribute by some library module, every parameter of a library
+function is read in its body and every field of a library dataclass is
+read as an attribute or named in a string by some library module (the
+three bar a commented allowlist). No library module reads every
 atom's weight through weights_at(np.arange(...)): dist._dense_weights is
 the one route to a per-atom table. No library module hands math.fsum a
 .tolist() of an array, directly or star-unpacked in a list: fsum reads
@@ -100,6 +101,16 @@ def _loaded_names() -> set[str]:
     return set().union(*map(_loads, LIBRARY_TREES.values()))
 
 
+def _loaded_attributes() -> set[str]:
+    """Every attribute name a library module outside __init__.py loads."""
+    return {
+        node.attr
+        for tree in LIBRARY_TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_every_export_is_used_by_the_library():
     loaded = _loaded_names()
     exported = {
@@ -178,9 +189,22 @@ def test_every_private_module_constant_is_loaded_by_the_library():
     assert dead == []
 
 
+#: Public methods and properties no library module loads as an attribute,
+#: each kept for the reason beside it. Anything else nothing reads goes.
+UNREAD_METHODS_ALLOWED = {
+    "rng.py: SeededRng.key",  # the stream identity tests name a failing trial by
+}
+
+
 def test_every_public_method_and_property_is_loaded_by_the_library():
-    loaded = _loaded_names()
-    dead = [
+    """A method or property counts as read only when some library module
+    loads it as an attribute. The check cannot know types: it matches
+    names, so a member whose name another object's attribute also has
+    (.n, .k_types, .universe_size, .passed) passes whether or not
+    anything reads it. Such a member is found dead only by reading the
+    code."""
+    loaded = _loaded_attributes()
+    dead = {
         f"{file}: {cls.name}.{node.name}"
         for file, tree in LIBRARY_TREES.items()
         for cls in tree.body
@@ -189,8 +213,10 @@ def test_every_public_method_and_property_is_loaded_by_the_library():
         if isinstance(node, ast.FunctionDef)
         and not node.name.startswith("_")
         and node.name not in loaded
-    ]
-    assert dead == []
+    }
+    assert sorted(dead - UNREAD_METHODS_ALLOWED) == []
+    # an allowlisted member that gains a reader leaves the list
+    assert sorted(UNREAD_METHODS_ALLOWED - dead) == []
 
 
 #: Parameters no library function body reads, each kept for the reason
@@ -238,6 +264,11 @@ UNREAD_FIELDS_ALLOWED = {
     # a violation's content; brute-force prints only the count
     "bounds.py: LemmaMeatViolation.partition_blocks",
     "bounds.py: LemmaMeatViolation.subset",
+    "bounds.py: LemmaMeatViolation.lhs",
+    # the regularity verdict AC11 reads
+    "worlds.py: RegularityReport.r_facts",
+    "worlds.py: RegularityReport.r_probs",
+    "harness.py: MultiTypeReport.types",  # perfbench's multi_type reads it (ROADMAP item 1)
 }
 
 
@@ -246,9 +277,12 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
 
 
 def test_every_dataclass_field_is_read_by_the_library():
-    # a field counts as read when some library module loads its name or
-    # holds it in a string constant, alone or as a step of a dotted path:
-    # the getattr, attrgetter and dict-key routes name a field as a string
+    """A field counts as read when some library module loads it as an
+    attribute or holds its name in a string constant, alone or as a step
+    of a dotted path: the getattr, attrgetter and dict-key routes name a
+    field as a string. The check cannot know types: it matches names, so
+    a field whose name another object's attribute also has (.n,
+    .k_types, .passed) passes whether or not anything reads it."""
     strings = {
         part
         for tree in LIBRARY_TREES.values()
@@ -256,7 +290,7 @@ def test_every_dataclass_field_is_read_by_the_library():
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
         for part in node.value.split(".")
     }
-    read = _loaded_names() | strings
+    read = _loaded_attributes() | strings
     unread = {
         f"{file}: {cls.name}.{node.target.id}"
         for file, tree in LIBRARY_TREES.items()

@@ -592,8 +592,8 @@ class TestRunRecord:
         agg_path = tmp_path / "r" / "aggregate.json"
         agg = json.loads(agg_path.read_text())
         assert agg["passed"] is True
-        # a failed row that its own counts and frequency agree with
-        agg["bounds"]["cor1"].update(satisfied=0, frequency=0.0, passed=False)
+        # a failed row that its own counts, frequency and interval agree with
+        agg["bounds"]["cor1"].update(satisfied=0, frequency=0.0, ci_low=0.0, ci_high=0.7076, passed=False)
         agg_path.write_text(json.dumps(agg))
         code, out, _ = run_cli("report", str(tmp_path / "r"))
         assert code == 1
@@ -651,6 +651,59 @@ class TestRunRecord:
         code, out, err = run_cli("report", str(tmp_path / "r"))
         assert code == 2
         assert err.startswith("config error:") and "damaged run record" in err
+        assert out == ""
+
+    def test_report_on_contradictory_vacuity_and_interval_exits_two(self, tmp_path):
+        """A row whose vacuity and interval contradict its counts is damaged,
+        though its satisfied, frequency and passed agree."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL_CFG.replace("trials = 120", "trials = 100"))
+        assert run_cli("run", str(cfg_path), "--out", str(tmp_path / "r"))[0] == 0
+        agg_path = tmp_path / "r" / "aggregate.json"
+        agg = json.loads(agg_path.read_text())
+        agg["bounds"]["cor1"].update(
+            vacuous=500, vacuous_fraction=5.0, ci_low=0.99, ci_high=0.20, vacuous_by={"mf": 7}
+        )
+        agg_path.write_text(json.dumps(agg))
+        code, out, err = run_cli("report", str(tmp_path / "r"))
+        assert code == 2
+        assert "damaged run record" in err and "cor1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param({"vacuous": 4, "vacuous_fraction": 4 / 3}, id="vacuous_above_trials"),
+            pytest.param({"vacuous": -1, "vacuous_fraction": -1 / 3}, id="vacuous_negative"),
+            pytest.param({"vacuous": 1.0}, id="vacuous_not_an_int"),
+            pytest.param({"vacuous_fraction": 0.5}, id="fraction_against_count"),
+            pytest.param({"vacuous_by": {"mf": 2}}, id="vacuous_by_sum"),
+            pytest.param({"ci_low": 0.7}, id="ci_low_above_frequency"),
+            pytest.param({"ci_high": 0.6}, id="ci_high_below_frequency"),
+            pytest.param({"ci_low": -0.01}, id="ci_low_below_zero"),
+            pytest.param({"ci_high": 1.01}, id="ci_high_above_one"),
+        ],
+    )
+    def test_report_on_one_contradiction_exits_two(self, tmp_path, damage):
+        """Each vacuity or interval rule alone marks a row damaged. The
+        rows carry no vacuous_by, which report accepts, unless a case sets
+        one."""
+        assert run_cli("run", str(self._config(tmp_path)), "--out", str(tmp_path / "r"))[0] == 0
+        agg_path = tmp_path / "r" / "aggregate.json"
+        agg = json.loads(agg_path.read_text())
+        for row in agg["bounds"].values():
+            del row["vacuous_by"]
+        row = agg["bounds"]["cor_general"]
+        # a failed row that agrees with itself: 2 of 3 trials satisfied, 1 vacuous
+        row.update(satisfied=2, frequency=2 / 3, passed=False, vacuous=1, vacuous_fraction=1 / 3)
+        row.update(ci_low=0.1, ci_high=0.99)
+        agg_path.write_text(json.dumps(agg))
+        assert run_cli("report", str(tmp_path / "r"))[0] == 1
+        row.update(damage)
+        agg_path.write_text(json.dumps(agg))
+        code, out, err = run_cli("report", str(tmp_path / "r"))
+        assert code == 2
+        assert "damaged run record" in err and "cor_general" in err
         assert out == ""
 
     def test_aggregate_is_strict_json(self, tmp_path):
@@ -958,7 +1011,7 @@ RUN_RECORD = {
     ),
     "aggregate.json": json.dumps({"trials": 1, "delta": 0.1, "passed": True, "bounds": {"cor1": {
         "satisfied": 1, "trials": 1, "frequency": 1.0, "ci_low": 0.05, "ci_high": 1.0,
-        "vacuous_fraction": 0.0, "passed": True}}}),
+        "vacuous": 0, "vacuous_fraction": 0.0, "passed": True}}}),
     "reliability.csv": "bin_value,g_mass,p_mass,bin_size\n",
 }
 ARG_TEXTS = st.integers(-3, 6).map(str) | st.sampled_from(["13", "1000000", "x", "", "-"])

@@ -18,7 +18,7 @@ from factoidlab.harness import (
 )
 from factoidlab.lms import Empirical, MonofactMemorizer, Oracle, Uniform
 from factoidlab.rng import SeededRng
-from factoidlab.worlds import MultiTypeWorld, PermutedPowerLawWorld
+from factoidlab.worlds import ExplicitWorld, MultiTypeWorld, PermutedPowerLawWorld, WorldInstance
 from literal import background_dist
 
 
@@ -53,6 +53,20 @@ class TestConfigValidation:
     def test_explicit_sparsity_override(self):
         cfg = make_cfg(s=3.5)
         assert cfg.params.s == 3.5
+
+    def test_explicit_prior_refused(self):
+        # an explicit prior is enumerated by the exact checks, never drawn
+        # from, so no trial may run on one
+        inst = WorldInstance(dist_from_weights(FactoidUniverse(8), {1: 1, 2: 1}))
+        with pytest.raises(ConfigError, match="ExplicitWorld is not a drawable world model"):
+            ExperimentConfig(
+                world=ExplicitWorld(((1.0, inst),)),
+                n=3,
+                algorithm=Empirical(),
+                bound=BoundSettings(),
+                trials=1,
+                master_seed=1,
+            )
 
     def test_single_type_world_has_k_one(self):
         assert make_cfg().params.k_types == 1
@@ -185,7 +199,6 @@ class TestMultiType:
             master_seed=9,
         )
         report = run_multi_type_experiment(cfg)
-        assert report.k_types == 2
         assert len(report.types) == 2
         means = {m.name: m.mean for m in report.metrics}
         for t in report.types:

@@ -136,12 +136,16 @@ class TestW5World:
 
 
 class TestExplicitWorld:
-    def test_single_instance_always_drawn(self):
+    def test_never_drawn(self):
+        # the exact checks enumerate an explicit prior; neither a draw nor
+        # a sparsity over draws is taken from one
         u = FactoidUniverse(8)
         inst = WorldInstance(dist_from_weights(u, {1: 1, 2: 1}))
         model = ExplicitWorld(((1.0, inst),))
-        for i in range(5):
-            assert sample_world(model, SeededRng(i)) is inst
+        with pytest.raises(UnsupportedModelError):
+            sample_world(model, SeededRng(0))
+        with pytest.raises(UnsupportedModelError):
+            world_sparsity(model)
 
     def test_prior_weights_validated(self):
         u = FactoidUniverse(8)
