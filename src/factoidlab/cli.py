@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
-from .bounds import BOUNDS, verify_lemma_meat_exhaustive, verify_theorem_main_mc
+from .bounds import BOUNDS, clopper_pearson, verify_lemma_meat_exhaustive, verify_theorem_main_mc
 from .calibration import (
     MATERIALIZE_LIMIT,
     PARTITION_LIMIT,
@@ -534,6 +534,12 @@ def cmd_report(args, out) -> int:
                 raise ValueError(f"row {name!r} says vacuous_by {row['vacuous_by']!r} for {vacuous} vacuous")
             if not 0 <= row["ci_low"] <= freq <= row["ci_high"] <= 1:
                 raise ValueError(f"row {name!r} has ci95 {row['ci_low']!r}..{row['ci_high']!r} off {freq!r}")
+            low, high = clopper_pearson(satisfied, trials)
+            if not (abs(row["ci_low"] - low) <= 1e-9 and abs(row["ci_high"] - high) <= 1e-9):
+                raise ValueError(
+                    f"row {name!r} has ci95 {row['ci_low']!r}..{row['ci_high']!r}, not its"
+                    f" counts' Clopper-Pearson interval {low!r}..{high!r}"
+                )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{run_dir} holds a damaged run record: {exc!r}") from None
     lines = [header, table]

@@ -378,28 +378,70 @@ class ProfileBatch:
     halluc_rate: np.ndarray
 
 
-def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
-    """The paired profile, as a batch of one, of two distributions on a
-    universe of `size` atoms, each given as (keys, values, background):
-    a class per key of either, then the rest class, keyed by `size` and
-    weighted by the backgrounds, unless the keys cover the universe."""
+def _contained_layout(side1: tuple, side2: tuple) -> tuple | None:
+    """_merged_layout's arrays, from one search of the second side's keys
+    in the first's, when every one is found there, bar a leading empty
+    fact the first side lacks; None otherwise. The classes are that empty
+    fact, then the first side's keys, then the rest key: the first side's
+    values are copied in place, and the second's scattered at the slots
+    the search found."""
+    keys1, keys2 = side1[0], side2[0]
+    pos, hit = _lookup(keys1, keys2)
+    lead = int(keys2.size > 0 and not hit[0] and keys2[0] == BOTTOM)
+    if not hit[lead:].all():
+        return None
+    n = lead + keys1.size + 1
+    w1 = np.empty(n)
+    w1[lead:-1] = side1[1]
+    w1[:lead] = w1[-1] = side1[2]
+    in1 = np.zeros(n, dtype=bool)
+    in1[lead:-1] = True
+    slots = pos + lead
+    slots[:lead] = 0
+    w2 = np.full(n, side2[2])
+    w2[slots] = side2[1]
+    in2 = np.zeros(n, dtype=bool)
+    in2[slots] = True
+    return bool(lead) or (keys1.size > 0 and keys1[0] == BOTTOM), w1, in1, w2, in2
+
+
+def _merged_layout(size: int, side1: tuple, side2: tuple) -> tuple:
+    """(whether the first class is the empty fact, w1, in1, w2, in2) on the
+    sorted union of both sides' keys and the rest key `size`: each side's
+    weight of each class and a mask of the classes it holds explicitly."""
     # the key arrays and the rest key are sorted runs, which the stable
     # sort (timsort on int64) merges in linear time; np.unique without
     # counts would take a hash-based route an order of magnitude slower on
     # spread-out atoms
     keys = np.sort(np.concatenate((side1[0], side2[0], (size,))), kind="stable")
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    w1, in1 = _explicit_at(*side1, keys)
-    w2, in2 = _explicit_at(*side2, keys)
+    return keys[0] == BOTTOM, *_explicit_at(*side1, keys), *_explicit_at(*side2, keys)
+
+
+def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
+    """The paired profile, as a batch of one, of two distributions on a
+    universe of `size` atoms, each given as (keys, values, background):
+    a class per key of either, then the rest class, keyed by `size` and
+    weighted by the backgrounds, unless the keys cover the universe.
+
+    Two layouts give the same classes bit for bit. When the second side's
+    keys lie among the first's, bar a leading empty fact, one search lays
+    them out (_contained_layout): every pair of a world's p, or its
+    projection onto one type, with a g trained on a sample from it. Any
+    other pair, such as two random distributions, takes the merge of both
+    key arrays (_merged_layout)."""
+    bottom_first, w1, in1, w2, in2 = _contained_layout(side1, side2) or _merged_layout(
+        size, side1, side2
+    )
     # the mass on the facts: the fsum of the second side's explicit weights
     # there, plus its background times the facts it does not hold (the
     # empty fact among them when neither side holds it)
     facts = in1 & (w1 > 0.0)
-    facts[0] |= keys[0] == BOTTOM
-    plain = int(np.count_nonzero(facts & ~in2)) + int(keys[0] != BOTTOM)
+    facts[0] |= bottom_first
+    plain = int(np.count_nonzero(facts & ~in2)) + int(not bottom_first)
     rate = max(0.0, 1.0 - (math.fsum(memoryview(w2[facts & in2])) + side2[2] * plain))
-    counts = np.ones(keys.size)
-    counts[-1] = rest = size - (keys.size - 1)
+    counts = np.ones(w1.size)
+    counts[-1] = rest = size - (w1.size - 1)
     if not rest:
         w1, w2, counts = w1[:-1], w2[:-1], counts[:-1]
     return ProfileBatch(w1, w2, counts, np.array([0, w1.size]), np.array([rate]))

@@ -7,9 +7,10 @@ execution order.
 
 A stream is numpy's documented one: PCG64 seeded by
 SeedSequence(seed, spawn_key=key). `SeededRng.children` derives many
-sibling streams at once by computing SeedSequence's pool hash for all of
-them in one pass of uint32 array arithmetic, then seeds each PCG64 from
-its four words directly; the streams are bit-identical to `child`'s.
+sibling streams at once: the words they share are hashed once with Python
+ints, the rest of SeedSequence's pool hash runs for all of them in one
+pass of uint32 array arithmetic, and each PCG64 is seeded from its four
+words directly; the streams are bit-identical to `child`'s.
 numpy.random is imported on first use, not with this module.
 """
 
@@ -30,8 +31,8 @@ __all__ = ["SeededRng"]
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 _WORD_LIMIT = 1 << 32
 #: indices per batch of `children`: bounds the working arrays, while the
@@ -161,48 +162,62 @@ def _spawned_words(seed: int, key: tuple[int, ...], indices: tuple[int, ...]) ->
     the pool size because a spawn key is present, then each key entry's
     words. Every row shares all of it but the last word, i (rows with
     i >= 2^32 are computed but wrong: their index spans two words). The
-    hash constants never depend on the data, so each step of the hash
-    runs once across all rows.
+    hash constants never depend on the data, so the shared words are
+    hashed once with Python ints, and only the last word's four mixes and
+    the eight state words run on arrays, one row per pool word or state
+    word.
     """
     run = _uint32_words(seed)
     run += [0] * (_POOL_SIZE - len(run))
     prefix = run + [w for k in key for w in _uint32_words(k)]
-    entropy = [np.array([w], dtype=np.uint32) for w in prefix]
-    entropy.append(np.array([i & _MASK32 for i in indices], dtype=np.uint32))
 
     hash_const = _INIT_A
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def next_consts(mult: int) -> tuple[int, int]:
+        """(the constant xored into a value, the one it is multiplied by),
+        advancing the running hash constant."""
         nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
+        xor = hash_const
+        hash_const = (hash_const * mult) & _MASK32
+        return xor, hash_const
+
+    def hashmix(value: int) -> int:
+        xor, mult = next_consts(_MULT_A)
+        value = ((value ^ xor) * mult) & _MASK32
         return value ^ (value >> _XSHIFT)
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
         return result ^ (result >> _XSHIFT)
 
     # SeedSequence.mix_entropy; entropy is always longer than the pool here
-    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    pool = [hashmix(prefix[i]) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
+    for word in prefix[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
+
+    # the last word, each row's index, hashed into each pool word in turn:
+    # row d of the (4, n) arrays is pool word d
+    last = np.array([i & _MASK32 for i in indices], dtype=np.uint32)
+    xor, mult = np.array([next_consts(_MULT_A) for _ in range(_POOL_SIZE)], dtype=np.uint32).T
+    hashed = (last ^ xor[:, None]) * mult[:, None]
+    hashed ^= hashed >> _XSHIFT
+    left = np.array([(_MIX_MULT_L * x) & _MASK32 for x in pool], dtype=np.uint32)
+    mixed = left[:, None] - _MIX_MULT_R * hashed
+    mixed ^= mixed >> _XSHIFT
 
     # SeedSequence.generate_state(4, uint64): eight uint32 words cycling
     # the pool, paired little-endian into uint64 by arithmetic
     hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    return np.stack([state[2 * j] | (state[2 * j + 1] << np.uint64(32)) for j in range(4)], axis=1)
+    xor, mult = np.array([next_consts(_MULT_B) for _ in range(8)], dtype=np.uint32).T
+    state = (np.tile(mixed, (2, 1)) ^ xor[:, None]) * mult[:, None]
+    state ^= state >> _XSHIFT
+    state = state.astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << np.uint64(32))).T)
 
 
 @functools.cache

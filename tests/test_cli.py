@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import factoidlab
 
-from factoidlab.bounds import BOUND_TERMS, BOUNDS
+from factoidlab.bounds import BOUND_TERMS, BOUNDS, clopper_pearson
 from factoidlab.calibration import BIN_COUNT_LIMIT, MATERIALIZE_LIMIT, AdaptiveBinning
 from factoidlab.cli import (
     _ALGORITHMS,
@@ -593,11 +593,28 @@ class TestRunRecord:
         agg = json.loads(agg_path.read_text())
         assert agg["passed"] is True
         # a failed row that its own counts, frequency and interval agree with
-        agg["bounds"]["cor1"].update(satisfied=0, frequency=0.0, ci_low=0.0, ci_high=0.7076, passed=False)
+        low, high = clopper_pearson(0, 3)
+        agg["bounds"]["cor1"].update(satisfied=0, frequency=0.0, ci_low=low, ci_high=high, passed=False)
         agg_path.write_text(json.dumps(agg))
         code, out, _ = run_cli("report", str(tmp_path / "r"))
         assert code == 1
         assert "FAIL" in out
+
+    def test_report_refuses_an_interval_off_its_counts(self, tmp_path):
+        """1 of 1 trials with ci95 [0.05, 1.0] holds its frequency, but the
+        Clopper-Pearson interval of its counts starts at 0.025: damaged."""
+        run_dir = tmp_path / "r"
+        run_dir.mkdir()
+        for name, text in RUN_RECORD.items():
+            (run_dir / name).write_text(text)
+        assert run_cli("report", str(run_dir))[0] == 0
+        agg = json.loads(RUN_RECORD["aggregate.json"])
+        agg["bounds"]["cor1"]["ci_low"] = 0.05
+        (run_dir / "aggregate.json").write_text(json.dumps(agg))
+        code, out, err = run_cli("report", str(run_dir))
+        assert code == 2
+        assert "damaged run record" in err and "cor1" in err and "Clopper-Pearson" in err
+        assert out == ""
 
     def test_report_without_vacuous_by_shows_a_dash(self, tmp_path):
         """A row written before rows carried vacuous_by renders "-"."""
@@ -682,6 +699,8 @@ class TestRunRecord:
             pytest.param({"ci_high": 0.6}, id="ci_high_below_frequency"),
             pytest.param({"ci_low": -0.01}, id="ci_low_below_zero"),
             pytest.param({"ci_high": 1.01}, id="ci_high_above_one"),
+            pytest.param({"ci_low": 0.1}, id="ci_low_off_its_counts"),
+            pytest.param({"ci_high": 0.99}, id="ci_high_off_its_counts"),
         ],
     )
     def test_report_on_one_contradiction_exits_two(self, tmp_path, damage):
@@ -696,7 +715,7 @@ class TestRunRecord:
         row = agg["bounds"]["cor_general"]
         # a failed row that agrees with itself: 2 of 3 trials satisfied, 1 vacuous
         row.update(satisfied=2, frequency=2 / 3, passed=False, vacuous=1, vacuous_fraction=1 / 3)
-        row.update(ci_low=0.1, ci_high=0.99)
+        row.update(zip(("ci_low", "ci_high"), clopper_pearson(2, 3)))
         agg_path.write_text(json.dumps(agg))
         assert run_cli("report", str(tmp_path / "r"))[0] == 1
         row.update(damage)
@@ -767,12 +786,12 @@ def _refuse(*args, **kwargs):
     raise AssertionError("a config above a count cap must not run")
 
 
-def _count_calls(monkeypatch, name: str) -> types.SimpleNamespace:
-    """Wrap the library function `name` wherever a factoidlab module binds
-    it, and count the calls."""
+def _count_calls(monkeypatch, name: str, owner=factoidlab.harness) -> types.SimpleNamespace:
+    """Wrap the library function `name` of the module `owner` wherever a
+    factoidlab module binds it, and count the calls."""
     counter = types.SimpleNamespace(calls=0)
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "factoidlab"]
-    original = getattr(factoidlab.harness, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         counter.calls += 1
@@ -849,6 +868,70 @@ class TestRunDoesEachTrialOnce:
         assert worlds.calls == trials
         assert profiles.calls == 0
         assert pairs.calls == trials * len(components)
+
+
+#: one of each built-in algorithm
+_ALGORITHM_OBJECTS = (
+    Empirical(),
+    Laplace(),
+    Uniform(),
+    MonofactMemorizer(),
+    Oracle(),
+    YayMixture(base=Empirical(), lam=0.99),
+)
+
+
+class TestProfilesTakeOneSearch:
+    """Every pair a suite lays out is a world's p, or its projection onto
+    one type, against a g trained on a sample from it, so none takes the
+    merge of both key arrays; the brute-force TV cross-check, which pairs
+    two random distributions, still does."""
+
+    @pytest.mark.parametrize("kind", sorted(_ALGORITHMS))
+    def test_run_merges_no_pair(self, tmp_path, monkeypatch, kind):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(
+            SMALL_CFG.replace("trials = 120", "trials = 3").replace("monofact_memorizer", kind)
+        )
+        pairs = _count_calls(monkeypatch, "_pair_profile", factoidlab.dist)
+        merges = _count_calls(monkeypatch, "_merged_layout", factoidlab.dist)
+        code, _, _ = run_cli("run", str(cfg_path), "--out", str(tmp_path / "r"))
+        assert code in (0, 1)
+        assert pairs.calls == 3
+        assert merges.calls == 0
+
+    def test_upper_bound_merges_no_pair(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL_CFG.replace("trials = 120", "trials = 3"))
+        pairs = _count_calls(monkeypatch, "_pair_profile", factoidlab.dist)
+        merges = _count_calls(monkeypatch, "_merged_layout", factoidlab.dist)
+        code, _, _ = run_cli("upper-bound", str(cfg_path))
+        assert code in (0, 1)
+        assert pairs.calls == 3
+        assert merges.calls == 0
+
+    @pytest.mark.parametrize("algorithm", _ALGORITHM_OBJECTS, ids=lambda a: type(a).__name__)
+    def test_multi_type_merges_no_pair(self, monkeypatch, algorithm):
+        components = (PermutedPowerLawWorld(301, 20, 0.0), PermutedPowerLawWorld(401, 30, 1.0))
+        cfg = ExperimentConfig(
+            world=MultiTypeWorld(components=components, weights=(0.6, 0.4)),
+            n=50,
+            algorithm=algorithm,
+            bound=BoundSettings(k_types=len(components)),
+            trials=3,
+            master_seed=5,
+        )
+        pairs = _count_calls(monkeypatch, "_pair_profile", factoidlab.dist)
+        merges = _count_calls(monkeypatch, "_merged_layout", factoidlab.dist)
+        run_multi_type_experiment(cfg)
+        assert pairs.calls == 3 * len(components)
+        assert merges.calls == 0
+
+    def test_brute_force_merges_its_random_pairs(self, monkeypatch):
+        merges = _count_calls(monkeypatch, "_merged_layout", factoidlab.dist)
+        code, _, _ = run_cli("brute-force", "--max-universe", "3")
+        assert code == 0
+        assert merges.calls > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1010,8 +1093,8 @@ RUN_RECORD = {
         {"config_hash": "0" * 12, "master_seed": 0, "tool": "factoidlab", "version": "0"}
     ),
     "aggregate.json": json.dumps({"trials": 1, "delta": 0.1, "passed": True, "bounds": {"cor1": {
-        "satisfied": 1, "trials": 1, "frequency": 1.0, "ci_low": 0.05, "ci_high": 1.0,
-        "vacuous": 0, "vacuous_fraction": 0.0, "passed": True}}}),
+        "satisfied": 1, "trials": 1, "frequency": 1.0, "ci_low": clopper_pearson(1, 1)[0],
+        "ci_high": clopper_pearson(1, 1)[1], "vacuous": 0, "vacuous_fraction": 0.0, "passed": True}}}),
     "reliability.csv": "bin_value,g_mass,p_mass,bin_size\n",
 }
 ARG_TEXTS = st.integers(-3, 6).map(str) | st.sampled_from(["13", "1000000", "x", "", "-"])

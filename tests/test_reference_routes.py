@@ -84,6 +84,7 @@ from factoidlab.dist import (
     FactoidDist,
     FactoidUniverse,
     ProfileBatch,
+    _contained_layout,
     _dense_weights,
     _guided_slots,
     _subset_table,
@@ -207,6 +208,22 @@ def dists(draw, size):
 def dist_pairs(draw):
     size = draw(st.integers(2, 12))
     return draw(dists(size)), draw(dists(size))
+
+
+@st.composite
+def contained_pairs(draw):
+    """(p, g) on one universe of 2-12 atoms, p any distribution of dists,
+    g's keys a random subset of p's keys and perhaps the empty fact, with
+    or without a background: the pairs one search lays out."""
+    size = draw(st.integers(2, 12))
+    p = draw(dists(size))
+    held = [BOTTOM, *p.keys.tolist()]
+    weight = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0)
+    weights = {y: draw(weight) for y in draw(st.sets(st.sampled_from(held)))}
+    background = draw(st.sampled_from([0.0, 0.0, 0.1]))
+    if not any(w > 0.0 for w in weights.values()) and not (background > 0.0 and len(weights) < size):
+        weights[draw(st.sampled_from(held))] = 1.0
+    return p, background_dist(p.universe, weights, background)
 
 
 @st.composite
@@ -1830,15 +1847,34 @@ def concatenated(batches: list[ProfileBatch]) -> ProfileBatch:
 
 LAYOUT_U = FactoidUniverse(6)
 LAYOUT_UNIFORM = uniform_dist(LAYOUT_U)
+#: every atom a key, the empty fact among them
+LAYOUT_FULL = dist_from_weights(LAYOUT_U, dict.fromkeys(range(6), 1.0))
+#: keys 2 and 5 = size - 1, without the empty fact
+LAYOUT_P = dist_from_weights(LAYOUT_U, {2: 1.0, 5: 3.0})
 
 
 class TestProfileLayout:
     """keyed_profile and join_profiles against the class layout built atom
     by atom, bit for bit."""
 
-    @given(pair=dist_pairs())
+    @given(pair=dist_pairs() | contained_pairs())
     # rest = 0: the keys cover the universe, the empty fact among them
-    @example(pair=(dist_from_weights(LAYOUT_U, dict.fromkeys(range(6), 1.0)), LAYOUT_UNIFORM))
+    @example(pair=(LAYOUT_FULL, LAYOUT_UNIFORM))
+    # contained pairs: g on some of p's keys, the one at size - 1 among them
+    @example(pair=(LAYOUT_P, dist_from_weights(LAYOUT_U, {5: 1.0})))
+    # the empty fact held by g only, by p only and by both
+    @example(pair=(LAYOUT_P, dist_from_weights(LAYOUT_U, {0: 1.0, 2: 2.0})))
+    @example(
+        pair=(dist_from_weights(LAYOUT_U, {0: 2.0, 5: 1.0}), background_dist(LAYOUT_U, {5: 1.0}, 0.5))
+    )
+    @example(
+        pair=(background_dist(LAYOUT_U, {0: 2.0, 3: 1.0}, 0.5), dist_from_weights(LAYOUT_U, {0: 1.0}))
+    )
+    # g = p, with a rest class and without (a keyless g: the uniform examples below)
+    @example(pair=(LAYOUT_P, LAYOUT_P))
+    @example(pair=(LAYOUT_FULL, LAYOUT_FULL))
+    # keys that cover the universe, g holding the empty fact p's keys hold
+    @example(pair=(LAYOUT_FULL, dist_from_weights(LAYOUT_U, {0: 1.0, 4: 1.0})))
     # rest > 0 and the empty fact held by one side only
     @example(
         pair=(background_dist(LAYOUT_U, {0: 2.0, 3: 1.0}, 0.5), dist_from_weights(LAYOUT_U, {2: 1.0}))
@@ -1850,6 +1886,16 @@ class TestProfileLayout:
     @PROPERTY
     def test_keyed_profile_is_the_layout(self, pair):
         assert same_batch(keyed_profile(*pair), profile_layout(*pair))
+
+    @given(pair=contained_pairs())
+    @example(pair=(LAYOUT_P, LAYOUT_UNIFORM))
+    @example(pair=(LAYOUT_P, dist_from_weights(LAYOUT_U, {0: 1.0, 5: 1.0})))
+    @PROPERTY
+    def test_contained_pairs_take_one_search(self, pair):
+        """A g whose keys lie among p's, bar a leading empty fact, is laid
+        out by the search, not the merge."""
+        p, g = pair
+        assert _contained_layout((p.keys, p.values, p.background), (g.keys, g.values, g.background))
 
     @given(data=st.data())
     @PROPERTY
