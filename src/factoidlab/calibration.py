@@ -21,7 +21,8 @@ All metrics are computed on paired atom-class profiles of (p, g) from
 dist.keyed_profile, so they stay exact and cheap on universes far too
 large to enumerate. Profiles are scored many at a time: SortedProfiles
 takes a batch of them joined end to end and sorts every one by g at
-once (one sort ranks the g-values, one stable sort orders the classes by
+once (a value sort finds the distinct g-values and one search ranks
+each class among them, then one stable sort orders the classes by
 profile and rank), and each binning spec then marks the bin starts of
 the whole batch in one pass over its runs of equal g (a bin starts at
 every profile's first class) and sums each bin quantity with one
@@ -209,20 +210,19 @@ class SortedProfiles:
     def __init__(self, p_vals: np.ndarray, g_vals: np.ndarray, counts: np.ndarray, bounds):
         self.bounds = np.asarray(bounds, dtype=np.intp)
         self.slices = list(zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist()))
-        # rank the g-values through one unstable sort, whose order among
-        # equal values is never used; the stable sort by (profile, rank)
-        # is then a radix sort whenever the keys fit in 16 bits
-        by_value = np.argsort(g_vals)
-        ascending = g_vals[by_value]
+        # rank each g-value among the distinct ones, found by a value sort;
+        # the stable sort by (profile, rank) is then a radix sort whenever
+        # the keys fit in 16 bits
+        ascending = np.sort(g_vals)
         new_value = np.empty(ascending.size, dtype=bool)
         new_value[0] = True
         np.not_equal(ascending[1:], ascending[:-1], out=new_value[1:])
-        del ascending
-        ranks = np.cumsum(new_value)
-        distinct = int(ranks[-1])
+        values = ascending[new_value]
+        del ascending, new_value
+        distinct = values.size
         key = np.repeat(np.arange(len(self.slices)) * distinct, np.diff(self.bounds))
-        key[by_value] += ranks
-        del by_value, ranks
+        key += np.searchsorted(values, g_vals)
+        del values
         if len(self.slices) * distinct <= np.iinfo(np.uint16).max:
             key = key.astype(np.uint16)
         self.order = np.argsort(key, kind="stable")

@@ -18,7 +18,12 @@ Partition they are given, or by an exhaustive enumeration's limit.
 The constructor fails closed: unsorted or duplicate keys, keys outside
 the universe, NaN, infinite or negative weights and a non-finite or
 negative background are rejected. The module constructors also
-normalize; zero-sum input is rejected.
+normalize; zero-sum input and a total that overflows are rejected.
+
+A (p, g) pair is laid out as one paired atom-class profile, with one
+layout: g's keys must lie among p's, bar a leading empty fact p lacks,
+as they do for every g trained on a sample from p, so one search of g's
+keys in p's finds every class. Any other pair is refused.
 
 Because a distribution is immutable, it caches the inverse-CDF table
 sample_iid and sample_counts draw through: the cumulative weights of the
@@ -71,7 +76,6 @@ __all__ = [
     "dist_from_arrays",
     "dist_from_weights",
     "uniform_dist",
-    "tv_distance_forms",
     "sample_iid",
     "sample_counts",
     "keyed_profile",
@@ -190,14 +194,22 @@ def _lookup(keys: np.ndarray, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pos, keys[pos] == atoms
 
 
-def _explicit_at(keys, values, background: float, atoms) -> tuple[np.ndarray, np.ndarray]:
+def _explicit_at(keys, values, background: float, atoms) -> np.ndarray:
     """Weights of an int array of atoms under the distribution with these
-    keys, values and background, and a mask of the atoms it holds
-    explicitly (an explicit weight may equal the background)."""
+    keys, values and background."""
     if keys.size == 0:
-        return np.full(atoms.shape, background), np.zeros(atoms.shape, dtype=bool)
+        return np.full(atoms.shape, background)
     pos, hit = _lookup(keys, atoms)
-    return np.where(hit, values[pos], background), hit
+    return np.where(hit, values[pos], background)
+
+
+def _mass_sum(terms) -> float:
+    """math.fsum of non-negative terms, or inf where their sum overflows
+    (fsum raises OverflowError on an intermediate overflow instead)."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,11 +252,11 @@ class FactoidDist:
 
     def weights_at(self, atoms: np.ndarray) -> np.ndarray:
         """Weights of an int array of atoms, as a float64 array."""
-        return _explicit_at(self.keys, self.values, self.background, atoms)[0]
+        return _explicit_at(self.keys, self.values, self.background, atoms)
 
     def total_mass(self) -> float:
         rest = self.universe.size - self.keys.size
-        return math.fsum(memoryview(self.values)) + self.background * rest
+        return _mass_sum(memoryview(self.values)) + self.background * rest
 
     # -- cached table (see the module docstring) ---------------------------
 
@@ -291,7 +303,7 @@ def _normalized(size: int, keys, values, background: float) -> tuple[np.ndarray,
     """dist_from_arrays's normalization of valid arrays on a universe of
     `size` atoms, as (keys, values, background)."""
     rest = size - keys.size
-    total = math.fsum(memoryview(values)) + background * rest
+    total = _mass_sum(memoryview(values)) + background * rest
     if total <= 0.0:
         raise DistributionError("weights sum to zero; at least one must be positive")
     if not math.isfinite(total):
@@ -346,8 +358,7 @@ def _dense_weights(d: FactoidDist) -> np.ndarray:
     weights_at gives for every atom, without a search per atom. Only for
     callers that already bound |Y|: partition_for_spec by
     MATERIALIZE_LIMIT, verify_theorem_main_mc by the per-atom Partition
-    it is given, the lemma sweep and tv_distance_forms by their
-    exhaustive limits."""
+    it is given, and the lemma sweep by its exhaustive limit."""
     dense = np.full(d.universe.size, d.background)
     dense[d.keys] = d.values
     return dense
@@ -361,9 +372,10 @@ class ProfileBatch:
     """Paired atom-class profiles of one or more pairs of distributions,
     joined end to end.
 
-    Profile t holds classes bounds[t]:bounds[t+1]: one class per key of
-    the union of the pair's explicit atoms, in increasing order, then one
-    rest class for the atoms neither distribution holds, if any are left.
+    Profile t holds classes bounds[t]:bounds[t+1]: one class per explicit
+    atom of the pair, in increasing order (the first distribution's keys,
+    after the empty fact when only the second holds it), then one rest
+    class for the atoms neither distribution holds, if any are left.
     w1 and w2 are the two weights of each class and counts its number of
     atoms. halluc_rate[t] is 1 minus the mass the second distribution puts
     on the facts, the atoms the first weights positively and the empty
@@ -378,70 +390,49 @@ class ProfileBatch:
     halluc_rate: np.ndarray
 
 
-def _contained_layout(side1: tuple, side2: tuple) -> tuple | None:
-    """_merged_layout's arrays, from one search of the second side's keys
-    in the first's, when every one is found there, bar a leading empty
-    fact the first side lacks; None otherwise. The classes are that empty
-    fact, then the first side's keys, then the rest key: the first side's
-    values are copied in place, and the second's scattered at the slots
-    the search found."""
+def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
+    """The paired profile, as a batch of one, of two distributions on a
+    universe of `size` atoms, each given as (keys, values, background),
+    whose second side's keys lie among the first's, bar a leading empty
+    fact the first lacks: every pair of a world's p, or its projection
+    onto one type, with a g trained on a sample from it. Any other pair
+    is refused with DistributionError.
+
+    One search of the second side's keys in the first's lays the pair
+    out. The classes are that empty fact, then the first side's keys,
+    then the rest class, keyed by `size` and weighted by the backgrounds,
+    unless the keys cover the universe: the first side's values are
+    copied in place, and the second's scattered at the slots found."""
     keys1, keys2 = side1[0], side2[0]
     pos, hit = _lookup(keys1, keys2)
     lead = int(keys2.size > 0 and not hit[0] and keys2[0] == BOTTOM)
     if not hit[lead:].all():
-        return None
+        y = keys2[lead + int(np.argmin(hit[lead:]))]
+        raise DistributionError(
+            f"atom {y} is a key of the second distribution but not of the first; "
+            "a profile lays out only a second side whose keys lie among the first's"
+        )
+    bottom_first = bool(lead) or (keys1.size > 0 and keys1[0] == BOTTOM)
     n = lead + keys1.size + 1
     w1 = np.empty(n)
     w1[lead:-1] = side1[1]
     w1[:lead] = w1[-1] = side1[2]
-    in1 = np.zeros(n, dtype=bool)
-    in1[lead:-1] = True
     slots = pos + lead
     slots[:lead] = 0
     w2 = np.full(n, side2[2])
     w2[slots] = side2[1]
     in2 = np.zeros(n, dtype=bool)
     in2[slots] = True
-    return bool(lead) or (keys1.size > 0 and keys1[0] == BOTTOM), w1, in1, w2, in2
-
-
-def _merged_layout(size: int, side1: tuple, side2: tuple) -> tuple:
-    """(whether the first class is the empty fact, w1, in1, w2, in2) on the
-    sorted union of both sides' keys and the rest key `size`: each side's
-    weight of each class and a mask of the classes it holds explicitly."""
-    # the key arrays and the rest key are sorted runs, which the stable
-    # sort (timsort on int64) merges in linear time; np.unique without
-    # counts would take a hash-based route an order of magnitude slower on
-    # spread-out atoms
-    keys = np.sort(np.concatenate((side1[0], side2[0], (size,))), kind="stable")
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return keys[0] == BOTTOM, *_explicit_at(*side1, keys), *_explicit_at(*side2, keys)
-
-
-def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
-    """The paired profile, as a batch of one, of two distributions on a
-    universe of `size` atoms, each given as (keys, values, background):
-    a class per key of either, then the rest class, keyed by `size` and
-    weighted by the backgrounds, unless the keys cover the universe.
-
-    Two layouts give the same classes bit for bit. When the second side's
-    keys lie among the first's, bar a leading empty fact, one search lays
-    them out (_contained_layout): every pair of a world's p, or its
-    projection onto one type, with a g trained on a sample from it. Any
-    other pair, such as two random distributions, takes the merge of both
-    key arrays (_merged_layout)."""
-    bottom_first, w1, in1, w2, in2 = _contained_layout(side1, side2) or _merged_layout(
-        size, side1, side2
-    )
     # the mass on the facts: the fsum of the second side's explicit weights
     # there, plus its background times the facts it does not hold (the
     # empty fact among them when neither side holds it)
-    facts = in1 & (w1 > 0.0)
+    facts = np.zeros(n, dtype=bool)
+    facts[lead:-1] = side1[1] > 0.0
     facts[0] |= bottom_first
     plain = int(np.count_nonzero(facts & ~in2)) + int(not bottom_first)
     rate = max(0.0, 1.0 - (math.fsum(memoryview(w2[facts & in2])) + side2[2] * plain))
-    counts = np.ones(w1.size)
-    counts[-1] = rest = size - (w1.size - 1)
+    counts = np.ones(n)
+    counts[-1] = rest = size - (n - 1)
     if not rest:
         w1, w2, counts = w1[:-1], w2[:-1], counts[:-1]
     return ProfileBatch(w1, w2, counts, np.array([0, w1.size]), np.array([rate]))
@@ -449,8 +440,11 @@ def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
 
 def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> ProfileBatch:
     """The paired profile of two distributions over one universe, as a
-    batch of one: both weights on the union of their explicit atoms, the
-    rest class, and the hallucination rate of d2 in the world of d1."""
+    batch of one: both weights on d1's explicit atoms (after the empty fact
+    when only d2 holds it), the rest class, and the hallucination rate of
+    d2 in the world of d1. d2's keys must lie among d1's, bar the empty
+    fact, as a g trained on a sample from d1 has them; any other pair is
+    refused with DistributionError."""
     if d1.universe != d2.universe:
         raise UniverseMismatchError(
             f"universe mismatch: size {d1.universe.size} vs {d2.universe.size}"
@@ -474,24 +468,6 @@ def join_profiles(batches: Sequence[ProfileBatch]) -> ProfileBatch:
 
 
 # -- metrics ---------------------------------------------------------------
-
-
-def tv_distance_forms(d1: FactoidDist, d2: FactoidDist) -> tuple[float, float, float]:
-    """The three equivalent total-variation formulas, for cross-checking.
-
-    Returns (half_l1, positive_part_sum, subset_max). The subset maximum
-    is max |d1(S) - d2(S)| over all 2^|Y| subsets S, read off the subset
-    table of the atomwise gaps d1 - d2. The table has 2^|Y| rows, so a
-    universe of more than 12 atoms, the largest any cross-check sweeps,
-    is refused.
-    """
-    check_count(d1.universe.size, "universe size", 2, 12, "atoms")
-    profile = keyed_profile(d1, d2)
-    gaps = profile.w1 - profile.w2
-    half_l1 = 0.5 * float(np.sum(profile.counts * np.abs(gaps)))
-    pos_part = float(np.sum(profile.counts * np.clip(gaps, 0.0, None)))
-    subset_gaps = _subset_table(np.add, _dense_weights(d1) - _dense_weights(d2), 0.0)
-    return half_l1, pos_part, float(np.abs(subset_gaps).max())
 
 
 def _subset_table(

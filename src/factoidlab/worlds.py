@@ -34,7 +34,15 @@ from typing import Union
 
 import numpy as np
 
-from .dist import BOTTOM, FactoidDist, FactoidUniverse, _share_inverse_cdf, dist_from_arrays, with_bottom
+from .dist import (
+    BOTTOM,
+    FactoidDist,
+    FactoidUniverse,
+    _mass_sum,
+    _share_inverse_cdf,
+    dist_from_arrays,
+    with_bottom,
+)
 from .errors import DistributionError, UnsupportedModelError, UniverseMismatchError, check_count
 from .estimators import TrainingSample
 from .rng import SeededRng
@@ -194,7 +202,7 @@ class MultiTypeWorld:
             raise DistributionError("one weight per component required")
         if not all(w > 0.0 for w in self.weights):
             raise DistributionError("type weights must be positive")
-        if abs(math.fsum(self.weights) - 1.0) > 1e-9:
+        if abs(_mass_sum(self.weights) - 1.0) > 1e-9:
             raise DistributionError("type weights must sum to 1")
 
     @property
@@ -256,7 +264,7 @@ class ExplicitWorld:
             raise DistributionError("explicit world needs at least one instance")
         if not all(w > 0.0 for w, _ in self.instances):
             raise DistributionError("prior weights must be positive")
-        if abs(math.fsum(w for w, _ in self.instances) - 1.0) > 1e-9:
+        if abs(_mass_sum(w for w, _ in self.instances) - 1.0) > 1e-9:
             raise DistributionError("prior weights must sum to 1")
         if any(abs(inst.p.total_mass() - 1.0) > 1e-9 for _, inst in self.instances):
             raise DistributionError("every instance's fact distribution must sum to 1")

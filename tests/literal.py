@@ -5,9 +5,10 @@ The library measures trials through (p, g) class profiles scored many
 at a time, scores the core inequality on one posterior completion,
 unranks partitions in blocks, sums subsets through subset tables and
 never builds a per-atom view of a distribution. The tests also want the
-plain forms: one function per metric taking two distributions, a
-subset-by-subset total-variation maximum, a pair's class layout and
-hallucination rate built atom by atom, the one-profile calibration and
+plain forms: one function per metric taking two distributions, the
+three total-variation forms, a pair's class layout and hallucination
+rate built atom by atom (for any pair, where the library lays out only
+a g whose keys lie among p's), the one-profile calibration and
 KL routes the batch scorer replaced, the core inequality's mean over
 every posterior completion, distinct draws and posterior completions one
 stream at a time, one recursive partition enumeration, a literal
@@ -44,11 +45,11 @@ from factoidlab.dist import (
     FactoidDist,
     FactoidUniverse,
     ProfileBatch,
-    _explicit_at,
+    _dense_weights,
     _sorted_items,
+    _subset_table,
     dist_from_arrays,
     dist_from_weights,
-    keyed_profile,
 )
 from factoidlab.errors import (
     DistributionError,
@@ -71,8 +72,9 @@ def background_dist(
 
 
 def paired_profile(d1: FactoidDist, d2: FactoidDist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The atom classes (w1, w2, count) of two distributions."""
-    profile = keyed_profile(d1, d2)
+    """The atom classes (w1, w2, count) of any two distributions on one
+    universe, as profile_layout lays them out."""
+    profile = profile_layout(d1, d2)
     return profile.w1, profile.w2, profile.counts
 
 
@@ -115,7 +117,7 @@ def mass_of_set(d: FactoidDist, s: Iterable[int]) -> float:
     """
     raw = s if isinstance(s, np.ndarray) else list(s)
     atoms = np.unique(d.universe.atom_array(raw))
-    weights, held = _explicit_at(d.keys, d.values, d.background, atoms)
+    weights, held = d.weights_at(atoms), np.isin(atoms, d.keys)
     n_plain = atoms.size - int(np.count_nonzero(held))
     return math.fsum(weights[held].tolist()) + d.background * n_plain
 
@@ -126,18 +128,18 @@ def tv_distance(d1: FactoidDist, d2: FactoidDist) -> float:
     return 0.5 * float(np.sum(counts * np.abs(w1 - w2)))
 
 
-def subset_tv_max(d1: FactoidDist, d2: FactoidDist) -> float:
-    """max |d1(S) - d2(S)| over every subset S of the universe, one member
-    list per bitmask and each side summed on its own."""
-    size = d1.universe.size
-    atoms = np.arange(size)
-    v1 = d1.weights_at(atoms)
-    v2 = d2.weights_at(atoms)
-    subset_max = 0.0
-    for mask in range(1, 1 << size):
-        members = [y for y in range(size) if mask >> y & 1]
-        subset_max = max(subset_max, abs(float(v1[members].sum() - v2[members].sum())))
-    return subset_max
+def tv_distance_forms(d1: FactoidDist, d2: FactoidDist) -> tuple[float, float, float]:
+    """The three equivalent total-variation formulas, (half_l1,
+    positive_part_sum, subset_max), on profile_layout's classes. The
+    subset maximum is max |d1(S) - d2(S)| over all 2^|Y| subsets S, read
+    off the subset table of the atomwise gaps d1 - d2, which has 2^|Y|
+    rows."""
+    profile = profile_layout(d1, d2)
+    gaps = profile.w1 - profile.w2
+    half_l1 = 0.5 * float(np.sum(profile.counts * np.abs(gaps)))
+    pos_part = float(np.sum(profile.counts * np.clip(gaps, 0.0, None)))
+    subset_gaps = _subset_table(np.add, _dense_weights(d1) - _dense_weights(d2), 0.0)
+    return half_l1, pos_part, float(np.abs(subset_gaps).max())
 
 
 def profile_kl(w1: np.ndarray, w2: np.ndarray, counts: np.ndarray) -> float:

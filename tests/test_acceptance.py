@@ -31,7 +31,6 @@ from factoidlab.dist import (
     dist_from_weights,
     random_dist,
     sample_iid,
-    tv_distance_forms,
     uniform_dist,
 )
 from factoidlab.estimators import TrainingSample
@@ -70,6 +69,7 @@ from literal import (
     miscalibration,
     random_partition,
     tv_distance,
+    tv_distance_forms,
 )
 
 getcontext().prec = 50

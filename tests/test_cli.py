@@ -883,35 +883,30 @@ _ALGORITHM_OBJECTS = (
 
 class TestProfilesTakeOneSearch:
     """Every pair a suite lays out is a world's p, or its projection onto
-    one type, against a g trained on a sample from it, so none takes the
-    merge of both key arrays; the brute-force TV cross-check, which pairs
-    two random distributions, still does."""
+    one type, against a g trained on a sample from it, so each is laid out
+    by the one search; brute-force lays out no pair."""
 
     @pytest.mark.parametrize("kind", sorted(_ALGORITHMS))
-    def test_run_merges_no_pair(self, tmp_path, monkeypatch, kind):
+    def test_run_lays_out_each_pair(self, tmp_path, monkeypatch, kind):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(
             SMALL_CFG.replace("trials = 120", "trials = 3").replace("monofact_memorizer", kind)
         )
         pairs = _count_calls(monkeypatch, "_pair_profile", factoidlab.dist)
-        merges = _count_calls(monkeypatch, "_merged_layout", factoidlab.dist)
         code, _, _ = run_cli("run", str(cfg_path), "--out", str(tmp_path / "r"))
         assert code in (0, 1)
         assert pairs.calls == 3
-        assert merges.calls == 0
 
-    def test_upper_bound_merges_no_pair(self, tmp_path, monkeypatch):
+    def test_upper_bound_lays_out_each_pair(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text(SMALL_CFG.replace("trials = 120", "trials = 3"))
         pairs = _count_calls(monkeypatch, "_pair_profile", factoidlab.dist)
-        merges = _count_calls(monkeypatch, "_merged_layout", factoidlab.dist)
         code, _, _ = run_cli("upper-bound", str(cfg_path))
         assert code in (0, 1)
         assert pairs.calls == 3
-        assert merges.calls == 0
 
     @pytest.mark.parametrize("algorithm", _ALGORITHM_OBJECTS, ids=lambda a: type(a).__name__)
-    def test_multi_type_merges_no_pair(self, monkeypatch, algorithm):
+    def test_multi_type_lays_out_each_pair(self, monkeypatch, algorithm):
         components = (PermutedPowerLawWorld(301, 20, 0.0), PermutedPowerLawWorld(401, 30, 1.0))
         cfg = ExperimentConfig(
             world=MultiTypeWorld(components=components, weights=(0.6, 0.4)),
@@ -922,16 +917,15 @@ class TestProfilesTakeOneSearch:
             master_seed=5,
         )
         pairs = _count_calls(monkeypatch, "_pair_profile", factoidlab.dist)
-        merges = _count_calls(monkeypatch, "_merged_layout", factoidlab.dist)
         run_multi_type_experiment(cfg)
         assert pairs.calls == 3 * len(components)
-        assert merges.calls == 0
 
-    def test_brute_force_merges_its_random_pairs(self, monkeypatch):
-        merges = _count_calls(monkeypatch, "_merged_layout", factoidlab.dist)
-        code, _, _ = run_cli("brute-force", "--max-universe", "3")
+    def test_brute_force_lays_out_no_pair(self, monkeypatch):
+        pairs = _count_calls(monkeypatch, "_pair_profile", factoidlab.dist)
+        code, out, _ = run_cli("brute-force", "--max-universe", "3")
         assert code == 0
-        assert merges.calls > 0
+        assert pairs.calls == 0
+        assert out.splitlines() == ["coarsening-mass lemma sweep (|Y|=3): 0 violations", "PASS"]
 
 
 # ---------------------------------------------------------------------------

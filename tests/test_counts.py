@@ -25,7 +25,6 @@ from factoidlab.dist import (
     random_dist,
     sample_counts,
     sample_iid,
-    tv_distance_forms,
     uniform_dist,
 )
 from factoidlab.errors import (
@@ -159,20 +158,6 @@ def test_integral_float_is_refused_not_truncated():
 def test_out_of_range_messages(args, message):
     with pytest.raises(DistributionError, match=message):
         check_count(*args)
-
-
-@pytest.mark.parametrize("size", [13, 51])
-def test_tv_distance_forms_refuses_a_universe_above_12_atoms(size):
-    # its subset table has 2^|Y| rows
-    u = FactoidUniverse(size)
-    with pytest.raises(DistributionError, match=f"universe size {size} exceeds the limit of 12 atoms"):
-        tv_distance_forms(uniform_dist(u), uniform_dist(u))
-
-
-@pytest.mark.parametrize("size", [2, 12])
-def test_tv_distance_forms_accepts_a_universe_up_to_12_atoms(size):
-    u = FactoidUniverse(size)
-    assert tv_distance_forms(uniform_dist(u), uniform_dist(u)) == (0.0, 0.0, 0.0)
 
 
 def test_w5_dimensions_are_kept_as_python_ints():

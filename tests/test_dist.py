@@ -11,16 +11,30 @@ from factoidlab.dist import (
     BOTTOM,
     FactoidDist,
     FactoidUniverse,
+    dist_from_arrays,
     dist_from_weights,
     random_dist,
     sample_counts,
     sample_iid,
-    tv_distance_forms,
     uniform_dist,
 )
 from factoidlab.errors import ConfigError, DistributionError, UniverseMismatchError
 from factoidlab.rng import SeededRng
-from literal import background_dist, kl_divergence, mass_of_set, paired_profile, tv_distance
+from factoidlab.worlds import ExplicitWorld, MultiTypeWorld, PermutedPowerLawWorld, WorldInstance
+from literal import (
+    background_dist,
+    kl_divergence,
+    mass_of_set,
+    paired_profile,
+    tv_distance,
+    tv_distance_forms,
+)
+
+
+#: two finite weights whose sum overflows
+OVERFLOWING = (1e308, 1e308)
+OVERFLOW_U = FactoidUniverse(10)
+OVERFLOW_P = dist_from_weights(OVERFLOW_U, {1: 1.0})
 
 
 def weights_strategy(size: int):
@@ -85,6 +99,34 @@ class TestConstruction:
     def test_total_mass_one(self, w):
         d = dist_from_weights(FactoidUniverse(8), w)
         assert abs(d.total_mass() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "total, message",
+        [
+            (lambda: dist_from_arrays(OVERFLOW_U, [1, 2], OVERFLOWING), "weights sum is not finite"),
+            (lambda: FactoidDist(OVERFLOW_U, [1, 2], OVERFLOWING).total_mass(), None),
+            (
+                lambda: MultiTypeWorld(
+                    components=(PermutedPowerLawWorld(11, 3, 0.0), PermutedPowerLawWorld(11, 3, 0.0)),
+                    weights=OVERFLOWING,
+                ),
+                "type weights must sum to 1",
+            ),
+            (
+                lambda: ExplicitWorld(tuple((w, WorldInstance(OVERFLOW_P)) for w in OVERFLOWING)),
+                "prior weights must sum to 1",
+            ),
+        ],
+        ids=["dist_from_arrays", "total_mass", "type_weights", "prior_weights"],
+    )
+    def test_an_overflowing_weight_total_is_infinite(self, total, message):
+        """Weights whose fsum overflows total inf, which the documented
+        checks refuse, rather than leaking fsum's OverflowError."""
+        if message is None:
+            assert total() == math.inf
+        else:
+            with pytest.raises(DistributionError, match=message):
+                total()
 
 
 class TestMassOfSet:
