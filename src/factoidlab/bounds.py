@@ -392,6 +392,15 @@ class LemmaMeatViolation:
     rhs: float
 
 
+def _label_blocks(labels: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The blocks of a partition's label row in label order, each block's
+    atoms in increasing order."""
+    blocks: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+    for y, label in enumerate(labels):
+        blocks[label].append(y)
+    return tuple(map(tuple, blocks))
+
+
 def verify_lemma_meat_exhaustive(
     nu: ExplicitWorld, tolerance: float = 1e-9, max_universe: int = 6
 ) -> list[LemmaMeatViolation]:
@@ -471,6 +480,8 @@ def verify_lemma_meat_exhaustive(
     rows = max(1, _SWEEP_CELLS // (len(weights) << size))
     table = np.empty((1 << size, rows, len(weights)))
     for labels in _partition_label_rows(size, rows):
+        # the blocks of each partition with a violation, read once
+        named: dict[int, tuple[tuple[int, ...], ...]] = {}
         # Q[y, b]: partition b's coarsened p at atom y, per instance
         Q = block_p[((labels[:, :, None] == labels[:, None, :]) @ bits).T]
         coarse = _subset_table(np.add, Q, 0.0, out=table[:, : len(labels)])
@@ -483,10 +494,11 @@ def verify_lemma_meat_exhaustive(
             # each (subset, partition) row of gaps is contiguous, so this is a lone subset's dot
             lhs = float(weights @ gaps[s, b])
             if lhs > limits[mask]:
-                blocks = Partition(nu.universe, labels[b]).blocks
+                if b not in named:
+                    named[b] = _label_blocks(labels[b].tolist())
                 violations.append(
                     LemmaMeatViolation(
-                        partition_blocks=tuple(tuple(sorted(block)) for block in blocks),
+                        partition_blocks=named[b],
                         subset=tuple(y for y in range(size) if mask >> y & 1),
                         lhs=lhs,
                         rhs=float(rhs[mask]),

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Union
 
 import numpy as np
@@ -104,13 +103,6 @@ class Partition:
             raise PartitionError(f"block labels must use every number in 0..{high}")
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
-
-    @cached_property
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        """The blocks as atom sets in label order, for display and small universes."""
-        order = np.argsort(self.labels, kind="stable")
-        cuts = np.cumsum(np.bincount(self.labels))[:-1]
-        return tuple(frozenset(block.tolist()) for block in np.split(order, cuts))
 
     @classmethod
     def singletons(cls, universe: FactoidUniverse) -> "Partition":

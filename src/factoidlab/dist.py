@@ -26,28 +26,34 @@ as they do for every g trained on a sample from p, so one search of g's
 keys in p's finds every class. Any other pair is refused.
 
 Because a distribution is immutable, it caches the inverse-CDF table
-sample_iid and sample_counts draw through: the cumulative weights of the
-positive atoms, the atom of each slot in increasing order, and a guide
-table of m buckets, the least power of two >= |cum| (so a bucket is no
-wider than the mean slot), guide[j] = searchsorted(cum, j/m, "right"). A
-draw u starts at guide[floor(u*m)] and steps forward while cum[slot] <=
-u; the few draws still open after a fixed number of steps fall back to
-searchsorted, so every slot equals plain inversion. Training data are
-draws from a world's fact distribution, whose facts are its support, so
-the table holds explicit atoms only: a distribution whose background
-some atom outside its keys carries is refused before any uniform is
-drawn. The table is built on the first draw, or shared: the draws of a
-world model whose rank template holds one value all have the same
-weights in key order, so the model builds cum and guide once and
-_share_inverse_cdf, the one place outside _inverse_cdf that writes a
-table, hands each draw that pair with its own keys as the atom column;
-the shared arrays are read-only like every table. sample_iid returns the
-drawn atoms in draw order; sample_counts counts the drawn slots instead
-and returns each drawn atom once with its count, so a caller that needs
-only the counts (every training sample in the harness) never builds or
-sorts the n draws. _sample_count_runs gives sample_counts's counts for
-many streams of one distribution, a chunk of streams inverted and sorted
-at once.
+the samplers draw through: the cumulative weights of the positive atoms,
+the atom and the weight of each slot in increasing atom order, and a
+guide table of m buckets, the least power of two >= |cum| (so a bucket
+is no wider than the mean slot), guide[j] = searchsorted(cum, j/m,
+"right"). A draw u starts at guide[floor(u*m)] and steps forward while
+cum[slot] <= u; the few draws still open after a fixed number of steps
+fall back to searchsorted, so every slot equals plain inversion.
+Training data are draws from a world's fact distribution, whose facts
+are its support, so the table holds explicit atoms only: a distribution
+whose background some atom outside its keys carries is refused before
+any uniform is drawn. The table is built on the first draw, or shared:
+the draws of a world model whose rank template holds one value all have
+the same weights in key order, so the model builds cum, guide and the
+slot weights once and _share_inverse_cdf, the one place outside
+_inverse_cdf that writes a table, hands each draw those arrays with its
+own keys as the atom column; the shared arrays are read-only like every
+table.
+
+sample_iid returns one stream's draws in order. Every training sample
+is counted instead, a chunk of streams at a time (_chunks: at most
+_CHUNK_DRAWS draws a chunk), and never built or sorted as n draws: each
+stream fills its own row of n uniforms, and _count_rows inverts the
+rows, in one pass when they share one table, and counts them together,
+by one bincount over the tables laid end to end or, on tables much
+larger than the draws, by sorting each row (see _COUNT_BASE_SLOTS for
+the measured crossover). Each row comes back as its distinct slots in
+increasing order, so its atoms and weights are the table's at those
+slots, and their counts.
 
 Every exact sum in the package, here and in estimators and worlds, is
 math.fsum over the array's buffer, fsum(memoryview(a)), with any extra
@@ -77,7 +83,6 @@ __all__ = [
     "dist_from_weights",
     "uniform_dist",
     "sample_iid",
-    "sample_counts",
     "keyed_profile",
     "ProfileBatch",
     "join_profiles",
@@ -99,19 +104,25 @@ _NO_KEYS.flags.writeable = False
 #: draws, so more steps cost more than the fallback they save.
 _GUIDE_STEPS = 2
 
-#: sample_counts counts the slots of a table of at most
-#: _COUNT_BASE_SLOTS + _COUNT_SLOTS_PER_DRAW * n slots with one bincount
-#: over the table, and the slots of a larger table by sorting the n slots.
-#: Bincount costs O(n + table), with cache misses once the table outgrows
-#: the cache; sorting costs O(n log n). Timed on one core (numpy 2.4, Zipf
-#: and uniform slots), the two break even at about 10^4 slots for n = 250,
-#: 1.4 * 10^4 for n = 1000, 3 * 10^4 for n = 4000 and 6 * 10^5 for
-#: n = 1.6 * 10^5, which the affine rule follows.
+#: _count_rows counts a chunk of rows of n slots each with one bincount
+#: over the rows' tables laid end to end when those hold at most
+#: _COUNT_BASE_SLOTS + _COUNT_SLOTS_PER_DRAW * rows * n slots, and by
+#: sorting each row's slots otherwise. Bincount costs O(n + size) a row,
+#: with cache misses once the tables outgrow the cache, plus a fixed cost
+#: a pass; sorting costs O(n log n) a row. Timed on one core of a Xeon
+#: (numpy 2.4, Zipf and uniform slots, chunks of _CHUNK_DRAWS draws), the
+#: two break even at about 3n slots for n = 500 and 1000, 3.5n for
+#: n = 2000 and 4000, and 2.8n-3.5n for one row of n = 64000; one row of
+#: n <= 4000 favours bincount up to 3500-35000 slots, where the fixed cost
+#: of a pass weighs most. The rule follows both: the Good-Turing suite's
+#: 10^4-slot table at n = 1000, 16 rows a pass, is sorted (7 us a row
+#: against 14-24 us for bincount), and the README world's 1000-slot table
+#: at n = 2000 is counted by bincount.
 _COUNT_BASE_SLOTS = 8192
-_COUNT_SLOTS_PER_DRAW = 4
+_COUNT_SLOTS_PER_DRAW = 3
 
-#: Most draws _sample_count_runs inverts and sorts at once; a stream of
-#: more draws is a chunk of its own, so a chunk's working arrays stay at
+#: Most draws one pass of _count_rows inverts and counts at once; a stream
+#: of more draws is a chunk of its own, so a chunk's working arrays stay at
 #: one sample's scale. The limit is set by memory: on a 10^4-atom Zipf p
 #: at n = 1000, the concentration suite's peak RSS rose by about 0.4 MB
 #: (0.9%) at 2^15 draws a chunk and by under 0.1 MB at 2^14, while its
@@ -261,11 +272,12 @@ class FactoidDist:
     # -- cached table (see the module docstring) ---------------------------
 
     @cached_property
-    def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(cum, atoms, guide) for sample_iid: cumulative weights of the
-        positive atoms, the last raised to at least 1 so every u in [0, 1)
-        lands; the atom of each slot; and the guide table. Refuses a
-        background that an atom outside the keys carries.
+    def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(cum, atoms, guide, weights) for the samplers: cumulative weights
+        of the positive atoms, the last raised to at least 1 so every u in
+        [0, 1) lands; the atom of each slot; the guide table; and the
+        weight of each slot. Refuses a background that an atom outside the
+        keys carries.
         """
         rest = self.universe.size - self.keys.size
         if self.background * rest > 0.0:
@@ -276,26 +288,32 @@ class FactoidDist:
         pos = self.values > 0.0
         if not pos.any():
             raise DistributionError("distribution has no positive mass")
-        cum = np.cumsum(self.values[pos])
+        if pos.all():
+            atoms, weights = self.keys, self.values
+        else:
+            atoms, weights = self.keys[pos], self.values[pos]
+        cum = np.cumsum(weights)
         cum[-1] = max(cum[-1], 1.0)
-        atoms = self.keys[pos]
         # guide[j] counts the cum entries <= j/m. With m a power of two,
         # cum*m is exact, and cum[i] <= j/m exactly when j >= ceil(cum[i]*m).
         m = 1 << (cum.size - 1).bit_length()
         first = np.minimum(np.ceil(cum * m), m).astype(np.intp)
         guide = np.cumsum(np.bincount(first, minlength=m + 1)[:m])
-        for table in (cum, atoms, guide):
+        for table in (cum, atoms, guide, weights):
             table.flags.writeable = False
-        return cum, atoms, guide
+        return cum, atoms, guide, weights
 
 
-def _share_inverse_cdf(d: FactoidDist, cum: np.ndarray, guide: np.ndarray) -> FactoidDist:
-    """d, its inverse-CDF table set to cum, its own keys and guide: a table
-    shared by many distributions. cum and guide must be what _inverse_cdf
-    builds on weights equal to d's values bit for bit, every one positive,
-    so that the table is the one d would build, and d must carry no
-    background: a shared table skips _inverse_cdf's refusal."""
-    d.__dict__["_inverse_cdf"] = (cum, d.keys, guide)
+def _share_inverse_cdf(
+    d: FactoidDist, cum: np.ndarray, guide: np.ndarray, weights: np.ndarray
+) -> FactoidDist:
+    """d, its inverse-CDF table set to cum, its own keys, guide and
+    weights: a table shared by many distributions. cum, guide and weights
+    must be what _inverse_cdf builds on weights equal to d's values bit
+    for bit, every one positive, so that the table is the one d would
+    build, and d must carry no background: a shared table skips
+    _inverse_cdf's refusal."""
+    d.__dict__["_inverse_cdf"] = (cum, d.keys, guide, weights)
     return d
 
 
@@ -548,69 +566,61 @@ def sample_iid(d: FactoidDist, n: int, rng: SeededRng) -> np.ndarray:
     through d's cached guide table (see the module docstring), which picks
     the same slot as searchsorted(cum, u, "right"). d must be sparse: a
     background that an atom outside d's keys carries is refused before
-    any uniform is drawn. Callers that need only how often each atom was
-    drawn use sample_counts, which reads the same stream and never builds
-    the n-long array.
+    any uniform is drawn. The suites count their training samples
+    through _count_rows instead, which reads the same stream and never
+    builds the n-long array.
     """
     check_count(n, "sample size", 1)
-    cum, atoms, guide = d._inverse_cdf
+    cum, atoms, guide, _ = d._inverse_cdf
     return atoms[_guided_slots(cum, guide, rng.generator.random(n))]
 
 
-def sample_counts(d: FactoidDist, n: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct atoms of sample_iid(d, n, rng), in increasing order, and
-    how often each was drawn; rng's generator ends in the same state, and
-    d is refused as sample_iid refuses it.
+def _chunks(streams: Iterable, n: int) -> Iterator[tuple[list, np.ndarray]]:
+    """Consecutive lists of at most _CHUNK_DRAWS // n streams (at least
+    one), each with an uninitialized row of n floats per stream for its
+    uniforms."""
+    streams = iter(streams)
+    while chunk := list(islice(streams, max(1, _CHUNK_DRAWS // n))):
+        yield chunk, np.empty((len(chunk), n))
 
-    The n uniforms are inverted to slots of d's inverse-CDF table as in
-    sample_iid, and the slots are counted, not the atoms: the table's atom
-    column is sorted, so the atoms of the counted slots come out in order
-    and no n-long atom array is built. A table of at most 8192 + 4n slots
-    is counted with one bincount over the table, a larger one by sorting
-    the n slots (see _COUNT_BASE_SLOTS for the measured crossover).
+
+def _count_rows(tables: Sequence[tuple], u: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row t of u, uniforms in [0, 1), inverted through tables[t] (an
+    _inverse_cdf table) and counted: per row, in order, its distinct slots
+    in increasing order and how often each was drawn.
+
+    Rows whose tables all share one cum array are inverted in one pass;
+    otherwise each row is inverted through its own table. The rows are
+    then counted together. When the tables, laid end to end, hold at most
+    _COUNT_BASE_SLOTS + _COUNT_SLOTS_PER_DRAW * u.size slots, one bincount
+    counts every row, each row's slots offset by the slots of the tables
+    before it; otherwise each row's slots are sorted into runs.
     """
-    check_count(n, "sample size", 1)
-    cum, atoms, guide = d._inverse_cdf
-    slots = _guided_slots(cum, guide, rng.generator.random(n))
-    if cum.size <= _COUNT_BASE_SLOTS + _COUNT_SLOTS_PER_DRAW * n:
-        counts = np.bincount(slots, minlength=cum.size)
+    cum, _, guide, _ = tables[0]
+    if all(table[0] is cum for table in tables):
+        slots = _guided_slots(cum, guide, u.reshape(-1)).reshape(u.shape)
+    else:
+        slots = np.stack([_guided_slots(table[0], table[2], row) for table, row in zip(tables, u)])
+    rows, n = slots.shape
+    # row t's table holds slots starts[t]:starts[t + 1] of the tables end to end
+    starts = np.cumsum([0] + [table[0].size for table in tables])
+    if starts[-1] <= _COUNT_BASE_SLOTS + _COUNT_SLOTS_PER_DRAW * slots.size:
+        slots += starts[:-1, None]
+        counts = np.bincount(slots.reshape(-1), minlength=starts[-1])
         # nonzero of a bool array is several times faster than of an int one
         seen = np.flatnonzero(counts != 0)
-        return atoms[seen], counts[seen]
-    seen, counts = np.unique(slots, return_counts=True)
-    return atoms[seen], counts
-
-
-def _sample_count_runs(
-    d: FactoidDist, n: int, streams: Iterable[SeededRng]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """sample_counts(d, n, rng) for each stream in turn, as (weights,
-    counts): the weight of each atom drawn, in increasing atom order, and
-    how often each was drawn. Every generator ends in the state
-    sample_counts leaves it in, and d is refused as sample_counts refuses
-    it, before any stream is read.
-
-    The streams go in chunks of at most _CHUNK_DRAWS draws. Each stream's
-    generator fills its own row of n uniforms, one inversion through d's
-    table maps the chunk to slots, and one sort per row puts each row's
-    equal slots in runs.
-    """
-    cum, atoms, guide = d._inverse_cdf
-    slot_weights = d.weights_at(atoms)
-    streams = iter(streams)
-    while gens := [rng.generator for rng in islice(streams, max(1, _CHUNK_DRAWS // n))]:
-        u = np.empty((len(gens), n))
-        for row, gen in zip(u, gens):
-            gen.random(out=row)
-        slots = _guided_slots(cum, guide, u.reshape(-1))
-        slots.reshape(u.shape).sort(axis=1)
-        first = np.empty(slots.size, dtype=bool)
-        np.not_equal(slots[1:], slots[:-1], out=first[1:])
+        counts = counts[seen]
+        cuts = np.searchsorted(seen, starts).tolist()
+        seen -= np.repeat(starts[:-1], np.diff(cuts))
+    else:
+        slots.sort(axis=1)
+        flat = slots.reshape(-1)
+        first = np.empty(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=first[1:])
         first[::n] = True
-        starts = np.flatnonzero(first)
-        sizes = np.diff(starts, append=slots.size)
-        weights = slot_weights[slots[starts]]
-        # row t's runs are cuts[t]:cuts[t + 1]
-        cuts = np.searchsorted(starts, np.arange(len(gens) + 1) * n).tolist()
-        for lo, hi in zip(cuts, cuts[1:]):
-            yield weights[lo:hi], sizes[lo:hi]
+        runs = np.flatnonzero(first)
+        counts = np.diff(runs, append=flat.size)
+        seen = flat[runs]
+        cuts = np.searchsorted(runs, np.arange(rows + 1) * n).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        yield seen[lo:hi], counts[lo:hi]

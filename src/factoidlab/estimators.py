@@ -8,9 +8,10 @@ widths under which |estimate - missing mass| falls with probability
 1 - delta; the harness validates both empirically.
 
 A training sample holds its distinct atoms and their counts. The
-unobserved atoms are counted, never listed, and the missing mass sums p
-over its own explicit atoms, so nothing here has the size of the
-universe.
+unobserved atoms are counted, never listed, so nothing here has the size
+of the universe. The suites read each sample's missing mass off its row
+of slot counts (_SlotMasses): the weights of its table's unseen slots,
+summed from the shorter side, with no search of the sample in p's keys.
 """
 
 from __future__ import annotations
@@ -27,18 +28,17 @@ from .dist import (
     BOTTOM,
     FactoidDist,
     FactoidUniverse,
-    _lookup,
-    _sample_count_runs,
+    _chunks,
+    _count_rows,
     _sorted_keys,
     with_bottom,
 )
-from .errors import DistributionError, InsufficientDataError, UniverseMismatchError, check_count
+from .errors import DistributionError, InsufficientDataError, check_count
 from .rng import SeededRng
 
 __all__ = [
     "TrainingSample",
     "monofact_estimate",
-    "missing_mass",
     "good_turing_radius",
     "missing_mass_lower_radius",
 ]
@@ -57,8 +57,9 @@ class TrainingSample:
     * TrainingSample(universe, draws) takes the draw sequence (any
       integer sequence) and counts it;
     * TrainingSample.from_counts(universe, atoms, counts) takes the
-      counts themselves, as dist.sample_counts returns them; the trial
-      path builds every sample this way and never holds the n draws.
+      counts themselves, as a counted row (dist._count_rows) gives them;
+      the trial path builds every sample this way and never holds the n
+      draws.
 
     Every reader in this package depends on the counts alone. draws is
     the sequence given, or for a sample built from counts the atoms
@@ -137,32 +138,6 @@ def monofact_estimate(s: TrainingSample) -> float:
     return singles / s.n
 
 
-def missing_mass(p: FactoidDist, s: TrainingSample) -> float:
-    """Probability mass of factoids never observed in the sample.
-
-    Computed by summing p over its own explicit atoms outside the
-    observed set plus the background of the remaining unobserved atoms,
-    so no huge complement set is ever built. The explicit part is the
-    correctly rounded sum of the unseen weights, fsum over them in
-    O(|p.keys|).
-    """
-    if p.universe != s.universe:
-        raise UniverseMismatchError(
-            f"universe mismatch: {p.universe.size} vs {s.universe.size}"
-        )
-    observed = s.observed_keys
-    pos, hit = _lookup(p.keys, observed)
-    seen = pos[hit]
-    unseen = np.ones(p.keys.size, dtype=bool)
-    unseen[seen] = False
-    special_out = math.fsum(memoryview(p.values[unseen]))
-    if p.background == 0.0:
-        return special_out
-    n_obs_plain = observed.size - seen.size
-    n_plain_out = (p.universe.size - p.keys.size) - n_obs_plain
-    return special_out + p.background * n_plain_out
-
-
 def _expanded_total(values: np.ndarray) -> tuple[float, ...]:
     """Non-overlapping floats whose exact sum is the exact sum of values,
     largest first.
@@ -176,22 +151,54 @@ def _expanded_total(values: np.ndarray) -> tuple[float, ...]:
     return tuple(parts)
 
 
+class _SlotMasses:
+    """Missing masses read off counted rows (dist._count_rows): the fsum
+    of the weights of a row's unseen slots, for tables whose slots hold
+    no empty fact, so every unseen slot's weight is missing mass.
+
+    The sum is taken over the shorter side: the unseen weights directly,
+    or the table's expanded total (_expanded_total) minus the seen
+    weights. Both have the exact sum of the unseen weights, which fsum
+    rounds correctly, so the float is the same. The expansion and the
+    negated weights are worked out when the seen side is the shorter on a
+    row counted against the same weights array as the row before, and kept
+    while the rows do so, so a table drawn for one row never pays for them.
+    """
+
+    def __init__(self):
+        self._weights: np.ndarray | None = None
+        self._total: tuple[tuple[float, ...], np.ndarray] | None = None
+
+    def __call__(self, weights: np.ndarray, seen: np.ndarray) -> float:
+        repeated, self._weights = weights is self._weights, weights
+        if not repeated:
+            self._total = None
+        elif 2 * seen.size < weights.size:
+            if self._total is None:
+                self._total = _expanded_total(weights), -weights
+            parts, negated = self._total
+            return math.fsum(chain(parts, memoryview(negated[seen])))
+        unseen = np.ones(weights.size, dtype=bool)
+        unseen[seen] = False
+        return math.fsum(memoryview(weights[unseen]))
+
+
 def _gt_estimates(
     p: FactoidDist, n: int, streams: Iterable[SeededRng]
 ) -> Iterator[tuple[float, float]]:
-    """(monofact_estimate, missing_mass) of the sample
-    sample_counts(p, n, rng) for each stream, in order, for a sparse p
-    with no mass on the empty fact: the same floats, read off each
-    stream's runs (dist._sample_count_runs) with no TrainingSample built.
-
-    An atom drawn once is a singleton. The missing mass is p's total
-    expansion minus the seen weights, in O(n) a sample: its exact value
-    is the sum of the unseen weights, which missing_mass rounds
-    correctly too, so the float is the same.
+    """(monofact_estimate, missing mass) of n draws from a sparse p with no
+    mass on the empty fact, for each stream in order: each generator fills
+    its row of n uniforms, and each row is counted against p's table
+    (dist._count_rows) with no TrainingSample built. p is refused as the
+    samplers refuse it, before any stream is read.
     """
-    parts = _expanded_total(p.values)
-    for weights, counts in _sample_count_runs(p, n, streams):
-        yield np.count_nonzero(counts == 1) / n, math.fsum(chain(parts, memoryview(-weights)))
+    table = p._inverse_cdf
+    masses = _SlotMasses()
+    for chunk, u in _chunks(streams, n):
+        for rng, row in zip(chunk, u):
+            rng.generator.random(out=row)
+        for seen, counts in _count_rows([table] * len(chunk), u):
+            yield int(np.count_nonzero(counts == 1)) / n, masses(table[3], seen)
 
 
 def _check_delta(delta: float, upper: float) -> None:

@@ -4,9 +4,11 @@ One trial is: draw a world, draw training data, train the algorithm,
 measure (monofact estimate, missing mass, hallucination rate, the
 calibration metrics), and evaluate every bound. Trials are pure
 functions of (master seed, trial index), so experiments reproduce
-byte-for-byte and can run in any order. The (p, g) profiles of
-consecutive trials are scored together in batches, and every metric of
-a trial is the same bits in any batch as on its own.
+byte-for-byte and can run in any order. The training data of
+consecutive trials are drawn and counted a chunk at a time (_trained),
+each trial on its own stream, and the (p, g) profiles of consecutive
+trials are scored together in batches; every metric of a trial is the
+same bits in any chunk and batch as on its own.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ from .dist import (
     ProfileBatch,
     _normalized,
     _pair_profile,
+    _chunks,
+    _count_rows,
     join_profiles,
     keyed_profile,
     kl_divergences,
-    sample_counts,
 )
 from .errors import (
     ConfigError,
@@ -55,8 +58,8 @@ from .errors import (
 from .estimators import (
     TrainingSample,
     _gt_estimates,
+    _SlotMasses,
     good_turing_radius,
-    missing_mass,
     missing_mass_lower_radius,
     monofact_estimate,
 )
@@ -175,27 +178,44 @@ class TrialRecord:
     reliability: tuple[tuple[float, float, float, int], ...] = field(repr=False)
 
 
-def _draw_trial(model: WorldModel, n: int, rng: SeededRng) -> tuple[WorldInstance, TrainingSample]:
-    """Draw a world and n i.i.d. training draws from it, in that order
-    from one stream, the draws as their counts; every suite that trains on
-    a drawn world starts here."""
-    world = sample_world(model, rng)
-    return world, TrainingSample.from_counts(world.universe, *sample_counts(world.p, n, rng))
-
-
 def _trained(
-    model: WorldModel, n: int, algorithm: LmAlgorithm, master_seed: int, indices: Sequence[int]
-) -> Iterator[tuple[int, SeededRng, WorldInstance, TrainingSample, FactoidDist]]:
-    """(i, rng, world, sample, g) per stream index i, in order: a world and
-    sample drawn on child i of the master seed and g trained on them (p as
-    truth). A failing draw or training surfaces with its index attached."""
-    for i, rng in zip(indices, SeededRng(master_seed).children(indices)):
-        try:
-            world, sample = _draw_trial(model, n, rng)
-            g = train(algorithm, sample, truth=world.p)
-        except FactoidLabError as exc:
-            raise type(exc)(f"trial {i}: {exc}") from exc
-        yield i, rng, world, sample, g
+    model: WorldModel,
+    n: int,
+    algorithm: LmAlgorithm | None,
+    master_seed: int,
+    indices: Sequence[int],
+) -> Iterator[tuple[int, SeededRng, WorldInstance, TrainingSample, np.ndarray, FactoidDist | None]]:
+    """(i, rng, world, sample, seen, g) per stream index i, in order: a
+    world and n i.i.d. draws from it on child i of the master seed, the
+    slots of its table the sample holds (what _SlotMasses reads the
+    missing mass off), and g trained on them (p as truth), or None with no
+    algorithm. Every suite that trains on a drawn world starts here. A
+    failing draw or training surfaces with its index attached.
+
+    The streams go in chunks (dist._chunks). Each stream draws its world
+    and then fills its row of n uniforms, as a lone stream would, and the
+    chunk's rows are counted together (dist._count_rows): in one pass when
+    the model shares one table among its draws. Each sample is read off
+    its row's slot counts.
+    """
+    for chunk, u in _chunks(zip(indices, SeededRng(master_seed).children(indices)), n):
+        worlds, tables = [], []
+        for (i, rng), row in zip(chunk, u):
+            try:
+                world = sample_world(model, rng)
+                # a p the samplers refuse fails before its row is drawn
+                tables.append(world.p._inverse_cdf)
+            except FactoidLabError as exc:
+                raise type(exc)(f"trial {i}: {exc}") from exc
+            rng.generator.random(out=row)
+            worlds.append(world)
+        for (i, rng), world, table, (seen, counts) in zip(chunk, worlds, tables, _count_rows(tables, u)):
+            sample = TrainingSample.from_counts(world.universe, table[1][seen], counts)
+            try:
+                g = None if algorithm is None else train(algorithm, sample, truth=world.p)
+            except FactoidLabError as exc:
+                raise type(exc)(f"trial {i}: {exc}") from exc
+            yield i, rng, world, sample, seen, g
 
 
 #: Most profile classes one scoring batch holds. Trials join a batch
@@ -248,10 +268,13 @@ def _trial_records(cfg: ExperimentConfig, indices: Sequence[int]) -> Iterator[Tr
     params = cfg.params
 
     def drawn():
-        for i, rng, world, sample, g in _trained(
+        # a drawn world has no empty fact among its facts, so every
+        # unseen slot's weight is missing mass
+        masses = _SlotMasses()
+        for i, rng, world, sample, seen, g in _trained(
             cfg.world, cfg.n, cfg.algorithm, cfg.master_seed, indices
         ):
-            mf, p_u = monofact_estimate(sample), missing_mass(world.p, sample)
+            mf, p_u = monofact_estimate(sample), masses(world.p._inverse_cdf[3], seen)
             yield (i, rng.fingerprint(), mf, p_u), (keyed_profile(world.p, g),)
 
     def score(batch, joined: ProfileBatch) -> list[TrialRecord]:
@@ -497,7 +520,7 @@ def run_upper_bound_check(
     radius = good_turing_radius(delta, n)
     drawn = (
         (monofact_estimate(sample), (keyed_profile(inst.p, g),))
-        for _, _, inst, sample, g in _trained(
+        for _, _, inst, sample, _, g in _trained(
             world, n, MonofactMemorizer(), master_seed, range(1, trials + 1)
         )
     )
@@ -621,7 +644,7 @@ def run_multi_type_experiment(cfg: ExperimentConfig) -> MultiTypeReport:
 
     trials = (
         (world, sample, g)
-        for _, _, world, sample, g in _trained(
+        for _, _, world, sample, _, g in _trained(
             model, cfg.n, cfg.algorithm, cfg.master_seed, range(cfg.trials)
         )
     )

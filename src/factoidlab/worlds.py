@@ -122,15 +122,16 @@ class PermutedPowerLawWorld:
         first use and kept with the model: up to 80 MB at FACT_COUNT_LIMIT
         facts. A model whose template holds one value also keeps the
         inverse-CDF table every draw that sample_world returns shares
-        (draw_table): about 80 MB of cum and 128 MB of guide more at that
-        count, which each such draw used to build for itself when sampled,
-        so a run that samples its worlds does not peak higher."""
+        (draw_table): about 80 MB each of cum and weights and 128 MB of
+        guide more at that count, which each such draw used to build for
+        itself when sampled, so a run that samples its worlds does not peak
+        higher."""
         return _rank_template(self)
 
     @cached_property
-    def draw_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(cum, guide) of every draw when the rank template holds one
-        value (see _shared_table), else None."""
+    def draw_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(cum, guide, weights) of every draw when the rank template holds
+        one value (see _shared_table), else None."""
         return _shared_table(self.universe, (self.rank_template,))
 
 
@@ -245,9 +246,9 @@ class MultiTypeWorld:
         )
 
     @cached_property
-    def draw_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(cum, guide) of every draw when each type's rank template holds
-        one value (see _shared_table), else None."""
+    def draw_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(cum, guide, weights) of every draw when each type's rank
+        template holds one value (see _shared_table), else None."""
         return _shared_table(self.universe, self.rank_template)
 
 
@@ -319,9 +320,9 @@ def _one_value(template: np.ndarray) -> bool:
 
 def _shared_table(
     universe: FactoidUniverse, templates: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """cum and guide of the inverse-CDF table of every draw whose types'
-    templates each hold one value, else None.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """cum, guide and weights of the inverse-CDF table of every draw whose
+    types' templates each hold one value, else None.
 
     Such a draw's values are the templates end to end whichever atoms it
     draws, so its table is the one _inverse_cdf builds on those weights,
@@ -330,8 +331,8 @@ def _shared_table(
     if not all(map(_one_value, templates)):
         return None
     weights = np.concatenate(templates)
-    cum, _, guide = FactoidDist(universe, np.arange(1, weights.size + 1), weights)._inverse_cdf
-    return cum, guide
+    cum, _, guide, weights = FactoidDist(universe, np.arange(1, weights.size + 1), weights)._inverse_cdf
+    return cum, guide, weights
 
 
 def _template_draw(
@@ -359,7 +360,7 @@ def _template_world(
     universe: FactoidUniverse,
     keys: np.ndarray,
     values: np.ndarray,
-    table: tuple[np.ndarray, np.ndarray] | None,
+    table: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
 ) -> WorldInstance:
     """The world of a template draw, carrying the model's shared table
     when it has one."""

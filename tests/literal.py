@@ -2,21 +2,23 @@
 references.
 
 The library measures trials through (p, g) class profiles scored many
-at a time, scores the core inequality on one posterior completion,
-unranks partitions in blocks, sums subsets through subset tables and
-never builds a per-atom view of a distribution. The tests also want the
-plain forms: one function per metric taking two distributions, the
-three total-variation forms, a pair's class layout and hallucination
-rate built atom by atom (for any pair, where the library lays out only
-a g whose keys lie among p's), the one-profile calibration and
-KL routes the batch scorer replaced, the core inequality's mean over
-every posterior completion, distinct draws and posterior completions one
-stream at a time, one recursive partition enumeration, a literal
-coarsening, the lemma sweep's padded gather of each subset's atoms, and
-builders of small test inputs (background distributions, random and
-enumerated partitions, enumerated W5 worlds), and one function per
-lower-bound right-hand side, each its own formula, where the library
-reads one table of terms. They live here, built from the same library
+at a time, reads each sample's missing mass off its slot counts, scores
+the core inequality on one posterior completion, unranks partitions in
+blocks, sums subsets through subset tables and never builds a per-atom
+view of a distribution. The tests also want the plain forms: one
+function per metric taking two distributions, the three total-variation
+forms, a sample's missing mass summed over p's unseen keys, a pair's
+class layout and hallucination rate built atom by atom (for any pair,
+where the library lays out only a g whose keys lie among p's), the
+one-profile calibration and KL routes the batch scorer replaced, the
+core inequality's mean over every posterior completion, distinct draws
+and posterior completions one stream at a time, one recursive partition
+enumeration, a partition's blocks as atom sets, a literal coarsening,
+the lemma sweep's padded gather of each subset's atoms, and builders of
+small test inputs (background distributions, random and enumerated
+partitions, enumerated W5 worlds), and one function per lower-bound
+right-hand side, each its own formula, where the library reads one
+table of terms. They live here, built from the same library
 primitives, so a test can compare a fast path with them or state a
 property in their terms.
 """
@@ -57,6 +59,7 @@ from factoidlab.errors import (
     UniverseMismatchError,
     UnsupportedModelError,
 )
+from factoidlab.estimators import TrainingSample
 from factoidlab.rng import SeededRng
 from factoidlab.worlds import ExplicitWorld, PermutedPowerLawWorld, W5World, WorldInstance
 
@@ -120,6 +123,24 @@ def mass_of_set(d: FactoidDist, s: Iterable[int]) -> float:
     weights, held = d.weights_at(atoms), np.isin(atoms, d.keys)
     n_plain = atoms.size - int(np.count_nonzero(held))
     return math.fsum(weights[held].tolist()) + d.background * n_plain
+
+
+def missing_mass(p: FactoidDist, s: TrainingSample) -> float:
+    """Probability mass of the factoids a sample never observed (the empty
+    fact counts as observed): p summed over its own explicit atoms outside
+    the observed set, the correctly rounded fsum of the unseen weights,
+    plus the background of the remaining unobserved atoms, so no
+    complement set is built. The library reads each trial's missing mass
+    off its slot counts instead."""
+    if p.universe != s.universe:
+        raise UniverseMismatchError(f"universe mismatch: {p.universe.size} vs {s.universe.size}")
+    observed = s.observed_keys
+    seen = np.isin(p.keys, observed)
+    special_out = math.fsum(memoryview(p.values[~seen]))
+    if p.background == 0.0:
+        return special_out
+    n_obs_plain = observed.size - int(np.count_nonzero(seen))
+    return special_out + p.background * ((p.universe.size - p.keys.size) - n_obs_plain)
 
 
 def tv_distance(d1: FactoidDist, d2: FactoidDist) -> float:
@@ -281,6 +302,15 @@ def coarsen(p: FactoidDist, pi: Partition) -> FactoidDist:
 # -- partitions ------------------------------------------------------------
 
 
+def partition_blocks(partition: Partition) -> tuple[frozenset[int], ...]:
+    """A partition's blocks as atom sets in label order; the library reads
+    a violating partition's blocks off its label row instead."""
+    blocks: dict[int, set[int]] = {}
+    for y, label in enumerate(partition.labels.tolist()):
+        blocks.setdefault(label, set()).add(y)
+    return tuple(frozenset(blocks[label]) for label in range(len(blocks)))
+
+
 def iter_all_partitions(universe: FactoidUniverse) -> Iterator[Partition]:
     """Every set partition of a universe, lazily, one per label row."""
     for block in _partition_label_rows(universe.size, 1024):
@@ -358,7 +388,7 @@ def gather_lemma_sweep(nu: ExplicitWorld, tolerance: float) -> list[LemmaMeatVio
         for b, s in np.argwhere(~(gaps @ weights <= limits_arr - margin[:, None])).tolist():
             lhs = float(weights @ gaps[b, s])
             if lhs > limits[s]:
-                blocks = Partition(nu.universe, labels[b]).blocks
+                blocks = partition_blocks(Partition(nu.universe, labels[b]))
                 violations.append(
                     LemmaMeatViolation(
                         partition_blocks=tuple(tuple(sorted(block)) for block in blocks),

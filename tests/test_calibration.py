@@ -30,6 +30,7 @@ from literal import (
     iter_all_partitions,
     mass_of_set,
     miscalibration,
+    partition_blocks,
     random_partition,
     reliability_curve,
     tv_distance,
@@ -37,7 +38,7 @@ from literal import (
 
 
 def blocks_as_sets(partition: Partition) -> set[frozenset[int]]:
-    return set(partition.blocks)
+    return set(partition_blocks(partition))
 
 
 class TestPartitionValidation:
@@ -79,9 +80,11 @@ class TestPartitionValidation:
 
     def test_blocks_in_label_order(self):
         pi = Partition(FactoidUniverse(5), np.array([1, 0, 2, 0, 1]))
-        assert pi.blocks == (frozenset({1, 3}), frozenset({0, 4}), frozenset({2}))
-        assert Partition.singletons(FactoidUniverse(3)).blocks == tuple(frozenset({y}) for y in range(3))
-        assert Partition(FactoidUniverse(3), np.zeros(3, dtype=np.intp)).blocks == (frozenset(range(3)),)
+        assert partition_blocks(pi) == (frozenset({1, 3}), frozenset({0, 4}), frozenset({2}))
+        singletons = Partition.singletons(FactoidUniverse(3))
+        assert partition_blocks(singletons) == tuple(frozenset({y}) for y in range(3))
+        one_block = Partition(FactoidUniverse(3), np.zeros(3, dtype=np.intp))
+        assert partition_blocks(one_block) == (frozenset(range(3)),)
 
     def test_singletons_refused_above_materialize_limit(self):
         # as partition_for_spec refuses: 10^6 + 1 labels would be built
@@ -426,7 +429,7 @@ class TestCoarseningMassInequality:
                     lhs = max(0.0, mass_of_set(p, s) - mass_of_set(q, s))
                     rhs = sum(
                         mass_of_set(p, s & block) * len(block - s) / len(block)
-                        for block in pi.blocks
+                        for block in partition_blocks(pi)
                     )
                     assert lhs <= rhs + 1e-9
 
@@ -532,6 +535,6 @@ class TestBinningAgainstLiteralReferences:
             eps = float(gen.uniform(0.01, 0.99))
             pi = partition_for_spec(g, FixedWidthBinning(eps))
             explicit = 0.5 * sum(
-                abs(mass_of_set(p, block) - mass_of_set(g, block)) for block in pi.blocks
+                abs(mass_of_set(p, block) - mass_of_set(g, block)) for block in partition_blocks(pi)
             )
             assert generative_calibration_error(p, g, eps) == pytest.approx(explicit, abs=1e-12)

@@ -171,14 +171,7 @@ class TestParseConfig:
         run_dir = tmp_path / "run"
         code, _, err = run_cli("run", str(_readme_config(tmp_path)), "--out", str(run_dir))
         assert code == 0, err
-        digest = {
-            name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-            for name in ("trials.csv", "reliability.csv")
-        }
-        assert digest == {
-            "trials.csv": "91ebb86a872f7a62e0d657da6e55573bf5648a27c9a017bfade6d817646ff717",
-            "reliability.csv": "06088718c97d0e8398238ac4fbc67d7fe5db9d6fc11d5b7fa52c360447839dec",
-        }
+        assert _digests(run_dir) == README_DIGESTS
         want = {name: dict.fromkeys(BOUND_TERMS, 0) for name in BOUNDS}
         for name in ("cor1", "cor_general", "cor_fixed_tv"):
             want[name]["gt_width"] = 45
@@ -197,6 +190,21 @@ class TestParseConfig:
             "cor_fixed_tv": "gt_width 45",
             "cor_general": "gt_width 45",
         }
+
+    def test_readme_record_holds_with_baseline_simd(self, tmp_path):
+        # numpy's SIMD dispatch cut to its baseline, in the subprocess alone:
+        # the pinned files depend on no dispatched kernel
+        features = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+        # numpy only warns (ImportWarning, silent by default) when it
+        # rejects a feature it does not dispatch on this host
+        probe = _run_python("-W", "error::ImportWarning", "-c", "import numpy", env=features)
+        if probe.returncode != 0:
+            pytest.skip(f"numpy rejects {features}: {probe.stderr.strip().splitlines()[-1:]}")
+        run_dir = tmp_path / "run"
+        cfg = str(_readme_config(tmp_path))
+        done = _run_python("-m", "factoidlab", "run", cfg, "--out", str(run_dir), env=features)
+        assert done.returncode == 0, done.stderr
+        assert _digests(run_dir) == README_DIGESTS
 
     def test_hash_tracks_content(self):
         a = parse_config_text(SMALL_CFG)
@@ -431,7 +439,7 @@ class TestFailsClosed:
         bad.write_text(text.replace(old, new))
         with pytest.raises(ConfigError, match=f"exceeds the limit of .* {reason}"):
             parse_config(bad)
-        for name in ("run_experiment", "run_gt_concentration", "_draw_trial", "sample_world"):
+        for name in ("run_experiment", "run_gt_concentration", "_trained", "sample_world"):
             monkeypatch.setattr(factoidlab.cli, name, _refuse)
         out_dir = ["--out", str(tmp_path / "r")] if command == "run" else []
         code, out, err = run_cli(command, str(bad), *out_dir)
@@ -553,15 +561,19 @@ class TestRunRecord:
         cfg_path.write_text(SMALL_CFG.replace("trials = 120", "trials = 3"))
         return cfg_path
 
-    def test_failing_trial_leaves_nothing(self, tmp_path, monkeypatch):
-        draw_trial = factoidlab.harness._draw_trial
+    @pytest.mark.parametrize("chunk", [1, 3], ids=["own_chunk", "mid_chunk"])
+    def test_failing_trial_leaves_nothing(self, tmp_path, monkeypatch, chunk):
+        # the config's n is 120; trial 1 is alone in its chunk, or the
+        # middle of trials 0-2
+        sample_world = factoidlab.harness.sample_world
 
-        def second_fails(model, n, rng):
+        def second_fails(model, rng):
             if rng.key == (1,):
                 raise DistributionError("injected")
-            return draw_trial(model, n, rng)
+            return sample_world(model, rng)
 
-        monkeypatch.setattr(factoidlab.harness, "_draw_trial", second_fails)
+        monkeypatch.setattr(factoidlab.dist, "_CHUNK_DRAWS", chunk * 120)
+        monkeypatch.setattr(factoidlab.harness, "sample_world", second_fails)
         code, out, err = run_cli("run", str(self._config(tmp_path)), "--out", str(tmp_path / "r"))
         assert code == 2
         assert "trial 1: injected" in err
@@ -763,14 +775,26 @@ class TestImportCost:
         assert done.stdout.strip() == "False"
 
 
-def _run_python(*argv) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this checkout's factoidlab."""
+def _run_python(*argv, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's factoidlab,
+    with env's variables added to its environment."""
     src = str(Path(factoidlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+#: sha256 of the README run's trials.csv and reliability.csv
+README_DIGESTS = {
+    "trials.csv": "91ebb86a872f7a62e0d657da6e55573bf5648a27c9a017bfade6d817646ff717",
+    "reliability.csv": "06088718c97d0e8398238ac4fbc67d7fe5db9d6fc11d5b7fa52c360447839dec",
+}
+
+
+def _digests(run_dir: Path) -> dict[str, str]:
+    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in README_DIGESTS}
 
 
 def _readme_config(tmp_path: Path) -> Path:

@@ -23,7 +23,6 @@ from factoidlab.dist import (
     FactoidUniverse,
     dist_from_weights,
     random_dist,
-    sample_counts,
     sample_iid,
     uniform_dist,
 )
@@ -103,7 +102,6 @@ COUNTS = {
         for i, name in enumerate(("n_people", "n_dates", "n_foods", "n_locations"))
     },
     "sample_iid.n": (lambda v: sample_iid(P, v, SeededRng(0)), DistributionError, 3),
-    "sample_counts.n": (lambda v: sample_counts(P, v, SeededRng(0)), DistributionError, 3),
     "random_dist.support_size": (
         lambda v: random_dist(U, SeededRng(0), support_size=v), DistributionError, 3
     ),

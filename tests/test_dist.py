@@ -13,18 +13,20 @@ from factoidlab.dist import (
     FactoidUniverse,
     dist_from_arrays,
     dist_from_weights,
+    _count_rows,
     random_dist,
-    sample_counts,
     sample_iid,
     uniform_dist,
 )
 from factoidlab.errors import ConfigError, DistributionError, UniverseMismatchError
+from factoidlab.estimators import TrainingSample, _gt_estimates
 from factoidlab.rng import SeededRng
 from factoidlab.worlds import ExplicitWorld, MultiTypeWorld, PermutedPowerLawWorld, WorldInstance
 from literal import (
     background_dist,
     kl_divergence,
     mass_of_set,
+    missing_mass,
     paired_profile,
     tv_distance,
     tv_distance_forms,
@@ -259,7 +261,11 @@ class TestSampling:
         with pytest.raises(DistributionError):
             sample_iid(uniform_dist(FactoidUniverse(4)), 0, SeededRng(12))
 
-    @pytest.mark.parametrize("sample", [sample_iid, sample_counts])
+    @pytest.mark.parametrize(
+        "sample",
+        [sample_iid, lambda d, n, rng: next(_gt_estimates(d, n, [rng]))],
+        ids=["sample_iid", "gt_estimates"],
+    )
     @pytest.mark.parametrize(
         "d",
         [uniform_dist(FactoidUniverse(10)), background_dist(FactoidUniverse(10), {1: 0.5}, 0.5 / 9)],
@@ -278,8 +284,9 @@ class TestSampling:
         assert d.background == 0.125
         draws = sample_iid(d, 1000, SeededRng(13))
         assert set(draws.tolist()) == {0, 1, 2}
-        atoms, counts = sample_counts(d, 1000, SeededRng(13))
-        assert atoms.tolist() == [0, 1, 2] and counts.tolist() == np.bincount(draws).tolist()
+        table = d._inverse_cdf
+        ((seen, counts),) = _count_rows([table], SeededRng(13).generator.random((1, 1000)))
+        assert table[1][seen].tolist() == [0, 1, 2] and counts.tolist() == np.bincount(draws).tolist()
 
     def test_zero_weight_special_never_drawn(self):
         u = FactoidUniverse(5)
@@ -358,7 +365,6 @@ class TestSeededRng:
 
 class TestMaterializeGuards:
     def test_missing_mass_with_background_truth(self):
-        from factoidlab.estimators import TrainingSample, missing_mass
         u = FactoidUniverse(10)
         p = background_dist(u, {1: 0.4, 2: 0.2}, 0.4 / 8)
         s = TrainingSample(u, (1, 3, 3))

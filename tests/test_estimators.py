@@ -16,11 +16,11 @@ from factoidlab.errors import (
 from factoidlab.estimators import (
     TrainingSample,
     good_turing_radius,
-    missing_mass,
     missing_mass_lower_radius,
     monofact_estimate,
 )
 from factoidlab.rng import SeededRng
+from literal import missing_mass
 
 getcontext().prec = 50
 

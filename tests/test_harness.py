@@ -257,26 +257,39 @@ class TestGtConcentrationContract:
 
 
 class TestTrialErrorContext:
-    """Each suite that scores profiles names the stream a failing draw was
-    on, the run's trial index."""
+    """Each suite that scores profiles names the stream a failing world
+    draw was on, the run's trial index, wherever that stream sits in its
+    chunk."""
 
     @staticmethod
     def _fail_on_stream(monkeypatch, key):
         import factoidlab.harness as h
 
-        original = h._draw_trial
+        original = h.sample_world
 
-        def boom(model, n, rng):
+        def boom(model, rng):
             if rng.key == key:
                 raise DistributionError("synthetic failure")
-            return original(model, n, rng)
+            return original(model, rng)
 
-        monkeypatch.setattr(h, "_draw_trial", boom)
+        monkeypatch.setattr(h, "sample_world", boom)
 
     def test_failing_trial_names_its_index(self, monkeypatch):
         self._fail_on_stream(monkeypatch, (1,))
         with pytest.raises(DistributionError, match="trial 1: synthetic failure"):
             run_experiment(make_cfg(trials=3))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_failing_stream_names_its_index_anywhere_in_its_chunk(self, monkeypatch, chunk):
+        # stream 2 of trials 0-4 is a chunk of its own, the first of its
+        # chunk, the last of its chunk, or mid-chunk
+        import factoidlab.dist as d
+
+        cfg = make_cfg(trials=5)
+        monkeypatch.setattr(d, "_CHUNK_DRAWS", chunk * cfg.n)
+        self._fail_on_stream(monkeypatch, (2,))
+        with pytest.raises(DistributionError, match=r"^trial 2: synthetic failure$"):
+            run_experiment(cfg)
 
     def test_failing_upper_bound_trial_names_its_stream(self, monkeypatch):
         # the upper-bound suite's trials run on streams 1..trials

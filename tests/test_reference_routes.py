@@ -8,12 +8,17 @@ paths keep the reference arithmetic (math.fsum where it sums, elementwise
 division, the same atom order), so not even the last bit may move.
 
 The cached tables are checked the same way: the guide-table sampler
-against plain searchsorted inversion, the counted sampler on both sides
-of its size rule against counting the guide-table sampler's draws, the
-missing mass against the literal fsum over unseen atoms, the exact
-expansion of a total against rational arithmetic, and the table a
-world model whose rank templates hold one value shares among its draws
-against the table each draw builds for itself.
+against plain searchsorted inversion, the chunk counter (rows against
+their own tables or one shared table) on both sides of its size rule
+against counting the guide-table sampler's draws, the missing mass read
+off a row's slots, from either side, against the literal fsum over
+unseen atoms, the exact expansion of a total against rational
+arithmetic, and the table a world model whose rank templates hold one
+value shares among its draws against the table each draw builds for
+itself. The chunked draw route every trained suite takes is checked
+stream by stream against sample_world, sample_iid, a Counter and the
+literal missing mass, on uniform, Zipf, W5 and multi-type models, with
+chunks of one stream, one full chunk and a partial last chunk.
 
 So are the two bound verifiers: the core inequality, scored on one
 completion, against its literal mean over every posterior completion
@@ -54,7 +59,8 @@ reads both of its events off one (p, g) profile per trial, is recounted
 through the literal hallucination rate and miscalibration, and the
 Good-Turing concentration suite, which counts a chunk of trials in one
 pass, through the literal sampler, monofact estimate and missing mass,
-also with chunks of one and three trials.
+also with chunks of one and three trials, stream by stream with each
+generator's end state.
 
 Every row of the bound table, evaluated as named terms, is checked
 against its literal right-hand-side formula bit for bit, with the
@@ -85,6 +91,7 @@ from factoidlab.dist import (
     FactoidDist,
     FactoidUniverse,
     ProfileBatch,
+    _count_rows,
     _dense_weights,
     _guided_slots,
     _subset_table,
@@ -94,7 +101,6 @@ from factoidlab.dist import (
     keyed_profile,
     kl_divergences,
     random_dist,
-    sample_counts,
     sample_iid,
     uniform_dist,
 )
@@ -124,7 +130,13 @@ from factoidlab.calibration import (
     partition_for_spec,
 )
 from factoidlab.errors import DistributionError, PartitionError, UniverseMismatchError
-from factoidlab.estimators import TrainingSample, _expanded_total, missing_mass, monofact_estimate
+from factoidlab.estimators import (
+    TrainingSample,
+    _expanded_total,
+    _gt_estimates,
+    _SlotMasses,
+    monofact_estimate,
+)
 from factoidlab import harness
 from factoidlab.harness import (
     _local_side,
@@ -162,7 +174,9 @@ from literal import (
     iter_all_partitions,
     mass_of_set,
     miscalibration,
+    missing_mass,
     paired_profile,
+    partition_blocks,
     posterior_fact_marginal,
     profile_calibration,
     profile_kl,
@@ -641,7 +655,7 @@ class TestCachedTables:
     @given(d=sampling_dists(), seed=st.integers(0, 2**32))
     @PROPERTY
     def test_guided_slots_equal_searchsorted(self, d, seed):
-        cum, _, guide = d._inverse_cdf
+        cum, _, guide, _ = d._inverse_cdf
         m = guide.size
         assert m & (m - 1) == 0 and cum.size <= m < 2 * cum.size
         edges = np.arange(m) / m
@@ -654,7 +668,7 @@ class TestCachedTables:
         assert np.array_equal(_guided_slots(cum, guide, u), np.searchsorted(cum, u, side="right"))
 
     def test_crowded_bucket_forces_the_fallback(self):
-        cum, _, guide = crowded_bucket()._inverse_cdf
+        cum, _, guide, _ = crowded_bucket()._inverse_cdf
         u = np.random.default_rng(0).random(20000)
         steps = np.searchsorted(cum, u, side="right") - guide[(u * guide.size).astype(np.intp)]
         assert steps.max() > _GUIDE_STEPS
@@ -666,45 +680,72 @@ class TestCachedTables:
         assert got.dtype == np.int64
         assert np.array_equal(got, ref_sample_iid(d, n, SeededRng(seed)))
 
-    @given(d=counted_dists(), n=st.integers(1, 300), seed=st.integers(0, 2**32), side=COUNT_SIDES)
+    @given(
+        ds=st.lists(counted_dists(), min_size=1, max_size=4),
+        shared=st.booleans(),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32),
+        side=COUNT_SIDES,
+    )
     @PROPERTY
-    def test_counted_sample_matches_counted_draws(self, d, n, seed, side):
-        """The counted sample is the literal count of sample_iid's draws,
-        and the generator is left where sample_iid leaves it."""
-        rng, ref_rng = SeededRng(seed), SeededRng(seed)
+    def test_counted_rows_match_counted_draws(self, ds, shared, n, seed, side):
+        """Each row, counted against its own table or, when every row
+        shares one, in one pass, is the literal count of sample_iid's draws
+        from its stream, its slots in increasing order."""
+        if shared:
+            ds = [ds[0]] * len(ds)
+        tables = [d._inverse_cdf for d in ds]
+        u = np.array([rng.generator.random(n) for rng in SeededRng(seed).children(range(len(ds)))])
         with mock.patch.multiple(dist_module, **side):
-            atoms, counts = sample_counts(d, n, rng)
-        got = TrainingSample.from_counts(d.universe, atoms, counts)
-        ref = TrainingSample(d.universe, sample_iid(d, n, ref_rng))
-        assert atoms.dtype == counts.dtype == np.int64
-        assert np.array_equal(got.atoms, ref.atoms)
-        assert np.array_equal(got.counts, ref.counts)
-        assert got.n == ref.n == n
-        assert rng.generator.random() == ref_rng.generator.random()
+            rows = list(_count_rows(tables, u))
+        assert len(rows) == len(ds)
+        refs = SeededRng(seed).children(range(len(ds)))
+        for d, table, (seen, counts), ref in zip(ds, tables, rows, refs):
+            assert counts.dtype == np.int64 and (np.diff(seen) > 0).all()
+            want = Counter(sample_iid(d, n, ref).tolist())
+            assert dict(zip(table[1][seen].tolist(), counts.tolist())) == want
 
-    @pytest.mark.parametrize("atoms, counted_by_bincount", [(10_000, True), (1_000_000, False)])
-    def test_size_rule_sides(self, atoms, counted_by_bincount):
-        """The concentration suite's 10^4-slot table at n = 1000 is counted
-        by bincount, a 10^6-slot table at the same n by sorting the slots."""
+    @pytest.mark.parametrize(
+        "atoms, n, rows, counted_by_bincount",
+        [
+            (10_000, 1000, 16, False),
+            (10_000, 1000, 1, True),
+            (1000, 2000, 8, True),
+            (10**6, 1000, 1, False),
+        ],
+    )
+    def test_size_rule_sides(self, atoms, n, rows, counted_by_bincount):
+        """The concentration suite's chunk of 16 rows of 1000 draws on a
+        10^4-slot table is counted by sorting each row, one such row by
+        bincount; the README world's chunk of 8 rows of 2000 draws on 1000
+        slots by one bincount, and a row on 10^6 slots by sorting."""
         p = FactoidDist(FactoidUniverse(atoms + 1), np.arange(1, atoms + 1), np.full(atoms, 1.0 / atoms))
-        p._inverse_cdf  # built with a bincount of its own
+        table = p._inverse_cdf  # built with a bincount of its own
+        u = np.array([rng.generator.random(n) for rng in SeededRng(3).children(range(rows))])
         with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
-            got = sample_counts(p, 1000, SeededRng(3))
+            got = list(_count_rows([table] * rows, u))
         assert bincount.called == counted_by_bincount
-        ref = TrainingSample(p.universe, sample_iid(p, 1000, SeededRng(3)))
-        assert np.array_equal(got[0], ref.atoms) and np.array_equal(got[1], ref.counts)
+        for (seen, counts), ref in zip(got, SeededRng(3).children(range(rows))):
+            want = TrainingSample(p.universe, sample_iid(p, n, ref))
+            assert np.array_equal(table[1][seen], want.atoms) and np.array_equal(counts, want.counts)
 
     @given(data=st.data())
     @PROPERTY
-    def test_missing_mass_matches_literal(self, data):
+    def test_slot_masses_match_literal(self, data):
+        """A row's missing mass, read off its seen slots from the unseen
+        side and then, once the table's expansion is at hand, from the
+        shorter side, is the literal fsum over p's unseen keys."""
         size = data.draw(st.integers(4, 60))
-        keys = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=3)))
+        keys = sorted(data.draw(st.sets(st.integers(1, size - 1), min_size=1)))
         values = data.draw(st.lists(WEIGHTS, min_size=len(keys), max_size=len(keys)))
-        background = data.draw(st.sampled_from([0.0, 0.25]))
-        draws = data.draw(st.lists(st.sampled_from(keys) | st.integers(0, size - 1), max_size=2 * len(keys)))
-        s = TrainingSample(FactoidUniverse(size), np.array(draws, dtype=np.int64))
-        p = FactoidDist(FactoidUniverse(size), keys, values, background)
-        assert missing_mass(p, s) == ref_missing_mass(p, draws)
+        if not any(values):
+            values[0] = 1.0
+        p = FactoidDist(FactoidUniverse(size), keys, values)
+        _, atoms, _, weights = p._inverse_cdf
+        seen = np.array(sorted(data.draw(st.sets(st.integers(0, atoms.size - 1)))), dtype=np.intp)
+        want = ref_missing_mass(p, atoms[seen].tolist())
+        masses = _SlotMasses()
+        assert [masses(weights, seen) for _ in range(3)] == [want] * 3
 
     @given(case=st.tuples(UNIFORM_WORLDS, st.just(True)), seed=st.integers(0, 2**32 - 1))
     @example(case=(PermutedPowerLawWorld(10**7, 1000, 0.0), True), seed=0)  # the README world
@@ -744,11 +785,11 @@ class TestCachedTables:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
                 assert not got.flags.writeable
             tables.append(table)
-        (cum, _, guide), (next_cum, _, next_guide) = tables
+        (cum, _, guide, weights), (next_cum, _, next_guide, next_weights) = tables
         if shared:
-            assert cum is next_cum and guide is next_guide
+            assert cum is next_cum and guide is next_guide and weights is next_weights
         else:
-            assert cum is not next_cum and guide is not next_guide
+            assert cum is not next_cum and guide is not next_guide and weights is not next_weights
 
     @given(values=st.lists(WEIGHTS | st.floats(0.0, 1e300), max_size=40))
     @PROPERTY
@@ -866,7 +907,7 @@ def takes_exact_route(universe, fact_count, observed, g, partition):
     if fact_count == len(obs) - 1:
         return True
     unobserved = [y for y in range(universe.size) if y not in obs]
-    touched = [block for block in partition.blocks if not block.isdisjoint(unobserved)]
+    touched = [block for block in partition_blocks(partition) if not block.isdisjoint(unobserved)]
     return len(set(g.weights_at(np.array(unobserved)).tolist())) == 1 and (
         len(touched) == 1 or all(len(block) == 1 for block in touched)
     )
@@ -887,7 +928,7 @@ def ref_lemma_scores(nu):
     for labels in restricted_growth_strings(size):
         part = Partition(nu.universe, np.array(labels))
         Q = np.empty_like(P)
-        for block in part.blocks:
+        for block in partition_blocks(part):
             atoms = sorted(block)
             Q[:, atoms] = P[:, atoms].sum(axis=1, keepdims=True) / len(atoms)
         for atoms in subsets:
@@ -897,7 +938,7 @@ def ref_lemma_scores(nu):
             rhs = (size - len(sel)) * float(mean_p[sel].max())
             scores.append(
                 LemmaMeatViolation(
-                    partition_blocks=tuple(tuple(sorted(b)) for b in part.blocks),
+                    partition_blocks=tuple(tuple(sorted(b)) for b in partition_blocks(part)),
                     subset=atoms,
                     lhs=lhs,
                     rhs=rhs,
@@ -1246,7 +1287,7 @@ def binning_specs(draw):
 class TestLabelPartitions:
     @pytest.mark.parametrize("size", range(2, 8))
     def test_every_partition_matches_the_recursive_enumeration(self, size):
-        got = [part.blocks for part in iter_all_partitions(FactoidUniverse(size))]
+        got = [partition_blocks(part) for part in iter_all_partitions(FactoidUniverse(size))]
         assert got == list(ref_all_partitions(size))
 
     @pytest.mark.parametrize(
@@ -1285,13 +1326,13 @@ class TestLabelPartitions:
         profile = SortedProfiles(vals, vals, np.ones(vals.size), (0, vals.size))
         assert profile.order.tolist() == np.argsort(vals, kind="stable").tolist()
         starts = _block_starts_for_spec(profile, spec)
-        assert partition_for_spec(g, spec).blocks == ref_sorted_groups(profile.order, starts)
+        assert partition_blocks(partition_for_spec(g, spec)) == ref_sorted_groups(profile.order, starts)
 
     @given(st.integers(2, 60), st.integers(0, 2**32 - 1))
     @PROPERTY
     def test_random_partition_matches_cut_points(self, size, seed):
         got = random_partition(FactoidUniverse(size), SeededRng(seed))
-        assert got.blocks == ref_random_partition(size, SeededRng(seed))
+        assert partition_blocks(got) == ref_random_partition(size, SeededRng(seed))
 
 
 def ref_stream(seed, key):
@@ -1711,6 +1752,64 @@ class TestUpperBoundCheck:
 
 
 # ---------------------------------------------------------------------------
+# Chunked draw route
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def w5_worlds(draw):
+    return W5World(*(draw(st.integers(1, 4)) for _ in range(4)))
+
+
+#: every drawable model kind: uniform and Zipf power laws (one shared table
+#: or a table per draw), W5 and multi-type worlds
+DRAWN_MODELS = (
+    power_law_worlds(exponents=st.just(0.0))
+    | power_law_worlds(exponents=st.sampled_from([1.0, 2.0]) | st.floats(0.1, 3.0))
+    | w5_worlds()
+    | multi_type_worlds(exponents=st.just(0.0))
+    | multi_type_worlds()
+)
+
+#: (streams a chunk, trials): chunks of one stream, exactly one full chunk,
+#: and full chunks followed by a partial last one
+CHUNKINGS = st.sampled_from([(1, 3), (3, 3), (4, 4), (3, 7), (4, 6)])
+
+
+class TestChunkedDrawRoute:
+    @given(model=DRAWN_MODELS, n=st.integers(1, 60), chunking=CHUNKINGS, seed=st.integers(0, 2**32))
+    @example(model=PermutedPowerLawWorld(10**7, 1000, 0.0), n=2000, chunking=(8, 11), seed=0)
+    @example(model=PermutedPowerLawWorld(300, 40, 1.0), n=50, chunking=(3, 7), seed=1)
+    @example(model=W5World(3, 2, 2, 2), n=5, chunking=(3, 7), seed=2)
+    @PROPERTY
+    def test_chunked_route_matches_literal(self, model, n, chunking, seed):
+        """Each stream's world, sample, monofact estimate, missing mass
+        and empirical g, drawn and counted a chunk at a time, equal the
+        literal route's on that stream alone (sample_world, sample_iid, a
+        Counter, the literal missing mass), and every generator ends where
+        the literal route leaves it. Zipf, W5 and non-uniform multi-type
+        draws each carry a table of their own, so a row counted against
+        another row's table draws other atoms."""
+        chunk, trials = chunking
+        with mock.patch.object(dist_module, "_CHUNK_DRAWS", chunk * n):
+            got = list(harness._trained(model, n, Empirical(), seed, range(trials)))
+        assert [i for i, *_ in got] == list(range(trials))
+        masses = _SlotMasses()
+        for (_, rng, world, sample, seen, g), ref in zip(got, SeededRng(seed).children(range(trials))):
+            mf, p_u = monofact_estimate(sample), masses(world.p._inverse_cdf[3], seen)
+            ref_world = sample_world(model, ref)
+            draws = sample_iid(ref_world.p, n, ref).tolist()
+            assert same_dist(world.p, ref_world.p)
+            assert dict(zip(sample.atoms.tolist(), sample.counts.tolist())) == Counter(draws)
+            assert sample.n == n
+            literal = TrainingSample(world.universe, draws)
+            assert mf == ref_monofact(draws)
+            assert p_u == missing_mass(ref_world.p, literal) == ref_missing_mass(ref_world.p, draws)
+            assert same_dist(g, train(Empirical(), literal))
+            assert rng.generator.bit_generator.state == ref.generator.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
 # Good-Turing concentration suite
 # ---------------------------------------------------------------------------
 
@@ -1818,21 +1917,21 @@ class TestGtConcentration:
 
     @given(gt_chunk_cases())
     @PROPERTY
-    def test_count_runs_match_sample_counts(self, case):
-        """Each stream's runs are sample_counts's counts of the same stream,
-        its atoms read as their weights, and each generator ends where
-        sample_counts leaves it."""
+    def test_chunked_estimates_match_literal(self, case):
+        """Each stream's monofact estimate and missing mass, counted in
+        chunks of 1 or 3 streams, are the literal pair of the same stream's
+        sample_iid draws, and each generator ends where sample_iid leaves
+        it."""
         p, n, chunk, trials, seed, _ = case
         streams = list(SeededRng(seed).children(range(1, trials + 1)))
         with mock.patch.object(dist_module, "_CHUNK_DRAWS", chunk * n):
-            runs = list(dist_module._sample_count_runs(p, n, streams))
-        assert len(runs) == trials
+            got = list(_gt_estimates(p, n, streams))
+        assert len(got) == trials
         refs = SeededRng(seed).children(range(1, trials + 1))
-        for (weights, counts), rng, ref in zip(runs, streams, refs):
-            atoms, ref_counts = sample_counts(p, n, ref)
-            assert np.array_equal(weights, p.weights_at(atoms))
-            assert np.array_equal(counts, ref_counts)
-            assert rng.generator.random() == ref.generator.random()
+        for (mf, miss), rng, ref in zip(got, streams, refs):
+            draws = sample_iid(p, n, ref).tolist()
+            assert (mf, miss) == (ref_monofact(draws), ref_missing_mass(p, draws))
+            assert rng.generator.bit_generator.state == ref.generator.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
