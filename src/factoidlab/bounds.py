@@ -480,8 +480,9 @@ def verify_lemma_meat_exhaustive(
     rows = max(1, _SWEEP_CELLS // (len(weights) << size))
     table = np.empty((1 << size, rows, len(weights)))
     for labels in _partition_label_rows(size, rows):
-        # the blocks of each partition with a violation, read once
-        named: dict[int, tuple[tuple[int, ...], ...]] = {}
+        # (b, blocks) of the partition named last: the pairs come partition
+        # by partition, so each violating partition's blocks are read once
+        named = None
         # Q[y, b]: partition b's coarsened p at atom y, per instance
         Q = block_p[((labels[:, :, None] == labels[:, None, :]) @ bits).T]
         coarse = _subset_table(np.add, Q, 0.0, out=table[:, : len(labels)])
@@ -494,11 +495,11 @@ def verify_lemma_meat_exhaustive(
             # each (subset, partition) row of gaps is contiguous, so this is a lone subset's dot
             lhs = float(weights @ gaps[s, b])
             if lhs > limits[mask]:
-                if b not in named:
-                    named[b] = _label_blocks(labels[b].tolist())
+                if named is None or named[0] != b:
+                    named = b, _label_blocks(labels[b].tolist())
                 violations.append(
                     LemmaMeatViolation(
-                        partition_blocks=named[b],
+                        partition_blocks=named[1],
                         subset=tuple(y for y in range(size) if mask >> y & 1),
                         lhs=lhs,
                         rhs=float(rhs[mask]),

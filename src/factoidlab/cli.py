@@ -43,7 +43,7 @@ from .harness import (
     BoundSettings,
     ExperimentConfig,
     TrialRecord,
-    _trained,
+    _drawn,
     run_experiment,
     run_gt_concentration,
     run_upper_bound_check,
@@ -433,7 +433,7 @@ def cmd_thm_main(args, out) -> int:
             f"thm-main: refusing to materialize per-atom blocks for universe of size"
             f" {cfg.world.universe_size}; the limit is {MATERIALIZE_LIMIT}"
         )
-    _, _, world, sample, _, _ = next(_trained(cfg.world, cfg.n, None, cfg.master_seed, (0,)))
+    _, _, world, sample, _ = next(_drawn(cfg.world, cfg.n, cfg.master_seed, (0,)))
     algs: list[tuple[str, LmAlgorithm]] = [
         ("empirical", Empirical()),
         ("laplace", Laplace(0.5)),

@@ -26,28 +26,30 @@ as they do for every g trained on a sample from p, so one search of g's
 keys in p's finds every class. Any other pair is refused.
 
 Because a distribution is immutable, it caches the inverse-CDF table
-the samplers draw through: the cumulative weights of the positive atoms,
-the atom and the weight of each slot in increasing atom order, and a
-guide table of m buckets, the least power of two >= |cum| (so a bucket
-is no wider than the mean slot), guide[j] = searchsorted(cum, j/m,
-"right"). A draw u starts at guide[floor(u*m)] and steps forward while
-cum[slot] <= u; the few draws still open after a fixed number of steps
-fall back to searchsorted, so every slot equals plain inversion.
+the samplers draw through (_InverseCdf): the cumulative weights of the
+positive atoms, the atom and the weight of each slot in increasing atom
+order, and a guide table of m buckets, the least power of two >= |cum|
+(so a bucket is no wider than the mean slot), guide[j] =
+searchsorted(cum, j/m, "right"). A draw u starts at guide[floor(u*m)]
+and steps forward while cum[slot] <= u; the few draws still open after
+a fixed number of steps fall back to searchsorted, so every slot equals
+plain inversion.
 Training data are draws from a world's fact distribution, whose facts
 are its support, so the table holds explicit atoms only: a distribution
 whose background some atom outside its keys carries is refused before
 any uniform is drawn. The table is built on the first draw, or shared:
 the draws of a world model whose rank template holds one value all have
-the same weights in key order, so the model builds cum, guide and the
-slot weights once and _share_inverse_cdf, the one place outside
-_inverse_cdf that writes a table, hands each draw those arrays with its
+the same weights in key order, so the model builds one table and
+_share_inverse_cdf, the one place outside _inverse_cdf that writes a
+table, hands each draw its cum, guide and slot weights with the draw's
 own keys as the atom column; the shared arrays are read-only like every
 table.
 
 sample_iid returns one stream's draws in order. Every training sample
 is counted instead, a chunk of streams at a time (_chunks: at most
-_CHUNK_DRAWS draws a chunk), and never built or sorted as n draws: each
-stream fills its own row of n uniforms, and _count_rows inverts the
+_CHUNK_DRAWS draws a chunk, closed early once its streams keep
+_CHUNK_SLOTS table slots alive), and never built or sorted as n draws:
+each stream fills its own row of n uniforms, and _count_rows inverts the
 rows, in one pass when they share one table, and counts them together,
 by one bincount over the tables laid end to end or, on tables much
 larger than the draws, by sorting each row (see _COUNT_BASE_SLOTS for
@@ -67,8 +69,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,6 +129,16 @@ _COUNT_SLOTS_PER_DRAW = 3
 #: (0.9%) at 2^15 draws a chunk and by under 0.1 MB at 2^14, while its
 #: trials/s was the same within its spread.
 _CHUNK_DRAWS = 1 << 14
+#: Most table slots the streams of one chunk keep alive before it closes.
+#: A world drawn for a stream keeps its keys, its weights and, unless its
+#: model shares one table, a table of its own until its chunk is counted,
+#: about 16-40 bytes a slot, so without this limit a chunk of small-n
+#: streams on large worlds would hold thousands of worlds at once. A
+#: chunk closes once its streams keep this many slots, so it holds fewer
+#: before its last stream, and a stream on a larger world is a chunk of
+#: its own. Worlds of no more facts than draws, as every benchmarked
+#: config draws, never reach it before _CHUNK_DRAWS.
+_CHUNK_SLOTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -272,13 +283,9 @@ class FactoidDist:
     # -- cached table (see the module docstring) ---------------------------
 
     @cached_property
-    def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(cum, atoms, guide, weights) for the samplers: cumulative weights
-        of the positive atoms, the last raised to at least 1 so every u in
-        [0, 1) lands; the atom of each slot; the guide table; and the
-        weight of each slot. Refuses a background that an atom outside the
-        keys carries.
-        """
+    def _inverse_cdf(self) -> _InverseCdf:
+        """The samplers' table. Refuses a background that an atom outside
+        the keys carries."""
         rest = self.universe.size - self.keys.size
         if self.background * rest > 0.0:
             raise DistributionError(
@@ -299,21 +306,34 @@ class FactoidDist:
         m = 1 << (cum.size - 1).bit_length()
         first = np.minimum(np.ceil(cum * m), m).astype(np.intp)
         guide = np.cumsum(np.bincount(first, minlength=m + 1)[:m])
-        for table in (cum, atoms, guide, weights):
-            table.flags.writeable = False
-        return cum, atoms, guide, weights
+        table = _InverseCdf(cum, atoms, guide, weights)
+        for column in table:
+            column.flags.writeable = False
+        return table
 
 
-def _share_inverse_cdf(
-    d: FactoidDist, cum: np.ndarray, guide: np.ndarray, weights: np.ndarray
-) -> FactoidDist:
-    """d, its inverse-CDF table set to cum, its own keys, guide and
-    weights: a table shared by many distributions. cum, guide and weights
-    must be what _inverse_cdf builds on weights equal to d's values bit
-    for bit, every one positive, so that the table is the one d would
-    build, and d must carry no background: a shared table skips
-    _inverse_cdf's refusal."""
-    d.__dict__["_inverse_cdf"] = (cum, d.keys, guide, weights)
+class _InverseCdf(NamedTuple):
+    """A distribution's inverse-CDF table (see the module docstring); its
+    arrays are read-only."""
+
+    #: cumulative weights of the positive atoms, the last raised to at
+    #: least 1 so every u in [0, 1) lands
+    cum: np.ndarray
+    #: the atom of each slot, in increasing order
+    atoms: np.ndarray
+    #: the guide table
+    guide: np.ndarray
+    #: the weight of each slot
+    weights: np.ndarray
+
+
+def _share_inverse_cdf(d: FactoidDist, table: _InverseCdf) -> FactoidDist:
+    """d, its inverse-CDF table set to table with d's keys as the atoms: a
+    table shared by many distributions. table must be what _inverse_cdf
+    builds on weights equal to d's values bit for bit, every one positive,
+    so that it is the table d would build, and d must carry no background:
+    a shared table skips _inverse_cdf's refusal."""
+    d.__dict__["_inverse_cdf"] = table._replace(atoms=d.keys)
     return d
 
 
@@ -571,23 +591,38 @@ def sample_iid(d: FactoidDist, n: int, rng: SeededRng) -> np.ndarray:
     builds the n-long array.
     """
     check_count(n, "sample size", 1)
-    cum, atoms, guide, _ = d._inverse_cdf
-    return atoms[_guided_slots(cum, guide, rng.generator.random(n))]
+    table = d._inverse_cdf
+    return table.atoms[_guided_slots(table.cum, table.guide, rng.generator.random(n))]
 
 
-def _chunks(streams: Iterable, n: int) -> Iterator[tuple[list, np.ndarray]]:
-    """Consecutive lists of at most _CHUNK_DRAWS // n streams (at least
-    one), each with an uninitialized row of n floats per stream for its
-    uniforms."""
+def _chunks(
+    streams: Iterable, n: int, draw: Callable[[object, np.ndarray], tuple[object, int]]
+) -> Iterator[tuple[list, np.ndarray]]:
+    """The streams in consecutive chunks, each as the list of draw(stream,
+    row) items of its streams and their rows of n uniforms. draw fills
+    the stream's row and returns its item and the table slots the item
+    keeps alive until its chunk is counted (0 for a table that outlives
+    the chunk anyway). A chunk takes at most _CHUNK_DRAWS // n streams (at
+    least one) and closes once its streams keep _CHUNK_SLOTS slots."""
+    rows = max(1, _CHUNK_DRAWS // n)
     streams = iter(streams)
-    while chunk := list(islice(streams, max(1, _CHUNK_DRAWS // n))):
-        yield chunk, np.empty((len(chunk), n))
+    while True:
+        items, u, held = [], np.empty((rows, n)), 0
+        for stream in streams:
+            item, slots = draw(stream, u[len(items)])
+            items.append(item)
+            held += slots
+            if len(items) == rows or held >= _CHUNK_SLOTS:
+                break
+        if not items:
+            return
+        yield items, u[: len(items)]
 
 
-def _count_rows(tables: Sequence[tuple], u: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Row t of u, uniforms in [0, 1), inverted through tables[t] (an
-    _inverse_cdf table) and counted: per row, in order, its distinct slots
-    in increasing order and how often each was drawn.
+def _count_rows(tables: Sequence[_InverseCdf], u: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row t of u, uniforms in [0, 1), inverted through tables[t] and
+    counted: per row, in order, its distinct slots in increasing order
+    and how often each was drawn.
 
     Rows whose tables all share one cum array are inverted in one pass;
     otherwise each row is inverted through its own table. The rows are
@@ -596,14 +631,14 @@ def _count_rows(tables: Sequence[tuple], u: np.ndarray) -> Iterator[tuple[np.nda
     counts every row, each row's slots offset by the slots of the tables
     before it; otherwise each row's slots are sorted into runs.
     """
-    cum, _, guide, _ = tables[0]
-    if all(table[0] is cum for table in tables):
+    cum, guide = tables[0].cum, tables[0].guide
+    if all(table.cum is cum for table in tables):
         slots = _guided_slots(cum, guide, u.reshape(-1)).reshape(u.shape)
     else:
-        slots = np.stack([_guided_slots(table[0], table[2], row) for table, row in zip(tables, u)])
+        slots = np.stack([_guided_slots(table.cum, table.guide, row) for table, row in zip(tables, u)])
     rows, n = slots.shape
     # row t's table holds slots starts[t]:starts[t + 1] of the tables end to end
-    starts = np.cumsum([0] + [table[0].size for table in tables])
+    starts = np.cumsum([0] + [table.cum.size for table in tables])
     if starts[-1] <= _COUNT_BASE_SLOTS + _COUNT_SLOTS_PER_DRAW * slots.size:
         slots += starts[:-1, None]
         counts = np.bincount(slots.reshape(-1), minlength=starts[-1])

@@ -28,6 +28,7 @@ from .dist import (
     BOTTOM,
     FactoidDist,
     FactoidUniverse,
+    _InverseCdf,
     _chunks,
     _count_rows,
     _sorted_keys,
@@ -153,8 +154,9 @@ def _expanded_total(values: np.ndarray) -> tuple[float, ...]:
 
 class _SlotMasses:
     """Missing masses read off counted rows (dist._count_rows): the fsum
-    of the weights of a row's unseen slots, for tables whose slots hold
-    no empty fact, so every unseen slot's weight is missing mass.
+    of the weights of a row's unseen slots in its table, for tables whose
+    slots hold no empty fact, so every unseen slot's weight is missing
+    mass.
 
     The sum is taken over the shorter side: the unseen weights directly,
     or the table's expanded total (_expanded_total) minus the seen
@@ -169,7 +171,8 @@ class _SlotMasses:
         self._weights: np.ndarray | None = None
         self._total: tuple[tuple[float, ...], np.ndarray] | None = None
 
-    def __call__(self, weights: np.ndarray, seen: np.ndarray) -> float:
+    def __call__(self, table: _InverseCdf, seen: np.ndarray) -> float:
+        weights = table.weights
         repeated, self._weights = weights is self._weights, weights
         if not repeated:
             self._total = None
@@ -194,11 +197,14 @@ def _gt_estimates(
     """
     table = p._inverse_cdf
     masses = _SlotMasses()
-    for chunk, u in _chunks(streams, n):
-        for rng, row in zip(chunk, u):
-            rng.generator.random(out=row)
+
+    def draw(rng: SeededRng, row: np.ndarray) -> tuple[None, int]:
+        rng.generator.random(out=row)
+        return None, 0  # p keeps its table, whatever the chunk
+
+    for chunk, u in _chunks(streams, n, draw):
         for seen, counts in _count_rows([table] * len(chunk), u):
-            yield int(np.count_nonzero(counts == 1)) / n, masses(table[3], seen)
+            yield int(np.count_nonzero(counts == 1)) / n, masses(table, seen)
 
 
 def _check_delta(delta: float, upper: float) -> None:

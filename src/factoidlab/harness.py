@@ -5,7 +5,7 @@ measure (monofact estimate, missing mass, hallucination rate, the
 calibration metrics), and evaluate every bound. Trials are pure
 functions of (master seed, trial index), so experiments reproduce
 byte-for-byte and can run in any order. The training data of
-consecutive trials are drawn and counted a chunk at a time (_trained),
+consecutive trials are drawn and counted a chunk at a time (_drawn),
 each trial on its own stream, and the (p, g) profiles of consecutive
 trials are scored together in batches; every metric of a trial is the
 same bits in any chunk and batch as on its own.
@@ -178,44 +178,58 @@ class TrialRecord:
     reliability: tuple[tuple[float, float, float, int], ...] = field(repr=False)
 
 
-def _trained(
-    model: WorldModel,
-    n: int,
-    algorithm: LmAlgorithm | None,
-    master_seed: int,
-    indices: Sequence[int],
-) -> Iterator[tuple[int, SeededRng, WorldInstance, TrainingSample, np.ndarray, FactoidDist | None]]:
-    """(i, rng, world, sample, seen, g) per stream index i, in order: a
-    world and n i.i.d. draws from it on child i of the master seed, the
-    slots of its table the sample holds (what _SlotMasses reads the
-    missing mass off), and g trained on them (p as truth), or None with no
-    algorithm. Every suite that trains on a drawn world starts here. A
-    failing draw or training surfaces with its index attached.
+def _drawn(
+    model: WorldModel, n: int, master_seed: int, indices: Sequence[int]
+) -> Iterator[tuple[int, SeededRng, WorldInstance, TrainingSample, np.ndarray]]:
+    """(i, rng, world, sample, seen) per stream index i, in order: a world
+    and n i.i.d. draws from it on child i of the master seed, and the slots
+    of p's table the sample holds (what _SlotMasses reads the missing mass
+    off). Every suite that trains on a drawn world starts here, and so does
+    thm-main's one world. A failing draw surfaces with its index attached.
 
-    The streams go in chunks (dist._chunks). Each stream draws its world
-    and then fills its row of n uniforms, as a lone stream would, and the
-    chunk's rows are counted together (dist._count_rows): in one pass when
-    the model shares one table among its draws. Each sample is read off
-    its row's slot counts.
+    The streams go in chunks (dist._chunks), each world's slots counted
+    against the chunk's cap. Each stream draws its world and then fills
+    its row of n uniforms, as a lone stream would, and the chunk's rows are
+    counted together (dist._count_rows): in one pass when the model shares
+    one table among its draws. Each sample is read off its row's slot
+    counts.
     """
-    for chunk, u in _chunks(zip(indices, SeededRng(master_seed).children(indices)), n):
-        worlds, tables = [], []
-        for (i, rng), row in zip(chunk, u):
-            try:
-                world = sample_world(model, rng)
-                # a p the samplers refuse fails before its row is drawn
-                tables.append(world.p._inverse_cdf)
-            except FactoidLabError as exc:
-                raise type(exc)(f"trial {i}: {exc}") from exc
-            rng.generator.random(out=row)
-            worlds.append(world)
-        for (i, rng), world, table, (seen, counts) in zip(chunk, worlds, tables, _count_rows(tables, u)):
-            sample = TrainingSample.from_counts(world.universe, table[1][seen], counts)
-            try:
-                g = None if algorithm is None else train(algorithm, sample, truth=world.p)
-            except FactoidLabError as exc:
-                raise type(exc)(f"trial {i}: {exc}") from exc
-            yield i, rng, world, sample, seen, g
+
+    def draw(stream: tuple[int, SeededRng], row: np.ndarray):
+        i, rng = stream
+        try:
+            world = sample_world(model, rng)
+            # a p the samplers refuse fails before its row is drawn
+            table = world.p._inverse_cdf
+        except FactoidLabError as exc:
+            raise type(exc)(f"trial {i}: {exc}") from exc
+        rng.generator.random(out=row)
+        return (i, rng, world, table), table.cum.size
+
+    streams = zip(indices, SeededRng(master_seed).children(indices))
+    for chunk, u in _chunks(streams, n, draw):
+        counted = _count_rows([table for *_, table in chunk], u)
+        for (i, rng, world, table), (seen, counts) in zip(chunk, counted):
+            sample = TrainingSample.from_counts(world.universe, table.atoms[seen], counts)
+            yield i, rng, world, sample, seen
+
+
+def _train(i: int, algorithm: LmAlgorithm, sample: TrainingSample, p: FactoidDist) -> FactoidDist:
+    """g trained on stream i's sample (p as truth); a failing training
+    surfaces with the index attached."""
+    try:
+        return train(algorithm, sample, truth=p)
+    except FactoidLabError as exc:
+        raise type(exc)(f"trial {i}: {exc}") from exc
+
+
+def _trained(
+    model: WorldModel, n: int, algorithm: LmAlgorithm, master_seed: int, indices: Sequence[int]
+) -> Iterator[tuple[WorldInstance, TrainingSample, FactoidDist]]:
+    """(world, sample, g) per stream index, in order: _drawn's world and
+    sample, and g trained on them."""
+    for i, _, world, sample, _ in _drawn(model, n, master_seed, indices):
+        yield world, sample, _train(i, algorithm, sample, world.p)
 
 
 #: Most profile classes one scoring batch holds. Trials join a batch
@@ -271,10 +285,9 @@ def _trial_records(cfg: ExperimentConfig, indices: Sequence[int]) -> Iterator[Tr
         # a drawn world has no empty fact among its facts, so every
         # unseen slot's weight is missing mass
         masses = _SlotMasses()
-        for i, rng, world, sample, seen, g in _trained(
-            cfg.world, cfg.n, cfg.algorithm, cfg.master_seed, indices
-        ):
-            mf, p_u = monofact_estimate(sample), masses(world.p._inverse_cdf[3], seen)
+        for i, rng, world, sample, seen in _drawn(cfg.world, cfg.n, cfg.master_seed, indices):
+            g = _train(i, cfg.algorithm, sample, world.p)
+            mf, p_u = monofact_estimate(sample), masses(world.p._inverse_cdf, seen)
             yield (i, rng.fingerprint(), mf, p_u), (keyed_profile(world.p, g),)
 
     def score(batch, joined: ProfileBatch) -> list[TrialRecord]:
@@ -520,9 +533,7 @@ def run_upper_bound_check(
     radius = good_turing_radius(delta, n)
     drawn = (
         (monofact_estimate(sample), (keyed_profile(inst.p, g),))
-        for _, _, inst, sample, _, g in _trained(
-            world, n, MonofactMemorizer(), master_seed, range(1, trials + 1)
-        )
+        for inst, sample, g in _trained(world, n, MonofactMemorizer(), master_seed, range(1, trials + 1))
     )
 
     def score(batch, joined: ProfileBatch) -> list[tuple[bool, bool]]:
@@ -642,12 +653,7 @@ def run_multi_type_experiment(cfg: ExperimentConfig) -> MultiTypeReport:
         raise ConfigError("multi-type experiment needs a MultiTypeWorld")
     k, params = model.k_types, cfg.params
 
-    trials = (
-        (world, sample, g)
-        for _, _, world, sample, _, g in _trained(
-            model, cfg.n, cfg.algorithm, cfg.master_seed, range(cfg.trials)
-        )
-    )
+    trials = _trained(model, cfg.n, cfg.algorithm, cfg.master_seed, range(cfg.trials))
     rows = multi_type_trial_metrics(model, trials, params)
     types = tuple(
         _bound_frequency(f"type{i}", [row[i][3] for row in rows], params.delta) for i in range(k)

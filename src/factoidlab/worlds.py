@@ -38,6 +38,7 @@ from .dist import (
     BOTTOM,
     FactoidDist,
     FactoidUniverse,
+    _InverseCdf,
     _mass_sum,
     _share_inverse_cdf,
     dist_from_arrays,
@@ -129,9 +130,9 @@ class PermutedPowerLawWorld:
         return _rank_template(self)
 
     @cached_property
-    def draw_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(cum, guide, weights) of every draw when the rank template holds
-        one value (see _shared_table), else None."""
+    def draw_table(self) -> _InverseCdf | None:
+        """The table every draw shares when the rank template holds one
+        value (see _shared_table), else None."""
         return _shared_table(self.universe, (self.rank_template,))
 
 
@@ -246,9 +247,9 @@ class MultiTypeWorld:
         )
 
     @cached_property
-    def draw_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(cum, guide, weights) of every draw when each type's rank
-        template holds one value (see _shared_table), else None."""
+    def draw_table(self) -> _InverseCdf | None:
+        """The table every draw shares when each type's rank template
+        holds one value (see _shared_table), else None."""
         return _shared_table(self.universe, self.rank_template)
 
 
@@ -318,21 +319,20 @@ def _one_value(template: np.ndarray) -> bool:
     return template[0] > 0.0 and bool((template == template[0]).all())
 
 
-def _shared_table(
-    universe: FactoidUniverse, templates: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """cum, guide and weights of the inverse-CDF table of every draw whose
-    types' templates each hold one value, else None.
+def _shared_table(universe: FactoidUniverse, templates: tuple[np.ndarray, ...]) -> _InverseCdf | None:
+    """The inverse-CDF table of every draw whose types' templates each
+    hold one value, else None.
 
     Such a draw's values are the templates end to end whichever atoms it
     draws, so its table is the one _inverse_cdf builds on those weights,
     here on keys 1, 2, ... in place of the draw's atoms; only the atom
-    column differs from draw to draw."""
+    column differs from draw to draw (_share_inverse_cdf)."""
     if not all(map(_one_value, templates)):
         return None
     weights = np.concatenate(templates)
-    cum, _, guide, weights = FactoidDist(universe, np.arange(1, weights.size + 1), weights)._inverse_cdf
-    return cum, guide, weights
+    table = FactoidDist(universe, np.arange(1, weights.size + 1), weights)._inverse_cdf
+    # each draw's own keys fill the atom column, so keys 1, 2, ... are not kept
+    return table._replace(atoms=np.empty(0, dtype=np.int64))
 
 
 def _template_draw(
@@ -360,12 +360,12 @@ def _template_world(
     universe: FactoidUniverse,
     keys: np.ndarray,
     values: np.ndarray,
-    table: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
+    table: _InverseCdf | None,
 ) -> WorldInstance:
     """The world of a template draw, carrying the model's shared table
     when it has one."""
     p = FactoidDist(universe, keys, values)
-    return WorldInstance(p if table is None else _share_inverse_cdf(p, *table))
+    return WorldInstance(p if table is None else _share_inverse_cdf(p, table))
 
 
 def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:

@@ -439,7 +439,7 @@ class TestFailsClosed:
         bad.write_text(text.replace(old, new))
         with pytest.raises(ConfigError, match=f"exceeds the limit of .* {reason}"):
             parse_config(bad)
-        for name in ("run_experiment", "run_gt_concentration", "_trained", "sample_world"):
+        for name in ("run_experiment", "run_gt_concentration", "_drawn", "sample_world"):
             monkeypatch.setattr(factoidlab.cli, name, _refuse)
         out_dir = ["--out", str(tmp_path / "r")] if command == "run" else []
         code, out, err = run_cli(command, str(bad), *out_dir)

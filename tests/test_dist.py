@@ -286,7 +286,7 @@ class TestSampling:
         assert set(draws.tolist()) == {0, 1, 2}
         table = d._inverse_cdf
         ((seen, counts),) = _count_rows([table], SeededRng(13).generator.random((1, 1000)))
-        assert table[1][seen].tolist() == [0, 1, 2] and counts.tolist() == np.bincount(draws).tolist()
+        assert table.atoms[seen].tolist() == [0, 1, 2] and counts.tolist() == np.bincount(draws).tolist()
 
     def test_zero_weight_special_never_drawn(self):
         u = FactoidUniverse(5)

@@ -312,6 +312,66 @@ class TestTrialErrorContext:
             run_multi_type_experiment(cfg)
 
 
+class TestChunkMemory:
+    """A chunk of small-n streams on large worlds stays at one sample's
+    scale: it closes once its worlds keep _CHUNK_SLOTS table slots."""
+
+    @pytest.mark.parametrize(
+        "model, n, trials, chunk_sizes",
+        [
+            # a table per world, each past the cap: a chunk per stream
+            (PermutedPowerLawWorld(10**6, 20_000, 1.0), 10, 4, [1, 1, 1, 1]),
+            # one shared table, 5000 keys a world: four worlds a chunk
+            (PermutedPowerLawWorld(10**6, 5000, 0.0), 1, 10, [4, 4, 2]),
+            # a world of fewer facts than draws: closed by its draws
+            (PermutedPowerLawWorld(10**5, 500, 0.0), 4096, 6, [4, 2]),
+        ],
+        ids=["zipf", "uniform", "by_draws"],
+    )
+    def test_chunk_closes_at_its_slot_cap(self, monkeypatch, model, n, trials, chunk_sizes):
+        import factoidlab.dist as d
+        import factoidlab.harness as h
+
+        chunks = []
+
+        def counted(tables, u):
+            chunks.append(([table.cum.size for table in tables], u.size))
+            return d._count_rows(tables, u)
+
+        monkeypatch.setattr(h, "_count_rows", counted)
+        assert sum(1 for _ in h._drawn(model, n, 3, range(trials))) == trials
+        assert [len(slots) for slots, _ in chunks] == chunk_sizes
+        for slots, draws in chunks:
+            assert sum(slots[:-1]) < d._CHUNK_SLOTS
+            assert draws <= max(n, d._CHUNK_DRAWS)
+
+    @pytest.mark.parametrize("exponent", [1.0, 0.0], ids=["zipf", "uniform"])
+    def test_peak_memory_stays_at_a_few_worlds(self, exponent):
+        # 16 streams of one draw each on 2 x 10^5-fact worlds: one chunk
+        # of them all would hold 16 worlds at once
+        import tracemalloc
+
+        import factoidlab.harness as h
+        from factoidlab.worlds import sample_world
+
+        model = PermutedPowerLawWorld(10**6, 200_000, exponent)
+        p = sample_world(model, SeededRng(1)).p  # builds the model's template and shared table
+        table = p._inverse_cdf
+        world_bytes = p.keys.nbytes + p.values.nbytes
+        if model.draw_table is None:
+            world_bytes += table.cum.nbytes + table.guide.nbytes
+        del p, table
+        tracemalloc.start()
+        try:
+            for item in h._drawn(model, 1, 0, range(16)):
+                pass
+            del item
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * world_bytes
+
+
 class TestMultiTypeInducedMetrics:
     """Cross-check the per-type projections against materialized sets."""
 

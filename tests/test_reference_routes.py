@@ -703,7 +703,7 @@ class TestCachedTables:
         for d, table, (seen, counts), ref in zip(ds, tables, rows, refs):
             assert counts.dtype == np.int64 and (np.diff(seen) > 0).all()
             want = Counter(sample_iid(d, n, ref).tolist())
-            assert dict(zip(table[1][seen].tolist(), counts.tolist())) == want
+            assert dict(zip(table.atoms[seen].tolist(), counts.tolist())) == want
 
     @pytest.mark.parametrize(
         "atoms, n, rows, counted_by_bincount",
@@ -727,7 +727,7 @@ class TestCachedTables:
         assert bincount.called == counted_by_bincount
         for (seen, counts), ref in zip(got, SeededRng(3).children(range(rows))):
             want = TrainingSample(p.universe, sample_iid(p, n, ref))
-            assert np.array_equal(table[1][seen], want.atoms) and np.array_equal(counts, want.counts)
+            assert np.array_equal(table.atoms[seen], want.atoms) and np.array_equal(counts, want.counts)
 
     @given(data=st.data())
     @PROPERTY
@@ -741,11 +741,11 @@ class TestCachedTables:
         if not any(values):
             values[0] = 1.0
         p = FactoidDist(FactoidUniverse(size), keys, values)
-        _, atoms, _, weights = p._inverse_cdf
-        seen = np.array(sorted(data.draw(st.sets(st.integers(0, atoms.size - 1)))), dtype=np.intp)
-        want = ref_missing_mass(p, atoms[seen].tolist())
+        table = p._inverse_cdf
+        seen = np.array(sorted(data.draw(st.sets(st.integers(0, table.atoms.size - 1)))), dtype=np.intp)
+        want = ref_missing_mass(p, table.atoms[seen].tolist())
         masses = _SlotMasses()
-        assert [masses(weights, seen) for _ in range(3)] == [want] * 3
+        assert [masses(table, seen) for _ in range(3)] == [want] * 3
 
     @given(case=st.tuples(UNIFORM_WORLDS, st.just(True)), seed=st.integers(0, 2**32 - 1))
     @example(case=(PermutedPowerLawWorld(10**7, 1000, 0.0), True), seed=0)  # the README world
@@ -1774,29 +1774,43 @@ DRAWN_MODELS = (
 #: (streams a chunk, trials): chunks of one stream, exactly one full chunk,
 #: and full chunks followed by a partial last one
 CHUNKINGS = st.sampled_from([(1, 3), (3, 3), (4, 4), (3, 7), (4, 6)])
+#: table slots that close a chunk: never reached, reached by every stream,
+#: or reached after some streams of a small world
+SLOT_CAPS = st.sampled_from([1 << 14, 1, 60, 100])
 
 
 class TestChunkedDrawRoute:
-    @given(model=DRAWN_MODELS, n=st.integers(1, 60), chunking=CHUNKINGS, seed=st.integers(0, 2**32))
-    @example(model=PermutedPowerLawWorld(10**7, 1000, 0.0), n=2000, chunking=(8, 11), seed=0)
-    @example(model=PermutedPowerLawWorld(300, 40, 1.0), n=50, chunking=(3, 7), seed=1)
-    @example(model=W5World(3, 2, 2, 2), n=5, chunking=(3, 7), seed=2)
+    @given(
+        model=DRAWN_MODELS,
+        n=st.integers(1, 60),
+        chunking=CHUNKINGS,
+        slot_cap=SLOT_CAPS,
+        seed=st.integers(0, 2**32),
+    )
+    @example(model=PermutedPowerLawWorld(10**7, 1000, 0.0), n=2000, chunking=(8, 11), slot_cap=1 << 14, seed=0)
+    @example(model=PermutedPowerLawWorld(300, 40, 1.0), n=50, chunking=(3, 7), slot_cap=1 << 14, seed=1)
+    @example(model=PermutedPowerLawWorld(300, 40, 1.0), n=5, chunking=(4, 6), slot_cap=100, seed=3)
+    @example(model=W5World(3, 2, 2, 2), n=5, chunking=(3, 7), slot_cap=1 << 14, seed=2)
     @PROPERTY
-    def test_chunked_route_matches_literal(self, model, n, chunking, seed):
+    def test_chunked_route_matches_literal(self, model, n, chunking, slot_cap, seed):
         """Each stream's world, sample, monofact estimate, missing mass
         and empirical g, drawn and counted a chunk at a time, equal the
         literal route's on that stream alone (sample_world, sample_iid, a
         Counter, the literal missing mass), and every generator ends where
-        the literal route leaves it. Zipf, W5 and non-uniform multi-type
-        draws each carry a table of their own, so a row counted against
-        another row's table draws other atoms."""
+        the literal route leaves it, whether a chunk closes at its draws or
+        at its worlds' slots. Zipf, W5 and non-uniform multi-type draws
+        each carry a table of their own, so a row counted against another
+        row's table draws other atoms."""
         chunk, trials = chunking
-        with mock.patch.object(dist_module, "_CHUNK_DRAWS", chunk * n):
-            got = list(harness._trained(model, n, Empirical(), seed, range(trials)))
+        with mock.patch.multiple(dist_module, _CHUNK_DRAWS=chunk * n, _CHUNK_SLOTS=slot_cap):
+            got = list(harness._drawn(model, n, seed, range(trials)))
+            trained = list(harness._trained(model, n, Empirical(), seed, range(trials)))
         assert [i for i, *_ in got] == list(range(trials))
         masses = _SlotMasses()
-        for (_, rng, world, sample, seen, g), ref in zip(got, SeededRng(seed).children(range(trials))):
-            mf, p_u = monofact_estimate(sample), masses(world.p._inverse_cdf[3], seen)
+        for (_, rng, world, sample, seen), (_, _, g), ref in zip(
+            got, trained, SeededRng(seed).children(range(trials))
+        ):
+            mf, p_u = monofact_estimate(sample), masses(world.p._inverse_cdf, seen)
             ref_world = sample_world(model, ref)
             draws = sample_iid(ref_world.p, n, ref).tolist()
             assert same_dist(world.p, ref_world.p)
