@@ -19,6 +19,13 @@ The constructor fails closed: unsorted or duplicate keys, keys outside
 the universe, NaN, infinite or negative weights and a non-finite or
 negative background are rejected. The module constructors also
 normalize; zero-sum input and a total that overflows are rejected.
+Each distribution is checked once, where its arrays come from outside
+the library: dist_from_arrays checks its input and then builds the
+normalized result through _valid_dist, which checks nothing, as
+_normalized keeps checked arrays valid; a power-law or multi-type world
+draw builds its p the same way (worlds._template_world) from distinct
+sorted atoms and the model's checked template. Nothing else calls
+_valid_dist.
 
 A (p, g) pair is laid out as one paired atom-class profile, with one
 layout: g's keys must lie among p's, bar a leading empty fact p lacks,
@@ -240,9 +247,11 @@ class FactoidDist:
 
     keys lists the explicitly weighted atoms in strictly increasing order
     and values their weights; every other atom carries the background
-    weight. The arrays are copied and made read-only, so instances are
-    immutable and safe to share. Use the module constructors below
-    (which also normalize) rather than calling this class directly.
+    weight. The constructor checks the arrays, copies them and makes them
+    read-only, so instances are immutable and safe to share; _valid_dist
+    builds the same instance on arrays already known valid, unchecked
+    and uncopied. Use the module constructors below (which also
+    normalize) rather than calling this class directly.
     """
 
     universe: FactoidUniverse
@@ -312,6 +321,29 @@ class FactoidDist:
         return table
 
 
+def _valid_dist(
+    universe: FactoidUniverse, keys: np.ndarray, values: np.ndarray, background: float = 0.0
+) -> FactoidDist:
+    """The FactoidDist of arrays already known to pass its checks, built
+    with none: int64 keys, strictly increasing and inside the universe,
+    parallel float64 values, each finite and >= 0, both C-contiguous, and
+    a float background, finite and >= 0. The arrays are made read-only,
+    not copied, so neither may be an array anyone else can write; one
+    already read-only, such as a world model's rank template, may be
+    shared."""
+    keys.flags.writeable = False
+    values.flags.writeable = False
+    d = object.__new__(FactoidDist)
+    # set one by one in field order, as __init__ does: writing __dict__
+    # itself would give d a dict of its own, and every attribute read of d
+    # a slower lookup (CPython 3.11)
+    object.__setattr__(d, "universe", universe)
+    object.__setattr__(d, "keys", keys)
+    object.__setattr__(d, "values", values)
+    object.__setattr__(d, "background", background)
+    return d
+
+
 class _InverseCdf(NamedTuple):
     """A distribution's inverse-CDF table (see the module docstring); its
     arrays are read-only."""
@@ -339,7 +371,10 @@ def _share_inverse_cdf(d: FactoidDist, table: _InverseCdf) -> FactoidDist:
 
 def _normalized(size: int, keys, values, background: float) -> tuple[np.ndarray, np.ndarray, float]:
     """dist_from_arrays's normalization of valid arrays on a universe of
-    `size` atoms, as (keys, values, background)."""
+    `size` atoms, as (keys, values, background). They stay valid: the
+    values are divided by a finite positive total, so each stays finite,
+    >= 0 and fresh, and the keys kept stay strictly increasing (fresh
+    when masked, else the keys given)."""
     rest = size - keys.size
     total = _mass_sum(memoryview(values)) + background * rest
     if total <= 0.0:
@@ -363,9 +398,11 @@ def dist_from_arrays(
 
     Rejects what the FactoidDist constructor rejects, plus all-zero and
     non-finite totals. With no background, zero-weight keys are dropped.
+    The input is checked once; its normalization keeps it valid and is
+    not checked again.
     """
     raw = FactoidDist(universe, keys, values, background)
-    return FactoidDist(universe, *_normalized(universe.size, raw.keys, raw.values, raw.background))
+    return _valid_dist(universe, *_normalized(universe.size, raw.keys, raw.values, raw.background))
 
 
 def _sorted_items(weights: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -622,7 +659,8 @@ def _chunks(
 def _count_rows(tables: Sequence[_InverseCdf], u: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Row t of u, uniforms in [0, 1), inverted through tables[t] and
     counted: per row, in order, its distinct slots in increasing order
-    and how often each was drawn.
+    and how often each was drawn (each at least 1), as read-only intp
+    arrays.
 
     Rows whose tables all share one cum array are inverted in one pass;
     otherwise each row is inverted through its own table. The rows are
@@ -657,5 +695,7 @@ def _count_rows(tables: Sequence[_InverseCdf], u: np.ndarray) -> Iterator[tuple[
         counts = np.diff(runs, append=flat.size)
         seen = flat[runs]
         cuts = np.searchsorted(runs, np.arange(rows + 1) * n).tolist()
+    # the rows are views of these two, so no reader can write a row's arrays
+    seen.flags.writeable = counts.flags.writeable = False
     for lo, hi in zip(cuts, cuts[1:]):
         yield seen[lo:hi], counts[lo:hi]

@@ -31,7 +31,6 @@ from .dist import (
     _InverseCdf,
     _chunks,
     _count_rows,
-    _sorted_keys,
     with_bottom,
 )
 from .errors import DistributionError, InsufficientDataError, check_count
@@ -52,20 +51,23 @@ class TrainingSample:
 
     atoms holds the distinct draws in increasing order (int64) and counts
     their multiplicities (int64, each at least 1). There are two
-    constructors, which validate alike (integer atoms inside the
-    universe):
+    constructors:
 
     * TrainingSample(universe, draws) takes the draw sequence (any
-      integer sequence) and counts it;
-    * TrainingSample.from_counts(universe, atoms, counts) takes the
-      counts themselves, as a counted row (dist._count_rows) gives them;
-      the trial path builds every sample this way and never holds the n
-      draws.
+      integer sequence), checks that its atoms are integers inside the
+      universe, and counts it;
+    * TrainingSample._counted(universe, atoms, counts) takes counts
+      already known valid and checks nothing: the chunked draw route
+      (harness._drawn) builds every trial's sample this way from a
+      counted row (dist._count_rows) and never holds the n draws. The
+      checked form of this build, for counts from outside the library,
+      is a test-side reference (tests/literal.py).
 
     Every reader in this package depends on the counts alone. draws is
     the sequence given, or for a sample built from counts the atoms
     repeated in increasing order, built on first access. All arrays are
-    copied and read-only, so the cached views below cannot go stale. The
+    read-only and alias no array a caller can write (the draws are
+    copied), so the cached views below cannot go stale. The
     empty fact (index 0) counts as observed whether or not it was drawn.
     The unobserved atoms are only counted (unobserved_count), never
     listed: on a huge universe they are nearly all of it.
@@ -83,16 +85,14 @@ class TrainingSample:
         object.__setattr__(self, "draws", draws)
 
     @classmethod
-    def from_counts(cls, universe: FactoidUniverse, atoms, counts) -> TrainingSample:
-        """The sample whose distinct atoms, in strictly increasing order,
-        were drawn counts[i] >= 1 times each."""
-        raw_counts = np.asarray(counts)
-        if raw_counts.size and raw_counts.dtype.kind not in "iu":
-            raise DistributionError(f"counts must be integers, got dtype {raw_counts.dtype}")
-        # astype copies, so the caller's arrays stay the caller's
-        atoms, counts = _sorted_keys(universe, atoms, raw_counts.astype(np.int64))
-        if counts.size and counts.min() < 1:
-            raise DistributionError(f"counts must be >= 1, got {counts.min()}")
+    def _counted(
+        cls, universe: FactoidUniverse, atoms: np.ndarray, counts: np.ndarray
+    ) -> TrainingSample:
+        """The sample whose distinct atoms were drawn counts[i] times each,
+        built with no checks on arrays already known valid: int64 atoms,
+        strictly increasing and inside the universe, and parallel int64
+        counts, each >= 1, both C-contiguous. They are made read-only, not
+        copied, so neither may be an array anyone else can write."""
         sample = cls.__new__(cls)
         sample._set_counts(universe, atoms, counts)
         return sample

@@ -210,7 +210,9 @@ def _drawn(
     for chunk, u in _chunks(streams, n, draw):
         counted = _count_rows([table for *_, table in chunk], u)
         for (i, rng, world, table), (seen, counts) in zip(chunk, counted):
-            sample = TrainingSample.from_counts(world.universe, table.atoms[seen], counts)
+            # the atoms are a fresh gather at distinct increasing slots and
+            # each count is >= 1, so the sample is built unchecked
+            sample = TrainingSample._counted(world.universe, table.atoms[seen], counts)
             yield i, rng, world, sample, seen
 
 

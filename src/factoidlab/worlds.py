@@ -38,9 +38,11 @@ from .dist import (
     BOTTOM,
     FactoidDist,
     FactoidUniverse,
+    _NO_KEYS,
     _InverseCdf,
     _mass_sum,
     _share_inverse_cdf,
+    _valid_dist,
     dist_from_arrays,
     with_bottom,
 )
@@ -291,10 +293,12 @@ WorldModel = Union[PermutedPowerLawWorld, W5World, MultiTypeWorld]
 
 def _rank_vector(d: FactoidDist, first: int, count: int) -> np.ndarray:
     """The weights d holds at atoms first .. first + count - 1, in order,
-    0 for the atoms it dropped."""
+    0 for the atoms it dropped, read-only: a model keeps it as its rank
+    template, and a draw's p may hold it as its values."""
     part = slice(*np.searchsorted(d.keys, (first, first + count)))
     out = np.zeros(count)
     out[d.keys[part] - first] = d.values[part]
+    out.flags.writeable = False
     return out
 
 
@@ -332,7 +336,7 @@ def _shared_table(universe: FactoidUniverse, templates: tuple[np.ndarray, ...]) 
     weights = np.concatenate(templates)
     table = FactoidDist(universe, np.arange(1, weights.size + 1), weights)._inverse_cdf
     # each draw's own keys fill the atom column, so keys 1, 2, ... are not kept
-    return table._replace(atoms=np.empty(0, dtype=np.int64))
+    return table._replace(atoms=_NO_KEYS)
 
 
 def _template_draw(
@@ -363,8 +367,11 @@ def _template_world(
     table: _InverseCdf | None,
 ) -> WorldInstance:
     """The world of a template draw, carrying the model's shared table
-    when it has one."""
-    p = FactoidDist(universe, keys, values)
+    when it has one. Its p is built unchecked (dist._valid_dist): the keys
+    are distinct choice draws shifted into [1, |Y|), sorted, and fresh;
+    the values are the model's read-only template, checked when it was
+    built, or a fresh gather of it (or of the templates end to end)."""
+    p = _valid_dist(universe, keys, values)
     return WorldInstance(p if table is None else _share_inverse_cdf(p, table))
 
 

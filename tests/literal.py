@@ -7,7 +7,8 @@ the core inequality on one posterior completion, unranks partitions in
 blocks, sums subsets through subset tables and never builds a per-atom
 view of a distribution. The tests also want the plain forms: one
 function per metric taking two distributions, the three total-variation
-forms, a sample's missing mass summed over p's unseen keys, a pair's
+forms, a sample's missing mass summed over p's unseen keys, a sample
+built from checked counts, a pair's
 class layout and hallucination rate built atom by atom (for any pair,
 where the library lays out only a g whose keys lie among p's), the
 one-profile calibration and KL routes the batch scorer replaced, the
@@ -49,6 +50,7 @@ from factoidlab.dist import (
     ProfileBatch,
     _dense_weights,
     _sorted_items,
+    _sorted_keys,
     _subset_table,
     dist_from_arrays,
     dist_from_weights,
@@ -141,6 +143,23 @@ def missing_mass(p: FactoidDist, s: TrainingSample) -> float:
         return special_out
     n_obs_plain = observed.size - int(np.count_nonzero(seen))
     return special_out + p.background * ((p.universe.size - p.keys.size) - n_obs_plain)
+
+
+def sample_from_counts(universe: FactoidUniverse, atoms, counts) -> TrainingSample:
+    """The sample whose distinct atoms, in strictly increasing order, were
+    drawn counts[i] >= 1 times each, checked as TrainingSample checks its
+    draws (integer atoms inside the universe) and more: integer counts,
+    each >= 1, parallel to atoms. The arrays are copied, so the caller's
+    stay the caller's. The library builds its counted samples unchecked
+    (TrainingSample._counted) from rows it counted itself."""
+    raw_counts = np.asarray(counts)
+    if raw_counts.size and raw_counts.dtype.kind not in "iu":
+        raise DistributionError(f"counts must be integers, got dtype {raw_counts.dtype}")
+    # astype copies, so the caller's arrays stay the caller's
+    atoms, counts = _sorted_keys(universe, atoms, raw_counts.astype(np.int64))
+    if counts.size and counts.min() < 1:
+        raise DistributionError(f"counts must be >= 1, got {counts.min()}")
+    return TrainingSample._counted(universe, atoms, counts)
 
 
 def tv_distance(d1: FactoidDist, d2: FactoidDist) -> float:

@@ -15,7 +15,9 @@ the one route to a per-atom table. No library module hands math.fsum a
 .tolist() of an array, directly or star-unpacked in a list: fsum reads
 the array's buffer through memoryview instead. No library module but
 dist.py writes a distribution's inverse-CDF table: dist lays it out and
-is the one place that hands a table to a distribution."""
+is the one place that hands a table to a distribution. The unchecked
+builds of a distribution and a training sample are called only at their
+named call sites, and nothing else calls __new__ around the checks."""
 
 import ast
 import importlib
@@ -373,6 +375,56 @@ def _writes_inverse_cdf(node: ast.AST) -> bool:
                 k.arg == "_inverse_cdf" for k in node.keywords
             )
     return False
+
+
+#: The call sites, as "module: enclosing function", of every __new__ call
+#: in the library: the two unchecked builds, each on the one type it
+#: builds, and the seeded streams' children, assembled from checked seeds.
+NEW_CALLS_ALLOWED = {
+    "dist.py: _valid_dist",
+    "estimators.py: _counted",
+    "rng.py: children",
+}
+
+#: Each unchecked build and the call sites allowed to use it, each of which
+#: builds on arrays it made valid itself: dist_from_arrays's normalization
+#: of checked input, a template world draw, and a counted row of the
+#: chunked draw route.
+UNCHECKED_BUILDS_ALLOWED = {
+    "_valid_dist": {"dist.py: dist_from_arrays", "worlds.py: _template_world"},
+    "_counted": {"harness.py: _drawn"},
+}
+
+
+def _calls_by_site(names: set[str]) -> dict[str, set[str]]:
+    """Per called name among names (a bare name or an attribute), the
+    "module: innermost enclosing function" of each library call to it."""
+    sites: dict[str, set[str]] = {name: set() for name in names}
+
+    def visit(file: str, node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(file, child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                called = ast.unparse(child.func).split(".")[-1]
+                if called in names:
+                    sites[called].add(f"{file}: {function}")
+            visit(file, child, function)
+
+    for file, tree in LIBRARY_TREES.items():
+        visit(file, tree, "<module>")
+    return sites
+
+
+def test_unchecked_builds_run_only_at_their_named_call_sites():
+    # a FactoidDist or TrainingSample built without its checks must be
+    # built from arrays the library made valid, never from outside input:
+    # a new caller of either build, or a new __new__ around the checks,
+    # is a visible edit to these lists
+    sites = _calls_by_site(set(UNCHECKED_BUILDS_ALLOWED) | {"__new__"})
+    assert sites.pop("__new__") == NEW_CALLS_ALLOWED
+    assert sites == UNCHECKED_BUILDS_ALLOWED
 
 
 def test_only_dist_writes_an_inverse_cdf_table():

@@ -20,7 +20,7 @@ from factoidlab.estimators import (
     monofact_estimate,
 )
 from factoidlab.rng import SeededRng
-from literal import missing_mass
+from literal import missing_mass, sample_from_counts
 
 getcontext().prec = 50
 
@@ -57,7 +57,7 @@ class TestTrainingSample:
         "build",
         [
             lambda u: TrainingSample(u, (3, 5, 3)),
-            lambda u: TrainingSample.from_counts(u, np.array([3, 5]), np.array([2, 1])),
+            lambda u: sample_from_counts(u, np.array([3, 5]), np.array([2, 1])),
         ],
         ids=["draws", "counts"],
     )
@@ -69,22 +69,22 @@ class TestTrainingSample:
             with pytest.raises(ValueError):
                 arr[-1] = 7
 
-    def test_from_counts_copies_its_input(self):
+    def test_counted_sample_copies_its_input(self):
         atoms, counts = np.array([3, 5]), np.array([2, 1])
-        s = TrainingSample.from_counts(FactoidUniverse(8), atoms, counts)
+        s = sample_from_counts(FactoidUniverse(8), atoms, counts)
         atoms[1], counts[1] = 6, 4
         assert s.atoms.tolist() == [3, 5] and s.counts.tolist() == [2, 1]
 
     def test_counted_sample_reads_like_its_draws(self):
         u = FactoidUniverse(8)
-        s = TrainingSample.from_counts(u, [0, 3, 5], [1, 2, 1])
+        s = sample_from_counts(u, [0, 3, 5], [1, 2, 1])
         assert s.n == 4
         assert s.draws.tolist() == [0, 3, 3, 5]
         assert s.observed == {0, 3, 5}
         assert monofact_estimate(s) == monofact_estimate(TrainingSample(u, (5, 3, 0, 3)))
 
     def test_empty_counted_sample(self):
-        s = TrainingSample.from_counts(FactoidUniverse(4), [], [])
+        s = sample_from_counts(FactoidUniverse(4), [], [])
         assert s.n == 0 and s.draws.size == 0
 
     @pytest.mark.parametrize(
@@ -103,7 +103,7 @@ class TestTrainingSample:
     )
     def test_bad_counts_rejected(self, atoms, counts):
         with pytest.raises(DistributionError):
-            TrainingSample.from_counts(FactoidUniverse(4), atoms, counts)
+            sample_from_counts(FactoidUniverse(4), atoms, counts)
 
 
 class TestMonofactEstimate:

@@ -181,6 +181,41 @@ class TestUpperBoundCheck:
         assert report.passed
 
 
+class TestChecksPerTrial:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            PermutedPowerLawWorld(2000, 80, 1.0),
+            PermutedPowerLawWorld(2000, 80, 0.0),
+            MultiTypeWorld((PermutedPowerLawWorld(900, 30, 1.0), PermutedPowerLawWorld(900, 40, 0.0)), (0.4, 0.6)),
+        ],
+        ids=["zipf", "uniform", "multi_type"],
+    )
+    def test_memorizer_trial_checks_one_distribution(self, monkeypatch, model):
+        """A memorizer trial through _trained runs the FactoidDist checks
+        once, on g's raw weights, and the TrainingSample checks never: the
+        world's p, g's normalization and the counted sample are built on
+        arrays the library made valid itself."""
+        import factoidlab.harness as h
+        from factoidlab.worlds import sample_world
+
+        sample_world(model, SeededRng(0))  # builds the model's template and shared table
+        checks = []
+        post_init, atom_array = FactoidDist.__post_init__, FactoidUniverse.atom_array
+
+        def counted(name, check):
+            def wrapper(*args):
+                checks.append(name)
+                return check(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(FactoidDist, "__post_init__", counted("dist", post_init))
+        monkeypatch.setattr(FactoidUniverse, "atom_array", counted("sample", atom_array))
+        assert sum(1 for _ in h._trained(model, 50, MonofactMemorizer(), 4, range(5))) == 5
+        assert checks == ["dist"] * 5
+
+
 class TestMultiType:
     def test_per_type_reports(self):
         model = MultiTypeWorld(

@@ -71,6 +71,7 @@ proof-step events of verify_markov_step.
 import dataclasses
 import math
 import operator
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -129,7 +130,7 @@ from factoidlab.calibration import (
     _partition_label_rows,
     partition_for_spec,
 )
-from factoidlab.errors import DistributionError, PartitionError, UniverseMismatchError
+from factoidlab.errors import DistributionError, FactoidLabError, PartitionError, UniverseMismatchError
 from factoidlab.estimators import (
     TrainingSample,
     _expanded_total,
@@ -1564,10 +1565,15 @@ def ref_multi_type_trial_metrics(model, world, sample, g, params):
 
 
 def same_dist(a: FactoidDist, b: FactoidDist) -> bool:
+    """The same distribution to the byte: universe, key and value bytes and
+    dtypes, and background."""
     return (
         a.universe == b.universe
+        and a.keys.dtype == b.keys.dtype
         and a.keys.tobytes() == b.keys.tobytes()
+        and a.values.dtype == b.values.dtype
         and a.values.tobytes() == b.values.tobytes()
+        and type(a.background) is type(b.background)
         and a.background == b.background
     )
 
@@ -1595,6 +1601,36 @@ class TestRankTemplates:
         for _ in range(2):
             assert same_dist(sample_world(model, got_rng).p, ref_world_draw(model, ref_rng))
         assert got_rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            PermutedPowerLawWorld(50, 10, 1.0),
+            PermutedPowerLawWorld(50, 10, 0.0),
+            MultiTypeWorld((PermutedPowerLawWorld(20, 5, 0.0), PermutedPowerLawWorld(30, 4, 1.0)), (0.5, 0.5)),
+            MultiTypeWorld((PermutedPowerLawWorld(20, 5, 0.0), PermutedPowerLawWorld(30, 4, 0.0)), (0.5, 0.5)),
+        ],
+        ids=repr,
+    )
+    def test_cached_templates_are_read_only(self, model):
+        """A write into a model's cached template or shared table would
+        change every later draw: a uniform power-law draw holds the
+        template itself as its values."""
+        templates = model.rank_template
+        templates = templates if isinstance(templates, tuple) else (templates,)
+        for template in templates:
+            with pytest.raises(ValueError):
+                template[0] = 0.5
+        if model.draw_table is not None:
+            for column in model.draw_table:
+                with pytest.raises(ValueError):
+                    column[:] = 1
+        p = sample_world(model, SeededRng(6)).p
+        one_template = isinstance(model, PermutedPowerLawWorld) and model.draw_table is not None
+        assert any(np.shares_memory(p.values, t) for t in templates) == one_template
+        for column in (p.keys, p.values):
+            with pytest.raises(ValueError):
+                column[0] = 1
 
     def test_template_zeros_underflowing_ranks(self):
         model = PermutedPowerLawWorld(1000, 100, 200.0)
@@ -1821,6 +1857,103 @@ class TestChunkedDrawRoute:
             assert p_u == missing_mass(ref_world.p, literal) == ref_missing_mass(ref_world.p, draws)
             assert same_dist(g, train(Empirical(), literal))
             assert rng.generator.bit_generator.state == ref.generator.bit_generator.state
+
+
+def assert_valid_arrays(arrays, dtype, *foreign):
+    """Each array holds what the checked constructors guarantee: the dtype,
+    C order, read-only, and no memory shared with the foreign arrays, the
+    ones a caller holds."""
+    for arr in arrays:
+        assert arr.dtype == dtype and arr.flags.c_contiguous and not arr.flags.writeable
+        assert not any(np.shares_memory(arr, other) for other in foreign)
+
+
+def assert_valid_dist(d: FactoidDist, *foreign):
+    """d passes the FactoidDist checks by its own arrays, not a rebuild's,
+    and equals its checked rebuild byte for byte."""
+    keys, values = d.keys, d.values
+    assert_valid_arrays((keys,), np.int64, *foreign)
+    assert_valid_arrays((values,), np.float64, *foreign)
+    assert (keys[1:] > keys[:-1]).all() and (keys >= 0).all() and (keys < d.universe.size).all()
+    assert np.isfinite(values).all() and (values >= 0.0).all()
+    assert type(d.background) is float and math.isfinite(d.background) and d.background >= 0.0
+    assert same_dist(d, FactoidDist(d.universe, keys, values, d.background))
+
+
+class TestUncheckedBuilds:
+    """The distributions and samples the library builds with no checks
+    (dist._valid_dist, TrainingSample._counted) on arrays it made valid
+    itself: each drawn p, each trained g and each sample from the chunked
+    draw route equals its checked rebuild byte for byte and holds every
+    guarantee of the checked constructor."""
+
+    @given(
+        model=DRAWN_MODELS,
+        n=st.integers(1, 60),
+        alg=st.sampled_from(ALGORITHMS),
+        trials=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+    )
+    @example(model=PermutedPowerLawWorld(300, 40, 0.0), n=50, alg=MonofactMemorizer(), trials=3, seed=1)
+    @example(model=PermutedPowerLawWorld(1000, 100, 200.0), n=30, alg=Laplace(0.5), trials=2, seed=5)
+    @example(model=W5World(3, 2, 2, 2), n=5, alg=YayMixture(Empirical(), 0.99), trials=2, seed=2)
+    @PROPERTY
+    def test_drawn_and_trained_match_checked_rebuilds(self, model, n, alg, trials, seed):
+        templates = getattr(model, "rank_template", ())
+        templates = templates if isinstance(templates, tuple) else (templates,)
+        refs = SeededRng(seed).children(range(trials))
+        for (_, _, world, sample, seen), ref in zip(harness._drawn(model, n, seed, range(trials)), refs):
+            p = world.p
+            assert_valid_dist(p)
+            assert (p.keys >= 1).all()
+            # the one memory a drawn p may share is a read-only template
+            for arr in (p.keys, p.values):
+                assert all(not np.shares_memory(arr, t) or not t.flags.writeable for t in templates)
+            ref_world = sample_world(model, ref)
+            assert same_dist(p, ref_world.p)
+            # the checked sample on the same stream
+            literal = TrainingSample(world.universe, sample_iid(ref_world.p, n, ref))
+            assert_valid_arrays((sample.atoms, sample.counts), np.int64, p.keys, p.values)
+            assert not seen.flags.writeable
+            for got, want in ((sample.atoms, literal.atoms), (sample.counts, literal.counts)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert (sample.atoms[1:] > sample.atoms[:-1]).all() and (sample.counts >= 1).all()
+            assert sample.n == literal.n == n
+            try:
+                g = train(alg, sample, truth=p)
+            except FactoidLabError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    train(alg, literal, truth=ref_world.p)
+                continue
+            # an oracle hands back p itself
+            foreign = () if isinstance(alg, Oracle) else (p.keys, p.values)
+            assert_valid_dist(g, sample.atoms, sample.counts, sample.observed_keys, *foreign)
+            assert same_dist(g, train(alg, literal, truth=ref_world.p))
+
+    @given(data=st.data())
+    @PROPERTY
+    def test_dist_from_arrays_matches_two_checked_builds(self, data):
+        """dist_from_arrays checks its input once and builds the normalized
+        result unchecked: the same bytes as the checked constructor on the
+        normalized arrays, sharing no memory with the caller's arrays."""
+        size = data.draw(st.integers(2, 12))
+        weights = data.draw(
+            st.dictionaries(st.integers(0, size - 1), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0))
+        )
+        background = data.draw(st.sampled_from([0.0, 0.25]) | st.floats(0.0, 1.0))
+        u = FactoidUniverse(size)
+        keys = np.array(sorted(weights), dtype=np.int64)
+        values = np.array([weights[y] for y in sorted(weights)], dtype=np.float64)
+        try:
+            raw = FactoidDist(u, keys, values, background)
+            want = FactoidDist(u, *dist_module._normalized(size, raw.keys, raw.values, raw.background))
+        except DistributionError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                dist_from_arrays(u, keys, values, background)
+            return
+        got = dist_from_arrays(u, keys, values, background)
+        assert_valid_dist(got, keys, values)
+        assert same_dist(got, want)
 
 
 # ---------------------------------------------------------------------------
