@@ -237,31 +237,34 @@ class BoundFrequency:
     vacuous: int
     vacuous_fraction: float
     passed: bool
-    #: how many vacuous trials each of BOUND_TERMS caused
-    vacuous_by: dict[str, int] = field(repr=False)
+    #: how many vacuous trials each of BOUND_TERMS caused (None: not recorded)
+    vacuous_by: Optional[dict[str, int]] = field(repr=False)
+
+    @classmethod
+    def from_counts(
+        cls, name: str, satisfied: int, trials: int, vacuous: int, vacuous_by: Optional[dict], delta: float
+    ) -> BoundFrequency:
+        """The row of a bound satisfied in `satisfied` and vacuous in
+        `vacuous` of `trials` trials, by cause `vacuous_by` (or None): its
+        frequency, 95% Clopper-Pearson interval, vacuous fraction and 1 -
+        delta verdict. Counts are checked (DistributionError names the row)."""
+        satisfied = check_count(satisfied, f"row {name!r} satisfied", 0, trials)
+        vacuous = check_count(vacuous, f"row {name!r} vacuous", 0, trials)
+        counts = isinstance(vacuous_by, dict) and all(type(c) is int and c >= 0 for c in vacuous_by.values())
+        if vacuous_by is not None and not (counts and sum(vacuous_by.values()) == vacuous):
+            raise DistributionError(f"row {name!r} vacuous_by {vacuous_by!r} must count {vacuous} by term")
+        low, high = clopper_pearson(satisfied, trials)
+        freq = satisfied / trials
+        passed = freq >= 1.0 - delta
+        return cls(name, satisfied, trials, freq, low, high, vacuous, vacuous / trials, passed, vacuous_by)
 
 
 def _bound_frequency(name: str, evals: Sequence[BoundEvaluation], delta: float) -> BoundFrequency:
-    """Satisfaction count, its 95% Clopper-Pearson interval, vacuity by
-    cause and the 1 - delta pass verdict of one bound over a run's trials."""
-    m = len(evals)
+    """The row of one bound over a run's evaluations."""
+    m, causes = len(evals), Counter(e.cause for e in evals)
+    by = {term: causes[term] for term in BOUND_TERMS}
     satisfied = sum(1 for e in evals if e.satisfied)
-    causes = Counter(e.cause for e in evals)
-    vacuous = m - causes[None]
-    low, high = clopper_pearson(satisfied, m)
-    freq = satisfied / m
-    return BoundFrequency(
-        name=name,
-        satisfied=satisfied,
-        trials=m,
-        frequency=freq,
-        ci_low=low,
-        ci_high=high,
-        vacuous=vacuous,
-        vacuous_fraction=vacuous / m,
-        passed=freq >= 1.0 - delta,
-        vacuous_by={term: causes[term] for term in BOUND_TERMS},
-    )
+    return BoundFrequency.from_counts(name, satisfied, m, m - causes[None], by, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
-from .bounds import BOUNDS, clopper_pearson, verify_lemma_meat_exhaustive, verify_theorem_main_mc
+from .bounds import BOUNDS, BoundFrequency, verify_lemma_meat_exhaustive, verify_theorem_main_mc
 from .calibration import (
     MATERIALIZE_LIMIT,
     PARTITION_LIMIT,
@@ -205,10 +205,25 @@ def _take_fields(table: dict[str, str], keys) -> dict:
     return {field: _take(table, key, kind, default) for key, field, kind, default in keys}
 
 
-def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+#: Each key a single-suite subcommand may leave unread (all but world.*, n and
+#: seed), and the value parsed in its place, if any: run requires algorithm.kind
+#: and trials, and a left-out bound.s is the world's sparsity, which some worlds lack.
+_UNREAD_STAND_INS = dict.fromkeys(
+    [key for key, *_ in _BOUND_KEYS] + [key for _, _, keys in _ALGORITHMS.values() for key, *_ in keys]
+) | {"algorithm.kind": "empirical", "trials": "1", "bound.s": "0"}
+
+
+def parse_config_text(
+    text: str, source: str = "<config>", reads: Optional[Sequence[str]] = None
+) -> ExperimentConfig:
     """Parse a config and build every object it names; a bad key or an
-    out-of-range value raises ConfigError."""
+    out-of-range value raises ConfigError. A single-suite subcommand names
+    the keys it `reads` past world.*, n and seed; the others it knows are
+    neither required nor checked, as _UNREAD_STAND_INS says."""
     table = _parse_kv_lines(text, source)
+    if reads is not None:
+        unread = {key: value for key, value in _UNREAD_STAND_INS.items() if key not in reads}
+        table = {k: v for k, v in table.items() if k not in unread} | {k: v for k, v in unread.items() if v}
     try:
         parts = {}
         for kind_key, name, kinds in _KINDS:
@@ -226,11 +241,11 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
+def parse_config(path: str | Path, reads: Optional[Sequence[str]] = None) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"), source=str(p))
+    return parse_config_text(p.read_text(encoding="utf-8"), str(p), reads)
 
 
 def _lines(obj, keys) -> list[str]:
@@ -328,28 +343,23 @@ def write_results(
 # ---------------------------------------------------------------------------
 
 
-def _vacuity_causes(row: dict) -> str:
+def _vacuity_causes(by: Optional[dict[str, int]]) -> str:
     """A bound row's vacuous trials by cause, "term count, ...", or "-"
     for a row with none or with no vacuous_by (written before rows had it)."""
-    by = row["vacuous_by"] if "vacuous_by" in row else {}
-    if not (isinstance(by, dict) and all(type(c) is int and c >= 0 for c in by.values())):
-        raise ValueError(f"vacuous_by {by!r} must map terms to counts")
-    return ", ".join(f"{term} {count}" for term, count in sorted(by.items()) if count) or "-"
+    return ", ".join(f"{term} {count}" for term, count in sorted((by or {}).items()) if count) or "-"
 
 
-def _bound_table(agg: dict, names: Iterable[str]) -> str:
-    """The bound table of an aggregate.json dict, rows in the given order."""
+def _bound_table(trials: int, delta: float, rows: Iterable[BoundFrequency]) -> str:
+    """The bound table of a run's rows, in the given order."""
     lines = [
-        f"trials: {agg['trials']}  delta: {_fmt(agg['delta'])}",
+        f"trials: {trials}  delta: {_fmt(delta)}",
         "bound          freq      ci95           vacuous  pass  vacuous by",
     ]
-    for name in names:
-        row = agg["bounds"][name]
+    for row in rows:
         lines.append(
-            f"{name:<13} {row['frequency']:>7.4f}  "
-            f"[{row['ci_low']:.4f},{row['ci_high']:.4f}]  "
-            f"{row['vacuous_fraction']:>7.4f}  {'ok' if row['passed'] else 'FAIL':<4}  "
-            f"{_vacuity_causes(row)}"
+            f"{row.name:<13} {row.frequency:>7.4f}  [{row.ci_low:.4f},{row.ci_high:.4f}]  "
+            f"{row.vacuous_fraction:>7.4f}  {'ok' if row.passed else 'FAIL':<4}  "
+            f"{_vacuity_causes(row.vacuous_by)}"
         )
     return "\n".join(lines)
 
@@ -361,13 +371,13 @@ def cmd_run(args, out) -> int:
     out_dir = Path(args.out) if args.out else Path("runs") / f"{config_hash(cfg)[:12]}"
     report, records = run_experiment(cfg)
     write_results(out_dir, cfg, records, report)
-    print(_bound_table(report.to_json_dict(), BOUNDS), file=out)
+    print(_bound_table(report.trials, report.delta, report.bounds), file=out)
     print(f"results in {out_dir}", file=out)
     return 0 if report.passed else 1
 
 
 def cmd_gt_check(args, out) -> int:
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, reads=("trials", "bound.delta"))
     setup_rng = SeededRng(cfg.master_seed).child(0)
     world = sample_world(cfg.world, setup_rng)
     report = run_gt_concentration(
@@ -389,7 +399,7 @@ def cmd_gt_check(args, out) -> int:
 
 
 def cmd_upper_bound(args, out) -> int:
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, reads=("trials", "bound.delta"))
     report = run_upper_bound_check(
         cfg.world, cfg.n, cfg.bound.delta, cfg.trials, cfg.master_seed
     )
@@ -425,7 +435,7 @@ def cmd_brute_force(args, out) -> int:
 
 
 def cmd_thm_main(args, out) -> int:
-    cfg = parse_config(args.config)
+    cfg = parse_config(args.config, reads=("bound.b", "bound.epsilon"))
     if not isinstance(cfg.world, PermutedPowerLawWorld) or cfg.world.exponent != 0.0:
         raise ConfigError("thm-main requires a permuted_power_law world with exponent 0")
     if cfg.world.universe_size > MATERIALIZE_LIMIT:
@@ -478,6 +488,32 @@ def _read_json(path: Path) -> dict:
     return data
 
 
+#: the fields of a stored bound row that its counts determine
+_ROW_FIELDS = (
+    "satisfied", "trials", "frequency", "ci_low", "ci_high", "vacuous", "vacuous_fraction", "passed"
+)
+
+
+def _stored_row(name: str, row: dict, trials: int, delta: float) -> BoundFrequency:
+    """A stored bound row once it equals the row its counts give at the
+    record's trials and delta: counts and passed by type and value, the
+    fractions by value, each interval end to within 1e-9 and in order. A
+    row written before rows had vacuous_by has none; other keys are ignored."""
+    by = row["vacuous_by"] if "vacuous_by" in row else None
+    rebuilt = BoundFrequency.from_counts(name, row["satisfied"], trials, row["vacuous"], by, delta)
+    stored = dataclasses.replace(rebuilt, **{field: row[field] for field in _ROW_FIELDS})
+    for field in _ROW_FIELDS:
+        got, want = getattr(stored, field), getattr(rebuilt, field)
+        if field in ("ci_low", "ci_high"):
+            if not abs(got - want) <= 1e-9:
+                raise ValueError(f"row {name!r} says {field} {got!r}, not its Clopper-Pearson {want!r}")
+        elif not (got == want and type(want) in (type(got), float)):
+            raise ValueError(f"row {name!r} says {field} {got!r}, but its counts give {want!r}")
+    if not 0 <= stored.ci_low <= stored.frequency <= stored.ci_high <= 1:
+        raise ValueError(f"row {name!r} has ci95 {stored.ci_low!r}..{stored.ci_high!r} out of order")
+    return stored
+
+
 def cmd_report(args, out) -> int:
     run_dir = Path(args.run_dir)
     agg_path = run_dir / "aggregate.json"
@@ -491,42 +527,17 @@ def cmd_report(args, out) -> int:
             f"run {manifest['config_hash'][:12]} seed {manifest['master_seed']} "
             f"({manifest['tool']} {manifest['version']})"
         )
-        names = sorted(agg["bounds"])
-        table = _bound_table(agg, names)
         delta, trials = agg["delta"], agg["trials"]
         if not (type(delta) in (int, float) and 0 < delta <= 1 and type(trials) is int and trials > 0):
             raise ValueError(f"delta {delta!r} must be in (0, 1] and trials {trials!r} a positive int")
-        # the verdict is the rows', each judged from its counts at the run's
-        # delta, as aggregate_records judges it; the top-level "passed" is not read
-        verdicts = [agg["bounds"][name]["passed"] for name in names]
-        if not verdicts:
+        # run's rows in its order, then others by name; the top-level "passed" is not read
+        names = sorted(agg["bounds"], key=[*BOUNDS, *sorted(agg["bounds"])].index)
+        if not names:
             raise ValueError("no bound rows")
-        for name, verdict in zip(names, verdicts):
-            row = agg["bounds"][name]
-            satisfied, freq = row["satisfied"], row["frequency"]
-            if not (type(satisfied) is type(row["trials"]) is int and 0 <= satisfied <= row["trials"]):
-                raise ValueError(f"row {name!r} counts {satisfied!r} of {row['trials']!r} trials")
-            if row["trials"] != trials or freq != satisfied / trials:
-                raise ValueError(f"row {name!r} says {freq!r} for {satisfied} of {row['trials']}")
-            if type(verdict) is not bool or verdict != (freq >= 1.0 - delta):
-                raise ValueError(f"row {name!r} says passed={verdict!r}, which its frequency contradicts")
-            # vacuous_by is checked by _bound_table; a row written before rows had it has none
-            vacuous, fraction = row["vacuous"], row["vacuous_fraction"]
-            if not (type(vacuous) is int and 0 <= vacuous <= trials and fraction == vacuous / trials):
-                raise ValueError(f"row {name!r} says {fraction!r} vacuous for {vacuous!r} of {trials}")
-            if "vacuous_by" in row and sum(row["vacuous_by"].values()) != vacuous:
-                raise ValueError(f"row {name!r} says vacuous_by {row['vacuous_by']!r} for {vacuous} vacuous")
-            if not 0 <= row["ci_low"] <= freq <= row["ci_high"] <= 1:
-                raise ValueError(f"row {name!r} has ci95 {row['ci_low']!r}..{row['ci_high']!r} off {freq!r}")
-            low, high = clopper_pearson(satisfied, trials)
-            if not (abs(row["ci_low"] - low) <= 1e-9 and abs(row["ci_high"] - high) <= 1e-9):
-                raise ValueError(
-                    f"row {name!r} has ci95 {row['ci_low']!r}..{row['ci_high']!r}, not its"
-                    f" counts' Clopper-Pearson interval {low!r}..{high!r}"
-                )
+        rows = [_stored_row(name, agg["bounds"][name], trials, delta) for name in names]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{run_dir} holds a damaged run record: {exc!r}") from None
-    lines = [header, table]
+    lines = [header, _bound_table(trials, delta, rows)]
     rel_path = run_dir / "reliability.csv"
     if rel_path.is_file():
         try:
@@ -536,7 +547,7 @@ def cmd_report(args, out) -> int:
         n_rows = max(0, len(text.splitlines()) - 1)
         lines.append(f"reliability curve: {n_rows} bins in {rel_path}")
     print("\n".join(lines), file=out)
-    return 0 if all(verdicts) else 1
+    return 0 if all(row.passed for row in rows) else 1
 
 
 # ---------------------------------------------------------------------------

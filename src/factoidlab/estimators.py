@@ -224,8 +224,8 @@ def missing_mass_lower_radius(delta: float, n: int) -> float:
     """One-sided width: missing mass >= estimate - sqrt(6*ln(2/delta)/n)
     with probability at least 1 - delta, for delta <= 1/3.
 
-    Bound evaluators pass delta/3 here, which turns the log term into
-    ln(6/original delta).
+    The concentration suite passes delta/3 here, which turns the log term
+    into ln(6/original delta); bounds.bound_terms computes that width itself.
     """
     _check_delta(delta, 1.0 / 3.0)
     check_count(n, "n", 1, error=InsufficientDataError)

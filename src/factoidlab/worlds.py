@@ -41,6 +41,7 @@ from .dist import (
     _NO_KEYS,
     _InverseCdf,
     _mass_sum,
+    _normalized,
     _share_inverse_cdf,
     _valid_dist,
     dist_from_arrays,
@@ -389,15 +390,14 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
         # one (food, location) draw per pair, in pair order: one integers
         # call over interleaved bounds draws element by element, so it
         # consumes the stream exactly as a per-pair loop of scalar calls.
-        # The keys come out increasing because index_of orders pairs before
-        # food/location.
+        # p is built unchecked, as dist_from_arrays builds it: index_of orders
+        # pairs before food/location, so the int64 keys come out increasing.
         bounds = np.tile(np.array([model.n_foods, model.n_locations]), model.pair_count)
         food, location = rng.generator.integers(bounds).reshape(-1, 2).T
         person, date = np.divmod(np.arange(model.pair_count, dtype=np.int64), model.n_dates)
         keys = model.index_of(person, date, food, location)
-        return WorldInstance(
-            dist_from_arrays(universe, keys, np.full(keys.size, 1.0 / model.pair_count))
-        )
+        weights = np.full(keys.size, 1.0 / model.pair_count)
+        return WorldInstance(_valid_dist(universe, *_normalized(universe.size, keys, weights, 0.0)))
     if isinstance(model, MultiTypeWorld):
         # one component draw after another from the same stream; type
         # ranges are disjoint and increasing, so the concatenated keys stay

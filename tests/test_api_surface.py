@@ -391,7 +391,7 @@ NEW_CALLS_ALLOWED = {
 #: of checked input, a template world draw, and a counted row of the
 #: chunked draw route.
 UNCHECKED_BUILDS_ALLOWED = {
-    "_valid_dist": {"dist.py: dist_from_arrays", "worlds.py: _template_world"},
+    "_valid_dist": {"dist.py: dist_from_arrays", "worlds.py: _template_world", "worlds.py: sample_world"},
     "_counted": {"harness.py: _drawn"},
 }
 

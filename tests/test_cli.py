@@ -12,7 +12,7 @@ import types
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import factoidlab
@@ -315,6 +315,67 @@ class TestSubcommands:
         assert out == ""
         assert err.startswith("config error:") and "computed exactly only when" in err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("algorithm.kind = empirical\ntrials = 200\n", ""),
+            ("trials = 200", "trials = 1000000000"),
+            ("trials = 200", "trials = x\nbound.delta = 2\nbound.s = -1000\nbound.r = 0.5"),
+            ("algorithm.kind = empirical", "algorithm.kind = bogus\nalgorithm.alpha = x"),
+        ],
+        ids=["no_trials_or_algorithm", "trials_above_cap", "bad_unread_bound_keys", "bad_algorithm"],
+    )
+    def test_thm_main_neither_requires_nor_checks_keys_it_does_not_read(self, tmp_path, old, new):
+        """thm-main reads world.*, n, seed, bound.b and bound.epsilon; any
+        other key may be left out or hold any value."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(self.THM_MAIN_CFG)
+        want = run_cli("thm-main", str(cfg_path))
+        assert want[0] == 0 and len(want[1].splitlines()) == 21
+        assert old in self.THM_MAIN_CFG
+        cfg_path.write_text(self.THM_MAIN_CFG.replace(old, new))
+        assert run_cli("thm-main", str(cfg_path)) == want
+
+    @pytest.mark.parametrize("command", ["gt-check", "upper-bound"])
+    def test_suite_neither_requires_nor_checks_keys_it_does_not_read(self, tmp_path, command):
+        """gt-check and upper-bound read world.*, n, trials, seed and
+        bound.delta; any other key may be left out or hold any value."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(SMALL_CFG)
+        want = run_cli(command, str(cfg_path))
+        assert want[0] == 0
+        unread = "bound.b = 0\nbound.epsilon = 2\nbound.s = x\nbound.r = 0.5\nalgorithm.lambda = 7"
+        text = SMALL_CFG.replace("algorithm.kind = monofact_memorizer\n", "")
+        cfg_path.write_text(text.replace("bound.b = 10\nbound.epsilon = 0.1", unread))
+        assert run_cli(command, str(cfg_path)) == want
+
+    @pytest.mark.parametrize("command", ["gt-check", "upper-bound", "thm-main"])
+    def test_suite_refuses_unknown_and_read_keys(self, tmp_path, command):
+        """Unknown keys stay refused, and so does a bad value of a key the
+        subcommand reads."""
+        cfg_path = tmp_path / "c.cfg"
+        for text, reason in (
+            (self.THM_MAIN_CFG + "bogus.key = 1\n", "unknown key bogus.key"),
+            (self.THM_MAIN_CFG.replace("seed = 7", "seed = -1"), "seed must be >= 0"),
+        ):
+            cfg_path.write_text(text)
+            code, out, err = run_cli(command, str(cfg_path))
+            assert (code, out) == (2, "") and reason in err
+
+    @pytest.mark.parametrize("command", ["gt-check", "upper-bound", "thm-main"])
+    def test_suite_needs_no_sparsity(self, tmp_path, command):
+        """A world whose every atom but the empty one is a fact has no
+        sparsity, which only run's bounds read: the single-suite
+        subcommands run on it with no bound.s."""
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(
+            "world.kind = permuted_power_law\nworld.universe_size = 301\n"
+            "world.fact_count = 300\nn = 50\ntrials = 100\nseed = 7\n"
+        )
+        code, out, err = run_cli(command, str(cfg_path))
+        assert code == 0, err
+        assert out.endswith("PASS\n")
+
     def test_malformed_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("world.kind = permuted_power_law\nwat\n")
@@ -426,9 +487,9 @@ class TestFailsClosed:
         [
             ("run", "n = 120", f"n = {DRAW_COUNT_LIMIT + 1}", "draws per trial"),
             ("gt-check", "trials = 120", f"trials = {TRIAL_COUNT_LIMIT + 1}", "trials"),
-            ("thm-main", "trials = 120", f"trials = {TRIAL_COUNT_LIMIT + 1}", "trials"),
+            ("upper-bound", "trials = 120", f"trials = {TRIAL_COUNT_LIMIT + 1}", "trials"),
         ],
-        ids=["n", "gt_check_trials", "thm_main_trials"],
+        ids=["n", "gt_check_trials", "upper_bound_trials"],
     )
     def test_count_above_cap_exits_two_before_running(
         self, tmp_path, monkeypatch, command, old, new, reason
@@ -439,7 +500,7 @@ class TestFailsClosed:
         bad.write_text(text.replace(old, new))
         with pytest.raises(ConfigError, match=f"exceeds the limit of .* {reason}"):
             parse_config(bad)
-        for name in ("run_experiment", "run_gt_concentration", "_drawn", "sample_world"):
+        for name in ("run_experiment", "run_gt_concentration", "run_upper_bound_check", "_drawn", "sample_world"):
             monkeypatch.setattr(factoidlab.cli, name, _refuse)
         out_dir = ["--out", str(tmp_path / "r")] if command == "run" else []
         code, out, err = run_cli(command, str(bad), *out_dir)
@@ -754,6 +815,70 @@ class TestRunRecord:
         assert run_cli("report", str(tmp_path / "r"))[0] in (0, 1)
 
 
+@pytest.fixture(scope="module")
+def run_record(tmp_path_factory) -> tuple[int, str, dict[str, str]]:
+    """run's exit code, its stdout and the files of the record it wrote."""
+    cfg_path = tmp_path_factory.mktemp("config") / "c.cfg"
+    cfg_path.write_text(SMALL_CFG.replace("trials = 120", "trials = 20"))
+    run_dir = tmp_path_factory.mktemp("record")
+    code, out, _ = run_cli("run", str(cfg_path), "--out", str(run_dir))
+    return code, out, {path.name: path.read_text() for path in run_dir.iterdir()}
+
+
+@st.composite
+def one_changed_field(draw, agg: dict) -> tuple[str, dict]:
+    """A bound row's name, and the aggregate with one field of that row
+    changed: a count, a fraction, passed, one vacuous_by count, or an
+    interval end moved by more than 1e-9. A count or passed may keep its
+    value as another type."""
+    agg = json.loads(json.dumps(agg))
+    name = draw(st.sampled_from(sorted(agg["bounds"])), label="row")
+    holder = agg["bounds"][name]
+    field = draw(st.sampled_from(sorted(holder)), label="field")
+    if field == "vacuous_by":
+        holder = holder[field]
+        field = draw(st.sampled_from(sorted(holder)), label="term")
+    old = holder[field]
+    if type(old) is bool:
+        new = draw(st.sampled_from([not old, int(old)]))
+    elif type(old) is int:
+        new = draw(st.just(float(old)) | st.integers(-3, 3).filter(bool).map(old.__add__))
+    elif field in ("ci_low", "ci_high"):
+        new = old + draw(st.floats(1e-9, 1.0, exclude_min=True) | st.floats(-1.0, -1e-9, exclude_max=True))
+        assume(abs(new - old) > 1e-9)
+    else:
+        # any other float, or one within 1e-9 of it
+        new = draw((st.floats() | st.floats(-1e-9, 1e-9).map(old.__add__)).filter(lambda x: x != old))
+    holder[field] = new
+    return name, agg
+
+
+class TestReportRowRule:
+    """report rebuilds every stored row from its counts; a row that differs
+    from its rebuild marks the record damaged."""
+
+    def test_report_prints_the_table_run_printed(self, run_record):
+        code, out, files = run_record
+        with tempfile.TemporaryDirectory() as scratch:
+            for name, text in files.items():
+                Path(scratch, name).write_text(text)
+            report_code, report_out, _ = run_cli("report", scratch)
+        assert report_code == code
+        table = out.splitlines()[:-1]
+        assert report_out.splitlines()[1 : len(table) + 1] == table
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_changed_field_marks_the_record_damaged(self, run_record, data):
+        _, _, files = run_record
+        name, agg = data.draw(one_changed_field(json.loads(files["aggregate.json"])))
+        with tempfile.TemporaryDirectory() as scratch:
+            for file_name, text in files.items():
+                Path(scratch, file_name).write_text(text)
+            Path(scratch, "aggregate.json").write_text(json.dumps(agg))
+            code, out, err = run_cli("report", scratch)
+        assert (code, out) == (2, "")
+        assert "damaged run record" in err and name in err
 def _fail_write(path, *args):
     raise OSError(f"injected failure writing {path}")
 

@@ -18,7 +18,7 @@ from factoidlab.harness import (
 )
 from factoidlab.lms import Empirical, MonofactMemorizer, Oracle, Uniform
 from factoidlab.rng import SeededRng
-from factoidlab.worlds import ExplicitWorld, MultiTypeWorld, PermutedPowerLawWorld, WorldInstance
+from factoidlab.worlds import ExplicitWorld, MultiTypeWorld, PermutedPowerLawWorld, W5World, WorldInstance
 from literal import background_dist
 
 
@@ -188,8 +188,9 @@ class TestChecksPerTrial:
             PermutedPowerLawWorld(2000, 80, 1.0),
             PermutedPowerLawWorld(2000, 80, 0.0),
             MultiTypeWorld((PermutedPowerLawWorld(900, 30, 1.0), PermutedPowerLawWorld(900, 40, 0.0)), (0.4, 0.6)),
+            W5World(4, 5, 3, 3),
         ],
-        ids=["zipf", "uniform", "multi_type"],
+        ids=["zipf", "uniform", "multi_type", "w5"],
     )
     def test_memorizer_trial_checks_one_distribution(self, monkeypatch, model):
         """A memorizer trial through _trained runs the FactoidDist checks

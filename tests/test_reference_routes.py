@@ -176,7 +176,6 @@ from literal import (
     mass_of_set,
     miscalibration,
     missing_mass,
-    paired_profile,
     partition_blocks,
     posterior_fact_marginal,
     profile_calibration,
@@ -292,19 +291,6 @@ def special(d: FactoidDist) -> dict[int, float]:
 
 def ref_weight(d: FactoidDist, y: int) -> float:
     return special(d).get(y, d.background)
-
-
-def ref_paired_profile(d1, d2):
-    keys = sorted(set(special(d1)) | set(special(d2)))
-    w1 = [ref_weight(d1, y) for y in keys]
-    w2 = [ref_weight(d2, y) for y in keys]
-    counts = [1.0] * len(keys)
-    rest = d1.universe.size - len(keys)
-    if rest > 0:
-        w1.append(d1.background)
-        w2.append(d2.background)
-        counts.append(float(rest))
-    return np.array(w1), np.array(w2), np.array(counts)
 
 
 def _sorted_pairs(weights: dict) -> tuple[list[int], list[float]]:
@@ -445,15 +431,6 @@ class TestAgainstReference:
         got = _dense_weights(d)
         assert got.dtype == np.float64 and got.shape == (size,)
         assert got.tobytes() == d.weights_at(np.arange(size)).tobytes()
-
-    @given(pair=dist_pairs())
-    @PROPERTY
-    def test_paired_profile(self, pair):
-        got = paired_profile(*pair)
-        want = ref_paired_profile(*pair)
-        for g, w in zip(got, want):
-            assert g.dtype == np.float64
-            assert np.array_equal(g, w)
 
     @given(pair=contained_pairs())
     @PROPERTY
