@@ -275,10 +275,11 @@ def _bound_frequency(name: str, evals: Sequence[BoundEvaluation], delta: float) 
 @dataclass(frozen=True)
 class TheoremMainCheck:
     """E[(missing mass - TV(coarsened p, g) - hallucination rate)_+] over
-    the posterior, computed exactly, against its closed-form cap."""
+    the posterior against its closed-form cap. Both are exact: lhs is
+    the expectation itself, not a Monte Carlo estimate, and rhs the cap."""
 
-    lhs_estimate: float
-    rhs_exact: float
+    lhs: float
+    rhs: float
     passed: bool
     # perfbench's posterior_exhaustive still reads it (ROADMAP item 1)
     marginals_ok: ClassVar[bool] = True
@@ -374,7 +375,7 @@ def verify_theorem_main_mc(
     base_fact_mass = float(g_arr[BOTTOM]) + float(g_arr[obs_facts].sum())
     g_h = np.maximum(1.0 - (base_fact_mass + g_arr[extras].sum()), 0.0)
     lhs = float(np.maximum((fact_count - m) / fact_count - tv - g_h, 0.0))
-    return TheoremMainCheck(lhs_estimate=lhs, rhs_exact=rhs, passed=lhs <= rhs + FLOAT_SLACK)
+    return TheoremMainCheck(lhs=lhs, rhs=rhs, passed=lhs <= rhs + FLOAT_SLACK)
 
 
 # ---------------------------------------------------------------------------

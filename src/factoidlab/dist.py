@@ -46,29 +46,30 @@ are its support, so the table holds explicit atoms only: a distribution
 whose background some atom outside its keys carries is refused before
 any uniform is drawn. The table is built on the first draw, or shared:
 the draws of a world model whose rank template holds one value all have
-the same weights in key order, so the model builds one table and
-_share_inverse_cdf, the one place outside _inverse_cdf that writes a
-table, hands each draw its cum, guide and slot weights with the draw's
-own keys as the atom column; the shared arrays are read-only like every
-table.
+the same weights in key order, so the model builds one table
+(_shared_table) and _share_inverse_cdf, the one place outside
+_inverse_cdf that writes a table, hands each draw its cum, guide and
+slot weights with the draw's own keys as the atom column; the shared
+arrays are read-only like every table. No module but this one reads or
+builds a table.
 
 sample_iid returns one stream's draws in order. Every training sample
-is counted instead, a chunk of streams at a time (_chunks: at most
-_CHUNK_DRAWS draws a chunk, closed early once its streams keep
-_CHUNK_SLOTS table slots alive), and never built or sorted as n draws:
-each stream fills its own row of n uniforms, and _count_rows inverts the
-rows, in one pass when they share one table, and counts them together,
-by one bincount over the tables laid end to end or, on tables much
-larger than the draws, by sorting each row (see _COUNT_BASE_SLOTS for
-the measured crossover). Each row comes back as its distinct slots in
-increasing order, so its atoms and weights are the table's at those
-slots, and their counts.
+is drawn and counted by _counted_samples instead, a chunk of streams at
+a time (at most _CHUNK_DRAWS draws a chunk, closed early once its
+streams keep _CHUNK_SLOTS table slots alive), and never built or sorted
+as n draws: each stream fills its own row of n uniforms, and _count_rows
+inverts the rows, in one pass when they share one table, and counts them
+together, by one bincount over the tables laid end to end or, on tables
+much larger than the draws, by sorting each row (see _COUNT_BASE_SLOTS
+for the measured crossover). Each sample comes back as its distinct
+atoms in increasing order, their counts and their slots in the table,
+and _SlotMasses reads its missing mass off those slots.
 
-Every exact sum in the package, here and in estimators and worlds, is
-math.fsum over the array's buffer, fsum(memoryview(a)), with any extra
-terms chained in front. fsum sees the same floats as over a.tolist() and
-rounds correctly, so the float is the same, but no Python list is built:
-at 10^3 weights the sum costs about 50-60% of the list route.
+Every exact sum in the package, here and in worlds, is math.fsum over
+the array's buffer, fsum(memoryview(a)), with any extra terms chained in
+front. fsum sees the same floats as over a.tolist() and rounds
+correctly, so the float is the same, but no Python list is built: at
+10^3 weights the sum costs about 50-60% of the list route.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,12 +131,12 @@ _GUIDE_STEPS = 2
 _COUNT_BASE_SLOTS = 8192
 _COUNT_SLOTS_PER_DRAW = 3
 
-#: Most draws one pass of _count_rows inverts and counts at once; a stream
-#: of more draws is a chunk of its own, so a chunk's working arrays stay at
-#: one sample's scale. The limit is set by memory: on a 10^4-atom Zipf p
-#: at n = 1000, the concentration suite's peak RSS rose by about 0.4 MB
-#: (0.9%) at 2^15 draws a chunk and by under 0.1 MB at 2^14, while its
-#: trials/s was the same within its spread.
+#: Most draws one chunk of _counted_samples inverts and counts at once; a
+#: stream of more draws is a chunk of its own, so a chunk's working arrays
+#: stay at one sample's scale. The limit is set by memory: on a 10^4-atom
+#: Zipf p at n = 1000, the concentration suite's peak RSS rose by about
+#: 0.4 MB (0.9%) at 2^15 draws a chunk and by under 0.1 MB at 2^14, while
+#: its trials/s was the same within its spread.
 _CHUNK_DRAWS = 1 << 14
 #: Most table slots the streams of one chunk keep alive before it closes.
 #: A world drawn for a stream keeps its keys, its weights and, unless its
@@ -367,6 +369,22 @@ def _share_inverse_cdf(d: FactoidDist, table: _InverseCdf) -> FactoidDist:
     a shared table skips _inverse_cdf's refusal."""
     d.__dict__["_inverse_cdf"] = table._replace(atoms=d.keys)
     return d
+
+
+def _shared_table(universe: FactoidUniverse, templates: tuple[np.ndarray, ...]) -> _InverseCdf | None:
+    """The inverse-CDF table of every world draw whose types' rank
+    templates each hold one positive value, else None.
+
+    Such a draw's values are the templates end to end whichever atoms it
+    draws, so its table is the one _inverse_cdf builds on those weights,
+    here on keys 1, 2, ... in place of the draw's atoms; only the atom
+    column differs from draw to draw (_share_inverse_cdf)."""
+    if not all(t[0] > 0.0 and (t == t[0]).all() for t in templates):
+        return None
+    weights = np.concatenate(templates)
+    table = FactoidDist(universe, np.arange(1, weights.size + 1), weights)._inverse_cdf
+    # each draw's own keys fill the atom column, so keys 1, 2, ... are not kept
+    return table._replace(atoms=_NO_KEYS)
 
 
 def _normalized(size: int, keys, values, background: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -624,36 +642,12 @@ def sample_iid(d: FactoidDist, n: int, rng: SeededRng) -> np.ndarray:
     the same slot as searchsorted(cum, u, "right"). d must be sparse: a
     background that an atom outside d's keys carries is refused before
     any uniform is drawn. The suites count their training samples
-    through _count_rows instead, which reads the same stream and never
-    builds the n-long array.
+    through _counted_samples instead, which reads the same stream and
+    never builds the n-long array.
     """
     check_count(n, "sample size", 1)
     table = d._inverse_cdf
     return table.atoms[_guided_slots(table.cum, table.guide, rng.generator.random(n))]
-
-
-def _chunks(
-    streams: Iterable, n: int, draw: Callable[[object, np.ndarray], tuple[object, int]]
-) -> Iterator[tuple[list, np.ndarray]]:
-    """The streams in consecutive chunks, each as the list of draw(stream,
-    row) items of its streams and their rows of n uniforms. draw fills
-    the stream's row and returns its item and the table slots the item
-    keeps alive until its chunk is counted (0 for a table that outlives
-    the chunk anyway). A chunk takes at most _CHUNK_DRAWS // n streams (at
-    least one) and closes once its streams keep _CHUNK_SLOTS slots."""
-    rows = max(1, _CHUNK_DRAWS // n)
-    streams = iter(streams)
-    while True:
-        items, u, held = [], np.empty((rows, n)), 0
-        for stream in streams:
-            item, slots = draw(stream, u[len(items)])
-            items.append(item)
-            held += slots
-            if len(items) == rows or held >= _CHUNK_SLOTS:
-                break
-        if not items:
-            return
-        yield items, u[: len(items)]
 
 
 def _count_rows(tables: Sequence[_InverseCdf], u: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -699,3 +693,82 @@ def _count_rows(tables: Sequence[_InverseCdf], u: np.ndarray) -> Iterator[tuple[
     seen.flags.writeable = counts.flags.writeable = False
     for lo, hi in zip(cuts, cuts[1:]):
         yield seen[lo:hi], counts[lo:hi]
+
+
+def _counted_samples(
+    draws: Iterable[tuple[object, FactoidDist, np.random.Generator, int]], n: int
+) -> Iterator[tuple[object, np.ndarray, np.ndarray, np.ndarray]]:
+    """(item, atoms, counts, seen) per draw (item, p, generator, alive), in
+    order: the distinct atoms of n i.i.d. draws from p on the generator, in
+    increasing order, how often each was drawn, and their slots in p's table.
+
+    A chunk takes at most _CHUNK_DRAWS // n draws (at least one) and closes
+    once they keep _CHUNK_SLOTS slots alive (alive: the slots a draw's p
+    keeps until its chunk is counted, 0 for a p that outlives it). Each p's
+    table is fetched before its row of n uniforms is filled, so a refused p
+    fails before any uniform is drawn; the chunk's rows are then counted
+    together (_count_rows)."""
+    rows = max(1, _CHUNK_DRAWS // n)
+    draws = iter(draws)
+    while True:
+        items, tables, u, held = [], [], np.empty((rows, n)), 0
+        for item, p, generator, alive in draws:
+            tables.append(p._inverse_cdf)
+            generator.random(out=u[len(items)])
+            items.append(item)
+            held += alive
+            if len(items) == rows or held >= _CHUNK_SLOTS:
+                break
+        if not items:
+            return
+        for item, table, (seen, counts) in zip(items, tables, _count_rows(tables, u[: len(items)])):
+            yield item, table.atoms[seen], counts, seen
+
+
+def _expanded_total(values: np.ndarray) -> tuple[float, ...]:
+    """Non-overlapping floats whose exact sum is the exact sum of values,
+    largest first.
+
+    Each part is the correctly rounded rest of the exact total after the
+    parts before it, so the rest shrinks by about 2^-53 a part and reaches
+    0 (every weight is a multiple of 2^-1074)."""
+    parts: list[float] = []
+    while (rest := math.fsum(chain((-x for x in parts), memoryview(values)))) != 0.0:
+        parts.append(rest)
+    return tuple(parts)
+
+
+class _SlotMasses:
+    """Missing masses read off counted samples (_counted_samples): the fsum
+    of the weights of a sample's unseen slots in p's table, for a p with
+    no mass on the empty fact, so every unseen slot's weight is missing
+    mass.
+
+    The sum is taken over the shorter side: the unseen weights directly,
+    or the table's expanded total (_expanded_total) minus the seen
+    weights. Both have the exact sum of the unseen weights, which fsum
+    rounds correctly, so the float is the same. The expansion and the
+    negated weights are worked out when the seen side is the shorter on a
+    sample counted against the same weights array as the one before, and
+    kept while the samples do so, so a table drawn for one sample never
+    pays for them. The key is the weights array, not p: the draws of a
+    model that shares one table are each a p of their own.
+    """
+
+    def __init__(self):
+        self._weights: np.ndarray | None = None
+        self._total: tuple[tuple[float, ...], np.ndarray] | None = None
+
+    def __call__(self, p: FactoidDist, seen: np.ndarray) -> float:
+        weights = p._inverse_cdf.weights
+        repeated, self._weights = weights is self._weights, weights
+        if not repeated:
+            self._total = None
+        elif 2 * seen.size < weights.size:
+            if self._total is None:
+                self._total = _expanded_total(weights), -weights
+            parts, negated = self._total
+            return math.fsum(chain(parts, memoryview(negated[seen])))
+        unseen = np.ones(weights.size, dtype=bool)
+        unseen[seen] = False
+        return math.fsum(memoryview(weights[unseen]))

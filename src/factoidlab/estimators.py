@@ -9,9 +9,11 @@ widths under which |estimate - missing mass| falls with probability
 
 A training sample holds its distinct atoms and their counts. The
 unobserved atoms are counted, never listed, so nothing here has the size
-of the universe. The suites read each sample's missing mass off its row
-of slot counts (_SlotMasses): the weights of its table's unseen slots,
-summed from the shorter side, with no search of the sample in p's keys.
+of the universe. Every training sample the suites use is drawn and
+counted by dist._counted_samples, which also gives the sample's slots
+in p's sampling table, and dist._SlotMasses reads its missing mass off
+those slots. The Good-Turing suite (_gt_estimates) reads its estimates
+off the counts with no TrainingSample built.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -28,9 +29,8 @@ from .dist import (
     BOTTOM,
     FactoidDist,
     FactoidUniverse,
-    _InverseCdf,
-    _chunks,
-    _count_rows,
+    _counted_samples,
+    _SlotMasses,
     with_bottom,
 )
 from .errors import DistributionError, InsufficientDataError, check_count
@@ -59,9 +59,9 @@ class TrainingSample:
     * TrainingSample._counted(universe, atoms, counts) takes counts
       already known valid and checks nothing: the chunked draw route
       (harness._drawn) builds every trial's sample this way from a
-      counted row (dist._count_rows) and never holds the n draws. The
-      checked form of this build, for counts from outside the library,
-      is a test-side reference (tests/literal.py).
+      counted sample (dist._counted_samples) and never holds the n
+      draws. The checked form of this build, for counts from outside the
+      library, is a test-side reference (tests/literal.py).
 
     Every reader in this package depends on the counts alone. draws is
     the sequence given, or for a sample built from counts the atoms
@@ -139,72 +139,19 @@ def monofact_estimate(s: TrainingSample) -> float:
     return singles / s.n
 
 
-def _expanded_total(values: np.ndarray) -> tuple[float, ...]:
-    """Non-overlapping floats whose exact sum is the exact sum of values,
-    largest first.
-
-    Each part is the correctly rounded rest of the exact total after the
-    parts before it, so the rest shrinks by about 2^-53 a part and reaches
-    0 (every weight is a multiple of 2^-1074)."""
-    parts: list[float] = []
-    while (rest := math.fsum(chain((-x for x in parts), memoryview(values)))) != 0.0:
-        parts.append(rest)
-    return tuple(parts)
-
-
-class _SlotMasses:
-    """Missing masses read off counted rows (dist._count_rows): the fsum
-    of the weights of a row's unseen slots in its table, for tables whose
-    slots hold no empty fact, so every unseen slot's weight is missing
-    mass.
-
-    The sum is taken over the shorter side: the unseen weights directly,
-    or the table's expanded total (_expanded_total) minus the seen
-    weights. Both have the exact sum of the unseen weights, which fsum
-    rounds correctly, so the float is the same. The expansion and the
-    negated weights are worked out when the seen side is the shorter on a
-    row counted against the same weights array as the row before, and kept
-    while the rows do so, so a table drawn for one row never pays for them.
-    """
-
-    def __init__(self):
-        self._weights: np.ndarray | None = None
-        self._total: tuple[tuple[float, ...], np.ndarray] | None = None
-
-    def __call__(self, table: _InverseCdf, seen: np.ndarray) -> float:
-        weights = table.weights
-        repeated, self._weights = weights is self._weights, weights
-        if not repeated:
-            self._total = None
-        elif 2 * seen.size < weights.size:
-            if self._total is None:
-                self._total = _expanded_total(weights), -weights
-            parts, negated = self._total
-            return math.fsum(chain(parts, memoryview(negated[seen])))
-        unseen = np.ones(weights.size, dtype=bool)
-        unseen[seen] = False
-        return math.fsum(memoryview(weights[unseen]))
-
-
 def _gt_estimates(
     p: FactoidDist, n: int, streams: Iterable[SeededRng]
 ) -> Iterator[tuple[float, float]]:
     """(monofact_estimate, missing mass) of n draws from a sparse p with no
-    mass on the empty fact, for each stream in order: each generator fills
-    its row of n uniforms, and each row is counted against p's table
-    (dist._count_rows) with no TrainingSample built. p is refused as the
-    samplers refuse it, before any stream is read.
+    mass on the empty fact, for each stream in order, read off the stream's
+    counted sample (dist._counted_samples) with no TrainingSample built. p
+    is refused as the samplers refuse it, before any uniform is drawn.
     """
-    table = p._inverse_cdf
     masses = _SlotMasses()
-
-    def draw(rng: SeededRng, row: np.ndarray) -> tuple[None, int]:
-        rng.generator.random(out=row)
-        return None, 0  # p keeps its table, whatever the chunk
-
-    for chunk, u in _chunks(streams, n, draw):
-        for seen, counts in _count_rows([table] * len(chunk), u):
-            yield int(np.count_nonzero(counts == 1)) / n, masses(table, seen)
+    # p keeps its table, whatever the chunk, so a stream keeps no slots alive
+    draws = ((None, p, rng.generator, 0) for rng in streams)
+    for _, _, counts, seen in _counted_samples(draws, n):
+        yield int(np.count_nonzero(counts == 1)) / n, masses(p, seen)
 
 
 def _check_delta(delta: float, upper: float) -> None:

@@ -4,11 +4,12 @@ One trial is: draw a world, draw training data, train the algorithm,
 measure (monofact estimate, missing mass, hallucination rate, the
 calibration metrics), and evaluate every bound. Trials are pure
 functions of (master seed, trial index), so experiments reproduce
-byte-for-byte and can run in any order. The training data of
-consecutive trials are drawn and counted a chunk at a time (_drawn),
-each trial on its own stream, and the (p, g) profiles of consecutive
-trials are scored together in batches; every metric of a trial is the
-same bits in any chunk and batch as on its own.
+byte-for-byte and can run in any order. Each trial draws its world on
+its own stream (_drawn), and dist._counted_samples draws and counts its
+training data, a chunk of trials at a time; the harness reads no
+sampling table. The (p, g) profiles of consecutive trials are scored
+together in batches; every metric of a trial is the same bits in any
+chunk and batch as on its own.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .dist import (
     ProfileBatch,
     _normalized,
     _pair_profile,
-    _chunks,
-    _count_rows,
+    _counted_samples,
+    _SlotMasses,
     join_profiles,
     keyed_profile,
     kl_divergences,
@@ -58,7 +59,6 @@ from .errors import (
 from .estimators import (
     TrainingSample,
     _gt_estimates,
-    _SlotMasses,
     good_turing_radius,
     missing_mass_lower_radius,
     monofact_estimate,
@@ -183,37 +183,27 @@ def _drawn(
 ) -> Iterator[tuple[int, SeededRng, WorldInstance, TrainingSample, np.ndarray]]:
     """(i, rng, world, sample, seen) per stream index i, in order: a world
     and n i.i.d. draws from it on child i of the master seed, and the slots
-    of p's table the sample holds (what _SlotMasses reads the missing mass
-    off). Every suite that trains on a drawn world starts here, and so does
-    thm-main's one world. A failing draw surfaces with its index attached.
+    of p's sampling table the sample holds (what dist._SlotMasses reads the
+    missing mass off). Every suite that trains on a drawn world starts
+    here, and so does thm-main's one world. A failing world draw surfaces
+    with its index attached.
 
-    The streams go in chunks (dist._chunks), each world's slots counted
-    against the chunk's cap. Each stream draws its world and then fills
-    its row of n uniforms, as a lone stream would, and the chunk's rows are
-    counted together (dist._count_rows): in one pass when the model shares
-    one table among its draws. Each sample is read off its row's slot
-    counts.
+    Each stream draws its world, and dist._counted_samples draws and counts
+    its sample; until its chunk is counted, a world keeps one table slot a
+    fact alive (every drawn fact has positive weight).
     """
 
-    def draw(stream: tuple[int, SeededRng], row: np.ndarray):
-        i, rng = stream
-        try:
-            world = sample_world(model, rng)
-            # a p the samplers refuse fails before its row is drawn
-            table = world.p._inverse_cdf
-        except FactoidLabError as exc:
-            raise type(exc)(f"trial {i}: {exc}") from exc
-        rng.generator.random(out=row)
-        return (i, rng, world, table), table.cum.size
+    def worlds():
+        for i, rng in zip(indices, SeededRng(master_seed).children(indices)):
+            try:
+                world = sample_world(model, rng)
+            except FactoidLabError as exc:
+                raise type(exc)(f"trial {i}: {exc}") from exc
+            yield (i, rng, world), world.p, rng.generator, world.p.keys.size
 
-    streams = zip(indices, SeededRng(master_seed).children(indices))
-    for chunk, u in _chunks(streams, n, draw):
-        counted = _count_rows([table for *_, table in chunk], u)
-        for (i, rng, world, table), (seen, counts) in zip(chunk, counted):
-            # the atoms are a fresh gather at distinct increasing slots and
-            # each count is >= 1, so the sample is built unchecked
-            sample = TrainingSample._counted(world.universe, table.atoms[seen], counts)
-            yield i, rng, world, sample, seen
+    for (i, rng, world), atoms, counts, seen in _counted_samples(worlds(), n):
+        # a fresh gather at distinct increasing slots, counts >= 1: built unchecked
+        yield i, rng, world, TrainingSample._counted(world.universe, atoms, counts), seen
 
 
 def _train(i: int, algorithm: LmAlgorithm, sample: TrainingSample, p: FactoidDist) -> FactoidDist:
@@ -289,7 +279,7 @@ def _trial_records(cfg: ExperimentConfig, indices: Sequence[int]) -> Iterator[Tr
         masses = _SlotMasses()
         for i, rng, world, sample, seen in _drawn(cfg.world, cfg.n, cfg.master_seed, indices):
             g = _train(i, cfg.algorithm, sample, world.p)
-            mf, p_u = monofact_estimate(sample), masses(world.p._inverse_cdf, seen)
+            mf, p_u = monofact_estimate(sample), masses(world.p, seen)
             yield (i, rng.fingerprint(), mf, p_u), (keyed_profile(world.p, g),)
 
     def score(batch, joined: ProfileBatch) -> list[TrialRecord]:
@@ -357,12 +347,6 @@ class AggregateReport:
     @property
     def passed(self) -> bool:
         return all(b.passed for b in self.bounds)
-
-    def bound(self, name: str) -> BoundFrequency:
-        for b in self.bounds:
-            if b.name == name:
-                return b
-        raise KeyError(name)
 
     def to_json_dict(self) -> dict:
         return {

@@ -38,11 +38,10 @@ from .dist import (
     BOTTOM,
     FactoidDist,
     FactoidUniverse,
-    _NO_KEYS,
-    _InverseCdf,
     _mass_sum,
     _normalized,
     _share_inverse_cdf,
+    _shared_table,
     _valid_dist,
     dist_from_arrays,
     with_bottom,
@@ -126,16 +125,15 @@ class PermutedPowerLawWorld:
         first use and kept with the model: up to 80 MB at FACT_COUNT_LIMIT
         facts. A model whose template holds one value also keeps the
         inverse-CDF table every draw that sample_world returns shares
-        (draw_table): about 80 MB each of cum and weights and 128 MB of
-        guide more at that count, which each such draw used to build for
-        itself when sampled, so a run that samples its worlds does not peak
-        higher."""
+        (draw_table): about 290 MB more at that count, which each such draw
+        would otherwise build for itself when sampled, so a run that
+        samples its worlds does not peak higher."""
         return _rank_template(self)
 
     @cached_property
-    def draw_table(self) -> _InverseCdf | None:
+    def draw_table(self):
         """The table every draw shares when the rank template holds one
-        value (see _shared_table), else None."""
+        value (see dist._shared_table), else None."""
         return _shared_table(self.universe, (self.rank_template,))
 
 
@@ -250,9 +248,9 @@ class MultiTypeWorld:
         )
 
     @cached_property
-    def draw_table(self) -> _InverseCdf | None:
+    def draw_table(self):
         """The table every draw shares when each type's rank template
-        holds one value (see _shared_table), else None."""
+        holds one value (see dist._shared_table), else None."""
         return _shared_table(self.universe, self.rank_template)
 
 
@@ -319,27 +317,6 @@ def _rank_template(model: PermutedPowerLawWorld) -> np.ndarray:
     return _rank_vector(d, 1, model.fact_count)
 
 
-def _one_value(template: np.ndarray) -> bool:
-    """Whether every rank of a template has the same positive weight."""
-    return template[0] > 0.0 and bool((template == template[0]).all())
-
-
-def _shared_table(universe: FactoidUniverse, templates: tuple[np.ndarray, ...]) -> _InverseCdf | None:
-    """The inverse-CDF table of every draw whose types' templates each
-    hold one value, else None.
-
-    Such a draw's values are the templates end to end whichever atoms it
-    draws, so its table is the one _inverse_cdf builds on those weights,
-    here on keys 1, 2, ... in place of the draw's atoms; only the atom
-    column differs from draw to draw (_share_inverse_cdf)."""
-    if not all(map(_one_value, templates)):
-        return None
-    weights = np.concatenate(templates)
-    table = FactoidDist(universe, np.arange(1, weights.size + 1), weights)._inverse_cdf
-    # each draw's own keys fill the atom column, so keys 1, 2, ... are not kept
-    return table._replace(atoms=_NO_KEYS)
-
-
 def _template_draw(
     model: PermutedPowerLawWorld, template: np.ndarray, one_value: bool, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +342,7 @@ def _template_world(
     universe: FactoidUniverse,
     keys: np.ndarray,
     values: np.ndarray,
-    table: _InverseCdf | None,
+    table,
 ) -> WorldInstance:
     """The world of a template draw, carrying the model's shared table
     when it has one. Its p is built unchecked (dist._valid_dist): the keys

@@ -266,7 +266,6 @@ UNREAD_FIELDS_ALLOWED = {
     # a violation's content; brute-force prints only the count
     "bounds.py: LemmaMeatViolation.partition_blocks",
     "bounds.py: LemmaMeatViolation.subset",
-    "bounds.py: LemmaMeatViolation.lhs",
     # the regularity verdict AC11 reads
     "worlds.py: RegularityReport.r_facts",
     "worlds.py: RegularityReport.r_probs",
@@ -427,6 +426,27 @@ def test_unchecked_builds_run_only_at_their_named_call_sites():
     assert sites == UNCHECKED_BUILDS_ALLOWED
 
 
+#: dist's sampling table and the helpers that read it: the table itself,
+#: its type, the counter of drawn rows and the guided inversion
+TABLE_NAMES = {"_inverse_cdf", "_InverseCdf", "_count_rows", "_guided_slots"}
+
+
+def _names_a_table(node: ast.AST) -> str | None:
+    """The name of TABLE_NAMES a node loads, imports or spells as a string
+    (as getattr would take it), else None."""
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.alias):
+        name = node.name
+    elif isinstance(node, ast.Constant):
+        name = node.value
+    else:
+        return None
+    return name if name in TABLE_NAMES else None
+
+
 def test_only_dist_writes_an_inverse_cdf_table():
     # a world model shares one table among its draws through
     # dist._share_inverse_cdf; no other module lays out or sets a table
@@ -439,3 +459,14 @@ def test_only_dist_writes_an_inverse_cdf_table():
     assert [w for w in writes if not w.startswith("dist.py:")] == []
     # the rule sees the one write it allows
     assert len(writes) == 1
+    # nor reads one: every sample is drawn and counted by
+    # dist._counted_samples and its missing mass read by dist._SlotMasses,
+    # so no other module fetches a table, names its type or inverts and
+    # counts draws through one
+    uses = {
+        file: sorted({name for node in ast.walk(tree) if (name := _names_a_table(node))})
+        for file, tree in LIBRARY_TREES.items()
+    }
+    assert {file: names for file, names in uses.items() if names and file != "dist.py"} == {}
+    # the rule sees dist's own uses
+    assert uses["dist.py"] == sorted(TABLE_NAMES)

@@ -225,7 +225,7 @@ class TestTheoremMainMc:
         u = FactoidUniverse(51)
         observed = set(range(1, 11)) | {0}
         check = verify_theorem_main_mc(u, 20, observed, uniform_dist(u), Partition.singletons(u))
-        assert check.rhs_exact == pytest.approx(0.3875, abs=1e-12)
+        assert check.rhs == pytest.approx(0.3875, abs=1e-12)
         assert check.passed
 
     def test_exhausted_budget_degenerates(self):
@@ -234,8 +234,8 @@ class TestTheoremMainMc:
         observed = set(range(1, 6)) | {0}
         g = random_dist(u, SeededRng(5))
         check = verify_theorem_main_mc(u, 5, observed, g, Partition.singletons(u))
-        assert check.rhs_exact == 0.0
-        assert check.lhs_estimate == 0.0
+        assert check.rhs == 0.0
+        assert check.lhs == 0.0
         assert check.passed
 
     def test_memorizer_probe_nontrivial_and_passing(self):
@@ -282,8 +282,8 @@ class TestTheoremMainMc:
         u = FactoidUniverse(12)
         check = verify_theorem_main_mc(u, 5, {1, 2}, uniform_dist(u), Partition.singletons(u))
         assert [f.name for f in dataclasses.fields(TheoremMainCheck)] == [
-            "lhs_estimate",
-            "rhs_exact",
+            "lhs",
+            "rhs",
             "passed",
         ]
         assert check.marginals_ok is True and TheoremMainCheck.marginals_ok is True
@@ -305,7 +305,7 @@ class TestTheoremMainExactOrRefused:
         labels = np.arange(u.size) if blocks == "singletons" else np.zeros(u.size, dtype=np.intp)
         partition = Partition(u, labels)
         check = self._run(g, partition)
-        assert 0.0 <= check.lhs_estimate <= check.rhs_exact and check.passed
+        assert 0.0 <= check.lhs <= check.rhs and check.passed
         # the partition was read as labels; no block sets were built
         assert "blocks" not in partition.__dict__
 
@@ -337,7 +337,7 @@ class TestTheoremMainExactOrRefused:
         g = random_dist(u, SeededRng(4))
         observed = set(range(30, 50))
         check = verify_theorem_main_mc(u, 20, observed, g, Partition(u, np.arange(51) % 2))
-        assert check.rhs_exact == 0.0 and check.lhs_estimate == 0.0 and check.passed
+        assert check.rhs == 0.0 and check.lhs == 0.0 and check.passed
 
     def test_one_shared_block_with_observed_atoms_matches_every_completion(self):
         # the unobserved atoms share block 0 with two observed atoms; the
@@ -350,8 +350,8 @@ class TestTheoremMainExactOrRefused:
         partition = Partition(u, np.array([1, 0, 0, 2, 0, 0, 0, 0, 0, 0]))
         check = verify_theorem_main_mc(u, 8, observed, g, partition)
         reference = theorem_main_exhaustive(u, 8, observed, g, partition)
-        assert check.lhs_estimate == pytest.approx(reference, rel=0, abs=1e-15)
-        assert check.lhs_estimate > 0.0 and check.passed
+        assert check.lhs == pytest.approx(reference, rel=0, abs=1e-15)
+        assert check.lhs > 0.0 and check.passed
 
     def test_input_checks_come_before_the_rule(self):
         # a random g would be refused by the rule, but the fact count is
@@ -429,8 +429,8 @@ class TestTheoremMainInternalsAgainstPublicRoute:
             - tv_distance(coarsen(p, partition), g)
             - hallucination_rate(g, WorldInstance(p)),
         )
-        assert check.lhs_estimate == pytest.approx(direct, rel=0, abs=1e-15)
-        assert check.lhs_estimate > 0.0
+        assert check.lhs == pytest.approx(direct, rel=0, abs=1e-15)
+        assert check.lhs > 0.0
 
 
 class TestLemmaMeatSweep:

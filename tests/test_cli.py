@@ -1,5 +1,6 @@
 """Config parsing, result files, and the command-line surface."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import types
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import factoidlab
 
-from factoidlab.bounds import BOUND_TERMS, BOUNDS, clopper_pearson
+from factoidlab.bounds import BOUND_TERMS, BOUNDS, BoundFrequency, clopper_pearson
 from factoidlab.calibration import BIN_COUNT_LIMIT, MATERIALIZE_LIMIT, AdaptiveBinning
 from factoidlab.cli import (
     _ALGORITHMS,
@@ -879,6 +881,48 @@ class TestReportRowRule:
             code, out, err = run_cli("report", scratch)
         assert (code, out) == (2, "")
         assert "damaged run record" in err and name in err
+
+    @staticmethod
+    def _record(run_dir: Path, trials: int, row: dict) -> Path:
+        """A run record of one cor1 row that claims trials trials."""
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(RUN_RECORD["manifest.json"])
+        agg = {"trials": trials, "delta": 0.1, "passed": True, "bounds": {"cor1": row}}
+        (run_dir / "aggregate.json").write_text(json.dumps(agg))
+        return run_dir
+
+    @pytest.mark.parametrize("trials", [TRIAL_COUNT_LIMIT + 1, 10**18])
+    def test_more_trials_than_run_writes_mark_the_record_damaged(self, tmp_path, monkeypatch, trials):
+        """No run writes more than TRIAL_COUNT_LIMIT trials, and an interval
+        at such a count can take minutes: the record is refused before any
+        interval is computed."""
+        intervals = []
+        original = factoidlab.bounds.clopper_pearson
+        monkeypatch.setattr(
+            factoidlab.bounds, "clopper_pearson", lambda *a: intervals.append(a) or original(*a)
+        )
+        satisfied = trials // 10 * 9
+        row = dict(
+            satisfied=satisfied, trials=trials, frequency=satisfied / trials, ci_low=0.89, ci_high=0.91,
+            vacuous=0, vacuous_fraction=0.0, passed=False, vacuous_by={term: 0 for term in BOUND_TERMS},
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli("report", str(self._record(tmp_path / "r", trials, row)))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "damaged run record" in err and f"trials {trials}" in err
+        assert intervals == []
+
+    def test_a_record_at_the_trial_cap_is_accepted(self, tmp_path):
+        by = {term: 0 for term in BOUND_TERMS}
+        by["gt_width"] = 10
+        row = BoundFrequency.from_counts("cor1", 950_000, TRIAL_COUNT_LIMIT, 10, by, 0.1)
+        stored = {k: v for k, v in dataclasses.asdict(row).items() if k != "name"}
+        code, out, _ = run_cli("report", str(self._record(tmp_path / "r", TRIAL_COUNT_LIMIT, stored)))
+        assert code == 0
+        assert "cor1" in out and f"{TRIAL_COUNT_LIMIT}" in out
+
+
 def _fail_write(path, *args):
     raise OSError(f"injected failure writing {path}")
 

@@ -13,7 +13,7 @@ from factoidlab.dist import (
     FactoidUniverse,
     dist_from_arrays,
     dist_from_weights,
-    _count_rows,
+    _counted_samples,
     random_dist,
     sample_iid,
     uniform_dist,
@@ -284,9 +284,8 @@ class TestSampling:
         assert d.background == 0.125
         draws = sample_iid(d, 1000, SeededRng(13))
         assert set(draws.tolist()) == {0, 1, 2}
-        table = d._inverse_cdf
-        ((seen, counts),) = _count_rows([table], SeededRng(13).generator.random((1, 1000)))
-        assert table.atoms[seen].tolist() == [0, 1, 2] and counts.tolist() == np.bincount(draws).tolist()
+        ((_, atoms, counts, _),) = _counted_samples([(None, d, SeededRng(13).generator, 0)], 1000)
+        assert atoms.tolist() == [0, 1, 2] and counts.tolist() == np.bincount(draws).tolist()
 
     def test_zero_weight_special_never_drawn(self):
         u = FactoidUniverse(5)

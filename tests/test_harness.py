@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from factoidlab.dist import FactoidDist, FactoidUniverse, dist_from_weights, uniform_dist
@@ -131,7 +132,7 @@ class TestRunExperiment:
         assert len(records) == 1
         assert report.trials == 1
         r = records[0]
-        assert report.bound("cor1").frequency == float(r.cor1.satisfied)
+        assert {b.name: b for b in report.bounds}["cor1"].frequency == float(r.cor1.satisfied)
         mf_summary = next(m for m in report.metrics if m.name == "mf")
         assert mf_summary.mean == r.mf
 
@@ -139,14 +140,15 @@ class TestRunExperiment:
         # s = 0 makes the penalty 3/delta >= 3, dwarfing any estimate
         cfg = make_cfg(trials=10, s=0.0)
         report, _ = run_experiment(cfg)
-        assert report.bound("cor1").vacuous_fraction == 1.0
-        assert report.bound("cor1").frequency == 1.0
+        cor1 = {b.name: b for b in report.bounds}["cor1"]
+        assert cor1.vacuous_fraction == 1.0
+        assert cor1.frequency == 1.0
 
     def test_memorizer_bounds_hold(self):
         cfg = make_cfg(trials=60)
         report, _ = run_experiment(cfg)
         for name in ("cor1", "cor_general", "cor_balfact", "cor_fixed_tv", "cor_fixed_mis"):
-            assert report.bound(name).frequency >= 0.9
+            assert {b.name: b for b in report.bounds}[name].frequency >= 0.9
 
 
 class TestGtConcentration:
@@ -352,6 +354,21 @@ class TestChunkMemory:
     """A chunk of small-n streams on large worlds stays at one sample's
     scale: it closes once its worlds keep _CHUNK_SLOTS table slots."""
 
+    @staticmethod
+    def _counted_chunks(monkeypatch) -> list[tuple[list[int], int]]:
+        """The table slots of each row and the draws of each chunk that
+        dist's counter counts from here on."""
+        import factoidlab.dist as d
+
+        chunks, count_rows = [], d._count_rows
+
+        def counted(tables, u):
+            chunks.append(([table.cum.size for table in tables], u.size))
+            return count_rows(tables, u)
+
+        monkeypatch.setattr(d, "_count_rows", counted)
+        return chunks
+
     @pytest.mark.parametrize(
         "model, n, trials, chunk_sizes",
         [
@@ -368,18 +385,26 @@ class TestChunkMemory:
         import factoidlab.dist as d
         import factoidlab.harness as h
 
-        chunks = []
-
-        def counted(tables, u):
-            chunks.append(([table.cum.size for table in tables], u.size))
-            return d._count_rows(tables, u)
-
-        monkeypatch.setattr(h, "_count_rows", counted)
+        chunks = self._counted_chunks(monkeypatch)
         assert sum(1 for _ in h._drawn(model, n, 3, range(trials))) == trials
         assert [len(slots) for slots, _ in chunks] == chunk_sizes
         for slots, draws in chunks:
             assert sum(slots[:-1]) < d._CHUNK_SLOTS
             assert draws <= max(n, d._CHUNK_DRAWS)
+
+    def test_good_turing_p_keeps_no_slots_alive(self, monkeypatch):
+        # the suite's one p outlives every chunk, so its table, past the
+        # slot cap, closes none: chunks of _CHUNK_DRAWS // n = 16 streams
+        import factoidlab.dist as d
+        from factoidlab.estimators import _gt_estimates
+
+        atoms = d._CHUNK_SLOTS + 1
+        p = FactoidDist(FactoidUniverse(atoms + 1), np.arange(1, atoms + 1), np.full(atoms, 1.0 / atoms))
+        chunks = self._counted_chunks(monkeypatch)
+        streams = SeededRng(5).children(range(40))
+        assert sum(1 for _ in _gt_estimates(p, 1000, streams)) == 40
+        assert [len(slots) for slots, _ in chunks] == [16, 16, 8]
+        assert chunks[0][0] == [atoms] * 16
 
     @pytest.mark.parametrize("exponent", [1.0, 0.0], ids=["zipf", "uniform"])
     def test_peak_memory_stays_at_a_few_worlds(self, exponent):
