@@ -30,7 +30,10 @@ _valid_dist.
 A (p, g) pair is laid out as one paired atom-class profile, with one
 layout: g's keys must lie among p's, bar a leading empty fact p lacks,
 as they do for every g trained on a sample from p, so one search of g's
-keys in p's finds every class. Any other pair is refused.
+keys in p's finds every class. Any other pair is refused. The profile of
+each type's local pair in a multi-type world (_type_profiles) is that
+layout of p's and g's projections onto the type, cut straight out of
+their whole-world arrays.
 
 Because a distribution is immutable, it caches the inverse-CDF table
 the samplers draw through (_InverseCdf): the cumulative weights of the
@@ -387,6 +390,17 @@ def _shared_table(universe: FactoidUniverse, templates: tuple[np.ndarray, ...]) 
     return table._replace(atoms=_NO_KEYS)
 
 
+def _checked_total(terms, rest_mass: float) -> float:
+    """The normalizing total, the fsum of terms plus rest_mass (the
+    background's share), refused unless finite and positive."""
+    total = _mass_sum(terms) + rest_mass
+    if total <= 0.0:
+        raise DistributionError("weights sum to zero; at least one must be positive")
+    if not math.isfinite(total):
+        raise DistributionError("weights sum is not finite")
+    return total
+
+
 def _normalized(size: int, keys, values, background: float) -> tuple[np.ndarray, np.ndarray, float]:
     """dist_from_arrays's normalization of valid arrays on a universe of
     `size` atoms, as (keys, values, background). They stay valid: the
@@ -394,11 +408,7 @@ def _normalized(size: int, keys, values, background: float) -> tuple[np.ndarray,
     >= 0 and fresh, and the keys kept stay strictly increasing (fresh
     when masked, else the keys given)."""
     rest = size - keys.size
-    total = _mass_sum(memoryview(values)) + background * rest
-    if total <= 0.0:
-        raise DistributionError("weights sum to zero; at least one must be positive")
-    if not math.isfinite(total):
-        raise DistributionError("weights sum is not finite")
+    total = _checked_total(memoryview(values), background * rest)
     values = values / total
     # a background no atom carries normalizes to 0, even over a subnormal total
     background = background / total if rest else 0.0
@@ -483,6 +493,15 @@ class ProfileBatch:
     halluc_rate: np.ndarray
 
 
+def _unheld(y) -> DistributionError:
+    """The refusal of a pair whose second side holds atom y, which the
+    first lacks."""
+    return DistributionError(
+        f"atom {y} is a key of the second distribution but not of the first; "
+        "a profile lays out only a second side whose keys lie among the first's"
+    )
+
+
 def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
     """The paired profile, as a batch of one, of two distributions on a
     universe of `size` atoms, each given as (keys, values, background),
@@ -500,11 +519,7 @@ def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
     pos, hit = _lookup(keys1, keys2)
     lead = int(keys2.size > 0 and not hit[0] and keys2[0] == BOTTOM)
     if not hit[lead:].all():
-        y = keys2[lead + int(np.argmin(hit[lead:]))]
-        raise DistributionError(
-            f"atom {y} is a key of the second distribution but not of the first; "
-            "a profile lays out only a second side whose keys lie among the first's"
-        )
+        raise _unheld(keys2[lead + int(np.argmin(hit[lead:]))])
     bottom_first = bool(lead) or (keys1.size > 0 and keys1[0] == BOTTOM)
     n = lead + keys1.size + 1
     w1 = np.empty(n)
@@ -547,6 +562,83 @@ def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> ProfileBatch:
     )
 
 
+def _local_scale(values: np.ndarray, background: float, size: int) -> tuple[float, float, float]:
+    """(empty, total, background) of one side's projection onto a type of
+    `size` local atoms, from the side's values in the type's range: its
+    local empty fact takes the mass outside the range, and total is
+    _normalized's total over that empty fact, the values and the
+    background, which divides the other two."""
+    rest = size - 1 - values.size
+    # accumulated left to right in atom order, like a running sum
+    range_mass = (float(np.cumsum(values)[-1]) if values.size else 0.0) + background * rest
+    empty = max(0.0, 1.0 - range_mass)
+    total = _checked_total(chain((empty,), memoryview(values)), background * rest)
+    return empty / total, total, background / total if rest else 0.0
+
+
+def _type_profiles(p: FactoidDist, g: FactoidDist, edges: Sequence[int]) -> list[ProfileBatch]:
+    """The paired profile of p's and g's projections onto each type, as a
+    batch of one per type. Type i holds the global atoms edges[i] to
+    edges[i + 1] - 1 as its local atoms 1, 2, ...; a projection keeps the
+    weights and background there, and its local empty fact takes the rest
+    of the mass, the shared empty fact's included, before it is normalized
+    as dist_from_arrays normalizes.
+
+    Each profile is the one _pair_profile lays out on the two projections,
+    to the bit, and a pair it refuses is refused here, naming the same
+    local atom; but no projection is built: one search of each side's keys
+    finds the edges, one of g's keys in range among p's lays out the pair,
+    and each side's values are divided straight into place. Zero weights
+    are dropped where _normalized drops them, a local empty fact included."""
+    cuts1 = np.searchsorted(p.keys, edges).tolist()
+    cuts2 = np.searchsorted(g.keys, edges).tolist()
+    profiles = []
+    for i, start in enumerate(edges[:-1]):
+        size = edges[i + 1] - start + 1
+        part1, part2 = slice(cuts1[i], cuts1[i + 1]), slice(cuts2[i], cuts2[i + 1])
+        empty1, total1, background1 = _local_scale(p.values[part1], p.background, size)
+        empty2, total2, background2 = _local_scale(g.values[part2], g.background, size)
+        # a side keeps its local empty fact unless _normalized drops it
+        bottom1, bottom2 = bool(background1 or empty1), bool(background2 or empty2)
+        lead = int(bottom1 or bottom2)
+        w1 = np.empty(lead + part1.stop - part1.start + 1)
+        values1, keys1 = w1[lead:-1], p.keys[part1]
+        np.divide(p.values[part1], total1, out=values1)
+        if not background1 and not values1.all():
+            kept = values1 > 0.0
+            keys1, w1 = keys1[kept], np.concatenate((w1[:lead], values1[kept], w1[-1:]))
+        values2, keys2 = g.values[part2] / total2, g.keys[part2]
+        if not background2 and not values2.all():
+            kept = values2 > 0.0
+            keys2, values2 = keys2[kept], values2[kept]
+        pos, hit = _lookup(keys1, keys2)
+        if not hit.all():
+            raise _unheld(keys2[int(np.argmin(hit))] - (start - 1))
+        w1[:lead] = empty1 if bottom1 else background1
+        w1[-1] = background1
+        slots = pos + lead
+        w2 = np.full(w1.size, background2)
+        w2[slots] = values2
+        if bottom2:
+            w2[0] = empty2
+        # the facts are the empty fact and p's positive atoms in range, all
+        # of p's atoms kept unless a background keeps its zero weights
+        facts = w1.size - lead - 1
+        if background1:
+            held = w1[slots] > 0.0
+            facts, values2 = int(np.count_nonzero(w1[lead:-1])), values2[held]
+        # g's mass on the facts: its weights there and its background on the rest
+        plain = 1 + facts - bottom2 - values2.size
+        mass = math.fsum(chain((empty2,) if bottom2 else (), memoryview(values2)))
+        rate = max(0.0, 1.0 - (mass + background2 * plain))
+        counts = np.ones(w1.size)
+        counts[-1] = rest = size - (w1.size - 1)
+        if not rest:
+            w1, w2, counts = w1[:-1], w2[:-1], counts[:-1]
+        profiles.append(ProfileBatch(w1, w2, counts, np.array([0, w1.size]), np.array([rate])))
+    return profiles
+
+
 def join_profiles(batches: Sequence[ProfileBatch]) -> ProfileBatch:
     """One or more batches as one, in the order given."""
 
@@ -582,14 +674,22 @@ def _subset_table(
 def kl_divergences(batch: ProfileBatch) -> list[float]:
     """KL(first || second) in nats of each profile of a batch; +inf where
     the second misses support of the first. A profile's terms are summed
-    alone, over its own classes in order, as np.sum sums one profile."""
+    alone, over its own classes in order, as np.sum sums one profile.
+
+    A term's log is log(w1 / w2), or log(w1) - log(w2) where the ratio
+    overflows (a subnormal w2), so a second that covers the first's
+    support gives a finite KL."""
     pos = batch.w1 > 0.0
     starts = batch.bounds[:-1]
     missed = np.logical_or.reduceat(pos & (batch.w2 <= 0.0), starts)
     pos &= np.repeat(~missed, np.diff(batch.bounds))
-    w1p = batch.w1[pos]
-    logs = np.divide(w1p, batch.w2[pos])
+    w1p, w2p = batch.w1[pos], batch.w2[pos]
+    with np.errstate(over="ignore"):
+        logs = np.divide(w1p, w2p)
     np.log(logs, out=logs)
+    over = np.isinf(logs)
+    if over.any():
+        logs[over] = np.log(w1p[over]) - np.log(w2p[over])
     terms = batch.counts[pos]
     terms *= w1p
     terms *= logs

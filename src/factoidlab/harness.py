@@ -9,7 +9,10 @@ its own stream (_drawn), and dist._counted_samples draws and counts its
 training data, a chunk of trials at a time; the harness reads no
 sampling table. The (p, g) profiles of consecutive trials are scored
 together in batches; every metric of a trial is the same bits in any
-chunk and batch as on its own.
+chunk and batch as on its own. A trial's profile is dist.keyed_profile's
+whole-world layout; a multi-type trial's per-type profiles are cut out
+of the same whole-world arrays by dist._type_profiles, with no local
+distribution built.
 """
 
 from __future__ import annotations
@@ -38,13 +41,11 @@ from .calibration import (
     reliability_rows,
 )
 from .dist import (
-    BOTTOM,
     FactoidDist,
     ProfileBatch,
-    _normalized,
-    _pair_profile,
     _counted_samples,
     _SlotMasses,
+    _type_profiles,
     join_profiles,
     keyed_profile,
     kl_divergences,
@@ -563,27 +564,6 @@ class MultiTypeReport:
     metrics: tuple[MetricSummary, ...]
 
 
-def _in_range(keys: np.ndarray, start: int, stop: int) -> slice:
-    """The part of a sorted key array that lies in [start, stop)."""
-    lo, hi = np.searchsorted(keys, (start, stop))
-    return slice(int(lo), int(hi))
-
-
-def _local_side(d: FactoidDist, start: int, size: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """d projected onto the type of `size` local atoms from global atom
-    `start`, as normalized (keys, values, background): in-range atoms keep
-    their weight and background, and the local empty fact takes the rest
-    of the mass, the shared empty fact's included."""
-    part = _in_range(d.keys, start, start + size - 1)
-    values = d.values[part]
-    rest = size - 1 - values.size
-    # accumulated left to right in atom order, like a running sum
-    range_mass = (float(np.cumsum(values)[-1]) if values.size else 0.0) + d.background * rest
-    keys = np.concatenate(([BOTTOM], d.keys[part] - (start - 1)))
-    values = np.concatenate(([max(0.0, 1.0 - range_mass)], values))
-    return _normalized(size, keys, values, d.background)
-
-
 def multi_type_trial_metrics(
     model: MultiTypeWorld,
     trials: Iterable[tuple[WorldInstance, TrainingSample, FactoidDist]],
@@ -593,24 +573,27 @@ def multi_type_trial_metrics(
     miscalibration, evaluation), for each (world, sample, g) in trials.
 
     Type i's monofact estimate counts the draws whose atom lies in its
-    range and occurs once, over all n draws. Its miscalibration and
+    range and occurs once, over all n draws; one search of the sample's
+    atoms for every type's edges finds each range. Its miscalibration and
     hallucination rate are measured on the induced local pair, whose
-    empty fact carries all out-of-range mass; each type's profile pairs
-    the projections of p and g onto it, and the local profiles of
-    consecutive trials are scored in batches. The verdict is cor1 with the
-    union-bound inflation k = params.k_types.
+    empty fact carries all out-of-range mass. dist._type_profiles cuts
+    each type's profile of that pair straight out of p's and g's
+    whole-world arrays, the same bits as laying out the two projected
+    distributions, and refuses a g holding an in-range atom p lacks with
+    DistributionError. The local profiles of consecutive trials are scored
+    in batches. The verdict is cor1 with the union-bound inflation
+    k = params.k_types.
     """
+
+    # type i holds the global atoms edges[i] to edges[i + 1] - 1
+    spans = [model.type_range(i) for i in range(model.k_types)]
+    edges = [span.start for span in spans] + [spans[-1].stop]
 
     def drawn():
         for world, sample, g in trials:
-            mfs, local = [], []
-            for i, component in enumerate(model.components):
-                span, size = model.type_range(i), component.universe_size
-                counts = sample.counts[_in_range(sample.atoms, span.start, span.stop)]
-                mfs.append(int(np.count_nonzero(counts == 1)) / sample.n)
-                sides = _local_side(world.p, span.start, size), _local_side(g, span.start, size)
-                local.append(_pair_profile(size, *sides))
-            yield mfs, local
+            cuts = np.searchsorted(sample.atoms, edges).tolist()
+            mfs = [int(np.count_nonzero(sample.counts[a:b] == 1)) / sample.n for a, b in zip(cuts, cuts[1:])]
+            yield mfs, _type_profiles(world.p, g, edges)
 
     spec, k = AdaptiveBinning(params.b), model.k_types
 

@@ -98,6 +98,11 @@ def train(
         return dist_from_arrays(universe, sample.atoms, sample.counts / n)
     if isinstance(alg, Laplace):
         denom = n + alg.alpha * universe.size
+        if not math.isfinite(denom):
+            raise ConfigError(
+                f"laplace smoothing alpha {alg.alpha} on |Y| = {universe.size} atoms: "
+                "n + alpha * |Y| overflows"
+            )
         return dist_from_arrays(
             universe, sample.atoms, (sample.counts + alg.alpha) / denom, alg.alpha / denom
         )

@@ -184,12 +184,17 @@ def tv_distance_forms(d1: FactoidDist, d2: FactoidDist) -> tuple[float, float, f
 
 def profile_kl(w1: np.ndarray, w2: np.ndarray, counts: np.ndarray) -> float:
     """KL(first || second) in nats over one paired profile; +inf when the
-    second misses support of the first."""
+    second misses support of the first. A term whose ratio w1 / w2
+    overflows takes its log as log(w1) - log(w2)."""
     pos = w1 > 0.0
     if np.any(pos & (w2 <= 0.0)):
         return math.inf
     w1p, w2p, cp = w1[pos], w2[pos], counts[pos]
-    return float(np.sum(cp * w1p * np.log(w1p / w2p)))
+    with np.errstate(over="ignore"):
+        logs = np.log(w1p / w2p)
+    over = np.isinf(logs)
+    logs[over] = np.log(w1p[over]) - np.log(w2p[over])
+    return float(np.sum(cp * w1p * logs))
 
 
 def kl_divergence(d_true: FactoidDist, d_model: FactoidDist) -> float:

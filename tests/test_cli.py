@@ -425,6 +425,18 @@ class TestSingleTrialRun:
 
 
 class TestFailsClosed:
+    def test_laplace_total_that_overflows_names_alpha_and_universe(self, tmp_path):
+        # n + alpha * |Y| overflows, which used to read as a zero-sum g
+        text = SMALL_CFG.replace("world.universe_size = 2000", "world.universe_size = 100000").replace(
+            "algorithm.kind = monofact_memorizer", "algorithm.kind = laplace\nalgorithm.alpha = 1e308"
+        )
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        code, _, err = run_cli("run", str(cfg), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert err.startswith("config error:")
+        assert "alpha 1e+308" in err and "|Y| = 100000" in err and "overflows" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", ["bound.s", "bound.delta", "world.exponent", "algorithm.alpha"])
     def test_non_finite_float_exits_two_without_run_dir(self, tmp_path, key, value):
@@ -1039,8 +1051,9 @@ class TestRunDoesEachTrialOnce:
         assert profiles.calls == trials
 
     def test_multi_type_builds_one_local_profile_per_type(self, monkeypatch):
-        """Each type's profile pairs the projections of p and g onto it;
-        no profile of the whole world is built."""
+        """Each trial's type profiles are cut out of p and g in one call,
+        one profile per type (TestMultiTypeProfiles counts them); no
+        profile of the whole world or of a projected pair is built."""
         trials, components = 3, (
             PermutedPowerLawWorld(301, 20, 0.0),
             PermutedPowerLawWorld(401, 30, 1.0),
@@ -1056,11 +1069,12 @@ class TestRunDoesEachTrialOnce:
         )
         worlds = _count_calls(monkeypatch, "sample_world")
         profiles = _count_calls(monkeypatch, "keyed_profile")
-        pairs = _count_calls(monkeypatch, "_pair_profile")
+        pairs = _count_calls(monkeypatch, "_pair_profile", owner=factoidlab.dist)
+        cuts = _count_calls(monkeypatch, "_type_profiles")
         run_multi_type_experiment(cfg)
         assert worlds.calls == trials
-        assert profiles.calls == 0
-        assert pairs.calls == trials * len(components)
+        assert profiles.calls == pairs.calls == 0
+        assert cuts.calls == trials
 
 
 #: one of each built-in algorithm
@@ -1077,7 +1091,8 @@ _ALGORITHM_OBJECTS = (
 class TestProfilesTakeOneSearch:
     """Every pair a suite lays out is a world's p, or its projection onto
     one type, against a g trained on a sample from it, so each is laid out
-    by the one search; brute-force lays out no pair."""
+    by the one search (a type's pair is cut out of the whole-world arrays
+    by dist._type_profiles); brute-force lays out no pair."""
 
     @pytest.mark.parametrize("kind", sorted(_ALGORITHMS))
     def test_run_lays_out_each_pair(self, tmp_path, monkeypatch, kind):
@@ -1109,9 +1124,12 @@ class TestProfilesTakeOneSearch:
             trials=3,
             master_seed=5,
         )
-        pairs = _count_calls(monkeypatch, "_pair_profile", factoidlab.dist)
+        cuts = _count_calls(monkeypatch, "_type_profiles", factoidlab.dist)
+        searches = _count_calls(monkeypatch, "_lookup", factoidlab.dist)
         run_multi_type_experiment(cfg)
-        assert pairs.calls == 3 * len(components)
+        # one cut a trial, which searches g's keys in range among p's once a type
+        assert cuts.calls == 3
+        assert searches.calls == 3 * len(components)
 
     def test_brute_force_lays_out_no_pair(self, monkeypatch):
         pairs = _count_calls(monkeypatch, "_pair_profile", factoidlab.dist)

@@ -1,6 +1,7 @@
 """Distribution layer: construction, set mass, metrics, sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from factoidlab.dist import (
     dist_from_arrays,
     dist_from_weights,
     _counted_samples,
+    keyed_profile,
+    kl_divergences,
     random_dist,
     sample_iid,
     uniform_dist,
@@ -226,6 +229,18 @@ class TestKlDivergence:
         truth = dist_from_weights(u, {1: 1, 2: 1})
         model = dist_from_weights(u, {1: 1})
         assert kl_divergence(truth, model) == math.inf
+
+    def test_overflowing_ratio_stays_finite(self):
+        # g covers p's support, but 0.5 / 5e-324 overflows a float
+        u = FactoidUniverse(10)
+        p = dist_from_weights(u, {1: 0.5, 2: 0.5})
+        g = dist_from_arrays(u, [1], [1.0], 5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (kl,) = kl_divergences(keyed_profile(p, g))
+            assert kl_divergence(p, g) == kl
+        assert kl == pytest.approx(0.5 * math.log(0.5) + 0.5 * (math.log(0.5) - math.log(5e-324)), rel=1e-15)
+        assert round(kl, 2) == 371.53
 
     def test_non_negative(self):
         u = FactoidUniverse(10)

@@ -98,6 +98,7 @@ from factoidlab.dist import (
     _guided_slots,
     _SlotMasses,
     _subset_table,
+    _type_profiles,
     dist_from_arrays,
     dist_from_weights,
     join_profiles,
@@ -140,7 +141,6 @@ from factoidlab.estimators import (
 )
 from factoidlab import harness
 from factoidlab.harness import (
-    _local_side,
     multi_type_trial_metrics,
     run_gt_concentration,
     run_upper_bound_check,
@@ -1683,6 +1683,35 @@ def full_range_case(alg):
     return model, world, sample, train(alg, sample, truth=world.p), params
 
 
+def two_type_model():
+    """Type 0 holds global atoms 1-8 (local 1-8), type 1 global atoms 9-20
+    (local 1-12)."""
+    return MultiTypeWorld(
+        (PermutedPowerLawWorld(9, 3, 0.0), PermutedPowerLawWorld(13, 4, 1.0)), (0.4, 0.6)
+    )
+
+
+def mixture_case():
+    """A g holding the global empty fact, which each type's projection
+    moves onto its local one, and no background, so zero weights drop."""
+    model, rng = two_type_model(), SeededRng(5)
+    world = sample_world(model, rng)
+    sample = TrainingSample(world.universe, sample_iid(world.p, 10, rng))
+    params = BoundParams(delta=0.1, b=3, epsilon=0.1, s=1.0, r=1.0, n=10, k_types=2)
+    return model, world, sample, train(YayMixture(Empirical(), 0.3), sample), params
+
+
+def empty_type_case():
+    """A type no draw landed in: g holds none of type 1's atoms, so its
+    projection there is all local empty fact."""
+    model = two_type_model()
+    world = sample_world(model, SeededRng(7))
+    low = world.p.keys[world.p.keys < 9]
+    sample = TrainingSample(world.universe, [low[0], low[0], low[-1]])
+    params = BoundParams(delta=0.1, b=3, epsilon=0.1, s=1.0, r=1.0, n=3, k_types=2)
+    return model, world, sample, train(Empirical(), sample), params
+
+
 def one_trial_metrics(model, world, sample, g, params):
     """multi_type_trial_metrics of one trial, scored as a batch of one."""
     (row,) = multi_type_trial_metrics(model, [(world, sample, g)], params)
@@ -1699,20 +1728,38 @@ class TestMultiTypeProfiles:
     @example(bottom_dropped_case())
     @example(full_range_case(Laplace(0.5)))
     @example(full_range_case(MonofactMemorizer()))
+    @example(mixture_case())
+    @example(empty_type_case())
     @PROPERTY
     def test_local_sides_are_the_literal_projection(self, case):
-        """Each type's projection of p and of g holds the keys, values and
-        background of the literal induced distribution, byte for byte, so a
-        zero key kept on one route and dropped on the other shows."""
+        """Each type's profile, cut out of the whole-world arrays, is the
+        profile of the literal induced distributions of p and g, byte for
+        byte, so a zero weight kept on one route and dropped on the other
+        shows."""
         model, world, _, g, _ = case
-        for i, component in enumerate(model.components):
-            for d in (world.p, g):
-                keys, values, background = _local_side(d, model.type_offset(i), component.universe_size)
-                want = ref_induced_local_dist(model, i, d)
-                assert (keys.dtype, values.dtype) == (want.keys.dtype, want.values.dtype)
-                assert keys.tobytes() == want.keys.tobytes()
-                assert values.tobytes() == want.values.tobytes()
-                assert background == want.background
+        k = model.k_types
+        edges = [model.type_range(i).start for i in range(k)] + [model.type_range(k - 1).stop]
+        profiles = _type_profiles(world.p, g, edges)
+        assert len(profiles) == k
+        for i, got in enumerate(profiles):
+            want = keyed_profile(ref_induced_local_dist(model, i, world.p), ref_induced_local_dist(model, i, g))
+            for name in ("w1", "w2", "counts", "bounds", "halluc_rate"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (i, name)
+
+    @pytest.mark.parametrize("p_zero_at_12", [False, True], ids=["p_lacks", "p_drops_its_zero"])
+    def test_g_key_p_lacks_in_range_is_refused(self, p_zero_at_12):
+        """A g holding a type-1 atom that p's projection lacks (global 12,
+        local 4) is refused, as keyed_profile refuses it, also where p
+        holds the atom at weight 0 and its projection drops it."""
+        model = two_type_model()
+        keys, values = ([2, 11, 12], [0.4, 0.6, 0.0]) if p_zero_at_12 else ([2, 11], [0.4, 0.6])
+        p = FactoidDist(model.universe, keys, values)
+        g = dist_from_weights(model.universe, {2: 0.3, 11: 0.3, 12: 0.4})
+        sample = TrainingSample(model.universe, [2, 11])
+        params = BoundParams(delta=0.1, b=3, epsilon=0.1, s=1.0, r=1.0, n=2, k_types=2)
+        with pytest.raises(DistributionError, match=r"^atom 4 is a key of the second distribution but not of the first"):
+            one_trial_metrics(model, WorldInstance(p), sample, g, params)
 
     def test_dropped_local_bottom(self):
         model, world, sample, g, params = case = bottom_dropped_case()
@@ -2271,8 +2318,6 @@ def same_float(got, want):
 
 
 class TestBatchScorer:
-    # a subnormal g-weight overflows p/g in KL, the same on both routes
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @given(split_batches())
     @example(quantile_tie_batch())
     # a -0.0/0.0 tie and subnormal g-values: the ranks the value sort gives
