@@ -33,7 +33,15 @@ as they do for every g trained on a sample from p, so one search of g's
 keys in p's finds every class. Any other pair is refused. The profile of
 each type's local pair in a multi-type world (_type_profiles) is that
 layout of p's and g's projections onto the type, cut straight out of
-their whole-world arrays.
+their whole-world arrays. Each side is scaled onto each type (its local
+empty fact, its total, its values divided, zeros dropped) by
+_type_scales, read through a memo a run keeps (_TypeScales) that
+returns a side's last scales while consecutive calls pass the same
+values array, background, cuts and type sizes. Every draw of a
+multi-type model whose rank templates each hold one value holds its
+shared table's weights (_shared_table), the templates end to end, as
+its values, so a run of them scales p once, and an oracle's g, which is
+p, once more; any other input is scaled afresh.
 
 Because a distribution is immutable, it caches the inverse-CDF table
 the samplers draw through (_InverseCdf): the cumulative weights of the
@@ -381,7 +389,9 @@ def _shared_table(universe: FactoidUniverse, templates: tuple[np.ndarray, ...]) 
     Such a draw's values are the templates end to end whichever atoms it
     draws, so its table is the one _inverse_cdf builds on those weights,
     here on keys 1, 2, ... in place of the draw's atoms; only the atom
-    column differs from draw to draw (_share_inverse_cdf)."""
+    column differs from draw to draw (_share_inverse_cdf). The table's
+    weights are those values, read-only, and a multi-type draw holds
+    that one array as its values."""
     if not all(t[0] > 0.0 and (t == t[0]).all() for t in templates):
         return None
     weights = np.concatenate(templates)
@@ -493,11 +503,11 @@ class ProfileBatch:
     halluc_rate: np.ndarray
 
 
-def _unheld(y) -> DistributionError:
-    """The refusal of a pair whose second side holds atom y, which the
-    first lacks."""
+def _unheld(atom: str) -> DistributionError:
+    """The refusal of a pair whose second side holds `atom` (its name in
+    the message), which the first lacks."""
     return DistributionError(
-        f"atom {y} is a key of the second distribution but not of the first; "
+        f"{atom} is a key of the second distribution but not of the first; "
         "a profile lays out only a second side whose keys lie among the first's"
     )
 
@@ -519,7 +529,7 @@ def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
     pos, hit = _lookup(keys1, keys2)
     lead = int(keys2.size > 0 and not hit[0] and keys2[0] == BOTTOM)
     if not hit[lead:].all():
-        raise _unheld(keys2[lead + int(np.argmin(hit[lead:]))])
+        raise _unheld(f"atom {keys2[lead + int(np.argmin(hit[lead:]))]}")
     bottom_first = bool(lead) or (keys1.size > 0 and keys1[0] == BOTTOM)
     n = lead + keys1.size + 1
     w1 = np.empty(n)
@@ -576,7 +586,54 @@ def _local_scale(values: np.ndarray, background: float, size: int) -> tuple[floa
     return empty / total, total, background / total if rest else 0.0
 
 
-def _type_profiles(p: FactoidDist, g: FactoidDist, edges: Sequence[int]) -> list[ProfileBatch]:
+def _type_scales(d: FactoidDist, cuts: list[int], sizes: list[int]) -> list[tuple]:
+    """d's projection onto each type, normalized, as (empty, background,
+    values, kept): type i holds d's keys cuts[i] to cuts[i + 1] - 1 and
+    sizes[i] local atoms, its empty fact included. empty and background
+    are the local empty fact's weight and the background's; values are
+    d's in range divided by the total (_local_scale), read-only, a zero
+    weight dropped as _normalized drops it, and kept is the mask of d's
+    keys in range that keep theirs, or None for all."""
+    scales = []
+    for i, size in enumerate(sizes):
+        part = d.values[cuts[i] : cuts[i + 1]]
+        empty, total, background = _local_scale(part, d.background, size)
+        values, kept = part / total, None
+        if not background and not values.all():
+            kept = values > 0.0
+            values = values[kept]
+        values.flags.writeable = False
+        scales.append((empty, background, values, kept))
+    return scales
+
+
+class _TypeScales:
+    """The per-type scales (_type_scales) of _type_profiles' two sides,
+    kept per side while consecutive calls pass the same values array,
+    background, cuts and type sizes, and worked out again on any other
+    input. The draws of a model whose rank templates each hold one value
+    share one values array and one set of cuts, so a run of them, and an
+    oracle's g, which is p, scale each side once. The key is the values
+    array, not the distribution, as in _SlotMasses; the background is
+    keyed by its bits, since -0.0 == 0.0 yet scales to a background of
+    other bits."""
+
+    def __init__(self):
+        self._last: list[tuple | None] = [None, None]
+
+    def __call__(self, side: int, d: FactoidDist, cuts: list[int], sizes: list[int]) -> list[tuple]:
+        key = (d.background.hex(), cuts, sizes)
+        last = self._last[side]
+        if last is not None and last[0] is d.values and last[1] == key:
+            return last[2]
+        scales = _type_scales(d, cuts, sizes)
+        self._last[side] = (d.values, key, scales)
+        return scales
+
+
+def _type_profiles(
+    p: FactoidDist, g: FactoidDist, edges: Sequence[int], scales: _TypeScales
+) -> list[ProfileBatch]:
     """The paired profile of p's and g's projections onto each type, as a
     batch of one per type. Type i holds the global atoms edges[i] to
     edges[i + 1] - 1 as its local atoms 1, 2, ...; a projection keeps the
@@ -585,35 +642,33 @@ def _type_profiles(p: FactoidDist, g: FactoidDist, edges: Sequence[int]) -> list
     as dist_from_arrays normalizes.
 
     Each profile is the one _pair_profile lays out on the two projections,
-    to the bit, and a pair it refuses is refused here, naming the same
-    local atom; but no projection is built: one search of each side's keys
-    finds the edges, one of g's keys in range among p's lays out the pair,
-    and each side's values are divided straight into place. Zero weights
-    are dropped where _normalized drops them, a local empty fact included."""
+    to the bit, and a pair it refuses is refused here, naming the type and
+    the atom, global and local; but no projection is built: one search of
+    each side's keys finds the edges, each side is scaled through the
+    memo `scales` (a run passes one to every trial), and one search of g's
+    keys in range among p's lays out the pair."""
+    sizes = [stop - start + 1 for start, stop in zip(edges, edges[1:])]
     cuts1 = np.searchsorted(p.keys, edges).tolist()
     cuts2 = np.searchsorted(g.keys, edges).tolist()
+    sides1, sides2 = scales(0, p, cuts1, sizes), scales(1, g, cuts2, sizes)
     profiles = []
-    for i, start in enumerate(edges[:-1]):
-        size = edges[i + 1] - start + 1
-        part1, part2 = slice(cuts1[i], cuts1[i + 1]), slice(cuts2[i], cuts2[i + 1])
-        empty1, total1, background1 = _local_scale(p.values[part1], p.background, size)
-        empty2, total2, background2 = _local_scale(g.values[part2], g.background, size)
+    for i, (start, size) in enumerate(zip(edges, sizes)):
+        empty1, background1, values1, kept1 = sides1[i]
+        empty2, background2, values2, kept2 = sides2[i]
+        keys1, keys2 = p.keys[cuts1[i] : cuts1[i + 1]], g.keys[cuts2[i] : cuts2[i + 1]]
+        if kept1 is not None:
+            keys1 = keys1[kept1]
+        if kept2 is not None:
+            keys2 = keys2[kept2]
+        pos, hit = _lookup(keys1, keys2)
+        if not hit.all():
+            y = int(keys2[int(np.argmin(hit))])
+            raise _unheld(f"type {i}: atom {y} (local atom {y - (start - 1)})")
         # a side keeps its local empty fact unless _normalized drops it
         bottom1, bottom2 = bool(background1 or empty1), bool(background2 or empty2)
         lead = int(bottom1 or bottom2)
-        w1 = np.empty(lead + part1.stop - part1.start + 1)
-        values1, keys1 = w1[lead:-1], p.keys[part1]
-        np.divide(p.values[part1], total1, out=values1)
-        if not background1 and not values1.all():
-            kept = values1 > 0.0
-            keys1, w1 = keys1[kept], np.concatenate((w1[:lead], values1[kept], w1[-1:]))
-        values2, keys2 = g.values[part2] / total2, g.keys[part2]
-        if not background2 and not values2.all():
-            kept = values2 > 0.0
-            keys2, values2 = keys2[kept], values2[kept]
-        pos, hit = _lookup(keys1, keys2)
-        if not hit.all():
-            raise _unheld(keys2[int(np.argmin(hit))] - (start - 1))
+        w1 = np.empty(lead + values1.size + 1)
+        w1[lead:-1] = values1
         w1[:lead] = empty1 if bottom1 else background1
         w1[-1] = background1
         slots = pos + lead

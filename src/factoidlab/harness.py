@@ -46,6 +46,7 @@ from .dist import (
     _counted_samples,
     _SlotMasses,
     _type_profiles,
+    _TypeScales,
     join_profiles,
     keyed_profile,
     kl_divergences,
@@ -580,9 +581,12 @@ def multi_type_trial_metrics(
     each type's profile of that pair straight out of p's and g's
     whole-world arrays, the same bits as laying out the two projected
     distributions, and refuses a g holding an in-range atom p lacks with
-    DistributionError. The local profiles of consecutive trials are scored
-    in batches. The verdict is cor1 with the union-bound inflation
-    k = params.k_types.
+    DistributionError, naming the type and the atom. One dist._TypeScales
+    memo serves the whole run, so when every draw holds the same weights
+    array (each rank template holds one value) p's side is scaled once a
+    run rather than once a trial. The local profiles of consecutive trials
+    are scored in batches. The verdict is cor1 with the union-bound
+    inflation k = params.k_types.
     """
 
     # type i holds the global atoms edges[i] to edges[i + 1] - 1
@@ -590,10 +594,11 @@ def multi_type_trial_metrics(
     edges = [span.start for span in spans] + [spans[-1].stop]
 
     def drawn():
+        scales = _TypeScales()
         for world, sample, g in trials:
             cuts = np.searchsorted(sample.atoms, edges).tolist()
             mfs = [int(np.count_nonzero(sample.counts[a:b] == 1)) / sample.n for a, b in zip(cuts, cuts[1:])]
-            yield mfs, _type_profiles(world.p, g, edges)
+            yield mfs, _type_profiles(world.p, g, edges, scales)
 
     spec, k = AdaptiveBinning(params.b), model.k_types
 

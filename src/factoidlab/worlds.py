@@ -347,8 +347,10 @@ def _template_world(
     """The world of a template draw, carrying the model's shared table
     when it has one. Its p is built unchecked (dist._valid_dist): the keys
     are distinct choice draws shifted into [1, |Y|), sorted, and fresh;
-    the values are the model's read-only template, checked when it was
-    built, or a fresh gather of it (or of the templates end to end)."""
+    the values are the model's read-only template (a multi-type model's
+    templates end to end, the weights of its shared table), checked when
+    it was built, or a fresh gather of it (or of the templates end to
+    end)."""
     p = _valid_dist(universe, keys, values)
     return WorldInstance(p if table is None else _share_inverse_cdf(p, table))
 
@@ -386,7 +388,10 @@ def sample_world(model: WorldModel, rng: SeededRng) -> WorldInstance:
             type_keys, type_values = _template_draw(component, template, table is not None, gen)
             keys.append(type_keys + (model.type_offset(i) - 1))
             values.append(type_values)
-        return _template_world(model.universe, np.concatenate(keys), np.concatenate(values), table)
+        # every draw that shares the table holds its one weights array, so
+        # a reader can tell by identity that two draws share their weights
+        values = np.concatenate(values) if table is None else table.weights
+        return _template_world(model.universe, np.concatenate(keys), values, table)
     raise UnsupportedModelError(f"unknown world model {model!r}")
 
 

@@ -1131,6 +1131,40 @@ class TestProfilesTakeOneSearch:
         assert cuts.calls == 3
         assert searches.calls == 3 * len(components)
 
+    @pytest.mark.parametrize(
+        "exponent, scaled_per_trial", [(0.0, False), (1.0, True)], ids=["one_value", "zipf"]
+    )
+    def test_multi_type_scales_p_once_a_run_when_draws_share_weights(
+        self, monkeypatch, exponent, scaled_per_trial
+    ):
+        """A one-value model's draws share one values array, so p's
+        projection onto each type is scaled once a run; a Zipf model's
+        draws each hold their own and are scaled once a trial."""
+        components = (PermutedPowerLawWorld(301, 20, exponent), PermutedPowerLawWorld(401, 30, exponent))
+        k, trials = len(components), 4
+        cfg = ExperimentConfig(
+            world=MultiTypeWorld(components=components, weights=(0.6, 0.4)),
+            n=50,
+            algorithm=Uniform(),
+            bound=BoundSettings(k_types=k),
+            trials=trials,
+            master_seed=5,
+        )
+        original = factoidlab.dist._local_scale
+        scaled = []
+
+        def counted(values, background, size):
+            scaled.append(values.size)
+            return original(values, background, size)
+
+        monkeypatch.setattr(factoidlab.dist, "_local_scale", counted)
+        run_multi_type_experiment(cfg)
+        # the uniform g holds no keys, so a scale of a non-empty range is p's
+        p_scales = sum(size > 0 for size in scaled)
+        assert p_scales == (k * trials if scaled_per_trial else k)
+        # g is trained afresh each trial, so its side is scaled once a trial
+        assert len(scaled) - p_scales == k * trials
+
     def test_brute_force_lays_out_no_pair(self, monkeypatch):
         pairs = _count_calls(monkeypatch, "_pair_profile", factoidlab.dist)
         code, out, _ = run_cli("brute-force", "--max-universe", "3")

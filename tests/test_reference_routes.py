@@ -99,6 +99,7 @@ from factoidlab.dist import (
     _SlotMasses,
     _subset_table,
     _type_profiles,
+    _TypeScales,
     dist_from_arrays,
     dist_from_weights,
     join_profiles,
@@ -1712,6 +1713,40 @@ def empty_type_case():
     return model, world, sample, train(Empirical(), sample), params
 
 
+def type_edges(model):
+    """Each type's first global atom, then the last type's end."""
+    k = model.k_types
+    return [model.type_range(i).start for i in range(k)] + [model.type_range(k - 1).stop]
+
+
+#: multi-type models whose types' templates each hold one value (every draw
+#: shares one values array), are Zipf, or mix both
+MEMO_MODELS = (
+    multi_type_worlds(exponents=st.just(0.0))
+    | multi_type_worlds(exponents=st.sampled_from([1.0, 2.0]) | st.floats(0.1, 3.0))
+    | multi_type_worlds()
+).filter(lambda m: m.universe_size >= 3)
+
+
+@st.composite
+def multi_type_runs(draw):
+    """A multi-type model, one algorithm, n small enough that the
+    memorizer keeps an unobserved atom, a few trials and a seed."""
+    model = draw(MEMO_MODELS)
+    n = draw(st.integers(1, min(40, model.universe_size - 2)), label="n")
+    trials = draw(st.integers(1, 5), label="trials")
+    return model, draw(st.sampled_from(ALGORITHMS)), n, trials, draw(st.integers(0, 2**32 - 1))
+
+
+def assert_same_profiles(got, want):
+    """Two lists of profiles, byte for byte."""
+    assert len(got) == len(want)
+    for i, (a_batch, b_batch) in enumerate(zip(got, want)):
+        for name in ("w1", "w2", "counts", "bounds", "halluc_rate"):
+            a, b = getattr(a_batch, name), getattr(b_batch, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (i, name)
+
+
 def one_trial_metrics(model, world, sample, g, params):
     """multi_type_trial_metrics of one trial, scored as a batch of one."""
     (row,) = multi_type_trial_metrics(model, [(world, sample, g)], params)
@@ -1737,15 +1772,78 @@ class TestMultiTypeProfiles:
         byte, so a zero weight kept on one route and dropped on the other
         shows."""
         model, world, _, g, _ = case
-        k = model.k_types
-        edges = [model.type_range(i).start for i in range(k)] + [model.type_range(k - 1).stop]
-        profiles = _type_profiles(world.p, g, edges)
-        assert len(profiles) == k
-        for i, got in enumerate(profiles):
-            want = keyed_profile(ref_induced_local_dist(model, i, world.p), ref_induced_local_dist(model, i, g))
-            for name in ("w1", "w2", "counts", "bounds", "halluc_rate"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (i, name)
+        want = [
+            keyed_profile(ref_induced_local_dist(model, i, world.p), ref_induced_local_dist(model, i, g))
+            for i in range(model.k_types)
+        ]
+        assert_same_profiles(_type_profiles(world.p, g, type_edges(model), _TypeScales()), want)
+
+    @given(multi_type_runs())
+    @example((MultiTypeWorld((PermutedPowerLawWorld(30, 5, 0.0),), (1.0,)), Oracle(), 10, 4, 1))
+    @example((two_type_model(), YayMixture(Empirical(), 0.3), 12, 3, 2))
+    @example(
+        (
+            MultiTypeWorld(tuple(PermutedPowerLawWorld(20, 4, 0.0) for _ in range(3)), (0.2, 0.3, 0.5)),
+            Oracle(),
+            15,
+            5,
+            3,
+        )
+    )
+    @PROPERTY
+    def test_memo_kept_across_a_run_matches_a_fresh_one(self, run):
+        """One _TypeScales memo kept across a run's consecutive trials
+        gives each trial's profiles byte for byte as a fresh memo does.
+        p is scaled once a run when the model's templates each hold one
+        value (an oracle's g, which is p, once more for g's side), and once
+        a trial (twice for an oracle) for a Zipf or mixed model."""
+        model, alg, n, trials, seed = run
+        edges = type_edges(model)
+        drawn = list(harness._trained(model, n, alg, seed, range(trials)))
+        memo = _TypeScales()
+        with mock.patch.object(dist_module, "_type_scales", wraps=dist_module._type_scales) as spy:
+            kept = [_type_profiles(world.p, g, edges, memo) for world, _, g in drawn]
+        for (world, _, g), got in zip(drawn, kept):
+            assert_same_profiles(got, _type_profiles(world.p, g, edges, _TypeScales()))
+        p_values = {id(world.p.values) for world, _, _ in drawn}
+        scaled_p = sum(id(call.args[0].values) in p_values for call in spy.call_args_list)
+        sides = 2 if isinstance(alg, Oracle) else 1
+        if model.draw_table is None:
+            assert len(p_values) == trials
+            assert scaled_p == sides * trials
+        else:
+            assert len(p_values) == 1
+            assert scaled_p == sides
+
+    def test_memo_rescales_one_values_array_on_new_cuts_or_background(self):
+        """Distributions sharing one values array, but cut at other edges or
+        with another background (-0.0 after 0.0 included, which differ only
+        in their bits), are each scaled afresh and profiled as a fresh memo
+        profiles them."""
+        model = two_type_model()
+        universe, edges = model.universe, type_edges(model)
+        values = np.array([0.2, 0.3, 0.5])
+        values.flags.writeable = False
+
+        def shared(keys, background):
+            return dist_module._valid_dist(universe, np.array(keys), values, background)
+
+        ps = [
+            shared([2, 5, 11], 0.0),
+            shared([2, 11, 12], 0.0),  # other cuts
+            shared([2, 11, 12], 0.01),  # another background
+            shared([2, 11, 12], -0.0),
+            shared([2, 11, 12], 0.0),
+            shared([2, 5, 11], 0.0),
+        ]
+        g = train(Empirical(), TrainingSample(universe, [2, 11, 11]))
+        memo = _TypeScales()
+        with mock.patch.object(dist_module, "_type_scales", wraps=dist_module._type_scales) as spy:
+            kept = [_type_profiles(p, g, edges, memo) for p in ps]
+        for p, got in zip(ps, kept):
+            assert_same_profiles(got, _type_profiles(p, g, edges, _TypeScales()))
+        # p's side is scaled on every call, g's on the first only
+        assert [call.args[0] for call in spy.call_args_list] == [ps[0], g, *ps[1:]]
 
     @pytest.mark.parametrize("p_zero_at_12", [False, True], ids=["p_lacks", "p_drops_its_zero"])
     def test_g_key_p_lacks_in_range_is_refused(self, p_zero_at_12):
@@ -1758,7 +1856,10 @@ class TestMultiTypeProfiles:
         g = dist_from_weights(model.universe, {2: 0.3, 11: 0.3, 12: 0.4})
         sample = TrainingSample(model.universe, [2, 11])
         params = BoundParams(delta=0.1, b=3, epsilon=0.1, s=1.0, r=1.0, n=2, k_types=2)
-        with pytest.raises(DistributionError, match=r"^atom 4 is a key of the second distribution but not of the first"):
+        with pytest.raises(
+            DistributionError,
+            match=r"^type 1: atom 12 \(local atom 4\) is a key of the second distribution but not of the first",
+        ):
             one_trial_metrics(model, WorldInstance(p), sample, g, params)
 
     def test_dropped_local_bottom(self):

@@ -373,6 +373,23 @@ class TestMultiTypeWorld:
         assert mass0 == pytest.approx(0.3, abs=1e-9)
         assert mass1 == pytest.approx(0.7, abs=1e-9)
 
+    @pytest.mark.parametrize("weights", [(1.0,), (0.3, 0.7), (0.2, 0.3, 0.5)], ids=["k1", "k2", "k3"])
+    def test_one_value_draws_hold_one_values_array(self, weights):
+        """Every draw of a model whose templates each hold one value holds
+        one read-only values array, the templates end to end bit for bit;
+        draws of a model with a Zipf type each hold their own."""
+        components = tuple(PermutedPowerLawWorld(11 + 10 * i, 3 + i, 0.0) for i in range(len(weights)))
+        model = MultiTypeWorld(components=components, weights=weights)
+        values = [sample_world(model, rng).p.values for rng in SeededRng(3).children(range(4))]
+        assert all(v is values[0] for v in values)
+        assert not values[0].flags.writeable
+        joined = np.concatenate(model.rank_template)
+        assert (values[0].dtype, values[0].tobytes()) == (joined.dtype, joined.tobytes())
+        zipf_types = (*components[1:], PermutedPowerLawWorld(21, 4, 1.0))
+        zipf = MultiTypeWorld(components=zipf_types, weights=weights)
+        values = [sample_world(zipf, rng).p.values for rng in SeededRng(3).children(range(4))]
+        assert len({id(v) for v in values}) == len(values)
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(DistributionError):
             MultiTypeWorld(
