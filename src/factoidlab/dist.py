@@ -27,16 +27,19 @@ draw builds its p the same way (worlds._template_world) from distinct
 sorted atoms and the model's checked template. Nothing else calls
 _valid_dist.
 
-A (p, g) pair is laid out as one paired atom-class profile, with one
-layout: g's keys must lie among p's, bar a leading empty fact p lacks,
-as they do for every g trained on a sample from p, so one search of g's
-keys in p's finds every class. Any other pair is refused. The profile of
-each type's local pair in a multi-type world (_type_profiles) is that
-layout of p's and g's projections onto the type, cut straight out of
-their whole-world arrays. Each side is scaled onto each type (its local
-empty fact, its total, its values divided, zeros dropped) by
-_type_scales, read through a memo a run keeps (_TypeScales) that
-returns a side's last scales while consecutive calls pass the same
+A (p, g) pair is laid out as one paired atom-class profile by one
+function, _pair_profile, which takes each side as its keys other than
+the empty fact, that fact's weight (None where the side lacks it), its
+values and its background. g's keys must lie among p's, bar the empty
+fact, as they do for every g trained on a sample from p, so one search
+of g's keys in p's finds every class. Any other pair is refused.
+keyed_profile splits the empty fact off two whole distributions, and
+_type_profiles lays out each type's local pair in a multi-type world
+from p's and g's projections onto the type, cut straight out of their
+whole-world arrays, with no projection built. Each side is scaled onto
+each type (its local empty fact, its total, its values divided, zeros
+dropped) by _type_scales, read through a memo a run keeps (_TypeScales)
+that returns a side's last scales while consecutive calls pass the same
 values array, background, cuts and type sizes. Every draw of a
 multi-type model whose rank templates each hold one value holds its
 shared table's weights (_shared_table), the templates end to end, as
@@ -89,7 +92,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -503,54 +506,50 @@ class ProfileBatch:
     halluc_rate: np.ndarray
 
 
-def _unheld(atom: str) -> DistributionError:
-    """The refusal of a pair whose second side holds `atom` (its name in
-    the message), which the first lacks."""
-    return DistributionError(
-        f"{atom} is a key of the second distribution but not of the first; "
-        "a profile lays out only a second side whose keys lie among the first's"
-    )
-
-
-def _pair_profile(size: int, side1: tuple, side2: tuple) -> ProfileBatch:
+def _pair_profile(
+    size: int, keys1: np.ndarray, side1: tuple, keys2: np.ndarray, side2: tuple, name: Callable[[int], str]
+) -> ProfileBatch:
     """The paired profile, as a batch of one, of two distributions on a
-    universe of `size` atoms, each given as (keys, values, background),
-    whose second side's keys lie among the first's, bar a leading empty
-    fact the first lacks: every pair of a world's p, or its projection
-    onto one type, with a g trained on a sample from it. Any other pair
-    is refused with DistributionError.
+    universe of `size` atoms. Each side is given as its keys other than
+    the empty fact and (empty, values, background), empty the empty
+    fact's weight or None where the side lacks it. The second side's keys
+    must lie among the first's, as for a world's p, or its projection onto
+    one type, and a g trained on a sample from it; any other pair is
+    refused with DistributionError, naming its first such atom y as
+    name(y).
 
     One search of the second side's keys in the first's lays the pair
-    out. The classes are that empty fact, then the first side's keys,
-    then the rest class, keyed by `size` and weighted by the backgrounds,
-    unless the keys cover the universe: the first side's values are
-    copied in place, and the second's scattered at the slots found."""
-    keys1, keys2 = side1[0], side2[0]
+    out. The classes are the empty fact, when either side holds it, the
+    first side's keys, then the rest class, keyed by `size` and weighted
+    by the backgrounds, unless the keys cover the universe."""
+    empty1, values1, background1 = side1
+    empty2, values2, background2 = side2
     pos, hit = _lookup(keys1, keys2)
-    lead = int(keys2.size > 0 and not hit[0] and keys2[0] == BOTTOM)
-    if not hit[lead:].all():
-        raise _unheld(f"atom {keys2[lead + int(np.argmin(hit[lead:]))]}")
-    bottom_first = bool(lead) or (keys1.size > 0 and keys1[0] == BOTTOM)
-    n = lead + keys1.size + 1
-    w1 = np.empty(n)
-    w1[lead:-1] = side1[1]
-    w1[:lead] = w1[-1] = side1[2]
+    if not hit.all():
+        raise DistributionError(
+            f"{name(int(keys2[int(np.argmin(hit))]))} is a key of the second distribution but not "
+            "of the first; a profile lays out only a second side whose keys lie among the first's"
+        )
+    lead = int(empty1 is not None or empty2 is not None)
+    w1 = np.empty(lead + values1.size + 1)
+    w1[lead:-1] = values1
+    w1[:lead] = background1 if empty1 is None else empty1
+    w1[-1] = background1
     slots = pos + lead
-    slots[:lead] = 0
-    w2 = np.full(n, side2[2])
-    w2[slots] = side2[1]
-    in2 = np.zeros(n, dtype=bool)
-    in2[slots] = True
-    # the mass on the facts: the fsum of the second side's explicit weights
-    # there, plus its background times the facts it does not hold (the
-    # empty fact among them when neither side holds it)
-    facts = np.zeros(n, dtype=bool)
-    facts[lead:-1] = side1[1] > 0.0
-    facts[0] |= bottom_first
-    plain = int(np.count_nonzero(facts & ~in2)) + int(not bottom_first)
-    rate = max(0.0, 1.0 - (math.fsum(memoryview(w2[facts & in2])) + side2[2] * plain))
-    counts = np.ones(n)
-    counts[-1] = rest = size - (n - 1)
+    w2 = np.full(w1.size, background2)
+    w2[slots] = values2
+    if empty2 is not None:
+        w2[0] = empty2
+    # the second side's mass on the facts, the empty fact and the first
+    # side's positive atoms: its weights there and its background on the rest
+    facts = int(np.count_nonzero(values1))
+    if facts < values1.size:
+        values2 = values2[(values1 > 0.0)[pos]]
+    held2 = () if empty2 is None else (empty2,)
+    plain = 1 + facts - len(held2) - values2.size
+    rate = max(0.0, 1.0 - (math.fsum(chain(held2, memoryview(values2))) + background2 * plain))
+    counts = np.ones(w1.size)
+    counts[-1] = rest = size - (w1.size - 1)
     if not rest:
         w1, w2, counts = w1[:-1], w2[:-1], counts[:-1]
     return ProfileBatch(w1, w2, counts, np.array([0, w1.size]), np.array([rate]))
@@ -567,9 +566,12 @@ def keyed_profile(d1: FactoidDist, d2: FactoidDist) -> ProfileBatch:
         raise UniverseMismatchError(
             f"universe mismatch: size {d1.universe.size} vs {d2.universe.size}"
         )
-    return _pair_profile(
-        d1.universe.size, (d1.keys, d1.values, d1.background), (d2.keys, d2.values, d2.background)
-    )
+    sides = []
+    for d in (d1, d2):
+        # the empty fact split off, the arrays as views
+        cut = int(d.keys.size > 0 and d.keys[0] == BOTTOM)
+        sides += [d.keys[cut:], (float(d.values[0]) if cut else None, d.values[cut:], d.background)]
+    return _pair_profile(d1.universe.size, *sides, "atom {}".format)
 
 
 def _local_scale(values: np.ndarray, background: float, size: int) -> tuple[float, float, float]:
@@ -587,13 +589,14 @@ def _local_scale(values: np.ndarray, background: float, size: int) -> tuple[floa
 
 
 def _type_scales(d: FactoidDist, cuts: list[int], sizes: list[int]) -> list[tuple]:
-    """d's projection onto each type, normalized, as (empty, background,
-    values, kept): type i holds d's keys cuts[i] to cuts[i + 1] - 1 and
-    sizes[i] local atoms, its empty fact included. empty and background
-    are the local empty fact's weight and the background's; values are
-    d's in range divided by the total (_local_scale), read-only, a zero
-    weight dropped as _normalized drops it, and kept is the mask of d's
-    keys in range that keep theirs, or None for all."""
+    """d's projection onto each type, normalized, as ((empty, values,
+    background), kept): type i holds d's keys cuts[i] to cuts[i + 1] - 1
+    and sizes[i] local atoms, its empty fact included. The first is the
+    side _pair_profile takes: the local empty fact's weight, or None
+    where _normalized drops it, d's values in range divided by the total
+    (_local_scale), read-only, a zero weight dropped as _normalized drops
+    it, and the background's weight. kept is the mask of d's keys in
+    range that keep theirs, or None for all."""
     scales = []
     for i, size in enumerate(sizes):
         part = d.values[cuts[i] : cuts[i + 1]]
@@ -603,7 +606,7 @@ def _type_scales(d: FactoidDist, cuts: list[int], sizes: list[int]) -> list[tupl
             kept = values > 0.0
             values = values[kept]
         values.flags.writeable = False
-        scales.append((empty, background, values, kept))
+        scales.append(((empty if background or empty else None, values, background), kept))
     return scales
 
 
@@ -641,56 +644,30 @@ def _type_profiles(
     of the mass, the shared empty fact's included, before it is normalized
     as dist_from_arrays normalizes.
 
-    Each profile is the one _pair_profile lays out on the two projections,
-    to the bit, and a pair it refuses is refused here, naming the type and
-    the atom, global and local; but no projection is built: one search of
-    each side's keys finds the edges, each side is scaled through the
-    memo `scales` (a run passes one to every trial), and one search of g's
-    keys in range among p's lays out the pair."""
+    _pair_profile, keyed_profile's layout, lays out each type's pair from
+    the two sides' keys in range and their scales, so each profile is the
+    layout of the two projections by construction, and a pair it refuses
+    is refused naming the type and the atom, global and local. No
+    projection is built: one search of each side's keys finds the edges,
+    and each side is scaled through the memo `scales` (a run passes one to
+    every trial)."""
     sizes = [stop - start + 1 for start, stop in zip(edges, edges[1:])]
     cuts1 = np.searchsorted(p.keys, edges).tolist()
     cuts2 = np.searchsorted(g.keys, edges).tolist()
     sides1, sides2 = scales(0, p, cuts1, sizes), scales(1, g, cuts2, sizes)
     profiles = []
     for i, (start, size) in enumerate(zip(edges, sizes)):
-        empty1, background1, values1, kept1 = sides1[i]
-        empty2, background2, values2, kept2 = sides2[i]
+        (side1, kept1), (side2, kept2) = sides1[i], sides2[i]
         keys1, keys2 = p.keys[cuts1[i] : cuts1[i + 1]], g.keys[cuts2[i] : cuts2[i + 1]]
         if kept1 is not None:
             keys1 = keys1[kept1]
         if kept2 is not None:
             keys2 = keys2[kept2]
-        pos, hit = _lookup(keys1, keys2)
-        if not hit.all():
-            y = int(keys2[int(np.argmin(hit))])
-            raise _unheld(f"type {i}: atom {y} (local atom {y - (start - 1)})")
-        # a side keeps its local empty fact unless _normalized drops it
-        bottom1, bottom2 = bool(background1 or empty1), bool(background2 or empty2)
-        lead = int(bottom1 or bottom2)
-        w1 = np.empty(lead + values1.size + 1)
-        w1[lead:-1] = values1
-        w1[:lead] = empty1 if bottom1 else background1
-        w1[-1] = background1
-        slots = pos + lead
-        w2 = np.full(w1.size, background2)
-        w2[slots] = values2
-        if bottom2:
-            w2[0] = empty2
-        # the facts are the empty fact and p's positive atoms in range, all
-        # of p's atoms kept unless a background keeps its zero weights
-        facts = w1.size - lead - 1
-        if background1:
-            held = w1[slots] > 0.0
-            facts, values2 = int(np.count_nonzero(w1[lead:-1])), values2[held]
-        # g's mass on the facts: its weights there and its background on the rest
-        plain = 1 + facts - bottom2 - values2.size
-        mass = math.fsum(chain((empty2,) if bottom2 else (), memoryview(values2)))
-        rate = max(0.0, 1.0 - (mass + background2 * plain))
-        counts = np.ones(w1.size)
-        counts[-1] = rest = size - (w1.size - 1)
-        if not rest:
-            w1, w2, counts = w1[:-1], w2[:-1], counts[:-1]
-        profiles.append(ProfileBatch(w1, w2, counts, np.array([0, w1.size]), np.array([rate])))
+
+        def name(y: int) -> str:
+            return f"type {i}: atom {y} (local atom {y - (start - 1)})"
+
+        profiles.append(_pair_profile(size, keys1, side1, keys2, side2, name))
     return profiles
 
 

@@ -10,9 +10,9 @@ training data, a chunk of trials at a time; the harness reads no
 sampling table. The (p, g) profiles of consecutive trials are scored
 together in batches; every metric of a trial is the same bits in any
 chunk and batch as on its own. A trial's profile is dist.keyed_profile's
-whole-world layout; a multi-type trial's per-type profiles are cut out
-of the same whole-world arrays by dist._type_profiles, with no local
-distribution built.
+whole-world layout; dist._type_profiles lays out a multi-type trial's
+per-type profiles through that same layout, cut out of the same
+whole-world arrays, with no local distribution built.
 """
 
 from __future__ import annotations
@@ -576,17 +576,17 @@ def multi_type_trial_metrics(
     Type i's monofact estimate counts the draws whose atom lies in its
     range and occurs once, over all n draws; one search of the sample's
     atoms for every type's edges finds each range. Its miscalibration and
-    hallucination rate are measured on the induced local pair, whose
-    empty fact carries all out-of-range mass. dist._type_profiles cuts
-    each type's profile of that pair straight out of p's and g's
-    whole-world arrays, the same bits as laying out the two projected
-    distributions, and refuses a g holding an in-range atom p lacks with
-    DistributionError, naming the type and the atom. One dist._TypeScales
-    memo serves the whole run, so when every draw holds the same weights
-    array (each rank template holds one value) p's side is scaled once a
-    run rather than once a trial. The local profiles of consecutive trials
-    are scored in batches. The verdict is cor1 with the union-bound
-    inflation k = params.k_types.
+    hallucination rate are measured on the induced local pair, whose empty
+    fact carries all out-of-range mass. dist._type_profiles cuts each
+    type's pair straight out of p's and g's whole-world arrays and lays it
+    out through keyed_profile's layout, the same bits as laying out the
+    two projected distributions, and refuses a g holding an in-range atom
+    p lacks with DistributionError, naming the type and the atom. One
+    dist._TypeScales memo serves the whole run, so when every draw holds
+    the same weights array (each rank template holds one value) p's side
+    is scaled once a run rather than once a trial. The local profiles of
+    consecutive trials are scored in batches. The verdict is cor1 with the
+    union-bound inflation k = params.k_types.
     """
 
     # type i holds the global atoms edges[i] to edges[i + 1] - 1

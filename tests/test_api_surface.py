@@ -427,10 +427,10 @@ def test_unchecked_builds_run_only_at_their_named_call_sites():
 
 
 def test_only_dist_builds_a_profile_batch():
-    # the whole-world layout, each type's cut and their join all live in
+    # the one layout, which each type's cut calls too, and the join live in
     # dist, so a profile laid out elsewhere is a visible edit here
     sites = _calls_by_site({"ProfileBatch"})["ProfileBatch"]
-    assert sites == {"dist.py: _pair_profile", "dist.py: _type_profiles", "dist.py: join_profiles"}
+    assert sites == {"dist.py: _pair_profile", "dist.py: join_profiles"}
 
 
 #: dist's sampling table and the helpers that read it: the table itself,

@@ -1052,7 +1052,7 @@ class TestRunDoesEachTrialOnce:
 
     def test_multi_type_builds_one_local_profile_per_type(self, monkeypatch):
         """Each trial's type profiles are cut out of p and g in one call,
-        one profile per type (TestMultiTypeProfiles counts them); no
+        which lays out each type's pair once through the one layout; no
         profile of the whole world or of a projected pair is built."""
         trials, components = 3, (
             PermutedPowerLawWorld(301, 20, 0.0),
@@ -1073,7 +1073,8 @@ class TestRunDoesEachTrialOnce:
         cuts = _count_calls(monkeypatch, "_type_profiles")
         run_multi_type_experiment(cfg)
         assert worlds.calls == trials
-        assert profiles.calls == pairs.calls == 0
+        assert profiles.calls == 0
+        assert pairs.calls == trials * len(components)
         assert cuts.calls == trials
 
 
@@ -1092,7 +1093,8 @@ class TestProfilesTakeOneSearch:
     """Every pair a suite lays out is a world's p, or its projection onto
     one type, against a g trained on a sample from it, so each is laid out
     by the one search (a type's pair is cut out of the whole-world arrays
-    by dist._type_profiles); brute-force lays out no pair."""
+    by dist._type_profiles and laid out by the same _pair_profile);
+    brute-force lays out no pair."""
 
     @pytest.mark.parametrize("kind", sorted(_ALGORITHMS))
     def test_run_lays_out_each_pair(self, tmp_path, monkeypatch, kind):
@@ -1125,11 +1127,13 @@ class TestProfilesTakeOneSearch:
             master_seed=5,
         )
         cuts = _count_calls(monkeypatch, "_type_profiles", factoidlab.dist)
+        pairs = _count_calls(monkeypatch, "_pair_profile", factoidlab.dist)
         searches = _count_calls(monkeypatch, "_lookup", factoidlab.dist)
         run_multi_type_experiment(cfg)
-        # one cut a trial, which searches g's keys in range among p's once a type
+        # one cut a trial, which lays out each type's pair through the one
+        # layout, and that searches g's keys in range among p's once
         assert cuts.calls == 3
-        assert searches.calls == 3 * len(components)
+        assert pairs.calls == searches.calls == 3 * len(components)
 
     @pytest.mark.parametrize(
         "exponent, scaled_per_trial", [(0.0, False), (1.0, True)], ids=["one_value", "zipf"]

@@ -2247,7 +2247,13 @@ class TestProfileLayout:
     by atom, bit for bit, on pairs whose g's keys lie among p's, bar the
     empty fact; keyed_profile refuses every other pair."""
 
-    @given(pair=dist_pairs() | contained_pairs())
+    # world_pairs: a p that keeps its zero-weight keys, at times the empty
+    # fact's, and has no background
+    @given(pair=dist_pairs() | contained_pairs() | world_pairs())
+    # a world's p: the empty fact and atom 2 at weight 0, g holding both
+    @example(
+        pair=(FactoidDist(LAYOUT_U, [0, 2, 5], [0.0, 0.0, 1.0]), dist_from_weights(LAYOUT_U, {0: 1.0, 2: 1.0}))
+    )
     # rest = 0: the keys cover the universe, the empty fact among them
     @example(pair=(LAYOUT_FULL, LAYOUT_UNIFORM))
     # contained pairs: g on some of p's keys, the one at size - 1 among them
